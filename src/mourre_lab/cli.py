@@ -24,6 +24,17 @@ SCHEMA_VERSION = "1"
 EXPERIMENTS = ("rho-scan", "transfer", "hypotheses", "scatter", "completeness")
 THREADS_ENV = "MOURRE_LAB_THREADS"
 
+# Accepted `params` keys per experiment (the README params table).  The
+# potential bump is read by `_build`, so every experiment accepts it.
+BUMP_PARAMS = ("bump_amplitude", "bump_width")
+PARAMS = {
+    "rho-scan": ("lambdas", "lambda_min", "lambda_max", "lambda_step", "eps"),
+    "transfer": ("lambdas", "eps", "tol"),
+    "hypotheses": ("levels", "eta_center", "eta_width", "operators"),
+    "scatter": ("lambda", "sigma", "x0", "tol"),
+    "completeness": ("x0", "k0", "sigma", "t_max", "n_times"),
+}
+
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "run", "emit_json", "emit_csv", "main"]
 
 
@@ -77,6 +88,13 @@ def load_config(path, experiment: Optional[str] = None,
         raise ConfigError("n: must be odd and >= 16")
     if cfg.threads is not None and cfg.threads < 1:
         raise ConfigError("threads: must be >= 1")
+    if not isinstance(cfg.params, dict):
+        raise ConfigError("params: must be a JSON object")
+    allowed = PARAMS[cfg.experiment] + BUMP_PARAMS
+    unknown = sorted(set(cfg.params) - set(allowed))
+    if unknown:
+        raise ConfigError(f"params: unknown key(s) {unknown} for {cfg.experiment}; "
+                          f"expected some of {list(allowed)}")
     for key, val in cfg.params.items():
         if key.endswith(("tol", "eps", "sigma")) and isinstance(val, (int, float)) and val <= 0:
             raise ConfigError(f"params.{key}: must be positive")
@@ -365,8 +383,9 @@ def run(cfg: ExperimentConfig) -> int:
         ok = _RUNNERS[cfg.experiment](cfg, out)
     except ConfigError:
         raise
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # exit 1 means a failed verdict, so every other failure is 2
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
         return 2
     return 0 if ok else 1
 

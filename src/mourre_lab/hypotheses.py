@@ -19,6 +19,8 @@ from .operators import OperatorSet, build_B, build_B_pm, build_commutator_longra
 from .spectral import (
     SmoothingFunction,
     SpectralDecomposition,
+    apply_function,
+    dirichlet_decomposition,
     eigendecompose,
     plateau,
     resolvent,
@@ -77,19 +79,13 @@ class ChannelDecompositions:
 
 
 def channel_decompositions(opset: OperatorSet) -> ChannelDecompositions:
-    """One eigh for H and one for the Laplacian (channels share its basis)."""
+    """One eigh for H; the channels share the closed-form Laplacian basis."""
     dec_H = eigendecompose(opset.H)
-    dec_lap = eigendecompose(opset.neglap)
+    dec_lap = dirichlet_decomposition(opset.n, opset.grid.dx)
     pot = opset.potential
     minus = SpectralDecomposition(dec_lap.eigenvalues + pot.v_minus, dec_lap.eigenvectors)
     plus = SpectralDecomposition(dec_lap.eigenvalues + pot.v_plus, dec_lap.eigenvectors)
     return ChannelDecompositions(H=dec_H, minus=minus, plus=plus)
-
-
-def _eta_of(dec: SpectralDecomposition, eta: SmoothingFunction) -> np.ndarray:
-    u = dec.eigenvectors
-    w = eta(dec.eigenvalues)
-    return (u * w[None, :]) @ u.conj().T
 
 
 def assumption_operator(
@@ -107,14 +103,14 @@ def assumption_operator(
     jm = opset.cutoffs.j_minus
     jp = opset.cutoffs.j_plus
     n = opset.n
-    eta_H = _eta_of(decs.H, eta)
+    eta_H = apply_function(decs.H, eta)
 
     if which == "iv":
         w = opset.cutoffs.jj_sum_sq - 1.0
         return eta_H @ (w[:, None] * eta_H)
 
-    eta_m = _eta_of(decs.minus, eta)
-    eta_p = _eta_of(decs.plus, eta)
+    eta_m = apply_function(decs.minus, eta)
+    eta_p = apply_function(decs.plus, eta)
 
     if which == "iii":
         out = np.zeros((n, 2 * n))
@@ -223,8 +219,8 @@ def short_range_operator(
     n = opset.n
     bmat = build_B(opset, z, decs.resolvent_H, decs.resolvent_channel).entries
     d = opset.D.entries
-    sm = _eta_of(decs.minus, smoothing)
-    sp = _eta_of(decs.plus, smoothing)
+    sm = apply_function(decs.minus, smoothing)
+    sp = apply_function(decs.plus, smoothing)
     out = np.zeros((n, 2 * n), dtype=complex)
     out[:, :n] = bmat[:, :n] @ d @ sm
     out[:, n:] = bmat[:, n:] @ d @ sp
@@ -268,13 +264,10 @@ def c1_probe(
         raise ValueError("test states must be normalized")
     dec_A = eigendecompose(opset.A)
     r = resolvent(decs.H, z)
-    ua = dec_A.eigenvectors
-    wa = dec_A.eigenvalues
 
     def conjugated(t: float) -> np.ndarray:
-        ph = np.exp(-1j * t * wa)
-        em = (ua * ph[None, :]) @ ua.conj().T
-        ep = (ua * ph.conj()[None, :]) @ ua.conj().T
+        em = apply_function(dec_A, lambda w: np.exp(-1j * t * w))
+        ep = apply_function(dec_A, lambda w: np.exp(1j * t * w))
         return em @ r @ ep
 
     quotients = []

@@ -32,7 +32,9 @@ from .spectral import (
     SmoothingFunction,
     SpectralDecomposition,
     bump,
+    dirichlet_decomposition,
     eigendecompose,
+    sandwich,
 )
 from .operators import hermitian
 
@@ -334,17 +336,13 @@ def transfer_verify(
     estimate for (H, A) is compared against the closed-form channel value,
     and the interior-weighted residual of
     eta(H) i[H,A] eta(H) - J eta(H0) i[H0,A0] eta(H0) J* is recorded as a
-    compactness candidate.
+    compactness candidate.  Each eta(.) M eta(.) is formed on the support
+    of eta only; the channel eigenpairs in that window come in closed form.
     """
     pot = opset.potential
+    grid = opset.grid
     if dec_H is None:
         dec_H = eigendecompose(opset.H)
-    dec_m = eigendecompose(hermitian(opset.channel_hamiltonian("-")))
-    # both channels share the Laplacian eigenbasis, shifted spectrum
-    dec_p = SpectralDecomposition(
-        eigenvalues=dec_m.eigenvalues - pot.v_minus + pot.v_plus,
-        eigenvectors=dec_m.eigenvectors,
-    )
     chi = _interior_window(opset)
     cm, cp = opset.commutator_iH0A0_channel
     jm = opset.cutoffs.j_minus
@@ -363,12 +361,12 @@ def transfer_verify(
         rhos.append(est.corrected)
         margins.append(est.corrected - rho0 if math.isfinite(rho0) else math.nan)
 
-        eta_H = _apply_eta(dec_H, eta)
-        lhs = eta_H @ opset.commutator_iHA.entries @ eta_H
-        eta_m = _apply_eta(dec_m, eta)
-        eta_p = _apply_eta(dec_p, eta)
-        rhs = (jm[:, None] * (eta_m @ cm.entries @ eta_m) * jm[None, :]
-               + jp[:, None] * (eta_p @ cp.entries @ eta_p) * jp[None, :])
+        win = EnergyWindow(lam, eps)
+        dec_m = dirichlet_decomposition(grid.n, grid.dx, pot.v_minus, win)
+        dec_p = dirichlet_decomposition(grid.n, grid.dx, pot.v_plus, win)
+        lhs = sandwich(dec_H, eta, opset.commutator_iHA.entries)
+        rhs = (jm[:, None] * sandwich(dec_m, eta, cm.entries) * jm[None, :]
+               + jp[:, None] * sandwich(dec_p, eta, cp.entries) * jp[None, :])
         diff = chi[:, None] * (lhs - rhs) * chi[None, :]
         residuals.append(opnorm(diff))
 
@@ -378,12 +376,6 @@ def transfer_verify(
         margins=margins, excluded=excluded, eone_residuals=residuals,
         verdict=verdict, tol=tol,
     )
-
-
-def _apply_eta(dec: SpectralDecomposition, eta: SmoothingFunction) -> np.ndarray:
-    u = dec.eigenvectors
-    w = eta(dec.eigenvalues)
-    return (u * w[None, :]) @ u.conj().T
 
 
 def rho_scan(

@@ -1,15 +1,21 @@
 """Eigendecomposition and everything derived from it.
 
-All functions of operators go through a full dense eigendecomposition:
-projections onto energy windows, smooth localization functions of H,
-resolvents and the unitary propagator.  At the matrix sizes used here
-(n <= ~4000) this is both fast and exact to solver tolerance.
+Functions of an operator are formed from its eigenpairs: projections
+onto energy windows, smooth localization functions of H, resolvents and
+the unitary propagator.  H comes from one dense `eigh`; the channel
+operators -Delta + v_pm need none, because the Dirichlet Laplacian has a
+closed-form sine (DST-I) eigenbasis, which can also be built for an
+energy window alone.  A function f(H) costs what its support costs: only
+eigenvectors where f is nonzero enter U f(Lambda) U*, so a compactly
+supported eta gives a low-rank product.  Propagation of a complex state
+in a real eigenbasis stays in real arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,8 +26,10 @@ __all__ = [
     "EnergyWindow",
     "SmoothingFunction",
     "eigendecompose",
+    "dirichlet_decomposition",
     "spectral_projection",
     "apply_function",
+    "sandwich",
     "resolvent",
     "propagate",
     "scattering_projector",
@@ -41,9 +49,7 @@ class SpectralDecomposition:
         return self.eigenvectors.shape[0]
 
     def window_mask(self, win: "EnergyWindow") -> np.ndarray:
-        return (self.eigenvalues > win.lam - win.eps) & (
-            self.eigenvalues < win.lam + win.eps
-        )
+        return win.contains(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,10 @@ class EnergyWindow:
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("window half-width eps must be positive")
+
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        """Mask of the values inside the open interval (lam-eps, lam+eps)."""
+        return (x > self.lam - self.eps) & (x < self.lam + self.eps)
 
 
 @dataclass(frozen=True)
@@ -113,13 +123,55 @@ def spectral_projection(dec: SpectralDecomposition, win: EnergyWindow) -> Hermit
     return hermitian(u @ u.conj().T, symmetrize=True)
 
 
-def apply_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """U f(Lambda) U^dagger; raises if f is singular on the spectrum."""
+def dirichlet_decomposition(
+    n: int, dx: float, shift: float = 0.0, window: Optional[EnergyWindow] = None
+) -> SpectralDecomposition:
+    """Closed-form eigenpairs of the 3-point Dirichlet -Delta + shift on n nodes.
+
+    Eigenvalues 4/dx^2 sin^2(k pi / 2(n+1)) + shift, ascending in k = 1..n;
+    eigenvectors sqrt(2/(n+1)) sin(j k pi / (n+1)), the DST-I basis.  With a
+    window only the eigenpairs inside (lam-eps, lam+eps) are built.
+    """
+    k = np.arange(1, n + 1)
+    w = 4.0 / dx**2 * np.sin(k * (np.pi / (2 * (n + 1)))) ** 2 + shift
+    if window is not None:
+        keep = window.contains(w)
+        k, w = k[keep], w[keep]
+    # j*k reduced modulo the period 2(n+1) in integers keeps the sine argument in [0, 2 pi)
+    u = (np.outer(np.arange(1, n + 1), k) % (2 * (n + 1))) * (np.pi / (n + 1))
+    np.sin(u, out=u)
+    u *= math.sqrt(2.0 / (n + 1))
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
+
+
+def _support(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]):
+    """(U_S, f_S): the eigenvectors where f is nonzero and the values of f there.
+
+    The test is exact (f == 0), so dropping those columns changes U f(Lambda) U*
+    only by rounding; U is sliced only when the support is a proper subset.
+    """
     fw = np.asarray(f(dec.eigenvalues))
     if not np.all(np.isfinite(fw)):
         raise ValueError("function is singular or undefined at an eigenvalue")
     u = dec.eigenvectors
+    nonzero = fw != 0
+    if not nonzero.all():
+        u, fw = u[:, nonzero], fw[nonzero]
+    return u, fw
+
+
+def apply_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """U f(Lambda) U^dagger over the support of f; raises if f is singular on the spectrum."""
+    u, fw = _support(dec, f)
     return (u * fw[None, :]) @ u.conj().T
+
+
+def sandwich(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray], m: np.ndarray) -> np.ndarray:
+    """f(H) M f(H) as U_S (f_S (U_S^dagger M U_S) f_S) U_S^dagger, with S the support of f."""
+    u, fw = _support(dec, f)
+    uh = u.conj().T
+    core = fw[:, None] * (uh @ m @ u) * fw[None, :]
+    return u @ core @ uh
 
 
 def resolvent(dec: SpectralDecomposition, z: complex) -> np.ndarray:
@@ -137,7 +189,13 @@ def propagate(dec: SpectralDecomposition, state: np.ndarray, t: float) -> np.nda
         raise ValueError("state dimension does not match the decomposition")
     u = dec.eigenvectors
     phases = np.exp(-1j * t * dec.eigenvalues)
-    return u @ (phases * (u.conj().T @ state))
+    if np.iscomplexobj(u):
+        return u @ (phases * (u.conj().T @ state))
+    # real basis: transform the real and imaginary parts together, never casting U to complex
+    parts = u.T @ np.column_stack((state.real, state.imag))
+    coef = phases * (parts[:, 0] + 1j * parts[:, 1])
+    out = u @ np.column_stack((coef.real, coef.imag))
+    return out[:, 0] + 1j * out[:, 1]
 
 
 def scattering_projector(dec: SpectralDecomposition, threshold: float, delta: float = 0.01) -> np.ndarray:

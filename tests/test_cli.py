@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mourre_lab import cli
 from mourre_lab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -57,6 +58,31 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
+
+    def test_unknown_param_key_rejected(self, tmp_path):
+        path = write_config(tmp_path, "c.json",
+                            {"experiment": "rho-scan", "params": {"lamdas": [0.5]}})
+        with pytest.raises(ConfigError, match="lamdas"):
+            load_config(path)
+
+    def test_param_key_of_another_experiment_rejected(self, tmp_path):
+        path = write_config(tmp_path, "c.json",
+                            {"experiment": "transfer", "params": {"n_times": 5}})
+        with pytest.raises(ConfigError, match="n_times"):
+            load_config(path)
+
+    @pytest.mark.parametrize("experiment", ["rho-scan", "transfer", "hypotheses",
+                                            "scatter", "completeness"])
+    def test_bump_params_accepted_everywhere(self, tmp_path, experiment):
+        path = write_config(tmp_path, "c.json", {
+            "experiment": experiment,
+            "params": {"bump_amplitude": 0.3, "bump_width": 2.0}})
+        assert load_config(path).params["bump_width"] == 2.0
+
+    def test_params_must_be_object(self, tmp_path):
+        path = write_config(tmp_path, "c.json", {"experiment": "rho-scan", "params": [1]})
+        with pytest.raises(ConfigError, match="params"):
+            load_config(path)
 
 
 class TestEmit:
@@ -144,6 +170,28 @@ class TestMain:
         code = main(["rho-scan", "--config", str(path)])
         assert code == 2
         assert "n:" in capsys.readouterr().err
+
+    def test_unknown_param_key_is_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", dict(SMALL, experiment="rho-scan",
+                                                     params={"lamdas": [0.5]}))
+        assert main(["rho-scan", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "lamdas" in capsys.readouterr().err
+
+    def test_bad_param_type_is_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", dict(SMALL, experiment="transfer",
+                                                     params={"lambdas": 3}))
+        assert main(["transfer", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: TypeError") and len(err.splitlines()) == 1
+
+    def test_memory_error_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg, out):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._RUNNERS, "rho-scan", exhausted)
+        cfg = ExperimentConfig(experiment="rho-scan", out_dir=str(tmp_path), **SMALL)
+        assert run(cfg) == 2
+        assert capsys.readouterr().err.strip() == "error: MemoryError"
 
     def test_small_scan_through_main(self, tmp_path):
         payload = dict(SMALL)

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from mourre_lab.mourre import (
     DiscardPolicy,
+    _interior_window,
     analytic_rho,
     estimate_rho_eta,
     estimate_rho_window,
@@ -158,6 +163,52 @@ class TestTransfer:
         assert rep.lambda_samples == [0.5, 2.0]
         assert len(rep.margins) == 2
         assert len(rep.eone_residuals) == 2
+
+    def test_matches_dense_reference(self, small_ops, dec_H):
+        """Thin sandwiches and the closed-form channel window reproduce the dense
+        U f(Lambda) U* products with an eigh of each channel Hamiltonian."""
+        lambdas, eps = [0.3, 0.5, 1.5, 2.0], 0.1
+        rep = transfer_verify(small_ops, dec_H, lambdas, eps, 0.2)
+
+        def dense_eta(h, eta):
+            w, u = np.linalg.eigh(h)
+            return (u * eta(w)[None, :]) @ u.T
+
+        chi = _interior_window(small_ops)
+        cm, cp = small_ops.commutator_iH0A0_channel
+        jm, jp = small_ops.cutoffs.j_minus, small_ops.cutoffs.j_plus
+        for k, lam in enumerate(lambdas):
+            eta = bump(lam, eps)
+            est = estimate_rho_eta(small_ops, dec_H, "H_A", eta)
+            assert rep.margins[k] == pytest.approx(
+                est.corrected - analytic_rho(0.0, 1.0, lam), abs=1e-12)
+            e_h = dense_eta(small_ops.H.entries, eta)
+            e_m = dense_eta(small_ops.channel_hamiltonian("-"), eta)
+            e_p = dense_eta(small_ops.channel_hamiltonian("+"), eta)
+            lhs = e_h @ small_ops.commutator_iHA.entries @ e_h
+            rhs = (jm[:, None] * (e_m @ cm.entries @ e_m) * jm[None, :]
+                   + jp[:, None] * (e_p @ cp.entries @ e_p) * jp[None, :])
+            ref = opnorm(chi[:, None] * (lhs - rhs) * chi[None, :])
+            assert rep.eone_residuals[k] == pytest.approx(ref, rel=1e-12)
+
+
+def test_import_and_transfer_leave_scipy_unloaded():
+    """The library must not pull in SciPy: its import cost would dominate set-up."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
+    code = (
+        "import sys\n"
+        "from mourre_lab import build_pair, make_cutoffs, make_grid, make_steplike, transfer_verify\n"
+        "g = make_grid(10.0, 101)\n"
+        "ops = build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))\n"
+        "rep = transfer_verify(ops, None, [2.0], 0.2, 5.0)\n"
+        "assert len(rep.eone_residuals) == 1\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestRhoScan:

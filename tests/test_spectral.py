@@ -8,6 +8,7 @@ from mourre_lab.spectral import (
     SpectralDecomposition,
     apply_function,
     bump,
+    dirichlet_decomposition,
     eigendecompose,
     gaussian,
     plateau,
@@ -63,6 +64,15 @@ class TestApplyFunction:
         with np.errstate(divide="ignore"), pytest.raises(ValueError):
             apply_function(dec, lambda x: 1.0 / (x - e0))
 
+    @pytest.mark.parametrize("eta", [bump(1.0, 0.3), plateau(0.5, 2.0, shoulder=0.5)],
+                             ids=["bump", "plateau"])
+    def test_support_restriction_matches_dense(self, dec, eta):
+        w = eta(dec.eigenvalues)
+        assert 0 < np.count_nonzero(w) < w.size  # the support is a proper subset
+        u = dec.eigenvectors
+        dense = (u * w[None, :]) @ u.T
+        assert np.max(np.abs(apply_function(dec, eta) - dense)) <= 1e-12
+
     def test_resolvent_solves(self, small_ops, dec):
         z = 0.5 + 1j
         r = resolvent(dec, z)
@@ -75,7 +85,42 @@ class TestApplyFunction:
             resolvent(dec, complex(dec.eigenvalues[0]))
 
 
+class TestDirichletDecomposition:
+    def test_matches_eigh_of_laplacian(self, small_ops):
+        n, dx = small_ops.n, small_ops.grid.dx
+        w, u = np.linalg.eigh(small_ops.neglap.entries)
+        closed = dirichlet_decomposition(n, dx)
+        assert np.max(np.abs(closed.eigenvalues - w)) <= 1e-12 * 4.0 / dx**2
+        v = closed.eigenvectors
+        assert np.allclose(v.T @ v, np.eye(n), atol=1e-12)
+
+    @pytest.mark.parametrize("lam,eps", [(1.5, 0.1), (3.0, 0.3), (40.0, 5.0)])
+    def test_window_projector_matches_eigh(self, small_ops, lam, eps):
+        n, dx = small_ops.n, small_ops.grid.dx
+        shift = 1.0
+        ref = eigendecompose(small_ops.neglap)
+        ref = SpectralDecomposition(ref.eigenvalues + shift, ref.eigenvectors)
+        win = EnergyWindow(lam, eps)
+        sel = ref.window_mask(win)
+        closed = dirichlet_decomposition(n, dx, shift, win)
+        assert closed.eigenvalues.size == np.count_nonzero(sel) > 0
+        assert closed.eigenvectors.shape == (n, closed.eigenvalues.size)
+        u_ref = ref.eigenvectors[:, sel]
+        u = closed.eigenvectors
+        assert np.max(np.abs(u @ u.T - u_ref @ u_ref.T)) <= 1e-12
+
+
 class TestPropagate:
+    def test_real_basis_matches_complex_formula(self, dec):
+        rng = np.random.default_rng(14)
+        psi = rng.standard_normal(dec.source_dim) + 1j * rng.standard_normal(dec.source_dim)
+        u = dec.eigenvectors.astype(complex)
+        t = 3.1
+        ref = u @ (np.exp(-1j * t * dec.eigenvalues) * (u.conj().T @ psi))
+        assert np.max(np.abs(propagate(dec, psi, t) - ref)) <= 1e-13
+        complex_dec = SpectralDecomposition(dec.eigenvalues, u)
+        assert np.max(np.abs(propagate(complex_dec, psi, t) - ref)) <= 1e-13
+
     def test_time_zero_identity(self, dec):
         rng = np.random.default_rng(11)
         psi = rng.standard_normal(dec.source_dim).astype(complex)
