@@ -1,0 +1,154 @@
+"""Golden values: small CLI runs must reproduce their frozen outputs.
+
+`golden.json` next to this file holds the outputs of four small
+experiments.  Regenerate it only on a commit whose outputs define
+"correct", from the repository root:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+Each tolerance is the resolution of the estimator that produced the
+value, never an observed drift:
+
+- rho values (raw, corrected, margins) come from the bisection of
+  `estimate_rho_eta`, which stops once its bracket is below
+  BISECT_TOL * max(1, |rho|);
+- tail ratios sigma_20 / sigma_1 come from `eigvalsh` of a Gram matrix of
+  dimension d, whose eigenvalues carry an absolute error of order
+  d * eps * sigma_1^2, so the ratio is resolved to sqrt(d * eps);
+- propagated norms and E1 residuals are built from an eigenbasis
+  orthonormal to a modest multiple of n * eps, bounded by
+  ROUNDING_ULPS * n * eps (relative to max(1, |value|)); a residual is an
+  `opnorm`, whose power iteration also stops at a relative step of
+  OPNORM_RTOL;
+- mode counts, energy samples and exclusions must match exactly.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from mourre_lab.cli import ExperimentConfig, run
+
+GOLDEN = Path(__file__).with_name("golden.json")
+F64_EPS = 2.220446049250313e-16
+BISECT_TOL = 1e-3
+OPNORM_RTOL = 1e-12
+ROUNDING_ULPS = 16.0
+
+BASE = {"L": 40.0, "v_minus": 0.0, "v_plus": 1.0, "profile": "smooth_step"}
+CONFIGS = {
+    "rho-scan": dict(BASE, n=321, params={
+        "lambda_min": -0.5, "lambda_max": 3.0, "lambda_step": 0.25, "eps": 0.1}),
+    "transfer": dict(BASE, n=321, params={
+        "lambdas": [0.3, 0.5, 1.05, 1.5, 2.0], "eps": 0.1, "tol": 0.2}),
+    "hypotheses": dict(BASE, n=161, params={
+        "levels": [[40.0, 161], [40.0, 321]], "eta_center": 0.5, "eta_width": 0.4,
+        "operators": ["ii", "iii", "iv", "short", "long", "identity"]}),
+    "completeness": dict(BASE, n=321, params={
+        "x0": 10.0, "k0": 1.5, "sigma": 2.0, "t_max": 8.0, "n_times": 41}),
+}
+REPORTS = {"rho-scan": "rho_scan.json", "transfer": "transfer.json",
+           "hypotheses": "hypotheses.json", "completeness": "completeness.json"}
+
+
+def summarize(experiment: str, rep: dict) -> dict:
+    """The frozen quantities of one report (non-finite values read back as floats)."""
+    if experiment == "rho-scan":
+        rows = rep["rows"]
+        return {key: [float(row[key]) for row in rows]
+                for key in ("lambda", "rho_raw", "rho_corrected", "margin", "n_discarded")}
+    if experiment == "transfer":
+        return {key: [float(x) for x in rep[key]]
+                for key in ("lambda_samples", "excluded", "rho_H_estimate", "margins",
+                            "eone_residuals")}
+    if experiment == "hypotheses":
+        return {"tail_ratio": {tag: [float(x) for x in op["tail_ratio"]]
+                               for tag, op in rep["operators"].items()}}
+    return {"min_froufrou": min(float(x) for x in rep["froufrou_norms"]),
+            "min_converse": min(float(x) for x in rep["converse_norms"])}
+
+
+def run_summary(experiment: str, out_dir: Path) -> dict:
+    cfg = ExperimentConfig(experiment=experiment, out_dir=str(out_dir), **CONFIGS[experiment])
+    code = run(cfg)
+    if code == 2:
+        raise RuntimeError(f"{experiment}: execution error")
+    return summarize(experiment, json.loads((out_dir / REPORTS[experiment]).read_text()))
+
+
+def _rho_tol(ref: float) -> float:
+    return BISECT_TOL * max(1.0, abs(ref))
+
+
+def _rounding_tol(n: int):
+    return lambda ref: ROUNDING_ULPS * n * F64_EPS * max(1.0, abs(ref))
+
+
+def _residual_tol(n: int):
+    return lambda ref: OPNORM_RTOL * abs(ref) + _rounding_tol(n)(ref)
+
+
+def _exact(ref: float) -> float:
+    return 0.0
+
+
+def mismatches(label: str, values, refs, tol) -> list[str]:
+    values, refs = list(values), list(refs)
+    if len(values) != len(refs):
+        return [f"{label}: {len(values)} values, golden has {len(refs)}"]
+    bad = []
+    for k, (v, r) in enumerate(zip(values, refs)):
+        if math.isnan(r) or math.isinf(r):
+            same = math.isnan(v) if math.isnan(r) else v == r
+        else:
+            same = abs(v - r) <= tol(r)
+        if not same:
+            bad.append(f"{label}[{k}]: {v!r} vs golden {r!r}")
+    return bad
+
+
+def compare(experiment: str, got: dict, ref: dict) -> list[str]:
+    n = CONFIGS[experiment]["n"]
+    if experiment == "rho-scan":
+        checks = {"lambda": _exact, "n_discarded": _exact, "rho_raw": _rho_tol,
+                  "rho_corrected": _rho_tol, "margin": _rho_tol}
+    elif experiment == "transfer":
+        checks = {"lambda_samples": _exact, "excluded": _exact, "rho_H_estimate": _rho_tol,
+                  "margins": _rho_tol, "eone_residuals": _residual_tol(n)}
+    elif experiment == "completeness":
+        checks = {"min_froufrou": _rounding_tol(n), "min_converse": _rounding_tol(n)}
+        return [msg for key, tol in checks.items()
+                for msg in mismatches(key, [got[key]], [ref[key]], tol)]
+    else:
+        dims = [d for _, d in CONFIGS[experiment]["params"]["levels"]]
+        if sorted(got["tail_ratio"]) != sorted(ref["tail_ratio"]):
+            return [f"operators {sorted(got['tail_ratio'])} vs golden {sorted(ref['tail_ratio'])}"]
+        bad = []
+        for tag, rtails in ref["tail_ratio"].items():
+            for d, t, rt in zip(dims, got["tail_ratio"][tag], rtails):
+                bad += mismatches(f"tail_ratio {tag} n={d}", [t], [rt],
+                                  lambda r, d=d: math.sqrt(d * F64_EPS))
+        return bad
+    return [msg for key, tol in checks.items() for msg in mismatches(key, got[key], ref[key], tol)]
+
+
+@pytest.mark.parametrize("experiment", sorted(CONFIGS))
+def test_matches_golden(experiment, tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert compare(experiment, run_summary(experiment, tmp_path), golden[experiment]) == []
+
+
+if __name__ == "__main__":
+    frozen = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CONFIGS):
+            out = Path(tmp) / name
+            frozen[name] = run_summary(name, out)
+            print(f"{name}: frozen", file=sys.stderr)
+    GOLDEN.write_text(json.dumps(frozen, indent=1, sort_keys=True) + "\n")
