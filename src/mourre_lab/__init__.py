@@ -12,9 +12,8 @@ from .grid import (
     tail_metrics,
 )
 from .operators import (
-    HermitianOperator,
+    Band,
     OperatorSet,
-    RectOperator,
     build_commutator_longrange,
     build_pair,
     load_matrix,

@@ -34,6 +34,7 @@ PARAMS = {
     "scatter": ("lambda", "sigma", "x0", "tol"),
     "completeness": ("x0", "k0", "sigma", "t_max", "n_times"),
 }
+OPERATOR_TAGS = ("ii", "iii", "iv", "short", "long", "identity")
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "run", "emit_json", "emit_csv", "main"]
 
@@ -98,7 +99,34 @@ def load_config(path, experiment: Optional[str] = None,
     for key, val in cfg.params.items():
         if key.endswith(("tol", "eps", "sigma")) and isinstance(val, (int, float)) and val <= 0:
             raise ConfigError(f"params.{key}: must be positive")
+    tags = cfg.params.get("operators", [])
+    if not isinstance(tags, list):
+        raise ConfigError("params.operators: must be a list of tags")
+    unknown = [tag for tag in tags if tag not in OPERATOR_TAGS]
+    if unknown:
+        raise ConfigError(f"params.operators: unknown tag(s) {unknown}; "
+                          f"expected some of {list(OPERATOR_TAGS)}")
     return cfg
+
+
+def _set_blas_threads(count: int) -> None:
+    """Set the thread count of NumPy's bundled OpenBLAS in this process.
+
+    OpenBLAS reads OPENBLAS_NUM_THREADS only when it is loaded, which
+    happens with `import numpy`, so the count is applied at run time.
+    """
+    import ctypes
+    import glob
+
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = sorted(glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")))
+    if not paths:
+        raise ConfigError(f"threads: cannot set {count} BLAS threads: "
+                          f"no bundled OpenBLAS under {libdir}")
+    setter = ctypes.CDLL(paths[0]).scipy_openblas_set_num_threads64_
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(count)
 
 
 # ---------------------------------------------------------------- output
@@ -249,7 +277,7 @@ def _run_hypotheses(cfg: ExperimentConfig, out: Path) -> bool:
     levels = [tuple(lv) for lv in p.get("levels", [[cfg.L, 401], [cfg.L, 801]])]
     center = float(p.get("eta_center", 0.5))
     width = float(p.get("eta_width", 0.4))
-    which = list(p.get("operators", ["ii", "iii", "iv", "short", "long", "identity"]))
+    which = list(p.get("operators", OPERATOR_TAGS))
     eta = bump(center, width)
     z = 1j
 
@@ -271,9 +299,7 @@ def _run_hypotheses(cfg: ExperimentConfig, out: Path) -> bool:
                 return short_range_operator(opset, decs, z)[0]
             if tag == "long":
                 return long_range_operator(opset, decs)
-            if tag == "identity":
-                return np.eye(n)
-            raise ConfigError(f"params.operators: unknown tag {tag!r}")
+            return np.eye(n)  # "identity", the one tag left (load_config checks them)
         return build
 
     reports = {}
@@ -377,6 +403,8 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig) -> int:
     """Execute the configured experiment; returns the process exit code."""
     out = Path(cfg.out_dir)
+    if cfg.threads is not None:
+        _set_blas_threads(cfg.threads)
     try:
         out.mkdir(parents=True, exist_ok=True)
         np.random.seed(cfg.seed % (2**32))
@@ -407,9 +435,6 @@ def main(argv: Optional[list] = None) -> int:
     except (ConfigError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(cfg.threads)
     try:
         return run(cfg)
     except ConfigError as exc:

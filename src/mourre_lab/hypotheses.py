@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .operators import OperatorSet, build_B, build_B_pm, build_commutator_longrange, hermitian
+from .operators import Band, OperatorSet, build_B, build_commutator_longrange
 from .spectral import (
     SmoothingFunction,
     SpectralDecomposition,
@@ -217,13 +217,13 @@ def short_range_operator(
         hi = max(pot.v_minus, pot.v_plus) + 4.0
         smoothing = plateau(lo, hi, shoulder=1.0)
     n = opset.n
-    bmat = build_B(opset, z, decs.resolvent_H, decs.resolvent_channel).entries
-    d = opset.D.entries
+    bmat = build_B(opset, z, decs.resolvent_H, decs.resolvent_channel)
+    dcore = opset.dilation_core   # D = iK
     sm = apply_function(decs.minus, smoothing)
     sp = apply_function(decs.plus, smoothing)
     out = np.zeros((n, 2 * n), dtype=complex)
-    out[:, :n] = bmat[:, :n] @ d @ sm
-    out[:, n:] = bmat[:, n:] @ d @ sp
+    out[:, :n] = 1j * (bmat[:, :n] @ dcore) @ sm
+    out[:, n:] = 1j * (bmat[:, n:] @ dcore) @ sp
     descr = f"plateau smoothing eta~(H0), kind={smoothing.kind}, center={smoothing.center}, width={smoothing.width}"
     return out, descr
 
@@ -232,12 +232,11 @@ def long_range_operator(opset: OperatorSet, decs: ChannelDecompositions) -> np.n
     """R(i) (J i[H0,A0] J* - i[H,A]) R(i), the dual-pair weighted difference."""
     if opset.potential.v_prime is None:
         raise ValueError("long-range difference needs a differentiable potential")
-    jm = opset.cutoffs.j_minus
-    jp = opset.cutoffs.j_plus
+    jm = Band(opset.cutoffs.j_minus[None, :])
+    jp = Band(opset.cutoffs.j_plus[None, :])
     cm, cp = opset.commutator_iH0A0_channel
-    mid = (jm[:, None] * cm.entries * jm[None, :]
-           + jp[:, None] * cp.entries * jp[None, :]
-           - build_commutator_longrange(opset).entries)
+    mid = Band((jm @ cm @ jm).entries + (jp @ cp @ jp).entries
+               - build_commutator_longrange(opset).entries)
     r = decs.resolvent_H(1j)
     out = r @ mid @ r
     return 0.5 * (out + out.conj().T)
@@ -262,7 +261,9 @@ def c1_probe(
     norms = np.linalg.norm(states, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-8):
         raise ValueError("test states must be normalized")
-    dec_A = eigendecompose(opset.A)
+    a = 1j * opset.conjugate_core.dense()
+    w, u = np.linalg.eigh(a)
+    dec_A = SpectralDecomposition(eigenvalues=w, eigenvectors=u)
     r = resolvent(decs.H, z)
 
     def conjugated(t: float) -> np.ndarray:
@@ -280,13 +281,13 @@ def c1_probe(
         for k in range(len(steps) - 1)
     ]
 
-    comm_closed = 1j * (r @ opset.A.entries - opset.A.entries @ r)
+    comm_closed = 1j * (r @ a - a @ r)
     last = quotients[-1]
     limit_mismatch = float(
         max(np.linalg.norm((last - comm_closed) @ s) for s in states)
         / max(np.linalg.norm(comm_closed @ s) for s in states)
     )
-    rhs = -r @ (opset.commutator_iHA.entries @ r)
+    rhs = -r @ (opset.commutator_iHA @ r)
     from .mourre import opnorm
 
     ident_defect = float(opnorm(comm_closed - rhs))

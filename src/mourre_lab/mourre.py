@@ -36,7 +36,6 @@ from .spectral import (
     eigendecompose,
     sandwich,
 )
-from .operators import hermitian
 
 __all__ = [
     "DiscardPolicy",
@@ -53,7 +52,7 @@ __all__ = [
     "opnorm",
 ]
 
-PAIRS = ("H_A", "H0_A0", "channel-", "channel+")
+PAIRS = ("H_A", "channel-", "channel+")
 
 
 @dataclass(frozen=True)
@@ -117,17 +116,14 @@ def analytic_rho(v_minus: float, v_plus: float, lam: float) -> float:
 
 
 def pair_matrices(opset: OperatorSet, pair: str):
-    """(energy operator, commutator i[.,.], node positions) for a pair tag."""
+    """(energy operator, commutator i[.,.], node positions) for a pair tag, as bands."""
     nodes = opset.grid.nodes
     if pair == "H_A":
-        return opset.H.entries, opset.commutator_iHA.entries, nodes
-    if pair == "H0_A0":
-        return opset.H0_matrix(), opset.commutator_iH0A0().entries, np.concatenate([nodes, nodes])
+        return opset.H, opset.commutator_iHA, nodes
     if pair in ("channel-", "channel+"):
         side = pair[-1]
         cm, cp = opset.commutator_iH0A0_channel
-        c = cm.entries if side == "-" else cp.entries
-        return opset.channel_hamiltonian(side), c, nodes
+        return opset.channel_hamiltonian(side), cm if side == "-" else cp, nodes
     raise ValueError(f"unknown pair {pair!r}, expected one of {PAIRS}")
 
 
@@ -156,7 +152,7 @@ def estimate_rho_window(
     """Compress i[H,A] onto the sharp spectral window of H and diagonalize."""
     energy, comm, positions = pair_matrices(opset, pair)
     if dec is None:
-        dec = eigendecompose(hermitian(energy))
+        dec = eigendecompose(energy)
     sel = dec.window_mask(win)
     if not np.any(sel):
         return RhoEstimate(
@@ -165,7 +161,7 @@ def estimate_rho_window(
             note="no spectrum in window",
         )
     us = dec.eigenvectors[:, sel]
-    csub = us.conj().T @ comm @ us
+    csub = us.conj().T @ (comm @ us)
     csub = 0.5 * (csub + csub.conj().T)
     eig, vec = np.linalg.eigh(csub)
     modes = us @ vec
@@ -201,7 +197,7 @@ def estimate_rho_eta(
     """
     energy, comm, positions = pair_matrices(opset, pair)
     if dec is None:
-        dec = eigendecompose(hermitian(energy))
+        dec = eigendecompose(energy)
     weights = eta(dec.eigenvalues)
     wmax = np.abs(weights).max()
     if wmax == 0:
@@ -209,7 +205,7 @@ def estimate_rho_eta(
     keep = np.abs(weights) > 1e-12 * wmax
     us = dec.eigenvectors[:, keep]
     ek = weights[keep]
-    csub = us.conj().T @ comm @ us
+    csub = us.conj().T @ (comm @ us)
     csub = 0.5 * (csub + csub.conj().T)
     m = ek[:, None] * csub * ek[None, :]
     nmat = np.diag(ek**2)
@@ -296,9 +292,9 @@ def virial_defects(
     comm_norm: Optional[float] = None,
 ) -> np.ndarray:
     """|<u_k, i[H,A] u_k>| / ||i[H,A]|| for the requested eigenvectors."""
-    c = opset.commutator_iHA.entries
+    c = opset.commutator_iHA
     if comm_norm is None:
-        comm_norm = opnorm(c)
+        comm_norm = opnorm(c.dense())
     out = []
     for k in indices:
         u = dec.eigenvectors[:, k]
@@ -364,9 +360,9 @@ def transfer_verify(
         win = EnergyWindow(lam, eps)
         dec_m = dirichlet_decomposition(grid.n, grid.dx, pot.v_minus, win)
         dec_p = dirichlet_decomposition(grid.n, grid.dx, pot.v_plus, win)
-        lhs = sandwich(dec_H, eta, opset.commutator_iHA.entries)
-        rhs = (jm[:, None] * sandwich(dec_m, eta, cm.entries) * jm[None, :]
-               + jp[:, None] * sandwich(dec_p, eta, cp.entries) * jp[None, :])
+        lhs = sandwich(dec_H, eta, opset.commutator_iHA)
+        rhs = (jm[:, None] * sandwich(dec_m, eta, cm) * jm[None, :]
+               + jp[:, None] * sandwich(dec_p, eta, cp) * jp[None, :])
         diff = chi[:, None] * (lhs - rhs) * chi[None, :]
         residuals.append(opnorm(diff))
 

@@ -1,4 +1,4 @@
-"""Dense matrix realizations of the two-channel operator quintuple.
+"""Banded realizations of the two-channel operator quintuple.
 
 On the grid the single-space Hamiltonian is H = -Delta + v with the
 3-point Dirichlet Laplacian, and the auxiliary channel operator
@@ -7,10 +7,13 @@ copies of the grid.  The identification J glues the channels with the
 smooth cutoffs, and the conjugate operators are built from the dilation
 generator D = (XP + PX)/2.
 
-Every Hermitian matrix here is either real symmetric or of the form
-i*K with K real antisymmetric (momentum, dilation); commutators of the
-two families are real symmetric again, which keeps the heavy products
-in real arithmetic.
+Every operator is banded and stored by its diagonals (`Band`): H and
+-Delta are real symmetric tridiagonal; D and A = jDj are i*K with K a
+real antisymmetric tridiagonal core, and only the core is kept;
+commutators i[S, iK] = KS - SK of the two families are real symmetric
+pentadiagonal, formed by a band product in O(n).  J and J* are
+multiplications by the cutoffs.  Symmetry is built into the stored
+diagonals, so no operator needs a hermiticity check.
 """
 
 from __future__ import annotations
@@ -23,12 +26,10 @@ import numpy as np
 from .grid import CutoffPair, Grid, PotentialField
 
 __all__ = [
-    "HermitianOperator",
-    "RectOperator",
+    "Band",
     "OperatorSet",
     "build_laplacian",
     "build_momentum_core",
-    "build_dilation",
     "build_pair",
     "build_commutator_longrange",
     "build_B",
@@ -37,52 +38,91 @@ __all__ = [
     "load_matrix",
 ]
 
-HERMITICITY_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
-class HermitianOperator:
-    """Dense Hermitian matrix with a recorded hermiticity defect."""
+class Band:
+    """Square banded matrix M stored by its 2b+1 diagonals, row-indexed.
+
+    entries[b + k, i] = M[i, i + k] for |k| <= b; entries whose column
+    i + k falls outside the matrix are zero.  `B @ X` and `X @ B` cost
+    O(n k b) for an n x k block X, and `B @ C` of two bands is a band.
+    """
 
     entries: np.ndarray
-    hermiticity_defect: float
+    __array_ufunc__ = None  # makes ndarray @ Band defer to Band.__rmatmul__
 
     @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+    def b(self) -> int:
+        return self.entries.shape[0] // 2
 
     @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.entries)
-
-
-@dataclass(frozen=True)
-class RectOperator:
-    """Dense rectangular matrix between the two state spaces."""
-
-    entries: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
+    def n(self) -> int:
         return self.entries.shape[1]
 
+    def _diagonals(self):
+        """(k, lo, hi): diagonal k holds M[i, i + k] for lo <= i < hi."""
+        n = self.n
+        for k in range(-self.b, self.b + 1):
+            yield k, max(0, -k), n - max(0, k)
 
-def hermitian(matrix: np.ndarray, symmetrize: bool = False) -> HermitianOperator:
-    """Wrap a matrix as HermitianOperator, checking (or enforcing) M = M*."""
-    m = np.asarray(matrix)
-    if symmetrize:
-        m = 0.5 * (m + m.conj().T)
-    scale = np.max(np.abs(m)) or 1.0
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > HERMITICITY_RTOL * scale:
-        raise ValueError(
-            f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_RTOL:.0e} * {scale:.3e}"
-        )
-    return HermitianOperator(entries=m, hermiticity_defect=defect)
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.n, self.n), dtype=self.entries.dtype)
+        for k, lo, hi in self._diagonals():
+            i = np.arange(lo, hi)
+            out[i, i + k] = self.entries[self.b + k, lo:hi]
+        return out
+
+    def __matmul__(self, x):
+        if isinstance(x, Band):
+            return self._times_band(x)
+        x = np.asarray(x)
+        out = np.zeros(x.shape, dtype=np.result_type(self.entries, x))
+        for k, lo, hi in self._diagonals():
+            d = self.entries[self.b + k, lo:hi]
+            out[lo:hi] += (d if x.ndim == 1 else d[:, None]) * x[lo + k:hi + k]
+        return out
+
+    def __rmatmul__(self, x):
+        x = np.asarray(x)
+        out = np.zeros(x.shape, dtype=np.result_type(self.entries, x))
+        for k, lo, hi in self._diagonals():
+            out[..., lo + k:hi + k] += x[..., lo:hi] * self.entries[self.b + k, lo:hi]
+        return out
+
+    def _times_band(self, other: "Band") -> "Band":
+        """The band of M N, of half-width b_M + b_N.
+
+        M[i, i+k] N[i+k, i+k+m] lands on diagonal k + m of the product.  Each
+        entry sums its terms in ascending order of the inner index, so KS and
+        SK of a symmetric S and an antisymmetric K are exact negated
+        transposes, and KS - SK is exactly symmetric.
+        """
+        b1, b2 = self.b, other.b
+        out = np.zeros((2 * (b1 + b2) + 1, self.n),
+                       dtype=np.result_type(self.entries, other.entries))
+        for k, lo, hi in self._diagonals():
+            out[b1 + k:b1 + k + 2 * b2 + 1, lo:hi] += (
+                self.entries[b1 + k, lo:hi] * other.entries[:, lo + k:hi + k])
+        return Band(out)
+
+
+def _tridiagonal(lower, main, upper) -> Band:
+    """Band with M[i + 1, i] = lower[i], M[i, i] = main[i] and M[i, i + 1] = upper[i]."""
+    entries = np.zeros((3, len(lower) + 1))
+    entries[0, 1:], entries[1], entries[2, :-1] = lower, main, upper
+    return Band(entries)
+
+
+def _plus_diagonal(op: Band, v) -> Band:
+    """op + diag(v) for a scalar or per-node v."""
+    entries = op.entries.copy()
+    entries[op.b] += v
+    return Band(entries)
+
+
+def _commutator(x: Band, y: Band) -> Band:
+    """[X, Y] = XY - YX; for S symmetric and K antisymmetric, i[S, iK] = [K, S]."""
+    return Band((x @ y).entries - (y @ x).entries)
 
 
 @dataclass(frozen=True)
@@ -92,49 +132,21 @@ class OperatorSet:
     grid: Grid
     cutoffs: CutoffPair
     potential: PotentialField
-    H: HermitianOperator                 # n x n
-    neglap: HermitianOperator            # -Delta, shared by all channels
-    D: HermitianOperator                 # dilation generator, n x n
-    A: HermitianOperator                 # jDj, n x n
-    J: RectOperator                      # n x 2n
-    dilation_core: np.ndarray            # real antisymmetric K with D = iK
-    conjugate_core: np.ndarray           # real antisymmetric K' with A = iK'
-    commutator_iHA: HermitianOperator    # i[H, A], real symmetric
-    commutator_iH0A0_channel: tuple[HermitianOperator, HermitianOperator]
+    H: Band                              # -Delta + v, tridiagonal
+    neglap: Band                         # -Delta, shared by all channels
+    dilation_core: Band                  # real antisymmetric K with D = iK
+    conjugate_core: Band                 # real antisymmetric K' with A = jDj = iK'
+    commutator_iHA: Band                 # i[H, A], real symmetric, pentadiagonal
+    commutator_iH0A0_channel: tuple[Band, Band]   # i[-Delta + v_pm, D]
 
     @property
     def n(self) -> int:
         return self.grid.n
 
-    def channel_hamiltonian(self, side: str) -> np.ndarray:
-        """-Delta + v_pm as a dense real matrix."""
+    def channel_hamiltonian(self, side: str) -> Band:
+        """-Delta + v_pm."""
         v = self.potential.v_minus if side == "-" else self.potential.v_plus
-        return self.neglap.entries + v * np.eye(self.n)
-
-    def H0_matrix(self) -> np.ndarray:
-        """Block-diagonal 2n x 2n matrix of the channel pair."""
-        n = self.n
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = self.channel_hamiltonian("-")
-        out[n:, n:] = self.channel_hamiltonian("+")
-        return out
-
-    def A0_matrix(self) -> np.ndarray:
-        """Block-diagonal 2n x 2n dilation pair (D, D)."""
-        n = self.n
-        out = np.zeros((2 * n, 2 * n), dtype=complex)
-        out[:n, :n] = self.D.entries
-        out[n:, n:] = self.D.entries
-        return out
-
-    def commutator_iH0A0(self) -> HermitianOperator:
-        """i[H0, A0] as a block-diagonal 2n x 2n real symmetric matrix."""
-        n = self.n
-        cm, cp = self.commutator_iH0A0_channel
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = cm.entries
-        out[n:, n:] = cp.entries
-        return hermitian(out)
+        return _plus_diagonal(self.neglap, v)
 
     def apply_J(self, phi_minus: np.ndarray, phi_plus: np.ndarray) -> np.ndarray:
         cut = self.cutoffs
@@ -145,114 +157,69 @@ class OperatorSet:
         return cut.j_minus * psi, cut.j_plus * psi
 
 
-def build_laplacian(grid: Grid) -> HermitianOperator:
+def build_laplacian(grid: Grid) -> Band:
     """-Delta as the 3-point stencil with Dirichlet ends (real symmetric)."""
     n, dx = grid.n, grid.dx
-    m = np.zeros((n, n))
-    idx = np.arange(n)
-    m[idx, idx] = 2.0 / dx**2
-    m[idx[:-1], idx[:-1] + 1] = -1.0 / dx**2
-    m[idx[:-1] + 1, idx[:-1]] = -1.0 / dx**2
-    return hermitian(m)
+    off = np.full(n - 1, -1.0 / dx**2)
+    return _tridiagonal(off, np.full(n, 2.0 / dx**2), off)
 
 
-def build_momentum_core(grid: Grid) -> np.ndarray:
+def build_momentum_core(grid: Grid) -> Band:
     """Real antisymmetric core K of the momentum P = iK (centered difference)."""
-    n, dx = grid.n, grid.dx
-    k = np.zeros((n, n))
-    idx = np.arange(n - 1)
     # P = -i (S - S^T) / (2 dx) = i K  with  K = -(S - S^T)/(2 dx)
-    k[idx, idx + 1] = -1.0 / (2 * dx)
-    k[idx + 1, idx] = 1.0 / (2 * dx)
-    return k
+    upper = np.full(grid.n - 1, -1.0 / (2 * grid.dx))
+    return _tridiagonal(-upper, 0.0, upper)
 
 
-def build_dilation(grid: Grid) -> HermitianOperator:
-    """D = (XP + PX)/2 with Dirichlet-truncated centered-difference P."""
-    core = dilation_core(grid)
-    return hermitian(1j * core)
-
-
-def dilation_core(grid: Grid) -> np.ndarray:
-    """Real antisymmetric K' with D = iK'."""
-    k = build_momentum_core(grid)
+def dilation_core(grid: Grid) -> Band:
+    """Real antisymmetric K' with D = (XP + PX)/2 = iK'."""
+    k = build_momentum_core(grid).entries[2, :-1]
     x = grid.nodes
-    core = 0.5 * (x[:, None] * k + k * x[None, :])
-    return 0.5 * (core - core.T)
-
-
-def commutator_i_sym_antisym(sym: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """i[S, iK] = KS - SK for S real symmetric and K real antisymmetric."""
-    m = core @ sym - sym @ core
-    return 0.5 * (m + m.T)
+    upper = 0.5 * (x[:-1] * k + k * x[1:])
+    return _tridiagonal(-upper, 0.0, upper)
 
 
 def build_pair(grid: Grid, pot: PotentialField, cut: CutoffPair) -> OperatorSet:
-    """Assemble the full operator set (H, H0, D, A0, A, J, commutators)."""
+    """Assemble the operator set (H, -Delta, the cores of D and A, commutators)."""
     if pot.grid is not grid or cut.grid is not grid:
         raise ValueError("potential and cutoffs must live on the given grid")
     neglap = build_laplacian(grid)
-    H = hermitian(neglap.entries + np.diag(pot.v))
+    H = _plus_diagonal(neglap, pot.v)
     dcore = dilation_core(grid)
-    D = hermitian(1j * dcore)
-    acore = cut.j[:, None] * dcore * cut.j[None, :]
-    acore = 0.5 * (acore - acore.T)
-    A = hermitian(1j * acore)
-
-    n = grid.n
-    Jmat = np.zeros((n, 2 * n))
-    Jmat[:, :n] = np.diag(cut.j_minus)
-    Jmat[:, n:] = np.diag(cut.j_plus)
-
-    c_iHA = hermitian(commutator_i_sym_antisym(H.entries, acore))
-    h_minus = neglap.entries + pot.v_minus * np.eye(n)
-    h_plus = neglap.entries + pot.v_plus * np.eye(n)
-    c0 = (
-        hermitian(commutator_i_sym_antisym(h_minus, dcore)),
-        hermitian(commutator_i_sym_antisym(h_plus, dcore)),
-    )
+    upper = cut.j[:-1] * dcore.entries[2, :-1] * cut.j[1:]
+    acore = _tridiagonal(-upper, 0.0, upper)
+    c0 = tuple(_commutator(dcore, _plus_diagonal(neglap, v)) for v in (pot.v_minus, pot.v_plus))
     return OperatorSet(
         grid=grid,
         cutoffs=cut,
         potential=pot,
         H=H,
         neglap=neglap,
-        D=D,
-        A=A,
-        J=RectOperator(Jmat),
         dilation_core=dcore,
         conjugate_core=acore,
-        commutator_iHA=c_iHA,
+        commutator_iHA=_commutator(acore, H),
         commutator_iH0A0_channel=c0,
     )
 
 
-def build_commutator_longrange(opset: OperatorSet) -> HermitianOperator:
-    """i[H, A] assembled term by term from the closed-form commutator.
+def build_commutator_longrange(opset: OperatorSet) -> Band:
+    """i[H, A] assembled from the closed-form commutator.
 
     Uses [A, H] = [j P X j, -Delta] - i j^2 x v' + (i/2)[j^2, -Delta]
-    (with P the momentum), then returns i[H, A] = -i [A, H] so the
-    degenerate case j == 1, v' == 0 reduces to +2(-Delta) on interior
-    states.  Requires a differentiable potential.
+    (with P = iK the momentum) and returns the Hermitian part of
+    i[H, A] = -i [A, H].  On the grid j P X j = i T with T = j K X j real,
+    and the antisymmetric part of T is the conjugate core K'; the
+    [j^2, -Delta] term is antisymmetric.  So the Hermitian part is
+    [K', -Delta] - j^2 x v', and the degenerate case j == 1, v' == 0
+    reduces to +2(-Delta) on interior states.  Requires a differentiable
+    potential.
     """
     pot = opset.potential
     if pot.v_prime is None:
         raise ValueError("long-range commutator needs a differentiable potential (v_prime)")
     j = opset.cutoffs.j
     x = opset.grid.nodes
-    neglap = opset.neglap.entries
-    kcore = build_momentum_core(opset.grid)   # P = iK
-    # j P X j = i * (diag(j) K diag(x) diag(j))
-    t_core = j[:, None] * (kcore * x[None, :]) * j[None, :]
-    # [jPXj, -Delta] = i*(T_core @ neglap - neglap @ T_core), antisym core commutator
-    comm1 = 1j * (t_core @ neglap - neglap @ t_core)
-    mult = np.diag(j**2 * x * pot.v_prime)
-    j2 = np.diag(j**2)
-    comm3 = 0.5j * (j2 @ neglap - neglap @ j2)
-    a_h = comm1 - 1j * mult + comm3           # [A, H]
-    i_h_a = -1j * a_h                          # i[H, A]
-    i_h_a = 0.5 * (i_h_a + i_h_a.conj().T)
-    return hermitian(np.real(i_h_a))
+    return _plus_diagonal(_commutator(opset.conjugate_core, opset.neglap), -(j**2 * x * pot.v_prime))
 
 
 def build_B(
@@ -260,7 +227,7 @@ def build_B(
     z: complex,
     resolvent_H: Callable[[complex], np.ndarray],
     resolvent_channel: Callable[[str, complex], np.ndarray],
-) -> RectOperator:
+) -> np.ndarray:
     """B(z) = J R0(z) - R(z) J as an n x 2n matrix (Im z != 0)."""
     if z.imag == 0:
         raise ValueError("B(z) requires a non-real z")
@@ -273,7 +240,7 @@ def build_B(
     out = np.zeros((n, 2 * n), dtype=complex)
     out[:, :n] = jm[:, None] * Rm - R * jm[None, :]
     out[:, n:] = jp[:, None] * Rp - R * jp[None, :]
-    return RectOperator(out)
+    return out
 
 
 def build_B_pm(
@@ -292,14 +259,15 @@ def build_B_pm(
     pot = opset.potential
     jpm = cut.j_plus if side == "+" else cut.j_minus
     vpm = pot.v_plus if side == "+" else pot.v_minus
-    neglap = opset.neglap.entries
-    bracket = neglap * jpm[None, :] - jpm[:, None] * neglap  # [-Delta, j_pm]
-    middle = bracket + np.diag(jpm * (pot.v - vpm))
+    bracket = _commutator(opset.neglap, Band(jpm[None, :]))  # [-Delta, j_pm]
+    middle = _plus_diagonal(bracket, jpm * (pot.v - vpm))
     return resolvent_H(z) @ middle @ resolvent_channel(side, z)
 
 
-def save_matrix(matrix: np.ndarray, path) -> None:
-    """Text export: one row per line, entries as 're,im' pairs, row-major."""
+def save_matrix(matrix, path) -> None:
+    """Text export of a matrix or Band: one row per line, entries as 're,im' pairs, row-major."""
+    if isinstance(matrix, Band):
+        matrix = matrix.dense()
     m = np.atleast_2d(np.asarray(matrix, dtype=complex))
     with open(path, "w") as fh:
         fh.write(f"# rows={m.shape[0]} cols={m.shape[1]} format=re,im\n")

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .operators import HermitianOperator, hermitian
+from .operators import Band
 
 __all__ = [
     "SpectralDecomposition",
@@ -111,16 +111,16 @@ def plateau(lo: float, hi: float, shoulder: float) -> SmoothingFunction:
     return SmoothingFunction("plateau", 0.5 * (lo + hi), hi - lo, f)
 
 
-def eigendecompose(op: HermitianOperator) -> SpectralDecomposition:
-    w, u = np.linalg.eigh(op.entries)
+def eigendecompose(op: Band) -> SpectralDecomposition:
+    w, u = np.linalg.eigh(op.dense())
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
-def spectral_projection(dec: SpectralDecomposition, win: EnergyWindow) -> HermitianOperator:
+def spectral_projection(dec: SpectralDecomposition, win: EnergyWindow) -> np.ndarray:
     """Orthogonal projection onto the eigenvalues inside (lam-eps, lam+eps)."""
     sel = dec.window_mask(win)
     u = dec.eigenvectors[:, sel]
-    return hermitian(u @ u.conj().T, symmetrize=True)
+    return u @ u.conj().T
 
 
 def dirichlet_decomposition(
@@ -166,11 +166,14 @@ def apply_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndar
     return (u * fw[None, :]) @ u.conj().T
 
 
-def sandwich(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray], m: np.ndarray) -> np.ndarray:
-    """f(H) M f(H) as U_S (f_S (U_S^dagger M U_S) f_S) U_S^dagger, with S the support of f."""
+def sandwich(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray], m) -> np.ndarray:
+    """f(H) M f(H) as U_S (f_S (U_S^dagger M U_S) f_S) U_S^dagger, with S the support of f.
+
+    M is a matrix or a Band; it is applied to the thin U_S only.
+    """
     u, fw = _support(dec, f)
     uh = u.conj().T
-    core = fw[:, None] * (uh @ m @ u) * fw[None, :]
+    core = fw[:, None] * (uh @ (m @ u)) * fw[None, :]
     return u @ core @ uh
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,12 @@ class TestLoadConfig:
             "experiment": experiment,
             "params": {"bump_amplitude": 0.3, "bump_width": 2.0}})
         assert load_config(path).params["bump_width"] == 2.0
+
+    def test_unknown_operator_tag_rejected(self, tmp_path):
+        path = write_config(tmp_path, "c.json", {"experiment": "hypotheses",
+                                                 "params": {"operators": ["ii", "iii", "bogus"]}})
+        with pytest.raises(ConfigError, match="bogus"):
+            load_config(path)
 
     def test_params_must_be_object(self, tmp_path):
         path = write_config(tmp_path, "c.json", {"experiment": "rho-scan", "params": [1]})
@@ -202,3 +212,43 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["rho-scan", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "rho_scan.csv").exists()
+
+    def test_threads_without_bundled_openblas_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        import glob
+
+        monkeypatch.setattr(glob, "glob", lambda pattern: [])
+        path = write_config(tmp_path, "c.json", dict(SMALL, experiment="rho-scan",
+                                                     params={"lambdas": [0.5]}))
+        assert main(["rho-scan", "--config", str(path), "--out", str(tmp_path),
+                     "--threads", "1"]) == 2
+        assert "threads" in capsys.readouterr().err
+
+
+def test_threads_flag_sets_blas_thread_count(tmp_path):
+    """--threads reaches the OpenBLAS that NumPy has already loaded.
+
+    Runs in a child interpreter so that this process keeps its thread count.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
+    path = write_config(tmp_path, "c.json", dict(SMALL, experiment="rho-scan",
+                                                 params={"lambdas": [0.5]}))
+    code = (
+        "import ctypes, glob, os, sys\n"
+        "import numpy as np\n"
+        "from mourre_lab import cli\n"
+        "libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), 'numpy.libs')\n"
+        "lib = ctypes.CDLL(sorted(glob.glob(os.path.join(libdir, 'libscipy_openblas64_*.so')))[0])\n"
+        "get = lib.scipy_openblas_get_num_threads64_\n"
+        "get.restype = ctypes.c_int\n"
+        "want = 2 if get() == 1 else 1\n"
+        "status = cli.main(['rho-scan', '--config', sys.argv[1], '--out', sys.argv[2],\n"
+        "                   '--threads', str(want)])\n"
+        "print(status, want, get())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    status, want, got = map(int, out.stdout.split())
+    assert status == 0
+    assert got == want

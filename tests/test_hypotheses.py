@@ -25,14 +25,14 @@ def eta():
 
 class TestChannelDecompositions:
     def test_channel_spectra_shifted(self, small_ops, small_decs):
-        lap = np.linalg.eigvalsh(small_ops.neglap.entries)
+        lap = np.linalg.eigvalsh(small_ops.neglap.dense())
         assert np.allclose(small_decs.minus.eigenvalues, lap + 0.0, atol=1e-10)
         assert np.allclose(small_decs.plus.eigenvalues, lap + 1.0, atol=1e-10)
 
     def test_resolvent_consistent(self, small_ops, small_decs):
         z = 0.3 + 0.7j
         r = small_decs.resolvent_channel("+", z)
-        h = small_ops.channel_hamiltonian("+")
+        h = small_ops.channel_hamiltonian("+").dense()
         n = small_ops.n
         assert np.max(np.abs((h - z * np.eye(n)) @ r - np.eye(n))) < 1e-9
 

@@ -21,7 +21,7 @@ from mourre_lab.mourre import (
     transfer_verify,
     virial_defects,
 )
-from mourre_lab.operators import HermitianOperator
+from mourre_lab.operators import Band
 from mourre_lab.spectral import EnergyWindow, bump, eigendecompose
 
 
@@ -96,10 +96,7 @@ class TestWindowEstimate:
         c = 2.5
         scaled = dataclasses.replace(
             small_ops,
-            commutator_iHA=HermitianOperator(
-                c * small_ops.commutator_iHA.entries,
-                small_ops.commutator_iHA.hermiticity_defect,
-            ),
+            commutator_iHA=Band(c * small_ops.commutator_iHA.entries),
         )
         win = EnergyWindow(0.5, 0.2)
         base = estimate_rho_window(small_ops, dec_H, "H_A", win)
@@ -182,12 +179,12 @@ class TestTransfer:
             est = estimate_rho_eta(small_ops, dec_H, "H_A", eta)
             assert rep.margins[k] == pytest.approx(
                 est.corrected - analytic_rho(0.0, 1.0, lam), abs=1e-12)
-            e_h = dense_eta(small_ops.H.entries, eta)
-            e_m = dense_eta(small_ops.channel_hamiltonian("-"), eta)
-            e_p = dense_eta(small_ops.channel_hamiltonian("+"), eta)
-            lhs = e_h @ small_ops.commutator_iHA.entries @ e_h
-            rhs = (jm[:, None] * (e_m @ cm.entries @ e_m) * jm[None, :]
-                   + jp[:, None] * (e_p @ cp.entries @ e_p) * jp[None, :])
+            e_h = dense_eta(small_ops.H.dense(), eta)
+            e_m = dense_eta(small_ops.channel_hamiltonian("-").dense(), eta)
+            e_p = dense_eta(small_ops.channel_hamiltonian("+").dense(), eta)
+            lhs = e_h @ small_ops.commutator_iHA.dense() @ e_h
+            rhs = (jm[:, None] * (e_m @ cm.dense() @ e_m) * jm[None, :]
+                   + jp[:, None] * (e_p @ cp.dense() @ e_p) * jp[None, :])
             ref = opnorm(chi[:, None] * (lhs - rhs) * chi[None, :])
             assert rep.eone_residuals[k] == pytest.approx(ref, rel=1e-12)
 

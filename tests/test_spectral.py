@@ -28,7 +28,7 @@ class TestEigendecompose:
     def test_reconstructs_operator(self, small_ops, dec):
         u, w = dec.eigenvectors, dec.eigenvalues
         back = (u * w[None, :]) @ u.T
-        assert np.allclose(back, small_ops.H.entries, atol=1e-10)
+        assert np.allclose(back, small_ops.H.dense(), atol=1e-10)
 
     def test_eigenvalues_ascending(self, dec):
         assert np.all(np.diff(dec.eigenvalues) >= 0)
@@ -44,20 +44,20 @@ class TestWindows:
             EnergyWindow(1.0, 0.0)
 
     def test_projection_idempotent(self, dec):
-        p = spectral_projection(dec, EnergyWindow(1.0, 0.3)).entries
+        p = spectral_projection(dec, EnergyWindow(1.0, 0.3))
         assert np.allclose(p @ p, p, atol=1e-12)
         assert np.allclose(p, p.T, atol=1e-14)
 
     def test_projection_rank_counts_window(self, dec):
         win = EnergyWindow(1.0, 0.3)
-        p = spectral_projection(dec, win).entries
+        p = spectral_projection(dec, win)
         assert round(np.trace(p)) == int(dec.window_mask(win).sum())
 
 
 class TestApplyFunction:
     def test_identity_function(self, small_ops, dec):
         back = apply_function(dec, lambda x: x)
-        assert np.allclose(back, small_ops.H.entries, atol=1e-10)
+        assert np.allclose(back, small_ops.H.dense(), atol=1e-10)
 
     def test_singular_function_rejected(self, dec):
         e0 = dec.eigenvalues[3]
@@ -77,7 +77,7 @@ class TestApplyFunction:
         z = 0.5 + 1j
         r = resolvent(dec, z)
         n = small_ops.n
-        residual = (small_ops.H.entries - z * np.eye(n)) @ r - np.eye(n)
+        residual = (small_ops.H.dense() - z * np.eye(n)) @ r - np.eye(n)
         assert np.max(np.abs(residual)) < 1e-10
 
     def test_resolvent_rejects_spectrum_point(self, dec):
@@ -88,7 +88,7 @@ class TestApplyFunction:
 class TestDirichletDecomposition:
     def test_matches_eigh_of_laplacian(self, small_ops):
         n, dx = small_ops.n, small_ops.grid.dx
-        w, u = np.linalg.eigh(small_ops.neglap.entries)
+        w, u = np.linalg.eigh(small_ops.neglap.dense())
         closed = dirichlet_decomposition(n, dx)
         assert np.max(np.abs(closed.eigenvalues - w)) <= 1e-12 * 4.0 / dx**2
         v = closed.eigenvectors
