@@ -7,10 +7,9 @@ report also records interior-weighted residuals of the commutator
 difference, the quantity whose compactness makes the transfer work.
 """
 
-import numpy as np
-
 from mourre_lab import (
     build_pair,
+    bump,
     make_cutoffs,
     make_grid,
     make_steplike,
@@ -18,18 +17,10 @@ from mourre_lab import (
 )
 
 
-def compact_bump(grid, amplitude, width):
-    u = grid.nodes / width
-    inside = np.abs(u) < 1
-    out = np.zeros_like(grid.nodes)
-    out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-    return out
-
-
 def main():
     grid = make_grid(L=160.0, n=1601)
     cutoffs = make_cutoffs(grid)
-    bump_field = compact_bump(grid, 0.3, 2.0)
+    bump_field = 0.3 * bump(0.0, 2.0)(grid.nodes)
     potential = make_steplike(grid, 0.0, 1.0, profile="smooth_step_plus_bump",
                               bump=bump_field)
     ops = build_pair(grid, potential, cutoffs)

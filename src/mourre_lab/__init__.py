@@ -40,7 +40,6 @@ from .mourre import (
     estimate_rho_window,
     rho_scan,
     transfer_verify,
-    virial_defect,
 )
 from .hypotheses import (
     C1Report,

@@ -1,10 +1,10 @@
 """Configuration-driven experiment runner.
 
 One declarative JSON config per run; reports are emitted as JSON (with
-the fully resolved config embedded) plus plot-ready CSV.  Exit status:
+the config as given embedded) plus plot-ready CSV.  Exit status:
 0 = all verdicts pass, 1 = a verdict fails, 2 = execution/config error.
 All floating-point output is written at 17 significant digits and runs
-are deterministic for a fixed config + seed.
+are deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -23,18 +23,23 @@ import numpy as np
 SCHEMA_VERSION = "1"
 EXPERIMENTS = ("rho-scan", "transfer", "hypotheses", "scatter", "completeness")
 THREADS_ENV = "MOURRE_LAB_THREADS"
-
-# Accepted `params` keys per experiment (the README params table).  The
-# potential bump is read by `_build`, so every experiment accepts it.
-BUMP_PARAMS = ("bump_amplitude", "bump_width")
-PARAMS = {
-    "rho-scan": ("lambdas", "lambda_min", "lambda_max", "lambda_step", "eps"),
-    "transfer": ("lambdas", "eps", "tol"),
-    "hypotheses": ("levels", "eta_center", "eta_width", "operators"),
-    "scatter": ("lambda", "sigma", "x0", "tol"),
-    "completeness": ("x0", "k0", "sigma", "t_max", "n_times"),
-}
 OPERATOR_TAGS = ("ii", "iii", "iv", "short", "long", "identity")
+
+# Each experiment's `params` keys and defaults (the README params table); a
+# given value must have the JSON type of its default.  An empty list stands
+# for the default the runner derives: the lambda_min..lambda_max scan, or
+# the levels [[L, 401], [L, 801]].  `_build` reads the bump keys, so every
+# experiment accepts them; amplitude 0 means no bump.
+PARAMS = {exp: dict(keys, bump_amplitude=0.0, bump_width=1.0) for exp, keys in {
+    "rho-scan": {"lambdas": [], "lambda_min": -0.5, "lambda_max": 3.0, "lambda_step": 0.1,
+                 "eps": 0.1},
+    "transfer": {"lambdas": [0.3, 0.5, 1.5, 2.0], "eps": 0.1, "tol": 0.2},
+    "hypotheses": {"levels": [], "eta_center": 0.5, "eta_width": 0.4,
+                   "operators": list(OPERATOR_TAGS)},
+    "scatter": {"lambda": 2.0, "sigma": 3.0, "x0": -25.0, "tol": 0.02},
+    "completeness": {"x0": 10.0, "k0": 1.5, "sigma": 3.0, "t_max": 10.0, "n_times": 21},
+}.items()}
+_JSON_TYPES = {float: "number", int: "integer", str: "string", list: "list", dict: "object"}
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "run", "emit_json", "emit_csv", "main"]
 
@@ -57,6 +62,24 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
 
+def _fits(value, default) -> bool:
+    """Whether `value` has the JSON type of `default`: an integer fits a
+    number, and the items of a list fit the first item of a non-empty default."""
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, list):
+        return isinstance(value, list) and (not default or all(_fits(v, default[0]) for v in value))
+    return type(value) is type(default)
+
+
+def _check_type(name: str, value, default) -> None:
+    if not _fits(value, default):
+        kind = _JSON_TYPES[type(default)]
+        if isinstance(default, list) and default:
+            kind += f" of {_JSON_TYPES[type(default[0])]}s"
+        raise ConfigError(f"{name}: expected a JSON {kind}, got {json.dumps(value)}")
+
+
 def load_config(path, experiment: Optional[str] = None,
                 out_dir: Optional[str] = None,
                 threads: Optional[int] = None) -> ExperimentConfig:
@@ -67,8 +90,8 @@ def load_config(path, experiment: Optional[str] = None,
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    extra = set(raw) - known
+    defaults = dict(asdict(ExperimentConfig("")), threads=1)  # threads: null or an integer
+    extra = set(raw) - set(defaults)
     if extra:
         raise ConfigError(f"config: unknown field(s) {sorted(extra)}")
     if experiment is not None:
@@ -79,7 +102,14 @@ def load_config(path, experiment: Optional[str] = None,
     if threads is not None:
         raw["threads"] = threads
     elif env_threads is not None:
-        raw["threads"] = int(env_threads)
+        try:
+            raw["threads"] = int(env_threads)
+        except ValueError:
+            raise ConfigError(f"threads: {THREADS_ENV}={env_threads!r} "
+                              f"is not an integer") from None
+    for key, value in raw.items():
+        if not (key == "threads" and value is None):
+            _check_type(key, value, defaults[key])
     cfg = ExperimentConfig(**raw)
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: {cfg.experiment!r} not in {EXPERIMENTS}")
@@ -89,20 +119,16 @@ def load_config(path, experiment: Optional[str] = None,
         raise ConfigError("n: must be odd and >= 16")
     if cfg.threads is not None and cfg.threads < 1:
         raise ConfigError("threads: must be >= 1")
-    if not isinstance(cfg.params, dict):
-        raise ConfigError("params: must be a JSON object")
-    allowed = PARAMS[cfg.experiment] + BUMP_PARAMS
+    allowed = PARAMS[cfg.experiment]
     unknown = sorted(set(cfg.params) - set(allowed))
     if unknown:
         raise ConfigError(f"params: unknown key(s) {unknown} for {cfg.experiment}; "
                           f"expected some of {list(allowed)}")
     for key, val in cfg.params.items():
-        if key.endswith(("tol", "eps", "sigma")) and isinstance(val, (int, float)) and val <= 0:
+        _check_type(f"params.{key}", val, allowed[key])
+        if key.endswith(("tol", "eps", "sigma")) and val <= 0:
             raise ConfigError(f"params.{key}: must be positive")
-    tags = cfg.params.get("operators", [])
-    if not isinstance(tags, list):
-        raise ConfigError("params.operators: must be a list of tags")
-    unknown = [tag for tag in tags if tag not in OPERATOR_TAGS]
+    unknown = [tag for tag in cfg.params.get("operators", []) if tag not in OPERATOR_TAGS]
     if unknown:
         raise ConfigError(f"params.operators: unknown tag(s) {unknown}; "
                           f"expected some of {list(OPERATOR_TAGS)}")
@@ -191,79 +217,52 @@ def emit_csv(header: str, rows, path) -> None:
 
 
 # ------------------------------------------------------------- experiments
+#
+# Each runner takes the config and its params (defaults filled in) and
+# returns the verdict, the report payload, and the CSV table as
+# (file name, header, rows), or None; `run` writes both reports.
 
-def _build(cfg: ExperimentConfig, L: Optional[float] = None, n: Optional[int] = None):
+def _build(cfg: ExperimentConfig, p: dict, L: Optional[float] = None, n: Optional[int] = None):
     from .grid import make_cutoffs, make_grid, make_steplike
     from .operators import build_pair
+    from .spectral import bump
 
     grid = make_grid(L if L is not None else cfg.L, n if n is not None else cfg.n)
-    cut = make_cutoffs(grid)
-    bump_field = None
-    if "bump_amplitude" in cfg.params:
-        amp = float(cfg.params["bump_amplitude"])
-        width = float(cfg.params.get("bump_width", 1.0))
-        u = grid.nodes / width
-        bump_field = np.where(np.abs(u) < 1, amp * np.exp(1.0 - 1.0 / np.clip(1 - u**2, 1e-300, None)), 0.0)
+    profile, bump_field = cfg.profile, None
+    if p["bump_amplitude"]:
+        bump_field = float(p["bump_amplitude"]) * bump(0.0, float(p["bump_width"]))(grid.nodes)
         profile = "smooth_step_plus_bump"
-    else:
-        profile = cfg.profile
     pot = make_steplike(grid, cfg.v_minus, cfg.v_plus, profile=profile, bump=bump_field)
-    return build_pair(grid, pot, cut)
+    return build_pair(grid, pot, make_cutoffs(grid))
 
 
-def _run_rho_scan(cfg: ExperimentConfig, out: Path) -> bool:
+def _run_rho_scan(cfg: ExperimentConfig, p: dict):
     from .mourre import rho_scan
 
-    p = cfg.params
-    if "lambdas" in p:
+    if p["lambdas"]:
         lambdas = [float(v) for v in p["lambdas"]]
     else:
-        lo = float(p.get("lambda_min", -0.5))
-        hi = float(p.get("lambda_max", 3.0))
-        step = float(p.get("lambda_step", 0.1))
-        lambdas = list(np.arange(lo, hi + 0.5 * step, step))
-    eps = float(p.get("eps", 0.1))
-    opset = _build(cfg)
-    rows = rho_scan(opset, None, lambdas, eps)
-    emit_csv("lambda,rho0_analytic,rho_raw,rho_corrected,n_discarded,margin",
-             rows, out / "rho_scan.csv")
-    report = {
-        "schema_version": SCHEMA_VERSION, "experiment": cfg.experiment,
-        "config": asdict(cfg),
-        "rows": [dict(zip(("lambda", "rho0_analytic", "rho_raw", "rho_corrected",
-                           "n_discarded", "margin"), r)) for r in rows],
-        "verdict": True,
-    }
-    emit_json(report, out / "rho_scan.json")
-    return True
+        step = float(p["lambda_step"])
+        lambdas = list(np.arange(float(p["lambda_min"]), float(p["lambda_max"]) + 0.5 * step,
+                                 step))
+    rows = rho_scan(_build(cfg, p), None, lambdas, float(p["eps"]))
+    header = "lambda,rho0_analytic,rho_raw,rho_corrected,n_discarded,margin"
+    payload = {"rows": [dict(zip(header.split(","), r)) for r in rows]}
+    return True, payload, ("rho_scan.csv", header, rows)
 
 
-def _run_transfer(cfg: ExperimentConfig, out: Path) -> bool:
+def _run_transfer(cfg: ExperimentConfig, p: dict):
     from .mourre import transfer_verify
 
-    p = cfg.params
-    samples = [float(v) for v in p.get("lambdas", (0.3, 0.5, 1.5, 2.0))]
-    eps = float(p.get("eps", 0.1))
-    tol = float(p.get("tol", 0.2))
-    opset = _build(cfg)
-    rep = transfer_verify(opset, None, samples, eps, tol)
-    report = {
-        "schema_version": SCHEMA_VERSION, "experiment": cfg.experiment,
-        "config": asdict(cfg),
-        "lambda_samples": rep.lambda_samples, "rho0_analytic": rep.rho0_analytic,
-        "rho_H_estimate": rep.rho_H_estimate, "margins": rep.margins,
-        "excluded": rep.excluded, "eone_residuals": rep.eone_residuals,
-        "tol": rep.tol, "verdict": rep.verdict,
-    }
-    emit_json(report, out / "transfer.json")
-    emit_csv("lambda,rho0_analytic,rho_estimate,margin,eone_residual",
-             zip(rep.lambda_samples, rep.rho0_analytic, rep.rho_H_estimate,
-                 rep.margins, rep.eone_residuals),
-             out / "transfer.csv")
-    return rep.verdict
+    rep = transfer_verify(_build(cfg, p), None, [float(v) for v in p["lambdas"]],
+                          float(p["eps"]), float(p["tol"]))
+    rows = zip(rep.lambda_samples, rep.rho0_analytic, rep.rho_H_estimate, rep.margins,
+               rep.eone_residuals)
+    return rep.verdict, asdict(rep), (
+        "transfer.csv", "lambda,rho0_analytic,rho_estimate,margin,eone_residual", rows)
 
 
-def _run_hypotheses(cfg: ExperimentConfig, out: Path) -> bool:
+def _run_hypotheses(cfg: ExperimentConfig, p: dict):
     from .hypotheses import (
         assumption_operator,
         channel_decompositions,
@@ -273,12 +272,8 @@ def _run_hypotheses(cfg: ExperimentConfig, out: Path) -> bool:
     )
     from .spectral import bump
 
-    p = cfg.params
-    levels = [tuple(lv) for lv in p.get("levels", [[cfg.L, 401], [cfg.L, 801]])]
-    center = float(p.get("eta_center", 0.5))
-    width = float(p.get("eta_width", 0.4))
-    which = list(p.get("operators", OPERATOR_TAGS))
-    eta = bump(center, width)
+    levels = [tuple(lv) for lv in p["levels"] or [[cfg.L, 401], [cfg.L, 801]]]
+    eta = bump(float(p["eta_center"]), float(p["eta_width"]))
     z = 1j
 
     cache: dict = {}
@@ -286,7 +281,7 @@ def _run_hypotheses(cfg: ExperimentConfig, out: Path) -> bool:
     def level_data(L, n):
         key = (L, n)
         if key not in cache:
-            opset = _build(cfg, L=L, n=n)
+            opset = _build(cfg, p, L=L, n=n)
             cache[key] = (opset, channel_decompositions(opset))
         return cache[key]
 
@@ -305,90 +300,54 @@ def _run_hypotheses(cfg: ExperimentConfig, out: Path) -> bool:
     reports = {}
     verdict = True
     sv_rows = []
-    for tag in which:
+    for tag in p["operators"]:
         rep = compactness_report(make_builder(tag), levels, label=tag)
-        reports[tag] = {
-            "refinement_levels": rep.refinement_levels,
-            "singular_values": [sv.tolist() for sv in rep.singular_values],
-            "tail_ratio": rep.tail_ratio, "stability": rep.stability,
-            "verdict": rep.verdict, "thresholds": rep.thresholds,
-        }
+        reports[tag] = asdict(rep)
+        del reports[tag]["operator_label"]
         want = "non-compact" if tag == "identity" else "compact-consistent"
         verdict = verdict and rep.verdict == want
         for li, sv in enumerate(rep.singular_values):
             for k, s in enumerate(sv):
                 sv_rows.append((tag, li, k + 1, s))
-    report = {
-        "schema_version": SCHEMA_VERSION, "experiment": cfg.experiment,
-        "config": asdict(cfg), "operators": reports, "verdict": verdict,
-    }
-    emit_json(report, out / "hypotheses.json")
-    emit_csv("operator,level,k,sigma_k", sv_rows, out / "hypotheses_sv.csv")
-    return verdict
+    return verdict, {"operators": reports}, (
+        "hypotheses_sv.csv", "operator,level,k,sigma_k", sv_rows)
 
 
-def _run_scatter(cfg: ExperimentConfig, out: Path) -> bool:
+def _run_scatter(cfg: ExperimentConfig, p: dict):
     from .hypotheses import channel_decompositions
     from .scattering import gaussian_averaged_oracle, scattering_coefficients, sharp_step_oracle
 
-    p = cfg.params
-    lam = float(p.get("lambda", 2.0))
-    sigma = float(p.get("sigma", 3.0))
-    x0 = float(p.get("x0", -25.0))
-    tol = float(p.get("tol", 0.02))
-    opset = _build(cfg)
-    decs = channel_decompositions(opset)
-    coeff = scattering_coefficients(opset, decs, lam, x0=x0, sigma=sigma)
+    lam, sigma, tol = float(p["lambda"]), float(p["sigma"]), float(p["tol"])
+    opset = _build(cfg, p)
+    coeff = scattering_coefficients(opset, channel_decompositions(opset), lam,
+                                    x0=float(p["x0"]), sigma=sigma)
     oracle = sharp_step_oracle(lam, cfg.v_minus, cfg.v_plus)
     averaged = gaussian_averaged_oracle(lam, cfg.v_minus, cfg.v_plus, sigma)
     verdict = (abs(coeff.reflection - averaged.reflection) <= tol
                and abs(coeff.transmission - averaged.transmission) <= tol
                and coeff.flux_defect < 1e-2)
-    report = {
-        "schema_version": SCHEMA_VERSION, "experiment": cfg.experiment,
-        "config": asdict(cfg),
-        "energy": coeff.energy,
-        "reflection": coeff.reflection, "transmission": coeff.transmission,
-        "flux_defect": coeff.flux_defect,
-        "oracle": {"reflection": oracle.reflection, "transmission": oracle.transmission},
-        "oracle_averaged": {"reflection": averaged.reflection,
-                            "transmission": averaged.transmission},
-        "tol": tol, "verdict": verdict,
-    }
-    emit_json(report, out / "scatter.json")
-    return verdict
+    payload = dict(asdict(coeff), tol=tol, **{
+        key: {"reflection": o.reflection, "transmission": o.transmission}
+        for key, o in (("oracle", oracle), ("oracle_averaged", averaged))})
+    return verdict, payload, None
 
 
-def _run_completeness(cfg: ExperimentConfig, out: Path) -> bool:
+def _run_completeness(cfg: ExperimentConfig, p: dict):
     from .hypotheses import channel_decompositions
     from .scattering import completeness_probe, make_channel_packet
 
-    p = cfg.params
-    x0 = float(p.get("x0", 10.0))
-    k0 = float(p.get("k0", 1.5))
-    sigma = float(p.get("sigma", 3.0))
-    tmax = float(p.get("t_max", 10.0))
-    nt = int(p.get("n_times", 21))
-    opset = _build(cfg)
+    x0 = float(p["x0"])
+    opset = _build(cfg, p)
     decs = channel_decompositions(opset)
-    packet = make_channel_packet(opset.grid, "+" if x0 > 0 else "-", x0, k0, sigma)
+    packet = make_channel_packet(opset.grid, "+" if x0 > 0 else "-", x0, float(p["k0"]),
+                                 float(p["sigma"]))
     psi = opset.apply_J(packet.phi_minus, packet.phi_plus)
     psi = psi / (math.sqrt(opset.grid.dx) * np.linalg.norm(psi))
-    times = np.linspace(0.0, tmax, nt)
+    times = np.linspace(0.0, float(p["t_max"]), p["n_times"])
     rep = completeness_probe(opset, decs, psi, times)
-    report = {
-        "schema_version": SCHEMA_VERSION, "experiment": cfg.experiment,
-        "config": asdict(cfg),
-        "times": rep.times, "froufrou_norms": rep.froufrou_norms,
-        "converse_norms": rep.converse_norms, "boundary_margins": rep.boundary_margins,
-        "admissible": rep.admissible, "range_defect": rep.range_defect,
-        "verdict": rep.verdict,
-    }
-    emit_json(report, out / "completeness.json")
-    emit_csv("t,froufrou_norm,converse_norm,boundary_margin",
-             zip(rep.times, rep.froufrou_norms, rep.converse_norms, rep.boundary_margins),
-             out / "completeness.csv")
-    return rep.verdict
+    rows = zip(rep.times, rep.froufrou_norms, rep.converse_norms, rep.boundary_margins)
+    return rep.verdict, asdict(rep), (
+        "completeness.csv", "t,froufrou_norm,converse_norm,boundary_margin", rows)
 
 
 _RUNNERS = {
@@ -401,21 +360,27 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute the configured experiment; returns the process exit code."""
+    """Execute the configured experiment and write its reports; returns the exit code."""
     out = Path(cfg.out_dir)
     if cfg.threads is not None:
         _set_blas_threads(cfg.threads)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        np.random.seed(cfg.seed % (2**32))
-        ok = _RUNNERS[cfg.experiment](cfg, out)
+        verdict, payload, table = _RUNNERS[cfg.experiment](
+            cfg, {**PARAMS[cfg.experiment], **cfg.params})
+        report = {"schema_version": SCHEMA_VERSION, "experiment": cfg.experiment,
+                  "config": asdict(cfg), **payload, "verdict": verdict}
+        emit_json(report, out / f"{cfg.experiment.replace('-', '_')}.json")
+        if table is not None:
+            name, header, rows = table
+            emit_csv(header, rows, out / name)
     except ConfigError:
         raise
     except Exception as exc:  # exit 1 means a failed verdict, so every other failure is 2
         detail = f": {exc}" if str(exc) else ""
         print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
         return 2
-    return 0 if ok else 1
+    return 0 if verdict else 1
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -9,7 +9,7 @@ precision instead of interpolation accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,8 +67,6 @@ class PotentialField:
     v_plus: float
     profile_kind: str
     v_prime: Optional[np.ndarray] = None
-    tail_tol: float = 1e-9
-    boundary_deviation: float = field(default=0.0)
 
     @property
     def differentiable(self) -> bool:
@@ -157,7 +155,6 @@ def make_steplike(
     profile: str = "smooth_step",
     bump: Optional[np.ndarray] = None,
     samples: Optional[np.ndarray] = None,
-    tail_tol: float = 1e-9,
 ) -> PotentialField:
     """Steplike potential with limits v_minus / v_plus at the box ends.
 
@@ -197,7 +194,6 @@ def make_steplike(
         if v_prime is not None:
             v_prime = v_prime + np.gradient(bump, grid.dx)
 
-    dev = max(abs(v[0] - v_minus), abs(v[-1] - v_plus))
     return PotentialField(
         grid=grid,
         v=v,
@@ -205,8 +201,6 @@ def make_steplike(
         v_plus=float(v_plus),
         profile_kind=profile,
         v_prime=v_prime,
-        tail_tol=tail_tol,
-        boundary_deviation=float(dev),
     )
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "analytic_rho",
     "estimate_rho_window",
     "estimate_rho_eta",
-    "virial_defect",
     "virial_defects",
     "transfer_verify",
     "rho_scan",
@@ -179,6 +178,20 @@ def estimate_rho_window(
     )
 
 
+def _bisect_sup(holds, lo: float, hi: float, tol: float) -> float:
+    """Bisect for the largest a in [lo, hi] where the monotone test `holds(a)`
+    is true, until the bracket is below tol * max(1, |lo|) (at most 60 steps)."""
+    for _ in range(60):
+        if hi - lo <= tol * max(1.0, abs(lo)):
+            break
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def estimate_rho_eta(
     opset: OperatorSet,
     dec: Optional[SpectralDecomposition],
@@ -220,35 +233,15 @@ def estimate_rho_eta(
         kept = eig[~flags]
         return (float(kept.min()) if kept.size else math.inf), eig, inner, bdry, flags
 
-    scale = float(np.abs(csub).max()) or 1.0
-    lo, hi = -scale - 1.0, scale + 1.0
-    for _ in range(60):
-        if hi - lo <= bisect_tol * max(1.0, abs(lo)):
-            break
-        mid = 0.5 * (lo + hi)
-        if min_unflagged(mid)[0] >= -slack:
-            lo = mid
-        else:
-            hi = mid
-    corrected = lo
-
-    raw_policy = DiscardPolicy(discard_nothing=True)
-    lo_r, hi_r = -scale - 1.0, scale + 1.0
-
     def min_all(a: float) -> float:
         g = m - a * nmat
-        eig = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-        return float(eig.min())
+        return float(np.linalg.eigvalsh(0.5 * (g + g.conj().T)).min())
 
-    for _ in range(60):
-        if hi_r - lo_r <= bisect_tol * max(1.0, abs(lo_r)):
-            break
-        mid = 0.5 * (lo_r + hi_r)
-        if min_all(mid) >= -slack:
-            lo_r = mid
-        else:
-            hi_r = mid
-    raw = min(lo_r, corrected)
+    scale = float(np.abs(csub).max()) or 1.0
+    corrected = _bisect_sup(lambda a: min_unflagged(a)[0] >= -slack, -scale - 1.0, scale + 1.0,
+                            bisect_tol)
+    raw = min(_bisect_sup(lambda a: min_all(a) >= -slack, -scale - 1.0, scale + 1.0, bisect_tol),
+              corrected)
 
     _, eig, inner, bdry, flags = min_unflagged(corrected)
     log = [
@@ -300,10 +293,6 @@ def virial_defects(
         u = dec.eigenvectors[:, k]
         out.append(abs(np.real(u.conj() @ (c @ u))) / comm_norm)
     return np.array(out)
-
-
-def virial_defect(opset: OperatorSet, dec: SpectralDecomposition, k: int) -> float:
-    return float(virial_defects(opset, dec, [k])[0])
 
 
 def _interior_window(opset: OperatorSet) -> np.ndarray:

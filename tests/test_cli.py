@@ -94,6 +94,30 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="params"):
             load_config(path)
 
+    def test_threads_env_not_integer(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, "c.json", {"experiment": "rho-scan"})
+        monkeypatch.setenv("MOURRE_LAB_THREADS", "abc")
+        with pytest.raises(ConfigError, match="^threads: MOURRE_LAB_THREADS='abc'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key,value", [("n", "321"), ("L", "40"), ("threads", "2")])
+    def test_top_level_type_names_field(self, tmp_path, key, value):
+        path = write_config(tmp_path, "c.json", {"experiment": "transfer", key: value})
+        with pytest.raises(ConfigError, match=f"^{key}: expected a JSON"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key,value", [("eps", "0.1"), ("tol", True), ("lambdas", 3)])
+    def test_param_type_names_field(self, tmp_path, key, value):
+        path = write_config(tmp_path, "c.json",
+                            {"experiment": "transfer", "params": {key: value}})
+        with pytest.raises(ConfigError, match=f"^params.{key}: expected a JSON"):
+            load_config(path)
+
+    def test_integer_fits_number_param(self, tmp_path):
+        path = write_config(tmp_path, "c.json", {"experiment": "transfer", "L": 40,
+                                                 "params": {"eps": 1, "lambdas": [1, 2.5]}})
+        assert load_config(path).params["eps"] == 1
+
 
 class TestEmit:
     def test_json_seventeen_digits(self, tmp_path):
@@ -172,6 +196,20 @@ class TestRun:
                         + (tmp_path / "rho_scan.json").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("experiment,params", [
+        ("transfer", {"lambdas": [0.5, 1.5], "eps": 0.1}),
+        ("hypotheses", {"levels": [[20.0, 161], [20.0, 321]], "operators": ["ii", "identity"]}),
+        ("completeness", {"x0": 8.0, "sigma": 2.0, "t_max": 4.0, "n_times": 9}),
+    ])
+    def test_repeated_runs_byte_identical(self, tmp_path, experiment, params):
+        cfg = ExperimentConfig(experiment=experiment, out_dir=str(tmp_path), params=params,
+                               **SMALL)
+        outs = []
+        for _ in range(2):
+            assert run(cfg) in (0, 1)
+            outs.append({f.name: f.read_bytes() for f in sorted(tmp_path.iterdir())})
+        assert len(outs[0]) == 2 and outs[0] == outs[1]
+
 
 class TestMain:
     def test_config_error_is_exit_2(self, tmp_path, capsys):
@@ -192,10 +230,10 @@ class TestMain:
                                                      params={"lambdas": 3}))
         assert main(["transfer", "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: TypeError") and len(err.splitlines()) == 1
+        assert "params.lambdas" in err and len(err.splitlines()) == 1
 
     def test_memory_error_is_exit_2(self, tmp_path, capsys, monkeypatch):
-        def exhausted(cfg, out):
+        def exhausted(cfg, params):
             raise MemoryError()
 
         monkeypatch.setitem(cli._RUNNERS, "rho-scan", exhausted)
