@@ -1,10 +1,12 @@
 """Golden values: small CLI runs must reproduce their frozen outputs.
 
 `golden.json` next to this file holds the outputs of four small
-experiments.  Regenerate it only on a commit whose outputs define
-"correct", from the repository root:
+experiments and of the benchmark's rho-scan and transfer configs at
+L = 160.  Regenerate it only on a commit whose outputs define "correct",
+from the repository root, naming the entries to refreeze (all when none
+is named; the others keep their frozen values):
 
-    PYTHONPATH=src python3 tests/test_golden.py
+    PYTHONPATH=src python3 tests/test_golden.py [NAME ...]
 
 Each tolerance is the resolution of the estimator that produced the
 value, never an observed drift:
@@ -42,16 +44,23 @@ OPNORM_RTOL = 1e-12
 ROUNDING_ULPS = 16.0
 
 BASE = {"L": 40.0, "v_minus": 0.0, "v_plus": 1.0, "profile": "smooth_step"}
+# name -> (experiment, config); the L = 160 entries are the benchmark's seed-0
+# configs (perfbench/workloads.py)
 CONFIGS = {
-    "rho-scan": dict(BASE, n=321, params={
-        "lambda_min": -0.5, "lambda_max": 3.0, "lambda_step": 0.25, "eps": 0.1}),
-    "transfer": dict(BASE, n=321, params={
-        "lambdas": [0.3, 0.5, 1.05, 1.5, 2.0], "eps": 0.1, "tol": 0.2}),
-    "hypotheses": dict(BASE, n=161, params={
+    "rho-scan": ("rho-scan", dict(BASE, n=321, params={
+        "lambda_min": -0.5, "lambda_max": 3.0, "lambda_step": 0.25, "eps": 0.1})),
+    "transfer": ("transfer", dict(BASE, n=321, params={
+        "lambdas": [0.3, 0.5, 1.05, 1.5, 2.0], "eps": 0.1, "tol": 0.2})),
+    "hypotheses": ("hypotheses", dict(BASE, n=161, params={
         "levels": [[40.0, 161], [40.0, 321]], "eta_center": 0.5, "eta_width": 0.4,
-        "operators": ["ii", "iii", "iv", "short", "long", "identity"]}),
-    "completeness": dict(BASE, n=321, params={
-        "x0": 10.0, "k0": 1.5, "sigma": 2.0, "t_max": 8.0, "n_times": 41}),
+        "operators": ["ii", "iii", "iv", "short", "long", "identity"]})),
+    "completeness": ("completeness", dict(BASE, n=321, params={
+        "x0": 10.0, "k0": 1.5, "sigma": 2.0, "t_max": 8.0, "n_times": 41})),
+    "rho-scan-L160": ("rho-scan", dict(BASE, L=160.0, n=1601, params={
+        "lambda_min": -0.5, "lambda_max": 3.0, "lambda_step": 0.02, "eps": 0.1})),
+    "transfer-L160": ("transfer", dict(BASE, L=160.0, n=1201, params={
+        "bump_amplitude": 0.3, "bump_width": 2.0, "lambdas": [0.3, 0.5, 1.5, 2.0],
+        "eps": 0.1, "tol": 0.2})),
 }
 REPORTS = {"rho-scan": "rho_scan.json", "transfer": "transfer.json",
            "hypotheses": "hypotheses.json", "completeness": "completeness.json"}
@@ -74,8 +83,9 @@ def summarize(experiment: str, rep: dict) -> dict:
             "min_converse": min(float(x) for x in rep["converse_norms"])}
 
 
-def run_summary(experiment: str, out_dir: Path) -> dict:
-    cfg = ExperimentConfig(experiment=experiment, out_dir=str(out_dir), **CONFIGS[experiment])
+def run_summary(name: str, out_dir: Path) -> dict:
+    experiment, config = CONFIGS[name]
+    cfg = ExperimentConfig(experiment=experiment, out_dir=str(out_dir), **config)
     code = run(cfg)
     if code == 2:
         raise RuntimeError(f"{experiment}: execution error")
@@ -113,8 +123,9 @@ def mismatches(label: str, values, refs, tol) -> list[str]:
     return bad
 
 
-def compare(experiment: str, got: dict, ref: dict) -> list[str]:
-    n = CONFIGS[experiment]["n"]
+def compare(name: str, got: dict, ref: dict) -> list[str]:
+    experiment, config = CONFIGS[name]
+    n = config["n"]
     if experiment == "rho-scan":
         checks = {"lambda": _exact, "n_discarded": _exact, "rho_raw": _rho_tol,
                   "rho_corrected": _rho_tol, "margin": _rho_tol}
@@ -126,7 +137,7 @@ def compare(experiment: str, got: dict, ref: dict) -> list[str]:
         return [msg for key, tol in checks.items()
                 for msg in mismatches(key, [got[key]], [ref[key]], tol)]
     else:
-        dims = [d for _, d in CONFIGS[experiment]["params"]["levels"]]
+        dims = [d for _, d in config["params"]["levels"]]
         if sorted(got["tail_ratio"]) != sorted(ref["tail_ratio"]):
             return [f"operators {sorted(got['tail_ratio'])} vs golden {sorted(ref['tail_ratio'])}"]
         bad = []
@@ -138,16 +149,20 @@ def compare(experiment: str, got: dict, ref: dict) -> list[str]:
     return [msg for key, tol in checks.items() for msg in mismatches(key, got[key], ref[key], tol)]
 
 
-@pytest.mark.parametrize("experiment", sorted(CONFIGS))
-def test_matches_golden(experiment, tmp_path):
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_matches_golden(name, tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    assert compare(experiment, run_summary(experiment, tmp_path), golden[experiment]) == []
+    assert compare(name, run_summary(name, tmp_path), golden[name]) == []
 
 
 if __name__ == "__main__":
-    frozen = {}
+    names = sys.argv[1:] or sorted(CONFIGS)
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        sys.exit(f"unknown golden entries {unknown}; expected some of {sorted(CONFIGS)}")
+    frozen = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CONFIGS):
+        for name in names:
             out = Path(tmp) / name
             frozen[name] = run_summary(name, out)
             print(f"{name}: frozen", file=sys.stderr)
