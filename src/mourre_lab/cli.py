@@ -40,6 +40,8 @@ PARAMS = {exp: dict(keys, bump_amplitude=0.0, bump_width=1.0) for exp, keys in {
     "completeness": {"x0": 10.0, "k0": 1.5, "sigma": 3.0, "t_max": 10.0, "n_times": 21},
 }.items()}
 _JSON_TYPES = {float: "number", int: "integer", str: "string", list: "list", dict: "object"}
+# The item type of each list param whose default is empty
+_ITEMS = {"lambdas": 0.0, "levels": [0.0, 0]}
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "run", "emit_json", "emit_csv", "main"]
 
@@ -125,9 +127,20 @@ def load_config(path, experiment: Optional[str] = None,
         raise ConfigError(f"params: unknown key(s) {unknown} for {cfg.experiment}; "
                           f"expected some of {list(allowed)}")
     for key, val in cfg.params.items():
-        _check_type(f"params.{key}", val, allowed[key])
-        if key.endswith(("tol", "eps", "sigma")) and val <= 0:
+        _check_type(f"params.{key}", val, [_ITEMS[key]] if key in _ITEMS else allowed[key])
+        if key.endswith(("tol", "eps", "sigma", "step")) and val <= 0:
             raise ConfigError(f"params.{key}: must be positive")
+    p = {**allowed, **cfg.params}
+    if cfg.experiment == "rho-scan" and p["lambda_max"] < p["lambda_min"]:
+        raise ConfigError(f"params.lambda_max: {p['lambda_max']} is below "
+                          f"lambda_min {p['lambda_min']}")
+    levels = cfg.params.get("levels", [])
+    if len(levels) == 1:
+        raise ConfigError("params.levels: need at least two levels to compare, got one")
+    for level in levels:
+        if len(level) != 2 or not isinstance(level[1], int) or level[0] <= 0:
+            raise ConfigError(f"params.levels: each level must be [L, n] with L > 0 and "
+                              f"n an integer, got {json.dumps(level)}")
     unknown = [tag for tag in cfg.params.get("operators", []) if tag not in OPERATOR_TAGS]
     if unknown:
         raise ConfigError(f"params.operators: unknown tag(s) {unknown}; "
@@ -142,14 +155,14 @@ def _set_blas_threads(count: int) -> None:
     happens with `import numpy`, so the count is applied at run time.
     """
     import ctypes
-    import glob
 
-    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    paths = sorted(glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")))
-    if not paths:
+    from . import blas
+
+    lib = blas.bundled_openblas()
+    if lib is None:
         raise ConfigError(f"threads: cannot set {count} BLAS threads: "
-                          f"no bundled OpenBLAS under {libdir}")
-    setter = ctypes.CDLL(paths[0]).scipy_openblas_set_num_threads64_
+                          f"no bundled OpenBLAS under {blas.libdir()}")
+    setter = lib.scipy_openblas_set_num_threads64_
     setter.argtypes = [ctypes.c_int]
     setter.restype = None
     setter(count)

@@ -31,6 +31,7 @@ from .spectral import (
     EnergyWindow,
     SmoothingFunction,
     SpectralDecomposition,
+    ThinProduct,
     bump,
     dirichlet_decomposition,
     eigendecompose,
@@ -126,16 +127,23 @@ def pair_matrices(opset: OperatorSet, pair: str):
     raise ValueError(f"unknown pair {pair!r}, expected one of {PAIRS}")
 
 
-def _localization(modes: np.ndarray, positions: np.ndarray, L: float, policy: DiscardPolicy):
-    """Per-mode interaction/boundary mass fractions and flags."""
-    mass = np.abs(modes) ** 2
-    total = mass.sum(axis=0)
+def _region_grams(us: np.ndarray, positions: np.ndarray, L: float, policy: DiscardPolicy):
+    """U_S^dagger P U_S for the whole box, the interaction region and the
+    boundary region (P the 0/1 projection onto the region's nodes), stacked."""
+    inner = np.abs(positions) <= policy.interaction_radius
+    bdry = np.abs(positions) >= L - policy.boundary_width(L)
+    return np.stack([u.conj().T @ u for u in (us, us[inner], us[bdry])])
+
+
+def _localization(vec: np.ndarray, grams, policy: DiscardPolicy):
+    """Per-mode interaction/boundary mass fractions and flags of the modes
+    U_S vec, from the region Gram matrices of U_S: a mode v has mass
+    v^dagger G v in a region, at O(k^2) per mode instead of O(n k)."""
+    total, inner, bdry = np.sum(vec.conj() * (grams @ vec), axis=1).real
     total[total == 0] = 1.0
-    inner = mass[np.abs(positions) <= policy.interaction_radius].sum(axis=0) / total
-    bwidth = policy.boundary_width(L)
-    bdry = mass[np.abs(positions) >= L - bwidth].sum(axis=0) / total
+    inner, bdry = inner / total, bdry / total
     if policy.discard_nothing:
-        flags = np.zeros(modes.shape[1], dtype=bool)
+        flags = np.zeros(vec.shape[1], dtype=bool)
     else:
         flags = (inner >= policy.theta) | (bdry >= policy.theta)
     return inner, bdry, flags
@@ -151,7 +159,7 @@ def estimate_rho_window(
     """Compress i[H,A] onto the sharp spectral window of H and diagonalize."""
     energy, comm, positions = pair_matrices(opset, pair)
     if dec is None:
-        dec = eigendecompose(energy)
+        dec = eigendecompose(energy, win)
     sel = dec.window_mask(win)
     if not np.any(sel):
         return RhoEstimate(
@@ -163,8 +171,8 @@ def estimate_rho_window(
     csub = us.conj().T @ (comm @ us)
     csub = 0.5 * (csub + csub.conj().T)
     eig, vec = np.linalg.eigh(csub)
-    modes = us @ vec
-    inner, bdry, flags = _localization(modes, positions, opset.grid.L, policy)
+    inner, bdry, flags = _localization(vec, _region_grams(us, positions, opset.grid.L, policy),
+                                       policy)
     kept = eig[~flags]
     corrected = float(kept.min()) if kept.size else math.inf
     log = [
@@ -223,13 +231,12 @@ def estimate_rho_eta(
     m = ek[:, None] * csub * ek[None, :]
     nmat = np.diag(ek**2)
     slack = psd_rtol * max(1.0, float(np.abs(m).max()))
-    L = opset.grid.L
+    grams = _region_grams(us, positions, opset.grid.L, policy)
 
     def min_unflagged(a: float):
         g = m - a * nmat
         eig, vec = np.linalg.eigh(0.5 * (g + g.conj().T))
-        modes = us @ vec
-        inner, bdry, flags = _localization(modes, positions, L, policy)
+        inner, bdry, flags = _localization(vec, grams, policy)
         kept = eig[~flags]
         return (float(kept.min()) if kept.size else math.inf), eig, inner, bdry, flags
 
@@ -256,8 +263,11 @@ def estimate_rho_eta(
     )
 
 
-def opnorm(matrix: np.ndarray, iters: int = 200, seed: int = 7) -> float:
-    """Spectral norm by power iteration on M*M (deterministic start)."""
+def opnorm(matrix, iters: int = 200, seed: int = 7) -> float:
+    """Spectral norm by power iteration on M*M (deterministic start).
+
+    M is an array or a `ThinProduct`, which is applied factor by factor.
+    """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(matrix.shape[1])
     if np.iscomplexobj(matrix):
@@ -306,6 +316,23 @@ def _interior_window(opset: OperatorSet) -> np.ndarray:
     return up * down
 
 
+def _span(lambdas, eps: float) -> EnergyWindow:
+    """The open window (min lambda - eps, max lambda + eps): every eta of half-width
+    eps centred on a sample is supported inside it."""
+    lo, hi = min(lambdas) - eps, max(lambdas) + eps
+    return EnergyWindow(0.5 * (lo + hi), 0.5 * (hi - lo))
+
+
+def _block_diagonal(*blocks: np.ndarray) -> np.ndarray:
+    out = np.zeros((sum(b.shape[0] for b in blocks),) * 2,
+                   dtype=np.result_type(*blocks))
+    k = 0
+    for b in blocks:
+        out[k:k + b.shape[0], k:k + b.shape[0]] = b
+        k += b.shape[0]
+    return out
+
+
 def transfer_verify(
     opset: OperatorSet,
     dec_H: Optional[SpectralDecomposition],
@@ -322,26 +349,29 @@ def transfer_verify(
     and the interior-weighted residual of
     eta(H) i[H,A] eta(H) - J eta(H0) i[H0,A0] eta(H0) J* is recorded as a
     compactness candidate.  Each eta(.) M eta(.) is formed on the support
-    of eta only; the channel eigenpairs in that window come in closed form.
+    of eta only; the channel eigenpairs in that window come in closed form,
+    and with dec_H None only the eigenpairs of H around the retained
+    samples are computed.  The residual chi (lhs - rhs) chi is
+    F C F^T with F = [chi U_H, chi J- U-, chi J+ U+] and C block diagonal,
+    so its norm never needs an n x n array.
     """
     pot = opset.potential
     grid = opset.grid
-    if dec_H is None:
-        dec_H = eigendecompose(opset.H)
+    samples, excluded = [], []
+    for lam in lambda_samples:
+        near = min(abs(lam - pot.v_minus), abs(lam - pot.v_plus)) < 2 * eps
+        (excluded if near else samples).append(float(lam))
+    if dec_H is None and samples:
+        dec_H = eigendecompose(opset.H, _span(samples, eps))
     chi = _interior_window(opset)
     cm, cp = opset.commutator_iH0A0_channel
-    jm = opset.cutoffs.j_minus
-    jp = opset.cutoffs.j_plus
+    weights = (chi, chi * opset.cutoffs.j_minus, chi * opset.cutoffs.j_plus)
 
-    samples, rho0s, rhos, margins, excluded, residuals = [], [], [], [], [], []
-    for lam in lambda_samples:
-        if min(abs(lam - pot.v_minus), abs(lam - pot.v_plus)) < 2 * eps:
-            excluded.append(float(lam))
-            continue
+    rho0s, rhos, margins, residuals = [], [], [], []
+    for lam in samples:
         eta = bump(lam, eps)
         rho0 = analytic_rho(pot.v_minus, pot.v_plus, lam)
         est = estimate_rho_eta(opset, dec_H, "H_A", eta, policy)
-        samples.append(float(lam))
         rho0s.append(rho0)
         rhos.append(est.corrected)
         margins.append(est.corrected - rho0 if math.isfinite(rho0) else math.nan)
@@ -349,10 +379,11 @@ def transfer_verify(
         win = EnergyWindow(lam, eps)
         dec_m = dirichlet_decomposition(grid.n, grid.dx, pot.v_minus, win)
         dec_p = dirichlet_decomposition(grid.n, grid.dx, pot.v_plus, win)
-        lhs = sandwich(dec_H, eta, opset.commutator_iHA)
-        rhs = (jm[:, None] * sandwich(dec_m, eta, cm) * jm[None, :]
-               + jp[:, None] * sandwich(dec_p, eta, cp) * jp[None, :])
-        diff = chi[:, None] * (lhs - rhs) * chi[None, :]
+        terms = (sandwich(dec_H, eta, opset.commutator_iHA),
+                 sandwich(dec_m, eta, cm), sandwich(dec_p, eta, cp))
+        diff = ThinProduct(
+            np.hstack([w[:, None] * t.factor for w, t in zip(weights, terms)]),
+            _block_diagonal(terms[0].core, -terms[1].core, -terms[2].core))
         residuals.append(opnorm(diff))
 
     verdict = bool(samples) and all(m >= -tol for m in margins if not math.isnan(m))
@@ -370,19 +401,24 @@ def rho_scan(
     eps: float,
     policy: DiscardPolicy = DiscardPolicy(),
 ):
-    """Rows (lambda, rho0_analytic, rho_raw, rho_corrected, n_discarded, margin)."""
+    """Rows (lambda, rho0_analytic, rho_raw, rho_corrected, n_discarded, margin).
+
+    With dec None only the eigenpairs of H inside the window spanned by the
+    samples' eta supports are computed.
+    """
     pot = opset.potential
-    if dec is None:
-        dec = eigendecompose(opset.H)
+    lambdas = [float(lam) for lam in lambdas]
+    if dec is None and lambdas:
+        dec = eigendecompose(opset.H, _span(lambdas, eps))
     rows = []
     for lam in lambdas:
         rho0 = analytic_rho(pot.v_minus, pot.v_plus, lam)
         eta = bump(lam, eps)
         if not np.any(np.abs(eta(dec.eigenvalues)) > 0):
             # window below (or in a gap of) the computed spectrum
-            rows.append((float(lam), rho0, math.inf, math.inf, 0, math.nan))
+            rows.append((lam, rho0, math.inf, math.inf, 0, math.nan))
             continue
         est = estimate_rho_eta(opset, dec, "H_A", eta, policy)
         margin = est.corrected - rho0 if math.isfinite(rho0) else math.nan
-        rows.append((float(lam), rho0, est.raw_min, est.corrected, est.n_discarded, margin))
+        rows.append((lam, rho0, est.raw_min, est.corrected, est.n_discarded, margin))
     return rows

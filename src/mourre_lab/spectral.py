@@ -2,12 +2,15 @@
 
 Functions of an operator are formed from its eigenpairs: projections
 onto energy windows, smooth localization functions of H, resolvents and
-the unitary propagator.  H comes from one dense `eigh`; the channel
-operators -Delta + v_pm need none, because the Dirichlet Laplacian has a
-closed-form sine (DST-I) eigenbasis, which can also be built for an
-energy window alone.  A function f(H) costs what its support costs: only
-eigenvectors where f is nonzero enter U f(Lambda) U*, so a compactly
-supported eta gives a low-rank product.  Propagation of a complex state
+the unitary propagator.  H gets either its full basis from a dense
+`eigh` or only the pairs in an energy window, from MRRR (LAPACK
+`dstemr` of the OpenBLAS that NumPy bundles) with no n x n array; the
+channel operators -Delta + v_pm need no solver, because the Dirichlet
+Laplacian has a closed-form sine (DST-I) eigenbasis, which can also be
+built for an energy window alone.  A function f(H) costs what its
+support costs: only eigenvectors where f is nonzero enter
+U f(Lambda) U*, so a compactly supported eta gives a low-rank product,
+which `sandwich` keeps in factored form.  Propagation of a complex state
 in a real eigenbasis stays in real arithmetic.
 """
 
@@ -30,6 +33,7 @@ __all__ = [
     "spectral_projection",
     "apply_function",
     "sandwich",
+    "ThinProduct",
     "resolvent",
     "propagate",
     "scattering_projector",
@@ -111,9 +115,88 @@ def plateau(lo: float, hi: float, shoulder: float) -> SmoothingFunction:
     return SmoothingFunction("plateau", 0.5 * (lo + hi), hi - lo, f)
 
 
-def eigendecompose(op: Band) -> SpectralDecomposition:
+def eigendecompose(op: Band, window: Optional[EnergyWindow] = None) -> SpectralDecomposition:
+    """Eigenpairs of a real symmetric band, eigenvalues ascending.
+
+    With no window, all n pairs from a dense `eigh`.  With a window, only
+    the pairs inside its open interval, as `dirichlet_decomposition`
+    returns them; a tridiagonal band gets them from MRRR (LAPACK `dstemr`)
+    in O(n k) for k pairs, with no n x n array.  Without the bundled
+    OpenBLAS, or for a wider band, the window is cut from the dense `eigh`.
+    """
+    if window is not None and op.b == 1 and op.entries.dtype == np.float64:
+        stemr = _dstemr()
+        if stemr is not None:
+            return _mrrr(stemr, op, window)
     w, u = np.linalg.eigh(op.dense())
+    if window is not None:
+        keep = window.contains(w)
+        w, u = w[keep], u[:, keep]
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
+
+
+_COL_MAJOR = 102  # LAPACK_COL_MAJOR
+
+
+def _dstemr():
+    """LAPACKE_dstemr of the bundled OpenBLAS (ILP64), or None if it is absent."""
+    import ctypes
+
+    from . import blas
+
+    lib = blas.bundled_openblas()
+    stemr = getattr(lib, "scipy_LAPACKE_dstemr64_", None) if lib is not None else None
+    if stemr is None:
+        return None
+    i64, dbl = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    i64p = ctypes.POINTER(i64)
+    stemr.restype = i64
+    stemr.argtypes = [
+        ctypes.c_int, ctypes.c_char, ctypes.c_char, i64,  # layout, jobz, range, n
+        dbl, dbl, ctypes.c_double, ctypes.c_double,       # d, e, vl, vu
+        i64, i64, i64p, dbl,                              # il, iu, m, w
+        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),  # z
+        i64, i64,                                         # ldz, nzc
+        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),    # isuppz
+        i64p,                                             # tryrac
+    ]
+    return stemr
+
+
+def _mrrr(stemr, op: Band, window: EnergyWindow) -> SpectralDecomposition:
+    """The eigenpairs of a symmetric tridiagonal band inside the open window.
+
+    dstemr with RANGE='V' returns the half-open (lo, hi]; the window's own
+    mask cuts it to (lo, hi).  Z is column-major with ldz = n, so its
+    columns are the rows of a C-ordered (columns, n) array.
+    """
+    import ctypes
+
+    n = op.n
+    lo, hi = window.lam - window.eps, window.lam + window.eps
+    w = np.empty(n)
+    isuppz = np.empty(2 * n, dtype=np.int64)
+
+    def call(z, nzc):
+        d = op.entries[1].copy()  # d and e are overwritten
+        e = np.zeros(n)
+        e[:-1] = op.entries[2, :-1]
+        m, tryrac = ctypes.c_int64(0), ctypes.c_int64(0)
+        info = stemr(_COL_MAJOR, b"V", b"V", n, d, e, lo, hi, 0, 0, ctypes.byref(m), w, z,
+                     n, nzc, isuppz, ctypes.byref(tryrac))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dstemr failed with info {info}")
+        return m.value
+
+    query = np.zeros((1, n))
+    call(query, -1)  # the column count of Z comes back in its first entry
+    cols = int(query[0, 0])
+    if cols == 0:
+        return SpectralDecomposition(eigenvalues=np.empty(0), eigenvectors=np.empty((n, 0)))
+    z = np.empty((cols, n))
+    found = call(z, cols)
+    keep = window.contains(w[:found])
+    return SpectralDecomposition(eigenvalues=w[:found][keep].copy(), eigenvectors=z[:found][keep].T)
 
 
 def spectral_projection(dec: SpectralDecomposition, win: EnergyWindow) -> np.ndarray:
@@ -166,15 +249,44 @@ def apply_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndar
     return (u * fw[None, :]) @ u.conj().T
 
 
-def sandwich(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray], m) -> np.ndarray:
+@dataclass(frozen=True)
+class ThinProduct:
+    """The n x n matrix F C F^dagger kept as its factors: F is n x r, C is r x r.
+
+    It acts like the matrix under `@`, `.T` and `.conj()`, at O(n r) per
+    vector and without forming n x n.
+    """
+
+    factor: np.ndarray
+    core: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return (self.factor.shape[0], self.factor.shape[0])
+
+    @property
+    def dtype(self):
+        return np.result_type(self.factor, self.core)
+
+    @property
+    def T(self) -> "ThinProduct":
+        return ThinProduct(self.factor.conj(), self.core.T)
+
+    def conj(self) -> "ThinProduct":
+        return ThinProduct(self.factor.conj(), self.core.conj())
+
+    def __matmul__(self, x):
+        return self.factor @ (self.core @ (self.factor.conj().T @ x))
+
+
+def sandwich(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray], m) -> ThinProduct:
     """f(H) M f(H) as U_S (f_S (U_S^dagger M U_S) f_S) U_S^dagger, with S the support of f.
 
     M is a matrix or a Band; it is applied to the thin U_S only.
     """
     u, fw = _support(dec, f)
-    uh = u.conj().T
-    core = fw[:, None] * (uh @ (m @ u)) * fw[None, :]
-    return u @ core @ uh
+    core = fw[:, None] * (u.conj().T @ (m @ u)) * fw[None, :]
+    return ThinProduct(u, core)
 
 
 def resolvent(dec: SpectralDecomposition, z: complex) -> np.ndarray:

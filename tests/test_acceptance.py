@@ -48,11 +48,14 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def build(L, n, v_minus=0.0, v_plus=1.0, profile="smooth_step", bump_field=None):
+def build_ops(L, n, v_minus=0.0, v_plus=1.0, profile="smooth_step", bump_field=None):
     g = make_grid(L, n)
-    cut = make_cutoffs(g)
     pot = make_steplike(g, v_minus, v_plus, profile=profile, bump=bump_field)
-    ops = build_pair(g, pot, cut)
+    return build_pair(g, pot, make_cutoffs(g))
+
+
+def build(L, n, **kwargs):
+    ops = build_ops(L, n, **kwargs)
     return ops, channel_decompositions(ops)
 
 
@@ -102,8 +105,8 @@ def test_criterion_2_free_pair_raw_window(free_1601):
 def test_criterion_3_transfer():
     t0 = time.time()
     g = make_grid(160.0, 3201)
-    ops, _ = build(160.0, 3201, profile="smooth_step_plus_bump",
-                   bump_field=well_bump(g, 0.3, 2.0))
+    ops = build_ops(160.0, 3201, profile="smooth_step_plus_bump",
+                    bump_field=well_bump(g, 0.3, 2.0))
     rep = transfer_verify(ops, None, [0.3, 0.5, 1.5, 2.0], eps=0.1, tol=0.2)
     detail = ", ".join(
         f"lam={l}: margin={m:.3f}" for l, m in zip(rep.lambda_samples, rep.margins)

@@ -113,6 +113,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"^params.{key}: expected a JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize("experiment,params,key", [
+        ("rho-scan", {"lambda_step": 0.0}, "params.lambda_step"),
+        ("rho-scan", {"lambda_step": -0.1}, "params.lambda_step"),
+        ("rho-scan", {"lambda_min": 2.0, "lambda_max": 1.0}, "params.lambda_max"),
+        ("rho-scan", {"lambdas": ["a"]}, "params.lambdas"),
+        ("hypotheses", {"levels": [[40]]}, "params.levels"),
+        ("hypotheses", {"levels": [[40.0, 161]]}, "params.levels"),
+    ], ids=["step-zero", "step-negative", "max-below-min", "lambda-not-number",
+            "level-not-pair", "one-level"])
+    def test_param_value_names_key(self, tmp_path, capsys, experiment, params, key):
+        path = write_config(tmp_path, "c.json", dict(SMALL, experiment=experiment,
+                                                     params=params))
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main([experiment, "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and len(err.splitlines()) == 1
+
     def test_integer_fits_number_param(self, tmp_path):
         path = write_config(tmp_path, "c.json", {"experiment": "transfer", "L": 40,
                                                  "params": {"eps": 1, "lambdas": [1, 2.5]}})

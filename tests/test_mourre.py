@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from mourre_lab.mourre import (
     DiscardPolicy,
     _interior_window,
+    _localization,
+    _region_grams,
     analytic_rho,
     estimate_rho_eta,
     estimate_rho_window,
@@ -107,6 +109,31 @@ class TestWindowEstimate:
         assert mult.n_discarded == base.n_discarded
 
 
+class TestLocalization:
+    @pytest.mark.parametrize("policy", [DiscardPolicy(), DiscardPolicy(theta=0.2),
+                                        DiscardPolicy(discard_nothing=True)])
+    def test_gram_masses_match_explicit_modes(self, small_ops, dec_H, policy):
+        """v^dagger G v from the region Gram matrices equals the mass of the
+        explicit mode U_S v, summed over the region's nodes."""
+        us = dec_H.eigenvectors[:, EnergyWindow(1.0, 0.6).contains(dec_H.eigenvalues)]
+        k = us.shape[1]
+        vec, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((k, k)))
+        x, L = small_ops.grid.nodes, small_ops.grid.L
+        inner, bdry, flags = _localization(vec, _region_grams(us, x, L, policy), policy)
+
+        mass = np.abs(us @ vec) ** 2
+        total = mass.sum(axis=0)
+        ref_inner = mass[np.abs(x) <= policy.interaction_radius].sum(axis=0) / total
+        ref_bdry = mass[np.abs(x) >= L - policy.boundary_width(L)].sum(axis=0) / total
+        tol = 16 * small_ops.n * np.finfo(float).eps
+        assert np.max(np.abs(inner - ref_inner)) <= tol
+        assert np.max(np.abs(bdry - ref_bdry)) <= tol
+        ref_flags = ((ref_inner >= policy.theta) | (ref_bdry >= policy.theta)
+                     if not policy.discard_nothing else np.zeros(k, dtype=bool))
+        assert np.array_equal(flags, ref_flags)
+        assert 0 < ref_bdry.max() and 0 < ref_inner.max()
+
+
 class TestEtaEstimate:
     def test_raw_not_above_corrected(self, small_ops, dec_H):
         est = estimate_rho_eta(small_ops, dec_H, "H_A", bump(0.5, 0.2))
@@ -190,17 +217,20 @@ class TestTransfer:
 
 
 def test_import_and_transfer_leave_scipy_unloaded():
-    """The library must not pull in SciPy: its import cost would dominate set-up."""
+    """The library, its windowed eigensolver included, must not pull in SciPy:
+    its import cost would dominate set-up."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
     code = (
         "import sys\n"
-        "from mourre_lab import build_pair, make_cutoffs, make_grid, make_steplike, transfer_verify\n"
+        "from mourre_lab import (build_pair, make_cutoffs, make_grid, make_steplike, rho_scan,\n"
+        "                        transfer_verify)\n"
         "g = make_grid(10.0, 101)\n"
         "ops = build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))\n"
         "rep = transfer_verify(ops, None, [2.0], 0.2, 5.0)\n"
         "assert len(rep.eone_residuals) == 1\n"
+        "assert len(rho_scan(ops, None, [0.5, 2.0], 0.2)) == 2\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -217,3 +247,14 @@ class TestRhoScan:
         lam, rho0, raw, corr, ndis, margin = rows[1]
         assert rho0 == 1.0
         assert margin == pytest.approx(corr - rho0)
+
+    def test_window_matches_full_basis(self, small_ops, dec_H):
+        """dec=None computes only the eigenpairs around the samples; the rows
+        match those of the full basis to the bisection resolution."""
+        lambdas = [-0.3, 0.25, 0.5, 1.5, 2.75]
+        windowed = rho_scan(small_ops, None, lambdas, 0.1)
+        full = rho_scan(small_ops, dec_H, lambdas, 0.1)
+        for row, ref in zip(windowed, full):
+            assert row[0] == ref[0] and row[1] == ref[1] and row[4] == ref[4]
+            for v, r in zip(row[2:4], ref[2:4]):
+                assert v == r if math.isinf(r) else abs(v - r) <= 1e-3 * max(1.0, abs(r))

@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mourre_lab import blas
+from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
+from mourre_lab.operators import Band, build_pair
 from mourre_lab.spectral import (
     EnergyWindow,
     SpectralDecomposition,
+    ThinProduct,
     apply_function,
     bump,
     dirichlet_decomposition,
@@ -14,9 +18,13 @@ from mourre_lab.spectral import (
     plateau,
     propagate,
     resolvent,
+    sandwich,
     scattering_projector,
     spectral_projection,
 )
+
+F64_EPS = np.finfo(float).eps
+ROUNDING_ULPS = 16.0  # as in test_golden: an eigenbasis is orthonormal to a modest multiple of n*eps
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +44,95 @@ class TestEigendecompose:
     def test_orthonormal(self, dec):
         u = dec.eigenvectors
         assert np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def ops_L160():
+    g = make_grid(160.0, 1601)
+    return build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))
+
+
+def _diagonal_band(values):
+    """A tridiagonal band with zero off-diagonals: its eigenvalues are `values`, exactly."""
+    entries = np.zeros((3, len(values)))
+    entries[1] = values
+    return Band(entries)
+
+
+class TestWindowedEigendecompose:
+    """MRRR eigenpairs of a window against the dense `eigh` of the whole band."""
+
+    @pytest.mark.parametrize("case,lam,eps", [
+        ("small", 1.0, 0.3), ("small", 0.5, 2.0), ("small", 60.0, 5.0),
+        ("L160", 1.3, 1.9), ("L160", 2.0, 0.1),
+    ])
+    def test_matches_dense_eigh(self, request, case, lam, eps):
+        op = request.getfixturevalue("small_ops" if case == "small" else "ops_L160").H
+        win = EnergyWindow(lam, eps)
+        n = op.n
+        tol = ROUNDING_ULPS * n * F64_EPS
+        scale = np.abs(op.entries).sum(axis=0).max()  # bounds the norm of H
+        full = eigendecompose(op)
+        sel = win.contains(full.eigenvalues)
+        dec = eigendecompose(op, win)
+        w, u = dec.eigenvalues, dec.eigenvectors
+        assert u.shape == (n, np.count_nonzero(sel)) and w.size > 0
+        assert np.all(np.diff(w) >= 0) and np.all(win.contains(w))
+        assert np.max(np.abs(w - full.eigenvalues[sel])) <= tol * scale
+        assert np.max(np.abs(op @ u - u * w[None, :])) <= tol * scale
+        assert np.max(np.abs(u.T @ u - np.eye(w.size))) <= tol
+        u_ref = full.eigenvectors[:, sel]
+        assert np.max(np.abs(u @ u.T - u_ref @ u_ref.T)) <= tol
+
+    def test_empty_window(self, small_ops):
+        dec = eigendecompose(small_ops.H, EnergyWindow(-5.0, 0.1))
+        assert dec.eigenvalues.shape == (0,)
+        assert dec.eigenvectors.shape == (small_ops.n, 0)
+
+    def test_eigenvalues_on_edges_excluded(self):
+        # dstemr returns the half-open (lo, hi]; the window is open at both ends
+        op = _diagonal_band(np.arange(20.0))
+        dec = eigendecompose(op, EnergyWindow(5.0, 2.0))
+        assert dec.eigenvalues.tolist() == [4.0, 5.0, 6.0]
+        assert np.array_equal(np.abs(dec.eigenvectors), np.eye(20)[:, 4:7])
+
+    @pytest.mark.parametrize("library", [None, object()], ids=["no-openblas", "no-symbol"])
+    def test_missing_dstemr_falls_back_to_dense(self, small_ops, monkeypatch, library):
+        win = EnergyWindow(1.0, 0.3)
+        full = eigendecompose(small_ops.H)
+        monkeypatch.setattr(blas, "bundled_openblas", lambda: library)
+        dec = eigendecompose(small_ops.H, win)
+        sel = win.contains(full.eigenvalues)
+        assert np.array_equal(dec.eigenvalues, full.eigenvalues[sel])
+        assert np.array_equal(dec.eigenvectors, full.eigenvectors[:, sel])
+
+    def test_wide_band_cut_from_dense(self, small_ops):
+        op = small_ops.commutator_iHA  # pentadiagonal
+        win = EnergyWindow(0.0, 0.5)
+        full = eigendecompose(op)
+        dec = eigendecompose(op, win)
+        assert np.array_equal(dec.eigenvalues, full.eigenvalues[win.contains(full.eigenvalues)])
+
+
+class TestThinProduct:
+    def test_acts_like_dense(self):
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
+        c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        thin, dense = ThinProduct(f, c), f @ c @ f.conj().T
+        x = rng.standard_normal(30)
+        assert thin.shape == (30, 30) and np.iscomplexobj(thin)
+        for got, ref in ((thin, dense), (thin.T, dense.T), (thin.conj(), dense.conj()),
+                         (thin.conj().T, dense.conj().T)):
+            assert np.max(np.abs(got @ x - ref @ x)) <= 1e-13 * np.abs(ref).max()
+
+    def test_sandwich_matches_dense(self, small_ops, dec):
+        eta = bump(1.0, 0.3)
+        thin = sandwich(dec, eta, small_ops.commutator_iHA)
+        assert thin.factor.shape[1] < small_ops.n
+        e = apply_function(dec, eta)
+        dense = e @ small_ops.commutator_iHA.dense() @ e
+        assert np.max(np.abs(thin @ np.eye(small_ops.n) - dense)) <= 1e-12
 
 
 class TestWindows:
