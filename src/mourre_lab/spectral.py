@@ -124,7 +124,7 @@ def eigendecompose(op: Band, window: Optional[EnergyWindow] = None) -> SpectralD
     in O(n k) for k pairs, with no n x n array.  Without the bundled
     OpenBLAS, or for a wider band, the window is cut from the dense `eigh`.
     """
-    if window is not None and op.b == 1 and op.entries.dtype == np.float64:
+    if window is not None and op.b == 1:
         stemr = _dstemr()
         if stemr is not None:
             return _mrrr(stemr, op, window)
