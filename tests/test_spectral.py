@@ -52,6 +52,11 @@ def ops_L160():
     return build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))
 
 
+@pytest.fixture(scope="module")
+def dec_L160(ops_L160):
+    return eigendecompose(ops_L160.H)
+
+
 def _diagonal_band(values):
     """A tridiagonal band with zero off-diagonals: its eigenvalues are `values`, exactly."""
     entries = np.zeros((3, len(values)))
@@ -68,11 +73,11 @@ class TestWindowedEigendecompose:
     ])
     def test_matches_dense_eigh(self, request, case, lam, eps):
         op = request.getfixturevalue("small_ops" if case == "small" else "ops_L160").H
+        full = request.getfixturevalue("dec" if case == "small" else "dec_L160")
         win = EnergyWindow(lam, eps)
         n = op.n
         tol = ROUNDING_ULPS * n * F64_EPS
         scale = np.abs(op.entries).sum(axis=0).max()  # bounds the norm of H
-        full = eigendecompose(op)
         sel = win.contains(full.eigenvalues)
         dec = eigendecompose(op, win)
         w, u = dec.eigenvalues, dec.eigenvectors
