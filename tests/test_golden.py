@@ -1,8 +1,8 @@
 """Golden values: small CLI runs must reproduce their frozen outputs.
 
 `golden.json` next to this file holds the outputs of four small
-experiments and of the benchmark's rho-scan and transfer configs at
-L = 160.  Regenerate it only on a commit whose outputs define "correct",
+experiments, of the benchmark's rho-scan and transfer configs at L = 160
+and of its hypotheses ladder at (40, 601) / (40, 801).  Regenerate it only on a commit whose outputs define "correct",
 from the repository root, naming the entries to refreeze (all when none
 is named; the others keep their frozen values):
 
@@ -14,9 +14,17 @@ value, never an observed drift:
 - rho values (raw, corrected, margins) come from the bisection of
   `estimate_rho_eta`, which stops once its bracket is below
   BISECT_TOL * max(1, |rho|);
-- tail ratios sigma_20 / sigma_1 come from `eigvalsh` of a Gram matrix of
-  dimension d, whose eigenvalues carry an absolute error of order
-  d * eps * sigma_1^2, so the ratio is resolved to sqrt(d * eps);
+- singular values were frozen from `eigvalsh` of a Gram matrix of
+  dimension d = n, whose eigenvalues carry an absolute error of order
+  d * eps * sigma_1^2.  For a, b >= 0, |a - b| <= sqrt(|a^2 - b^2|), so
+  every sigma_k (k = 1..10) is resolved to sqrt(d * eps) * sigma_1 and the
+  tail ratio sigma_20 / sigma_1 to sqrt(d * eps).  A thin QR + SVD is
+  resolved far more finely, so its values sit inside the same bound;
+- `stability` is max_k |sigma_k(level) - sigma_k(finest)| / sigma_1(finest),
+  a difference of two such values: 2 * sqrt(n * eps) with n the largest
+  level (the levels' sigma_1 agree to within the drift tolerance, so the
+  coarser level's error scales alike);
+- verdicts are labels and must match exactly;
 - propagated norms and E1 residuals are built from an eigenbasis
   orthonormal to a modest multiple of n * eps, bounded by
   ROUNDING_ULPS * n * eps (relative to max(1, |value|)); a residual is an
@@ -44,8 +52,8 @@ OPNORM_RTOL = 1e-12
 ROUNDING_ULPS = 16.0
 
 BASE = {"L": 40.0, "v_minus": 0.0, "v_plus": 1.0, "profile": "smooth_step"}
-# name -> (experiment, config); the L = 160 entries are the benchmark's seed-0
-# configs (perfbench/workloads.py)
+# name -> (experiment, config); the L = 160 entries and hypotheses-ladder are
+# the benchmark's seed-0 configs (perfbench/workloads.py)
 CONFIGS = {
     "rho-scan": ("rho-scan", dict(BASE, n=321, params={
         "lambda_min": -0.5, "lambda_max": 3.0, "lambda_step": 0.25, "eps": 0.1})),
@@ -53,6 +61,9 @@ CONFIGS = {
         "lambdas": [0.3, 0.5, 1.05, 1.5, 2.0], "eps": 0.1, "tol": 0.2})),
     "hypotheses": ("hypotheses", dict(BASE, n=161, params={
         "levels": [[40.0, 161], [40.0, 321]], "eta_center": 0.5, "eta_width": 0.4,
+        "operators": ["ii", "iii", "iv", "short", "long", "identity"]})),
+    "hypotheses-ladder": ("hypotheses", dict(BASE, n=601, params={
+        "levels": [[40.0, 601], [40.0, 801]], "eta_center": 0.5, "eta_width": 0.4,
         "operators": ["ii", "iii", "iv", "short", "long", "identity"]})),
     "completeness": ("completeness", dict(BASE, n=321, params={
         "x0": 10.0, "k0": 1.5, "sigma": 2.0, "t_max": 8.0, "n_times": 41})),
@@ -77,8 +88,10 @@ def summarize(experiment: str, rep: dict) -> dict:
                 for key in ("lambda_samples", "excluded", "rho_H_estimate", "margins",
                             "eone_residuals")}
     if experiment == "hypotheses":
-        return {"tail_ratio": {tag: [float(x) for x in op["tail_ratio"]]
-                               for tag, op in rep["operators"].items()}}
+        return {tag: {"sigma_head": [[float(x) for x in sv[:10]] for sv in op["singular_values"]],
+                      "tail_ratio": [float(x) for x in op["tail_ratio"]],
+                      "stability": float(op["stability"]), "verdict": op["verdict"]}
+                for tag, op in rep["operators"].items()}
     return {"min_froufrou": min(float(x) for x in rep["froufrou_norms"]),
             "min_converse": min(float(x) for x in rep["converse_norms"])}
 
@@ -138,13 +151,24 @@ def compare(name: str, got: dict, ref: dict) -> list[str]:
                 for msg in mismatches(key, [got[key]], [ref[key]], tol)]
     else:
         dims = [d for _, d in config["params"]["levels"]]
-        if sorted(got["tail_ratio"]) != sorted(ref["tail_ratio"]):
-            return [f"operators {sorted(got['tail_ratio'])} vs golden {sorted(ref['tail_ratio'])}"]
+        if sorted(got) != sorted(ref):
+            return [f"operators {sorted(got)} vs golden {sorted(ref)}"]
         bad = []
-        for tag, rtails in ref["tail_ratio"].items():
-            for d, t, rt in zip(dims, got["tail_ratio"][tag], rtails):
-                bad += mismatches(f"tail_ratio {tag} n={d}", [t], [rt],
-                                  lambda r, d=d: math.sqrt(d * F64_EPS))
+        for tag, rop in ref.items():
+            op = got[tag]
+            if op["verdict"] != rop["verdict"]:
+                bad.append(f"{tag}: verdict {op['verdict']} vs golden {rop['verdict']}")
+            if len(op["sigma_head"]) != len(dims):
+                bad.append(f"{tag}: {len(op['sigma_head'])} levels, golden has {len(dims)}")
+                continue
+            for d, head, rhead, t, rt in zip(dims, op["sigma_head"], rop["sigma_head"],
+                                             op["tail_ratio"], rop["tail_ratio"]):
+                res = math.sqrt(d * F64_EPS)
+                bad += mismatches(f"sigma {tag} n={d}", head, rhead,
+                                  lambda r, s1=rhead[0], res=res: res * s1)
+                bad += mismatches(f"tail_ratio {tag} n={d}", [t], [rt], lambda r, res=res: res)
+            bad += mismatches(f"stability {tag}", [op["stability"]], [rop["stability"]],
+                              lambda r: 2.0 * math.sqrt(max(dims) * F64_EPS))
         return bad
     return [msg for key, tol in checks.items() for msg in mismatches(key, got[key], ref[key], tol)]
 
