@@ -21,7 +21,7 @@ from mourre_lab import (
     make_steplike,
     short_range_operator,
 )
-from mourre_lab.spectral import bump
+from mourre_lab.spectral import ThinProduct, bump
 
 
 def build(L, n):
@@ -41,7 +41,7 @@ def main():
         "iv": lambda L, n: assumption_operator(*cache[(L, n)], "iv", eta),
         "short": lambda L, n: short_range_operator(*cache[(L, n)], 1j)[0],
         "long": lambda L, n: long_range_operator(*cache[(L, n)]),
-        "identity": lambda L, n: np.eye(n),
+        "identity": lambda L, n: ThinProduct(np.eye(n), np.eye(n), np.eye(n)),
     }
     print(f"{'operator':>9} {'verdict':>20} {'max tail ratio':>15} {'drift':>9}")
     for tag, builder in builders.items():

@@ -138,9 +138,12 @@ def load_config(path, experiment: Optional[str] = None,
     if len(levels) == 1:
         raise ConfigError("params.levels: need at least two levels to compare, got one")
     for level in levels:
-        if len(level) != 2 or not isinstance(level[1], int) or level[0] <= 0:
+        if (len(level) != 2 or not isinstance(level[1], int) or level[0] <= 0
+                or level[1] < 16 or level[1] % 2 == 0):
             raise ConfigError(f"params.levels: each level must be [L, n] with L > 0 and "
-                              f"n an integer, got {json.dumps(level)}")
+                              f"n an odd integer >= 16, got {json.dumps(level)}")
+    if p.get("n_times", 2) < 2:
+        raise ConfigError(f"params.n_times: need at least two times, got {p['n_times']}")
     unknown = [tag for tag in cfg.params.get("operators", []) if tag not in OPERATOR_TAGS]
     if unknown:
         raise ConfigError(f"params.operators: unknown tag(s) {unknown}; "
@@ -283,7 +286,7 @@ def _run_hypotheses(cfg: ExperimentConfig, p: dict):
         long_range_operator,
         short_range_operator,
     )
-    from .spectral import bump
+    from .spectral import ThinProduct, bump
 
     levels = [tuple(lv) for lv in p["levels"] or [[cfg.L, 401], [cfg.L, 801]]]
     eta = bump(float(p["eta_center"]), float(p["eta_width"]))
@@ -307,7 +310,8 @@ def _run_hypotheses(cfg: ExperimentConfig, p: dict):
                 return short_range_operator(opset, decs, z)[0]
             if tag == "long":
                 return long_range_operator(opset, decs)
-            return np.eye(n)  # "identity", the one tag left (load_config checks them)
+            eye = np.eye(n)  # "identity", the one tag left (load_config checks them)
+            return ThinProduct(eye, eye, eye)
         return build
 
     reports = {}

@@ -5,25 +5,33 @@ singular values across grid refinements: a compact operator keeps a
 stable head and a fast-decaying tail, whereas the identity stays flat at
 every level.  The verdict thresholds separate those two control cases by
 orders of magnitude and are configurable.
+
+On the box every surrogate is a product of thin factors (eta and the
+plateau have compact support, the long-range middle term lives on a few
+nodes): each builder returns a `ThinProduct`, and `singular_values` takes
+a QR of each thin factor and one SVD of the small core that is left.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .operators import Band, OperatorSet, build_B, build_commutator_longrange
+from .operators import Band, OperatorSet, build_commutator_longrange
 from .spectral import (
     SmoothingFunction,
     SpectralDecomposition,
+    ThinProduct,
     apply_function,
     dirichlet_decomposition,
     eigendecompose,
     plateau,
     resolvent,
+    sandwich,
+    support,
+    thin_sum,
 )
 
 __all__ = [
@@ -70,13 +78,6 @@ class ChannelDecompositions:
     minus: SpectralDecomposition
     plus: SpectralDecomposition
 
-    def resolvent_H(self, z: complex) -> np.ndarray:
-        return resolvent(self.H, z)
-
-    def resolvent_channel(self, side: str, z: complex) -> np.ndarray:
-        dec = self.minus if side == "-" else self.plus
-        return resolvent(dec, z)
-
 
 def channel_decompositions(opset: OperatorSet) -> ChannelDecompositions:
     """One eigh for H; the channels share the closed-form Laplacian basis."""
@@ -88,65 +89,68 @@ def channel_decompositions(opset: OperatorSet) -> ChannelDecompositions:
     return ChannelDecompositions(H=dec_H, minus=minus, plus=plus)
 
 
+def _resolve(dec: SpectralDecomposition, z: complex, x: np.ndarray) -> np.ndarray:
+    """R(z) x = U (Lambda - z)^{-1} U^dagger x for an n x k block x, with no n x n product."""
+    u = dec.eigenvectors
+    return u @ ((u.conj().T @ x) / (dec.eigenvalues - z)[:, None])
+
+
 def assumption_operator(
     opset: OperatorSet,
     decs: ChannelDecompositions,
     which: str,
     eta: SmoothingFunction,
-) -> np.ndarray:
-    """Finite-dimensional matrix of assumption (ii), (iii) or (iv).
+) -> ThinProduct:
+    """Factors of assumption (ii), (iii) or (iv), with eta(.) = U_S diag(f) U_S^T per space.
 
-    (ii)  J i[A0, eta(H0)] J* - i[A, eta(H)]          (n x n, Hermitian)
+    (ii)  J i[A0, eta(H0)] J* - i[A, eta(H)]          (n x n, symmetric)
     (iii) J eta(H0) - eta(H) J                        (n x 2n)
-    (iv)  eta(H)(JJ* - 1) eta(H)                      (n x n, Hermitian)
+    (iv)  eta(H)(JJ* - 1) eta(H)                      (n x n, symmetric)
+
+    For A = iK with K real antisymmetric, i[A, eta] = eta K - K eta =
+    -[U, KU] [[0, f], [f, 0]] [U, KU]^T, so (ii) is symmetric by construction.
     """
-    jm = opset.cutoffs.j_minus
-    jp = opset.cutoffs.j_plus
-    n = opset.n
-    eta_H = apply_function(decs.H, eta)
-
+    cut, n = opset.cutoffs, opset.n
     if which == "iv":
-        w = opset.cutoffs.jj_sum_sq - 1.0
-        return eta_H @ (w[:, None] * eta_H)
-
-    eta_m = apply_function(decs.minus, eta)
-    eta_p = apply_function(decs.plus, eta)
+        return sandwich(decs.H, eta, Band((cut.jj_sum_sq - 1.0)[None, :]))
 
     if which == "iii":
-        out = np.zeros((n, 2 * n))
-        out[:, :n] = jm[:, None] * eta_m - eta_H * jm[None, :]
-        out[:, n:] = jp[:, None] * eta_p - eta_H * jp[None, :]
-        return out
+        um, fm = support(decs.minus, eta)
+        up, fp = support(decs.plus, eta)
+        uh, fh = support(decs.H, eta)
+        jm, jp = cut.j_minus[:, None], cut.j_plus[:, None]
+        return thin_sum(ThinProduct(jm * um, np.diag(fm), np.pad(um, ((0, n), (0, 0)))),
+                        ThinProduct(jp * up, np.diag(fp), np.pad(up, ((n, 0), (0, 0)))),
+                        ThinProduct(uh, -np.diag(fh), np.vstack([jm * uh, jp * uh])))
 
     if which == "ii":
-        # i[A, M] = i(A M - M A) with A = i K': equals M K' - K' M (real)
-        acore = opset.conjugate_core
+        def term(dec, kcore, j, sign):
+            """sign * j i[iK, eta] j with its factors [jU, jKU]."""
+            u, f = support(dec, eta)
+            block = j[:, None] * np.hstack([u, kcore @ u])
+            return ThinProduct(block, -sign * np.kron([[0.0, 1.0], [1.0, 0.0]], np.diag(f)), block)
+
         dcore = opset.dilation_core
-        i_comm_H = eta_H @ acore - acore @ eta_H
-        cm = eta_m @ dcore - dcore @ eta_m
-        cp = eta_p @ dcore - dcore @ eta_p
-        rhs = jm[:, None] * cm * jm[None, :] + jp[:, None] * cp * jp[None, :]
-        diff = rhs - i_comm_H
-        return 0.5 * (diff + diff.T)
+        return thin_sum(term(decs.minus, dcore, cut.j_minus, 1.0),
+                        term(decs.plus, dcore, cut.j_plus, 1.0),
+                        term(decs.H, opset.conjugate_core, np.ones(n), -1.0))
 
     raise ValueError(f"unknown assumption tag {which!r}, expected ii/iii/iv")
 
 
-def singular_values(matrix: np.ndarray, top: int = 40) -> np.ndarray:
-    """Leading singular values via the Hermitian Gram matrix."""
-    m = np.asarray(matrix)
-    if m.shape[0] <= m.shape[1]:
-        gram = m @ m.conj().T
-    else:
-        gram = m.conj().T @ m
-    ev = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    ev = np.clip(ev, 0.0, None)
-    sv = np.sqrt(ev[::-1])
-    return sv[:top]
+def singular_values(left: np.ndarray, core: np.ndarray, right: np.ndarray,
+                    top: int = 40) -> np.ndarray:
+    """Leading singular values of left @ core @ right^dagger, zero-padded to
+    min(top, rows, cols) values: a tall factor F = Q R (orthonormal Q) is
+    replaced by R, and one SVD of the small core that is left gives them."""
+    count = min(top, left.shape[0], right.shape[0])
+    rl, rr = (np.linalg.qr(f, mode="r") if f.shape[0] > f.shape[1] else f for f in (left, right))
+    sv = np.linalg.svd(rl @ core @ rr.conj().T, compute_uv=False)[:count]
+    return np.pad(sv, (0, count - sv.size))
 
 
 def compactness_report(
-    builder: Callable[[float, int], np.ndarray],
+    builder: Callable[[float, int], ThinProduct],
     levels: Sequence[tuple[float, int]],
     label: str = "",
     top: int = 40,
@@ -165,7 +169,8 @@ def compactness_report(
     svs, tails = [], []
     for (L, n) in levels:
         try:
-            sv = singular_values(builder(L, n), top=top)
+            op = builder(L, n)
+            sv = singular_values(op.left, op.core, op.right, top=top)
         except Exception as exc:
             raise RuntimeError(f"builder failed at level (L={L}, n={n}): {exc}") from exc
         svs.append(sv)
@@ -201,13 +206,14 @@ def short_range_operator(
     decs: ChannelDecompositions,
     z: complex,
     smoothing: Optional[SmoothingFunction] = None,
-) -> tuple[np.ndarray, str]:
+) -> tuple[ThinProduct, str]:
     """B(z) A0 with an energy smoothing realizing the operator closure.
 
-    Returns the n x 2n matrix B(z) A0 S with S = eta~(H0) a plateau equal
-    to 1 on the energy range of interest; the raw discrete product grows
-    with refinement because A0 is unbounded in the continuum, and the
-    smoothing is recorded so the choice is auditable.
+    Returns the factors of the n x 2n operator B(z) A0 S with S = eta~(H0)
+    a plateau equal to 1 on the energy range of interest; the raw discrete
+    product grows with refinement because A0 is unbounded in the continuum,
+    and the smoothing is recorded so the choice is auditable.  Each channel
+    contributes i (j R0(z) K U_S - R(z) j K U_S) diag(f) U_S^T.
     """
     if z.imag == 0:
         raise ValueError("short-range operator requires a non-real z")
@@ -216,20 +222,21 @@ def short_range_operator(
         lo = min(pot.v_minus, pot.v_plus) + 0.05
         hi = max(pot.v_minus, pot.v_plus) + 4.0
         smoothing = plateau(lo, hi, shoulder=1.0)
-    n = opset.n
-    bmat = build_B(opset, z, decs.resolvent_H, decs.resolvent_channel)
-    dcore = opset.dilation_core   # D = iK
-    sm = apply_function(decs.minus, smoothing)
-    sp = apply_function(decs.plus, smoothing)
-    out = np.zeros((n, 2 * n), dtype=complex)
-    out[:, :n] = 1j * (bmat[:, :n] @ dcore) @ sm
-    out[:, n:] = 1j * (bmat[:, n:] @ dcore) @ sp
+    cut, n = opset.cutoffs, opset.n
+    terms = []
+    for dec, j, pad in ((decs.minus, cut.j_minus, (0, n)), (decs.plus, cut.j_plus, (n, 0))):
+        u, f = support(dec, smoothing)
+        ku = opset.dilation_core @ u
+        left = 1j * (j[:, None] * _resolve(dec, z, ku) - _resolve(decs.H, z, j[:, None] * ku))
+        terms.append(ThinProduct(left, np.diag(f), np.pad(u, (pad, (0, 0)))))
     descr = f"plateau smoothing eta~(H0), kind={smoothing.kind}, center={smoothing.center}, width={smoothing.width}"
-    return out, descr
+    return thin_sum(*terms), descr
 
 
-def long_range_operator(opset: OperatorSet, decs: ChannelDecompositions) -> np.ndarray:
-    """R(i) (J i[H0,A0] J* - i[H,A]) R(i), the dual-pair weighted difference."""
+def long_range_operator(opset: OperatorSet, decs: ChannelDecompositions) -> ThinProduct:
+    """Hermitian part of R(i) M R(i), M = J i[H0,A0] J* - i[H,A], the dual-pair
+    weighted difference: M is nonzero only on nodes S near the origin, so
+    R M R = R[:, S] M_SS R[:, S]^T (H real symmetric)."""
     if opset.potential.v_prime is None:
         raise ValueError("long-range difference needs a differentiable potential")
     jm = Band(opset.cutoffs.j_minus[None, :])
@@ -237,9 +244,13 @@ def long_range_operator(opset: OperatorSet, decs: ChannelDecompositions) -> np.n
     cm, cp = opset.commutator_iH0A0_channel
     mid = Band((jm @ cm @ jm).entries + (jp @ cp @ jp).entries
                - build_commutator_longrange(opset).entries)
-    r = decs.resolvent_H(1j)
-    out = r @ mid @ r
-    return 0.5 * (out + out.conj().T)
+    diag, rows = np.nonzero(mid.entries)
+    nodes = np.union1d(rows, rows + diag - mid.b)  # S: every row and column of a nonzero
+    unit = np.zeros((opset.n, nodes.size))
+    unit[nodes, np.arange(nodes.size)] = 1.0
+    m = (mid @ unit)[nodes]  # M_SS
+    r = _resolve(decs.H, 1j, unit)  # R(i)[:, S]
+    return thin_sum(ThinProduct(r, 0.5 * m, r.conj()), ThinProduct(r.conj(), 0.5 * m.T, r))
 
 
 def c1_probe(

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .hypotheses import singular_values
 from .operators import OperatorSet
 from .spectral import (
     EnergyWindow,
@@ -36,6 +37,7 @@ from .spectral import (
     dirichlet_decomposition,
     eigendecompose,
     sandwich,
+    thin_sum,
 )
 
 __all__ = [
@@ -264,10 +266,7 @@ def estimate_rho_eta(
 
 
 def opnorm(matrix, iters: int = 200, seed: int = 7) -> float:
-    """Spectral norm by power iteration on M*M (deterministic start).
-
-    M is an array or a `ThinProduct`, which is applied factor by factor.
-    """
+    """Spectral norm of a dense matrix by power iteration on M*M (deterministic start)."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(matrix.shape[1])
     if np.iscomplexobj(matrix):
@@ -323,16 +322,6 @@ def _span(lambdas, eps: float) -> EnergyWindow:
     return EnergyWindow(0.5 * (lo + hi), 0.5 * (hi - lo))
 
 
-def _block_diagonal(*blocks: np.ndarray) -> np.ndarray:
-    out = np.zeros((sum(b.shape[0] for b in blocks),) * 2,
-                   dtype=np.result_type(*blocks))
-    k = 0
-    for b in blocks:
-        out[k:k + b.shape[0], k:k + b.shape[0]] = b
-        k += b.shape[0]
-    return out
-
-
 def transfer_verify(
     opset: OperatorSet,
     dec_H: Optional[SpectralDecomposition],
@@ -352,8 +341,9 @@ def transfer_verify(
     of eta only; the channel eigenpairs in that window come in closed form,
     and with dec_H None only the eigenpairs of H around the retained
     samples are computed.  The residual chi (lhs - rhs) chi is
-    F C F^T with F = [chi U_H, chi J- U-, chi J+ U+] and C block diagonal,
-    so its norm never needs an n x n array.
+    F C F^T with F = [chi U_H, chi J- U-, chi J+ U+] and C block diagonal;
+    its norm is the largest singular value of those factors, so it never
+    needs an n x n array.
     """
     pot = opset.potential
     grid = opset.grid
@@ -381,10 +371,9 @@ def transfer_verify(
         dec_p = dirichlet_decomposition(grid.n, grid.dx, pot.v_plus, win)
         terms = (sandwich(dec_H, eta, opset.commutator_iHA),
                  sandwich(dec_m, eta, cm), sandwich(dec_p, eta, cp))
-        diff = ThinProduct(
-            np.hstack([w[:, None] * t.factor for w, t in zip(weights, terms)]),
-            _block_diagonal(terms[0].core, -terms[1].core, -terms[2].core))
-        residuals.append(opnorm(diff))
+        diff = thin_sum(*(ThinProduct(w[:, None] * t.left, sign * t.core, w[:, None] * t.right)
+                          for w, t, sign in zip(weights, terms, (1.0, -1.0, -1.0))))
+        residuals.append(float(singular_values(diff.left, diff.core, diff.right, top=1)[0]))
 
     verdict = bool(samples) and all(m >= -tol for m in margins if not math.isnan(m))
     return TransferReport(

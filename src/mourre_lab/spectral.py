@@ -9,9 +9,10 @@ channel operators -Delta + v_pm need no solver, because the Dirichlet
 Laplacian has a closed-form sine (DST-I) eigenbasis, which can also be
 built for an energy window alone.  A function f(H) costs what its
 support costs: only eigenvectors where f is nonzero enter
-U f(Lambda) U*, so a compactly supported eta gives a low-rank product,
-which `sandwich` keeps in factored form.  Propagation of a complex state
-in a real eigenbasis stays in real arithmetic.
+U f(Lambda) U*, so a compactly supported eta gives a low-rank product.
+A finite-rank operator is a `ThinProduct`, factors (left, core, right) for
+left @ core @ right^dagger, never its matrix (`sandwich`, `thin_sum`).
+Propagation of a complex state in a real eigenbasis stays in real arithmetic.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ __all__ = [
     "eigendecompose",
     "dirichlet_decomposition",
     "spectral_projection",
+    "support",
     "apply_function",
     "sandwich",
     "ThinProduct",
+    "thin_sum",
     "resolvent",
     "propagate",
     "scattering_projector",
@@ -227,8 +230,9 @@ def dirichlet_decomposition(
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
-def _support(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]):
-    """(U_S, f_S): the eigenvectors where f is nonzero and the values of f there.
+def support(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]):
+    """(U_S, f_S): the eigenvectors where f is nonzero and the values of f there,
+    so that f(H) = U_S diag(f_S) U_S^dagger.
 
     The test is exact (f == 0), so dropping those columns changes U f(Lambda) U*
     only by rounding; U is sliced only when the support is a proper subset.
@@ -245,38 +249,29 @@ def _support(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]):
 
 def apply_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """U f(Lambda) U^dagger over the support of f; raises if f is singular on the spectrum."""
-    u, fw = _support(dec, f)
+    u, fw = support(dec, f)
     return (u * fw[None, :]) @ u.conj().T
 
 
 @dataclass(frozen=True)
 class ThinProduct:
-    """The n x n matrix F C F^dagger kept as its factors: F is n x r, C is r x r.
+    """A finite-rank operator kept as its factors: left @ core @ right^dagger.
 
-    It acts like the matrix under `@`, `.T` and `.conj()`, at O(n r) per
-    vector and without forming n x n.
+    left is m x r, core r x s and right k x s, so the operator is m x k and
+    its rank is at most min(r, s); `hypotheses.singular_values` reads it.
     """
 
-    factor: np.ndarray
+    left: np.ndarray
     core: np.ndarray
+    right: np.ndarray
 
-    @property
-    def shape(self) -> tuple:
-        return (self.factor.shape[0], self.factor.shape[0])
 
-    @property
-    def dtype(self):
-        return np.result_type(self.factor, self.core)
-
-    @property
-    def T(self) -> "ThinProduct":
-        return ThinProduct(self.factor.conj(), self.core.T)
-
-    def conj(self) -> "ThinProduct":
-        return ThinProduct(self.factor.conj(), self.core.conj())
-
-    def __matmul__(self, x):
-        return self.factor @ (self.core @ (self.factor.conj().T @ x))
+def thin_sum(*terms: ThinProduct) -> ThinProduct:
+    """The sum of thin products as one: [L_1 .. L_k] diag(C_1 .. C_k) [R_1 .. R_k]^dagger."""
+    core = np.block([[t.core if i == k else np.zeros((t.core.shape[0], u.core.shape[1]))
+                      for k, u in enumerate(terms)] for i, t in enumerate(terms)])
+    return ThinProduct(np.hstack([t.left for t in terms]), core,
+                       np.hstack([t.right for t in terms]))
 
 
 def sandwich(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray], m) -> ThinProduct:
@@ -284,9 +279,9 @@ def sandwich(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray], 
 
     M is a matrix or a Band; it is applied to the thin U_S only.
     """
-    u, fw = _support(dec, f)
+    u, fw = support(dec, f)
     core = fw[:, None] * (u.conj().T @ (m @ u)) * fw[None, :]
-    return ThinProduct(u, core)
+    return ThinProduct(u, core, u)
 
 
 def resolvent(dec: SpectralDecomposition, z: complex) -> np.ndarray:

@@ -6,6 +6,11 @@ from mourre_lab.hypotheses import channel_decompositions
 from mourre_lab.operators import build_pair
 
 
+def dense(p) -> np.ndarray:
+    """The matrix left @ core @ right^dagger that a ThinProduct stands for."""
+    return p.left @ p.core @ p.right.conj().T
+
+
 def well_bump(grid, amplitude, width):
     """Compactly supported bump of the given amplitude and half-width."""
     u = grid.nodes / width

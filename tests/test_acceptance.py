@@ -39,7 +39,7 @@ from mourre_lab.scattering import (
     make_channel_packet,
     scattering_coefficients,
 )
-from mourre_lab.spectral import EnergyWindow, bump
+from mourre_lab.spectral import EnergyWindow, ThinProduct, bump
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -145,7 +145,8 @@ def test_criterion_5_compactness_surrogates():
                 return short_range_operator(ops, decs, 1j)[0]
             if tag == "long":
                 return long_range_operator(ops, decs)
-            return np.eye(n)
+            eye = np.eye(n)
+            return ThinProduct(eye, eye, eye)
         return builder
 
     verdicts, tails = {}, {}

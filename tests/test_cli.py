@@ -120,8 +120,14 @@ class TestLoadConfig:
         ("rho-scan", {"lambdas": ["a"]}, "params.lambdas"),
         ("hypotheses", {"levels": [[40]]}, "params.levels"),
         ("hypotheses", {"levels": [[40.0, 161]]}, "params.levels"),
+        ("hypotheses", {"levels": [[40.0, 160], [40.0, 321]]}, "params.levels"),
+        ("hypotheses", {"levels": [[40.0, 15], [40.0, 321]]}, "params.levels"),
+        ("completeness", {"n_times": 1}, "params.n_times"),
+        ("completeness", {"n_times": 0}, "params.n_times"),
+        ("completeness", {"n_times": -3}, "params.n_times"),
     ], ids=["step-zero", "step-negative", "max-below-min", "lambda-not-number",
-            "level-not-pair", "one-level"])
+            "level-not-pair", "one-level", "level-n-even", "level-n-small",
+            "n-times-one", "n-times-zero", "n-times-negative"])
     def test_param_value_names_key(self, tmp_path, capsys, experiment, params, key):
         path = write_config(tmp_path, "c.json", dict(SMALL, experiment=experiment,
                                                      params=params))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import well_bump
+from conftest import dense, well_bump
 from mourre_lab.grid import CutoffPair, make_cutoffs, make_grid, make_steplike, smoothstep
 from mourre_lab.hypotheses import (
     assumption_operator,
@@ -14,13 +14,79 @@ from mourre_lab.hypotheses import (
     short_range_operator,
     singular_values,
 )
-from mourre_lab.operators import build_pair
-from mourre_lab.spectral import bump, eigendecompose, resolvent
+from mourre_lab.operators import Band, build_B, build_commutator_longrange, build_pair
+from mourre_lab.spectral import (
+    ThinProduct,
+    apply_function,
+    bump,
+    eigendecompose,
+    plateau,
+    resolvent,
+)
+
+F64_EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
 def eta():
     return bump(0.5, 0.4)
+
+
+def identity(n: int) -> ThinProduct:
+    eye = np.eye(n)
+    return ThinProduct(eye, eye, eye)
+
+
+def dense_reference(opset, decs, tag, eta):
+    """Each surrogate as the dense n x n or n x 2n matrix the factored builders replaced."""
+    jm = opset.cutoffs.j_minus
+    jp = opset.cutoffs.j_plus
+    n = opset.n
+    eta_H = apply_function(decs.H, eta)
+    eta_m = apply_function(decs.minus, eta)
+    eta_p = apply_function(decs.plus, eta)
+    if tag == "iv":
+        w = opset.cutoffs.jj_sum_sq - 1.0
+        return eta_H @ (w[:, None] * eta_H)
+    if tag == "iii":
+        out = np.zeros((n, 2 * n))
+        out[:, :n] = jm[:, None] * eta_m - eta_H * jm[None, :]
+        out[:, n:] = jp[:, None] * eta_p - eta_H * jp[None, :]
+        return out
+    if tag == "ii":
+        acore = opset.conjugate_core
+        dcore = opset.dilation_core
+        i_comm_H = eta_H @ acore - acore @ eta_H
+        cm = eta_m @ dcore - dcore @ eta_m
+        cp = eta_p @ dcore - dcore @ eta_p
+        rhs = jm[:, None] * cm * jm[None, :] + jp[:, None] * cp * jp[None, :]
+        diff = rhs - i_comm_H
+        return 0.5 * (diff + diff.T)
+    if tag == "short":
+        smoothing = plateau(0.05, 5.0, shoulder=1.0)
+        bmat = build_B(opset, 1j, lambda z: resolvent(decs.H, z),
+                       lambda side, z: resolvent(decs.minus if side == "-" else decs.plus, z))
+        dcore = opset.dilation_core
+        out = np.zeros((n, 2 * n), dtype=complex)
+        out[:, :n] = 1j * (bmat[:, :n] @ dcore) @ apply_function(decs.minus, smoothing)
+        out[:, n:] = 1j * (bmat[:, n:] @ dcore) @ apply_function(decs.plus, smoothing)
+        return out
+    bjm = Band(jm[None, :])
+    bjp = Band(jp[None, :])
+    cm, cp = opset.commutator_iH0A0_channel
+    mid = Band((bjm @ cm @ bjm).entries + (bjp @ cp @ bjp).entries
+               - build_commutator_longrange(opset).entries)
+    r = resolvent(decs.H, 1j)
+    out = r @ mid @ r
+    return 0.5 * (out + out.conj().T)
+
+
+def factored(opset, decs, tag, eta) -> ThinProduct:
+    if tag in ("ii", "iii", "iv"):
+        return assumption_operator(opset, decs, tag, eta)
+    if tag == "short":
+        return short_range_operator(opset, decs, 1j)[0]
+    return long_range_operator(opset, decs)
 
 
 class TestChannelDecompositions:
@@ -31,7 +97,7 @@ class TestChannelDecompositions:
 
     def test_resolvent_consistent(self, small_ops, small_decs):
         z = 0.3 + 0.7j
-        r = small_decs.resolvent_channel("+", z)
+        r = resolvent(small_decs.plus, z)
         h = small_ops.channel_hamiltonian("+").dense()
         n = small_ops.n
         assert np.max(np.abs((h - z * np.eye(n)) @ r - np.eye(n))) < 1e-9
@@ -39,7 +105,7 @@ class TestChannelDecompositions:
 
 class TestAssumptionOperators:
     def test_iv_hermitian(self, small_ops, small_decs, eta):
-        m = assumption_operator(small_ops, small_decs, "iv", eta)
+        m = dense(assumption_operator(small_ops, small_decs, "iv", eta))
         assert np.allclose(m, m.conj().T, atol=1e-12)
 
     def test_iv_zero_for_partition_of_unity(self, small_ops, small_decs, eta):
@@ -51,39 +117,87 @@ class TestAssumptionOperators:
         cut = CutoffPair(grid=g, j_plus=jp, j_minus=jm, j=jm + jp,
                          jj_sum_sq=jm**2 + jp**2)
         ops = dataclasses.replace(small_ops, cutoffs=cut)
-        m = assumption_operator(ops, small_decs, "iv", eta)
+        m = dense(assumption_operator(ops, small_decs, "iv", eta))
         assert np.max(np.abs(m)) < 1e-12
 
     def test_iii_shape(self, small_ops, small_decs, eta):
-        m = assumption_operator(small_ops, small_decs, "iii", eta)
+        m = dense(assumption_operator(small_ops, small_decs, "iii", eta))
         assert m.shape == (small_ops.n, 2 * small_ops.n)
 
     def test_ii_symmetric(self, small_ops, small_decs, eta):
-        m = assumption_operator(small_ops, small_decs, "ii", eta)
+        m = dense(assumption_operator(small_ops, small_decs, "ii", eta))
         assert np.allclose(m, m.T, atol=1e-12)
 
     def test_unknown_tag(self, small_ops, small_decs, eta):
         with pytest.raises(ValueError):
             assumption_operator(small_ops, small_decs, "v", eta)
 
+    # eta centred at 1.5 also reaches the plus channel, which bump(0.5, 0.4) misses
+    @pytest.mark.parametrize("tag,center", [("ii", 0.5), ("iii", 0.5), ("iv", 0.5),
+                                            ("ii", 1.5), ("iii", 1.5), ("iv", 1.5),
+                                            ("short", 0.5), ("long", 0.5)])
+    def test_matches_dense_reference(self, small_ops, small_decs, tag, center):
+        # the dense matrix's SVD resolves each sigma_k to about n * eps * sigma_1,
+        # well inside sqrt(n * eps) * sigma_1
+        eta = bump(center, 0.4)
+        op = factored(small_ops, small_decs, tag, eta)
+        ref = np.linalg.svd(dense_reference(small_ops, small_decs, tag, eta), compute_uv=False)
+        sv = singular_values(op.left, op.core, op.right)
+        assert sv.shape == (40,)
+        assert np.max(np.abs(sv[:10] - ref[:10])) <= np.sqrt(small_ops.n * F64_EPS) * ref[0]
+
+    def test_empty_plus_block(self, small_ops, small_decs, eta):
+        # eta = bump(0.5, 0.4) ends below the plus threshold 1.0: no plus channel modes
+        op = assumption_operator(small_ops, small_decs, "iii", eta)
+        n_minus = int(np.count_nonzero(eta(small_decs.minus.eigenvalues)))
+        n_H = int(np.count_nonzero(eta(small_decs.H.eigenvalues)))
+        assert not np.any(eta(small_decs.plus.eigenvalues))
+        assert op.left.shape == (small_ops.n, n_minus + n_H)
+        assert op.right.shape == (2 * small_ops.n, n_minus + n_H)
+
+    @pytest.mark.parametrize("tag", ["ii", "iii", "iv"])
+    def test_eta_off_spectrum_is_zero(self, small_ops, small_decs, tag):
+        # every factor block is empty, and the singular values are all zero
+        op = assumption_operator(small_ops, small_decs, tag, bump(-5.0, 0.5))
+        assert op.left.shape[1] == 0 and op.core.shape == (0, 0)
+        sv = singular_values(op.left, op.core, op.right)
+        assert sv.shape == (40,) and not np.any(sv)
+
 
 class TestSingularValues:
     def test_matches_svd(self):
         rng = np.random.default_rng(31)
         m = rng.standard_normal((30, 50)) + 1j * rng.standard_normal((30, 50))
-        sv = singular_values(m, top=10)
+        sv = singular_values(m, np.eye(50), np.eye(50), top=10)
         ref = np.linalg.svd(m, compute_uv=False)[:10]
         assert np.allclose(sv, ref, rtol=1e-8)
 
     def test_nonincreasing(self):
         rng = np.random.default_rng(32)
-        sv = singular_values(rng.standard_normal((60, 60)), top=40)
+        sv = singular_values(rng.standard_normal((60, 60)), np.eye(60), np.eye(60), top=40)
         assert np.all(np.diff(sv) <= 1e-12)
+
+    def test_thin_factors_match_dense(self):
+        rng = np.random.default_rng(34)
+        left = rng.standard_normal((80, 12)) + 1j * rng.standard_normal((80, 12))
+        core = rng.standard_normal((12, 9))
+        right = rng.standard_normal((150, 9)) + 1j * rng.standard_normal((150, 9))
+        sv = singular_values(left, core, right, top=9)
+        ref = np.linalg.svd(left @ core @ right.conj().T, compute_uv=False)[:9]
+        assert np.allclose(sv, ref, rtol=1e-12, atol=1e-12 * ref[0])
+
+    def test_zero_padded_to_min_of_top_rows_cols(self):
+        rng = np.random.default_rng(35)
+        v = rng.standard_normal((30, 2))
+        sv = singular_values(v, np.eye(2), v)
+        assert sv.shape == (30,) and np.all(sv[:2] > 0) and not np.any(sv[2:])
+        assert singular_values(v, np.eye(2), v, top=5).shape == (5,)
+        assert singular_values(v[:, :0], np.zeros((0, 0)), v[:4, :0]).shape == (4,)
 
 
 class TestCompactnessReport:
     def test_identity_control_non_compact(self):
-        rep = compactness_report(lambda L, n: np.eye(n), [(20.0, 101), (20.0, 201)],
+        rep = compactness_report(lambda L, n: identity(n), [(20.0, 101), (20.0, 201)],
                                  label="identity")
         assert rep.verdict == "non-compact"
         assert all(t == pytest.approx(1.0) for t in rep.tail_ratio)
@@ -91,14 +205,14 @@ class TestCompactnessReport:
     def test_rank_one_control_compact(self):
         def builder(L, n):
             v = np.ones((n, 1)) / np.sqrt(n)
-            return v @ v.T
+            return ThinProduct(v, np.eye(1), v)
 
         rep = compactness_report(builder, [(20.0, 101), (20.0, 201)], label="rank1")
         assert rep.verdict == "compact-consistent"
 
     def test_needs_two_levels(self):
         with pytest.raises(ValueError):
-            compactness_report(lambda L, n: np.eye(n), [(20.0, 101)])
+            compactness_report(lambda L, n: identity(n), [(20.0, 101)])
 
     def test_builder_failure_tagged(self):
         def bad(L, n):
@@ -111,7 +225,7 @@ class TestCompactnessReport:
 class TestShortLongRange:
     def test_short_range_shape_and_descr(self, small_ops, small_decs):
         m, descr = short_range_operator(small_ops, small_decs, 1j)
-        assert m.shape == (small_ops.n, 2 * small_ops.n)
+        assert dense(m).shape == (small_ops.n, 2 * small_ops.n)
         assert "plateau" in descr
 
     def test_short_range_rejects_real_z(self, small_ops, small_decs):
@@ -119,7 +233,7 @@ class TestShortLongRange:
             short_range_operator(small_ops, small_decs, 1.0 + 0j)
 
     def test_long_range_hermitian(self, small_ops, small_decs):
-        m = long_range_operator(small_ops, small_decs)
+        m = dense(long_range_operator(small_ops, small_decs))
         assert np.allclose(m, m.conj().T, atol=1e-12)
 
     def test_long_range_needs_derivative(self, small_grid, small_decs):
@@ -183,7 +297,7 @@ class TestContrastExperiment:
                 mats.append(short_range_operator(ops, decs, 1j)[0])
             return mats
 
-        fast = [singular_values(m, top=25) for m in build("fast")]
-        slow = [singular_values(m, top=25) for m in build("slow")]
+        fast = [singular_values(m.left, m.core, m.right, top=25) for m in build("fast")]
+        slow = [singular_values(m.left, m.core, m.right, top=25) for m in build("slow")]
         # the slow tail carries more weight in the low singular values
         assert slow[-1][20] / slow[-1][0] > fast[-1][20] / fast[-1][0]

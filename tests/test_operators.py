@@ -182,14 +182,20 @@ class TestBlockStructure:
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+def resolvents(decs):
+    """R(z) of H and of a channel, as build_B and build_B_pm take them."""
+    return (lambda z: resolvent(decs.H, z),
+            lambda side, z: resolvent(decs.minus if side == "-" else decs.plus, z))
+
+
 class TestBOperators:
     def test_channel_decomposition_identity(self, small_ops, small_decs):
         # B(z) phi = B_-(z) phi_- + B_+(z) phi_+ exactly at finite dimension
         z = 1j
         n = small_ops.n
-        b = build_B(small_ops, z, small_decs.resolvent_H, small_decs.resolvent_channel)
-        bm = build_B_pm(small_ops, z, "-", small_decs.resolvent_H, small_decs.resolvent_channel)
-        bp = build_B_pm(small_ops, z, "+", small_decs.resolvent_H, small_decs.resolvent_channel)
+        b = build_B(small_ops, z, *resolvents(small_decs))
+        bm = build_B_pm(small_ops, z, "-", *resolvents(small_decs))
+        bp = build_B_pm(small_ops, z, "+", *resolvents(small_decs))
         assert np.max(np.abs(b[:, :n] - bm)) < 1e-9
         assert np.max(np.abs(b[:, n:] - bp)) < 1e-9
 
@@ -198,7 +204,7 @@ class TestBOperators:
         # blockwise; applied to a packet deep in the flat region it is tiny
         z = 1j
         n = free_ops.n
-        b = build_B(free_ops, z, free_decs.resolvent_H, free_decs.resolvent_channel)
+        b = build_B(free_ops, z, *resolvents(free_decs))
         x = free_ops.grid.nodes
         phi = np.exp(-((x + 15.0) ** 2))
         phi /= np.linalg.norm(phi)
@@ -207,7 +213,7 @@ class TestBOperators:
 
     def test_B_requires_complex_z(self, small_ops, small_decs):
         with pytest.raises(ValueError):
-            build_B(small_ops, 1.0 + 0j, small_decs.resolvent_H, small_decs.resolvent_channel)
+            build_B(small_ops, 1.0 + 0j, *resolvents(small_decs))
 
 
 class TestMatrixIO:

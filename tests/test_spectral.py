@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense
 from mourre_lab import blas
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import Band, build_pair
@@ -21,6 +22,7 @@ from mourre_lab.spectral import (
     sandwich,
     scattering_projector,
     spectral_projection,
+    thin_sum,
 )
 
 F64_EPS = np.finfo(float).eps
@@ -120,24 +122,26 @@ class TestWindowedEigendecompose:
 
 
 class TestThinProduct:
-    def test_acts_like_dense(self):
+    def test_sum_matches_dense(self):
         rng = np.random.default_rng(5)
-        f = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
-        c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        thin, dense = ThinProduct(f, c), f @ c @ f.conj().T
-        x = rng.standard_normal(30)
-        assert thin.shape == (30, 30) and np.iscomplexobj(thin)
-        for got, ref in ((thin, dense), (thin.T, dense.T), (thin.conj(), dense.conj()),
-                         (thin.conj().T, dense.conj().T)):
-            assert np.max(np.abs(got @ x - ref @ x)) <= 1e-13 * np.abs(ref).max()
+
+        def product(rows, cols, r, s):
+            return ThinProduct(rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r)),
+                               rng.standard_normal((r, s)) + 1j * rng.standard_normal((r, s)),
+                               rng.standard_normal((cols, s)) + 1j * rng.standard_normal((cols, s)))
+
+        terms = (product(30, 40, 4, 3), product(30, 40, 2, 5), product(30, 40, 0, 0))
+        got, ref = dense(thin_sum(*terms)), sum(dense(t) for t in terms)
+        assert got.shape == (30, 40)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.abs(ref).max()
 
     def test_sandwich_matches_dense(self, small_ops, dec):
         eta = bump(1.0, 0.3)
         thin = sandwich(dec, eta, small_ops.commutator_iHA)
-        assert thin.factor.shape[1] < small_ops.n
+        assert thin.left.shape[1] < small_ops.n and thin.right is thin.left
         e = apply_function(dec, eta)
-        dense = e @ small_ops.commutator_iHA.dense() @ e
-        assert np.max(np.abs(thin @ np.eye(small_ops.n) - dense)) <= 1e-12
+        ref = e @ small_ops.commutator_iHA.dense() @ e
+        assert np.max(np.abs(dense(thin) - ref)) <= 1e-12
 
 
 class TestWindows:
