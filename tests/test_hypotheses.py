@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import dense, well_bump
+from conftest import dense
 from mourre_lab.grid import CutoffPair, make_cutoffs, make_grid, make_steplike, smoothstep
 from mourre_lab.hypotheses import (
     assumption_operator,
@@ -19,7 +19,6 @@ from mourre_lab.spectral import (
     ThinProduct,
     apply_function,
     bump,
-    eigendecompose,
     plateau,
     resolvent,
 )
