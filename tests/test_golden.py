@@ -1,10 +1,12 @@
 """Golden values: small CLI runs must reproduce their frozen outputs.
 
 `golden.json` next to this file holds the outputs of four small
-experiments, of the benchmark's rho-scan and transfer configs at L = 160
-and of its hypotheses ladder at (40, 601) / (40, 801).  Regenerate it only on a commit whose outputs define "correct",
-from the repository root, naming the entries to refreeze (all when none
-is named; the others keep their frozen values):
+experiments, of the benchmark's rho-scan and transfer configs at L = 160,
+of its hypotheses ladder at (40, 601) / (40, 801) and of its completeness
+run at n = 601, and the scatter run of acceptance criterion 7.  Regenerate
+it only on a commit whose outputs define "correct", from the repository
+root, naming the entries to refreeze (all when none is named; the others
+keep their frozen values):
 
     PYTHONPATH=src python3 tests/test_golden.py [NAME ...]
 
@@ -30,6 +32,16 @@ value, never an observed drift:
   ROUNDING_ULPS * n * eps (relative to max(1, |value|)); a residual is an
   `opnorm`, whose power iteration also stops at a relative step of
   OPNORM_RTOL;
+- completeness norms, the range defect and the scattering R, T and
+  |R + T - 1| are norms and masses of propagated states.  A state moved by
+  U diag(e^{-itw}) U^T carries a relative error of about n * eps (U is
+  orthonormal to a modest multiple of n * eps, and each product sums n
+  terms), so a norm or a mass of a unit state moves by as much; they share
+  the ROUNDING_ULPS * n * eps * max(1, |value|) bound above;
+- boundary margins are L minus a grid node, the node where a cumulative
+  mass first reaches a fixed fraction.  Rounding moves that node only
+  when a cumulative mass sits within n * eps of the fraction, so margins
+  and the admissible flags derived from them must match exactly;
 - mode counts, energy samples and exclusions must match exactly.
 """
 
@@ -67,6 +79,10 @@ CONFIGS = {
         "operators": ["ii", "iii", "iv", "short", "long", "identity"]})),
     "completeness": ("completeness", dict(BASE, n=321, params={
         "x0": 10.0, "k0": 1.5, "sigma": 2.0, "t_max": 8.0, "n_times": 41})),
+    "completeness-n601": ("completeness", dict(BASE, n=601, params={
+        "x0": 10.0, "k0": 1.5, "sigma": 2.0, "t_max": 8.0, "n_times": 161})),
+    "scatter": ("scatter", dict(BASE, n=1601, profile="sharp_step", params={
+        "lambda": 2.0, "x0": -25.0, "sigma": 3.0})),
     "rho-scan-L160": ("rho-scan", dict(BASE, L=160.0, n=1601, params={
         "lambda_min": -0.5, "lambda_max": 3.0, "lambda_step": 0.02, "eps": 0.1})),
     "transfer-L160": ("transfer", dict(BASE, L=160.0, n=1201, params={
@@ -74,7 +90,8 @@ CONFIGS = {
         "eps": 0.1, "tol": 0.2})),
 }
 REPORTS = {"rho-scan": "rho_scan.json", "transfer": "transfer.json",
-           "hypotheses": "hypotheses.json", "completeness": "completeness.json"}
+           "hypotheses": "hypotheses.json", "completeness": "completeness.json",
+           "scatter": "scatter.json"}
 
 
 def summarize(experiment: str, rep: dict) -> dict:
@@ -92,8 +109,13 @@ def summarize(experiment: str, rep: dict) -> dict:
                       "tail_ratio": [float(x) for x in op["tail_ratio"]],
                       "stability": float(op["stability"]), "verdict": op["verdict"]}
                 for tag, op in rep["operators"].items()}
-    return {"min_froufrou": min(float(x) for x in rep["froufrou_norms"]),
-            "min_converse": min(float(x) for x in rep["converse_norms"])}
+    if experiment == "scatter":
+        return {key: rep[key] if key == "verdict" else float(rep[key])
+                for key in ("reflection", "transmission", "flux_defect", "verdict")}
+    return {key: rep[key] if key in ("admissible", "verdict") else
+            float(rep[key]) if key == "range_defect" else [float(x) for x in rep[key]]
+            for key in ("froufrou_norms", "converse_norms", "boundary_margins", "admissible",
+                        "range_defect", "verdict")}
 
 
 def run_summary(name: str, out_dir: Path) -> dict:
@@ -121,6 +143,10 @@ def _exact(ref: float) -> float:
     return 0.0
 
 
+def _listed(value) -> list:
+    return value if isinstance(value, list) else [value]
+
+
 def mismatches(label: str, values, refs, tol) -> list[str]:
     values, refs = list(values), list(refs)
     if len(values) != len(refs):
@@ -145,10 +171,16 @@ def compare(name: str, got: dict, ref: dict) -> list[str]:
     elif experiment == "transfer":
         checks = {"lambda_samples": _exact, "excluded": _exact, "rho_H_estimate": _rho_tol,
                   "margins": _rho_tol, "eone_residuals": _residual_tol(n)}
-    elif experiment == "completeness":
-        checks = {"min_froufrou": _rounding_tol(n), "min_converse": _rounding_tol(n)}
-        return [msg for key, tol in checks.items()
-                for msg in mismatches(key, [got[key]], [ref[key]], tol)]
+    elif experiment in ("completeness", "scatter"):
+        rounding = _rounding_tol(n)
+        checks = ({"froufrou_norms": rounding, "converse_norms": rounding,
+                   "boundary_margins": _exact, "admissible": _exact, "range_defect": rounding}
+                  if experiment == "completeness" else
+                  {"reflection": rounding, "transmission": rounding, "flux_defect": rounding})
+        bad = [] if got["verdict"] == ref["verdict"] else [
+            f"verdict {got['verdict']} vs golden {ref['verdict']}"]
+        return bad + [msg for key, tol in checks.items()
+                      for msg in mismatches(key, _listed(got[key]), _listed(ref[key]), tol)]
     else:
         dims = [d for _, d in config["params"]["levels"]]
         if sorted(got) != sorted(ref):
