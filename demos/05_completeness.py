@@ -13,8 +13,8 @@ import numpy as np
 
 from mourre_lab import (
     build_pair,
-    channel_decompositions,
     completeness_probe,
+    eigendecompose,
     make_channel_packet,
     make_cutoffs,
     make_grid,
@@ -38,26 +38,26 @@ def main():
     potential = make_steplike(grid, 0.0, 1.0, profile="smooth_step_plus_bump",
                               bump=well)
     ops = build_pair(grid, potential, cutoffs)
-    decs = channel_decompositions(ops)
+    dec_H = eigendecompose(ops.H)
     times = np.linspace(0.0, 8.0, 17)
 
     packet = make_channel_packet(grid, "-", -20.0, 1.5, 3.0)
-    wave = wave_operator_probe(ops, decs, packet, "-", times)
+    wave = wave_operator_probe(ops, dec_H, packet, "-", times)
     print(f"wave-operator probe: isometry ratio {wave.isometry_ratio:.4f}, "
           f"best Cauchy defect {min(wave.cauchy_ladder):.2e}")
 
     pk = make_channel_packet(grid, "+", 10.0, 1.5, 2.0)
     psi = ops.apply_J(pk.phi_minus, pk.phi_plus)
     psi /= math.sqrt(grid.dx) * np.linalg.norm(psi)
-    out = completeness_probe(ops, decs, psi, times)
+    out = completeness_probe(ops, dec_H, psi, times)
     print(f"outgoing packet:  verdict={out.verdict}, "
           f"min froufrou {min(out.froufrou_norms):.4f}, "
           f"min converse {min(out.converse_norms):.4f}")
 
-    bound = decs.H.eigenvectors[:, 0].astype(complex)
+    bound = dec_H.eigenvectors[:, 0].astype(complex)
     bound /= math.sqrt(grid.dx) * np.linalg.norm(bound)
-    print(f"bound state at E = {decs.H.eigenvalues[0]:.3f} (negative control):")
-    ctrl = completeness_probe(ops, decs, bound, times)
+    print(f"bound state at E = {dec_H.eigenvalues[0]:.3f} (negative control):")
+    ctrl = completeness_probe(ops, dec_H, bound, times)
     print(f"  verdict={ctrl.verdict}, froufrou stays at "
           f"{min(ctrl.froufrou_norms):.3f}")
 

@@ -331,12 +331,12 @@ def _run_hypotheses(cfg: ExperimentConfig, p: dict):
 
 
 def _run_scatter(cfg: ExperimentConfig, p: dict):
-    from .hypotheses import channel_decompositions
     from .scattering import gaussian_averaged_oracle, scattering_coefficients, sharp_step_oracle
+    from .spectral import eigendecompose
 
     lam, sigma, tol = float(p["lambda"]), float(p["sigma"]), float(p["tol"])
     opset = _build(cfg, p)
-    coeff = scattering_coefficients(opset, channel_decompositions(opset), lam,
+    coeff = scattering_coefficients(opset, eigendecompose(opset.H), lam,
                                     x0=float(p["x0"]), sigma=sigma)
     oracle = sharp_step_oracle(lam, cfg.v_minus, cfg.v_plus)
     averaged = gaussian_averaged_oracle(lam, cfg.v_minus, cfg.v_plus, sigma)
@@ -350,18 +350,17 @@ def _run_scatter(cfg: ExperimentConfig, p: dict):
 
 
 def _run_completeness(cfg: ExperimentConfig, p: dict):
-    from .hypotheses import channel_decompositions
     from .scattering import completeness_probe, make_channel_packet
+    from .spectral import eigendecompose
 
     x0 = float(p["x0"])
     opset = _build(cfg, p)
-    decs = channel_decompositions(opset)
     packet = make_channel_packet(opset.grid, "+" if x0 > 0 else "-", x0, float(p["k0"]),
                                  float(p["sigma"]))
     psi = opset.apply_J(packet.phi_minus, packet.phi_plus)
     psi = psi / (math.sqrt(opset.grid.dx) * np.linalg.norm(psi))
     times = np.linspace(0.0, float(p["t_max"]), p["n_times"])
-    rep = completeness_probe(opset, decs, psi, times)
+    rep = completeness_probe(opset, eigendecompose(opset.H), psi, times)
     rows = zip(rep.times, rep.froufrou_norms, rep.converse_norms, rep.boundary_margins)
     return rep.verdict, asdict(rep), (
         "completeness.csv", "t,froufrou_norm,converse_norm,boundary_margin", rows)

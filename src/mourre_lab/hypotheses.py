@@ -72,7 +72,11 @@ class C1Report:
 
 @dataclass(frozen=True)
 class ChannelDecompositions:
-    """Spectral data of H and of both channel operators on one grid."""
+    """Spectral data of H and of both channel operators on one grid.
+
+    The surrogates here read the full channel bases (`support` of eta and
+    the short-range resolvents); the scattering probes need only H's.
+    """
 
     H: SpectralDecomposition
     minus: SpectralDecomposition

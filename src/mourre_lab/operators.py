@@ -149,8 +149,9 @@ class OperatorSet:
         return _plus_diagonal(self.neglap, v)
 
     def apply_J(self, phi_minus: np.ndarray, phi_plus: np.ndarray) -> np.ndarray:
+        """j_- phi_- + j_+ phi_+ for two vectors, or column by column for two n x T blocks."""
         cut = self.cutoffs
-        return cut.j_minus * phi_minus + cut.j_plus * phi_plus
+        return (cut.j_minus * phi_minus.T + cut.j_plus * phi_plus.T).T
 
     def apply_J_star(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cut = self.cutoffs

@@ -6,6 +6,13 @@ a Cauchy defect and a boundary margin, and the image is taken at the
 best admissible time.  The Dirichlet box makes t -> infinity meaningless
 (recurrences), so every probe rejects times where the packet bulk gets
 close to the ends.
+
+Each probe works on the whole time ladder at once: `propagate` moves a
+state to every time (or column k of a block to time k) in one product
+with the eigenbasis of H, the channel dynamics e^{-itH0} act by DST-I
+(`dst1`) with no channel basis, and norms, boundary margins and masses
+are reductions down the columns of those n x T blocks.  The probes take
+the operators and the eigendecomposition of H alone.
 """
 
 from __future__ import annotations
@@ -17,9 +24,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import Grid
-from .hypotheses import ChannelDecompositions
 from .operators import OperatorSet
-from .spectral import SpectralDecomposition, propagate, scattering_projector
+from .spectral import (
+    SpectralDecomposition,
+    dirichlet_eigenvalues,
+    dst1,
+    propagate,
+    scattering_projector,
+)
 
 __all__ = [
     "TwoSpaceState",
@@ -88,20 +100,23 @@ class ScatteringCoefficients:
     flux_defect: float
 
 
-def _l2(grid: Grid, vec: np.ndarray) -> float:
-    return math.sqrt(grid.dx * float(np.sum(np.abs(vec) ** 2)))
+def _l2(grid: Grid, vec: np.ndarray):
+    """Grid L2 norm of a vector, or of each column of an n x T block."""
+    return np.sqrt(grid.dx * np.sum(np.abs(vec) ** 2, axis=0))
 
 
-def _bulk_radius(grid: Grid, density: np.ndarray, fraction: float = 0.99) -> float:
-    """Smallest |x| radius containing the given mass fraction."""
-    total = density.sum()
-    if total == 0:
-        return 0.0
+def _bulk_radius(grid: Grid, density: np.ndarray, fraction: float = 0.99) -> np.ndarray:
+    """Per column of an n x T density, the smallest |x| radius holding the mass fraction
+    (0 for a column with no mass)."""
     order = np.argsort(np.abs(grid.nodes))
-    cum = np.cumsum(density[order]) / total
-    idx = np.searchsorted(cum, fraction)
-    idx = min(idx, grid.n - 1)
-    return float(np.abs(grid.nodes[order][idx]))
+    cum = np.cumsum(density[order], axis=0)
+    total = cum[-1]
+    held = total > 0
+    below = cum[:, held] / total[held] < fraction
+    idx = np.minimum(np.count_nonzero(below, axis=0), grid.n - 1)
+    radius = np.zeros(density.shape[1])
+    radius[held] = np.abs(grid.nodes[order][idx])
+    return radius
 
 
 def make_channel_packet(
@@ -129,23 +144,42 @@ def make_channel_packet(
     )
 
 
-def _free_evolve(decs: ChannelDecompositions, state: TwoSpaceState, t: float):
-    pm = propagate(decs.minus, state.phi_minus, t)
-    pp = propagate(decs.plus, state.phi_plus, t)
-    return pm, pp
+def _free_evolve(opset: OperatorSet, state: TwoSpaceState, times: np.ndarray):
+    """e^{-itH0} of both channels over the time ladder: two n x T blocks.
 
-
-def _p0_norm(decs: ChannelDecompositions, opset: OperatorSet, state: TwoSpaceState) -> float:
-    """Norm of the initial-set surrogate projection of the packet."""
+    H0_pm = -Delta + v_pm share the DST-I eigenbasis, so the phases of -Delta
+    serve both and v_pm adds one phase per time.
+    """
+    phases = np.exp(-1j * np.outer(dirichlet_eigenvalues(opset.n, opset.grid.dx), times))
     pot = opset.potential
-    pm = scattering_projector(decs.minus, pot.v_minus, AC_DELTA) @ state.phi_minus
-    pp = scattering_projector(decs.plus, pot.v_plus, AC_DELTA) @ state.phi_plus
-    return math.sqrt(opset.grid.dx * float(np.sum(np.abs(pm) ** 2 + np.abs(pp) ** 2)))
+    return tuple(
+        dst1(phases * dst1(phi)[:, None]) * np.exp(-1j * v * times)
+        for phi, v in ((state.phi_minus, pot.v_minus), (state.phi_plus, pot.v_plus))
+    )
+
+
+def _p0_norm(opset: OperatorSet, state: TwoSpaceState) -> float:
+    """Norm of the initial-set surrogate projection of the packet.
+
+    In each channel that is the Parseval norm of the DST-I coefficients
+    whose eigenvalue lies above the channel threshold + AC_DELTA.
+    """
+    w = dirichlet_eigenvalues(opset.n, opset.grid.dx)
+    pot = opset.potential
+    mass = sum(float(np.sum(np.abs(dst1(phi)[w + v > v + AC_DELTA]) ** 2))
+               for phi, v in ((state.phi_minus, pot.v_minus), (state.phi_plus, pot.v_plus)))
+    return math.sqrt(opset.grid.dx * mass)
+
+
+def _signed_times(direction: str, times: Sequence[float]) -> np.ndarray:
+    if direction not in ("+", "-"):
+        raise ValueError("direction must be '+' or '-'")
+    return (1.0 if direction == "+" else -1.0) * np.asarray(times, dtype=float)
 
 
 def wave_operator_probe(
     opset: OperatorSet,
-    decs: ChannelDecompositions,
+    dec_H: SpectralDecomposition,
     packet: TwoSpaceState,
     direction: str,
     times: Sequence[float],
@@ -154,60 +188,49 @@ def wave_operator_probe(
 
     `times` are magnitudes; the sign is set by `direction` ('+' probes
     t -> +infinity).  The image is the approximant at the admissible time
-    with the smallest Cauchy defect.
+    with the smallest Cauchy defect.  One free-evolution block serves both
+    the approximants and the defects.
     """
-    if direction not in ("+", "-"):
-        raise ValueError("direction must be '+' or '-'")
-    sign = 1.0 if direction == "+" else -1.0
+    ts = _signed_times(direction, times)
     grid = opset.grid
     sigma = packet.sigma if packet.sigma is not None else 3.0
     guard = 5 * sigma
 
-    approximants, margins = [], []
-    for tau in times:
-        t = sign * tau
-        pm, pp = _free_evolve(decs, packet, t)
-        glued = opset.apply_J(pm, pp)
-        density = grid.dx * (np.abs(pm) ** 2 + np.abs(pp) ** 2)
-        # bulk location = median-|x| radius; tails are covered by the 5 sigma guard
-        margins.append(grid.L - _bulk_radius(grid, density, fraction=0.5))
-        approximants.append(propagate(decs.H, glued, -t))  # e^{itH} (...)
+    pm, pp = _free_evolve(opset, packet, ts)
+    glued = opset.apply_J(pm, pp)
+    # bulk location = median-|x| radius; tails are covered by the 5 sigma guard
+    margins = grid.L - _bulk_radius(grid, grid.dx * (np.abs(pm) ** 2 + np.abs(pp) ** 2),
+                                    fraction=0.5)
+    del pm, pp
+    approximants = propagate(dec_H, glued, -ts)  # column k: e^{i t_k H} (...)
 
-    admissible = [m >= guard for m in margins]
-    cauchy = [
-        _l2(grid, approximants[k + 1] - approximants[k]) for k in range(len(times) - 1)
-    ]
-    best_idx = None
-    for k in range(len(times) - 1):
-        if admissible[k] and admissible[k + 1]:
-            if best_idx is None or cauchy[k] < cauchy[best_idx]:
-                best_idx = k
-    if best_idx is None:
+    admissible = margins >= guard
+    cauchy = _l2(grid, np.diff(approximants, axis=1))
+    pairs = admissible[:-1] & admissible[1:]
+    if not pairs.any():
         raise RuntimeError(
             "no admissible probe time: packet reaches the boundary before the "
             "approximant stabilizes; increase L or shorten the time ladder"
         )
-    image = approximants[best_idx + 1]
-    best_time = sign * times[best_idx + 1]
-    p0 = _p0_norm(decs, opset, packet)
+    best_idx = int(np.argmin(np.where(pairs, cauchy, np.inf)))
+    image = approximants[:, best_idx + 1]
+    del approximants
+    p0 = _p0_norm(opset, packet)
     iso = _l2(grid, image) / p0 if p0 > 0 else math.inf
 
-    defects = []
-    for tau in times:
-        t = sign * tau
-        pm, pp = _free_evolve(decs, packet, t)
-        defects.append(_l2(grid, propagate(decs.H, image, t) - opset.apply_J(pm, pp)))
+    defects = _l2(grid, propagate(dec_H, image, ts) - glued)
 
     return WaveProbeReport(
-        direction=direction, times=list(times), defects=defects,
-        cauchy_ladder=cauchy, boundary_margins=margins, admissible=admissible,
-        best_time=float(best_time), isometry_ratio=float(iso), image=image,
+        direction=direction, times=list(times), defects=defects.tolist(),
+        cauchy_ladder=cauchy.tolist(), boundary_margins=margins.tolist(),
+        admissible=admissible.tolist(), best_time=float(ts[best_idx + 1]),
+        isometry_ratio=float(iso), image=image,
     )
 
 
 def completeness_probe(
     opset: OperatorSet,
-    decs: ChannelDecompositions,
+    dec_H: SpectralDecomposition,
     psi: np.ndarray,
     times: Sequence[float],
     direction: str = "+",
@@ -222,54 +245,44 @@ def completeness_probe(
     admissible time; a stationary state (bound state) never decays and
     fails the probe.
     """
+    ts = _signed_times(direction, times)
     grid = opset.grid
-    sign = 1.0 if direction == "+" else -1.0
     psi = np.asarray(psi, dtype=complex)
     npsi = _l2(grid, psi)
     w = opset.cutoffs.jj_sum_sq - 1.0   # JJ* - 1 as a multiplication
-    jm, jp = opset.cutoffs.j_minus, opset.cutoffs.j_plus
+    jm, jp = opset.cutoffs.j_minus[:, None], opset.cutoffs.j_plus[:, None]
+
+    ev = propagate(dec_H, psi, ts)
+    frous = _l2(grid, w[:, None] * ev) / npsi
+    margins = grid.L - _bulk_radius(grid, grid.dx * np.abs(ev) ** 2, fraction=0.5)
+    del ev  # each n x T block is released before the next is built (peak memory)
+    admissible = margins >= boundary_guard
+
     fm, fp = opset.apply_J_star(psi)
     phi0 = TwoSpaceState(grid=grid, phi_minus=fm, phi_plus=fp)
-    nphi = phi0.norm()
+    pm, pp = _free_evolve(opset, phi0, ts)
+    glued = opset.apply_J(pm, pp)
+    convs = np.sqrt(grid.dx * np.sum(np.abs(jm * glued - pm) ** 2
+                                     + np.abs(jp * glued - pp) ** 2, axis=0)) / phi0.norm()
 
-    frous, convs, margins = [], [], []
-    for tau in times:
-        t = sign * tau
-        ev = propagate(decs.H, psi, t)
-        frous.append(_l2(grid, w * ev) / npsi)
-        margins.append(grid.L - _bulk_radius(grid, grid.dx * np.abs(ev) ** 2, fraction=0.5))
-        pm, pp = _free_evolve(decs, phi0, t)
-        glued = opset.apply_J(pm, pp)
-        dm = jm * glued - pm
-        dp = jp * glued - pp
-        convs.append(
-            math.sqrt(grid.dx * float(np.sum(np.abs(dm) ** 2 + np.abs(dp) ** 2))) / nphi
-        )
-
-    admissible = [m >= boundary_guard for m in margins]
-    ok_f = any(a and f < decay_target for a, f in zip(admissible, frous))
-    ok_c = any(a and c < decay_target for a, c in zip(admissible, convs))
+    ok_f = bool(np.any(admissible & (frous < decay_target)))
+    ok_c = bool(np.any(admissible & (convs < decay_target)))
 
     # image of the best finite-time approximant against the scattering surrogate
-    best = None
-    for k, tau in enumerate(times):
-        if admissible[k] and (best is None or frous[k] < frous[best]):
-            best = k
-    if best is None:
+    if not admissible.any():
         raise RuntimeError("no admissible time in the completeness probe; increase L")
-    t = sign * times[best]
-    pm, pp = _free_evolve(decs, phi0, t)
-    image = propagate(decs.H, opset.apply_J(pm, pp), -t)
-    p_sc = scattering_projector(
-        decs.H, min(opset.potential.v_minus, opset.potential.v_plus), AC_DELTA
+    best = int(np.argmin(np.where(admissible, frous, np.inf)))
+    image = propagate(dec_H, glued[:, best], [-ts[best]])[:, 0]
+    p_sc_image = scattering_projector(
+        dec_H, image, min(opset.potential.v_minus, opset.potential.v_plus), AC_DELTA
     )
     nim = _l2(grid, image)
-    range_defect = _l2(grid, image - p_sc @ image) / nim if nim > 0 else math.inf
+    range_defect = _l2(grid, image - p_sc_image) / nim if nim > 0 else math.inf
 
     return CompletenessReport(
-        times=list(times), froufrou_norms=frous, converse_norms=convs,
-        boundary_margins=margins, admissible=admissible,
-        range_defect=float(range_defect), verdict=bool(ok_f and ok_c),
+        times=list(times), froufrou_norms=frous.tolist(), converse_norms=convs.tolist(),
+        boundary_margins=margins.tolist(), admissible=admissible.tolist(),
+        range_defect=float(range_defect), verdict=ok_f and ok_c,
     )
 
 
@@ -317,7 +330,7 @@ def gaussian_averaged_oracle(
 
 def scattering_coefficients(
     opset: OperatorSet,
-    decs: ChannelDecompositions,
+    dec_H: SpectralDecomposition,
     lam: float,
     x0: float = -25.0,
     sigma: float = 3.0,
@@ -332,8 +345,12 @@ def scattering_coefficients(
     capture radius, and the probabilities are read off as the captured
     mass on each side.  Probability conservation makes the transmitted
     mass flux-normalized automatically; the defect |R + T - 1| is
-    reported, never clamped.
+    reported, never clamped.  The whole ladder of `n_times` times is
+    propagated as one block; its columns are scanned until the bulk nears
+    the boundary.
     """
+    if n_times < 2:
+        raise ValueError(f"n_times must be at least 2 (t = 0 and one later time), got {n_times}")
     pot = opset.potential
     grid = opset.grid
     if lam <= max(pot.v_minus, pot.v_plus):
@@ -356,27 +373,25 @@ def scattering_coefficients(
     left = x < -capture_radius
     right = x > capture_radius
 
+    dens = grid.dx * np.abs(propagate(dec_H, psi0, times[1:])) ** 2
+    margins = grid.L - _bulk_radius(grid, dens)
+    mid_mass = dens[mid].sum(axis=0)
     best = None
     peak = 0.0
-    for t in times[1:]:
-        ev = propagate(decs.H, psi0, t)
-        dens = grid.dx * np.abs(ev) ** 2
-        margin = grid.L - _bulk_radius(grid, dens)
+    for k, margin in enumerate(margins):
         if margin < 2.0:
             break
-        mid_mass = float(dens[mid].sum())
-        peak = max(peak, mid_mass)
+        peak = max(peak, mid_mass[k])
         # accept only times after the packet has traversed the step
-        if peak > 0.05 and mid_mass < 0.5 * peak:
-            if best is None or mid_mass < best[1]:
-                best = (t, mid_mass, dens)
-    if best is None or best[1] > 0.01:
+        if peak > 0.05 and mid_mass[k] < 0.5 * peak:
+            if best is None or mid_mass[k] < mid_mass[best]:
+                best = k
+    if best is None or mid_mass[best] > 0.01:
         raise RuntimeError(
             "channels not separated before the boundary was reached; increase L"
         )
-    _, _, dens = best
-    refl = float(dens[left].sum())
-    trans = float(dens[right].sum())
+    refl = float(dens[left, best].sum())
+    trans = float(dens[right, best].sum())
     return ScatteringCoefficients(
         energy=lam, reflection=refl, transmission=trans,
         flux_defect=abs(refl + trans - 1.0),

@@ -7,12 +7,16 @@ the unitary propagator.  H gets either its full basis from a dense
 `dstemr` of the OpenBLAS that NumPy bundles) with no n x n array; the
 channel operators -Delta + v_pm need no solver, because the Dirichlet
 Laplacian has a closed-form sine (DST-I) eigenbasis, which can also be
-built for an energy window alone.  A function f(H) costs what its
-support costs: only eigenvectors where f is nonzero enter
-U f(Lambda) U*, so a compactly supported eta gives a low-rank product.
-A finite-rank operator is a `ThinProduct`, factors (left, core, right) for
-left @ core @ right^dagger, never its matrix (`sandwich`, `thin_sum`).
-Propagation of a complex state in a real eigenbasis stays in real arithmetic.
+built for an energy window alone; `dst1` applies that basis by FFT, so a
+channel function f(-Delta + v) acts as dst1(f(w + v) dst1(x)) with no n x n
+array.  A function f(H) costs what its support costs: only eigenvectors
+where f is nonzero enter U f(Lambda) U*, so a compactly supported eta
+gives a low-rank product.  A finite-rank operator is a `ThinProduct`,
+factors (left, core, right) for left @ core @ right^dagger, never its
+matrix (`sandwich`, `thin_sum`).  `propagate` moves a state, or one state
+per time, over a whole time ladder in two products with U, staying in real
+arithmetic for a complex state in a real eigenbasis; `scattering_projector`
+is applied to states, never formed.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ __all__ = [
     "EnergyWindow",
     "SmoothingFunction",
     "eigendecompose",
+    "dirichlet_eigenvalues",
     "dirichlet_decomposition",
+    "dst1",
     "spectral_projection",
     "support",
     "apply_function",
@@ -209,17 +215,24 @@ def spectral_projection(dec: SpectralDecomposition, win: EnergyWindow) -> np.nda
     return u @ u.conj().T
 
 
+def dirichlet_eigenvalues(n: int, dx: float) -> np.ndarray:
+    """4/dx^2 sin^2(k pi / 2(n+1)), k = 1..n: the ascending spectrum of the
+    3-point Dirichlet -Delta on n nodes, in the order of the DST-I coefficients."""
+    k = np.arange(1, n + 1)
+    return 4.0 / dx**2 * np.sin(k * (np.pi / (2 * (n + 1)))) ** 2
+
+
 def dirichlet_decomposition(
     n: int, dx: float, shift: float = 0.0, window: Optional[EnergyWindow] = None
 ) -> SpectralDecomposition:
     """Closed-form eigenpairs of the 3-point Dirichlet -Delta + shift on n nodes.
 
-    Eigenvalues 4/dx^2 sin^2(k pi / 2(n+1)) + shift, ascending in k = 1..n;
+    Eigenvalues `dirichlet_eigenvalues` + shift, ascending in k = 1..n;
     eigenvectors sqrt(2/(n+1)) sin(j k pi / (n+1)), the DST-I basis.  With a
     window only the eigenpairs inside (lam-eps, lam+eps) are built.
     """
     k = np.arange(1, n + 1)
-    w = 4.0 / dx**2 * np.sin(k * (np.pi / (2 * (n + 1)))) ** 2 + shift
+    w = dirichlet_eigenvalues(n, dx) + shift
     if window is not None:
         keep = window.contains(w)
         k, w = k[keep], w[keep]
@@ -293,30 +306,65 @@ def resolvent(dec: SpectralDecomposition, z: complex) -> np.ndarray:
     return apply_function(dec, lambda x: 1.0 / (x - z))
 
 
-def propagate(dec: SpectralDecomposition, state: np.ndarray, t: float) -> np.ndarray:
-    """e^{-itH} applied to a state vector."""
-    if state.shape[0] != dec.source_dim:
-        raise ValueError("state dimension does not match the decomposition")
-    u = dec.eigenvectors
-    phases = np.exp(-1j * t * dec.eigenvalues)
-    if np.iscomplexobj(u):
-        return u @ (phases * (u.conj().T @ state))
-    # real basis: transform the real and imaginary parts together, never casting U to complex
-    parts = u.T @ np.column_stack((state.real, state.imag))
-    coef = phases * (parts[:, 0] + 1j * parts[:, 1])
-    out = u @ np.column_stack((coef.real, coef.imag))
-    return out[:, 0] + 1j * out[:, 1]
+def dst1(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along axis 0, y_k = sqrt(2/(n+1)) sum_j x_j sin(j k pi / (n+1)).
 
-
-def scattering_projector(dec: SpectralDecomposition, threshold: float, delta: float = 0.01) -> np.ndarray:
-    """Finite-box surrogate for the absolutely-continuous projection.
-
-    Projects onto eigenvalues above threshold + delta; on the box every
-    eigenvalue is discrete, so states below the lowest channel threshold
-    (bound states) are treated as the point-spectrum analogue.  This is a
-    heuristic surrogate, not an identity, and delta is reported wherever
-    the projector is used.
+    It is its own inverse, and y holds the coefficients of x in the
+    eigenbasis of `dirichlet_decomposition`.  The DFT of the odd extension
+    (0, x, 0, -reversed x) of length 2(n+1) is -2i times the sine sum, so a
+    real FFT gives it in O(n log n) per column with no n x n basis.  A
+    complex x is transformed one part at a time, which halves the scratch.
     """
-    sel = dec.eigenvalues > threshold + delta
-    u = dec.eigenvectors[:, sel]
-    return u @ u.conj().T
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        out = np.empty(x.shape, dtype=complex)
+        out.real, out.imag = dst1(x.real), dst1(x.imag)
+        return out
+    n = x.shape[0]
+    z = np.zeros((2 * (n + 1),) + x.shape[1:])
+    z[1:n + 1] = x
+    z[n + 2:] = -x[::-1]
+    return np.fft.rfft(z, axis=0)[1:n + 1].imag * -math.sqrt(0.5 / (n + 1))
+
+
+def propagate(dec: SpectralDecomposition, states: np.ndarray, times) -> np.ndarray:
+    """e^{-itH} over a time ladder: an n x T block whose column k is at times[k].
+
+    `states` is one vector, moved to every time, or an n x T block whose
+    column k is moved to times[k].  One product U^dagger states, the phases
+    broadcast over its columns, one product back; a real basis stays in real
+    arithmetic by multiplying the interleaved real and imaginary parts.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be a 1-D sequence")
+    if states.shape[0] != dec.source_dim:
+        raise ValueError("state dimension does not match the decomposition")
+    if states.ndim == 2 and states.shape[1] != times.size:
+        raise ValueError("a block of states needs one column per time")
+    u = dec.eigenvectors
+    cols = np.ascontiguousarray(states, dtype=complex).reshape(dec.source_dim, -1)
+    phases = np.exp(-1j * np.outer(dec.eigenvalues, times))
+    if np.iscomplexobj(u):
+        phases *= u.conj().T @ cols
+        return u @ phases
+    # a complex C-ordered array viewed as float interleaves (re, im) along its rows
+    phases *= (u.T @ cols.view(np.float64)).view(np.complex128)
+    return (u @ phases.view(np.float64)).view(np.complex128)
+
+
+def scattering_projector(
+    dec: SpectralDecomposition, states: np.ndarray, threshold: float, delta: float = 0.01
+) -> np.ndarray:
+    """Finite-box surrogate for the absolutely-continuous projection, applied to states.
+
+    Projects onto eigenvalues above threshold + delta as U_s (U_s^dagger states),
+    with no n x n matrix; on the box every eigenvalue is discrete, so states
+    below the lowest channel threshold (bound states) are treated as the
+    point-spectrum analogue.  This is a heuristic surrogate, not an
+    identity, and delta is reported wherever the projector is used.
+    """
+    u = dec.eigenvectors
+    coef = u.conj().T @ states
+    coef[dec.eigenvalues <= threshold + delta] = 0.0  # U_s^dagger states, padded with zeros
+    return u @ coef

@@ -39,7 +39,7 @@ from mourre_lab.scattering import (
     make_channel_packet,
     scattering_coefficients,
 )
-from mourre_lab.spectral import EnergyWindow, ThinProduct, bump
+from mourre_lab.spectral import EnergyWindow, ThinProduct, bump, eigendecompose
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -73,7 +73,8 @@ def well_1601():
 
 @pytest.fixture(scope="module")
 def sharp_1601():
-    return build(40.0, 1601, profile="sharp_step")
+    ops = build_ops(40.0, 1601, profile="sharp_step")
+    return ops, eigendecompose(ops.H)
 
 
 def test_criterion_1_analytic_rho():
@@ -178,8 +179,8 @@ def test_criterion_6_resolvent_commutator_identity():
 
 def test_criterion_7_scattering_cross_check(sharp_1601):
     t0 = time.time()
-    ops, decs = sharp_1601
-    coeff = scattering_coefficients(ops, decs, 2.0, x0=-25.0, sigma=3.0)
+    ops, dec_H = sharp_1601
+    coeff = scattering_coefficients(ops, dec_H, 2.0, x0=-25.0, sigma=3.0)
     oracle = gaussian_averaged_oracle(2.0, 0.0, 1.0, sigma=3.0)
     dr = abs(coeff.reflection - oracle.reflection)
     dt = abs(coeff.transmission - oracle.transmission)
@@ -200,11 +201,11 @@ def test_criterion_8_completeness_probes(well_1601):
     pk = make_channel_packet(g, "+", 10.0, 1.5, 2.0)
     psi = ops.apply_J(pk.phi_minus, pk.phi_plus)
     psi /= math.sqrt(g.dx) * np.linalg.norm(psi)
-    outgoing = completeness_probe(ops, decs, psi, times)
+    outgoing = completeness_probe(ops, decs.H, psi, times)
 
     bs = decs.H.eigenvectors[:, 0].astype(complex)
     bs /= math.sqrt(g.dx) * np.linalg.norm(bs)
-    bound = completeness_probe(ops, decs, bs, times)
+    bound = completeness_probe(ops, decs.H, bs, times)
 
     ok = (outgoing.verdict
           and min(outgoing.froufrou_norms) < 0.05

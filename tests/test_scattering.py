@@ -5,7 +5,6 @@ import pytest
 
 from conftest import well_bump
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
-from mourre_lab.hypotheses import channel_decompositions
 from mourre_lab.operators import build_pair
 from mourre_lab.scattering import (
     completeness_probe,
@@ -15,7 +14,10 @@ from mourre_lab.scattering import (
     sharp_step_oracle,
     wave_operator_probe,
 )
-from mourre_lab.spectral import propagate
+from mourre_lab.spectral import dirichlet_decomposition, eigendecompose, propagate
+
+F64_EPS = np.finfo(float).eps
+ROUNDING_ULPS = 16.0  # as in test_golden: an eigenbasis is orthonormal to a modest multiple of n*eps
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +26,7 @@ def box():
     cut = make_cutoffs(g)
     pot = make_steplike(g, 0.0, 1.0, profile="sharp_step")
     ops = build_pair(g, pot, cut)
-    return ops, channel_decompositions(ops)
+    return ops, eigendecompose(ops.H)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +35,7 @@ def free_box():
     cut = make_cutoffs(g)
     pot = make_steplike(g, 0.0, 0.0)
     ops = build_pair(g, pot, cut)
-    return ops, channel_decompositions(ops)
+    return ops, eigendecompose(ops.H)
 
 
 class TestPackets:
@@ -61,7 +63,7 @@ class TestPackets:
             make_channel_packet(g, "-", -20.0, 0.0, 3.0)
 
     def test_mean_energy(self, free_box):
-        ops, decs = free_box
+        ops, _ = free_box
         g = ops.grid
         k0, sigma = 1.2, 3.0
         pk = make_channel_packet(g, "-", -20.0, k0, sigma)
@@ -104,67 +106,67 @@ class TestOracles:
 
 class TestScatteringCoefficients:
     def test_free_transmission(self, free_box):
-        ops, decs = free_box
-        c = scattering_coefficients(ops, decs, 2.0)
+        ops, dec_H = free_box
+        c = scattering_coefficients(ops, dec_H, 2.0)
         assert c.reflection < 0.01
         assert c.transmission == pytest.approx(1.0, abs=0.01)
 
     def test_sharp_step_matches_averaged_oracle(self, box):
-        ops, decs = box
-        c = scattering_coefficients(ops, decs, 2.0)
+        ops, dec_H = box
+        c = scattering_coefficients(ops, dec_H, 2.0)
         avg = gaussian_averaged_oracle(2.0, 0.0, 1.0, sigma=3.0)
         assert abs(c.reflection - avg.reflection) < 0.02
         assert abs(c.transmission - avg.transmission) < 0.02
         assert c.flux_defect < 1e-2
 
     def test_closed_channel_rejected(self, box):
-        ops, decs = box
+        ops, dec_H = box
         with pytest.raises(ValueError, match="closed channel"):
-            scattering_coefficients(ops, decs, 0.5)
+            scattering_coefficients(ops, dec_H, 0.5)
 
 
 class TestWaveOperatorProbe:
     def test_free_identity_case(self, free_box):
         # with v == 0 the glued evolution matches the channel evolution, so
         # the approximant stays at the embedded packet
-        ops, decs = free_box
+        ops, dec_H = free_box
         pk = make_channel_packet(ops.grid, "+", 15.0, 1.0, 3.0)
         times = np.linspace(0.0, 4.0, 9)
-        rep = wave_operator_probe(ops, decs, pk, "+", times)
+        rep = wave_operator_probe(ops, dec_H, pk, "+", times)
         emb = ops.apply_J(pk.phi_minus, pk.phi_plus)
         defect = math.sqrt(ops.grid.dx * np.sum(np.abs(rep.image - emb) ** 2))
         assert defect < 0.02
         assert rep.isometry_ratio == pytest.approx(1.0, abs=0.03)
 
     def test_step_isometry(self, box):
-        ops, decs = box
+        ops, dec_H = box
         pk = make_channel_packet(ops.grid, "-", -20.0, 1.5, 3.0)
         times = np.linspace(0.0, 1.6, 9)
-        rep = wave_operator_probe(ops, decs, pk, "-", times)
+        rep = wave_operator_probe(ops, dec_H, pk, "-", times)
         assert 0.97 <= rep.isometry_ratio <= 1.03
 
     def test_no_admissible_time_raises(self, box):
-        ops, decs = box
+        ops, dec_H = box
         pk = make_channel_packet(ops.grid, "-", -20.0, 1.5, 3.0)
         # at every sampled time the packet bulk sits within 5 sigma of +L
         # (group velocity 2 k0 = 3, so the center is past x = 28 by t = 16)
         with pytest.raises(RuntimeError, match="increase L"):
-            wave_operator_probe(ops, decs, pk, "+", [16.0, 17.0, 18.0, 19.0])
+            wave_operator_probe(ops, dec_H, pk, "+", [16.0, 17.0, 18.0, 19.0])
 
     def test_invalid_direction(self, box):
-        ops, decs = box
+        ops, dec_H = box
         pk = make_channel_packet(ops.grid, "-", -20.0, 1.5, 3.0)
         with pytest.raises(ValueError):
-            wave_operator_probe(ops, decs, pk, "0", [0.0, 1.0])
+            wave_operator_probe(ops, dec_H, pk, "0", [0.0, 1.0])
 
 
 class TestCompletenessProbe:
     def test_outgoing_packet_passes(self, box):
-        ops, decs = box
+        ops, dec_H = box
         pk = make_channel_packet(ops.grid, "+", 10.0, 1.5, 2.0)
         psi = ops.apply_J(pk.phi_minus, pk.phi_plus)
         psi /= math.sqrt(ops.grid.dx) * np.linalg.norm(psi)
-        rep = completeness_probe(ops, decs, psi, np.linspace(0.0, 8.0, 17))
+        rep = completeness_probe(ops, dec_H, psi, np.linspace(0.0, 8.0, 17))
         assert rep.verdict
         assert min(rep.froufrou_norms) < 0.05
         assert min(rep.converse_norms) < 0.05
@@ -176,11 +178,11 @@ class TestCompletenessProbe:
         pot = make_steplike(g, 0.0, 1.0, profile="smooth_step_plus_bump",
                             bump=well_bump(g, -2.0, 2.0))
         ops = build_pair(g, pot, cut)
-        decs = channel_decompositions(ops)
-        assert decs.H.eigenvalues[0] < -0.1  # a genuine bound state exists
-        bs = decs.H.eigenvectors[:, 0].astype(complex)
+        dec_H = eigendecompose(ops.H)
+        assert dec_H.eigenvalues[0] < -0.1  # a genuine bound state exists
+        bs = dec_H.eigenvectors[:, 0].astype(complex)
         bs /= math.sqrt(g.dx) * np.linalg.norm(bs)
-        rep = completeness_probe(ops, decs, bs, np.linspace(0.0, 8.0, 17))
+        rep = completeness_probe(ops, dec_H, bs, np.linspace(0.0, 8.0, 17))
         assert not rep.verdict
         assert min(rep.froufrou_norms) > 0.5
 
@@ -189,27 +191,182 @@ class TestChainRule:
     def test_composition_consistency(self, box):
         # the JJ*-approximant agrees with the composition of the J- and
         # J*-approximants evaluated at different stabilization times
-        ops, decs = box
+        ops, dec_H = box
         g = ops.grid
         pk = make_channel_packet(g, "+", 10.0, 1.5, 2.0)
         psi = ops.apply_J(pk.phi_minus, pk.phi_plus)
         psi /= math.sqrt(g.dx) * np.linalg.norm(psi)
         t1, t2 = 2.0, 3.0
+        pot = ops.potential
+        dec_m = dirichlet_decomposition(g.n, g.dx, pot.v_minus)
+        dec_p = dirichlet_decomposition(g.n, g.dx, pot.v_plus)
 
         def approx_jjstar(t):
-            ev = propagate(decs.H, psi, t)
-            fm, fp = ops.apply_J_star(ev)
-            return propagate(decs.H, ops.apply_J(fm, fp), -t)
+            ev = propagate(dec_H, psi, [t])
+            fm, fp = ops.apply_J_star(ev[:, 0])
+            return propagate(dec_H, ops.apply_J(fm, fp), [-t])
 
         def approx_composed(t_a, t_b):
             # inner: J* probe toward H0; outer: J probe back toward H
-            ev = propagate(decs.H, psi, t_a)
-            fm, fp = ops.apply_J_star(ev)
-            fm = propagate(decs.minus, fm, t_b - t_a)
-            fp = propagate(decs.plus, fp, t_b - t_a)
-            return propagate(decs.H, ops.apply_J(fm, fp), -t_b)
+            ev = propagate(dec_H, psi, [t_a])
+            fm, fp = ops.apply_J_star(ev[:, 0])
+            fm = propagate(dec_m, fm, [t_b - t_a])
+            fp = propagate(dec_p, fp, [t_b - t_a])
+            return propagate(dec_H, ops.apply_J(fm, fp), [-t_b])
 
         direct = approx_jjstar(t1)
         composed = approx_composed(t1, t2)
         diff = math.sqrt(g.dx * np.sum(np.abs(direct - composed) ** 2))
         assert diff < 0.05
+
+
+# The per-time loops that the blocked probes replaced, kept as references:
+# one propagation per time, channels moved in their closed-form sine basis.
+
+def _propagate_one(dec, state, t):
+    u = dec.eigenvectors
+    return u @ (np.exp(-1j * t * dec.eigenvalues) * (u.T @ state))
+
+
+def _l2_one(grid, vec):
+    return math.sqrt(grid.dx * float(np.sum(np.abs(vec) ** 2)))
+
+
+def _bulk_radius_one(grid, density, fraction=0.99):
+    total = density.sum()
+    if total == 0:
+        return 0.0
+    order = np.argsort(np.abs(grid.nodes))
+    cum = np.cumsum(density[order]) / total
+    idx = min(np.searchsorted(cum, fraction), grid.n - 1)
+    return float(np.abs(grid.nodes[order][idx]))
+
+
+def _channels(ops):
+    g, pot = ops.grid, ops.potential
+    return (dirichlet_decomposition(g.n, g.dx, pot.v_minus),
+            dirichlet_decomposition(g.n, g.dx, pot.v_plus))
+
+
+def _loop_wave_probe(ops, dec_H, packet, direction, times):
+    sign = 1.0 if direction == "+" else -1.0
+    grid, (dec_m, dec_p) = ops.grid, _channels(ops)
+    guard = 5 * packet.sigma
+
+    def free(t):
+        return (_propagate_one(dec_m, packet.phi_minus, t),
+                _propagate_one(dec_p, packet.phi_plus, t))
+
+    approximants, margins = [], []
+    for tau in times:
+        pm, pp = free(sign * tau)
+        density = grid.dx * (np.abs(pm) ** 2 + np.abs(pp) ** 2)
+        margins.append(grid.L - _bulk_radius_one(grid, density, fraction=0.5))
+        approximants.append(_propagate_one(dec_H, ops.apply_J(pm, pp), -sign * tau))
+    admissible = [m >= guard for m in margins]
+    cauchy = [_l2_one(grid, approximants[k + 1] - approximants[k])
+              for k in range(len(times) - 1)]
+    best = None
+    for k in range(len(times) - 1):
+        if admissible[k] and admissible[k + 1] and (best is None or cauchy[k] < cauchy[best]):
+            best = k
+    image = approximants[best + 1]
+    p0_sq = 0.0
+    for dec, phi, v in ((dec_m, packet.phi_minus, ops.potential.v_minus),
+                        (dec_p, packet.phi_plus, ops.potential.v_plus)):
+        u = dec.eigenvectors[:, dec.eigenvalues > v + 0.01]
+        p0_sq += grid.dx * float(np.sum(np.abs(u @ (u.T @ phi)) ** 2))
+    defects = []
+    for tau in times:
+        pm, pp = free(sign * tau)
+        defects.append(_l2_one(grid, _propagate_one(dec_H, image, sign * tau)
+                               - ops.apply_J(pm, pp)))
+    return {"defects": defects, "cauchy_ladder": cauchy, "boundary_margins": margins,
+            "admissible": admissible, "best_time": sign * times[best + 1],
+            "isometry_ratio": _l2_one(grid, image) / math.sqrt(p0_sq), "image": image}
+
+
+def _loop_scattering(ops, dec_H, lam, max_time, x0=-25.0, sigma=3.0, capture_radius=4.0,
+                     n_times=60):
+    """(reflection, transmission, columns scanned before the boundary stop)."""
+    grid, pot = ops.grid, ops.potential
+    k0 = math.sqrt(lam - pot.v_minus)
+    packet = make_channel_packet(grid, "-", x0, k0, sigma)
+    psi0 = ops.cutoffs.j_minus * packet.phi_minus
+    psi0 = psi0 / _l2_one(grid, psi0)
+    if max_time is None:
+        kp = math.sqrt(lam - pot.v_plus)
+        max_time = (abs(x0) + capture_radius + 6 * sigma) / (2 * min(k0, kp))
+    x = grid.nodes
+    mid, left, right = np.abs(x) <= capture_radius, x < -capture_radius, x > capture_radius
+    best, peak, scanned = None, 0.0, 0
+    for t in np.linspace(0.0, max_time, n_times)[1:]:
+        dens = grid.dx * np.abs(_propagate_one(dec_H, psi0, t)) ** 2
+        if grid.L - _bulk_radius_one(grid, dens) < 2.0:
+            break
+        scanned += 1
+        mid_mass = float(dens[mid].sum())
+        peak = max(peak, mid_mass)
+        if peak > 0.05 and mid_mass < 0.5 * peak and (best is None or mid_mass < best[1]):
+            best = (t, mid_mass, dens)
+    assert best is not None and best[1] <= 0.01
+    return float(best[2][left].sum()), float(best[2][right].sum()), scanned
+
+
+@pytest.fixture(scope="module")
+def step_321():
+    g = make_grid(40.0, 321)
+    ops = build_pair(g, make_steplike(g, 0.0, 1.0, profile="sharp_step"), make_cutoffs(g))
+    return ops, eigendecompose(ops.H)
+
+
+def _rounding(n):
+    return ROUNDING_ULPS * n * F64_EPS
+
+
+class TestBlockedProbesMatchLoops:
+    @pytest.mark.parametrize("direction,times", [
+        ("-", np.linspace(0.0, 1.6, 9)),
+        ("+", np.linspace(0.0, 16.0, 17)),  # the bulk nears +L at the later times
+    ])
+    def test_wave_operator_probe(self, step_321, direction, times):
+        ops, dec_H = step_321
+        pk = make_channel_packet(ops.grid, "-", -20.0, 1.5, 3.0)
+        rep = wave_operator_probe(ops, dec_H, pk, direction, times)
+        ref = _loop_wave_probe(ops, dec_H, pk, direction, times)
+        tol = _rounding(ops.n)
+        assert rep.boundary_margins == ref["boundary_margins"]
+        assert rep.admissible == ref["admissible"]
+        assert rep.best_time == ref["best_time"]
+        for key in ("defects", "cauchy_ladder"):
+            assert np.max(np.abs(np.subtract(getattr(rep, key), ref[key]))) <= tol
+        assert rep.isometry_ratio == pytest.approx(ref["isometry_ratio"], abs=tol)
+        assert np.max(np.abs(rep.image - ref["image"])) <= tol
+        if direction == "+":
+            assert not all(rep.admissible)
+
+    @pytest.mark.parametrize("max_time,stops_at", [(None, 50), (40.0, 29)])
+    def test_scattering_coefficients(self, step_321, max_time, stops_at):
+        # both ladders reach the boundary before their last time (59 later times)
+        ops, dec_H = step_321
+        refl, trans, scanned = _loop_scattering(ops, dec_H, 2.0, max_time)
+        assert scanned == stops_at
+        c = scattering_coefficients(ops, dec_H, 2.0, max_time=max_time)
+        tol = _rounding(ops.n)
+        assert c.reflection == pytest.approx(refl, abs=tol)
+        assert c.transmission == pytest.approx(trans, abs=tol)
+
+
+class TestProbeArguments:
+    def test_completeness_invalid_direction(self, step_321):
+        ops, dec_H = step_321
+        pk = make_channel_packet(ops.grid, "+", 10.0, 1.5, 2.0)
+        psi = ops.apply_J(pk.phi_minus, pk.phi_plus)
+        with pytest.raises(ValueError, match="direction"):
+            completeness_probe(ops, dec_H, psi, [0.0, 1.0], direction="0")
+
+    @pytest.mark.parametrize("n_times", [0, 1])
+    def test_scattering_needs_two_times(self, step_321, n_times):
+        ops, dec_H = step_321
+        with pytest.raises(ValueError, match="n_times"):
+            scattering_coefficients(ops, dec_H, 2.0, n_times=n_times)

@@ -14,6 +14,7 @@ from mourre_lab.spectral import (
     apply_function,
     bump,
     dirichlet_decomposition,
+    dst1,
     eigendecompose,
     gaussian,
     plateau,
@@ -223,19 +224,19 @@ class TestPropagate:
         u = dec.eigenvectors.astype(complex)
         t = 3.1
         ref = u @ (np.exp(-1j * t * dec.eigenvalues) * (u.conj().T @ psi))
-        assert np.max(np.abs(propagate(dec, psi, t) - ref)) <= 1e-13
+        assert np.max(np.abs(propagate(dec, psi, [t])[:, 0] - ref)) <= 1e-13
         complex_dec = SpectralDecomposition(dec.eigenvalues, u)
-        assert np.max(np.abs(propagate(complex_dec, psi, t) - ref)) <= 1e-13
+        assert np.max(np.abs(propagate(complex_dec, psi, [t])[:, 0] - ref)) <= 1e-13
 
     def test_time_zero_identity(self, dec):
         rng = np.random.default_rng(11)
         psi = rng.standard_normal(dec.source_dim).astype(complex)
-        assert np.allclose(propagate(dec, psi, 0.0), psi)
+        assert np.allclose(propagate(dec, psi, [0.0])[:, 0], psi)
 
     def test_unitary(self, dec):
         rng = np.random.default_rng(12)
         psi = rng.standard_normal(dec.source_dim) + 1j * rng.standard_normal(dec.source_dim)
-        out = propagate(dec, psi, 2.7)
+        out = propagate(dec, psi, [2.7])
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(psi), rel=1e-12)
 
     @given(t=st.floats(-5.0, 5.0), s=st.floats(-5.0, 5.0))
@@ -243,19 +244,58 @@ class TestPropagate:
     def test_group_law(self, dec, t, s):
         rng = np.random.default_rng(13)
         psi = rng.standard_normal(dec.source_dim).astype(complex)
-        once = propagate(dec, psi, t + s)
-        twice = propagate(dec, propagate(dec, psi, t), s)
+        once = propagate(dec, psi, [t + s])
+        twice = propagate(dec, propagate(dec, psi, [t]), [s])
         assert np.allclose(once, twice, atol=1e-9)
 
     def test_eigenvector_phase(self, dec):
         u = dec.eigenvectors[:, 5].astype(complex)
         t = 1.3
-        out = propagate(dec, u, t)
+        out = propagate(dec, u, [t])[:, 0]
         assert np.allclose(out, np.exp(-1j * t * dec.eigenvalues[5]) * u, atol=1e-12)
 
     def test_dimension_mismatch(self, dec):
         with pytest.raises(ValueError):
-            propagate(dec, np.zeros(3, dtype=complex), 1.0)
+            propagate(dec, np.zeros(3, dtype=complex), [1.0])
+
+    def test_block_needs_one_column_per_time(self, dec):
+        with pytest.raises(ValueError):
+            propagate(dec, np.zeros((dec.source_dim, 2), dtype=complex), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("basis", ["real", "complex"])
+    @pytest.mark.parametrize("block", [False, True])
+    @pytest.mark.parametrize("n_times", [1, 17])
+    def test_ladder_matches_per_time_loop(self, dec, basis, block, n_times):
+        n = dec.source_dim
+        rng = np.random.default_rng(15)
+        u = dec.eigenvectors
+        if basis == "complex":  # a column phase keeps the basis orthonormal and complex
+            u = u * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))[None, :]
+        d = SpectralDecomposition(dec.eigenvalues, u)
+        times = rng.uniform(-4.0, 4.0, n_times)
+        shape = (n, n_times) if block else (n,)
+        states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = np.column_stack([
+            u @ (np.exp(-1j * t * d.eigenvalues) * (u.conj().T @ (states[:, k] if block else states)))
+            for k, t in enumerate(times)])
+        out = propagate(d, states, times)
+        assert out.shape == (n, n_times)
+        scale = np.max(np.abs(states))
+        assert np.max(np.abs(out - ref)) <= ROUNDING_ULPS * n * F64_EPS * scale
+
+
+class TestDst1:
+    @pytest.mark.parametrize("n", [320, 321, 601])
+    def test_matches_sine_basis(self, n):
+        dx = 40.0 / (n + 1)
+        basis = dirichlet_decomposition(n, dx).eigenvectors
+        rng = np.random.default_rng(n)
+        tol = ROUNDING_ULPS * n * F64_EPS
+        x = rng.standard_normal(n)
+        assert np.max(np.abs(dst1(x) - basis.T @ x)) <= tol
+        block = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+        assert np.max(np.abs(dst1(block) - basis.T @ block)) <= tol
+        assert np.max(np.abs(dst1(dst1(block)) - block)) <= tol
 
 
 class TestSmoothingFunctions:
@@ -281,12 +321,11 @@ class TestSmoothingFunctions:
 
 class TestScatteringProjector:
     def test_projects_above_threshold(self, dec):
-        p = scattering_projector(dec, 0.0, delta=0.01)
+        p = scattering_projector(dec, np.eye(dec.source_dim), 0.0, delta=0.01)
         assert np.allclose(p @ p, p, atol=1e-12)
         rank = round(np.real(np.trace(p)))
         assert rank == int((dec.eigenvalues > 0.01).sum())
 
     def test_kills_low_modes(self, dec):
-        p = scattering_projector(dec, 10.0, delta=0.01)
         low = dec.eigenvectors[:, 0]
-        assert np.linalg.norm(p @ low) < 1e-12
+        assert np.linalg.norm(scattering_projector(dec, low, 10.0, delta=0.01)) < 1e-12
