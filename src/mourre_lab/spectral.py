@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -327,7 +327,7 @@ def dst1(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft(z, axis=0)[1:n + 1].imag * -math.sqrt(0.5 / (n + 1))
 
 
-def propagate(dec: SpectralDecomposition, states: np.ndarray, times) -> np.ndarray:
+def propagate(dec: SpectralDecomposition, states: np.ndarray, times: Sequence[float]) -> np.ndarray:
     """e^{-itH} over a time ladder: an n x T block whose column k is at times[k].
 
     `states` is one vector, moved to every time, or an n x T block whose

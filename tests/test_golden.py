@@ -110,12 +110,12 @@ def summarize(experiment: str, rep: dict) -> dict:
                       "stability": float(op["stability"]), "verdict": op["verdict"]}
                 for tag, op in rep["operators"].items()}
     if experiment == "scatter":
-        return {key: rep[key] if key == "verdict" else float(rep[key])
-                for key in ("reflection", "transmission", "flux_defect", "verdict")}
-    return {key: rep[key] if key in ("admissible", "verdict") else
-            float(rep[key]) if key == "range_defect" else [float(x) for x in rep[key]]
-            for key in ("froufrou_norms", "converse_norms", "boundary_margins", "admissible",
-                        "range_defect", "verdict")}
+        return {"verdict": rep["verdict"], **{
+            key: float(rep[key]) for key in ("reflection", "transmission", "flux_defect")}}
+    return {"verdict": rep["verdict"], "admissible": rep["admissible"],
+            "range_defect": float(rep["range_defect"]), **{
+                key: [float(x) for x in rep[key]]
+                for key in ("froufrou_norms", "converse_norms", "boundary_margins")}}
 
 
 def run_summary(name: str, out_dir: Path) -> dict:

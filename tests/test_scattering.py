@@ -325,13 +325,16 @@ def _rounding(n):
 
 
 class TestBlockedProbesMatchLoops:
-    @pytest.mark.parametrize("direction,times", [
-        ("-", np.linspace(0.0, 1.6, 9)),
-        ("+", np.linspace(0.0, 16.0, 17)),  # the bulk nears +L at the later times
+    @pytest.mark.parametrize("channel,x0,k0,direction,times", [
+        ("-", -20.0, 1.5, "-", np.linspace(0.0, 1.6, 9)),
+        ("-", -20.0, 1.5, "+", np.linspace(0.0, 16.0, 17)),  # the bulk nears +L late
+        # v_plus = 1 gives the channel phase weight; a slow packet weights the modes
+        # that the initial-set projection drops
+        ("+", 20.0, 0.1, "-", np.linspace(0.0, 1.6, 9)),
     ])
-    def test_wave_operator_probe(self, step_321, direction, times):
+    def test_wave_operator_probe(self, step_321, channel, x0, k0, direction, times):
         ops, dec_H = step_321
-        pk = make_channel_packet(ops.grid, "-", -20.0, 1.5, 3.0)
+        pk = make_channel_packet(ops.grid, channel, x0, k0, 3.0)
         rep = wave_operator_probe(ops, dec_H, pk, direction, times)
         ref = _loop_wave_probe(ops, dec_H, pk, direction, times)
         tol = _rounding(ops.n)

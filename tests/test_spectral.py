@@ -275,9 +275,9 @@ class TestPropagate:
         times = rng.uniform(-4.0, 4.0, n_times)
         shape = (n, n_times) if block else (n,)
         states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ref = np.column_stack([
-            u @ (np.exp(-1j * t * d.eigenvalues) * (u.conj().T @ (states[:, k] if block else states)))
-            for k, t in enumerate(times)])
+        columns = [states[:, k] if block else states for k in range(n_times)]
+        ref = np.column_stack([u @ (np.exp(-1j * t * d.eigenvalues) * (u.conj().T @ col))
+                               for t, col in zip(times, columns)])
         out = propagate(d, states, times)
         assert out.shape == (n, n_times)
         scale = np.max(np.abs(states))
