@@ -12,7 +12,7 @@ import numpy as np
 from mourre_lab import (
     analytic_rho,
     build_pair,
-    channel_decompositions,
+    eigendecompose,
     make_cutoffs,
     make_grid,
     make_steplike,
@@ -25,10 +25,10 @@ def main():
     cutoffs = make_cutoffs(grid)
     potential = make_steplike(grid, 0.0, 1.0)
     ops = build_pair(grid, potential, cutoffs)
-    decs = channel_decompositions(ops)
+    dec_H = eigendecompose(ops.H)
 
     lambdas = np.concatenate([[-0.5], np.linspace(0.2, 3.0, 8)])
-    rows = rho_scan(ops, decs.H, lambdas, eps=0.1)
+    rows = rho_scan(ops, dec_H, lambdas, eps=0.1)
 
     print(f"{'lambda':>8} {'rho0':>8} {'raw':>9} {'corrected':>10} {'discarded':>10}")
     for lam, rho0, raw, corr, ndisc, _margin in rows:

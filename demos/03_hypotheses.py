@@ -13,8 +13,8 @@ from mourre_lab import (
     assumption_operator,
     build_pair,
     c1_probe,
-    channel_decompositions,
     compactness_report,
+    eigendecompose,
     long_range_operator,
     make_cutoffs,
     make_grid,
@@ -27,7 +27,7 @@ from mourre_lab.spectral import ThinProduct, bump
 def build(L, n):
     grid = make_grid(L, n)
     ops = build_pair(grid, make_steplike(grid, 0.0, 1.0), make_cutoffs(grid))
-    return ops, channel_decompositions(ops)
+    return ops, eigendecompose(ops.H)
 
 
 def main():
@@ -49,11 +49,11 @@ def main():
         print(f"{tag:>9} {rep.verdict:>20} {max(rep.tail_ratio):15.3e} "
               f"{rep.stability:9.3e}")
 
-    ops, decs = cache[(40.0, 801)]
+    ops, dec_H = cache[(40.0, 801)]
     rng = np.random.default_rng(5)
     states = rng.standard_normal((3, 801)) + 1j * rng.standard_normal((3, 801))
     states /= np.linalg.norm(states, axis=1)[:, None]
-    rep = c1_probe(ops, decs, 1j, states)
+    rep = c1_probe(ops, dec_H, 1j, states)
     print()
     print(f"C1 probe: verdict={rep.verdict}, limit mismatch={rep.limit_mismatch:.2e}")
     print(f"  cauchy ladder: {[f'{d:.2e}' for d in rep.cauchy_defects]}")

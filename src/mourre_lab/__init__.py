@@ -43,11 +43,9 @@ from .mourre import (
 )
 from .hypotheses import (
     C1Report,
-    ChannelDecompositions,
     CompactnessReport,
     assumption_operator,
     c1_probe,
-    channel_decompositions,
     compactness_report,
     long_range_operator,
     short_range_operator,

@@ -128,7 +128,7 @@ def load_config(path, experiment: Optional[str] = None,
                           f"expected some of {list(allowed)}")
     for key, val in cfg.params.items():
         _check_type(f"params.{key}", val, [_ITEMS[key]] if key in _ITEMS else allowed[key])
-        if key.endswith(("tol", "eps", "sigma", "step")) and val <= 0:
+        if key.endswith(("tol", "eps", "sigma", "step", "width")) and val <= 0:
             raise ConfigError(f"params.{key}: must be positive")
     p = {**allowed, **cfg.params}
     if cfg.experiment == "rho-scan" and p["lambda_max"] < p["lambda_min"]:
@@ -281,12 +281,11 @@ def _run_transfer(cfg: ExperimentConfig, p: dict):
 def _run_hypotheses(cfg: ExperimentConfig, p: dict):
     from .hypotheses import (
         assumption_operator,
-        channel_decompositions,
         compactness_report,
         long_range_operator,
         short_range_operator,
     )
-    from .spectral import ThinProduct, bump
+    from .spectral import ThinProduct, bump, eigendecompose
 
     levels = [tuple(lv) for lv in p["levels"] or [[cfg.L, 401], [cfg.L, 801]]]
     eta = bump(float(p["eta_center"]), float(p["eta_width"]))
@@ -298,18 +297,18 @@ def _run_hypotheses(cfg: ExperimentConfig, p: dict):
         key = (L, n)
         if key not in cache:
             opset = _build(cfg, p, L=L, n=n)
-            cache[key] = (opset, channel_decompositions(opset))
+            cache[key] = (opset, eigendecompose(opset.H))
         return cache[key]
 
     def make_builder(tag):
         def build(L, n):
-            opset, decs = level_data(L, n)
+            opset, dec_H = level_data(L, n)
             if tag in ("ii", "iii", "iv"):
-                return assumption_operator(opset, decs, tag, eta)
+                return assumption_operator(opset, dec_H, tag, eta)
             if tag == "short":
-                return short_range_operator(opset, decs, z)[0]
+                return short_range_operator(opset, dec_H, z)[0]
             if tag == "long":
-                return long_range_operator(opset, decs)
+                return long_range_operator(opset, dec_H)
             eye = np.eye(n)  # "identity", the one tag left (load_config checks them)
             return ThinProduct(eye, eye, eye)
         return build

@@ -10,6 +10,10 @@ On the box every surrogate is a product of thin factors (eta and the
 plateau have compact support, the long-range middle term lives on a few
 nodes): each builder returns a `ThinProduct`, and `singular_values` takes
 a QR of each thin factor and one SVD of the small core that is left.
+Every builder takes the eigendecomposition of H alone: the channel
+eigenpairs where eta (or the plateau) is nonzero come in closed form from
+`dirichlet_decomposition`, and the channel resolvent acts by DST-I, so no
+full channel basis is ever built.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from .spectral import (
     ThinProduct,
     apply_function,
     dirichlet_decomposition,
-    eigendecompose,
+    dirichlet_eigenvalues,
+    dst1,
     plateau,
     resolvent,
     sandwich,
@@ -37,8 +42,6 @@ from .spectral import (
 __all__ = [
     "CompactnessReport",
     "C1Report",
-    "ChannelDecompositions",
-    "channel_decompositions",
     "assumption_operator",
     "compactness_report",
     "short_range_operator",
@@ -70,27 +73,9 @@ class C1Report:
     verdict: bool
 
 
-@dataclass(frozen=True)
-class ChannelDecompositions:
-    """Spectral data of H and of both channel operators on one grid.
-
-    The surrogates here read the full channel bases (`support` of eta and
-    the short-range resolvents); the scattering probes need only H's.
-    """
-
-    H: SpectralDecomposition
-    minus: SpectralDecomposition
-    plus: SpectralDecomposition
-
-
-def channel_decompositions(opset: OperatorSet) -> ChannelDecompositions:
-    """One eigh for H; the channels share the closed-form Laplacian basis."""
-    dec_H = eigendecompose(opset.H)
-    dec_lap = dirichlet_decomposition(opset.n, opset.grid.dx)
-    pot = opset.potential
-    minus = SpectralDecomposition(dec_lap.eigenvalues + pot.v_minus, dec_lap.eigenvectors)
-    plus = SpectralDecomposition(dec_lap.eigenvalues + pot.v_plus, dec_lap.eigenvectors)
-    return ChannelDecompositions(H=dec_H, minus=minus, plus=plus)
+def _channel_support(opset: OperatorSet, shift: float, f):
+    """(U_S, f_S) of f(-Delta + shift), built from the closed-form eigenpairs where f != 0."""
+    return support(dirichlet_decomposition(opset.n, opset.grid.dx, shift, f), f)
 
 
 def _resolve(dec: SpectralDecomposition, z: complex, x: np.ndarray) -> np.ndarray:
@@ -99,9 +84,15 @@ def _resolve(dec: SpectralDecomposition, z: complex, x: np.ndarray) -> np.ndarra
     return u @ ((u.conj().T @ x) / (dec.eigenvalues - z)[:, None])
 
 
+def _channel_resolve(opset: OperatorSet, shift: float, z: complex, x: np.ndarray) -> np.ndarray:
+    """(-Delta + shift - z)^{-1} x = dst1((w + shift - z)^{-1} dst1(x)) for an n x k block x."""
+    w = dirichlet_eigenvalues(opset.n, opset.grid.dx)
+    return dst1(dst1(x) / (w + shift - z)[:, None])
+
+
 def assumption_operator(
     opset: OperatorSet,
-    decs: ChannelDecompositions,
+    dec_H: SpectralDecomposition,
     which: str,
     eta: SmoothingFunction,
 ) -> ThinProduct:
@@ -114,32 +105,28 @@ def assumption_operator(
     For A = iK with K real antisymmetric, i[A, eta] = eta K - K eta =
     -[U, KU] [[0, f], [f, 0]] [U, KU]^T, so (ii) is symmetric by construction.
     """
-    cut, n = opset.cutoffs, opset.n
+    cut, n, pot = opset.cutoffs, opset.n, opset.potential
+    if which not in ("ii", "iii", "iv"):
+        raise ValueError(f"unknown assumption tag {which!r}, expected ii/iii/iv")
     if which == "iv":
-        return sandwich(decs.H, eta, Band((cut.jj_sum_sq - 1.0)[None, :]))
+        return sandwich(dec_H, eta, Band((cut.jj_sum_sq - 1.0)[None, :]))
 
+    (um, fm), (up, fp) = (_channel_support(opset, v, eta) for v in (pot.v_minus, pot.v_plus))
+    uh, fh = support(dec_H, eta)
     if which == "iii":
-        um, fm = support(decs.minus, eta)
-        up, fp = support(decs.plus, eta)
-        uh, fh = support(decs.H, eta)
         jm, jp = cut.j_minus[:, None], cut.j_plus[:, None]
         return thin_sum(ThinProduct(jm * um, np.diag(fm), np.pad(um, ((0, n), (0, 0)))),
                         ThinProduct(jp * up, np.diag(fp), np.pad(up, ((n, 0), (0, 0)))),
                         ThinProduct(uh, -np.diag(fh), np.vstack([jm * uh, jp * uh])))
 
-    if which == "ii":
-        def term(dec, kcore, j, sign):
-            """sign * j i[iK, eta] j with its factors [jU, jKU]."""
-            u, f = support(dec, eta)
-            block = j[:, None] * np.hstack([u, kcore @ u])
-            return ThinProduct(block, -sign * np.kron([[0.0, 1.0], [1.0, 0.0]], np.diag(f)), block)
+    def term(u, f, kcore, j, sign):
+        """sign * j i[iK, eta] j with its factors [jU, jKU]."""
+        block = j[:, None] * np.hstack([u, kcore @ u])
+        return ThinProduct(block, -sign * np.kron([[0.0, 1.0], [1.0, 0.0]], np.diag(f)), block)
 
-        dcore = opset.dilation_core
-        return thin_sum(term(decs.minus, dcore, cut.j_minus, 1.0),
-                        term(decs.plus, dcore, cut.j_plus, 1.0),
-                        term(decs.H, opset.conjugate_core, np.ones(n), -1.0))
-
-    raise ValueError(f"unknown assumption tag {which!r}, expected ii/iii/iv")
+    dcore = opset.dilation_core
+    return thin_sum(term(um, fm, dcore, cut.j_minus, 1.0), term(up, fp, dcore, cut.j_plus, 1.0),
+                    term(uh, fh, opset.conjugate_core, np.ones(n), -1.0))
 
 
 def singular_values(left: np.ndarray, core: np.ndarray, right: np.ndarray,
@@ -207,7 +194,7 @@ def compactness_report(
 
 def short_range_operator(
     opset: OperatorSet,
-    decs: ChannelDecompositions,
+    dec_H: SpectralDecomposition,
     z: complex,
     smoothing: Optional[SmoothingFunction] = None,
 ) -> tuple[ThinProduct, str]:
@@ -228,16 +215,17 @@ def short_range_operator(
         smoothing = plateau(lo, hi, shoulder=1.0)
     cut, n = opset.cutoffs, opset.n
     terms = []
-    for dec, j, pad in ((decs.minus, cut.j_minus, (0, n)), (decs.plus, cut.j_plus, (n, 0))):
-        u, f = support(dec, smoothing)
+    for v, j, pad in ((pot.v_minus, cut.j_minus, (0, n)), (pot.v_plus, cut.j_plus, (n, 0))):
+        u, f = _channel_support(opset, v, smoothing)
         ku = opset.dilation_core @ u
-        left = 1j * (j[:, None] * _resolve(dec, z, ku) - _resolve(decs.H, z, j[:, None] * ku))
+        left = 1j * (j[:, None] * _channel_resolve(opset, v, z, ku)
+                     - _resolve(dec_H, z, j[:, None] * ku))
         terms.append(ThinProduct(left, np.diag(f), np.pad(u, (pad, (0, 0)))))
     descr = f"plateau smoothing eta~(H0), kind={smoothing.kind}, center={smoothing.center}, width={smoothing.width}"
     return thin_sum(*terms), descr
 
 
-def long_range_operator(opset: OperatorSet, decs: ChannelDecompositions) -> ThinProduct:
+def long_range_operator(opset: OperatorSet, dec_H: SpectralDecomposition) -> ThinProduct:
     """Hermitian part of R(i) M R(i), M = J i[H0,A0] J* - i[H,A], the dual-pair
     weighted difference: M is nonzero only on nodes S near the origin, so
     R M R = R[:, S] M_SS R[:, S]^T (H real symmetric)."""
@@ -253,13 +241,13 @@ def long_range_operator(opset: OperatorSet, decs: ChannelDecompositions) -> Thin
     unit = np.zeros((opset.n, nodes.size))
     unit[nodes, np.arange(nodes.size)] = 1.0
     m = (mid @ unit)[nodes]  # M_SS
-    r = _resolve(decs.H, 1j, unit)  # R(i)[:, S]
+    r = _resolve(dec_H, 1j, unit)  # R(i)[:, S]
     return thin_sum(ThinProduct(r, 0.5 * m, r.conj()), ThinProduct(r.conj(), 0.5 * m.T, r))
 
 
 def c1_probe(
     opset: OperatorSet,
-    decs: ChannelDecompositions,
+    dec_H: SpectralDecomposition,
     z: complex,
     test_states: np.ndarray,
     steps: Sequence[float] = (1e-2, 1e-3, 1e-4, 1e-5),
@@ -279,7 +267,7 @@ def c1_probe(
     a = 1j * opset.conjugate_core.dense()
     w, u = np.linalg.eigh(a)
     dec_A = SpectralDecomposition(eigenvalues=w, eigenvectors=u)
-    r = resolvent(decs.H, z)
+    r = resolvent(dec_H, z)
 
     def conjugated(t: float) -> np.ndarray:
         em = apply_function(dec_A, lambda w: np.exp(-1j * t * w))

@@ -338,9 +338,9 @@ def transfer_verify(
     and the interior-weighted residual of
     eta(H) i[H,A] eta(H) - J eta(H0) i[H0,A0] eta(H0) J* is recorded as a
     compactness candidate.  Each eta(.) M eta(.) is formed on the support
-    of eta only; the channel eigenpairs in that window come in closed form,
-    and with dec_H None only the eigenpairs of H around the retained
-    samples are computed.  The residual chi (lhs - rhs) chi is
+    of eta only; the channel eigenpairs there come in closed form, and
+    with dec_H None only the eigenpairs of H around the retained samples
+    are computed.  The residual chi (lhs - rhs) chi is
     F C F^T with F = [chi U_H, chi J- U-, chi J+ U+] and C block diagonal;
     its norm is the largest singular value of those factors, so it never
     needs an n x n array.
@@ -366,9 +366,8 @@ def transfer_verify(
         rhos.append(est.corrected)
         margins.append(est.corrected - rho0 if math.isfinite(rho0) else math.nan)
 
-        win = EnergyWindow(lam, eps)
-        dec_m = dirichlet_decomposition(grid.n, grid.dx, pot.v_minus, win)
-        dec_p = dirichlet_decomposition(grid.n, grid.dx, pot.v_plus, win)
+        dec_m = dirichlet_decomposition(grid.n, grid.dx, pot.v_minus, eta)
+        dec_p = dirichlet_decomposition(grid.n, grid.dx, pot.v_plus, eta)
         terms = (sandwich(dec_H, eta, opset.commutator_iHA),
                  sandwich(dec_m, eta, cm), sandwich(dec_p, eta, cp))
         diff = thin_sum(*(ThinProduct(w[:, None] * t.left, sign * t.core, w[:, None] * t.right)

@@ -6,8 +6,8 @@ the unitary propagator.  H gets either its full basis from a dense
 `eigh` or only the pairs in an energy window, from MRRR (LAPACK
 `dstemr` of the OpenBLAS that NumPy bundles) with no n x n array; the
 channel operators -Delta + v_pm need no solver, because the Dirichlet
-Laplacian has a closed-form sine (DST-I) eigenbasis, which can also be
-built for an energy window alone; `dst1` applies that basis by FFT, so a
+Laplacian has a closed-form sine (DST-I) eigenbasis, built only where a
+function such as eta is nonzero; `dst1` applies that basis by FFT, so a
 channel function f(-Delta + v) acts as dst1(f(w + v) dst1(x)) with no n x n
 array.  A function f(H) costs what its support costs: only eigenvectors
 where f is nonzero enter U f(Lambda) U*, so a compactly supported eta
@@ -223,18 +223,20 @@ def dirichlet_eigenvalues(n: int, dx: float) -> np.ndarray:
 
 
 def dirichlet_decomposition(
-    n: int, dx: float, shift: float = 0.0, window: Optional[EnergyWindow] = None
+    n: int, dx: float, shift: float = 0.0,
+    where: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> SpectralDecomposition:
     """Closed-form eigenpairs of the 3-point Dirichlet -Delta + shift on n nodes.
 
     Eigenvalues `dirichlet_eigenvalues` + shift, ascending in k = 1..n;
-    eigenvectors sqrt(2/(n+1)) sin(j k pi / (n+1)), the DST-I basis.  With a
-    window only the eigenpairs inside (lam-eps, lam+eps) are built.
+    eigenvectors sqrt(2/(n+1)) sin(j k pi / (n+1)), the DST-I basis.  With
+    `where` (a function such as eta or `EnergyWindow.contains`) only the
+    eigenpairs with where(w) != 0 are built.
     """
     k = np.arange(1, n + 1)
     w = dirichlet_eigenvalues(n, dx) + shift
-    if window is not None:
-        keep = window.contains(w)
+    if where is not None:
+        keep = np.asarray(where(w)) != 0
         k, w = k[keep], w[keep]
     # j*k reduced modulo the period 2(n+1) in integers keeps the sine argument in [0, 2 pi)
     u = (np.outer(np.arange(1, n + 1), k) % (2 * (n + 1))) * (np.pi / (n + 1))
@@ -299,9 +301,7 @@ def sandwich(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray], 
 
 def resolvent(dec: SpectralDecomposition, z: complex) -> np.ndarray:
     """(H - z)^{-1} through the eigendecomposition."""
-    if np.iscomplexobj(np.array(z)) and np.imag(z) == 0 and np.any(
-        np.isclose(dec.eigenvalues, np.real(z))
-    ):
+    if np.imag(z) == 0 and np.any(np.isclose(dec.eigenvalues, np.real(z))):
         raise ValueError("real z collides with an eigenvalue")
     return apply_function(dec, lambda x: 1.0 / (x - z))
 

@@ -15,13 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import well_bump
+from conftest import channel_bases, well_bump
 from mourre_lab.cli import ExperimentConfig, run
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.hypotheses import (
     assumption_operator,
     c1_probe,
-    channel_decompositions,
     compactness_report,
     long_range_operator,
     short_range_operator,
@@ -56,12 +55,13 @@ def build_ops(L, n, v_minus=0.0, v_plus=1.0, profile="smooth_step", bump_field=N
 
 def build(L, n, **kwargs):
     ops = build_ops(L, n, **kwargs)
-    return ops, channel_decompositions(ops)
+    return ops, eigendecompose(ops.H)
 
 
 @pytest.fixture(scope="module")
 def free_1601():
-    return build(40.0, 1601, v_plus=0.0)
+    ops = build_ops(40.0, 1601, v_plus=0.0)
+    return ops, channel_bases(ops)[0]
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +73,7 @@ def well_1601():
 
 @pytest.fixture(scope="module")
 def sharp_1601():
-    ops = build_ops(40.0, 1601, profile="sharp_step")
-    return ops, eigendecompose(ops.H)
+    return build(40.0, 1601, profile="sharp_step")
 
 
 def test_criterion_1_analytic_rho():
@@ -92,8 +91,8 @@ def test_criterion_1_analytic_rho():
 
 def test_criterion_2_free_pair_raw_window(free_1601):
     t0 = time.time()
-    ops, decs = free_1601
-    est = estimate_rho_window(ops, decs.minus, "channel-", EnergyWindow(1.0, 0.1))
+    ops, dec_m = free_1601
+    est = estimate_rho_window(ops, dec_m, "channel-", EnergyWindow(1.0, 0.1))
     lo, hi = 1.8 * 0.95, 2.2
     ok = lo <= est.raw_min <= hi
     report(2, ok,
@@ -118,9 +117,9 @@ def test_criterion_3_transfer():
 
 def test_criterion_4_virial(well_1601):
     t0 = time.time()
-    ops, decs = well_1601
-    n_bound = int((decs.H.eigenvalues < 0.0).sum())
-    defects = virial_defects(ops, decs.H, range(20))
+    ops, dec_H = well_1601
+    n_bound = int((dec_H.eigenvalues < 0.0).sum())
+    defects = virial_defects(ops, dec_H, range(20))
     report(4, bool(np.max(defects) <= 1e-10),
            f"max defect {np.max(defects):.2e} over 20 eigenvectors "
            f"({n_bound} bound state(s) included; {time.time()-t0:.0f}s)")
@@ -139,13 +138,13 @@ def test_criterion_5_compactness_surrogates():
 
     def make_builder(tag):
         def builder(L, n):
-            ops, decs = data(L, n)
+            ops, dec_H = data(L, n)
             if tag in ("ii", "iii", "iv"):
-                return assumption_operator(ops, decs, tag, eta)
+                return assumption_operator(ops, dec_H, tag, eta)
             if tag == "short":
-                return short_range_operator(ops, decs, 1j)[0]
+                return short_range_operator(ops, dec_H, 1j)[0]
             if tag == "long":
-                return long_range_operator(ops, decs)
+                return long_range_operator(ops, dec_H)
             eye = np.eye(n)
             return ThinProduct(eye, eye, eye)
         return builder
@@ -167,11 +166,11 @@ def test_criterion_5_compactness_surrogates():
 
 def test_criterion_6_resolvent_commutator_identity():
     t0 = time.time()
-    ops, decs = build(40.0, 801)
+    ops, dec_H = build(40.0, 801)
     rng = np.random.default_rng(17)
     states = rng.standard_normal((3, 801)) + 1j * rng.standard_normal((3, 801))
     states /= np.linalg.norm(states, axis=1)[:, None]
-    rep = c1_probe(ops, decs, 1j, states)
+    rep = c1_probe(ops, dec_H, 1j, states)
     report(6, rep.resolvent_identity_defect <= 1e-8,
            f"|| i[R,A] + R i[H,A] R || = {rep.resolvent_identity_defect:.2e} "
            f"<= 1e-8 (n=801, z=i; C1 verdict {rep.verdict}; {time.time()-t0:.0f}s)")
@@ -194,18 +193,18 @@ def test_criterion_7_scattering_cross_check(sharp_1601):
 
 def test_criterion_8_completeness_probes(well_1601):
     t0 = time.time()
-    ops, decs = well_1601
+    ops, dec_H = well_1601
     g = ops.grid
     times = np.linspace(0.0, 8.0, 17)
 
     pk = make_channel_packet(g, "+", 10.0, 1.5, 2.0)
     psi = ops.apply_J(pk.phi_minus, pk.phi_plus)
     psi /= math.sqrt(g.dx) * np.linalg.norm(psi)
-    outgoing = completeness_probe(ops, decs.H, psi, times)
+    outgoing = completeness_probe(ops, dec_H, psi, times)
 
-    bs = decs.H.eigenvectors[:, 0].astype(complex)
+    bs = dec_H.eigenvectors[:, 0].astype(complex)
     bs /= math.sqrt(g.dx) * np.linalg.norm(bs)
-    bound = completeness_probe(ops, decs.H, bs, times)
+    bound = completeness_probe(ops, dec_H, bs, times)
 
     ok = (outgoing.verdict
           and min(outgoing.froufrou_norms) < 0.05

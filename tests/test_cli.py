@@ -125,9 +125,13 @@ class TestLoadConfig:
         ("completeness", {"n_times": 1}, "params.n_times"),
         ("completeness", {"n_times": 0}, "params.n_times"),
         ("completeness", {"n_times": -3}, "params.n_times"),
+        ("hypotheses", {"eta_width": 0.0}, "params.eta_width"),
+        ("hypotheses", {"eta_width": -0.4}, "params.eta_width"),
+        ("transfer", {"bump_amplitude": 0.3, "bump_width": 0.0}, "params.bump_width"),
     ], ids=["step-zero", "step-negative", "max-below-min", "lambda-not-number",
             "level-not-pair", "one-level", "level-n-even", "level-n-small",
-            "n-times-one", "n-times-zero", "n-times-negative"])
+            "n-times-one", "n-times-zero", "n-times-negative",
+            "eta-width-zero", "eta-width-negative", "bump-width-zero"])
     def test_param_value_names_key(self, tmp_path, capsys, experiment, params, key):
         path = write_config(tmp_path, "c.json", dict(SMALL, experiment=experiment,
                                                      params=params))
@@ -233,6 +237,31 @@ class TestRun:
             assert run(cfg) in (0, 1)
             outs.append({f.name: f.read_bytes() for f in sorted(tmp_path.iterdir())})
         assert len(outs[0]) == 2 and outs[0] == outs[1]
+
+    def test_hypotheses_builds_no_full_channel_basis(self, tmp_path, monkeypatch):
+        # one eigendecomposition of H per level, and closed-form channel
+        # eigenpairs only where a function selects them
+        from mourre_lab import hypotheses, spectral
+
+        calls = {"eig": 0, "dirichlet": []}
+        eig, dirichlet = spectral.eigendecompose, spectral.dirichlet_decomposition
+
+        def counted_eig(*args, **kwargs):
+            calls["eig"] += 1
+            return eig(*args, **kwargs)
+
+        def recorded_dirichlet(n, dx, shift=0.0, where=None):
+            calls["dirichlet"].append(where)
+            return dirichlet(n, dx, shift, where)
+
+        monkeypatch.setattr(spectral, "eigendecompose", counted_eig)
+        for module in (spectral, hypotheses):
+            monkeypatch.setattr(module, "dirichlet_decomposition", recorded_dirichlet)
+        cfg = ExperimentConfig(experiment="hypotheses", out_dir=str(tmp_path), params={
+            "levels": [[20.0, 161], [20.0, 241], [20.0, 321]]}, **SMALL)
+        assert run(cfg) in (0, 1)
+        assert calls["eig"] == 3
+        assert calls["dirichlet"] and all(w is not None for w in calls["dirichlet"])
 
 
 class TestMain:

@@ -24,7 +24,7 @@ from mourre_lab.mourre import (
     virial_defects,
 )
 from mourre_lab.operators import Band
-from mourre_lab.spectral import EnergyWindow, bump, eigendecompose
+from mourre_lab.spectral import EnergyWindow, bump
 
 
 class TestAnalyticRho:
@@ -60,11 +60,6 @@ class TestAnalyticRho:
         assert all(x <= y + 1e-12 for x, y in zip(below, below[1:]))
         assert all(x <= y + 1e-12 for x, y in zip(above, above[1:]))
         assert all(v >= 0 for v in finite)
-
-
-@pytest.fixture(scope="module")
-def dec_H(small_ops):
-    return eigendecompose(small_ops.H)
 
 
 class TestWindowEstimate:
@@ -148,13 +143,13 @@ class TestEtaEstimate:
         # positive ladder ~ 2*(lambda - eps) once localized modes are
         # removed; the window must hold several levels, so the box is wide
         from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
-        from mourre_lab.hypotheses import channel_decompositions
         from mourre_lab.operators import build_pair
+        from mourre_lab.spectral import dirichlet_decomposition
 
         g = make_grid(80.0, 801)
         ops = build_pair(g, make_steplike(g, 0.0, 0.0), make_cutoffs(g))
-        decs = channel_decompositions(ops)
-        est = estimate_rho_eta(ops, decs.minus, "channel-", bump(1.0, 0.3))
+        dec_m = dirichlet_decomposition(g.n, g.dx, 0.0)
+        est = estimate_rho_eta(ops, dec_m, "channel-", bump(1.0, 0.3))
         assert est.corrected > 1.0
         assert est.raw_min < 0  # the finite-box virial keeps the raw value down
 

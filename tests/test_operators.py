@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import channel_bases
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import (
     Band,
@@ -182,38 +183,41 @@ class TestBlockStructure:
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def resolvents(decs):
-    """R(z) of H and of a channel, as build_B and build_B_pm take them."""
-    return (lambda z: resolvent(decs.H, z),
-            lambda side, z: resolvent(decs.minus if side == "-" else decs.plus, z))
+def resolvents(opset):
+    """R(z) of H and of a channel, as build_B and build_B_pm take them, from full bases."""
+    dec_H = eigendecompose(opset.H)
+    dec_m, dec_p = channel_bases(opset)
+    return (lambda z: resolvent(dec_H, z),
+            lambda side, z: resolvent(dec_m if side == "-" else dec_p, z))
 
 
 class TestBOperators:
-    def test_channel_decomposition_identity(self, small_ops, small_decs):
+    def test_channel_decomposition_identity(self, small_ops):
         # B(z) phi = B_-(z) phi_- + B_+(z) phi_+ exactly at finite dimension
         z = 1j
         n = small_ops.n
-        b = build_B(small_ops, z, *resolvents(small_decs))
-        bm = build_B_pm(small_ops, z, "-", *resolvents(small_decs))
-        bp = build_B_pm(small_ops, z, "+", *resolvents(small_decs))
+        rs = resolvents(small_ops)
+        b = build_B(small_ops, z, *rs)
+        bm = build_B_pm(small_ops, z, "-", *rs)
+        bp = build_B_pm(small_ops, z, "+", *rs)
         assert np.max(np.abs(b[:, :n] - bm)) < 1e-9
         assert np.max(np.abs(b[:, n:] - bp)) < 1e-9
 
-    def test_degenerate_B_localized_at_cutoffs(self, free_ops, free_decs):
+    def test_degenerate_B_localized_at_cutoffs(self, free_ops):
         # v == const in both channels and along H, so B(z) = [j_pm, R(z)]
         # blockwise; applied to a packet deep in the flat region it is tiny
         z = 1j
         n = free_ops.n
-        b = build_B(free_ops, z, *resolvents(free_decs))
+        b = build_B(free_ops, z, *resolvents(free_ops))
         x = free_ops.grid.nodes
         phi = np.exp(-((x + 15.0) ** 2))
         phi /= np.linalg.norm(phi)
         out = b[:, :n] @ phi
         assert np.linalg.norm(out) < 1e-3
 
-    def test_B_requires_complex_z(self, small_ops, small_decs):
+    def test_B_requires_complex_z(self, small_ops):
         with pytest.raises(ValueError):
-            build_B(small_ops, 1.0 + 0j, *resolvents(small_decs))
+            build_B(small_ops, 1.0 + 0j, *resolvents(small_ops))
 
 
 class TestMatrixIO:

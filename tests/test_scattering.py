@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import well_bump
+from conftest import channel_bases, well_bump
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import build_pair
 from mourre_lab.scattering import (
@@ -14,7 +14,7 @@ from mourre_lab.scattering import (
     sharp_step_oracle,
     wave_operator_probe,
 )
-from mourre_lab.spectral import dirichlet_decomposition, eigendecompose, propagate
+from mourre_lab.spectral import eigendecompose, propagate
 
 F64_EPS = np.finfo(float).eps
 ROUNDING_ULPS = 16.0  # as in test_golden: an eigenbasis is orthonormal to a modest multiple of n*eps
@@ -197,9 +197,7 @@ class TestChainRule:
         psi = ops.apply_J(pk.phi_minus, pk.phi_plus)
         psi /= math.sqrt(g.dx) * np.linalg.norm(psi)
         t1, t2 = 2.0, 3.0
-        pot = ops.potential
-        dec_m = dirichlet_decomposition(g.n, g.dx, pot.v_minus)
-        dec_p = dirichlet_decomposition(g.n, g.dx, pot.v_plus)
+        dec_m, dec_p = channel_bases(ops)
 
         def approx_jjstar(t):
             ev = propagate(dec_H, psi, [t])
@@ -242,15 +240,9 @@ def _bulk_radius_one(grid, density, fraction=0.99):
     return float(np.abs(grid.nodes[order][idx]))
 
 
-def _channels(ops):
-    g, pot = ops.grid, ops.potential
-    return (dirichlet_decomposition(g.n, g.dx, pot.v_minus),
-            dirichlet_decomposition(g.n, g.dx, pot.v_plus))
-
-
 def _loop_wave_probe(ops, dec_H, packet, direction, times):
     sign = 1.0 if direction == "+" else -1.0
-    grid, (dec_m, dec_p) = ops.grid, _channels(ops)
+    grid, (dec_m, dec_p) = ops.grid, channel_bases(ops)
     guard = 5 * packet.sigma
 
     def free(t):
