@@ -16,6 +16,16 @@ of positive modes accompanied by a few strongly negative, spatially
 localized ones -- the finite-volume shadow of the compact correction.
 The discard policy makes that split auditable: raw and corrected values
 are always reported together with per-mode localization diagnostics.
+
+The eta-form estimator takes a whole list of eta at once: a rho scan or
+a transfer check hands it every sample, and `estimate_rho_eta` a list
+of one.  It compresses i[H,A] and the region Gram matrices once per
+window of eigenvector columns (at most twice as wide as the widest eta
+support, and together holding every support) and slices each eta's
+k x k blocks out of them.  Its bisections then run in lockstep: every eta keeps its own
+bracket and stop rule, so it meets the same midpoints as it would alone,
+and each step diagonalizes the still-active eta of one support size k
+in one stacked `eigh`.
 """
 
 from __future__ import annotations
@@ -137,18 +147,28 @@ def _region_grams(us: np.ndarray, positions: np.ndarray, L: float, policy: Disca
     return np.stack([u.conj().T @ u for u in (us, us[inner], us[bdry])])
 
 
-def _localization(vec: np.ndarray, grams, policy: DiscardPolicy):
+def _localization(vec: np.ndarray, grams: np.ndarray, policy: DiscardPolicy):
     """Per-mode interaction/boundary mass fractions and flags of the modes
-    U_S vec, from the region Gram matrices of U_S: a mode v has mass
-    v^dagger G v in a region, at O(k^2) per mode instead of O(n k)."""
-    total, inner, bdry = np.sum(vec.conj() * (grams @ vec), axis=1).real
+    U_S vec, for a stack of b mode matrices vec (b, k, k) and the region
+    Gram matrices of each U_S (b, 3, k, k): a mode v has mass v^dagger G v
+    in a region, at O(k^2) per mode instead of O(n k).  Each result is (b, k)."""
+    masses = np.sum(vec.conj()[:, None] * (grams @ vec[:, None]), axis=-2).real
+    total, inner, bdry = masses.transpose(1, 0, 2)
     total[total == 0] = 1.0
     inner, bdry = inner / total, bdry / total
     if policy.discard_nothing:
-        flags = np.zeros(vec.shape[1], dtype=bool)
+        flags = np.zeros(inner.shape, dtype=bool)
     else:
         flags = (inner >= policy.theta) | (bdry >= policy.theta)
     return inner, bdry, flags
+
+
+def _discard_log(eig, inner, bdry, flags) -> list:
+    return [
+        {"eigenvalue": float(eig[k]), "interaction_mass": float(inner[k]),
+         "boundary_mass": float(bdry[k]), "discarded": bool(flags[k])}
+        for k in range(eig.size)
+    ]
 
 
 def estimate_rho_window(
@@ -173,33 +193,123 @@ def estimate_rho_window(
     csub = us.conj().T @ (comm @ us)
     csub = 0.5 * (csub + csub.conj().T)
     eig, vec = np.linalg.eigh(csub)
-    inner, bdry, flags = _localization(vec, _region_grams(us, positions, opset.grid.L, policy),
-                                       policy)
+    grams = _region_grams(us, positions, opset.grid.L, policy)
+    inner, bdry, flags = (a[0] for a in _localization(vec[None], grams[None], policy))
     kept = eig[~flags]
     corrected = float(kept.min()) if kept.size else math.inf
-    log = [
-        {"eigenvalue": float(eig[k]), "interaction_mass": float(inner[k]),
-         "boundary_mass": float(bdry[k]), "discarded": bool(flags[k])}
-        for k in range(eig.size)
-    ]
     return RhoEstimate(
         lam=win.lam, eps=win.eps, raw_min=float(eig.min()), corrected=corrected,
-        n_discarded=int(flags.sum()), compression_spectrum=eig, discard_log=log,
+        n_discarded=int(flags.sum()), compression_spectrum=eig,
+        discard_log=_discard_log(eig, inner, bdry, flags),
     )
 
 
-def _bisect_sup(holds, lo: float, hi: float, tol: float) -> float:
-    """Bisect for the largest a in [lo, hi] where the monotone test `holds(a)`
-    is true, until the bracket is below tol * max(1, |lo|) (at most 60 steps)."""
+def _bisect_sup(holds, lo, hi, tol: float) -> np.ndarray:
+    """Bisect, entry by entry, for the largest a in [lo[i], hi[i]] where a
+    monotone test holds.  `holds(mid, active)` gets the midpoints of the
+    entries still bisecting and their indices, and returns one bool each.
+    An entry stops once its bracket is below tol * max(1, |lo|) (at most 60
+    steps), so it meets the same midpoints as it would bisected alone."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     for _ in range(60):
-        if hi - lo <= tol * max(1.0, abs(lo)):
+        active = np.flatnonzero(~(hi - lo <= tol * np.maximum(1.0, np.abs(lo))))
+        if not active.size:
             break
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
+        mid = 0.5 * (lo[active] + hi[active])
+        ok = holds(mid, active)
+        lo[active[ok]] = mid[ok]
+        hi[active[~ok]] = mid[~ok]
     return lo
+
+
+def _estimate_rho_batch(
+    opset: OperatorSet,
+    dec: Optional[SpectralDecomposition],
+    pair: str,
+    etas,
+    policy: DiscardPolicy = DiscardPolicy(),
+    bisect_tol: float = 1e-3,
+    psd_rtol: float = 1e-3,
+) -> list:
+    """The estimate of `estimate_rho_eta` for every eta at once, as tuples
+    (raw, corrected, n_discarded, compression spectrum, (eig, inner, bdry,
+    flags) of the modes at the corrected value).
+
+    i[H,A] and the region Gram matrices are compressed once per window of
+    columns, and each eta takes its k x k blocks from there.  The bisections
+    of all eta with support size k run in lockstep, with one stacked `eigh`
+    (or `eigvalsh`) per step.
+    """
+    if not etas:
+        return []
+    energy, comm, positions = pair_matrices(opset, pair)
+    if dec is None:
+        dec = eigendecompose(energy)
+    weights, keeps = [], []
+    for eta in etas:
+        w = eta(dec.eigenvalues)
+        wmax = np.abs(w).max()
+        if wmax == 0:
+            raise ValueError("eta(H) is numerically zero on the computed spectrum")
+        keeps.append(np.abs(w) > 1e-12 * wmax)
+        weights.append(w[keeps[-1]])
+    # Each window of columns is compressed once.  Taken by first column, a
+    # support opens a window when it starts at least `span` (the widest
+    # support) after the first column of the open window, and otherwise
+    # widens the open window to its last column; so no window is wider than
+    # 2 * span.  (A product over all columns would raise the peak memory of
+    # a scan well above that of its eigensolver.)  Disjoint supports, and a
+    # single one, get exactly their own columns.
+    supports = [np.flatnonzero(keep) for keep in keeps]
+    span = max(s[-1] - s[0] + 1 for s in supports)
+    starts, ends, opened = [0] * len(etas), {}, -span
+    for j in sorted(range(len(etas)), key=lambda i: supports[i][0]):
+        s = supports[j]
+        if s[0] >= opened + span:
+            opened = s[0]
+        starts[j], ends[opened] = opened, max(ends.get(opened, 0), s[-1] + 1)
+    windows = {}
+    for lo, hi in ends.items():
+        us = dec.eigenvectors[:, lo:hi]
+        c = us.conj().T @ (comm @ us)
+        windows[lo] = 0.5 * (c + c.conj().T), _region_grams(us, positions, opset.grid.L, policy)
+    blocks = [np.ix_(s - lo, s - lo) for s, lo in zip(supports, starts)]
+
+    out = [None] * len(etas)
+    for k in {s.size for s in supports}:
+        group = [j for j, s in enumerate(supports) if s.size == k]
+        csub = np.stack([windows[starts[j]][0][blocks[j]] for j in group])
+        gsub = np.stack([windows[starts[j]][1][(slice(None),) + blocks[j]] for j in group])
+        ek = np.stack([weights[j] for j in group])
+        m = ek[:, :, None] * csub * ek[:, None, :]
+        nmat = ek[:, :, None] ** 2 * np.eye(k)
+        slack = psd_rtol * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+
+        def shifted(a, active):
+            g = m[active] - a[:, None, None] * nmat[active]
+            return 0.5 * (g + g.conj().mT)
+
+        def unflagged(a, active):
+            eig, vec = np.linalg.eigh(shifted(a, active))
+            inner, bdry, flags = _localization(vec, gsub[active], policy)
+            return np.where(flags, math.inf, eig).min(axis=1), eig, inner, bdry, flags
+
+        def all_modes(a, active):
+            return np.linalg.eigvalsh(shifted(a, active)).min(axis=1)
+
+        scale = np.abs(csub).max(axis=(1, 2))
+        scale[scale == 0] = 1.0
+        corrected = _bisect_sup(lambda a, act: unflagged(a, act)[0] >= -slack[act],
+                                -scale - 1.0, scale + 1.0, bisect_tol)
+        raw = np.minimum(_bisect_sup(lambda a, act: all_modes(a, act) >= -slack[act],
+                                     -scale - 1.0, scale + 1.0, bisect_tol), corrected)
+
+        _, eig, inner, bdry, flags = unflagged(corrected, np.arange(len(group)))
+        spectra = np.linalg.eigvalsh(csub)
+        for row, j in enumerate(group):
+            out[j] = (float(raw[row]), float(corrected[row]), int(flags[row].sum()), spectra[row],
+                      (eig[row], inner[row], bdry[row], flags[row]))
+    return out
 
 
 def estimate_rho_eta(
@@ -216,52 +326,16 @@ def estimate_rho_eta(
     The supremum is located by bisection; positive-semidefiniteness is
     tested on the compression eigenmodes that survive the discard policy,
     with an absolute slack psd_rtol * max(1, ||M||) absorbing modes whose
-    eta-weight is negligible.
+    eta-weight is negligible.  This is the lockstep estimator of `rho_scan`
+    and `transfer_verify` run on one eta, so the compression covers exactly
+    the support of eta.
     """
-    energy, comm, positions = pair_matrices(opset, pair)
-    if dec is None:
-        dec = eigendecompose(energy)
-    weights = eta(dec.eigenvalues)
-    wmax = np.abs(weights).max()
-    if wmax == 0:
-        raise ValueError("eta(H) is numerically zero on the computed spectrum")
-    keep = np.abs(weights) > 1e-12 * wmax
-    us = dec.eigenvectors[:, keep]
-    ek = weights[keep]
-    csub = us.conj().T @ (comm @ us)
-    csub = 0.5 * (csub + csub.conj().T)
-    m = ek[:, None] * csub * ek[None, :]
-    nmat = np.diag(ek**2)
-    slack = psd_rtol * max(1.0, float(np.abs(m).max()))
-    grams = _region_grams(us, positions, opset.grid.L, policy)
-
-    def min_unflagged(a: float):
-        g = m - a * nmat
-        eig, vec = np.linalg.eigh(0.5 * (g + g.conj().T))
-        inner, bdry, flags = _localization(vec, grams, policy)
-        kept = eig[~flags]
-        return (float(kept.min()) if kept.size else math.inf), eig, inner, bdry, flags
-
-    def min_all(a: float) -> float:
-        g = m - a * nmat
-        return float(np.linalg.eigvalsh(0.5 * (g + g.conj().T)).min())
-
-    scale = float(np.abs(csub).max()) or 1.0
-    corrected = _bisect_sup(lambda a: min_unflagged(a)[0] >= -slack, -scale - 1.0, scale + 1.0,
-                            bisect_tol)
-    raw = min(_bisect_sup(lambda a: min_all(a) >= -slack, -scale - 1.0, scale + 1.0, bisect_tol),
-              corrected)
-
-    _, eig, inner, bdry, flags = min_unflagged(corrected)
-    log = [
-        {"eigenvalue": float(eig[k]), "interaction_mass": float(inner[k]),
-         "boundary_mass": float(bdry[k]), "discarded": bool(flags[k])}
-        for k in range(eig.size)
-    ]
-    spectrum = np.linalg.eigvalsh(csub)
+    raw, corrected, n_discarded, spectrum, modes = _estimate_rho_batch(
+        opset, dec, pair, [eta], policy, bisect_tol, psd_rtol)[0]
     return RhoEstimate(
         lam=eta.center, eps=eta.width, raw_min=raw, corrected=corrected,
-        n_discarded=int(flags.sum()), compression_spectrum=spectrum, discard_log=log,
+        n_discarded=n_discarded, compression_spectrum=spectrum,
+        discard_log=_discard_log(*modes),
     )
 
 
@@ -357,14 +431,14 @@ def transfer_verify(
     cm, cp = opset.commutator_iH0A0_channel
     weights = (chi, chi * opset.cutoffs.j_minus, chi * opset.cutoffs.j_plus)
 
+    etas = [bump(lam, eps) for lam in samples]
+    ests = _estimate_rho_batch(opset, dec_H, "H_A", etas, policy)
     rho0s, rhos, margins, residuals = [], [], [], []
-    for lam in samples:
-        eta = bump(lam, eps)
+    for lam, eta, (_, corrected, *_) in zip(samples, etas, ests):
         rho0 = analytic_rho(pot.v_minus, pot.v_plus, lam)
-        est = estimate_rho_eta(opset, dec_H, "H_A", eta, policy)
         rho0s.append(rho0)
-        rhos.append(est.corrected)
-        margins.append(est.corrected - rho0 if math.isfinite(rho0) else math.nan)
+        rhos.append(corrected)
+        margins.append(corrected - rho0 if math.isfinite(rho0) else math.nan)
 
         dec_m = dirichlet_decomposition(grid.n, grid.dx, pot.v_minus, eta)
         dec_p = dirichlet_decomposition(grid.n, grid.dx, pot.v_plus, eta)
@@ -392,21 +466,27 @@ def rho_scan(
     """Rows (lambda, rho0_analytic, rho_raw, rho_corrected, n_discarded, margin).
 
     With dec None only the eigenpairs of H inside the window spanned by the
-    samples' eta supports are computed.
+    samples' eta supports are computed.  Every sample whose eta meets the
+    computed spectrum goes to one lockstep estimate (see the module
+    docstring): every column window is compressed once, and all samples
+    are bisected together.
     """
     pot = opset.potential
     lambdas = [float(lam) for lam in lambdas]
     if dec is None and lambdas:
         dec = eigendecompose(opset.H, _span(lambdas, eps))
+    etas = [bump(lam, eps) for lam in lambdas]
+    # an eta below (or in a gap of) the computed spectrum gets no estimate
+    seen = [bool(np.any(np.abs(eta(dec.eigenvalues)) > 0)) for eta in etas]
+    ests = iter(_estimate_rho_batch(opset, dec, "H_A", [e for e, s in zip(etas, seen) if s],
+                                    policy))
     rows = []
-    for lam in lambdas:
+    for lam, s in zip(lambdas, seen):
         rho0 = analytic_rho(pot.v_minus, pot.v_plus, lam)
-        eta = bump(lam, eps)
-        if not np.any(np.abs(eta(dec.eigenvalues)) > 0):
-            # window below (or in a gap of) the computed spectrum
+        if not s:
             rows.append((lam, rho0, math.inf, math.inf, 0, math.nan))
             continue
-        est = estimate_rho_eta(opset, dec, "H_A", eta, policy)
-        margin = est.corrected - rho0 if math.isfinite(rho0) else math.nan
-        rows.append((lam, rho0, est.raw_min, est.corrected, est.n_discarded, margin))
+        raw, corrected, n_discarded, *_ = next(ests)
+        margin = corrected - rho0 if math.isfinite(rho0) else math.nan
+        rows.append((lam, rho0, raw, corrected, n_discarded, margin))
     return rows

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from mourre_lab.mourre import (
     DiscardPolicy,
+    _bisect_sup,
+    _estimate_rho_batch,
     _interior_window,
     _localization,
     _region_grams,
@@ -24,7 +26,9 @@ from mourre_lab.mourre import (
     virial_defects,
 )
 from mourre_lab.operators import Band
-from mourre_lab.spectral import EnergyWindow, bump
+from mourre_lab.spectral import EnergyWindow, bump, eigendecompose, gaussian
+
+BISECT_TOL = 1e-3  # the bisection resolution of estimate_rho_eta, relative to max(1, |rho|)
 
 
 class TestAnalyticRho:
@@ -109,24 +113,103 @@ class TestLocalization:
                                         DiscardPolicy(discard_nothing=True)])
     def test_gram_masses_match_explicit_modes(self, small_ops, dec_H, policy):
         """v^dagger G v from the region Gram matrices equals the mass of the
-        explicit mode U_S v, summed over the region's nodes."""
+        explicit mode U_S v, summed over the region's nodes, for a stack of
+        one mode matrix and for every matrix of a stack of three."""
         us = dec_H.eigenvectors[:, EnergyWindow(1.0, 0.6).contains(dec_H.eigenvalues)]
         k = us.shape[1]
-        vec, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((k, k)))
+        rng = np.random.default_rng(3)
         x, L = small_ops.grid.nodes, small_ops.grid.L
-        inner, bdry, flags = _localization(vec, _region_grams(us, x, L, policy), policy)
-
-        mass = np.abs(us @ vec) ** 2
-        total = mass.sum(axis=0)
-        ref_inner = mass[np.abs(x) <= policy.interaction_radius].sum(axis=0) / total
-        ref_bdry = mass[np.abs(x) >= L - policy.boundary_width(L)].sum(axis=0) / total
+        grams = _region_grams(us, x, L, policy)
         tol = 16 * small_ops.n * np.finfo(float).eps
-        assert np.max(np.abs(inner - ref_inner)) <= tol
-        assert np.max(np.abs(bdry - ref_bdry)) <= tol
-        ref_flags = ((ref_inner >= policy.theta) | (ref_bdry >= policy.theta)
-                     if not policy.discard_nothing else np.zeros(k, dtype=bool))
-        assert np.array_equal(flags, ref_flags)
-        assert 0 < ref_bdry.max() and 0 < ref_inner.max()
+        for stack in (1, 3):
+            vecs = np.stack([np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(stack)])
+            inner, bdry, flags = _localization(vecs, np.stack([grams] * stack), policy)
+            for b, vec in enumerate(vecs):
+                mass = np.abs(us @ vec) ** 2
+                total = mass.sum(axis=0)
+                ref_inner = mass[np.abs(x) <= policy.interaction_radius].sum(axis=0) / total
+                ref_bdry = mass[np.abs(x) >= L - policy.boundary_width(L)].sum(axis=0) / total
+                assert np.max(np.abs(inner[b] - ref_inner)) <= tol
+                assert np.max(np.abs(bdry[b] - ref_bdry)) <= tol
+                ref_flags = ((ref_inner >= policy.theta) | (ref_bdry >= policy.theta)
+                             if not policy.discard_nothing else np.zeros(k, dtype=bool))
+                assert np.array_equal(flags[b], ref_flags)
+                assert 0 < ref_bdry.max() and 0 < ref_inner.max()
+
+
+class TestLockstepBisection:
+    """A lockstep bisection must give every entry exactly what it gets alone:
+    the same midpoints, the same stop and the same stacked eigensolves."""
+
+    @staticmethod
+    def _one_by_one(holds, lo, hi, tol):
+        return np.array([_bisect_sup(lambda a, act, i=i: holds(a, np.array([i])), [lo[i]],
+                                     [hi[i]], tol)[0] for i in range(len(lo))])
+
+    def test_threshold_entries_stop_at_different_steps(self):
+        lo = np.array([-1.0, -100.0, 0.0, -1e6, 5.0, 0.3])
+        hi = np.array([1.0, 100.0, 1e-4, 1e6, 5.0, 0.7])
+        target = np.array([0.123456, -37.5, 5e-5, 2.5e5, 5.0, 1.0])
+        steps = np.zeros(lo.size, dtype=int)
+
+        def holds(a, active):
+            steps[active] += 1
+            return a <= target[active]
+
+        batch = _bisect_sup(holds, lo, hi, 1e-3)
+        assert len(set(steps)) >= 4  # entries stop at different steps, one at step 0
+        assert steps[4] == 0
+        single = self._one_by_one(lambda a, act: a <= target[act], lo, hi, 1e-3)
+        assert np.array_equal(batch, single)
+        assert np.all(np.abs(batch - np.minimum(target, hi)) <= 1e-3 * np.maximum(1.0, np.abs(batch)))
+
+    def test_stacked_eigvalsh_predicate(self):
+        """sup{a : M - a N >= 0} over a stack of random symmetric M and
+        positive diagonal N: one stacked eigvalsh per step, bitwise equal
+        to each matrix bisected alone."""
+        rng = np.random.default_rng(11)
+        b, k = 7, 9
+        m = rng.standard_normal((b, k, k)) * rng.uniform(0.01, 50.0, (b, 1, 1))
+        m = 0.5 * (m + m.mT)
+        n = rng.uniform(0.1, 2.0, (b, k))[:, :, None] * np.eye(k)
+        scale = 10.0 * np.abs(m).max(axis=(1, 2))
+
+        def holds(a, active):
+            return np.linalg.eigvalsh(m[active] - a[:, None, None] * n[active]).min(axis=1) >= 0
+
+        batch = _bisect_sup(holds, -scale, scale, 1e-3)
+        assert np.array_equal(batch, self._one_by_one(holds, -scale, scale, 1e-3))
+
+    @pytest.mark.parametrize("policy", [DiscardPolicy(), DiscardPolicy(discard_nothing=True)])
+    def test_batch_estimates_equal_single_on_a_shared_support(self, small_ops, policy):
+        """Gaussians that are nonzero on the whole computed window share one
+        support, so the batch compresses exactly what each single call does;
+        the estimates must then be bitwise equal."""
+        dec = eigendecompose(small_ops.H, EnergyWindow(2.0, 0.5))
+        etas = [gaussian(c, 0.3) for c in (0.4, 0.9, 1.3, 1.8, 2.0)]
+        batch = _estimate_rho_batch(small_ops, dec, "H_A", etas, policy)
+        for eta, (raw, corrected, n_discarded, spectrum, modes) in zip(etas, batch):
+            one = estimate_rho_eta(small_ops, dec, "H_A", eta, policy)
+            assert spectrum.size == dec.eigenvalues.size
+            assert (raw, corrected, n_discarded) == (one.raw_min, one.corrected, one.n_discarded)
+            assert np.array_equal(spectrum, one.compression_spectrum)
+            ref = [[d[key] for d in one.discard_log]
+                   for key in ("eigenvalue", "interaction_mass", "boundary_mass", "discarded")]
+            assert all(np.array_equal(a, r) for a, r in zip(modes, ref))
+        assert len({est[:2] for est in batch}) >= 3
+
+    def test_nested_supports_of_mixed_widths(self, small_ops, dec_H):
+        """A wide eta followed by narrow ones inside its support: one window
+        must reach to the end of the widest support, and every estimate must
+        match estimate_rho_eta to the bisection resolution."""
+        etas = [bump(1.5, 0.6), bump(1.4, 0.1), bump(1.6, 0.15), bump(0.5, 0.1), bump(2.5, 0.3)]
+        batch = _estimate_rho_batch(small_ops, dec_H, "H_A", etas)
+        for eta, (raw, corrected, n_discarded, spectrum, _) in zip(etas, batch):
+            one = estimate_rho_eta(small_ops, dec_H, "H_A", eta)
+            assert n_discarded == one.n_discarded
+            assert spectrum.size == one.compression_spectrum.size
+            for v, ref in ((raw, one.raw_min), (corrected, one.corrected)):
+                assert abs(v - ref) <= BISECT_TOL * max(1.0, abs(ref))
 
 
 class TestEtaEstimate:
@@ -253,3 +336,27 @@ class TestRhoScan:
             assert row[0] == ref[0] and row[1] == ref[1] and row[4] == ref[4]
             for v, r in zip(row[2:4], ref[2:4]):
                 assert v == r if math.isinf(r) else abs(v - r) <= 1e-3 * max(1.0, abs(r))
+
+    @pytest.mark.parametrize("policy, eps", [
+        (DiscardPolicy(), 0.15), (DiscardPolicy(discard_nothing=True), 0.15),
+        # wide supports and a wide interaction region: flags change along the
+        # bisection, so each entry must be localized with its own Gram matrices
+        (DiscardPolicy(theta=0.3, interaction_radius=6.0), 0.3)])
+    def test_lockstep_matches_single_estimates(self, small_ops, dec_H, policy, eps):
+        """The scan compresses each window of columns once and bisects in
+        lockstep; each row must match its own estimate_rho_eta, which
+        compresses onto its support alone, to the bisection resolution."""
+        lambdas = [-5.0] + [0.05 + 0.1 * j for j in range(28)]
+        rows = rho_scan(small_ops, dec_H, lambdas, eps, policy)
+        assert rows[0][2:5] == (math.inf, math.inf, 0)
+        sizes = set()
+        for lam, row in zip(lambdas[1:], rows[1:]):
+            est = estimate_rho_eta(small_ops, dec_H, "H_A", bump(lam, eps), policy)
+            sizes.add(est.compression_spectrum.size)
+            assert row[4] == est.n_discarded
+            for v, ref in ((row[2], est.raw_min), (row[3], est.corrected)):
+                assert abs(v - ref) <= BISECT_TOL * max(1.0, abs(ref))
+        # several lockstep groups, most with several members
+        assert len(sizes) >= 3 and len(sizes) < len(lambdas) // 2
+        if not policy.discard_nothing:
+            assert any(row[4] > 0 for row in rows)
