@@ -3,7 +3,8 @@
 `golden.json` next to this file holds the outputs of four small
 experiments, of the benchmark's rho-scan and transfer configs at L = 160,
 of its hypotheses ladder at (40, 601) / (40, 801) and of its completeness
-run at n = 601, and the scatter run of acceptance criterion 7.  Regenerate
+run at n = 601, the scatter run of acceptance criterion 7 and the
+surrogate ladder of criterion 5 at n = 801 / 1601 / 3201.  Regenerate
 it only on a commit whose outputs define "correct", from the repository
 root, naming the entries to refreeze (all when none is named; the others
 keep their frozen values):
@@ -65,7 +66,8 @@ ROUNDING_ULPS = 16.0
 
 BASE = {"L": 40.0, "v_minus": 0.0, "v_plus": 1.0, "profile": "smooth_step"}
 # name -> (experiment, config); the L = 160 entries and hypotheses-ladder are
-# the benchmark's seed-0 configs (perfbench/workloads.py)
+# the benchmark's seed-0 configs (perfbench/workloads.py), criterion-5 the
+# ladder of tests/test_acceptance.py
 CONFIGS = {
     "rho-scan": ("rho-scan", dict(BASE, n=321, params={
         "lambda_min": -0.5, "lambda_max": 3.0, "lambda_step": 0.25, "eps": 0.1})),
@@ -77,6 +79,9 @@ CONFIGS = {
     "hypotheses-ladder": ("hypotheses", dict(BASE, n=601, params={
         "levels": [[40.0, 601], [40.0, 801]], "eta_center": 0.5, "eta_width": 0.4,
         "operators": ["ii", "iii", "iv", "short", "long", "identity"]})),
+    "criterion-5": ("hypotheses", dict(BASE, n=801, params={
+        "levels": [[40.0, 801], [40.0, 1601], [40.0, 3201]], "eta_center": 0.5,
+        "eta_width": 0.4, "operators": ["ii", "iii", "iv", "short", "long", "identity"]})),
     "completeness": ("completeness", dict(BASE, n=321, params={
         "x0": 10.0, "k0": 1.5, "sigma": 2.0, "t_max": 8.0, "n_times": 41})),
     "completeness-n601": ("completeness", dict(BASE, n=601, params={
