@@ -285,10 +285,11 @@ def _run_hypotheses(cfg: ExperimentConfig, p: dict):
         long_range_operator,
         short_range_operator,
     )
-    from .spectral import ThinProduct, bump, eigendecompose
+    from .spectral import EnergyWindow, ThinProduct, bump, eigendecompose
 
     levels = [tuple(lv) for lv in p["levels"] or [[cfg.L, 401], [cfg.L, 801]]]
     eta = bump(float(p["eta_center"]), float(p["eta_width"]))
+    window = EnergyWindow(eta.center, eta.width)  # exactly where the bump eta is nonzero
     z = 1j
 
     cache: dict = {}
@@ -297,7 +298,7 @@ def _run_hypotheses(cfg: ExperimentConfig, p: dict):
         key = (L, n)
         if key not in cache:
             opset = _build(cfg, p, L=L, n=n)
-            cache[key] = (opset, eigendecompose(opset.H))
+            cache[key] = (opset, eigendecompose(opset.H, window))
         return cache[key]
 
     def make_builder(tag):
@@ -306,9 +307,9 @@ def _run_hypotheses(cfg: ExperimentConfig, p: dict):
             if tag in ("ii", "iii", "iv"):
                 return assumption_operator(opset, dec_H, tag, eta)
             if tag == "short":
-                return short_range_operator(opset, dec_H, z)[0]
+                return short_range_operator(opset, z)[0]
             if tag == "long":
-                return long_range_operator(opset, dec_H)
+                return long_range_operator(opset)
             eye = np.eye(n)  # "identity", the one tag left (load_config checks them)
             return ThinProduct(eye, eye, eye)
         return build

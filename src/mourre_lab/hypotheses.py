@@ -9,15 +9,20 @@ orders of magnitude and are configurable.
 On the box every surrogate is a product of thin factors (eta and the
 plateau have compact support, the long-range middle term lives on a few
 nodes): each builder returns a `ThinProduct`, and `singular_values` takes
-a QR of each thin factor and one SVD of the small core that is left.
-Every builder takes the eigendecomposition of H alone: the channel
-eigenpairs where eta (or the plateau) is nonzero come in closed form from
-`dirichlet_decomposition`, and the channel resolvent acts by DST-I, so no
-full channel basis is ever built.
+a QR of each thin factor and one SVD of the small core that is left; a
+core still wider than 4 * top gets its top values from a randomized range
+finder, kept only when a residual certifies them.  The builders read thin
+data only.  (ii)-(iv) take the eigenpairs of H where eta is nonzero (for a
+bump, `eigendecompose(H, EnergyWindow(center, width))`) and the channel
+eigenpairs there in closed form from `dirichlet_decomposition`; the
+short- and long-range surrogates apply R(z) and R0(z) to thin blocks by
+tridiagonal solves (`resolvent_solve`).  No full basis of H or of a
+channel is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -30,10 +35,9 @@ from .spectral import (
     ThinProduct,
     apply_function,
     dirichlet_decomposition,
-    dirichlet_eigenvalues,
-    dst1,
     plateau,
     resolvent,
+    resolvent_solve,
     sandwich,
     support,
     thin_sum,
@@ -78,18 +82,6 @@ def _channel_support(opset: OperatorSet, shift: float, f):
     return support(dirichlet_decomposition(opset.n, opset.grid.dx, shift, f), f)
 
 
-def _resolve(dec: SpectralDecomposition, z: complex, x: np.ndarray) -> np.ndarray:
-    """R(z) x = U (Lambda - z)^{-1} U^dagger x for an n x k block x, with no n x n product."""
-    u = dec.eigenvectors
-    return u @ ((u.conj().T @ x) / (dec.eigenvalues - z)[:, None])
-
-
-def _channel_resolve(opset: OperatorSet, shift: float, z: complex, x: np.ndarray) -> np.ndarray:
-    """(-Delta + shift - z)^{-1} x = dst1((w + shift - z)^{-1} dst1(x)) for an n x k block x."""
-    w = dirichlet_eigenvalues(opset.n, opset.grid.dx)
-    return dst1(dst1(x) / (w + shift - z)[:, None])
-
-
 def assumption_operator(
     opset: OperatorSet,
     dec_H: SpectralDecomposition,
@@ -97,6 +89,8 @@ def assumption_operator(
     eta: SmoothingFunction,
 ) -> ThinProduct:
     """Factors of assumption (ii), (iii) or (iv), with eta(.) = U_S diag(f) U_S^T per space.
+
+    dec_H needs only the eigenpairs of H where eta is nonzero.
 
     (ii)  J i[A0, eta(H0)] J* - i[A, eta(H)]          (n x n, symmetric)
     (iii) J eta(H0) - eta(H) J                        (n x 2n)
@@ -133,11 +127,46 @@ def singular_values(left: np.ndarray, core: np.ndarray, right: np.ndarray,
                     top: int = 40) -> np.ndarray:
     """Leading singular values of left @ core @ right^dagger, zero-padded to
     min(top, rows, cols) values: a tall factor F = Q R (orthonormal Q) is
-    replaced by R, and one SVD of the small core that is left gives them."""
+    replaced by R, and one SVD of the small core that is left gives them.
+    When that core's smaller side still exceeds 4 * top, `_top_singular_values`
+    is tried first, and the SVD runs only if its residuals are too large."""
     count = min(top, left.shape[0], right.shape[0])
     rl, rr = (np.linalg.qr(f, mode="r") if f.shape[0] > f.shape[1] else f for f in (left, right))
+    if min(rl.shape[0], rr.shape[0]) > 4 * top:
+        sv = _top_singular_values(rl, core, rr, top)
+        if sv is not None:
+            return sv
     sv = np.linalg.svd(rl @ core @ rr.conj().T, compute_uv=False)[:count]
     return np.pad(sv, (0, count - sv.size))
+
+
+def _top_singular_values(left: np.ndarray, core: np.ndarray, right: np.ndarray,
+                         top: int) -> Optional[np.ndarray]:
+    """The top singular values of M = left @ core @ right^dagger, applied to
+    blocks and never formed, or None when they are not certified.
+
+    A randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53,
+    2011) with top + 10 Gaussian columns of a fixed seed and one power step
+    gives an orthonormal Q; the SVD of B = Q^dagger M gives Ritz triplets
+    (theta_j, u_j = Q ub_j, v_j).  M^dagger u_j = theta_j v_j holds by
+    construction, so only ||M v_j - theta_j u_j|| carries information: the
+    values are kept when it is at most sqrt(r * eps) * theta_1 for every
+    returned j, with r the smaller side of M.
+    """
+    def apply(x):
+        return left @ (core @ (right.conj().T @ x))
+
+    def apply_h(y):
+        return right @ (core.conj().T @ (left.conj().T @ y))
+
+    omega = np.random.default_rng(0).standard_normal((right.shape[0], top + 10))
+    q = np.linalg.qr(apply(omega))[0]
+    q = np.linalg.qr(apply(np.linalg.qr(apply_h(q))[0]))[0]
+    ub, theta, vh = np.linalg.svd(apply_h(q).conj().T, full_matrices=False)
+    u, theta, v = q @ ub[:, :top], theta[:top], vh[:top].conj().T
+    residual = np.linalg.norm(apply(v) - u * theta, axis=0)
+    bound = math.sqrt(min(left.shape[0], right.shape[0]) * np.finfo(float).eps) * theta[0]
+    return theta if np.all(residual <= bound) else None
 
 
 def compactness_report(
@@ -194,7 +223,6 @@ def compactness_report(
 
 def short_range_operator(
     opset: OperatorSet,
-    dec_H: SpectralDecomposition,
     z: complex,
     smoothing: Optional[SmoothingFunction] = None,
 ) -> tuple[ThinProduct, str]:
@@ -215,17 +243,18 @@ def short_range_operator(
         smoothing = plateau(lo, hi, shoulder=1.0)
     cut, n = opset.cutoffs, opset.n
     terms = []
-    for v, j, pad in ((pot.v_minus, cut.j_minus, (0, n)), (pot.v_plus, cut.j_plus, (n, 0))):
+    for side, v, j, pad in (("-", pot.v_minus, cut.j_minus, (0, n)),
+                            ("+", pot.v_plus, cut.j_plus, (n, 0))):
         u, f = _channel_support(opset, v, smoothing)
         ku = opset.dilation_core @ u
-        left = 1j * (j[:, None] * _channel_resolve(opset, v, z, ku)
-                     - _resolve(dec_H, z, j[:, None] * ku))
+        left = 1j * (j[:, None] * resolvent_solve(opset.channel_hamiltonian(side), z, ku)
+                     - resolvent_solve(opset.H, z, j[:, None] * ku))
         terms.append(ThinProduct(left, np.diag(f), np.pad(u, (pad, (0, 0)))))
     descr = f"plateau smoothing eta~(H0), kind={smoothing.kind}, center={smoothing.center}, width={smoothing.width}"
     return thin_sum(*terms), descr
 
 
-def long_range_operator(opset: OperatorSet, dec_H: SpectralDecomposition) -> ThinProduct:
+def long_range_operator(opset: OperatorSet) -> ThinProduct:
     """Hermitian part of R(i) M R(i), M = J i[H0,A0] J* - i[H,A], the dual-pair
     weighted difference: M is nonzero only on nodes S near the origin, so
     R M R = R[:, S] M_SS R[:, S]^T (H real symmetric)."""
@@ -241,7 +270,7 @@ def long_range_operator(opset: OperatorSet, dec_H: SpectralDecomposition) -> Thi
     unit = np.zeros((opset.n, nodes.size))
     unit[nodes, np.arange(nodes.size)] = 1.0
     m = (mid @ unit)[nodes]  # M_SS
-    r = _resolve(dec_H, 1j, unit)  # R(i)[:, S]
+    r = resolvent_solve(opset.H, 1j, unit)  # R(i)[:, S]
     return thin_sum(ThinProduct(r, 0.5 * m, r.conj()), ThinProduct(r.conj(), 0.5 * m.T, r))
 
 

@@ -13,10 +13,13 @@ array.  A function f(H) costs what its support costs: only eigenvectors
 where f is nonzero enter U f(Lambda) U*, so a compactly supported eta
 gives a low-rank product.  A finite-rank operator is a `ThinProduct`,
 factors (left, core, right) for left @ core @ right^dagger, never its
-matrix (`sandwich`, `thin_sum`).  `propagate` moves a state, or one state
-per time, over a whole time ladder in two products with U, staying in real
-arithmetic for a complex state in a real eigenbasis; `scattering_projector`
-is applied to states, never formed.
+matrix (`sandwich`, `thin_sum`).  A resolvent applied to a thin block
+needs no eigenpairs at all: `resolvent_solve` gives (T - z)^{-1} X for a
+tridiagonal T (H or a channel) by LAPACK `zgtsv` of the same OpenBLAS, in
+O(n k).  `propagate` moves a state, or one state per time, over a whole
+time ladder in two products with U, staying in real arithmetic for a
+complex state in a real eigenbasis; `scattering_projector` is applied to
+states, never formed.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "ThinProduct",
     "thin_sum",
     "resolvent",
+    "resolvent_solve",
     "propagate",
     "scattering_projector",
     "bump",
@@ -147,14 +151,19 @@ def eigendecompose(op: Band, window: Optional[EnergyWindow] = None) -> SpectralD
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 
 
-def _dstemr():
-    """LAPACKE_dstemr of the bundled OpenBLAS (ILP64), or None if it is absent."""
-    import ctypes
-
+def _lapacke(name: str):
+    """LAPACKE_<name> of the bundled OpenBLAS (ILP64), or None if it is absent."""
     from . import blas
 
     lib = blas.bundled_openblas()
-    stemr = getattr(lib, "scipy_LAPACKE_dstemr64_", None) if lib is not None else None
+    return getattr(lib, f"scipy_LAPACKE_{name}64_", None) if lib is not None else None
+
+
+def _dstemr():
+    """LAPACKE_dstemr with its argument types, or None if it is absent."""
+    import ctypes
+
+    stemr = _lapacke("dstemr")
     if stemr is None:
         return None
     i64, dbl = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
@@ -206,6 +215,47 @@ def _mrrr(stemr, op: Band, window: EnergyWindow) -> SpectralDecomposition:
     found = call(z, cols)
     keep = window.contains(w[:found])
     return SpectralDecomposition(eigenvalues=w[:found][keep].copy(), eigenvectors=z[:found][keep].T)
+
+
+def _zgtsv():
+    """LAPACKE_zgtsv with its argument types, or None if it is absent."""
+    import ctypes
+
+    gtsv = _lapacke("zgtsv")
+    if gtsv is None:
+        return None
+    i64, cplx = ctypes.c_int64, np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
+    gtsv.restype = i64
+    gtsv.argtypes = [
+        ctypes.c_int, i64, i64,  # layout, n, nrhs
+        cplx, cplx, cplx, cplx,  # dl, d, du, b
+        i64,                     # ldb
+    ]
+    return gtsv
+
+
+def resolvent_solve(op: Band, z: complex, x: np.ndarray) -> np.ndarray:
+    """(T - z)^{-1} x for a tridiagonal band T and a vector or an n x k block x.
+
+    LAPACK `zgtsv` (Gaussian elimination with partial pivoting) solves all k
+    right-hand sides in O(n k) with no n x n array.  Without the bundled
+    OpenBLAS, or for a wider band, `np.linalg.solve` on the dense band.
+    """
+    x, n = np.asarray(x), op.n
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"right-hand side must be a vector or a block with {n} rows, "
+                         f"got shape {x.shape}")
+    gtsv = _zgtsv() if op.b == 1 else None
+    if gtsv is None:
+        return np.linalg.solve(op.dense() - z * np.eye(n), x)
+    # sub-, main and superdiagonal, overwritten by the factorization
+    dl, d, du = (op.entries[0, 1:].astype(complex), op.entries[1] - complex(z),
+                 op.entries[2, :-1].astype(complex))
+    b = np.array(x.T, dtype=complex, order="C")  # column-major n x k with ldb = n
+    info = gtsv(_COL_MAJOR, n, 1 if x.ndim == 1 else x.shape[1], dl, d, du, b, n)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zgtsv failed with info {info}")
+    return b.T
 
 
 def spectral_projection(dec: SpectralDecomposition, win: EnergyWindow) -> np.ndarray:

@@ -239,28 +239,30 @@ class TestRun:
         assert len(outs[0]) == 2 and outs[0] == outs[1]
 
     def test_hypotheses_builds_no_full_channel_basis(self, tmp_path, monkeypatch):
-        # one eigendecomposition of H per level, and closed-form channel
-        # eigenpairs only where a function selects them
+        # one windowed eigendecomposition of H per level, closed-form channel
+        # eigenpairs only where a function selects them, and no dense band
         from mourre_lab import hypotheses, spectral
+        from mourre_lab.operators import Band
 
-        calls = {"eig": 0, "dirichlet": []}
+        calls = {"eig": [], "dirichlet": []}
         eig, dirichlet = spectral.eigendecompose, spectral.dirichlet_decomposition
 
-        def counted_eig(*args, **kwargs):
-            calls["eig"] += 1
-            return eig(*args, **kwargs)
+        def recorded_eig(op, window=None):
+            calls["eig"].append(window)
+            return eig(op, window)
 
         def recorded_dirichlet(n, dx, shift=0.0, where=None):
             calls["dirichlet"].append(where)
             return dirichlet(n, dx, shift, where)
 
-        monkeypatch.setattr(spectral, "eigendecompose", counted_eig)
+        monkeypatch.setattr(spectral, "eigendecompose", recorded_eig)
         for module in (spectral, hypotheses):
             monkeypatch.setattr(module, "dirichlet_decomposition", recorded_dirichlet)
+        monkeypatch.setattr(Band, "dense", lambda self: pytest.fail("dense band formed"))
         cfg = ExperimentConfig(experiment="hypotheses", out_dir=str(tmp_path), params={
             "levels": [[20.0, 161], [20.0, 241], [20.0, 321]]}, **SMALL)
         assert run(cfg) in (0, 1)
-        assert calls["eig"] == 3
+        assert len(calls["eig"]) == 3 and all(w is not None for w in calls["eig"])
         assert calls["dirichlet"] and all(w is not None for w in calls["dirichlet"])
 
 

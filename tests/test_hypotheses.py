@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import channel_bases, dense
+from mourre_lab import hypotheses
 from mourre_lab.grid import CutoffPair, make_cutoffs, make_grid, make_steplike, smoothstep
 from mourre_lab.hypotheses import (
-    _channel_resolve,
     assumption_operator,
     c1_probe,
     compactness_report,
@@ -16,6 +16,7 @@ from mourre_lab.hypotheses import (
 )
 from mourre_lab.operators import Band, build_B, build_commutator_longrange, build_pair
 from mourre_lab.spectral import (
+    EnergyWindow,
     ThinProduct,
     apply_function,
     bump,
@@ -24,6 +25,7 @@ from mourre_lab.spectral import (
     eigendecompose,
     plateau,
     resolvent,
+    resolvent_solve,
 )
 
 F64_EPS = np.finfo(float).eps
@@ -90,8 +92,8 @@ def factored(opset, dec_H, tag, eta) -> ThinProduct:
     if tag in ("ii", "iii", "iv"):
         return assumption_operator(opset, dec_H, tag, eta)
     if tag == "short":
-        return short_range_operator(opset, dec_H, 1j)[0]
-    return long_range_operator(opset, dec_H)
+        return short_range_operator(opset, 1j)[0]
+    return long_range_operator(opset)
 
 
 class TestClosedFormChannels:
@@ -114,11 +116,10 @@ class TestClosedFormChannels:
     @pytest.mark.parametrize("side", ["-", "+"])
     def test_channel_resolvent_matches_dense_solve(self, small_ops, side):
         z, n = 0.3 + 0.7j, small_ops.n
-        shift = small_ops.potential.v_minus if side == "-" else small_ops.potential.v_plus
         x = np.random.default_rng(36).standard_normal((n, 3))
-        h = small_ops.channel_hamiltonian(side).dense()
-        ref = np.linalg.solve(h - z * np.eye(n), x)
-        out = _channel_resolve(small_ops, shift, z, x)
+        h = small_ops.channel_hamiltonian(side)
+        ref = np.linalg.solve(h.dense() - z * np.eye(n), x)
+        out = resolvent_solve(h, z, x)
         assert np.max(np.abs(out - ref)) <= ROUNDING_ULPS * n * F64_EPS * np.max(np.abs(ref))
 
 
@@ -164,6 +165,18 @@ class TestAssumptionOperators:
         sv = singular_values(op.left, op.core, op.right)
         assert sv.shape == (40,)
         assert np.max(np.abs(sv[:10] - ref[:10])) <= np.sqrt(small_ops.n * F64_EPS) * ref[0]
+
+    @pytest.mark.parametrize("tag", ["ii", "iii", "iv"])
+    @pytest.mark.parametrize("center", [0.5, 1.5])
+    def test_window_of_eta_matches_full_basis(self, small_ops, dec_H, tag, center):
+        # the pairs of H where the bump is nonzero, from MRRR on its open support,
+        # give the surrogate of the full basis up to rounding
+        eta = bump(center, 0.4)
+        part = eigendecompose(small_ops.H, EnergyWindow(center, 0.4))
+        assert part.eigenvalues.size < small_ops.n
+        ref = singular_values(*dataclasses.astuple(assumption_operator(small_ops, dec_H, tag, eta)))
+        sv = singular_values(*dataclasses.astuple(assumption_operator(small_ops, part, tag, eta)))
+        assert np.max(np.abs(sv - ref)) <= ROUNDING_ULPS * small_ops.n * F64_EPS * ref[0]
 
     def test_empty_plus_block(self, small_ops, dec_H, eta):
         # eta = bump(0.5, 0.4) ends below the plus threshold 1.0: no plus channel modes
@@ -215,6 +228,65 @@ class TestSingularValues:
         assert singular_values(v[:, :0], np.zeros((0, 0)), v[:4, :0]).shape == (4,)
 
 
+def _rotation(n: int, seed: int) -> np.ndarray:
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+
+
+@pytest.fixture
+def top_k_results(monkeypatch):
+    """Records what each call of the top-k path returned (None: not certified)."""
+    results = []
+    original = hypotheses._top_singular_values
+
+    def recorded(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(hypotheses, "_top_singular_values", recorded)
+    return results
+
+
+class TestTopSingularValues:
+    """The randomized path taken for cores wider than 4 * top after the QR reductions."""
+
+    def test_identity_exact_and_repeatable(self, top_k_results):
+        a = singular_values(*dataclasses.astuple(identity(801)))
+        b = singular_values(*dataclasses.astuple(identity(801)))
+        assert len(top_k_results) == 2 and top_k_results[0] is not None
+        assert a.shape == (40,) and np.max(np.abs(a - 1.0)) <= 4 * F64_EPS
+        assert np.array_equal(a, b)
+
+    def test_fast_decay_certified(self, top_k_results):
+        n = 700
+        sigma = 0.8 ** np.arange(n)
+        u, v = _rotation(n, 1), _rotation(n, 2)
+        sv = singular_values(u, np.diag(sigma), v)
+        ref = np.linalg.svd(u @ np.diag(sigma) @ v.T, compute_uv=False)[:40]
+        assert top_k_results[0] is not None
+        assert np.max(np.abs(sv - ref)) <= np.sqrt(n * F64_EPS) * ref[0]
+
+    def test_slow_decay_falls_back_to_exact(self, top_k_results):
+        # one power step misses sigma_j = 0.99^j by several percent; the
+        # residual ||M v_j - theta_j u_j|| sees it, ||M^H u_j - theta_j v_j|| = 0 cannot
+        n = 700
+        u, v, core = _rotation(n, 3), _rotation(n, 4), np.diag(0.99 ** np.arange(n))
+        sv = singular_values(u, core, v)
+        assert top_k_results == [None]
+        assert np.array_equal(sv, np.linalg.svd(u @ core @ v.T, compute_uv=False)[:40])
+
+    @pytest.mark.parametrize("side", [40, 41])
+    def test_threshold_on_reduced_core(self, top_k_results, side):
+        # tall factors are reduced by QR first; only a reduced side above 4 * top goes top-k
+        rng = np.random.default_rng(37)
+        left, right = rng.standard_normal((300, side)), rng.standard_normal((250, side))
+        core = np.diag(0.5 ** np.arange(side))
+        sv = singular_values(left, core, right, top=10)
+        assert len(top_k_results) == (side > 40)
+        if side == 40:  # the exact path, bitwise
+            rl, rr = np.linalg.qr(left, mode="r"), np.linalg.qr(right, mode="r")
+            assert np.array_equal(sv, np.linalg.svd(rl @ core @ rr.T, compute_uv=False)[:10])
+
+
 class TestCompactnessReport:
     def test_identity_control_non_compact(self):
         rep = compactness_report(lambda L, n: identity(n), [(20.0, 101), (20.0, 201)],
@@ -244,23 +316,23 @@ class TestCompactnessReport:
 
 class TestShortLongRange:
     def test_short_range_shape_and_descr(self, small_ops, dec_H):
-        m, descr = short_range_operator(small_ops, dec_H, 1j)
+        m, descr = short_range_operator(small_ops, 1j)
         assert dense(m).shape == (small_ops.n, 2 * small_ops.n)
         assert "plateau" in descr
 
     def test_short_range_rejects_real_z(self, small_ops, dec_H):
         with pytest.raises(ValueError):
-            short_range_operator(small_ops, dec_H, 1.0 + 0j)
+            short_range_operator(small_ops, 1.0 + 0j)
 
     def test_long_range_hermitian(self, small_ops, dec_H):
-        m = dense(long_range_operator(small_ops, dec_H))
+        m = dense(long_range_operator(small_ops))
         assert np.allclose(m, m.conj().T, atol=1e-12)
 
     def test_long_range_needs_derivative(self, small_grid, dec_H):
         pot = make_steplike(small_grid, 0.0, 1.0, profile="sharp_step")
         ops = build_pair(small_grid, pot, make_cutoffs(small_grid))
         with pytest.raises(ValueError):
-            long_range_operator(ops, dec_H)
+            long_range_operator(ops)
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +385,7 @@ class TestContrastExperiment:
                     )
                     pot = make_steplike(g, 0.0, 1.0, profile="custom", samples=samples)
                 ops = build_pair(g, pot, cut)
-                mats.append(short_range_operator(ops, eigendecompose(ops.H), 1j)[0])
+                mats.append(short_range_operator(ops, 1j)[0])
             return mats
 
         fast = [singular_values(m.left, m.core, m.right, top=25) for m in build("fast")]

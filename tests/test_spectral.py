@@ -20,6 +20,7 @@ from mourre_lab.spectral import (
     plateau,
     propagate,
     resolvent,
+    resolvent_solve,
     sandwich,
     scattering_projector,
     spectral_projection,
@@ -193,6 +194,46 @@ class TestApplyFunction:
         for z in (complex(w0), float(w0), float(w0) * (1.0 + 1e-12)):
             with pytest.raises(ValueError):
                 resolvent(dec, z)
+
+
+class TestResolventSolve:
+    # Gaussian elimination with partial pivoting on the tridiagonal T - z is
+    # backward stable, so it meets the dense solve within a modest multiple of n * eps
+    @pytest.mark.parametrize("library", ["bundled", None], ids=["zgtsv", "no-openblas"])
+    @pytest.mark.parametrize("cols", [None, 4], ids=["1-D", "2-D"])
+    @pytest.mark.parametrize("z", [1j, 0.3 + 0.01j])
+    @pytest.mark.parametrize("which", ["H", "-", "+"])
+    def test_matches_dense_solve(self, small_ops, monkeypatch, which, z, cols, library):
+        op = small_ops.H if which == "H" else small_ops.channel_hamiltonian(which)
+        n = small_ops.n
+        rng = np.random.default_rng(41)
+        if cols is None:
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        else:  # a real block, as the long-range surrogate passes, comes back complex
+            x = rng.standard_normal((n, cols))
+        ref = np.linalg.solve(op.dense() - z * np.eye(n), x)
+        if library is None:
+            monkeypatch.setattr(blas, "bundled_openblas", lambda: None)
+        else:  # the banded path forms no dense matrix
+            monkeypatch.setattr(Band, "dense", lambda self: pytest.fail("dense band formed"))
+        out = resolvent_solve(op, z, x)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= ROUNDING_ULPS * n * F64_EPS * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape", [(320,), (321, 2, 2)])
+    def test_rejects_mismatched_right_hand_side(self, small_ops, shape):
+        with pytest.raises(ValueError, match="321 rows"):
+            resolvent_solve(small_ops.H, 1j, np.ones(shape))
+
+    def test_eigenvalue_is_singular(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            resolvent_solve(_diagonal_band(np.arange(20.0)), 5.0, np.ones(20))
+
+    def test_wide_band_solved_dense(self, small_ops):
+        op = small_ops.commutator_iHA  # pentadiagonal
+        x = np.random.default_rng(42).standard_normal((small_ops.n, 2))
+        ref = np.linalg.solve(op.dense() - 1j * np.eye(small_ops.n), x)
+        assert np.array_equal(resolvent_solve(op, 1j, x), ref)
 
 
 class TestDirichletDecomposition:
