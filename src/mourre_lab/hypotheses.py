@@ -10,8 +10,8 @@ On the box every surrogate is a product of thin factors (eta and the
 plateau have compact support, the long-range middle term lives on a few
 nodes): each builder returns a `ThinProduct`, and `singular_values` takes
 a QR of each thin factor and one SVD of the small core that is left; a
-core still wider than 4 * top gets its top values from a randomized range
-finder, kept only when a residual certifies them.  The builders read thin
+core still wider than four times the range finder's top + 10 columns gets
+its top values from that finder, kept only when a residual certifies them.  The builders read thin
 data only.  (ii)-(iv) take the eigenpairs of H where eta is nonzero (for a
 bump, `eigendecompose(H, EnergyWindow(center, width))`) and the channel
 eigenpairs there in closed form from `dirichlet_decomposition`; the
@@ -123,16 +123,21 @@ def assumption_operator(
                     term(uh, fh, opset.conjugate_core, np.ones(n), -1.0))
 
 
+_OVERSAMPLE = 10  # range-finder columns beyond the top values sought
+
+
 def singular_values(left: np.ndarray, core: np.ndarray, right: np.ndarray,
                     top: int = 40) -> np.ndarray:
     """Leading singular values of left @ core @ right^dagger, zero-padded to
     min(top, rows, cols) values: a tall factor F = Q R (orthonormal Q) is
     replaced by R, and one SVD of the small core that is left gives them.
-    When that core's smaller side still exceeds 4 * top, `_top_singular_values`
-    is tried first, and the SVD runs only if its residuals are too large."""
+    When that core's smaller side still exceeds four times the range
+    finder's width top + 10, `_top_singular_values` is tried first, and the
+    SVD runs only if its residuals are too large; a narrower core, such as
+    a top = 1 residual core of `transfer_verify`, would gain nothing from it."""
     count = min(top, left.shape[0], right.shape[0])
     rl, rr = (np.linalg.qr(f, mode="r") if f.shape[0] > f.shape[1] else f for f in (left, right))
-    if min(rl.shape[0], rr.shape[0]) > 4 * top:
+    if min(rl.shape[0], rr.shape[0]) > 4 * (top + _OVERSAMPLE):
         sv = _top_singular_values(rl, core, rr, top)
         if sv is not None:
             return sv
@@ -159,7 +164,7 @@ def _top_singular_values(left: np.ndarray, core: np.ndarray, right: np.ndarray,
     def apply_h(y):
         return right @ (core.conj().T @ (left.conj().T @ y))
 
-    omega = np.random.default_rng(0).standard_normal((right.shape[0], top + 10))
+    omega = np.random.default_rng(0).standard_normal((right.shape[0], top + _OVERSAMPLE))
     q = np.linalg.qr(apply(omega))[0]
     q = np.linalg.qr(apply(np.linalg.qr(apply_h(q))[0]))[0]
     ub, theta, vh = np.linalg.svd(apply_h(q).conj().T, full_matrices=False)

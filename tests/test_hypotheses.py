@@ -247,7 +247,7 @@ def top_k_results(monkeypatch):
 
 
 class TestTopSingularValues:
-    """The randomized path taken for cores wider than 4 * top after the QR reductions."""
+    """The randomized path taken for cores wider than 4 (top + 10) after the QR reductions."""
 
     def test_identity_exact_and_repeatable(self, top_k_results):
         a = singular_values(*dataclasses.astuple(identity(801)))
@@ -274,15 +274,16 @@ class TestTopSingularValues:
         assert top_k_results == [None]
         assert np.array_equal(sv, np.linalg.svd(u @ core @ v.T, compute_uv=False)[:40])
 
-    @pytest.mark.parametrize("side", [40, 41])
+    @pytest.mark.parametrize("side", [80, 81])
     def test_threshold_on_reduced_core(self, top_k_results, side):
-        # tall factors are reduced by QR first; only a reduced side above 4 * top goes top-k
+        # tall factors are reduced by QR first; only a reduced side above
+        # 4 (top + 10) goes top-k
         rng = np.random.default_rng(37)
         left, right = rng.standard_normal((300, side)), rng.standard_normal((250, side))
         core = np.diag(0.5 ** np.arange(side))
         sv = singular_values(left, core, right, top=10)
-        assert len(top_k_results) == (side > 40)
-        if side == 40:  # the exact path, bitwise
+        assert len(top_k_results) == (side > 80)
+        if side == 80:  # the exact path, bitwise
             rl, rr = np.linalg.qr(left, mode="r"), np.linalg.qr(right, mode="r")
             assert np.array_equal(sv, np.linalg.svd(rl @ core @ rr.T, compute_uv=False)[:10])
 
