@@ -10,14 +10,14 @@ On the box every surrogate is a product of thin factors (eta and the
 plateau have compact support, the long-range middle term lives on a few
 nodes): each builder returns a `ThinProduct`, and `singular_values` takes
 a QR of each thin factor and one SVD of the small core that is left; a
-core still wider than four times the range finder's top + 10 columns gets
-its top values from that finder, kept only when a residual certifies them.  The builders read thin
-data only.  (ii)-(iv) take the eigenpairs of H where eta is nonzero (for a
-bump, `eigendecompose(H, EnergyWindow(center, width))`) and the channel
-eigenpairs there in closed form from `dirichlet_decomposition`; the
-short- and long-range surrogates apply R(z) and R0(z) to thin blocks by
-tridiagonal solves (`resolvent_solve`).  No full basis of H or of a
-channel is built.
+core still wider than four times a range finder's top + 10 columns gets
+its top values from that finder, kept only when a residual certifies
+them.  The builders read thin data only.  (ii)-(iv) take the eigenpairs
+of H where eta is nonzero (for a bump, `eigendecompose(H,
+EnergyWindow(center, width))`) and the channel eigenpairs there in closed
+form from `dirichlet_decomposition`; the short- and long-range surrogates
+apply R(z) and R0(z) to thin blocks by tridiagonal solves
+(`resolvent_solve`).  No full basis of H or of a channel is built.
 """
 
 from __future__ import annotations

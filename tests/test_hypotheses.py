@@ -316,20 +316,20 @@ class TestCompactnessReport:
 
 
 class TestShortLongRange:
-    def test_short_range_shape_and_descr(self, small_ops, dec_H):
+    def test_short_range_shape_and_descr(self, small_ops):
         m, descr = short_range_operator(small_ops, 1j)
         assert dense(m).shape == (small_ops.n, 2 * small_ops.n)
         assert "plateau" in descr
 
-    def test_short_range_rejects_real_z(self, small_ops, dec_H):
+    def test_short_range_rejects_real_z(self, small_ops):
         with pytest.raises(ValueError):
             short_range_operator(small_ops, 1.0 + 0j)
 
-    def test_long_range_hermitian(self, small_ops, dec_H):
+    def test_long_range_hermitian(self, small_ops):
         m = dense(long_range_operator(small_ops))
         assert np.allclose(m, m.conj().T, atol=1e-12)
 
-    def test_long_range_needs_derivative(self, small_grid, dec_H):
+    def test_long_range_needs_derivative(self, small_grid):
         pot = make_steplike(small_grid, 0.0, 1.0, profile="sharp_step")
         ops = build_pair(small_grid, pot, make_cutoffs(small_grid))
         with pytest.raises(ValueError):
