@@ -31,6 +31,17 @@ from mourre_lab.spectral import (
 F64_EPS = np.finfo(float).eps
 ROUNDING_ULPS = 16.0  # as in test_golden: an eigenbasis is orthonormal to a modest multiple of n*eps
 
+# Criterion 6 of test_acceptance (L = 40, n = 801, z = i, three seeded states),
+# frozen from the dense probe of the parent (full eigh of A, n x n resolvent).
+C1_GOLDEN = {
+    "steps": [1e-2, 1e-3, 1e-4, 1e-5],
+    "difference_quotient_norms": [0.5853484861291425, 0.8015329569006799,
+                                  0.8238635262245199, 0.8259414163878973],
+    "cauchy_defects": [0.4688691461215964, 0.06255798663885224, 0.006377858305526296],
+    "limit_mismatch": 0.000859137804094557,
+    "verdict": True,
+}
+
 
 @pytest.fixture(scope="module")
 def eta():
@@ -354,6 +365,27 @@ class TestC1Probe:
         # i[R(z), A] = -R(z) i[H,A] R(z) holds exactly at finite dimension
         rep = c1_probe(small_ops, dec_H, 1j, states)
         assert rep.resolvent_identity_defect < 1e-10
+
+    def test_criterion_6_golden(self):
+        # a difference quotient at step t divides a rounding error of about
+        # n * eps (unit states, ||R(i)|| <= 1) by t: each value is held to
+        # ROUNDING_ULPS * n * eps / t, a Cauchy defect and the limit mismatch at
+        # the smaller step they involve; the verdict must match exactly
+        g = make_grid(40.0, 801)
+        ops = build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))
+        rng = np.random.default_rng(17)
+        states = rng.standard_normal((3, g.n)) + 1j * rng.standard_normal((3, g.n))
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        rep = c1_probe(ops, eigendecompose(ops.H), 1j, states)
+        gold = C1_GOLDEN
+        bounds = ROUNDING_ULPS * g.n * F64_EPS / np.array(gold["steps"])
+        assert rep.steps == gold["steps"] and rep.verdict == gold["verdict"]
+        assert np.all(np.abs(np.subtract(rep.difference_quotient_norms,
+                                         gold["difference_quotient_norms"])) <= bounds)
+        assert np.all(np.abs(np.subtract(rep.cauchy_defects, gold["cauchy_defects"]))
+                      <= bounds[1:])
+        assert abs(rep.limit_mismatch - gold["limit_mismatch"]) <= bounds[-1]
+        assert rep.resolvent_identity_defect <= 1e-8
 
     def test_rejects_unnormalized(self, small_ops, dec_H):
         bad = np.ones((1, small_ops.n), dtype=complex)

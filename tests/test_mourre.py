@@ -25,10 +25,28 @@ from mourre_lab.mourre import (
     transfer_verify,
     virial_defects,
 )
-from mourre_lab.operators import Band
+from conftest import well_bump
+from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
+from mourre_lab.operators import Band, build_pair
 from mourre_lab.spectral import EnergyWindow, bump, eigendecompose, gaussian
 
 BISECT_TOL = 1e-3  # the bisection resolution of estimate_rho_eta, relative to max(1, |rho|)
+F64_EPS = np.finfo(float).eps
+ROUNDING_ULPS = 16.0  # as in test_golden: an eigenbasis is orthonormal to a modest multiple of n*eps
+
+# Criterion 4 of test_acceptance (L = 40, n = 1601, well of depth 2), frozen
+# from the dense power iteration of the parent: |<u_k, i[H,A] u_k>| / ||i[H,A]||
+# for the 20 lowest eigenvectors of the dense eigh, and ||i[H,A]|| itself.
+VIRIAL_GOLDEN = [
+    1.354024492157676e-19, 7.206314063816674e-21, 2.3661228412772548e-20,
+    5.45043610938878e-20, 9.911461842232463e-20, 1.4858513724957948e-19,
+    1.9007094075734757e-19, 2.3849997497771286e-19, 2.437073980121607e-19,
+    2.2027399435714527e-19, 2.607183132580238e-19, 3.041135052117561e-19,
+    3.4091262798852116e-19, 4.863733114174319e-19, 9.514395835855812e-21,
+    1.0219567705103962e-20, 4.022734294110986e-20, 1.4372487575076145e-19,
+    3.648667739469814e-19, 1.2115937593482066e-19,
+]
+COMMUTATOR_NORM_GOLDEN = 319800.12492192374
 
 
 class TestAnalyticRho:
@@ -241,6 +259,21 @@ class TestVirial:
     def test_eigenvector_defects_tiny(self, small_ops, dec_H):
         defects = virial_defects(small_ops, dec_H, range(20))
         assert np.max(defects) <= 1e-10
+
+    def test_criterion_4_golden(self):
+        # each defect is a rounding-level value, which an eigenbasis orthonormal
+        # to a modest multiple of n * eps resolves to ROUNDING_ULPS * n * eps; the
+        # norm is resolved as finely, relative to itself
+        g = make_grid(40.0, 1601)
+        pot = make_steplike(g, 0.0, 1.0, profile="smooth_step_plus_bump",
+                            bump=well_bump(g, -2.0, 2.0))
+        ops = build_pair(g, pot, make_cutoffs(g))
+        bound = ROUNDING_ULPS * g.n * F64_EPS
+        defects = virial_defects(ops, eigendecompose(ops.H), range(20))
+        assert np.max(np.abs(defects - VIRIAL_GOLDEN)) <= bound
+        c = ops.commutator_iHA
+        norm = opnorm(c.dense())
+        assert abs(norm - COMMUTATOR_NORM_GOLDEN) <= bound * COMMUTATOR_NORM_GOLDEN
 
 
 class TestOpnorm:
