@@ -5,11 +5,9 @@ from .grid import (
     CutoffPair,
     Grid,
     PotentialField,
-    TailReport,
     make_cutoffs,
     make_grid,
     make_steplike,
-    tail_metrics,
 )
 from .operators import (
     Band,
@@ -29,7 +27,6 @@ from .spectral import (
     plateau,
     propagate,
     resolvent,
-    spectral_projection,
 )
 from .mourre import (
     DiscardPolicy,

@@ -18,15 +18,12 @@ __all__ = [
     "Grid",
     "CutoffPair",
     "PotentialField",
-    "TailReport",
     "make_grid",
     "make_cutoffs",
     "make_steplike",
-    "tail_metrics",
     "mollifier",
     "mollifier_derivative",
     "smoothstep",
-    "field_to_csv",
 ]
 
 PROFILE_KINDS = ("sharp_step", "smooth_step", "smooth_step_plus_bump", "custom")
@@ -71,18 +68,6 @@ class PotentialField:
     @property
     def differentiable(self) -> bool:
         return self.v_prime is not None
-
-
-@dataclass(frozen=True)
-class TailReport:
-    """Decay ladder for the short-/long-range tail conditions."""
-
-    radii: np.ndarray
-    short_range_sup_tail: np.ndarray   # sup_{|x|>=R} |x (v - v_pm)|
-    long_range_sup_tail: Optional[np.ndarray]  # sup_{|x|>=R} |x v'(x)|
-    short_range_ok: bool
-    long_range_ok: Optional[bool]
-    threshold: float
 
 
 def mollifier(t: np.ndarray | float) -> np.ndarray:
@@ -202,39 +187,3 @@ def make_steplike(
         profile_kind=profile,
         v_prime=v_prime,
     )
-
-
-def tail_metrics(pot: PotentialField, threshold: float = 1e-6) -> TailReport:
-    """Sup of |x (v - v_pm)| and |x v'| outside a ladder of radii R."""
-    grid = pot.grid
-    x = grid.nodes
-    radii = np.array([grid.L / 4, grid.L / 2, 3 * grid.L / 4])
-    deviation = np.where(x >= 0, pot.v - pot.v_plus, pot.v - pot.v_minus)
-    short = np.array(
-        [np.max(np.abs(x * deviation)[np.abs(x) >= R]) for R in radii]
-    )
-    short_ok = bool(np.all(short[1:] <= short[:-1] + 1e-15) and short[-1] < threshold)
-    if pot.v_prime is not None:
-        long_ = np.array(
-            [np.max(np.abs(x * pot.v_prime)[np.abs(x) >= R]) for R in radii]
-        )
-        long_ok = bool(np.all(long_[1:] <= long_[:-1] + 1e-15) and long_[-1] < threshold)
-    else:
-        long_ = None
-        long_ok = None
-    return TailReport(
-        radii=radii,
-        short_range_sup_tail=short,
-        long_range_sup_tail=long_,
-        short_range_ok=short_ok,
-        long_range_ok=long_ok,
-        threshold=threshold,
-    )
-
-
-def field_to_csv(grid: Grid, values: np.ndarray, path) -> None:
-    """Write a sampled field as CSV with columns x,value (17 sig digits)."""
-    with open(path, "w") as fh:
-        fh.write("x,value\n")
-        for xi, vi in zip(grid.nodes, values):
-            fh.write(f"{xi:.17g},{vi:.17g}\n")

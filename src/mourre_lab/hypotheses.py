@@ -33,10 +33,10 @@ from .spectral import (
     SmoothingFunction,
     SpectralDecomposition,
     ThinProduct,
-    apply_function,
     dirichlet_decomposition,
+    eigendecompose,
     plateau,
-    resolvent,
+    propagate,
     resolvent_solve,
     sandwich,
     support,
@@ -281,16 +281,22 @@ def long_range_operator(opset: OperatorSet) -> ThinProduct:
 
 def c1_probe(
     opset: OperatorSet,
-    dec_H: SpectralDecomposition,
     z: complex,
     test_states: np.ndarray,
     steps: Sequence[float] = (1e-2, 1e-3, 1e-4, 1e-5),
 ) -> C1Report:
-    """Strong-derivative probe of t -> e^{-itA} R(z) e^{itA}.
+    """Strong-derivative probe of t -> e^{-itA} R(z) e^{itA} on the test states.
 
     The difference quotients Q(t) psi must be Cauchy in t and converge to
     the closed-form commutator i[R(z), A]; the latter is also compared
-    against -R(z) i[H,A] R(z).
+    against -R(z) i[H,A] R(z).  Only the states are moved, never an n x n
+    operator: with A = iK' and D = diag((-i)^j), D* A D = T is real
+    symmetric tridiagonal, so e^{itA} psi = D e^{itT} D* psi, and one
+    `propagate` block carries every (step, state) column forward and one
+    carries it back.  R(z) is a tridiagonal solve (`resolvent_solve`), and
+    i[R, A] psi = K'R psi - R K' psi.  The identity defect is the norm of
+    E_z = i[R(z), A] + R(z) i[H,A] R(z), by power iteration on E_z and its
+    adjoint E_{conj z}.
     """
     states = np.atleast_2d(np.asarray(test_states, dtype=complex))
     if states.shape[1] != opset.n:
@@ -298,36 +304,31 @@ def c1_probe(
     norms = np.linalg.norm(states, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-8):
         raise ValueError("test states must be normalized")
-    a = 1j * opset.conjugate_core.dense()
-    w, u = np.linalg.eigh(a)
-    dec_A = SpectralDecomposition(eigenvalues=w, eigenvectors=u)
-    r = resolvent(dec_H, z)
+    n, count, h, kcore = opset.n, len(steps), opset.H, opset.conjugate_core
+    dec_T = eigendecompose(Band(kcore.entries * np.array([[-1.0], [0.0], [1.0]])))
+    d = np.array([1, -1j, -1, 1j])[np.arange(n) % 4][:, None]  # (-i)^j, exactly
+    psi = states.T
+    times = np.repeat(np.asarray(steps, dtype=float), len(states))
+    forward = d * propagate(dec_T, np.tile(d.conj() * psi, count), -times)  # e^{itA} psi
+    back = d * propagate(dec_T, d.conj() * resolvent_solve(h, z, forward), times)
+    r_psi = resolvent_solve(h, z, psi)
+    q = ((back - np.tile(r_psi, count)) / times).reshape(n, count, -1)  # Q(t) psi
+    qnorms = [float(x) for x in np.linalg.norm(q, axis=0).max(axis=1)]
+    cauchy = [float(x) for x in np.linalg.norm(np.diff(q, axis=1), axis=0).max(axis=1)]
 
-    def conjugated(t: float) -> np.ndarray:
-        em = apply_function(dec_A, lambda w: np.exp(-1j * t * w))
-        ep = apply_function(dec_A, lambda w: np.exp(1j * t * w))
-        return em @ r @ ep
+    comm_closed = kcore @ r_psi - resolvent_solve(h, z, kcore @ psi)
+    limit_mismatch = float(np.linalg.norm(q[:, -1] - comm_closed, axis=0).max()
+                           / np.linalg.norm(comm_closed, axis=0).max())
 
-    quotients = []
-    for t in steps:
-        q = (conjugated(t) - r) / t
-        quotients.append(q)
-    qnorms = [float(max(np.linalg.norm(q @ s) for s in states)) for q in quotients]
-    cauchy = [
-        float(max(np.linalg.norm((quotients[k + 1] - quotients[k]) @ s) for s in states))
-        for k in range(len(steps) - 1)
-    ]
+    def defect(w):
+        def apply(x):  # E_w x = K'y - R(w)(K'x - i[H,A] y), y = R(w) x
+            y = resolvent_solve(h, w, x)
+            return kcore @ y - resolvent_solve(h, w, kcore @ x - opset.commutator_iHA @ y)
+        return apply
 
-    comm_closed = 1j * (r @ a - a @ r)
-    last = quotients[-1]
-    limit_mismatch = float(
-        max(np.linalg.norm((last - comm_closed) @ s) for s in states)
-        / max(np.linalg.norm(comm_closed @ s) for s in states)
-    )
-    rhs = -r @ (opset.commutator_iHA @ r)
     from .mourre import opnorm
 
-    ident_defect = float(opnorm(comm_closed - rhs))
+    ident_defect = opnorm(defect(z), defect(np.conj(z)), n)
     decreasing = all(cauchy[k + 1] < cauchy[k] / 3 for k in range(len(cauchy) - 1))
     verdict = decreasing and limit_mismatch < 1e-3
     return C1Report(

@@ -182,7 +182,7 @@ def estimate_rho_window(
     energy, comm, positions = pair_matrices(opset, pair)
     if dec is None:
         dec = eigendecompose(energy, win)
-    sel = dec.window_mask(win)
+    sel = win.contains(dec.eigenvalues)
     if not np.any(sel):
         return RhoEstimate(
             lam=win.lam, eps=win.eps, raw_min=math.inf, corrected=math.inf,
@@ -339,17 +339,15 @@ def estimate_rho_eta(
     )
 
 
-def opnorm(matrix, iters: int = 200, seed: int = 7) -> float:
-    """Spectral norm of a dense matrix by power iteration on M*M (deterministic start)."""
+def opnorm(apply, apply_h, n: int, iters: int = 200, seed: int = 7) -> float:
+    """Spectral norm of an operator M on C^n by power iteration on M*M, given
+    the actions x -> M x and x -> M* x (a deterministic complex start)."""
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(matrix.shape[1])
-    if np.iscomplexobj(matrix):
-        v = v + 1j * rng.standard_normal(matrix.shape[1])
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    mh = matrix.conj().T
     s = 0.0
     for _ in range(iters):
-        w = mh @ (matrix @ v)
+        w = apply_h(apply(v))
         s_new = np.linalg.norm(w)
         if s_new == 0:
             return 0.0
@@ -367,10 +365,11 @@ def virial_defects(
     indices,
     comm_norm: Optional[float] = None,
 ) -> np.ndarray:
-    """|<u_k, i[H,A] u_k>| / ||i[H,A]|| for the requested eigenvectors."""
+    """|<u_k, i[H,A] u_k>| / ||i[H,A]|| for the requested eigenvectors; the
+    norm comes from `opnorm` on the band, which is its own adjoint."""
     c = opset.commutator_iHA
     if comm_norm is None:
-        comm_norm = opnorm(c.dense())
+        comm_norm = opnorm(lambda v: c @ v, lambda v: c @ v, opset.n)
     out = []
     for k in indices:
         u = dec.eigenvectors[:, k]

@@ -19,8 +19,6 @@ diagonals, so no operator needs a hermiticity check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .grid import CutoffPair, Grid, PotentialField
@@ -32,8 +30,6 @@ __all__ = [
     "build_momentum_core",
     "build_pair",
     "build_commutator_longrange",
-    "build_B",
-    "build_B_pm",
     "save_matrix",
     "load_matrix",
 ]
@@ -221,48 +217,6 @@ def build_commutator_longrange(opset: OperatorSet) -> Band:
     j = opset.cutoffs.j
     x = opset.grid.nodes
     return _plus_diagonal(_commutator(opset.conjugate_core, opset.neglap), -(j**2 * x * pot.v_prime))
-
-
-def build_B(
-    opset: OperatorSet,
-    z: complex,
-    resolvent_H: Callable[[complex], np.ndarray],
-    resolvent_channel: Callable[[str, complex], np.ndarray],
-) -> np.ndarray:
-    """B(z) = J R0(z) - R(z) J as an n x 2n matrix (Im z != 0)."""
-    if z.imag == 0:
-        raise ValueError("B(z) requires a non-real z")
-    n = opset.n
-    R = resolvent_H(z)
-    Rm = resolvent_channel("-", z)
-    Rp = resolvent_channel("+", z)
-    jm = opset.cutoffs.j_minus
-    jp = opset.cutoffs.j_plus
-    out = np.zeros((n, 2 * n), dtype=complex)
-    out[:, :n] = jm[:, None] * Rm - R * jm[None, :]
-    out[:, n:] = jp[:, None] * Rp - R * jp[None, :]
-    return out
-
-
-def build_B_pm(
-    opset: OperatorSet,
-    z: complex,
-    side: str,
-    resolvent_H: Callable[[complex], np.ndarray],
-    resolvent_channel: Callable[[str, complex], np.ndarray],
-) -> np.ndarray:
-    """B_pm(z) = R(z) { [-Delta, j_pm] + j_pm (V - v_pm) } R0_pm(z)."""
-    if z.imag == 0:
-        raise ValueError("B_pm(z) requires a non-real z")
-    if side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
-    cut = opset.cutoffs
-    pot = opset.potential
-    jpm = cut.j_plus if side == "+" else cut.j_minus
-    vpm = pot.v_plus if side == "+" else pot.v_minus
-    bracket = _commutator(opset.neglap, Band(jpm[None, :]))  # [-Delta, j_pm]
-    middle = _plus_diagonal(bracket, jpm * (pot.v - vpm))
-    return resolvent_H(z) @ middle @ resolvent_channel(side, z)
 
 
 def save_matrix(matrix, path) -> None:

@@ -1,8 +1,8 @@
 """Eigendecomposition and everything derived from it.
 
-Functions of an operator are formed from its eigenpairs: projections
-onto energy windows, smooth localization functions of H, resolvents and
-the unitary propagator.  H gets either its full basis from a dense
+Functions of an operator are formed from its eigenpairs: smooth
+localization functions of H, resolvents and the unitary propagator;
+an energy window is a mask of eigenvalues (`EnergyWindow.contains`).  H gets either its full basis from a dense
 `eigh` or only the pairs in an energy window, from MRRR (LAPACK
 `dstemr` of the OpenBLAS that NumPy bundles) with no n x n array; the
 channel operators -Delta + v_pm need no solver, because the Dirichlet
@@ -40,7 +40,6 @@ __all__ = [
     "dirichlet_eigenvalues",
     "dirichlet_decomposition",
     "dst1",
-    "spectral_projection",
     "support",
     "apply_function",
     "sandwich",
@@ -64,9 +63,6 @@ class SpectralDecomposition:
     @property
     def source_dim(self) -> int:
         return self.eigenvectors.shape[0]
-
-    def window_mask(self, win: "EnergyWindow") -> np.ndarray:
-        return win.contains(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -256,13 +252,6 @@ def resolvent_solve(op: Band, z: complex, x: np.ndarray) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"zgtsv failed with info {info}")
     return b.T
-
-
-def spectral_projection(dec: SpectralDecomposition, win: EnergyWindow) -> np.ndarray:
-    """Orthogonal projection onto the eigenvalues inside (lam-eps, lam+eps)."""
-    sel = dec.window_mask(win)
-    u = dec.eigenvectors[:, sel]
-    return u @ u.conj().T
 
 
 def dirichlet_eigenvalues(n: int, dx: float) -> np.ndarray:

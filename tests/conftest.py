@@ -18,6 +18,30 @@ def channel_bases(opset):
             dirichlet_decomposition(g.n, g.dx, pot.v_plus))
 
 
+def build_B(opset, z: complex, resolvent_H, resolvent_channel) -> np.ndarray:
+    """B(z) = J R0(z) - R(z) J as a dense n x 2n matrix (Im z != 0), from the
+    n x n resolvents R(z) = resolvent_H(z) and R0_pm(z) = resolvent_channel(side, z)."""
+    if z.imag == 0:
+        raise ValueError("B(z) requires a non-real z")
+    n = opset.n
+    R = resolvent_H(z)
+    jm, jp = opset.cutoffs.j_minus, opset.cutoffs.j_plus
+    out = np.zeros((n, 2 * n), dtype=complex)
+    out[:, :n] = jm[:, None] * resolvent_channel("-", z) - R * jm[None, :]
+    out[:, n:] = jp[:, None] * resolvent_channel("+", z) - R * jp[None, :]
+    return out
+
+
+def build_B_pm(opset, z: complex, side: str, resolvent_H, resolvent_channel) -> np.ndarray:
+    """B_pm(z) = R(z) { [-Delta, j_pm] + j_pm (V - v_pm) } R0_pm(z), dense."""
+    pot = opset.potential
+    j = opset.cutoffs.j_plus if side == "+" else opset.cutoffs.j_minus
+    v = pot.v_plus if side == "+" else pot.v_minus
+    lap = opset.neglap.dense()
+    middle = lap * j[None, :] - j[:, None] * lap + np.diag(j * (pot.v - v))
+    return resolvent_H(z) @ middle @ resolvent_channel(side, z)
+
+
 def well_bump(grid, amplitude, width):
     """Compactly supported bump of the given amplitude and half-width."""
     u = grid.nodes / width

@@ -167,11 +167,11 @@ def test_criterion_5_compactness_surrogates():
 
 def test_criterion_6_resolvent_commutator_identity():
     t0 = time.time()
-    ops, dec_H = build(40.0, 801)
+    ops = build_ops(40.0, 801)
     rng = np.random.default_rng(17)
     states = rng.standard_normal((3, 801)) + 1j * rng.standard_normal((3, 801))
     states /= np.linalg.norm(states, axis=1)[:, None]
-    rep = c1_probe(ops, dec_H, 1j, states)
+    rep = c1_probe(ops, 1j, states)
     report(6, rep.resolvent_identity_defect <= 1e-8,
            f"|| i[R,A] + R i[H,A] R || = {rep.resolvent_identity_defect:.2e} "
            f"<= 1e-8 (n=801, z=i; C1 verdict {rep.verdict}; {time.time()-t0:.0f}s)")

@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mourre_lab.grid import (
-    field_to_csv,
     make_cutoffs,
     make_grid,
     make_steplike,
     mollifier,
     mollifier_derivative,
     smoothstep,
-    tail_metrics,
 )
 
 
@@ -167,34 +165,3 @@ class TestSteplike:
         g = make_grid(20.0, 321)
         with pytest.raises(ValueError):
             make_steplike(g, 0.0, 1.0, profile="staircase")
-
-
-class TestTailMetrics:
-    def test_smooth_step_tails_vanish(self):
-        g = make_grid(20.0, 321)
-        pot = make_steplike(g, 0.0, 1.0)
-        rep = tail_metrics(pot)
-        assert rep.short_range_ok
-        assert rep.long_range_ok
-        assert np.all(rep.short_range_sup_tail == 0.0)
-
-    def test_slow_tail_fails(self):
-        g = make_grid(20.0, 321)
-        x = g.nodes
-        samples = np.where(x >= 0, 1.0 + 1.0 / np.sqrt(1.0 + np.abs(x)), 0.0)
-        pot = make_steplike(g, 0.0, 1.0, profile="custom", samples=samples)
-        rep = tail_metrics(pot)
-        assert not rep.short_range_ok
-
-
-class TestFieldCsv:
-    def test_roundtrip(self, tmp_path):
-        g = make_grid(20.0, 321)
-        values = np.sin(g.nodes)
-        path = tmp_path / "field.csv"
-        field_to_csv(g, values, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,value"
-        parsed = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-        assert np.array_equal(parsed[:, 0], g.nodes)
-        assert np.array_equal(parsed[:, 1], values)

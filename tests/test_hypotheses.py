@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import channel_bases, dense
+from conftest import build_B, channel_bases, dense
 from mourre_lab import hypotheses
 from mourre_lab.grid import CutoffPair, make_cutoffs, make_grid, make_steplike, smoothstep
 from mourre_lab.hypotheses import (
@@ -14,9 +14,10 @@ from mourre_lab.hypotheses import (
     short_range_operator,
     singular_values,
 )
-from mourre_lab.operators import Band, build_B, build_commutator_longrange, build_pair
+from mourre_lab.operators import Band, build_commutator_longrange, build_pair
 from mourre_lab.spectral import (
     EnergyWindow,
+    SpectralDecomposition,
     ThinProduct,
     apply_function,
     bump,
@@ -354,16 +355,43 @@ def states(small_ops):
     return s / np.linalg.norm(s, axis=1)[:, None]
 
 
+def dense_c1_reference(opset, dec_H, z, states, steps):
+    """Q(t) psi = (e^{-itA} R(z) e^{itA} - R(z)) psi / t for each step, and
+    i[R(z), A] psi, from a full eigh of A and the n x n resolvent: the dense
+    probe that `c1_probe` replaced.  Columns are the states."""
+    a = 1j * opset.conjugate_core.dense()
+    dec_A = SpectralDecomposition(*np.linalg.eigh(a))
+    r = resolvent(dec_H, z)
+    psi = states.T
+    quotients = [(apply_function(dec_A, lambda w: np.exp(-1j * t * w)) @ r
+                  @ apply_function(dec_A, lambda w: np.exp(1j * t * w)) - r) @ psi / t
+                 for t in steps]
+    return quotients, 1j * (r @ a - a @ r) @ psi
+
+
 class TestC1Probe:
+    def test_matches_dense_reference(self, small_ops, dec_H, states):
+        # the same rounding bound as the criterion-6 golden, ROUNDING_ULPS * n * eps / t
+        rep = c1_probe(small_ops, 1j, states)
+        quotients, comm = dense_c1_reference(small_ops, dec_H, 1j, states, rep.steps)
+        norm = lambda m: np.linalg.norm(m, axis=0).max()  # max over the states
+        bounds = ROUNDING_ULPS * small_ops.n * F64_EPS / np.array(rep.steps)
+        qnorms = [norm(q) for q in quotients]
+        cauchy = [norm(b - a) for a, b in zip(quotients, quotients[1:])]
+        limit = norm(quotients[-1] - comm) / norm(comm)
+        assert np.all(np.abs(np.subtract(rep.difference_quotient_norms, qnorms)) <= bounds)
+        assert np.all(np.abs(np.subtract(rep.cauchy_defects, cauchy)) <= bounds[1:])
+        assert abs(rep.limit_mismatch - limit) <= bounds[-1]
+
     def test_verdict_and_ladder(self, small_ops, dec_H, states):
-        rep = c1_probe(small_ops, dec_H, 1j, states)
+        rep = c1_probe(small_ops, 1j, states)
         assert rep.verdict
         assert rep.limit_mismatch < 1e-3
         assert all(a > b for a, b in zip(rep.cauchy_defects, rep.cauchy_defects[1:]))
 
     def test_resolvent_identity_exact(self, small_ops, dec_H, states):
         # i[R(z), A] = -R(z) i[H,A] R(z) holds exactly at finite dimension
-        rep = c1_probe(small_ops, dec_H, 1j, states)
+        rep = c1_probe(small_ops, 1j, states)
         assert rep.resolvent_identity_defect < 1e-10
 
     def test_criterion_6_golden(self):
@@ -376,7 +404,7 @@ class TestC1Probe:
         rng = np.random.default_rng(17)
         states = rng.standard_normal((3, g.n)) + 1j * rng.standard_normal((3, g.n))
         states /= np.linalg.norm(states, axis=1)[:, None]
-        rep = c1_probe(ops, eigendecompose(ops.H), 1j, states)
+        rep = c1_probe(ops, 1j, states)
         gold = C1_GOLDEN
         bounds = ROUNDING_ULPS * g.n * F64_EPS / np.array(gold["steps"])
         assert rep.steps == gold["steps"] and rep.verdict == gold["verdict"]
@@ -387,14 +415,14 @@ class TestC1Probe:
         assert abs(rep.limit_mismatch - gold["limit_mismatch"]) <= bounds[-1]
         assert rep.resolvent_identity_defect <= 1e-8
 
-    def test_rejects_unnormalized(self, small_ops, dec_H):
+    def test_rejects_unnormalized(self, small_ops):
         bad = np.ones((1, small_ops.n), dtype=complex)
         with pytest.raises(ValueError):
-            c1_probe(small_ops, dec_H, 1j, bad)
+            c1_probe(small_ops, 1j, bad)
 
-    def test_rejects_wrong_length(self, small_ops, dec_H):
+    def test_rejects_wrong_length(self, small_ops):
         with pytest.raises(ValueError):
-            c1_probe(small_ops, dec_H, 1j, np.ones((2, 7), dtype=complex))
+            c1_probe(small_ops, 1j, np.ones((2, 7), dtype=complex))
 
 
 class TestContrastExperiment:

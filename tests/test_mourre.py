@@ -272,18 +272,26 @@ class TestVirial:
         defects = virial_defects(ops, eigendecompose(ops.H), range(20))
         assert np.max(np.abs(defects - VIRIAL_GOLDEN)) <= bound
         c = ops.commutator_iHA
-        norm = opnorm(c.dense())
+        norm = opnorm(lambda v: c @ v, lambda v: c @ v, g.n)
         assert abs(norm - COMMUTATOR_NORM_GOLDEN) <= bound * COMMUTATOR_NORM_GOLDEN
 
 
 class TestOpnorm:
     def test_matches_dense_svd(self):
         rng = np.random.default_rng(21)
-        m = rng.standard_normal((40, 25))
-        assert opnorm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-6)
+        m = rng.standard_normal((40, 25)) + 1j * rng.standard_normal((40, 25))
+        norm = opnorm(lambda v: m @ v, lambda v: m.conj().T @ v, 25)
+        assert norm == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-6)
 
     def test_zero_matrix(self):
-        assert opnorm(np.zeros((5, 5))) == 0.0
+        assert opnorm(lambda v: np.zeros(5), lambda v: np.zeros(5), 5) == 0.0
+
+    def test_band_matches_eigvalsh(self, small_ops):
+        # the norm that virial_defects divides by, from the band alone
+        c = small_ops.commutator_iHA
+        ref = np.abs(np.linalg.eigvalsh(c.dense())).max()
+        norm = opnorm(lambda v: c @ v, lambda v: c @ v, small_ops.n)
+        assert abs(norm - ref) <= ROUNDING_ULPS * small_ops.n * F64_EPS * ref
 
 
 class TestTransfer:
@@ -320,11 +328,17 @@ class TestTransfer:
             e_h = dense_eta(small_ops.H.dense(), eta)
             e_m = dense_eta(small_ops.channel_hamiltonian("-").dense(), eta)
             e_p = dense_eta(small_ops.channel_hamiltonian("+").dense(), eta)
-            lhs = e_h @ small_ops.commutator_iHA.dense() @ e_h
-            rhs = (jm[:, None] * (e_m @ cm.dense() @ e_m) * jm[None, :]
-                   + jp[:, None] * (e_p @ cp.dense() @ e_p) * jp[None, :])
-            ref = opnorm(chi[:, None] * (lhs - rhs) * chi[None, :])
-            assert rep.eone_residuals[k] == pytest.approx(ref, rel=1e-12)
+            c_h, c_m, c_p = (c.dense() @ e for c, e in ((small_ops.commutator_iHA, e_h),
+                                                       (cm, e_m), (cp, e_p)))
+            lhs = e_h @ c_h
+            rhs = (jm[:, None] * (e_m @ c_m) * jm[None, :]
+                   + jp[:, None] * (e_p @ c_p) * jp[None, :])
+            ref = np.linalg.norm(chi[:, None] * (lhs - rhs) * chi[None, :], 2)
+            # each eta(.) from an eigh carries a rounding of ROUNDING_ULPS * n * eps
+            # in norm, and multiplies C eta(.) of norm ||C eta(.)||; the residual,
+            # a near cancellation of the two sides, does not shrink that error
+            scale = max(np.linalg.norm(c, 2) for c in (c_h, c_m, c_p))
+            assert abs(rep.eone_residuals[k] - ref) <= ROUNDING_ULPS * small_ops.n * F64_EPS * scale
 
 
 def test_import_and_transfer_leave_scipy_unloaded():

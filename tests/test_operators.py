@@ -1,12 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import channel_bases
+from conftest import build_B, build_B_pm, channel_bases
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import (
     Band,
-    build_B,
-    build_B_pm,
     build_commutator_longrange,
     build_laplacian,
     build_momentum_core,
@@ -245,3 +246,34 @@ class TestMatrixIO:
         path.write_text("1,0 0,0\n")
         with pytest.raises(ValueError):
             load_matrix(path)
+
+
+def dense_callers(path: Path) -> set:
+    """'module.function' (or 'module.Class.method') of every `.dense()` call in a
+    source file, named by its outermost function; a call outside any function
+    is named by the module alone."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    not scope or isinstance(node, ast.ClassDef)):
+                inner = scope + [child.name]
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "dense"):
+                found.add(".".join([path.stem] + scope))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), [])
+    return found
+
+
+def test_only_the_dense_fallbacks_densify_a_band():
+    """`Band.dense()` builds an n x n array: only the dense fallbacks of the two
+    band solvers and the text export may call it."""
+    src = Path(__file__).resolve().parents[1] / "src" / "mourre_lab"
+    callers = set().union(*(dense_callers(p) for p in src.glob("*.py")))
+    assert "operators.save_matrix" in callers  # the scan sees the calls it should
+    assert callers <= {"spectral.eigendecompose", "spectral.resolvent_solve",
+                       "operators.save_matrix"}

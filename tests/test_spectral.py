@@ -23,7 +23,6 @@ from mourre_lab.spectral import (
     resolvent_solve,
     sandwich,
     scattering_projector,
-    spectral_projection,
     thin_sum,
 )
 
@@ -151,16 +150,6 @@ class TestWindows:
         with pytest.raises(ValueError):
             EnergyWindow(1.0, 0.0)
 
-    def test_projection_idempotent(self, dec):
-        p = spectral_projection(dec, EnergyWindow(1.0, 0.3))
-        assert np.allclose(p @ p, p, atol=1e-12)
-        assert np.allclose(p, p.T, atol=1e-14)
-
-    def test_projection_rank_counts_window(self, dec):
-        win = EnergyWindow(1.0, 0.3)
-        p = spectral_projection(dec, win)
-        assert round(np.trace(p)) == int(dec.window_mask(win).sum())
-
 
 class TestApplyFunction:
     def test_identity_function(self, small_ops, dec):
@@ -252,7 +241,7 @@ class TestDirichletDecomposition:
         ref = eigendecompose(small_ops.neglap)
         ref = SpectralDecomposition(ref.eigenvalues + shift, ref.eigenvectors)
         win = EnergyWindow(lam, eps)
-        sel = ref.window_mask(win)
+        sel = win.contains(ref.eigenvalues)
         closed = dirichlet_decomposition(n, dx, shift, win.contains)
         assert closed.eigenvalues.size == np.count_nonzero(sel) > 0
         assert closed.eigenvectors.shape == (n, closed.eigenvalues.size)
