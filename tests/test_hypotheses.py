@@ -33,7 +33,8 @@ F64_EPS = np.finfo(float).eps
 ROUNDING_ULPS = 16.0  # as in test_golden: an eigenbasis is orthonormal to a modest multiple of n*eps
 
 # Criterion 6 of test_acceptance (L = 40, n = 801, z = i, three seeded states),
-# frozen from the dense probe of the parent (full eigh of A, n x n resolvent).
+# frozen from the dense probe that c1_probe replaced (full eigh of A, n x n
+# resolvent; `dense_c1_reference` below).
 C1_GOLDEN = {
     "steps": [1e-2, 1e-3, 1e-4, 1e-5],
     "difference_quotient_norms": [0.5853484861291425, 0.8015329569006799,
@@ -383,13 +384,13 @@ class TestC1Probe:
         assert np.all(np.abs(np.subtract(rep.cauchy_defects, cauchy)) <= bounds[1:])
         assert abs(rep.limit_mismatch - limit) <= bounds[-1]
 
-    def test_verdict_and_ladder(self, small_ops, dec_H, states):
+    def test_verdict_and_ladder(self, small_ops, states):
         rep = c1_probe(small_ops, 1j, states)
         assert rep.verdict
         assert rep.limit_mismatch < 1e-3
         assert all(a > b for a, b in zip(rep.cauchy_defects, rep.cauchy_defects[1:]))
 
-    def test_resolvent_identity_exact(self, small_ops, dec_H, states):
+    def test_resolvent_identity_exact(self, small_ops, states):
         # i[R(z), A] = -R(z) i[H,A] R(z) holds exactly at finite dimension
         rep = c1_probe(small_ops, 1j, states)
         assert rep.resolvent_identity_defect < 1e-10

@@ -35,7 +35,7 @@ F64_EPS = np.finfo(float).eps
 ROUNDING_ULPS = 16.0  # as in test_golden: an eigenbasis is orthonormal to a modest multiple of n*eps
 
 # Criterion 4 of test_acceptance (L = 40, n = 1601, well of depth 2), frozen
-# from the dense power iteration of the parent: |<u_k, i[H,A] u_k>| / ||i[H,A]||
+# when opnorm still took the dense matrix: |<u_k, i[H,A] u_k>| / ||i[H,A]||
 # for the 20 lowest eigenvectors of the dense eigh, and ||i[H,A]|| itself.
 VIRIAL_GOLDEN = [
     1.354024492157676e-19, 7.206314063816674e-21, 2.3661228412772548e-20,
