@@ -9,48 +9,24 @@ t -> e^{-itA} R(z) e^{itA} and the exact resolvent commutator identity.
 
 import numpy as np
 
-from mourre_lab import (
-    assumption_operator,
-    build_pair,
-    c1_probe,
-    compactness_report,
-    eigendecompose,
-    long_range_operator,
-    make_cutoffs,
-    make_grid,
-    make_steplike,
-    short_range_operator,
-)
-from mourre_lab.spectral import EnergyWindow, ThinProduct, bump
+from mourre_lab import build_pair, bump, c1_probe, make_cutoffs, make_grid, make_steplike
+from mourre_lab.hypotheses import OPERATOR_TAGS, compactness_ladder
 
 
-def build(L, n, eta):
-    """The operators and the pairs of H where eta is nonzero (its window)."""
+def build(L, n):
     grid = make_grid(L, n)
-    ops = build_pair(grid, make_steplike(grid, 0.0, 1.0), make_cutoffs(grid))
-    return ops, eigendecompose(ops.H, EnergyWindow(eta.center, eta.width))
+    return build_pair(grid, make_steplike(grid, 0.0, 1.0), make_cutoffs(grid))
 
 
 def main():
     levels = [(40.0, 801), (40.0, 1601)]
-    eta = bump(0.5, 0.4)
-    cache = {key: build(*key, eta) for key in levels}
-
-    builders = {
-        "ii": lambda L, n: assumption_operator(*cache[(L, n)], "ii", eta),
-        "iii": lambda L, n: assumption_operator(*cache[(L, n)], "iii", eta),
-        "iv": lambda L, n: assumption_operator(*cache[(L, n)], "iv", eta),
-        "short": lambda L, n: short_range_operator(cache[(L, n)][0], 1j)[0],
-        "long": lambda L, n: long_range_operator(cache[(L, n)][0]),
-        "identity": lambda L, n: ThinProduct(np.eye(n), np.eye(n), np.eye(n)),
-    }
+    ladder = compactness_ladder(build, levels, bump(0.5, 0.4), OPERATOR_TAGS)
     print(f"{'operator':>9} {'verdict':>20} {'max tail ratio':>15} {'drift':>9}")
-    for tag, builder in builders.items():
-        rep = compactness_report(builder, levels, label=tag)
+    for tag, rep in ladder.items():
         print(f"{tag:>9} {rep.verdict:>20} {max(rep.tail_ratio):15.3e} "
               f"{rep.stability:9.3e}")
 
-    ops = cache[(40.0, 801)][0]  # the C1 probe moves only its test states
+    ops = build(40.0, 801)  # the C1 probe moves only its test states
     rng = np.random.default_rng(5)
     states = rng.standard_normal((3, 801)) + 1j * rng.standard_normal((3, 801))
     states /= np.linalg.norm(states, axis=1)[:, None]

@@ -20,10 +20,11 @@ from typing import Optional
 
 import numpy as np
 
+from .hypotheses import OPERATOR_TAGS, compactness_ladder
+
 SCHEMA_VERSION = "1"
 EXPERIMENTS = ("rho-scan", "transfer", "hypotheses", "scatter", "completeness")
 THREADS_ENV = "MOURRE_LAB_THREADS"
-OPERATOR_TAGS = ("ii", "iii", "iv", "short", "long", "identity")
 
 # Each experiment's `params` keys and defaults (the README params table); a
 # given value must have the JSON type of its default.  An empty list stands
@@ -279,46 +280,17 @@ def _run_transfer(cfg: ExperimentConfig, p: dict):
 
 
 def _run_hypotheses(cfg: ExperimentConfig, p: dict):
-    from .hypotheses import (
-        assumption_operator,
-        compactness_report,
-        long_range_operator,
-        short_range_operator,
-    )
-    from .spectral import EnergyWindow, ThinProduct, bump, eigendecompose
+    from .spectral import bump
 
     levels = [tuple(lv) for lv in p["levels"] or [[cfg.L, 401], [cfg.L, 801]]]
-    eta = bump(float(p["eta_center"]), float(p["eta_width"]))
-    window = EnergyWindow(eta.center, eta.width)  # exactly where the bump eta is nonzero
-    z = 1j
-
-    cache: dict = {}
-
-    def level_data(L, n):
-        key = (L, n)
-        if key not in cache:
-            opset = _build(cfg, p, L=L, n=n)
-            cache[key] = (opset, eigendecompose(opset.H, window))
-        return cache[key]
-
-    def make_builder(tag):
-        def build(L, n):
-            opset, dec_H = level_data(L, n)
-            if tag in ("ii", "iii", "iv"):
-                return assumption_operator(opset, dec_H, tag, eta)
-            if tag == "short":
-                return short_range_operator(opset, z)[0]
-            if tag == "long":
-                return long_range_operator(opset)
-            eye = np.eye(n)  # "identity", the one tag left (load_config checks them)
-            return ThinProduct(eye, eye, eye)
-        return build
-
+    ladder = compactness_ladder(lambda L, n: _build(cfg, p, L=L, n=n), levels,
+                                bump(float(p["eta_center"]), float(p["eta_width"])),
+                                p["operators"])
     reports = {}
     verdict = True
     sv_rows = []
     for tag in p["operators"]:
-        rep = compactness_report(make_builder(tag), levels, label=tag)
+        rep = ladder[tag]
         reports[tag] = asdict(rep)
         del reports[tag]["operator_label"]
         want = "non-compact" if tag == "identity" else "compact-consistent"

@@ -9,20 +9,20 @@ orders of magnitude and are configurable.
 On the box every surrogate is a product of thin factors (eta and the
 plateau have compact support, the long-range middle term lives on a few
 nodes): each builder returns a `ThinProduct`, and `singular_values` takes
-a QR of each thin factor and one SVD of the small core that is left; a
-core still wider than four times a range finder's top + 10 columns gets
-its top values from that finder, kept only when a residual certifies
-them.  The builders read thin data only.  (ii)-(iv) take the eigenpairs
-of H where eta is nonzero (for a bump, `eigendecompose(H,
-EnergyWindow(center, width))`) and the channel eigenpairs there in closed
-form from `dirichlet_decomposition`; the short- and long-range surrogates
-apply R(z) and R0(z) to thin blocks by tridiagonal solves
-(`resolvent_solve`).  No full basis of H or of a channel is built.
+a QR of each thin factor and one SVD of the small core that is left.  The
+identity control needs neither: its singular values are 1 in closed form.
+`compactness_ladder` runs a whole ladder, with one build and one window of
+H per level shared by every tag.  The builders read thin data only.
+(ii)-(iv) take the eigenpairs of H where eta is nonzero (for a bump,
+`eigendecompose(H, EnergyWindow(center, width))`) and the channel
+eigenpairs there in closed form from `dirichlet_decomposition`; the
+short- and long-range surrogates apply R(z) and R0(z) to thin blocks by
+tridiagonal solves (`resolvent_solve`).  No full basis of H or of a
+channel is built.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +30,7 @@ import numpy as np
 
 from .operators import Band, OperatorSet, build_commutator_longrange
 from .spectral import (
+    EnergyWindow,
     SmoothingFunction,
     SpectralDecomposition,
     ThinProduct,
@@ -44,15 +45,21 @@ from .spectral import (
 )
 
 __all__ = [
+    "OPERATOR_TAGS",
     "CompactnessReport",
     "C1Report",
     "assumption_operator",
+    "compactness_ladder",
     "compactness_report",
     "short_range_operator",
     "long_range_operator",
     "c1_probe",
     "singular_values",
 ]
+
+# The surrogates of a compactness ladder: assumptions (ii)-(iv), the short-
+# and long-range differences, and the identity as the non-compact control.
+OPERATOR_TAGS = ("ii", "iii", "iv", "short", "long", "identity")
 
 
 @dataclass(frozen=True)
@@ -123,67 +130,27 @@ def assumption_operator(
                     term(uh, fh, opset.conjugate_core, np.ones(n), -1.0))
 
 
-_OVERSAMPLE = 10  # range-finder columns beyond the top values sought
-
-
 def singular_values(left: np.ndarray, core: np.ndarray, right: np.ndarray,
                     top: int = 40) -> np.ndarray:
     """Leading singular values of left @ core @ right^dagger, zero-padded to
     min(top, rows, cols) values: a tall factor F = Q R (orthonormal Q) is
-    replaced by R, and one SVD of the small core that is left gives them.
-    When that core's smaller side still exceeds four times the range
-    finder's width top + 10, `_top_singular_values` is tried first, and the
-    SVD runs only if its residuals are too large; a narrower core, such as
-    a top = 1 residual core of `transfer_verify`, would gain nothing from it."""
+    replaced by R, and one SVD of the small core that is left gives them."""
     count = min(top, left.shape[0], right.shape[0])
     rl, rr = (np.linalg.qr(f, mode="r") if f.shape[0] > f.shape[1] else f for f in (left, right))
-    if min(rl.shape[0], rr.shape[0]) > 4 * (top + _OVERSAMPLE):
-        sv = _top_singular_values(rl, core, rr, top)
-        if sv is not None:
-            return sv
     sv = np.linalg.svd(rl @ core @ rr.conj().T, compute_uv=False)[:count]
     return np.pad(sv, (0, count - sv.size))
 
 
-def _top_singular_values(left: np.ndarray, core: np.ndarray, right: np.ndarray,
-                         top: int) -> Optional[np.ndarray]:
-    """The top singular values of M = left @ core @ right^dagger, applied to
-    blocks and never formed, or None when they are not certified.
-
-    A randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53,
-    2011) with top + 10 Gaussian columns of a fixed seed and one power step
-    gives an orthonormal Q; the SVD of B = Q^dagger M gives Ritz triplets
-    (theta_j, u_j = Q ub_j, v_j).  M^dagger u_j = theta_j v_j holds by
-    construction, so only ||M v_j - theta_j u_j|| carries information: the
-    values are kept when it is at most sqrt(r * eps) * theta_1 for every
-    returned j, with r the smaller side of M.
-    """
-    def apply(x):
-        return left @ (core @ (right.conj().T @ x))
-
-    def apply_h(y):
-        return right @ (core.conj().T @ (left.conj().T @ y))
-
-    omega = np.random.default_rng(0).standard_normal((right.shape[0], top + _OVERSAMPLE))
-    q = np.linalg.qr(apply(omega))[0]
-    q = np.linalg.qr(apply(np.linalg.qr(apply_h(q))[0]))[0]
-    ub, theta, vh = np.linalg.svd(apply_h(q).conj().T, full_matrices=False)
-    u, theta, v = q @ ub[:, :top], theta[:top], vh[:top].conj().T
-    residual = np.linalg.norm(apply(v) - u * theta, axis=0)
-    bound = math.sqrt(min(left.shape[0], right.shape[0]) * np.finfo(float).eps) * theta[0]
-    return theta if np.all(residual <= bound) else None
-
-
 def compactness_report(
-    builder: Callable[[float, int], ThinProduct],
+    spectrum: Callable[[float, int], np.ndarray],
     levels: Sequence[tuple[float, int]],
     label: str = "",
-    top: int = 40,
     drift_tol: float = 0.10,
     tail_tol: float = 1e-2,
     flat_tail: float = 0.5,
 ) -> CompactnessReport:
-    """Classify an operator family as compact-consistent / non-compact.
+    """Classify an operator family as compact-consistent / non-compact from
+    spectrum(L, n), its top singular values at each level.
 
     compact-consistent: sigma_1..10 drift < drift_tol across levels and
     sigma_20/sigma_1 < tail_tol at the finest level; non-compact:
@@ -194,8 +161,7 @@ def compactness_report(
     svs, tails = [], []
     for (L, n) in levels:
         try:
-            op = builder(L, n)
-            sv = singular_values(op.left, op.core, op.right, top=top)
+            sv = spectrum(L, n)
         except Exception as exc:
             raise RuntimeError(f"builder failed at level (L={L}, n={n}): {exc}") from exc
         svs.append(sv)
@@ -277,6 +243,48 @@ def long_range_operator(opset: OperatorSet) -> ThinProduct:
     m = (mid @ unit)[nodes]  # M_SS
     r = resolvent_solve(opset.H, 1j, unit)  # R(i)[:, S]
     return thin_sum(ThinProduct(r, 0.5 * m, r.conj()), ThinProduct(r.conj(), 0.5 * m.T, r))
+
+
+def compactness_ladder(
+    build: Callable[[float, int], OperatorSet],
+    levels: Sequence[tuple[float, int]],
+    eta: SmoothingFunction,
+    tags: Sequence[str],
+    z: complex = 1j,
+    top: int = 40,
+) -> dict:
+    """{tag: CompactnessReport} for each surrogate tag of OPERATOR_TAGS over
+    the levels, with build(L, n) the OperatorSet of a level.
+
+    Each level is built once, with the pairs of H where the bump eta is
+    nonzero, and shared by every tag; the short-range surrogate takes z.
+    The identity control is sigma_k = 1, k <= min(top, n), in closed form.
+    """
+    unknown = [tag for tag in tags if tag not in OPERATOR_TAGS]
+    if unknown:
+        raise ValueError(f"unknown operator tag(s) {unknown}; expected some of "
+                         f"{list(OPERATOR_TAGS)}")
+    window = EnergyWindow(eta.center, eta.width)  # exactly where the bump eta is nonzero
+    cache: dict = {}
+
+    def spectrum(tag):
+        def top_values(L, n):
+            if tag == "identity":
+                return np.ones(min(top, n))
+            if (L, n) not in cache:
+                opset = build(L, n)
+                cache[(L, n)] = opset, eigendecompose(opset.H, window)
+            opset, dec_H = cache[(L, n)]
+            if tag == "short":
+                op = short_range_operator(opset, z)[0]
+            elif tag == "long":
+                op = long_range_operator(opset)
+            else:
+                op = assumption_operator(opset, dec_H, tag, eta)
+            return singular_values(op.left, op.core, op.right, top=top)
+        return top_values
+
+    return {tag: compactness_report(spectrum(tag), levels, label=tag) for tag in tags}
 
 
 def c1_probe(

@@ -18,13 +18,7 @@ import pytest
 from conftest import channel_bases, well_bump
 from mourre_lab.cli import ExperimentConfig, run
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
-from mourre_lab.hypotheses import (
-    assumption_operator,
-    c1_probe,
-    compactness_report,
-    long_range_operator,
-    short_range_operator,
-)
+from mourre_lab.hypotheses import OPERATOR_TAGS, c1_probe, compactness_ladder
 from mourre_lab.mourre import (
     analytic_rho,
     estimate_rho_window,
@@ -38,7 +32,7 @@ from mourre_lab.scattering import (
     make_channel_packet,
     scattering_coefficients,
 )
-from mourre_lab.spectral import EnergyWindow, ThinProduct, bump, eigendecompose
+from mourre_lab.spectral import EnergyWindow, bump, eigendecompose
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -128,33 +122,9 @@ def test_criterion_4_virial(well_1601):
 def test_criterion_5_compactness_surrogates():
     t0 = time.time()
     levels = [(40.0, 801), (40.0, 1601), (40.0, 3201)]
-    eta = bump(0.5, 0.4)
-    cache = {}
-
-    def data(L, n):
-        if (L, n) not in cache:
-            ops = build_ops(L, n)  # (ii)-(iv) read H only where the bump eta is nonzero
-            cache[(L, n)] = ops, eigendecompose(ops.H, EnergyWindow(eta.center, eta.width))
-        return cache[(L, n)]
-
-    def make_builder(tag):
-        def builder(L, n):
-            ops, dec_H = data(L, n)
-            if tag in ("ii", "iii", "iv"):
-                return assumption_operator(ops, dec_H, tag, eta)
-            if tag == "short":
-                return short_range_operator(ops, 1j)[0]
-            if tag == "long":
-                return long_range_operator(ops)
-            eye = np.eye(n)
-            return ThinProduct(eye, eye, eye)
-        return builder
-
-    verdicts, tails = {}, {}
-    for tag in ("ii", "iii", "iv", "short", "long", "identity"):
-        rep = compactness_report(make_builder(tag), levels, label=tag)
-        verdicts[tag] = rep.verdict
-        tails[tag] = max(rep.tail_ratio)
+    ladder = compactness_ladder(build_ops, levels, bump(0.5, 0.4), OPERATOR_TAGS)
+    verdicts = {tag: rep.verdict for tag, rep in ladder.items()}
+    tails = {tag: max(rep.tail_ratio) for tag, rep in ladder.items()}
     ok_compact = all(verdicts[t] == "compact-consistent"
                      for t in ("ii", "iii", "iv", "short", "long"))
     ok_control = verdicts["identity"] == "non-compact"

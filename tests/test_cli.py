@@ -255,8 +255,8 @@ class TestRun:
             calls["dirichlet"].append(where)
             return dirichlet(n, dx, shift, where)
 
-        monkeypatch.setattr(spectral, "eigendecompose", recorded_eig)
         for module in (spectral, hypotheses):
+            monkeypatch.setattr(module, "eigendecompose", recorded_eig)
             monkeypatch.setattr(module, "dirichlet_decomposition", recorded_dirichlet)
         monkeypatch.setattr(Band, "dense", lambda self: pytest.fail("dense band formed"))
         cfg = ExperimentConfig(experiment="hypotheses", out_dir=str(tmp_path), params={
@@ -307,9 +307,9 @@ class TestMain:
         assert (out / "rho_scan.csv").exists()
 
     def test_threads_without_bundled_openblas_is_exit_2(self, tmp_path, capsys, monkeypatch):
-        import glob
+        from mourre_lab import blas
 
-        monkeypatch.setattr(glob, "glob", lambda pattern: [])
+        monkeypatch.setattr(blas, "bundled_openblas", lambda: None)
         path = write_config(tmp_path, "c.json", dict(SMALL, experiment="rho-scan",
                                                      params={"lambdas": [0.5]}))
         assert main(["rho-scan", "--config", str(path), "--out", str(tmp_path),
@@ -345,3 +345,27 @@ def test_threads_flag_sets_blas_thread_count(tmp_path):
     status, want, got = map(int, out.stdout.split())
     assert status == 0
     assert got == want
+
+
+def test_hypotheses_run_leaves_numpy_random_unloaded(tmp_path):
+    """Nothing in a run draws random numbers (README): a hypotheses run of all
+    six surrogates never imports numpy.random.
+
+    Runs in a child interpreter, whose modules are its own.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
+    path = write_config(tmp_path, "c.json", dict(SMALL, experiment="hypotheses", L=40.0, params={
+        "levels": [[40.0, 161], [40.0, 321]], "operators": list(cli.OPERATOR_TAGS)}))
+    code = (
+        "import sys\n"
+        "from mourre_lab import cli\n"
+        "status = cli.main(['hypotheses', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(status, 'numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    status, loaded = out.stdout.split()
+    assert status in ("0", "1")  # a verdict, not an execution error
+    assert loaded == "False"

@@ -30,9 +30,9 @@ value, never an observed drift:
 - verdicts are labels and must match exactly;
 - propagated norms and E1 residuals are built from an eigenbasis
   orthonormal to a modest multiple of n * eps, bounded by
-  ROUNDING_ULPS * n * eps (relative to max(1, |value|)); a residual is an
-  `opnorm`, whose power iteration also stops at a relative step of
-  OPNORM_RTOL;
+  ROUNDING_ULPS * n * eps (relative to max(1, |value|)); a residual is the
+  top singular value of thin factors (`singular_values(..., top=1)`), a
+  QR and an SVD that add only rounding of the same order;
 - completeness norms, the range defect and the scattering R, T and
   |R + T - 1| are norms and masses of propagated states.  A state moved by
   U diag(e^{-itw}) U^T carries a relative error of about n * eps (U is
@@ -61,7 +61,6 @@ from mourre_lab.cli import ExperimentConfig, run
 GOLDEN = Path(__file__).with_name("golden.json")
 F64_EPS = 2.220446049250313e-16
 BISECT_TOL = 1e-3
-OPNORM_RTOL = 1e-12
 ROUNDING_ULPS = 16.0
 
 BASE = {"L": 40.0, "v_minus": 0.0, "v_plus": 1.0, "profile": "smooth_step"}
@@ -140,10 +139,6 @@ def _rounding_tol(n: int):
     return lambda ref: ROUNDING_ULPS * n * F64_EPS * max(1.0, abs(ref))
 
 
-def _residual_tol(n: int):
-    return lambda ref: OPNORM_RTOL * abs(ref) + _rounding_tol(n)(ref)
-
-
 def _exact(ref: float) -> float:
     return 0.0
 
@@ -175,7 +170,7 @@ def compare(name: str, got: dict, ref: dict) -> list[str]:
                   "rho_corrected": _rho_tol, "margin": _rho_tol}
     elif experiment == "transfer":
         checks = {"lambda_samples": _exact, "excluded": _exact, "rho_H_estimate": _rho_tol,
-                  "margins": _rho_tol, "eone_residuals": _residual_tol(n)}
+                  "margins": _rho_tol, "eone_residuals": _rounding_tol(n)}
     elif experiment in ("completeness", "scatter"):
         rounding = _rounding_tol(n)
         checks = ({"froufrou_norms": rounding, "converse_norms": rounding,

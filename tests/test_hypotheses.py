@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import build_B, channel_bases, dense
-from mourre_lab import hypotheses
 from mourre_lab.grid import CutoffPair, make_cutoffs, make_grid, make_steplike, smoothstep
 from mourre_lab.hypotheses import (
     assumption_operator,
     c1_probe,
+    compactness_ladder,
     compactness_report,
     long_range_operator,
     short_range_operator,
@@ -48,11 +48,6 @@ C1_GOLDEN = {
 @pytest.fixture(scope="module")
 def eta():
     return bump(0.5, 0.4)
-
-
-def identity(n: int) -> ThinProduct:
-    eye = np.eye(n)
-    return ThinProduct(eye, eye, eye)
 
 
 def dense_reference(opset, dec_H, tag, eta):
@@ -240,92 +235,79 @@ class TestSingularValues:
         assert singular_values(v, np.eye(2), v, top=5).shape == (5,)
         assert singular_values(v[:, :0], np.zeros((0, 0)), v[:4, :0]).shape == (4,)
 
-
-def _rotation(n: int, seed: int) -> np.ndarray:
-    return np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
-
-
-@pytest.fixture
-def top_k_results(monkeypatch):
-    """Records what each call of the top-k path returned (None: not certified)."""
-    results = []
-    original = hypotheses._top_singular_values
-
-    def recorded(*args):
-        results.append(original(*args))
-        return results[-1]
-
-    monkeypatch.setattr(hypotheses, "_top_singular_values", recorded)
-    return results
-
-
-class TestTopSingularValues:
-    """The randomized path taken for cores wider than 4 (top + 10) after the QR reductions."""
-
-    def test_identity_exact_and_repeatable(self, top_k_results):
-        a = singular_values(*dataclasses.astuple(identity(801)))
-        b = singular_values(*dataclasses.astuple(identity(801)))
-        assert len(top_k_results) == 2 and top_k_results[0] is not None
-        assert a.shape == (40,) and np.max(np.abs(a - 1.0)) <= 4 * F64_EPS
-        assert np.array_equal(a, b)
-
-    def test_fast_decay_certified(self, top_k_results):
-        n = 700
-        sigma = 0.8 ** np.arange(n)
-        u, v = _rotation(n, 1), _rotation(n, 2)
-        sv = singular_values(u, np.diag(sigma), v)
-        ref = np.linalg.svd(u @ np.diag(sigma) @ v.T, compute_uv=False)[:40]
-        assert top_k_results[0] is not None
-        assert np.max(np.abs(sv - ref)) <= np.sqrt(n * F64_EPS) * ref[0]
-
-    def test_slow_decay_falls_back_to_exact(self, top_k_results):
-        # one power step misses sigma_j = 0.99^j by several percent; the
-        # residual ||M v_j - theta_j u_j|| sees it, ||M^H u_j - theta_j v_j|| = 0 cannot
-        n = 700
-        u, v, core = _rotation(n, 3), _rotation(n, 4), np.diag(0.99 ** np.arange(n))
-        sv = singular_values(u, core, v)
-        assert top_k_results == [None]
-        assert np.array_equal(sv, np.linalg.svd(u @ core @ v.T, compute_uv=False)[:40])
-
-    @pytest.mark.parametrize("side", [80, 81])
-    def test_threshold_on_reduced_core(self, top_k_results, side):
-        # tall factors are reduced by QR first; only a reduced side above
-        # 4 (top + 10) goes top-k
+    def test_tall_factors_reduced_by_qr(self):
+        # a QR of each tall factor, then one SVD of the core left: bitwise
         rng = np.random.default_rng(37)
-        left, right = rng.standard_normal((300, side)), rng.standard_normal((250, side))
-        core = np.diag(0.5 ** np.arange(side))
+        left, right = rng.standard_normal((300, 80)), rng.standard_normal((250, 80))
+        core = np.diag(0.5 ** np.arange(80))
         sv = singular_values(left, core, right, top=10)
-        assert len(top_k_results) == (side > 80)
-        if side == 80:  # the exact path, bitwise
-            rl, rr = np.linalg.qr(left, mode="r"), np.linalg.qr(right, mode="r")
-            assert np.array_equal(sv, np.linalg.svd(rl @ core @ rr.T, compute_uv=False)[:10])
+        rl, rr = np.linalg.qr(left, mode="r"), np.linalg.qr(right, mode="r")
+        assert np.array_equal(sv, np.linalg.svd(rl @ core @ rr.T, compute_uv=False)[:10])
+
+    def test_square_identity_core(self):
+        # square factors are not reduced: the SVD runs on the full n x n core
+        eye = np.eye(101)
+        sv = singular_values(eye, eye, eye)
+        assert sv.shape == (40,) and np.max(np.abs(sv - 1.0)) <= 4 * F64_EPS
+
+
+LEVELS = [(20.0, 101), (20.0, 201)]
 
 
 class TestCompactnessReport:
     def test_identity_control_non_compact(self):
-        rep = compactness_report(lambda L, n: identity(n), [(20.0, 101), (20.0, 201)],
-                                 label="identity")
+        rep = compactness_report(lambda L, n: np.ones(min(40, n)), LEVELS, label="identity")
         assert rep.verdict == "non-compact"
-        assert all(t == pytest.approx(1.0) for t in rep.tail_ratio)
+        assert rep.tail_ratio == [1.0, 1.0]
 
     def test_rank_one_control_compact(self):
-        def builder(L, n):
+        def spectrum(L, n):
             v = np.ones((n, 1)) / np.sqrt(n)
-            return ThinProduct(v, np.eye(1), v)
+            return singular_values(v, np.eye(1), v)
 
-        rep = compactness_report(builder, [(20.0, 101), (20.0, 201)], label="rank1")
+        rep = compactness_report(spectrum, LEVELS, label="rank1")
         assert rep.verdict == "compact-consistent"
 
     def test_needs_two_levels(self):
         with pytest.raises(ValueError):
-            compactness_report(lambda L, n: identity(n), [(20.0, 101)])
+            compactness_report(lambda L, n: np.ones(min(40, n)), LEVELS[:1])
 
     def test_builder_failure_tagged(self):
         def bad(L, n):
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="L=20"):
-            compactness_report(bad, [(20.0, 101), (20.0, 201)])
+            compactness_report(bad, LEVELS)
+
+
+class TestCompactnessLadder:
+    def test_unknown_tag_named(self, eta):
+        with pytest.raises(ValueError, match="'v'"):
+            compactness_ladder(lambda L, n: pytest.fail("built"), LEVELS, eta, ["ii", "v"])
+
+    def test_identity_exact_without_a_build(self, eta):
+        rep = compactness_ladder(lambda L, n: pytest.fail("built"), LEVELS + [(20.0, 31)],
+                                 eta, ["identity"])["identity"]
+        assert [sv.tolist() for sv in rep.singular_values] == [[1.0] * 40] * 2 + [[1.0] * 31]
+        assert rep.tail_ratio == [1.0] * 3 and rep.stability == 0.0
+        assert rep.verdict == "non-compact"
+
+    def test_one_build_per_level_shared_by_tags(self, small_ops, eta):
+        # each tag's spectrum is singular_values of its builder, bitwise
+        built = []
+
+        def build(L, n):
+            built.append((L, n))
+            return small_ops
+
+        levels = [(20.0, 321), (20.0, 322)]  # two keys, one operator set
+        ladder = compactness_ladder(build, levels, eta, ("ii", "short", "long"))
+        assert built == levels
+        window = eigendecompose(small_ops.H, EnergyWindow(eta.center, eta.width))
+        for tag, rep in ladder.items():
+            op = factored(small_ops, window, tag, eta)
+            want = singular_values(op.left, op.core, op.right)
+            assert all(np.array_equal(sv, want) for sv in rep.singular_values)
 
 
 class TestShortLongRange:
