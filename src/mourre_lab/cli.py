@@ -145,10 +145,14 @@ def load_config(path, experiment: Optional[str] = None,
                               f"n an odd integer >= 16, got {json.dumps(level)}")
     if p.get("n_times", 2) < 2:
         raise ConfigError(f"params.n_times: need at least two times, got {p['n_times']}")
-    unknown = [tag for tag in cfg.params.get("operators", []) if tag not in OPERATOR_TAGS]
+    tags = cfg.params.get("operators", [])
+    unknown = [tag for tag in tags if tag not in OPERATOR_TAGS]
     if unknown:
         raise ConfigError(f"params.operators: unknown tag(s) {unknown}; "
                           f"expected some of {list(OPERATOR_TAGS)}")
+    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if repeated:
+        raise ConfigError(f"params.operators: repeated tag(s) {repeated}")
     return cfg
 
 
@@ -289,10 +293,8 @@ def _run_hypotheses(cfg: ExperimentConfig, p: dict):
     reports = {}
     verdict = True
     sv_rows = []
-    for tag in p["operators"]:
-        rep = ladder[tag]
+    for tag, rep in ladder.items():
         reports[tag] = asdict(rep)
-        del reports[tag]["operator_label"]
         want = "non-compact" if tag == "identity" else "compact-consistent"
         verdict = verdict and rep.verdict == want
         for li, sv in enumerate(rep.singular_values):

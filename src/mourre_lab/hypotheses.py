@@ -11,14 +11,16 @@ plateau have compact support, the long-range middle term lives on a few
 nodes): each builder returns a `ThinProduct`, and `singular_values` takes
 a QR of each thin factor and one SVD of the small core that is left.  The
 identity control needs neither: its singular values are 1 in closed form.
-`compactness_ladder` runs a whole ladder, with one build and one window of
-H per level shared by every tag.  The builders read thin data only.
+`compactness_ladder` runs a whole ladder in one pass over its levels: it
+builds each level once, computes every tag's singular values there and
+releases the level before building the next; `compactness_report` then
+classifies the values of each tag.  The builders read thin data only.
 (ii)-(iv) take the eigenpairs of H where eta is nonzero (for a bump,
-`eigendecompose(H, EnergyWindow(center, width))`) and the channel
-eigenpairs there in closed form from `dirichlet_decomposition`; the
-short- and long-range surrogates apply R(z) and R0(z) to thin blocks by
-tridiagonal solves (`resolvent_solve`).  No full basis of H or of a
-channel is built.
+`eigendecompose(H, EnergyWindow(center, width))`, which the ladder takes
+only for a ladder with one of these tags) and the channel eigenpairs
+there in closed form from `dirichlet_decomposition`; the short- and
+long-range surrogates apply R(z) and R0(z) to thin blocks by tridiagonal
+solves (`resolvent_solve`).  No full basis of H or of a channel is built.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ OPERATOR_TAGS = ("ii", "iii", "iv", "short", "long", "identity")
 
 @dataclass(frozen=True)
 class CompactnessReport:
-    operator_label: str
     refinement_levels: list          # (L, n) per level
     singular_values: list            # top-m array per level
     tail_ratio: list                 # sigma_20 / sigma_1 per level
@@ -142,15 +143,14 @@ def singular_values(left: np.ndarray, core: np.ndarray, right: np.ndarray,
 
 
 def compactness_report(
-    spectrum: Callable[[float, int], np.ndarray],
+    svs: Sequence[np.ndarray],
     levels: Sequence[tuple[float, int]],
-    label: str = "",
     drift_tol: float = 0.10,
     tail_tol: float = 1e-2,
     flat_tail: float = 0.5,
 ) -> CompactnessReport:
     """Classify an operator family as compact-consistent / non-compact from
-    spectrum(L, n), its top singular values at each level.
+    svs, its top singular values at each of the levels.
 
     compact-consistent: sigma_1..10 drift < drift_tol across levels and
     sigma_20/sigma_1 < tail_tol at the finest level; non-compact:
@@ -158,15 +158,10 @@ def compactness_report(
     """
     if len(levels) < 2:
         raise ValueError("need at least two refinement levels")
-    svs, tails = [], []
-    for (L, n) in levels:
-        try:
-            sv = spectrum(L, n)
-        except Exception as exc:
-            raise RuntimeError(f"builder failed at level (L={L}, n={n}): {exc}") from exc
-        svs.append(sv)
-        s1 = sv[0] if sv[0] > 0 else 1.0
-        tails.append(float(sv[19] / s1) if sv.size > 19 else 0.0)
+    if len(svs) != len(levels):
+        raise ValueError(f"{len(svs)} spectra for {len(levels)} levels")
+    tails = [float(sv[19] / (sv[0] if sv[0] > 0 else 1.0)) if sv.size > 19 else 0.0
+             for sv in svs]
 
     head = np.array([sv[:10] for sv in svs])
     ref = head[-1]
@@ -182,9 +177,8 @@ def compactness_report(
     else:
         verdict = "inconclusive"
     return CompactnessReport(
-        operator_label=label,
         refinement_levels=[(float(L), int(n)) for (L, n) in levels],
-        singular_values=svs,
+        singular_values=list(svs),
         tail_ratio=tails,
         stability=stability,
         verdict=verdict,
@@ -196,13 +190,13 @@ def short_range_operator(
     opset: OperatorSet,
     z: complex,
     smoothing: Optional[SmoothingFunction] = None,
-) -> tuple[ThinProduct, str]:
+) -> ThinProduct:
     """B(z) A0 with an energy smoothing realizing the operator closure.
 
     Returns the factors of the n x 2n operator B(z) A0 S with S = eta~(H0)
-    a plateau equal to 1 on the energy range of interest; the raw discrete
-    product grows with refinement because A0 is unbounded in the continuum,
-    and the smoothing is recorded so the choice is auditable.  Each channel
+    a plateau equal to 1 on the energy range of interest (by default from
+    min V + 0.05 to max V + 4, shoulder 1); the raw discrete product grows
+    with refinement because A0 is unbounded in the continuum.  Each channel
     contributes i (j R0(z) K U_S - R(z) j K U_S) diag(f) U_S^T.
     """
     if z.imag == 0:
@@ -221,8 +215,7 @@ def short_range_operator(
         left = 1j * (j[:, None] * resolvent_solve(opset.channel_hamiltonian(side), z, ku)
                      - resolvent_solve(opset.H, z, j[:, None] * ku))
         terms.append(ThinProduct(left, np.diag(f), np.pad(u, (pad, (0, 0)))))
-    descr = f"plateau smoothing eta~(H0), kind={smoothing.kind}, center={smoothing.center}, width={smoothing.width}"
-    return thin_sum(*terms), descr
+    return thin_sum(*terms)
 
 
 def long_range_operator(opset: OperatorSet) -> ThinProduct:
@@ -237,7 +230,10 @@ def long_range_operator(opset: OperatorSet) -> ThinProduct:
     mid = Band((jm @ cm @ jm).entries + (jp @ cp @ jp).entries
                - build_commutator_longrange(opset).entries)
     diag, rows = np.nonzero(mid.entries)
-    nodes = np.union1d(rows, rows + diag - mid.b)  # S: every row and column of a nonzero
+    # S: every row and column of a nonzero (a mask, as np.union1d would import numpy.ma)
+    on_s = np.zeros(opset.n, dtype=bool)
+    on_s[rows] = on_s[rows + diag - mid.b] = True
+    nodes = np.flatnonzero(on_s)
     unit = np.zeros((opset.n, nodes.size))
     unit[nodes, np.arange(nodes.size)] = 1.0
     m = (mid @ unit)[nodes]  # M_SS
@@ -256,35 +252,38 @@ def compactness_ladder(
     """{tag: CompactnessReport} for each surrogate tag of OPERATOR_TAGS over
     the levels, with build(L, n) the OperatorSet of a level.
 
-    Each level is built once, with the pairs of H where the bump eta is
-    nonzero, and shared by every tag; the short-range surrogate takes z.
-    The identity control is sigma_k = 1, k <= min(top, n), in closed form.
+    One pass over the levels: each is built once, with the pairs of H where
+    the bump eta is nonzero only when (ii)-(iv) read them, every tag's top
+    singular values are taken there (the short-range surrogate at z), and
+    the level is released before the next is built.  The identity control
+    is sigma_k = 1, k <= min(top, n), in closed form, so an identity-only
+    ladder builds nothing.
     """
     unknown = [tag for tag in tags if tag not in OPERATOR_TAGS]
     if unknown:
         raise ValueError(f"unknown operator tag(s) {unknown}; expected some of "
                          f"{list(OPERATOR_TAGS)}")
+    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if repeated:
+        raise ValueError(f"repeated operator tag(s) {repeated}")
+    svs = {tag: [] for tag in tags}
+    if "identity" in svs:
+        svs["identity"] = [np.ones(min(top, n)) for _, n in levels]
+    built = [tag for tag in tags if tag != "identity"]
     window = EnergyWindow(eta.center, eta.width)  # exactly where the bump eta is nonzero
-    cache: dict = {}
-
-    def spectrum(tag):
-        def top_values(L, n):
-            if tag == "identity":
-                return np.ones(min(top, n))
-            if (L, n) not in cache:
-                opset = build(L, n)
-                cache[(L, n)] = opset, eigendecompose(opset.H, window)
-            opset, dec_H = cache[(L, n)]
-            if tag == "short":
-                op = short_range_operator(opset, z)[0]
-            elif tag == "long":
-                op = long_range_operator(opset)
-            else:
-                op = assumption_operator(opset, dec_H, tag, eta)
-            return singular_values(op.left, op.core, op.right, top=top)
-        return top_values
-
-    return {tag: compactness_report(spectrum(tag), levels, label=tag) for tag in tags}
+    for L, n in (levels if built else ()):
+        try:
+            opset = build(L, n)
+            dec_H = eigendecompose(opset.H, window) if {"ii", "iii", "iv"} & set(built) else None
+            for tag in built:
+                op = (short_range_operator(opset, z) if tag == "short" else
+                      long_range_operator(opset) if tag == "long" else
+                      assumption_operator(opset, dec_H, tag, eta))
+                svs[tag].append(singular_values(op.left, op.core, op.right, top=top))
+        except Exception as exc:
+            raise RuntimeError(f"builder failed at level (L={L}, n={n}): {exc}") from exc
+        del opset, dec_H, op  # release this level before the next is built
+    return {tag: compactness_report(svs[tag], levels) for tag in tags}
 
 
 def c1_probe(

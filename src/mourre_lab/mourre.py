@@ -139,12 +139,14 @@ def pair_matrices(opset: OperatorSet, pair: str):
     raise ValueError(f"unknown pair {pair!r}, expected one of {PAIRS}")
 
 
-def _region_grams(us: np.ndarray, positions: np.ndarray, L: float, policy: DiscardPolicy):
-    """U_S^dagger P U_S for the whole box, the interaction region and the
-    boundary region (P the 0/1 projection onto the region's nodes), stacked."""
+def _compress(us: np.ndarray, comm, positions: np.ndarray, L: float, policy: DiscardPolicy):
+    """The symmetrized compression of the commutator comm onto the columns
+    U_S, and U_S^dagger P U_S for the whole box, the interaction region and
+    the boundary region (P the 0/1 projection onto the region's nodes), stacked."""
+    c = us.conj().T @ (comm @ us)
     inner = np.abs(positions) <= policy.interaction_radius
     bdry = np.abs(positions) >= L - policy.boundary_width(L)
-    return np.stack([u.conj().T @ u for u in (us, us[inner], us[bdry])])
+    return 0.5 * (c + c.conj().T), np.stack([u.conj().T @ u for u in (us, us[inner], us[bdry])])
 
 
 def _localization(vec: np.ndarray, grams: np.ndarray, policy: DiscardPolicy):
@@ -173,15 +175,13 @@ def _discard_log(eig, inner, bdry, flags) -> list:
 
 def estimate_rho_window(
     opset: OperatorSet,
-    dec: Optional[SpectralDecomposition],
+    dec: SpectralDecomposition,
     pair: str,
     win: EnergyWindow,
     policy: DiscardPolicy = DiscardPolicy(),
 ) -> RhoEstimate:
     """Compress i[H,A] onto the sharp spectral window of H and diagonalize."""
-    energy, comm, positions = pair_matrices(opset, pair)
-    if dec is None:
-        dec = eigendecompose(energy, win)
+    _, comm, positions = pair_matrices(opset, pair)
     sel = win.contains(dec.eigenvalues)
     if not np.any(sel):
         return RhoEstimate(
@@ -189,11 +189,8 @@ def estimate_rho_window(
             n_discarded=0, compression_spectrum=np.array([]),
             note="no spectrum in window",
         )
-    us = dec.eigenvectors[:, sel]
-    csub = us.conj().T @ (comm @ us)
-    csub = 0.5 * (csub + csub.conj().T)
+    csub, grams = _compress(dec.eigenvectors[:, sel], comm, positions, opset.grid.L, policy)
     eig, vec = np.linalg.eigh(csub)
-    grams = _region_grams(us, positions, opset.grid.L, policy)
     inner, bdry, flags = (a[0] for a in _localization(vec[None], grams[None], policy))
     kept = eig[~flags]
     corrected = float(kept.min()) if kept.size else math.inf
@@ -224,7 +221,7 @@ def _bisect_sup(holds, lo, hi, tol: float) -> np.ndarray:
 
 def _estimate_rho_batch(
     opset: OperatorSet,
-    dec: Optional[SpectralDecomposition],
+    dec: SpectralDecomposition,
     pair: str,
     etas,
     policy: DiscardPolicy = DiscardPolicy(),
@@ -242,9 +239,7 @@ def _estimate_rho_batch(
     """
     if not etas:
         return []
-    energy, comm, positions = pair_matrices(opset, pair)
-    if dec is None:
-        dec = eigendecompose(energy)
+    _, comm, positions = pair_matrices(opset, pair)
     weights, keeps = [], []
     for eta in etas:
         w = eta(dec.eigenvalues)
@@ -268,11 +263,8 @@ def _estimate_rho_batch(
         if s[0] >= opened + span:
             opened = s[0]
         starts[j], ends[opened] = opened, max(ends.get(opened, 0), s[-1] + 1)
-    windows = {}
-    for lo, hi in ends.items():
-        us = dec.eigenvectors[:, lo:hi]
-        c = us.conj().T @ (comm @ us)
-        windows[lo] = 0.5 * (c + c.conj().T), _region_grams(us, positions, opset.grid.L, policy)
+    windows = {lo: _compress(dec.eigenvectors[:, lo:hi], comm, positions, opset.grid.L, policy)
+               for lo, hi in ends.items()}
     blocks = [np.ix_(s - lo, s - lo) for s, lo in zip(supports, starts)]
 
     out = [None] * len(etas)
@@ -314,7 +306,7 @@ def _estimate_rho_batch(
 
 def estimate_rho_eta(
     opset: OperatorSet,
-    dec: Optional[SpectralDecomposition],
+    dec: SpectralDecomposition,
     pair: str,
     eta: SmoothingFunction,
     policy: DiscardPolicy = DiscardPolicy(),

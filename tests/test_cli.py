@@ -287,6 +287,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert "params.lambdas" in err and len(err.splitlines()) == 1
 
+    def test_repeated_operator_tag_is_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", dict(SMALL, experiment="hypotheses", params={
+            "levels": [[20.0, 161], [20.0, 321]], "operators": ["iii", "identity", "iii"]}))
+        assert main(["hypotheses", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "params.operators" in err and "'iii'" in err and "identity" not in err
+        assert not (tmp_path / "hypotheses_sv.csv").exists()
+
     def test_memory_error_is_exit_2(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg, params):
             raise MemoryError()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import build_B, channel_bases, dense
+from mourre_lab import hypotheses
 from mourre_lab.grid import CutoffPair, make_cutoffs, make_grid, make_steplike, smoothstep
 from mourre_lab.hypotheses import (
     assumption_operator,
@@ -100,7 +101,7 @@ def factored(opset, dec_H, tag, eta) -> ThinProduct:
     if tag in ("ii", "iii", "iv"):
         return assumption_operator(opset, dec_H, tag, eta)
     if tag == "short":
-        return short_range_operator(opset, 1j)[0]
+        return short_range_operator(opset, 1j)
     return long_range_operator(opset)
 
 
@@ -256,28 +257,22 @@ LEVELS = [(20.0, 101), (20.0, 201)]
 
 class TestCompactnessReport:
     def test_identity_control_non_compact(self):
-        rep = compactness_report(lambda L, n: np.ones(min(40, n)), LEVELS, label="identity")
+        rep = compactness_report([np.ones(40), np.ones(40)], LEVELS)
         assert rep.verdict == "non-compact"
         assert rep.tail_ratio == [1.0, 1.0]
 
     def test_rank_one_control_compact(self):
-        def spectrum(L, n):
+        svs = []
+        for _, n in LEVELS:
             v = np.ones((n, 1)) / np.sqrt(n)
-            return singular_values(v, np.eye(1), v)
+            svs.append(singular_values(v, np.eye(1), v))
 
-        rep = compactness_report(spectrum, LEVELS, label="rank1")
+        rep = compactness_report(svs, LEVELS)
         assert rep.verdict == "compact-consistent"
 
     def test_needs_two_levels(self):
         with pytest.raises(ValueError):
-            compactness_report(lambda L, n: np.ones(min(40, n)), LEVELS[:1])
-
-    def test_builder_failure_tagged(self):
-        def bad(L, n):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError, match="L=20"):
-            compactness_report(bad, LEVELS)
+            compactness_report([np.ones(40)], LEVELS[:1])
 
 
 class TestCompactnessLadder:
@@ -285,12 +280,33 @@ class TestCompactnessLadder:
         with pytest.raises(ValueError, match="'v'"):
             compactness_ladder(lambda L, n: pytest.fail("built"), LEVELS, eta, ["ii", "v"])
 
+    def test_repeated_tag_named(self, eta):
+        with pytest.raises(ValueError, match="repeated.*'iii'"):
+            compactness_ladder(lambda L, n: pytest.fail("built"), LEVELS, eta, ["iii", "long", "iii"])
+
+    def test_builder_failure_tagged(self, eta):
+        def bad(L, n):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match=r"level \(L=20.0, n=101\): boom"):
+            compactness_ladder(bad, LEVELS, eta, ["ii"])
+
     def test_identity_exact_without_a_build(self, eta):
         rep = compactness_ladder(lambda L, n: pytest.fail("built"), LEVELS + [(20.0, 31)],
                                  eta, ["identity"])["identity"]
         assert [sv.tolist() for sv in rep.singular_values] == [[1.0] * 40] * 2 + [[1.0] * 31]
         assert rep.tail_ratio == [1.0] * 3 and rep.stability == 0.0
         assert rep.verdict == "non-compact"
+
+    def test_short_long_take_no_eigenpairs(self, small_ops, eta, monkeypatch):
+        # neither surrogate reads a pair of H, so the ladder computes none
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("eigenpairs of H computed")
+
+        monkeypatch.setattr(hypotheses, "eigendecompose", no_pairs)
+        ladder = compactness_ladder(lambda L, n: small_ops, [(20.0, 321), (20.0, 322)], eta,
+                                    ["short", "long"])
+        assert list(ladder) == ["short", "long"]
 
     def test_one_build_per_level_shared_by_tags(self, small_ops, eta):
         # each tag's spectrum is singular_values of its builder, bitwise
@@ -311,10 +327,9 @@ class TestCompactnessLadder:
 
 
 class TestShortLongRange:
-    def test_short_range_shape_and_descr(self, small_ops):
-        m, descr = short_range_operator(small_ops, 1j)
+    def test_short_range_shape(self, small_ops):
+        m = short_range_operator(small_ops, 1j)
         assert dense(m).shape == (small_ops.n, 2 * small_ops.n)
-        assert "plateau" in descr
 
     def test_short_range_rejects_real_z(self, small_ops):
         with pytest.raises(ValueError):
@@ -429,7 +444,7 @@ class TestContrastExperiment:
                     )
                     pot = make_steplike(g, 0.0, 1.0, profile="custom", samples=samples)
                 ops = build_pair(g, pot, cut)
-                mats.append(short_range_operator(ops, 1j)[0])
+                mats.append(short_range_operator(ops, 1j))
             return mats
 
         fast = [singular_values(m.left, m.core, m.right, top=25) for m in build("fast")]

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from mourre_lab.mourre import (
     DiscardPolicy,
     _bisect_sup,
+    _compress,
     _estimate_rho_batch,
     _interior_window,
     _localization,
-    _region_grams,
     analytic_rho,
     estimate_rho_eta,
     estimate_rho_window,
@@ -137,7 +137,7 @@ class TestLocalization:
         k = us.shape[1]
         rng = np.random.default_rng(3)
         x, L = small_ops.grid.nodes, small_ops.grid.L
-        grams = _region_grams(us, x, L, policy)
+        grams = _compress(us, small_ops.commutator_iHA, x, L, policy)[1]
         tol = 16 * small_ops.n * np.finfo(float).eps
         for stack in (1, 3):
             vecs = np.stack([np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(stack)])
