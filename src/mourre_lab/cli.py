@@ -3,6 +3,8 @@
 One declarative JSON config per run; reports are emitted as JSON (with
 the config as given embedded) plus plot-ready CSV.  Exit status:
 0 = all verdicts pass, 1 = a verdict fails, 2 = execution/config error.
+rho-scan is a measurement with no verdict: whenever it runs it writes
+"verdict": true and exits 0, however far its margins fall.
 All floating-point output is written at 17 significant digits and runs
 are deterministic for a fixed config.
 """
@@ -20,11 +22,14 @@ from typing import Optional
 
 import numpy as np
 
+from .grid import PROFILE_KINDS
 from .hypotheses import OPERATOR_TAGS, compactness_ladder
 
 SCHEMA_VERSION = "1"
 EXPERIMENTS = ("rho-scan", "transfer", "hypotheses", "scatter", "completeness")
 THREADS_ENV = "MOURRE_LAB_THREADS"
+# The profiles a config can select: "custom" needs samples, which a config cannot carry
+PROFILES = tuple(kind for kind in PROFILE_KINDS if kind != "custom")
 
 # Each experiment's `params` keys and defaults (the README params table); a
 # given value must have the JSON type of its default.  An empty list stands
@@ -120,6 +125,8 @@ def load_config(path, experiment: Optional[str] = None,
         raise ConfigError("L: must be positive")
     if cfg.n < 16 or cfg.n % 2 == 0:
         raise ConfigError("n: must be odd and >= 16")
+    if cfg.profile not in PROFILES:
+        raise ConfigError(f"profile: {cfg.profile!r} not in {PROFILES}")
     if cfg.threads is not None and cfg.threads < 1:
         raise ConfigError("threads: must be >= 1")
     allowed = PARAMS[cfg.experiment]
@@ -132,6 +139,12 @@ def load_config(path, experiment: Optional[str] = None,
         if key.endswith(("tol", "eps", "sigma", "step", "width")) and val <= 0:
             raise ConfigError(f"params.{key}: must be positive")
     p = {**allowed, **cfg.params}
+    if cfg.profile == "sharp_step" and p["bump_amplitude"]:
+        raise ConfigError(f"params.bump_amplitude: profile 'sharp_step' takes no bump, "
+                          f"got {p['bump_amplitude']}")
+    if cfg.profile == "smooth_step_plus_bump" and not p["bump_amplitude"]:
+        raise ConfigError("profile: 'smooth_step_plus_bump' needs a nonzero "
+                          "params.bump_amplitude")
     if cfg.experiment == "rho-scan" and p["lambda_max"] < p["lambda_min"]:
         raise ConfigError(f"params.lambda_max: {p['lambda_max']} is below "
                           f"lambda_min {p['lambda_min']}")
@@ -154,26 +167,6 @@ def load_config(path, experiment: Optional[str] = None,
     if repeated:
         raise ConfigError(f"params.operators: repeated tag(s) {repeated}")
     return cfg
-
-
-def _set_blas_threads(count: int) -> None:
-    """Set the thread count of NumPy's bundled OpenBLAS in this process.
-
-    OpenBLAS reads OPENBLAS_NUM_THREADS only when it is loaded, which
-    happens with `import numpy`, so the count is applied at run time.
-    """
-    import ctypes
-
-    from . import blas
-
-    lib = blas.bundled_openblas()
-    if lib is None:
-        raise ConfigError(f"threads: cannot set {count} BLAS threads: "
-                          f"no bundled OpenBLAS under {blas.libdir()}")
-    setter = lib.scipy_openblas_set_num_threads64_
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = None
-    setter(count)
 
 
 # ---------------------------------------------------------------- output
@@ -249,11 +242,10 @@ def _build(cfg: ExperimentConfig, p: dict, L: Optional[float] = None, n: Optiona
     from .spectral import bump
 
     grid = make_grid(L if L is not None else cfg.L, n if n is not None else cfg.n)
-    profile, bump_field = cfg.profile, None
+    bump_field = None
     if p["bump_amplitude"]:
         bump_field = float(p["bump_amplitude"]) * bump(0.0, float(p["bump_width"]))(grid.nodes)
-        profile = "smooth_step_plus_bump"
-    pot = make_steplike(grid, cfg.v_minus, cfg.v_plus, profile=profile, bump=bump_field)
+    pot = make_steplike(grid, cfg.v_minus, cfg.v_plus, profile=cfg.profile, bump=bump_field)
     return build_pair(grid, pot, make_cutoffs(grid))
 
 
@@ -351,9 +343,12 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute the configured experiment and write its reports; returns the exit code."""
+    from . import blas
+
     out = Path(cfg.out_dir)
-    if cfg.threads is not None:
-        _set_blas_threads(cfg.threads)
+    if cfg.threads is not None and not blas.set_num_threads(cfg.threads):
+        raise ConfigError(f"threads: cannot set {cfg.threads} BLAS threads: "
+                          f"no bundled OpenBLAS under {blas.libdir()}")
     try:
         out.mkdir(parents=True, exist_ok=True)
         verdict, payload, table = _RUNNERS[cfg.experiment](

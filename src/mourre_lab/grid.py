@@ -38,10 +38,6 @@ class Grid:
     dx: float
     nodes: np.ndarray
 
-    def interior_mask(self, margin: float) -> np.ndarray:
-        """Boolean mask of nodes farther than `margin` from both ends."""
-        return np.abs(self.nodes) <= self.L - margin
-
 
 @dataclass(frozen=True)
 class CutoffPair:
@@ -62,12 +58,7 @@ class PotentialField:
     v: np.ndarray
     v_minus: float
     v_plus: float
-    profile_kind: str
-    v_prime: Optional[np.ndarray] = None
-
-    @property
-    def differentiable(self) -> bool:
-        return self.v_prime is not None
+    v_prime: Optional[np.ndarray] = None  # None for a potential with no derivative (sharp, custom)
 
 
 def mollifier(t: np.ndarray | float) -> np.ndarray:
@@ -179,11 +170,5 @@ def make_steplike(
         if v_prime is not None:
             v_prime = v_prime + np.gradient(bump, grid.dx)
 
-    return PotentialField(
-        grid=grid,
-        v=v,
-        v_minus=float(v_minus),
-        v_plus=float(v_plus),
-        profile_kind=profile,
-        v_prime=v_prime,
-    )
+    return PotentialField(grid=grid, v=v, v_minus=float(v_minus), v_plus=float(v_plus),
+                          v_prime=v_prime)

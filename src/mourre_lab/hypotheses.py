@@ -3,8 +3,8 @@
 Compactness of a fixed operator family is probed by tracking its leading
 singular values across grid refinements: a compact operator keeps a
 stable head and a fast-decaying tail, whereas the identity stays flat at
-every level.  The verdict thresholds separate those two control cases by
-orders of magnitude and are configurable.
+every level.  The verdict thresholds (DRIFT_TOL, TAIL_TOL, FLAT_TAIL)
+separate those two control cases by orders of magnitude.
 
 On the box every surrogate is a product of thin factors (eta and the
 plateau have compact support, the long-range middle term lives on a few
@@ -26,7 +26,7 @@ solves (`resolvent_solve`).  No full basis of H or of a channel is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,6 +62,13 @@ __all__ = [
 # The surrogates of a compactness ladder: assumptions (ii)-(iv), the short-
 # and long-range differences, and the identity as the non-compact control.
 OPERATOR_TAGS = ("ii", "iii", "iv", "short", "long", "identity")
+# Verdict thresholds of `compactness_report` (its docstring says how they are read).
+DRIFT_TOL = 0.10
+TAIL_TOL = 1e-2
+FLAT_TAIL = 0.5
+TOP = 40  # leading singular values kept per level
+LADDER_Z = 1j  # spectral parameter of the short-range surrogate in a ladder
+C1_STEPS = (1e-2, 1e-3, 1e-4, 1e-5)  # the times t of the difference quotients of `c1_probe`
 
 
 @dataclass(frozen=True)
@@ -132,7 +139,7 @@ def assumption_operator(
 
 
 def singular_values(left: np.ndarray, core: np.ndarray, right: np.ndarray,
-                    top: int = 40) -> np.ndarray:
+                    top: int = TOP) -> np.ndarray:
     """Leading singular values of left @ core @ right^dagger, zero-padded to
     min(top, rows, cols) values: a tall factor F = Q R (orthonormal Q) is
     replaced by R, and one SVD of the small core that is left gives them."""
@@ -142,19 +149,14 @@ def singular_values(left: np.ndarray, core: np.ndarray, right: np.ndarray,
     return np.pad(sv, (0, count - sv.size))
 
 
-def compactness_report(
-    svs: Sequence[np.ndarray],
-    levels: Sequence[tuple[float, int]],
-    drift_tol: float = 0.10,
-    tail_tol: float = 1e-2,
-    flat_tail: float = 0.5,
-) -> CompactnessReport:
+def compactness_report(svs: Sequence[np.ndarray],
+                       levels: Sequence[tuple[float, int]]) -> CompactnessReport:
     """Classify an operator family as compact-consistent / non-compact from
     svs, its top singular values at each of the levels.
 
-    compact-consistent: sigma_1..10 drift < drift_tol across levels and
-    sigma_20/sigma_1 < tail_tol at the finest level; non-compact:
-    sigma_20/sigma_1 > flat_tail at every level; otherwise inconclusive.
+    compact-consistent: sigma_1..10 drift < DRIFT_TOL across levels and
+    sigma_20/sigma_1 < TAIL_TOL at the finest level; non-compact:
+    sigma_20/sigma_1 > FLAT_TAIL at every level; otherwise inconclusive.
     """
     if len(levels) < 2:
         raise ValueError("need at least two refinement levels")
@@ -170,9 +172,9 @@ def compactness_report(
     sigma1 = ref[0] if ref[0] > 0 else 1.0
     stability = float(np.max(np.abs(head - ref[None, :])) / sigma1)
 
-    if stability < drift_tol and tails[-1] < tail_tol:
+    if stability < DRIFT_TOL and tails[-1] < TAIL_TOL:
         verdict = "compact-consistent"
-    elif all(t > flat_tail for t in tails):
+    elif all(t > FLAT_TAIL for t in tails):
         verdict = "non-compact"
     else:
         verdict = "inconclusive"
@@ -182,30 +184,24 @@ def compactness_report(
         tail_ratio=tails,
         stability=stability,
         verdict=verdict,
-        thresholds={"drift_tol": drift_tol, "tail_tol": tail_tol, "flat_tail": flat_tail},
+        thresholds={"drift_tol": DRIFT_TOL, "tail_tol": TAIL_TOL, "flat_tail": FLAT_TAIL},
     )
 
 
-def short_range_operator(
-    opset: OperatorSet,
-    z: complex,
-    smoothing: Optional[SmoothingFunction] = None,
-) -> ThinProduct:
+def short_range_operator(opset: OperatorSet, z: complex) -> ThinProduct:
     """B(z) A0 with an energy smoothing realizing the operator closure.
 
     Returns the factors of the n x 2n operator B(z) A0 S with S = eta~(H0)
-    a plateau equal to 1 on the energy range of interest (by default from
-    min V + 0.05 to max V + 4, shoulder 1); the raw discrete product grows
+    a plateau equal to 1 on the energy range of interest (from min V + 0.05
+    to max V + 4, shoulder 1); the raw discrete product grows
     with refinement because A0 is unbounded in the continuum.  Each channel
     contributes i (j R0(z) K U_S - R(z) j K U_S) diag(f) U_S^T.
     """
     if z.imag == 0:
         raise ValueError("short-range operator requires a non-real z")
     pot = opset.potential
-    if smoothing is None:
-        lo = min(pot.v_minus, pot.v_plus) + 0.05
-        hi = max(pot.v_minus, pot.v_plus) + 4.0
-        smoothing = plateau(lo, hi, shoulder=1.0)
+    smoothing = plateau(min(pot.v_minus, pot.v_plus) + 0.05, max(pot.v_minus, pot.v_plus) + 4.0,
+                        shoulder=1.0)
     cut, n = opset.cutoffs, opset.n
     terms = []
     for side, v, j, pad in (("-", pot.v_minus, cut.j_minus, (0, n)),
@@ -246,18 +242,16 @@ def compactness_ladder(
     levels: Sequence[tuple[float, int]],
     eta: SmoothingFunction,
     tags: Sequence[str],
-    z: complex = 1j,
-    top: int = 40,
 ) -> dict:
     """{tag: CompactnessReport} for each surrogate tag of OPERATOR_TAGS over
     the levels, with build(L, n) the OperatorSet of a level.
 
     One pass over the levels: each is built once, with the pairs of H where
     the bump eta is nonzero only when (ii)-(iv) read them, every tag's top
-    singular values are taken there (the short-range surrogate at z), and
-    the level is released before the next is built.  The identity control
-    is sigma_k = 1, k <= min(top, n), in closed form, so an identity-only
-    ladder builds nothing.
+    singular values are taken there (the short-range surrogate at LADDER_Z),
+    and the level is released before the next is built.  The identity
+    control is sigma_k = 1, k <= min(TOP, n), in closed form, so an
+    identity-only ladder builds nothing.
     """
     unknown = [tag for tag in tags if tag not in OPERATOR_TAGS]
     if unknown:
@@ -268,7 +262,7 @@ def compactness_ladder(
         raise ValueError(f"repeated operator tag(s) {repeated}")
     svs = {tag: [] for tag in tags}
     if "identity" in svs:
-        svs["identity"] = [np.ones(min(top, n)) for _, n in levels]
+        svs["identity"] = [np.ones(min(TOP, n)) for _, n in levels]
     built = [tag for tag in tags if tag != "identity"]
     window = EnergyWindow(eta.center, eta.width)  # exactly where the bump eta is nonzero
     for L, n in (levels if built else ()):
@@ -276,27 +270,22 @@ def compactness_ladder(
             opset = build(L, n)
             dec_H = eigendecompose(opset.H, window) if {"ii", "iii", "iv"} & set(built) else None
             for tag in built:
-                op = (short_range_operator(opset, z) if tag == "short" else
+                op = (short_range_operator(opset, LADDER_Z) if tag == "short" else
                       long_range_operator(opset) if tag == "long" else
                       assumption_operator(opset, dec_H, tag, eta))
-                svs[tag].append(singular_values(op.left, op.core, op.right, top=top))
+                svs[tag].append(singular_values(op.left, op.core, op.right))
         except Exception as exc:
             raise RuntimeError(f"builder failed at level (L={L}, n={n}): {exc}") from exc
         del opset, dec_H, op  # release this level before the next is built
     return {tag: compactness_report(svs[tag], levels) for tag in tags}
 
 
-def c1_probe(
-    opset: OperatorSet,
-    z: complex,
-    test_states: np.ndarray,
-    steps: Sequence[float] = (1e-2, 1e-3, 1e-4, 1e-5),
-) -> C1Report:
+def c1_probe(opset: OperatorSet, z: complex, test_states: np.ndarray) -> C1Report:
     """Strong-derivative probe of t -> e^{-itA} R(z) e^{itA} on the test states.
 
-    The difference quotients Q(t) psi must be Cauchy in t and converge to
-    the closed-form commutator i[R(z), A]; the latter is also compared
-    against -R(z) i[H,A] R(z).  Only the states are moved, never an n x n
+    The difference quotients Q(t) psi, t in C1_STEPS, must be Cauchy in t
+    and converge to the closed-form commutator i[R(z), A]; the latter is
+    also compared against -R(z) i[H,A] R(z).  Only the states are moved, never an n x n
     operator: with A = iK' and D = diag((-i)^j), D* A D = T is real
     symmetric tridiagonal, so e^{itA} psi = D e^{itT} D* psi, and one
     `propagate` block carries every (step, state) column forward and one
@@ -311,11 +300,11 @@ def c1_probe(
     norms = np.linalg.norm(states, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-8):
         raise ValueError("test states must be normalized")
-    n, count, h, kcore = opset.n, len(steps), opset.H, opset.conjugate_core
+    n, count, h, kcore = opset.n, len(C1_STEPS), opset.H, opset.conjugate_core
     dec_T = eigendecompose(Band(kcore.entries * np.array([[-1.0], [0.0], [1.0]])))
     d = np.array([1, -1j, -1, 1j])[np.arange(n) % 4][:, None]  # (-i)^j, exactly
     psi = states.T
-    times = np.repeat(np.asarray(steps, dtype=float), len(states))
+    times = np.repeat(np.asarray(C1_STEPS, dtype=float), len(states))
     forward = d * propagate(dec_T, np.tile(d.conj() * psi, count), -times)  # e^{itA} psi
     back = d * propagate(dec_T, d.conj() * resolvent_solve(h, z, forward), times)
     r_psi = resolvent_solve(h, z, psi)
@@ -340,7 +329,7 @@ def c1_probe(
     verdict = decreasing and limit_mismatch < 1e-3
     return C1Report(
         z=z,
-        steps=list(steps),
+        steps=list(C1_STEPS),
         difference_quotient_norms=qnorms,
         cauchy_defects=cauchy,
         limit_mismatch=limit_mismatch,

@@ -31,7 +31,7 @@ in one stacked `eigh`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -65,6 +65,13 @@ __all__ = [
 ]
 
 PAIRS = ("H_A", "channel-", "channel+")
+# The bisection for rho stops once its bracket is below BISECT_TOL * max(1, |rho|);
+# eta M eta - a eta^2 counts as >= 0 down to -PSD_RTOL * max(1, ||eta M eta||).
+BISECT_TOL = 1e-3
+PSD_RTOL = 1e-3
+# Power iteration of `opnorm`: at most OPNORM_ITERS steps from a start drawn with OPNORM_SEED.
+OPNORM_ITERS = 200
+OPNORM_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -89,14 +96,26 @@ class DiscardPolicy:
 
 @dataclass(frozen=True)
 class RhoEstimate:
+    """A rho estimate; `modes` holds the arrays (eigenvalue, interaction mass,
+    boundary mass, discard flag) of the compression modes it was decided on."""
+
     lam: float
     eps: float
     raw_min: float
     corrected: float
     n_discarded: int
     compression_spectrum: np.ndarray
-    discard_log: list = field(default_factory=list)
+    modes: tuple = ()
     note: str = ""
+
+    @property
+    def discard_log(self) -> list:
+        """One dict per mode of `modes`, built when it is read (a scan holds no dicts)."""
+        return [
+            {"eigenvalue": float(e), "interaction_mass": float(i),
+             "boundary_mass": float(b), "discarded": bool(f)}
+            for e, i, b, f in zip(*self.modes)
+        ]
 
 
 @dataclass(frozen=True)
@@ -165,14 +184,6 @@ def _localization(vec: np.ndarray, grams: np.ndarray, policy: DiscardPolicy):
     return inner, bdry, flags
 
 
-def _discard_log(eig, inner, bdry, flags) -> list:
-    return [
-        {"eigenvalue": float(eig[k]), "interaction_mass": float(inner[k]),
-         "boundary_mass": float(bdry[k]), "discarded": bool(flags[k])}
-        for k in range(eig.size)
-    ]
-
-
 def estimate_rho_window(
     opset: OperatorSet,
     dec: SpectralDecomposition,
@@ -196,8 +207,7 @@ def estimate_rho_window(
     corrected = float(kept.min()) if kept.size else math.inf
     return RhoEstimate(
         lam=win.lam, eps=win.eps, raw_min=float(eig.min()), corrected=corrected,
-        n_discarded=int(flags.sum()), compression_spectrum=eig,
-        discard_log=_discard_log(eig, inner, bdry, flags),
+        n_discarded=int(flags.sum()), compression_spectrum=eig, modes=(eig, inner, bdry, flags),
     )
 
 
@@ -225,12 +235,9 @@ def _estimate_rho_batch(
     pair: str,
     etas,
     policy: DiscardPolicy = DiscardPolicy(),
-    bisect_tol: float = 1e-3,
-    psd_rtol: float = 1e-3,
 ) -> list:
-    """The estimate of `estimate_rho_eta` for every eta at once, as tuples
-    (raw, corrected, n_discarded, compression spectrum, (eig, inner, bdry,
-    flags) of the modes at the corrected value).
+    """The `RhoEstimate` of `estimate_rho_eta` for every eta at once, each
+    with the modes at its corrected value.
 
     i[H,A] and the region Gram matrices are compressed once per window of
     columns, and each eta takes its k x k blocks from there.  The bisections
@@ -275,7 +282,7 @@ def _estimate_rho_batch(
         ek = np.stack([weights[j] for j in group])
         m = ek[:, :, None] * csub * ek[:, None, :]
         nmat = ek[:, :, None] ** 2 * np.eye(k)
-        slack = psd_rtol * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+        slack = PSD_RTOL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
 
         def shifted(a, active):
             g = m[active] - a[:, None, None] * nmat[active]
@@ -292,15 +299,19 @@ def _estimate_rho_batch(
         scale = np.abs(csub).max(axis=(1, 2))
         scale[scale == 0] = 1.0
         corrected = _bisect_sup(lambda a, act: unflagged(a, act)[0] >= -slack[act],
-                                -scale - 1.0, scale + 1.0, bisect_tol)
+                                -scale - 1.0, scale + 1.0, BISECT_TOL)
         raw = np.minimum(_bisect_sup(lambda a, act: all_modes(a, act) >= -slack[act],
-                                     -scale - 1.0, scale + 1.0, bisect_tol), corrected)
+                                     -scale - 1.0, scale + 1.0, BISECT_TOL), corrected)
 
         _, eig, inner, bdry, flags = unflagged(corrected, np.arange(len(group)))
         spectra = np.linalg.eigvalsh(csub)
         for row, j in enumerate(group):
-            out[j] = (float(raw[row]), float(corrected[row]), int(flags[row].sum()), spectra[row],
-                      (eig[row], inner[row], bdry[row], flags[row]))
+            out[j] = RhoEstimate(
+                lam=etas[j].center, eps=etas[j].width, raw_min=float(raw[row]),
+                corrected=float(corrected[row]), n_discarded=int(flags[row].sum()),
+                compression_spectrum=spectra[row],
+                modes=(eig[row], inner[row], bdry[row], flags[row]),
+            )
     return out
 
 
@@ -310,35 +321,27 @@ def estimate_rho_eta(
     pair: str,
     eta: SmoothingFunction,
     policy: DiscardPolicy = DiscardPolicy(),
-    bisect_tol: float = 1e-3,
-    psd_rtol: float = 1e-3,
 ) -> RhoEstimate:
     """Largest a with eta(H) i[H,A] eta(H) - a eta(H)^2 >= 0 after discards.
 
-    The supremum is located by bisection; positive-semidefiniteness is
-    tested on the compression eigenmodes that survive the discard policy,
-    with an absolute slack psd_rtol * max(1, ||M||) absorbing modes whose
-    eta-weight is negligible.  This is the lockstep estimator of `rho_scan`
-    and `transfer_verify` run on one eta, so the compression covers exactly
-    the support of eta.
+    The supremum is located by bisection to BISECT_TOL; positive-
+    semidefiniteness is tested on the compression eigenmodes that survive
+    the discard policy, with an absolute slack PSD_RTOL * max(1, ||M||)
+    absorbing modes whose eta-weight is negligible.  This is the lockstep
+    estimator of `rho_scan` and `transfer_verify` run on one eta, so the
+    compression covers exactly the support of eta.
     """
-    raw, corrected, n_discarded, spectrum, modes = _estimate_rho_batch(
-        opset, dec, pair, [eta], policy, bisect_tol, psd_rtol)[0]
-    return RhoEstimate(
-        lam=eta.center, eps=eta.width, raw_min=raw, corrected=corrected,
-        n_discarded=n_discarded, compression_spectrum=spectrum,
-        discard_log=_discard_log(*modes),
-    )
+    return _estimate_rho_batch(opset, dec, pair, [eta], policy)[0]
 
 
-def opnorm(apply, apply_h, n: int, iters: int = 200, seed: int = 7) -> float:
+def opnorm(apply, apply_h, n: int) -> float:
     """Spectral norm of an operator M on C^n by power iteration on M*M, given
     the actions x -> M x and x -> M* x (a deterministic complex start)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(OPNORM_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     s = 0.0
-    for _ in range(iters):
+    for _ in range(OPNORM_ITERS):
         w = apply_h(apply(v))
         s_new = np.linalg.norm(w)
         if s_new == 0:
@@ -425,11 +428,11 @@ def transfer_verify(
     etas = [bump(lam, eps) for lam in samples]
     ests = _estimate_rho_batch(opset, dec_H, "H_A", etas, policy)
     rho0s, rhos, margins, residuals = [], [], [], []
-    for lam, eta, (_, corrected, *_) in zip(samples, etas, ests):
+    for lam, eta, est in zip(samples, etas, ests):
         rho0 = analytic_rho(pot.v_minus, pot.v_plus, lam)
         rho0s.append(rho0)
-        rhos.append(corrected)
-        margins.append(corrected - rho0 if math.isfinite(rho0) else math.nan)
+        rhos.append(est.corrected)
+        margins.append(est.corrected - rho0 if math.isfinite(rho0) else math.nan)
 
         dec_m = dirichlet_decomposition(grid.n, grid.dx, pot.v_minus, eta)
         dec_p = dirichlet_decomposition(grid.n, grid.dx, pot.v_plus, eta)
@@ -477,7 +480,7 @@ def rho_scan(
         if not s:
             rows.append((lam, rho0, math.inf, math.inf, 0, math.nan))
             continue
-        raw, corrected, n_discarded, *_ = next(ests)
-        margin = corrected - rho0 if math.isfinite(rho0) else math.nan
-        rows.append((lam, rho0, raw, corrected, n_discarded, margin))
+        est = next(ests)
+        margin = est.corrected - rho0 if math.isfinite(rho0) else math.nan
+        rows.append((lam, rho0, est.raw_min, est.corrected, est.n_discarded, margin))
     return rows

@@ -26,6 +26,7 @@ import numpy as np
 from .grid import Grid
 from .operators import OperatorSet
 from .spectral import (
+    AC_DELTA,
     SpectralDecomposition,
     dirichlet_eigenvalues,
     dst1,
@@ -46,7 +47,12 @@ __all__ = [
     "gaussian_averaged_oracle",
 ]
 
-AC_DELTA = 0.01  # offset of the scattering-surrogate projector above threshold
+# A completeness probe passes when both gluing defects fall below DECAY_TARGET at a
+# time whose packet bulk is at least BOUNDARY_GUARD from the box ends.
+DECAY_TARGET = 0.05
+BOUNDARY_GUARD = 4.0
+CAPTURE_RADIUS = 4.0  # |x| radius of the step region in `scattering_coefficients`
+ORACLE_NPTS = 2001  # momentum nodes of `gaussian_averaged_oracle`
 
 
 @dataclass(frozen=True)
@@ -56,9 +62,6 @@ class TwoSpaceState:
     grid: Grid
     phi_minus: np.ndarray
     phi_plus: np.ndarray
-    channel: Optional[str] = None
-    x0: Optional[float] = None
-    k0: Optional[float] = None
     sigma: Optional[float] = None
 
     def norm(self) -> float:
@@ -138,10 +141,7 @@ def make_channel_packet(
     psi = psi / _l2(grid, psi)
     zero = np.zeros_like(psi)
     phi_minus, phi_plus = (psi, zero) if channel == "-" else (zero, psi)
-    return TwoSpaceState(
-        grid=grid, phi_minus=phi_minus, phi_plus=phi_plus,
-        channel=channel, x0=x0, k0=k0, sigma=sigma,
-    )
+    return TwoSpaceState(grid=grid, phi_minus=phi_minus, phi_plus=phi_plus, sigma=sigma)
 
 
 def _free_evolve(opset: OperatorSet, state: TwoSpaceState, times: np.ndarray):
@@ -171,12 +171,6 @@ def _p0_norm(opset: OperatorSet, state: TwoSpaceState) -> float:
     return math.sqrt(opset.grid.dx * mass)
 
 
-def _signed_times(direction: str, times: Sequence[float]) -> np.ndarray:
-    if direction not in ("+", "-"):
-        raise ValueError("direction must be '+' or '-'")
-    return (1.0 if direction == "+" else -1.0) * np.asarray(times, dtype=float)
-
-
 def wave_operator_probe(
     opset: OperatorSet,
     dec_H: SpectralDecomposition,
@@ -191,7 +185,9 @@ def wave_operator_probe(
     with the smallest Cauchy defect.  One free-evolution block serves both
     the approximants and the defects.
     """
-    ts = _signed_times(direction, times)
+    if direction not in ("+", "-"):
+        raise ValueError("direction must be '+' or '-'")
+    ts = (1.0 if direction == "+" else -1.0) * np.asarray(times, dtype=float)
     grid = opset.grid
     sigma = packet.sigma if packet.sigma is not None else 3.0
     guard = 5 * sigma
@@ -233,19 +229,16 @@ def completeness_probe(
     dec_H: SpectralDecomposition,
     psi: np.ndarray,
     times: Sequence[float],
-    direction: str = "+",
-    decay_target: float = 0.05,
-    boundary_guard: float = 4.0,
 ) -> CompletenessReport:
-    """Decay probes for the gluing defects J J* - 1 and J* J - 1.
+    """Decay probes for the gluing defects J J* - 1 and J* J - 1, forward in time.
 
     Uses Jt = J* as the reverse identification.  The forward norm tracks
     (JJ* - 1) e^{-itH} psi, the converse norm (J*J - 1) e^{-itH0} J* psi.
-    The verdict requires both to fall below `decay_target` at some
+    The verdict requires both to fall below DECAY_TARGET at some
     admissible time; a stationary state (bound state) never decays and
     fails the probe.
     """
-    ts = _signed_times(direction, times)
+    ts = np.asarray(times, dtype=float)
     grid = opset.grid
     psi = np.asarray(psi, dtype=complex)
     npsi = _l2(grid, psi)
@@ -256,7 +249,7 @@ def completeness_probe(
     frous = _l2(grid, w[:, None] * ev) / npsi
     margins = grid.L - _bulk_radius(grid, grid.dx * np.abs(ev) ** 2, fraction=0.5)
     del ev  # each n x T block is released before the next is built (peak memory)
-    admissible = margins >= boundary_guard
+    admissible = margins >= BOUNDARY_GUARD
 
     fm, fp = opset.apply_J_star(psi)
     phi0 = TwoSpaceState(grid=grid, phi_minus=fm, phi_plus=fp)
@@ -265,17 +258,16 @@ def completeness_probe(
     convs = np.sqrt(grid.dx * np.sum(np.abs(jm * glued - pm) ** 2
                                      + np.abs(jp * glued - pp) ** 2, axis=0)) / phi0.norm()
 
-    ok_f = bool(np.any(admissible & (frous < decay_target)))
-    ok_c = bool(np.any(admissible & (convs < decay_target)))
+    ok_f = bool(np.any(admissible & (frous < DECAY_TARGET)))
+    ok_c = bool(np.any(admissible & (convs < DECAY_TARGET)))
 
     # image of the best finite-time approximant against the scattering surrogate
     if not admissible.any():
         raise RuntimeError("no admissible time in the completeness probe; increase L")
     best = int(np.argmin(np.where(admissible, frous, np.inf)))
     image = propagate(dec_H, glued[:, best], [-ts[best]])[:, 0]
-    p_sc_image = scattering_projector(
-        dec_H, image, min(opset.potential.v_minus, opset.potential.v_plus), AC_DELTA
-    )
+    p_sc_image = scattering_projector(dec_H, image,
+                                      min(opset.potential.v_minus, opset.potential.v_plus))
     nim = _l2(grid, image)
     range_defect = _l2(grid, image - p_sc_image) / nim if nim > 0 else math.inf
 
@@ -300,7 +292,7 @@ def sharp_step_oracle(lam: float, v_minus: float, v_plus: float) -> ScatteringCo
 
 
 def gaussian_averaged_oracle(
-    lam: float, v_minus: float, v_plus: float, sigma: float, npts: int = 2001
+    lam: float, v_minus: float, v_plus: float, sigma: float
 ) -> ScatteringCoefficients:
     """Sharp-step oracle averaged over the packet momentum distribution.
 
@@ -310,7 +302,7 @@ def gaussian_averaged_oracle(
     """
     k0 = math.sqrt(lam - v_minus)
     dk = 1.0 / (2 * sigma)
-    ks = np.linspace(max(1e-9, k0 - 8 * dk), k0 + 8 * dk, npts)
+    ks = np.linspace(max(1e-9, k0 - 8 * dk), k0 + 8 * dk, ORACLE_NPTS)
     weight = np.exp(-2 * sigma**2 * (ks - k0) ** 2)
     energies = ks**2 + v_minus
     open_ch = energies > max(v_minus, v_plus)
@@ -334,7 +326,6 @@ def scattering_coefficients(
     lam: float,
     x0: float = -25.0,
     sigma: float = 3.0,
-    capture_radius: float = 4.0,
     max_time: Optional[float] = None,
     n_times: int = 60,
 ) -> ScatteringCoefficients:
@@ -366,12 +357,12 @@ def scattering_coefficients(
     kp = math.sqrt(lam - pot.v_plus)
     if max_time is None:
         # time for the transmitted bulk to clear the capture radius well
-        max_time = (abs(x0) + capture_radius + 6 * sigma) / (2 * min(k0, kp))
+        max_time = (abs(x0) + CAPTURE_RADIUS + 6 * sigma) / (2 * min(k0, kp))
     times = np.linspace(0.0, max_time, n_times)
     x = grid.nodes
-    mid = np.abs(x) <= capture_radius
-    left = x < -capture_radius
-    right = x > capture_radius
+    mid = np.abs(x) <= CAPTURE_RADIUS
+    left = x < -CAPTURE_RADIUS
+    right = x > CAPTURE_RADIUS
 
     dens = grid.dx * np.abs(propagate(dec_H, psi0, times[1:])) ** 2
     margins = grid.L - _bulk_radius(grid, dens)

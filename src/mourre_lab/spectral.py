@@ -54,6 +54,8 @@ __all__ = [
     "plateau",
 ]
 
+AC_DELTA = 0.01  # offset of the scattering-surrogate projector above threshold
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -83,7 +85,6 @@ class EnergyWindow:
 class SmoothingFunction:
     """Real localization function eta with eta(center) != 0."""
 
-    kind: str                 # bump | gaussian | resolvent_power | custom
     center: float
     width: float
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -102,14 +103,14 @@ def bump(center: float, width: float) -> SmoothingFunction:
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
         return out
 
-    return SmoothingFunction("bump", center, width, f)
+    return SmoothingFunction(center, width, f)
 
 
 def gaussian(center: float, width: float) -> SmoothingFunction:
     def f(x: np.ndarray) -> np.ndarray:
         return np.exp(-((x - center) ** 2) / (2 * width**2))
 
-    return SmoothingFunction("gaussian", center, width, f)
+    return SmoothingFunction(center, width, f)
 
 
 def plateau(lo: float, hi: float, shoulder: float) -> SmoothingFunction:
@@ -121,7 +122,7 @@ def plateau(lo: float, hi: float, shoulder: float) -> SmoothingFunction:
         down, _ = smoothstep(-x, -hi - shoulder, -hi)
         return up * down
 
-    return SmoothingFunction("plateau", 0.5 * (lo + hi), hi - lo, f)
+    return SmoothingFunction(0.5 * (lo + hi), hi - lo, f)
 
 
 def eigendecompose(op: Band, window: Optional[EnergyWindow] = None) -> SpectralDecomposition:
@@ -147,19 +148,13 @@ def eigendecompose(op: Band, window: Optional[EnergyWindow] = None) -> SpectralD
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 
 
-def _lapacke(name: str):
-    """LAPACKE_<name> of the bundled OpenBLAS (ILP64), or None if it is absent."""
-    from . import blas
-
-    lib = blas.bundled_openblas()
-    return getattr(lib, f"scipy_LAPACKE_{name}64_", None) if lib is not None else None
-
-
 def _dstemr():
     """LAPACKE_dstemr with its argument types, or None if it is absent."""
     import ctypes
 
-    stemr = _lapacke("dstemr")
+    from .blas import lapacke
+
+    stemr = lapacke("dstemr")
     if stemr is None:
         return None
     i64, dbl = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
@@ -217,7 +212,9 @@ def _zgtsv():
     """LAPACKE_zgtsv with its argument types, or None if it is absent."""
     import ctypes
 
-    gtsv = _lapacke("zgtsv")
+    from .blas import lapacke
+
+    gtsv = lapacke("zgtsv")
     if gtsv is None:
         return None
     i64, cplx = ctypes.c_int64, np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
@@ -392,18 +389,18 @@ def propagate(dec: SpectralDecomposition, states: np.ndarray, times: Sequence[fl
     return (u @ phases.view(np.float64)).view(np.complex128)
 
 
-def scattering_projector(
-    dec: SpectralDecomposition, states: np.ndarray, threshold: float, delta: float = 0.01
-) -> np.ndarray:
+def scattering_projector(dec: SpectralDecomposition, states: np.ndarray,
+                         threshold: float) -> np.ndarray:
     """Finite-box surrogate for the absolutely-continuous projection, applied to states.
 
-    Projects onto eigenvalues above threshold + delta as U_s (U_s^dagger states),
-    with no n x n matrix; on the box every eigenvalue is discrete, so states
-    below the lowest channel threshold (bound states) are treated as the
-    point-spectrum analogue.  This is a heuristic surrogate, not an
-    identity, and delta is reported wherever the projector is used.
+    Projects onto eigenvalues above threshold + AC_DELTA as U_s (U_s^dagger
+    states), with no n x n matrix; on the box every eigenvalue is discrete,
+    so states below the lowest channel threshold (bound states) are treated
+    as the point-spectrum analogue.  This is a heuristic surrogate, not an
+    identity.  AC_DELTA is a fixed module constant (0.01), which the initial-
+    set norm of `scattering.wave_operator_probe` shares; no report carries it.
     """
     u = dec.eigenvectors
     coef = u.conj().T @ states
-    coef[dec.eigenvalues <= threshold + delta] = 0.0  # U_s^dagger states, padded with zeros
+    coef[dec.eigenvalues <= threshold + AC_DELTA] = 0.0  # U_s^dagger states, padded with zeros
     return u @ coef

@@ -141,6 +141,33 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert key in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("profile,params,key", [
+        ("sahrp_step", {"bump_amplitude": 0.3}, "profile"),
+        ("sahrp_step", {}, "profile"),
+        ("custom", {}, "profile"),
+        ("sharp_step", {"bump_amplitude": 0.3}, "params.bump_amplitude"),
+        ("smooth_step_plus_bump", {}, "profile"),
+        ("smooth_step_plus_bump", {"bump_amplitude": 0.0}, "profile"),
+    ], ids=["typo-with-bump", "typo", "custom-without-samples", "sharp-step-with-bump",
+            "plus-bump-default-amplitude", "plus-bump-zero-amplitude"])
+    def test_profile_the_config_cannot_honour(self, tmp_path, capsys, profile, params, key):
+        """A profile is used as written or refused: a bump no longer swaps a
+        typo or a sharp step for the smooth step plus bump."""
+        path = write_config(tmp_path, "c.json", dict(SMALL, experiment="transfer",
+                                                     profile=profile, params=params))
+        with pytest.raises(ConfigError, match=f"^{key}:"):
+            load_config(path)
+        assert main(["transfer", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "transfer.json").exists()
+
+    def test_smooth_step_plus_bump_with_a_bump(self, tmp_path):
+        path = write_config(tmp_path, "c.json", {"experiment": "transfer",
+                                                 "profile": "smooth_step_plus_bump",
+                                                 "params": {"bump_amplitude": 0.3}})
+        assert load_config(path).profile == "smooth_step_plus_bump"
+
     def test_integer_fits_number_param(self, tmp_path):
         path = write_config(tmp_path, "c.json", {"experiment": "transfer", "L": 40,
                                                  "params": {"eps": 1, "lambdas": [1, 2.5]}})
@@ -196,6 +223,17 @@ class TestRun:
         assert rho0[1] == 1.0
         assert rho0[2] == pytest.approx(1.998)
         assert rho0[3] == 1.0  # drop across the upper threshold at v_plus
+
+    def test_rho_scan_has_no_verdict(self, tmp_path):
+        """rho-scan is a measurement: a margin far below any tolerance (here
+        lambda = 0.999, within 2 eps of the threshold at v_plus = 1) still
+        writes "verdict": true and exits 0."""
+        cfg = ExperimentConfig(experiment="rho-scan", out_dir=str(tmp_path),
+                               params={"lambdas": [0.999], "eps": 0.1}, **SMALL)
+        assert run(cfg) == 0
+        report = json.loads((tmp_path / "rho_scan.json").read_text())
+        assert report["rows"][0]["margin"] < -0.2
+        assert report["verdict"] is True
 
     def test_closed_channel_is_execution_error(self, tmp_path, capsys):
         cfg = ExperimentConfig(experiment="scatter", out_dir=str(tmp_path),

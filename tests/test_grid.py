@@ -37,12 +37,6 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(0.0, 321)
 
-    def test_interior_mask(self):
-        g = make_grid(20.0, 321)
-        mask = g.interior_mask(5.0)
-        assert np.all(np.abs(g.nodes[mask]) <= 15.0)
-        assert np.all(np.abs(g.nodes[~mask]) > 15.0)
-
 
 class TestMollifier:
     def test_zero_on_nonpositive(self):
@@ -130,13 +124,13 @@ class TestSteplike:
         pot = make_steplike(g, 0.0, 1.0)
         assert pot.v[0] == pytest.approx(0.0, abs=1e-12)
         assert pot.v[-1] == pytest.approx(1.0, abs=1e-12)
-        assert pot.differentiable
+        assert pot.v_prime is not None
 
     def test_sharp_step_midpoint(self):
         g = make_grid(20.0, 321)
         pot = make_steplike(g, 0.0, 1.0, profile="sharp_step")
         assert pot.v[g.n // 2] == 0.5
-        assert not pot.differentiable
+        assert pot.v_prime is None
 
     def test_smooth_step_derivative_consistent(self):
         # second-order convergence of the centered difference to v'

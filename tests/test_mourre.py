@@ -206,15 +206,17 @@ class TestLockstepBisection:
         dec = eigendecompose(small_ops.H, EnergyWindow(2.0, 0.5))
         etas = [gaussian(c, 0.3) for c in (0.4, 0.9, 1.3, 1.8, 2.0)]
         batch = _estimate_rho_batch(small_ops, dec, "H_A", etas, policy)
-        for eta, (raw, corrected, n_discarded, spectrum, modes) in zip(etas, batch):
+        for eta, est in zip(etas, batch):
             one = estimate_rho_eta(small_ops, dec, "H_A", eta, policy)
-            assert spectrum.size == dec.eigenvalues.size
-            assert (raw, corrected, n_discarded) == (one.raw_min, one.corrected, one.n_discarded)
-            assert np.array_equal(spectrum, one.compression_spectrum)
-            ref = [[d[key] for d in one.discard_log]
-                   for key in ("eigenvalue", "interaction_mass", "boundary_mass", "discarded")]
-            assert all(np.array_equal(a, r) for a, r in zip(modes, ref))
-        assert len({est[:2] for est in batch}) >= 3
+            assert (est.lam, est.eps) == (eta.center, eta.width)
+            assert est.compression_spectrum.size == dec.eigenvalues.size
+            assert ((est.raw_min, est.corrected, est.n_discarded)
+                    == (one.raw_min, one.corrected, one.n_discarded))
+            assert np.array_equal(est.compression_spectrum, one.compression_spectrum)
+            assert all(np.array_equal(a, r) for a, r in zip(est.modes, one.modes))
+            assert est.discard_log == one.discard_log
+            assert len(est.discard_log) == est.compression_spectrum.size
+        assert len({(est.raw_min, est.corrected) for est in batch}) >= 3
 
     def test_nested_supports_of_mixed_widths(self, small_ops, dec_H):
         """A wide eta followed by narrow ones inside its support: one window
@@ -222,11 +224,11 @@ class TestLockstepBisection:
         match estimate_rho_eta to the bisection resolution."""
         etas = [bump(1.5, 0.6), bump(1.4, 0.1), bump(1.6, 0.15), bump(0.5, 0.1), bump(2.5, 0.3)]
         batch = _estimate_rho_batch(small_ops, dec_H, "H_A", etas)
-        for eta, (raw, corrected, n_discarded, spectrum, _) in zip(etas, batch):
+        for eta, est in zip(etas, batch):
             one = estimate_rho_eta(small_ops, dec_H, "H_A", eta)
-            assert n_discarded == one.n_discarded
-            assert spectrum.size == one.compression_spectrum.size
-            for v, ref in ((raw, one.raw_min), (corrected, one.corrected)):
+            assert est.n_discarded == one.n_discarded
+            assert est.compression_spectrum.size == one.compression_spectrum.size
+            for v, ref in ((est.raw_min, one.raw_min), (est.corrected, one.corrected)):
                 assert abs(v - ref) <= BISECT_TOL * max(1.0, abs(ref))
 
 

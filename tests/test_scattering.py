@@ -353,13 +353,6 @@ class TestBlockedProbesMatchLoops:
 
 
 class TestProbeArguments:
-    def test_completeness_invalid_direction(self, step_321):
-        ops, dec_H = step_321
-        pk = make_channel_packet(ops.grid, "+", 10.0, 1.5, 2.0)
-        psi = ops.apply_J(pk.phi_minus, pk.phi_plus)
-        with pytest.raises(ValueError, match="direction"):
-            completeness_probe(ops, dec_H, psi, [0.0, 1.0], direction="0")
-
     @pytest.mark.parametrize("n_times", [0, 1])
     def test_scattering_needs_two_times(self, step_321, n_times):
         ops, dec_H = step_321

@@ -354,11 +354,11 @@ class TestSmoothingFunctions:
 
 class TestScatteringProjector:
     def test_projects_above_threshold(self, dec):
-        p = scattering_projector(dec, np.eye(dec.source_dim), 0.0, delta=0.01)
+        p = scattering_projector(dec, np.eye(dec.source_dim), 0.0)
         assert np.allclose(p @ p, p, atol=1e-12)
         rank = round(np.real(np.trace(p)))
         assert rank == int((dec.eigenvalues > 0.01).sum())
 
     def test_kills_low_modes(self, dec):
         low = dec.eigenvectors[:, 0]
-        assert np.linalg.norm(scattering_projector(dec, low, 10.0, delta=0.01)) < 1e-12
+        assert np.linalg.norm(scattering_projector(dec, low, 10.0)) < 1e-12
