@@ -135,11 +135,13 @@ def make_steplike(
     """Steplike potential with limits v_minus / v_plus at the box ends.
 
     smooth_step uses the mollifier smoothstep rising over [-1, 1]; the
-    sharp_step assigns the midpoint value at x = 0.  An optional bump must
-    be compactly supported within |x| <= L/2.
+    sharp_step assigns the midpoint value at x = 0 and takes no bump.  An
+    optional bump must be compactly supported within |x| <= L/2.
     """
     if profile not in PROFILE_KINDS:
         raise ValueError(f"unknown profile {profile!r}, expected one of {PROFILE_KINDS}")
+    if profile == "sharp_step" and bump is not None:
+        raise ValueError("sharp_step takes no bump; use smooth_step_plus_bump")
     x = grid.nodes
     v_prime: Optional[np.ndarray] = None
 
@@ -157,7 +159,7 @@ def make_steplike(
         v = v_minus + (v_plus - v_minus) * s
         v_prime = (v_plus - v_minus) * ds
 
-    if profile == "smooth_step_plus_bump" or (bump is not None and profile != "sharp_step"):
+    if profile == "smooth_step_plus_bump" or bump is not None:
         if bump is None:
             raise ValueError("smooth_step_plus_bump requires a bump field")
         bump = np.asarray(bump, dtype=float)

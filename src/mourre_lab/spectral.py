@@ -1,24 +1,26 @@
 """Eigendecomposition and everything derived from it.
 
 Functions of an operator are formed from its eigenpairs: smooth
-localization functions of H, resolvents and the unitary propagator;
-an energy window is a mask of eigenvalues (`EnergyWindow.contains`).  H gets either its full basis from a dense
-`eigh` or only the pairs in an energy window, from MRRR (LAPACK
-`dstemr` of the OpenBLAS that NumPy bundles) with no n x n array; the
-channel operators -Delta + v_pm need no solver, because the Dirichlet
-Laplacian has a closed-form sine (DST-I) eigenbasis, built only where a
-function such as eta is nonzero; `dst1` applies that basis by FFT, so a
-channel function f(-Delta + v) acts as dst1(f(w + v) dst1(x)) with no n x n
-array.  A function f(H) costs what its support costs: only eigenvectors
-where f is nonzero enter U f(Lambda) U*, so a compactly supported eta
-gives a low-rank product.  A finite-rank operator is a `ThinProduct`,
-factors (left, core, right) for left @ core @ right^dagger, never its
-matrix (`sandwich`, `thin_sum`).  A resolvent applied to a thin block
-needs no eigenpairs at all: `resolvent_solve` gives (T - z)^{-1} X for a
-tridiagonal T (H or a channel) by LAPACK `zgtsv` of the same OpenBLAS, in
-O(n k).  `propagate` moves a state, or one state per time, over a whole
-time ladder in two products with U, staying in real arithmetic for a
-complex state in a real eigenbasis; `scattering_projector` is applied to
+localization functions of H, resolvents and the unitary propagator; an
+energy window is a mask of eigenvalues (`EnergyWindow.contains`).  H
+gets either its full basis by divide and conquer (LAPACK `dstedc` of the
+OpenBLAS that NumPy bundles, the same bits as a dense `eigh`) or only
+the pairs in an energy window, from MRRR (`dstemr` of the same library)
+with no n x n array; the channel operators -Delta + v_pm need no solver,
+because the Dirichlet Laplacian has a closed-form sine (DST-I)
+eigenbasis, built only where a function such as eta is nonzero; `dst1`
+applies that basis by FFT, so a channel function f(-Delta + v) acts as
+dst1(f(w + v) dst1(x)) with no n x n array.  A function f(H) costs what
+its support costs: only eigenvectors where f is nonzero enter U
+f(Lambda) U*, so a compactly supported eta gives a low-rank product.  A
+finite-rank operator is a `ThinProduct`, factors (left, core, right) for
+left @ core @ right^dagger, never its matrix (`sandwich`, `thin_sum`).
+A resolvent applied to a thin block needs no eigenpairs at all:
+`resolvent_solve` gives (T - z)^{-1} X for a tridiagonal T (H or a
+channel) by LAPACK `zgtsv` of the same OpenBLAS, in O(n k).  `propagate`
+moves a state, or one state per time, over a whole time ladder in two
+products with U, staying in real arithmetic for a complex state in a
+real eigenbasis, and so does `scattering_projector`, which is applied to
 states, never formed.
 """
 
@@ -128,16 +130,25 @@ def plateau(lo: float, hi: float, shoulder: float) -> SmoothingFunction:
 def eigendecompose(op: Band, window: Optional[EnergyWindow] = None) -> SpectralDecomposition:
     """Eigenpairs of a real symmetric band, eigenvalues ascending.
 
-    With no window, all n pairs from a dense `eigh`.  With a window, only
-    the pairs inside its open interval, as `dirichlet_decomposition`
-    returns them; a tridiagonal band gets them from MRRR (LAPACK `dstemr`)
-    in O(n k) for k pairs, with no n x n array.  Without the bundled
-    OpenBLAS, or for a wider band, the window is cut from the dense `eigh`.
+    With no window, all n pairs; a tridiagonal band gets them by divide and
+    conquer (LAPACK `dstedc` with COMPZ = 'I'), bit for bit those of the
+    dense `eigh`.  That `eigh` is `dsyevd`: `dsytrd` reduces the matrix to
+    tridiagonal form, `dstedc('I')` solves the tridiagonal problem and
+    `dormtr` applies the reduction to its eigenvectors.  On a matrix that
+    is already tridiagonal every Householder reflector of `dsytrd` has
+    tau = 0, so the reduction returns the same diagonals and `dormtr`
+    applies the identity: calling `dstedc` directly gives the same bits
+    without the n x n densify, the O(n^3) reduction and the back-transform.
+    With a window, only the pairs inside its open interval, as
+    `dirichlet_decomposition` returns them; a tridiagonal band gets them
+    from MRRR (LAPACK `dstemr`) in O(n k) for k pairs, with no n x n array.
+    Without the bundled OpenBLAS, or for a wider band, both come from the
+    dense `eigh`, the window cut by its mask.
     """
-    if window is not None and op.b == 1:
-        stemr = _dstemr()
-        if stemr is not None:
-            return _mrrr(stemr, op, window)
+    if op.b == 1 and window is None and (stedc := _dstedc()) is not None:
+        return _divide_and_conquer(stedc, op)
+    if op.b == 1 and window is not None and (stemr := _dstemr()) is not None:
+        return _mrrr(stemr, op, window)
     w, u = np.linalg.eigh(op.dense())
     if window is not None:
         keep = window.contains(w)
@@ -146,6 +157,40 @@ def eigendecompose(op: Band, window: Optional[EnergyWindow] = None) -> SpectralD
 
 
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
+
+
+def _dstedc():
+    """LAPACKE_dstedc with its argument types, or None if it is absent."""
+    import ctypes
+
+    from .blas import lapacke
+
+    stedc = lapacke("dstedc")
+    if stedc is None:
+        return None
+    i64, dbl = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    stedc.restype = i64
+    stedc.argtypes = [
+        ctypes.c_int, ctypes.c_char, i64, dbl, dbl,  # layout, compz, n, d, e
+        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"), i64,  # z, ldz
+    ]
+    return stedc
+
+
+def _divide_and_conquer(stedc, op: Band) -> SpectralDecomposition:
+    """All eigenpairs of a symmetric tridiagonal band, from dstedc with COMPZ = 'I'.
+
+    d comes back as the ascending eigenvalues.  Z is column-major with
+    ldz = n, so its columns are the rows of a C-ordered n x n array; the
+    eigenvectors are a C-ordered copy of its transpose, as `eigh` returns them.
+    """
+    n = op.n
+    d, e = op.entries[1].copy(), op.entries[2, :-1].copy()  # d and e are overwritten
+    z = np.empty((n, n))
+    info = stedc(_COL_MAJOR, b"I", n, d, e, z, n)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstedc failed with info {info}")
+    return SpectralDecomposition(eigenvalues=d, eigenvectors=np.ascontiguousarray(z.T))
 
 
 def _dstemr():
@@ -378,15 +423,22 @@ def propagate(dec: SpectralDecomposition, states: np.ndarray, times: Sequence[fl
         raise ValueError("state dimension does not match the decomposition")
     if states.ndim == 2 and states.shape[1] != times.size:
         raise ValueError("a block of states needs one column per time")
-    u = dec.eigenvectors
     cols = np.ascontiguousarray(states, dtype=complex).reshape(dec.source_dim, -1)
     phases = np.exp(-1j * np.outer(dec.eigenvalues, times))
-    if np.iscomplexobj(u):
-        phases *= u.conj().T @ cols
-        return u @ phases
-    # a complex C-ordered array viewed as float interleaves (re, im) along its rows
-    phases *= (u.T @ cols.view(np.float64)).view(np.complex128)
-    return (u @ phases.view(np.float64)).view(np.complex128)
+    return _through_basis(dec.eigenvectors, cols, lambda c: np.multiply(phases, c, out=phases))
+
+
+def _through_basis(u: np.ndarray, cols: np.ndarray, middle) -> np.ndarray:
+    """U middle(U^dagger cols) for an n x k block of columns.
+
+    A real basis stays in real arithmetic for complex columns: a complex
+    C-ordered array viewed as float interleaves (re, im) along its rows, so
+    both products multiply real arrays and no complex copy of U is made.
+    """
+    if np.iscomplexobj(u) or not np.iscomplexobj(cols):
+        return u @ middle(u.conj().T @ cols)
+    coef = middle((u.T @ cols.view(np.float64)).view(np.complex128))
+    return (u @ coef.view(np.float64)).view(np.complex128)
 
 
 def scattering_projector(dec: SpectralDecomposition, states: np.ndarray,
@@ -399,8 +451,13 @@ def scattering_projector(dec: SpectralDecomposition, states: np.ndarray,
     as the point-spectrum analogue.  This is a heuristic surrogate, not an
     identity.  AC_DELTA is a fixed module constant (0.01), which the initial-
     set norm of `scattering.wave_operator_probe` shares; no report carries it.
+    A real basis stays in real arithmetic for complex states, as in `propagate`.
     """
-    u = dec.eigenvectors
-    coef = u.conj().T @ states
-    coef[dec.eigenvalues <= threshold + AC_DELTA] = 0.0  # U_s^dagger states, padded with zeros
-    return u @ coef
+    low = dec.eigenvalues <= threshold + AC_DELTA
+
+    def drop_low(coef):  # U_s^dagger states, padded with zeros
+        coef[low] = 0.0
+        return coef
+
+    cols = np.ascontiguousarray(states).reshape(dec.source_dim, -1)
+    return _through_basis(dec.eigenvectors, cols, drop_low).reshape(states.shape)

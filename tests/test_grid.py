@@ -150,6 +150,12 @@ class TestSteplike:
         with pytest.raises(ValueError):
             make_steplike(g, 0.0, 1.0, profile="smooth_step_plus_bump", bump=wide)
 
+    def test_sharp_step_refuses_bump(self):
+        g = make_grid(20.0, 321)
+        small = np.where(np.abs(g.nodes) < 1.0, 0.3, 0.0)
+        with pytest.raises(ValueError, match="sharp_step"):
+            make_steplike(g, 0.0, 1.0, profile="sharp_step", bump=small)
+
     def test_custom_requires_samples(self):
         g = make_grid(20.0, 321)
         with pytest.raises(ValueError):

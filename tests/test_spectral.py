@@ -48,6 +48,32 @@ class TestEigendecompose:
         u = dec.eigenvectors
         assert np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
 
+    # dstedc on the band is what the dense eigh (dsyevd) runs after a reduction
+    # that leaves a tridiagonal matrix as it is, so the bits must agree
+    @pytest.mark.parametrize("case,which", [
+        ("small", "H"), ("L160", "H"), ("small", "T"), ("small", "neglap")])
+    def test_bitwise_equals_dense_eigh(self, request, monkeypatch, case, which):
+        ops = request.getfixturevalue("small_ops" if case == "small" else "ops_L160")
+        op = (Band(ops.conjugate_core.entries * np.array([[-1.0], [0.0], [1.0]]))
+              if which == "T" else getattr(ops, which))  # T as c1_probe builds it
+        w, u = np.linalg.eigh(op.dense())
+        monkeypatch.setattr(Band, "dense", lambda self: pytest.fail("dense band formed"))
+        dec = eigendecompose(op)
+        assert np.array_equal(dec.eigenvalues, w)
+        assert np.array_equal(dec.eigenvectors, u)
+        assert dec.eigenvectors.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("library", [None, object()], ids=["no-openblas", "no-symbol"])
+    def test_missing_dstedc_falls_back_to_dense(self, small_ops, monkeypatch, library):
+        w, u = np.linalg.eigh(small_ops.H.dense())
+        calls, dense = [], Band.dense
+        monkeypatch.setattr(Band, "dense", lambda self: calls.append(1) or dense(self))
+        monkeypatch.setattr(blas, "bundled_openblas", lambda: library)
+        dec = eigendecompose(small_ops.H)
+        assert len(calls) == 1  # the dense eigh ran
+        assert np.array_equal(dec.eigenvalues, w)
+        assert np.array_equal(dec.eigenvectors, u)
+
 
 @pytest.fixture(scope="module")
 def ops_L160():
@@ -362,3 +388,22 @@ class TestScatteringProjector:
     def test_kills_low_modes(self, dec):
         low = dec.eigenvectors[:, 0]
         assert np.linalg.norm(scattering_projector(dec, low, 10.0)) < 1e-12
+
+    @pytest.mark.parametrize("basis", ["real", "complex"])
+    @pytest.mark.parametrize("shape", ["vector", "block"])
+    def test_matches_complex_formula(self, dec, basis, shape):
+        n = dec.source_dim
+        rng = np.random.default_rng(16)
+        u = dec.eigenvectors
+        if basis == "complex":  # a column phase keeps the basis orthonormal and complex
+            u = u * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))[None, :]
+        d = SpectralDecomposition(dec.eigenvalues, u)
+        size = (n,) if shape == "vector" else (n, 7)
+        states = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        coef = u.astype(complex).conj().T @ states
+        coef[dec.eigenvalues <= 1.0 + 0.01] = 0.0  # threshold + AC_DELTA
+        ref = u @ coef
+        out = scattering_projector(d, states, 1.0)
+        assert out.shape == states.shape and np.iscomplexobj(out)
+        scale = np.max(np.abs(states))
+        assert np.max(np.abs(out - ref)) <= ROUNDING_ULPS * n * F64_EPS * scale
