@@ -14,8 +14,6 @@ from .operators import (
     OperatorSet,
     build_commutator_longrange,
     build_pair,
-    load_matrix,
-    save_matrix,
 )
 from .spectral import (
     EnergyWindow,
@@ -23,7 +21,6 @@ from .spectral import (
     SpectralDecomposition,
     bump,
     eigendecompose,
-    gaussian,
     plateau,
     propagate,
     resolvent,

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import PROFILE_KINDS
-from .hypotheses import OPERATOR_TAGS, compactness_ladder
+from .hypotheses import OPERATOR_TAGS, check_operator_tags, compactness_ladder
 
 SCHEMA_VERSION = "1"
 EXPERIMENTS = ("rho-scan", "transfer", "hypotheses", "scatter", "completeness")
@@ -136,7 +136,7 @@ def load_config(path, experiment: Optional[str] = None,
                           f"expected some of {list(allowed)}")
     for key, val in cfg.params.items():
         _check_type(f"params.{key}", val, [_ITEMS[key]] if key in _ITEMS else allowed[key])
-        if key.endswith(("tol", "eps", "sigma", "step", "width")) and val <= 0:
+        if key.endswith(("tol", "eps", "sigma", "step", "width", "t_max")) and val <= 0:
             raise ConfigError(f"params.{key}: must be positive")
     p = {**allowed, **cfg.params}
     if cfg.profile == "sharp_step" and p["bump_amplitude"]:
@@ -158,14 +158,10 @@ def load_config(path, experiment: Optional[str] = None,
                               f"n an odd integer >= 16, got {json.dumps(level)}")
     if p.get("n_times", 2) < 2:
         raise ConfigError(f"params.n_times: need at least two times, got {p['n_times']}")
-    tags = cfg.params.get("operators", [])
-    unknown = [tag for tag in tags if tag not in OPERATOR_TAGS]
-    if unknown:
-        raise ConfigError(f"params.operators: unknown tag(s) {unknown}; "
-                          f"expected some of {list(OPERATOR_TAGS)}")
-    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
-    if repeated:
-        raise ConfigError(f"params.operators: repeated tag(s) {repeated}")
+    try:
+        check_operator_tags(cfg.params.get("operators", []))
+    except ValueError as exc:
+        raise ConfigError(f"params.operators: {exc}") from None
     return cfg
 
 

@@ -51,6 +51,7 @@ __all__ = [
     "CompactnessReport",
     "C1Report",
     "assumption_operator",
+    "check_operator_tags",
     "compactness_ladder",
     "compactness_report",
     "short_range_operator",
@@ -237,6 +238,17 @@ def long_range_operator(opset: OperatorSet) -> ThinProduct:
     return thin_sum(ThinProduct(r, 0.5 * m, r.conj()), ThinProduct(r.conj(), 0.5 * m.T, r))
 
 
+def check_operator_tags(tags: Sequence[str]) -> None:
+    """Raise ValueError naming any tag not in OPERATOR_TAGS or given twice."""
+    unknown = [tag for tag in tags if tag not in OPERATOR_TAGS]
+    if unknown:
+        raise ValueError(f"unknown operator tag(s) {unknown}; expected some of "
+                         f"{list(OPERATOR_TAGS)}")
+    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if repeated:
+        raise ValueError(f"repeated operator tag(s) {repeated}")
+
+
 def compactness_ladder(
     build: Callable[[float, int], OperatorSet],
     levels: Sequence[tuple[float, int]],
@@ -253,13 +265,7 @@ def compactness_ladder(
     control is sigma_k = 1, k <= min(TOP, n), in closed form, so an
     identity-only ladder builds nothing.
     """
-    unknown = [tag for tag in tags if tag not in OPERATOR_TAGS]
-    if unknown:
-        raise ValueError(f"unknown operator tag(s) {unknown}; expected some of "
-                         f"{list(OPERATOR_TAGS)}")
-    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
-    if repeated:
-        raise ValueError(f"repeated operator tag(s) {repeated}")
+    check_operator_tags(tags)
     svs = {tag: [] for tag in tags}
     if "identity" in svs:
         svs["identity"] = [np.ones(min(TOP, n)) for _, n in levels]

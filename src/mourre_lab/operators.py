@@ -30,8 +30,6 @@ __all__ = [
     "build_momentum_core",
     "build_pair",
     "build_commutator_longrange",
-    "save_matrix",
-    "load_matrix",
 ]
 
 
@@ -218,26 +216,3 @@ def build_commutator_longrange(opset: OperatorSet) -> Band:
     x = opset.grid.nodes
     return _plus_diagonal(_commutator(opset.conjugate_core, opset.neglap), -(j**2 * x * pot.v_prime))
 
-
-def save_matrix(matrix, path) -> None:
-    """Text export of a matrix or Band: one row per line, entries as 're,im' pairs, row-major."""
-    if isinstance(matrix, Band):
-        matrix = matrix.dense()
-    m = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    with open(path, "w") as fh:
-        fh.write(f"# rows={m.shape[0]} cols={m.shape[1]} format=re,im\n")
-        for row in m:
-            fh.write(" ".join(f"{c.real:.17g},{c.imag:.17g}" for c in row))
-            fh.write("\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise ValueError("missing matrix header line")
-        rows = []
-        for line in fh:
-            pairs = [tuple(map(float, c.split(","))) for c in line.split()]
-            rows.append([complex(re, im) for re, im in pairs])
-    return np.array(rows)

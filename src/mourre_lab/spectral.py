@@ -3,25 +3,29 @@
 Functions of an operator are formed from its eigenpairs: smooth
 localization functions of H, resolvents and the unitary propagator; an
 energy window is a mask of eigenvalues (`EnergyWindow.contains`).  H
-gets either its full basis by divide and conquer (LAPACK `dstedc` of the
-OpenBLAS that NumPy bundles, the same bits as a dense `eigh`) or only
-the pairs in an energy window, from MRRR (`dstemr` of the same library)
-with no n x n array; the channel operators -Delta + v_pm need no solver,
-because the Dirichlet Laplacian has a closed-form sine (DST-I)
-eigenbasis, built only where a function such as eta is nonzero; `dst1`
-applies that basis by FFT, so a channel function f(-Delta + v) acts as
-dst1(f(w + v) dst1(x)) with no n x n array.  A function f(H) costs what
-its support costs: only eigenvectors where f is nonzero enter U
-f(Lambda) U*, so a compactly supported eta gives a low-rank product.  A
+gets either its full basis by divide and conquer (LAPACK `dstedc`, the
+same bits as a dense `eigh`) or only the pairs in an energy window, from
+MRRR (`dstemr`) with no n x n array; the channel operators -Delta + v_pm
+need no solver, because the Dirichlet Laplacian has a closed-form sine
+(DST-I) eigenbasis, built only where a function such as eta is nonzero;
+`dst1` applies that basis by FFT, so a channel function f(-Delta + v)
+acts as dst1(f(w + v) dst1(x)) with no n x n array.  A function f(H)
+costs what its support costs: only eigenvectors where f is nonzero enter
+U f(Lambda) U*, so a compactly supported eta gives a low-rank product.  A
 finite-rank operator is a `ThinProduct`, factors (left, core, right) for
 left @ core @ right^dagger, never its matrix (`sandwich`, `thin_sum`).
 A resolvent applied to a thin block needs no eigenpairs at all:
 `resolvent_solve` gives (T - z)^{-1} X for a tridiagonal T (H or a
-channel) by LAPACK `zgtsv` of the same OpenBLAS, in O(n k).  `propagate`
-moves a state, or one state per time, over a whole time ladder in two
-products with U, staying in real arithmetic for a complex state in a
-real eigenbasis, and so does `scattering_projector`, which is applied to
-states, never formed.
+channel) by LAPACK `zgtsv`, in O(n k).  `propagate` moves a state, or one
+state per time, over a whole time ladder in two products with U, staying
+in real arithmetic for a complex state in a real eigenbasis.
+`scattering_projector` applies 1 - U_low U_low^dagger, with U_low the few
+eigenvectors at or below threshold, to states and never forms it.
+
+The LAPACK routines are those of the OpenBLAS that NumPy bundles, handed
+out typed by `blas.lapacke`; this module passes them arrays and numbers
+only.  Without that library, or for a band wider than tridiagonal, the
+dense `eigh` and `solve` of NumPy take their place.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ __all__ = [
     "dirichlet_decomposition",
     "dst1",
     "support",
-    "apply_function",
     "sandwich",
     "ThinProduct",
     "thin_sum",
@@ -52,7 +55,6 @@ __all__ = [
     "propagate",
     "scattering_projector",
     "bump",
-    "gaussian",
     "plateau",
 ]
 
@@ -108,13 +110,6 @@ def bump(center: float, width: float) -> SmoothingFunction:
     return SmoothingFunction(center, width, f)
 
 
-def gaussian(center: float, width: float) -> SmoothingFunction:
-    def f(x: np.ndarray) -> np.ndarray:
-        return np.exp(-((x - center) ** 2) / (2 * width**2))
-
-    return SmoothingFunction(center, width, f)
-
-
 def plateau(lo: float, hi: float, shoulder: float) -> SmoothingFunction:
     """Smooth function equal to 1 on [lo, hi], 0 outside [lo-shoulder, hi+shoulder]."""
     from .grid import smoothstep
@@ -145,36 +140,17 @@ def eigendecompose(op: Band, window: Optional[EnergyWindow] = None) -> SpectralD
     Without the bundled OpenBLAS, or for a wider band, both come from the
     dense `eigh`, the window cut by its mask.
     """
-    if op.b == 1 and window is None and (stedc := _dstedc()) is not None:
+    from .blas import lapacke
+
+    if op.b == 1 and window is None and (stedc := lapacke("dstedc")) is not None:
         return _divide_and_conquer(stedc, op)
-    if op.b == 1 and window is not None and (stemr := _dstemr()) is not None:
+    if op.b == 1 and window is not None and (stemr := lapacke("dstemr")) is not None:
         return _mrrr(stemr, op, window)
     w, u = np.linalg.eigh(op.dense())
     if window is not None:
         keep = window.contains(w)
         w, u = w[keep], u[:, keep]
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
-
-
-_COL_MAJOR = 102  # LAPACK_COL_MAJOR
-
-
-def _dstedc():
-    """LAPACKE_dstedc with its argument types, or None if it is absent."""
-    import ctypes
-
-    from .blas import lapacke
-
-    stedc = lapacke("dstedc")
-    if stedc is None:
-        return None
-    i64, dbl = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    stedc.restype = i64
-    stedc.argtypes = [
-        ctypes.c_int, ctypes.c_char, i64, dbl, dbl,  # layout, compz, n, d, e
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"), i64,  # z, ldz
-    ]
-    return stedc
 
 
 def _divide_and_conquer(stedc, op: Band) -> SpectralDecomposition:
@@ -187,34 +163,8 @@ def _divide_and_conquer(stedc, op: Band) -> SpectralDecomposition:
     n = op.n
     d, e = op.entries[1].copy(), op.entries[2, :-1].copy()  # d and e are overwritten
     z = np.empty((n, n))
-    info = stedc(_COL_MAJOR, b"I", n, d, e, z, n)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstedc failed with info {info}")
+    stedc(b"I", n, d, e, z, n)
     return SpectralDecomposition(eigenvalues=d, eigenvectors=np.ascontiguousarray(z.T))
-
-
-def _dstemr():
-    """LAPACKE_dstemr with its argument types, or None if it is absent."""
-    import ctypes
-
-    from .blas import lapacke
-
-    stemr = lapacke("dstemr")
-    if stemr is None:
-        return None
-    i64, dbl = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    i64p = ctypes.POINTER(i64)
-    stemr.restype = i64
-    stemr.argtypes = [
-        ctypes.c_int, ctypes.c_char, ctypes.c_char, i64,  # layout, jobz, range, n
-        dbl, dbl, ctypes.c_double, ctypes.c_double,       # d, e, vl, vu
-        i64, i64, i64p, dbl,                              # il, iu, m, w
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),  # z
-        i64, i64,                                         # ldz, nzc
-        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),    # isuppz
-        i64p,                                             # tryrac
-    ]
-    return stemr
 
 
 def _mrrr(stemr, op: Band, window: EnergyWindow) -> SpectralDecomposition:
@@ -224,8 +174,6 @@ def _mrrr(stemr, op: Band, window: EnergyWindow) -> SpectralDecomposition:
     mask cuts it to (lo, hi).  Z is column-major with ldz = n, so its
     columns are the rows of a C-ordered (columns, n) array.
     """
-    import ctypes
-
     n = op.n
     lo, hi = window.lam - window.eps, window.lam + window.eps
     w = np.empty(n)
@@ -235,12 +183,9 @@ def _mrrr(stemr, op: Band, window: EnergyWindow) -> SpectralDecomposition:
         d = op.entries[1].copy()  # d and e are overwritten
         e = np.zeros(n)
         e[:-1] = op.entries[2, :-1]
-        m, tryrac = ctypes.c_int64(0), ctypes.c_int64(0)
-        info = stemr(_COL_MAJOR, b"V", b"V", n, d, e, lo, hi, 0, 0, ctypes.byref(m), w, z,
-                     n, nzc, isuppz, ctypes.byref(tryrac))
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dstemr failed with info {info}")
-        return m.value
+        m, tryrac = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        stemr(b"V", b"V", n, d, e, lo, hi, 0, 0, m, w, z, n, nzc, isuppz, tryrac)
+        return int(m[0])
 
     query = np.zeros((1, n))
     call(query, -1)  # the column count of Z comes back in its first entry
@@ -251,25 +196,6 @@ def _mrrr(stemr, op: Band, window: EnergyWindow) -> SpectralDecomposition:
     found = call(z, cols)
     keep = window.contains(w[:found])
     return SpectralDecomposition(eigenvalues=w[:found][keep].copy(), eigenvectors=z[:found][keep].T)
-
-
-def _zgtsv():
-    """LAPACKE_zgtsv with its argument types, or None if it is absent."""
-    import ctypes
-
-    from .blas import lapacke
-
-    gtsv = lapacke("zgtsv")
-    if gtsv is None:
-        return None
-    i64, cplx = ctypes.c_int64, np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
-    gtsv.restype = i64
-    gtsv.argtypes = [
-        ctypes.c_int, i64, i64,  # layout, n, nrhs
-        cplx, cplx, cplx, cplx,  # dl, d, du, b
-        i64,                     # ldb
-    ]
-    return gtsv
 
 
 def resolvent_solve(op: Band, z: complex, x: np.ndarray) -> np.ndarray:
@@ -283,16 +209,16 @@ def resolvent_solve(op: Band, z: complex, x: np.ndarray) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise ValueError(f"right-hand side must be a vector or a block with {n} rows, "
                          f"got shape {x.shape}")
-    gtsv = _zgtsv() if op.b == 1 else None
+    from .blas import lapacke
+
+    gtsv = lapacke("zgtsv") if op.b == 1 else None
     if gtsv is None:
         return np.linalg.solve(op.dense() - z * np.eye(n), x)
     # sub-, main and superdiagonal, overwritten by the factorization
     dl, d, du = (op.entries[0, 1:].astype(complex), op.entries[1] - complex(z),
                  op.entries[2, :-1].astype(complex))
     b = np.array(x.T, dtype=complex, order="C")  # column-major n x k with ldb = n
-    info = gtsv(_COL_MAJOR, n, 1 if x.ndim == 1 else x.shape[1], dl, d, du, b, n)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zgtsv failed with info {info}")
+    gtsv(n, 1 if x.ndim == 1 else x.shape[1], dl, d, du, b, n)
     return b.T
 
 
@@ -343,12 +269,6 @@ def support(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]):
     return u, fw
 
 
-def apply_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """U f(Lambda) U^dagger over the support of f; raises if f is singular on the spectrum."""
-    u, fw = support(dec, f)
-    return (u * fw[None, :]) @ u.conj().T
-
-
 @dataclass(frozen=True)
 class ThinProduct:
     """A finite-rank operator kept as its factors: left @ core @ right^dagger.
@@ -384,7 +304,8 @@ def resolvent(dec: SpectralDecomposition, z: complex) -> np.ndarray:
     """(H - z)^{-1} through the eigendecomposition."""
     if np.imag(z) == 0 and np.any(np.isclose(dec.eigenvalues, np.real(z))):
         raise ValueError("real z collides with an eigenvalue")
-    return apply_function(dec, lambda x: 1.0 / (x - z))
+    u, fw = support(dec, lambda x: 1.0 / (x - z))
+    return (u * fw[None, :]) @ u.conj().T
 
 
 def dst1(x: np.ndarray) -> np.ndarray:
@@ -413,8 +334,10 @@ def propagate(dec: SpectralDecomposition, states: np.ndarray, times: Sequence[fl
 
     `states` is one vector, moved to every time, or an n x T block whose
     column k is moved to times[k].  One product U^dagger states, the phases
-    broadcast over its columns, one product back; a real basis stays in real
-    arithmetic by multiplying the interleaved real and imaginary parts.
+    broadcast over its columns, one product back.  A real basis stays in
+    real arithmetic: a complex C-ordered array viewed as float interleaves
+    (re, im) along its rows, so both products multiply real arrays and no
+    complex copy of U is made.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -423,21 +346,12 @@ def propagate(dec: SpectralDecomposition, states: np.ndarray, times: Sequence[fl
         raise ValueError("state dimension does not match the decomposition")
     if states.ndim == 2 and states.shape[1] != times.size:
         raise ValueError("a block of states needs one column per time")
+    u = dec.eigenvectors
     cols = np.ascontiguousarray(states, dtype=complex).reshape(dec.source_dim, -1)
     phases = np.exp(-1j * np.outer(dec.eigenvalues, times))
-    return _through_basis(dec.eigenvectors, cols, lambda c: np.multiply(phases, c, out=phases))
-
-
-def _through_basis(u: np.ndarray, cols: np.ndarray, middle) -> np.ndarray:
-    """U middle(U^dagger cols) for an n x k block of columns.
-
-    A real basis stays in real arithmetic for complex columns: a complex
-    C-ordered array viewed as float interleaves (re, im) along its rows, so
-    both products multiply real arrays and no complex copy of U is made.
-    """
-    if np.iscomplexobj(u) or not np.iscomplexobj(cols):
-        return u @ middle(u.conj().T @ cols)
-    coef = middle((u.T @ cols.view(np.float64)).view(np.complex128))
+    if np.iscomplexobj(u):
+        return u @ np.multiply(phases, u.conj().T @ cols, out=phases)
+    coef = np.multiply(phases, (u.T @ cols.view(np.float64)).view(np.complex128), out=phases)
     return (u @ coef.view(np.float64)).view(np.complex128)
 
 
@@ -445,19 +359,14 @@ def scattering_projector(dec: SpectralDecomposition, states: np.ndarray,
                          threshold: float) -> np.ndarray:
     """Finite-box surrogate for the absolutely-continuous projection, applied to states.
 
-    Projects onto eigenvalues above threshold + AC_DELTA as U_s (U_s^dagger
-    states), with no n x n matrix; on the box every eigenvalue is discrete,
-    so states below the lowest channel threshold (bound states) are treated
-    as the point-spectrum analogue.  This is a heuristic surrogate, not an
-    identity.  AC_DELTA is a fixed module constant (0.01), which the initial-
-    set norm of `scattering.wave_operator_probe` shares; no report carries it.
-    A real basis stays in real arithmetic for complex states, as in `propagate`.
+    Projects out the eigenvalues at or below threshold + AC_DELTA, as
+    states - U_low (U_low^dagger states): U_low holds those few columns, so
+    the cost is O(n k) for k of them and no other eigenvector is read.  On
+    the box every eigenvalue is discrete, so states below the lowest channel
+    threshold (bound states) are treated as the point-spectrum analogue.
+    This is a heuristic surrogate, not an identity.  AC_DELTA is a fixed
+    module constant (0.01), which the initial-set norm of
+    `scattering.wave_operator_probe` shares; no report carries it.
     """
-    low = dec.eigenvalues <= threshold + AC_DELTA
-
-    def drop_low(coef):  # U_s^dagger states, padded with zeros
-        coef[low] = 0.0
-        return coef
-
-    cols = np.ascontiguousarray(states).reshape(dec.source_dim, -1)
-    return _through_basis(dec.eigenvectors, cols, drop_low).reshape(states.shape)
+    low = dec.eigenvectors[:, dec.eigenvalues <= threshold + AC_DELTA]
+    return states - low @ (low.conj().T @ states)

@@ -3,7 +3,12 @@ import pytest
 
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import build_pair
-from mourre_lab.spectral import dirichlet_decomposition, eigendecompose
+from mourre_lab.spectral import (
+    SmoothingFunction,
+    dirichlet_decomposition,
+    eigendecompose,
+    support,
+)
 
 
 def dense(p) -> np.ndarray:
@@ -16,6 +21,22 @@ def channel_bases(opset):
     g, pot = opset.grid, opset.potential
     return (dirichlet_decomposition(g.n, g.dx, pot.v_minus),
             dirichlet_decomposition(g.n, g.dx, pot.v_plus))
+
+
+def apply_function(dec, f) -> np.ndarray:
+    """U f(Lambda) U^dagger over the support of f, as a dense test reference;
+    raises if f is singular on the spectrum."""
+    u, fw = support(dec, f)
+    return (u * fw[None, :]) @ u.conj().T
+
+
+def gaussian(center: float, width: float) -> SmoothingFunction:
+    """A smoothing function with unbounded support: exp(-(x - center)^2 / 2 width^2)."""
+
+    def f(x: np.ndarray) -> np.ndarray:
+        return np.exp(-((x - center) ** 2) / (2 * width**2))
+
+    return SmoothingFunction(center, width, f)
 
 
 def build_B(opset, z: complex, resolvent_H, resolvent_channel) -> np.ndarray:

@@ -128,10 +128,13 @@ class TestLoadConfig:
         ("hypotheses", {"eta_width": 0.0}, "params.eta_width"),
         ("hypotheses", {"eta_width": -0.4}, "params.eta_width"),
         ("transfer", {"bump_amplitude": 0.3, "bump_width": 0.0}, "params.bump_width"),
+        ("completeness", {"t_max": 0.0}, "params.t_max"),
+        ("completeness", {"t_max": -8.0}, "params.t_max"),
     ], ids=["step-zero", "step-negative", "max-below-min", "lambda-not-number",
             "level-not-pair", "one-level", "level-n-even", "level-n-small",
             "n-times-one", "n-times-zero", "n-times-negative",
-            "eta-width-zero", "eta-width-negative", "bump-width-zero"])
+            "eta-width-zero", "eta-width-negative", "bump-width-zero",
+            "t-max-zero", "t-max-negative"])
     def test_param_value_names_key(self, tmp_path, capsys, experiment, params, key):
         path = write_config(tmp_path, "c.json", dict(SMALL, experiment=experiment,
                                                      params=params))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import build_B, channel_bases, dense
+from conftest import apply_function, build_B, channel_bases, dense
 from mourre_lab import hypotheses
 from mourre_lab.grid import CutoffPair, make_cutoffs, make_grid, make_steplike, smoothstep
 from mourre_lab.hypotheses import (
@@ -20,7 +20,6 @@ from mourre_lab.spectral import (
     EnergyWindow,
     SpectralDecomposition,
     ThinProduct,
-    apply_function,
     bump,
     dirichlet_decomposition,
     dirichlet_eigenvalues,

@@ -25,10 +25,10 @@ from mourre_lab.mourre import (
     transfer_verify,
     virial_defects,
 )
-from conftest import well_bump
+from conftest import gaussian, well_bump
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import Band, build_pair
-from mourre_lab.spectral import EnergyWindow, bump, eigendecompose, gaussian
+from mourre_lab.spectral import EnergyWindow, bump, eigendecompose
 
 BISECT_TOL = 1e-3  # the bisection resolution of estimate_rho_eta, relative to max(1, |rho|)
 F64_EPS = np.finfo(float).eps

@@ -12,8 +12,6 @@ from mourre_lab.operators import (
     build_laplacian,
     build_momentum_core,
     build_pair,
-    load_matrix,
-    save_matrix,
 )
 from mourre_lab.spectral import eigendecompose, resolvent
 
@@ -221,33 +219,6 @@ class TestBOperators:
             build_B(small_ops, 1.0 + 0j, *resolvents(small_ops))
 
 
-class TestMatrixIO:
-    def test_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
-        path = tmp_path / "m.txt"
-        save_matrix(m, path)
-        back = load_matrix(path)
-        assert np.array_equal(back, m)
-
-    def test_band_exported_dense(self, tmp_path):
-        lap = build_laplacian(make_grid(10.0, 17))
-        path = tmp_path / "lap.txt"
-        save_matrix(lap, path)
-        assert np.array_equal(load_matrix(path), lap.dense())
-
-    def test_header_present(self, tmp_path):
-        path = tmp_path / "m.txt"
-        save_matrix(np.eye(3), path)
-        assert path.read_text().startswith("# rows=3 cols=3 format=re,im")
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("1,0 0,0\n")
-        with pytest.raises(ValueError):
-            load_matrix(path)
-
-
 def dense_callers(path: Path) -> set:
     """'module.function' (or 'module.Class.method') of every `.dense()` call in a
     source file, named by its outermost function; a call outside any function
@@ -271,9 +242,32 @@ def dense_callers(path: Path) -> set:
 
 def test_only_the_dense_fallbacks_densify_a_band():
     """`Band.dense()` builds an n x n array: only the dense fallbacks of the two
-    band solvers and the text export may call it."""
+    band solvers may call it."""
     src = Path(__file__).resolve().parents[1] / "src" / "mourre_lab"
     callers = set().union(*(dense_callers(p) for p in src.glob("*.py")))
-    assert "operators.save_matrix" in callers  # the scan sees the calls it should
-    assert callers <= {"spectral.eigendecompose", "spectral.resolvent_solve",
-                       "operators.save_matrix"}
+    assert "spectral.eigendecompose" in callers  # the scan sees the calls it should
+    assert callers <= {"spectral.eigendecompose", "spectral.resolvent_solve"}
+
+
+def foreign_interface_users(path: Path) -> tuple[bool, bool]:
+    """(imports ctypes, names a `scipy_` symbol) for one source file: a string,
+    an f-string part, an attribute or a name that contains `scipy_`."""
+    tree = ast.parse(path.read_text())
+    imports = any(
+        isinstance(node, ast.Import) and any(a.name.split(".")[0] == "ctypes" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctypes"
+        for node in ast.walk(tree))
+    names = any(
+        isinstance(node, ast.Constant) and isinstance(node.value, str) and "scipy_" in node.value
+        or isinstance(node, ast.Attribute) and "scipy_" in node.attr
+        or isinstance(node, ast.Name) and "scipy_" in node.id
+        for node in ast.walk(tree))
+    return imports, names
+
+
+def test_only_blas_binds_the_foreign_interface():
+    """ctypes and the `scipy_*64_` symbols of the bundled OpenBLAS belong to `blas`."""
+    src = Path(__file__).resolve().parents[1] / "src" / "mourre_lab"
+    found = {p.stem: foreign_interface_users(p) for p in src.glob("*.py")}
+    assert found["blas"] == (True, True)  # the scan sees what it should
+    assert [stem for stem, uses in found.items() if any(uses)] == ["blas"]

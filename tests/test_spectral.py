@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense
+from conftest import apply_function, dense, gaussian
 from mourre_lab import blas
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import Band, build_pair
@@ -11,12 +11,10 @@ from mourre_lab.spectral import (
     EnergyWindow,
     SpectralDecomposition,
     ThinProduct,
-    apply_function,
     bump,
     dirichlet_decomposition,
     dst1,
     eigendecompose,
-    gaussian,
     plateau,
     propagate,
     resolvent,
@@ -407,3 +405,16 @@ class TestScatteringProjector:
         assert out.shape == states.shape and np.iscomplexobj(out)
         scale = np.max(np.abs(states))
         assert np.max(np.abs(out - ref)) <= ROUNDING_ULPS * n * F64_EPS * scale
+
+    def test_reads_only_the_low_columns(self, dec):
+        # columns above threshold + AC_DELTA never enter 1 - U_low U_low^dagger
+        u = dec.eigenvectors.copy()
+        high = dec.eigenvalues > 1.0 + 0.01
+        u[:, high] = np.nan
+        rng = np.random.default_rng(17)
+        states = rng.standard_normal((dec.source_dim, 3)) + 1j * rng.standard_normal((dec.source_dim, 3))
+        out = scattering_projector(SpectralDecomposition(dec.eigenvalues, u), states, 1.0)
+        assert 0 < np.count_nonzero(~high) < high.size
+        assert np.all(np.isfinite(out))
+        ref = scattering_projector(dec, states, 1.0)
+        assert np.array_equal(out, ref)
