@@ -25,7 +25,7 @@ def main():
                               bump=bump_field)
     ops = build_pair(grid, potential, cutoffs)
 
-    report = transfer_verify(ops, None, [0.3, 0.5, 1.05, 1.5, 2.0], eps=0.1, tol=0.2)
+    report = transfer_verify(ops, [0.3, 0.5, 1.05, 1.5, 2.0], eps=0.1, tol=0.2)
 
     print(f"excluded (within 2*eps of a threshold): {report.excluded}")
     print(f"{'lambda':>8} {'rho0':>8} {'rho_H':>9} {'margin':>9} {'residual':>10}")

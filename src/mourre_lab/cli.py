@@ -28,8 +28,6 @@ from .hypotheses import OPERATOR_TAGS, check_operator_tags, compactness_ladder
 SCHEMA_VERSION = "1"
 EXPERIMENTS = ("rho-scan", "transfer", "hypotheses", "scatter", "completeness")
 THREADS_ENV = "MOURRE_LAB_THREADS"
-# The profiles a config can select: "custom" needs samples, which a config cannot carry
-PROFILES = tuple(kind for kind in PROFILE_KINDS if kind != "custom")
 
 # Each experiment's `params` keys and defaults (the README params table); a
 # given value must have the JSON type of its default.  An empty list stands
@@ -45,7 +43,7 @@ PARAMS = {exp: dict(keys, bump_amplitude=0.0, bump_width=1.0) for exp, keys in {
     "scatter": {"lambda": 2.0, "sigma": 3.0, "x0": -25.0, "tol": 0.02},
     "completeness": {"x0": 10.0, "k0": 1.5, "sigma": 3.0, "t_max": 10.0, "n_times": 21},
 }.items()}
-_JSON_TYPES = {float: "number", int: "integer", str: "string", list: "list", dict: "object"}
+_JSON_TYPES = {float: "finite number", int: "integer", str: "string", list: "list", dict: "object"}
 # The item type of each list param whose default is empty
 _ITEMS = {"lambdas": 0.0, "levels": [0.0, 0]}
 
@@ -72,9 +70,12 @@ class ExperimentConfig:
 
 def _fits(value, default) -> bool:
     """Whether `value` has the JSON type of `default`: an integer fits a
-    number, and the items of a list fit the first item of a non-empty default."""
+    number, a number must be finite as a float (`json` reads NaN, Infinity
+    and integers of any size), and the items of a list fit the first item
+    of a non-empty default."""
     if isinstance(default, float):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
     if isinstance(default, list):
         return isinstance(value, list) and (not default or all(_fits(v, default[0]) for v in value))
     return type(value) is type(default)
@@ -125,8 +126,8 @@ def load_config(path, experiment: Optional[str] = None,
         raise ConfigError("L: must be positive")
     if cfg.n < 16 or cfg.n % 2 == 0:
         raise ConfigError("n: must be odd and >= 16")
-    if cfg.profile not in PROFILES:
-        raise ConfigError(f"profile: {cfg.profile!r} not in {PROFILES}")
+    if cfg.profile not in PROFILE_KINDS:
+        raise ConfigError(f"profile: {cfg.profile!r} not in {PROFILE_KINDS}")
     if cfg.threads is not None and cfg.threads < 1:
         raise ConfigError("threads: must be >= 1")
     allowed = PARAMS[cfg.experiment]
@@ -254,7 +255,7 @@ def _run_rho_scan(cfg: ExperimentConfig, p: dict):
         step = float(p["lambda_step"])
         lambdas = list(np.arange(float(p["lambda_min"]), float(p["lambda_max"]) + 0.5 * step,
                                  step))
-    rows = rho_scan(_build(cfg, p), None, lambdas, float(p["eps"]))
+    rows = rho_scan(_build(cfg, p), lambdas, float(p["eps"]))
     header = "lambda,rho0_analytic,rho_raw,rho_corrected,n_discarded,margin"
     payload = {"rows": [dict(zip(header.split(","), r)) for r in rows]}
     return True, payload, ("rho_scan.csv", header, rows)
@@ -263,8 +264,8 @@ def _run_rho_scan(cfg: ExperimentConfig, p: dict):
 def _run_transfer(cfg: ExperimentConfig, p: dict):
     from .mourre import transfer_verify
 
-    rep = transfer_verify(_build(cfg, p), None, [float(v) for v in p["lambdas"]],
-                          float(p["eps"]), float(p["tol"]))
+    rep = transfer_verify(_build(cfg, p), [float(v) for v in p["lambdas"]], float(p["eps"]),
+                          float(p["tol"]))
     rows = zip(rep.lambda_samples, rep.rho0_analytic, rep.rho_H_estimate, rep.margins,
                rep.eone_residuals)
     return rep.verdict, asdict(rep), (

@@ -26,7 +26,7 @@ __all__ = [
     "smoothstep",
 ]
 
-PROFILE_KINDS = ("sharp_step", "smooth_step", "smooth_step_plus_bump", "custom")
+PROFILE_KINDS = ("sharp_step", "smooth_step", "smooth_step_plus_bump")
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class PotentialField:
     v: np.ndarray
     v_minus: float
     v_plus: float
-    v_prime: Optional[np.ndarray] = None  # None for a potential with no derivative (sharp, custom)
+    v_prime: Optional[np.ndarray] = None  # None for a potential with no derivative (sharp_step)
 
 
 def mollifier(t: np.ndarray | float) -> np.ndarray:
@@ -130,7 +130,6 @@ def make_steplike(
     v_plus: float,
     profile: str = "smooth_step",
     bump: Optional[np.ndarray] = None,
-    samples: Optional[np.ndarray] = None,
 ) -> PotentialField:
     """Steplike potential with limits v_minus / v_plus at the box ends.
 
@@ -145,13 +144,7 @@ def make_steplike(
     x = grid.nodes
     v_prime: Optional[np.ndarray] = None
 
-    if profile == "custom":
-        if samples is None:
-            raise ValueError("custom profile requires samples")
-        v = np.asarray(samples, dtype=float)
-        if v.shape != x.shape:
-            raise ValueError("custom samples must match the grid")
-    elif profile == "sharp_step":
+    if profile == "sharp_step":
         v = np.where(x > 0, float(v_plus), float(v_minus))
         v[x == 0] = 0.5 * (v_minus + v_plus)
     else:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -81,14 +80,14 @@ class DiscardPolicy:
 
     A mode is discarded when at least `theta` of its probability mass sits
     in |x| <= interaction_radius, or within boundary_fraction * L of either
-    end.  The boundary width scales with L because the spurious modes decay
-    on a scale set by the box, not by the lattice.
+    end; theta = math.inf discards nothing.  The boundary width scales with
+    L because the spurious modes decay on a scale set by the box, not by
+    the lattice.
     """
 
     theta: float = 0.5
     interaction_radius: float = 4.0
     boundary_fraction: float = 0.25
-    discard_nothing: bool = False
 
     def boundary_width(self, L: float) -> float:
         return self.boundary_fraction * L
@@ -177,11 +176,7 @@ def _localization(vec: np.ndarray, grams: np.ndarray, policy: DiscardPolicy):
     total, inner, bdry = masses.transpose(1, 0, 2)
     total[total == 0] = 1.0
     inner, bdry = inner / total, bdry / total
-    if policy.discard_nothing:
-        flags = np.zeros(inner.shape, dtype=bool)
-    else:
-        flags = (inner >= policy.theta) | (bdry >= policy.theta)
-    return inner, bdry, flags
+    return inner, bdry, (inner >= policy.theta) | (bdry >= policy.theta)
 
 
 def estimate_rho_window(
@@ -354,17 +349,11 @@ def opnorm(apply, apply_h, n: int) -> float:
     return math.sqrt(s)
 
 
-def virial_defects(
-    opset: OperatorSet,
-    dec: SpectralDecomposition,
-    indices,
-    comm_norm: Optional[float] = None,
-) -> np.ndarray:
+def virial_defects(opset: OperatorSet, dec: SpectralDecomposition, indices) -> np.ndarray:
     """|<u_k, i[H,A] u_k>| / ||i[H,A]|| for the requested eigenvectors; the
     norm comes from `opnorm` on the band, which is its own adjoint."""
     c = opset.commutator_iHA
-    if comm_norm is None:
-        comm_norm = opnorm(lambda v: c @ v, lambda v: c @ v, opset.n)
+    comm_norm = opnorm(lambda v: c @ v, lambda v: c @ v, opset.n)
     out = []
     for k in indices:
         u = dec.eigenvectors[:, k]
@@ -383,16 +372,30 @@ def _interior_window(opset: OperatorSet) -> np.ndarray:
     return up * down
 
 
-def _span(lambdas, eps: float) -> EnergyWindow:
-    """The open window (min lambda - eps, max lambda + eps): every eta of half-width
-    eps centred on a sample is supported inside it."""
+def _windowed_estimates(opset: OperatorSet, lambdas: list, eps: float, policy: DiscardPolicy):
+    """(dec, etas, estimates) for the samples lambdas: the eigenpairs of H in
+    the open window (min lambda - eps, max lambda + eps), which holds every
+    eta = bump(lambda, eps), those eta, and the `RhoEstimate` of each, None
+    for an eta that meets no computed eigenvalue.  Every other eta goes to
+    one lockstep estimate (see the module docstring)."""
+    if not lambdas:
+        return None, [], []
     lo, hi = min(lambdas) - eps, max(lambdas) + eps
-    return EnergyWindow(0.5 * (lo + hi), 0.5 * (hi - lo))
+    dec = eigendecompose(opset.H, EnergyWindow(0.5 * (lo + hi), 0.5 * (hi - lo)))
+    etas = [bump(lam, eps) for lam in lambdas]
+    seen = [bool(np.any(np.abs(eta(dec.eigenvalues)) > 0)) for eta in etas]
+    ests = iter(_estimate_rho_batch(opset, dec, "H_A", [e for e, s in zip(etas, seen) if s],
+                                    policy))
+    return dec, etas, [next(ests) if s else None for s in seen]
+
+
+def _margin(est: RhoEstimate, rho0: float) -> float:
+    """Corrected estimate minus the closed form, nan where the closed form is infinite."""
+    return est.corrected - rho0 if math.isfinite(rho0) else math.nan
 
 
 def transfer_verify(
     opset: OperatorSet,
-    dec_H: Optional[SpectralDecomposition],
     lambda_samples,
     eps: float,
     tol: float,
@@ -405,13 +408,13 @@ def transfer_verify(
     estimate for (H, A) is compared against the closed-form channel value,
     and the interior-weighted residual of
     eta(H) i[H,A] eta(H) - J eta(H0) i[H0,A0] eta(H0) J* is recorded as a
-    compactness candidate.  Each eta(.) M eta(.) is formed on the support
-    of eta only; the channel eigenpairs there come in closed form, and
-    with dec_H None only the eigenpairs of H around the retained samples
-    are computed.  The residual chi (lhs - rhs) chi is
-    F C F^T with F = [chi U_H, chi J- U-, chi J+ U+] and C block diagonal;
-    its norm is the largest singular value of those factors, so it never
-    needs an n x n array.
+    compactness candidate.  Only the eigenpairs of H around the retained
+    samples are computed, and a sample whose eta meets none of them is a
+    ValueError.  Each eta(.) M eta(.) is formed on the support of eta only;
+    the channel eigenpairs there come in closed form.  The residual
+    chi (lhs - rhs) chi is F C F^T with F = [chi U_H, chi J- U-, chi J+ U+]
+    and C block diagonal; its norm is the largest singular value of those
+    factors, so it never needs an n x n array.
     """
     pot = opset.potential
     grid = opset.grid
@@ -419,20 +422,20 @@ def transfer_verify(
     for lam in lambda_samples:
         near = min(abs(lam - pot.v_minus), abs(lam - pot.v_plus)) < 2 * eps
         (excluded if near else samples).append(float(lam))
-    if dec_H is None and samples:
-        dec_H = eigendecompose(opset.H, _span(samples, eps))
+    dec_H, etas, ests = _windowed_estimates(opset, samples, eps, policy)
     chi = _interior_window(opset)
     cm, cp = opset.commutator_iH0A0_channel
     weights = (chi, chi * opset.cutoffs.j_minus, chi * opset.cutoffs.j_plus)
 
-    etas = [bump(lam, eps) for lam in samples]
-    ests = _estimate_rho_batch(opset, dec_H, "H_A", etas, policy)
     rho0s, rhos, margins, residuals = [], [], [], []
     for lam, eta, est in zip(samples, etas, ests):
+        if est is None:
+            raise ValueError(f"eta(H) is numerically zero on the computed spectrum "
+                             f"at lambda={lam}, eps={eps}")
         rho0 = analytic_rho(pot.v_minus, pot.v_plus, lam)
         rho0s.append(rho0)
         rhos.append(est.corrected)
-        margins.append(est.corrected - rho0 if math.isfinite(rho0) else math.nan)
+        margins.append(_margin(est, rho0))
 
         dec_m = dirichlet_decomposition(grid.n, grid.dx, pot.v_minus, eta)
         dec_p = dirichlet_decomposition(grid.n, grid.dx, pot.v_plus, eta)
@@ -452,35 +455,26 @@ def transfer_verify(
 
 def rho_scan(
     opset: OperatorSet,
-    dec: Optional[SpectralDecomposition],
     lambdas,
     eps: float,
     policy: DiscardPolicy = DiscardPolicy(),
 ):
     """Rows (lambda, rho0_analytic, rho_raw, rho_corrected, n_discarded, margin).
 
-    With dec None only the eigenpairs of H inside the window spanned by the
-    samples' eta supports are computed.  Every sample whose eta meets the
-    computed spectrum goes to one lockstep estimate (see the module
-    docstring): every column window is compressed once, and all samples
-    are bisected together.
+    Only the eigenpairs of H inside the window spanned by the samples' eta
+    supports are computed, and every sample whose eta meets them goes to
+    one lockstep estimate (see the module docstring): every column window
+    is compressed once, and all samples are bisected together.  A sample
+    whose eta meets none gets the row (lambda, rho0, inf, inf, 0, nan).
     """
     pot = opset.potential
     lambdas = [float(lam) for lam in lambdas]
-    if dec is None and lambdas:
-        dec = eigendecompose(opset.H, _span(lambdas, eps))
-    etas = [bump(lam, eps) for lam in lambdas]
-    # an eta below (or in a gap of) the computed spectrum gets no estimate
-    seen = [bool(np.any(np.abs(eta(dec.eigenvalues)) > 0)) for eta in etas]
-    ests = iter(_estimate_rho_batch(opset, dec, "H_A", [e for e, s in zip(etas, seen) if s],
-                                    policy))
     rows = []
-    for lam, s in zip(lambdas, seen):
+    for lam, est in zip(lambdas, _windowed_estimates(opset, lambdas, eps, policy)[2]):
         rho0 = analytic_rho(pot.v_minus, pot.v_plus, lam)
-        if not s:
+        if est is None:
             rows.append((lam, rho0, math.inf, math.inf, 0, math.nan))
-            continue
-        est = next(ests)
-        margin = est.corrected - rho0 if math.isfinite(rho0) else math.nan
-        rows.append((lam, rho0, est.raw_min, est.corrected, est.n_discarded, margin))
+        else:
+            rows.append((lam, rho0, est.raw_min, est.corrected, est.n_discarded,
+                         _margin(est, rho0)))
     return rows

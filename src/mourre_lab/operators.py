@@ -38,12 +38,12 @@ class Band:
     """Square banded matrix M stored by its 2b+1 diagonals, row-indexed.
 
     entries[b + k, i] = M[i, i + k] for |k| <= b; entries whose column
-    i + k falls outside the matrix are zero.  `B @ X` and `X @ B` cost
-    O(n k b) for an n x k block X, and `B @ C` of two bands is a band.
+    i + k falls outside the matrix are zero.  `B @ X` costs O(n k b) for an
+    n x k block X, and `B @ C` of two bands is a band.
     """
 
     entries: np.ndarray
-    __array_ufunc__ = None  # makes ndarray @ Band defer to Band.__rmatmul__
+    __array_ufunc__ = None  # ndarray @ Band is a TypeError, not an object-array product
 
     @property
     def b(self) -> int:
@@ -74,13 +74,6 @@ class Band:
         for k, lo, hi in self._diagonals():
             d = self.entries[self.b + k, lo:hi]
             out[lo:hi] += (d if x.ndim == 1 else d[:, None]) * x[lo + k:hi + k]
-        return out
-
-    def __rmatmul__(self, x):
-        x = np.asarray(x)
-        out = np.zeros(x.shape, dtype=np.result_type(self.entries, x))
-        for k, lo, hi in self._diagonals():
-            out[..., lo + k:hi + k] += x[..., lo:hi] * self.entries[self.b + k, lo:hi]
         return out
 
     def _times_band(self, other: "Band") -> "Band":

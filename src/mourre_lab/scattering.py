@@ -52,6 +52,7 @@ __all__ = [
 DECAY_TARGET = 0.05
 BOUNDARY_GUARD = 4.0
 CAPTURE_RADIUS = 4.0  # |x| radius of the step region in `scattering_coefficients`
+SCATTER_TIMES = 60  # times of its ladder, t = 0 included
 ORACLE_NPTS = 2001  # momentum nodes of `gaussian_averaged_oracle`
 
 
@@ -326,8 +327,6 @@ def scattering_coefficients(
     lam: float,
     x0: float = -25.0,
     sigma: float = 3.0,
-    max_time: Optional[float] = None,
-    n_times: int = 60,
 ) -> ScatteringCoefficients:
     """Reflection/transmission from a left-incoming packet at mean energy lam.
 
@@ -336,12 +335,11 @@ def scattering_coefficients(
     capture radius, and the probabilities are read off as the captured
     mass on each side.  Probability conservation makes the transmitted
     mass flux-normalized automatically; the defect |R + T - 1| is
-    reported, never clamped.  The whole ladder of `n_times` times is
-    propagated as one block; its columns are scanned until the bulk nears
-    the boundary.
+    reported, never clamped.  The ladder holds SCATTER_TIMES equally
+    spaced times, from t = 0 to the time the transmitted bulk needs to
+    clear the capture radius well; its later times are propagated as one
+    block, whose columns are scanned until the bulk nears the boundary.
     """
-    if n_times < 2:
-        raise ValueError(f"n_times must be at least 2 (t = 0 and one later time), got {n_times}")
     pot = opset.potential
     grid = opset.grid
     if lam <= max(pot.v_minus, pot.v_plus):
@@ -355,10 +353,8 @@ def scattering_coefficients(
     psi0 = psi0 / _l2(grid, psi0)
 
     kp = math.sqrt(lam - pot.v_plus)
-    if max_time is None:
-        # time for the transmitted bulk to clear the capture radius well
-        max_time = (abs(x0) + CAPTURE_RADIUS + 6 * sigma) / (2 * min(k0, kp))
-    times = np.linspace(0.0, max_time, n_times)
+    max_time = (abs(x0) + CAPTURE_RADIUS + 6 * sigma) / (2 * min(k0, kp))
+    times = np.linspace(0.0, max_time, SCATTER_TIMES)
     x = grid.nodes
     mid = np.abs(x) <= CAPTURE_RADIUS
     left = x < -CAPTURE_RADIUS

@@ -17,8 +17,8 @@ left @ core @ right^dagger, never its matrix (`sandwich`, `thin_sum`).
 A resolvent applied to a thin block needs no eigenpairs at all:
 `resolvent_solve` gives (T - z)^{-1} X for a tridiagonal T (H or a
 channel) by LAPACK `zgtsv`, in O(n k).  `propagate` moves a state, or one
-state per time, over a whole time ladder in two products with U, staying
-in real arithmetic for a complex state in a real eigenbasis.
+state per time, over a whole time ladder in two products with the real
+basis U, staying in real arithmetic for a complex state.
 `scattering_projector` applies 1 - U_low U_low^dagger, with U_low the few
 eigenvectors at or below threshold, to states and never forms it.
 
@@ -333,12 +333,16 @@ def propagate(dec: SpectralDecomposition, states: np.ndarray, times: Sequence[fl
     """e^{-itH} over a time ladder: an n x T block whose column k is at times[k].
 
     `states` is one vector, moved to every time, or an n x T block whose
-    column k is moved to times[k].  One product U^dagger states, the phases
-    broadcast over its columns, one product back.  A real basis stays in
-    real arithmetic: a complex C-ordered array viewed as float interleaves
-    (re, im) along its rows, so both products multiply real arrays and no
-    complex copy of U is made.
+    column k is moved to times[k].  One product U^T states, the phases
+    broadcast over its columns, one product back.  The basis must be real,
+    as every eigensolver here returns it, and a complex one is a ValueError.
+    The products stay in real arithmetic: a complex C-ordered array viewed
+    as float interleaves (re, im) along its rows, so both multiply real
+    arrays and no complex copy of U is made.
     """
+    u = dec.eigenvectors
+    if np.iscomplexobj(u):
+        raise ValueError("propagate needs a real eigenbasis")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D sequence")
@@ -346,11 +350,8 @@ def propagate(dec: SpectralDecomposition, states: np.ndarray, times: Sequence[fl
         raise ValueError("state dimension does not match the decomposition")
     if states.ndim == 2 and states.shape[1] != times.size:
         raise ValueError("a block of states needs one column per time")
-    u = dec.eigenvectors
     cols = np.ascontiguousarray(states, dtype=complex).reshape(dec.source_dim, -1)
     phases = np.exp(-1j * np.outer(dec.eigenvalues, times))
-    if np.iscomplexobj(u):
-        return u @ np.multiply(phases, u.conj().T @ cols, out=phases)
     coef = np.multiply(phases, (u.T @ cols.view(np.float64)).view(np.complex128), out=phases)
     return (u @ coef.view(np.float64)).view(np.complex128)
 

@@ -101,7 +101,7 @@ def test_criterion_3_transfer():
     g = make_grid(160.0, 3201)
     ops = build_ops(160.0, 3201, profile="smooth_step_plus_bump",
                     bump_field=well_bump(g, 0.3, 2.0))
-    rep = transfer_verify(ops, None, [0.3, 0.5, 1.5, 2.0], eps=0.1, tol=0.2)
+    rep = transfer_verify(ops, [0.3, 0.5, 1.5, 2.0], eps=0.1, tol=0.2)
     detail = ", ".join(
         f"lam={l}: margin={m:.3f}" for l, m in zip(rep.lambda_samples, rep.margins)
     )

@@ -100,11 +100,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="^threads: MOURRE_LAB_THREADS='abc'"):
             load_config(path)
 
-    @pytest.mark.parametrize("key,value", [("n", "321"), ("L", "40"), ("threads", "2")])
-    def test_top_level_type_names_field(self, tmp_path, key, value):
+    @pytest.mark.parametrize("key,value", [("n", "321"), ("L", "40"), ("threads", "2"),
+                                           ("L", float("nan")), ("L", 10**400)],
+                             ids=["n-321", "L-40", "threads-2", "L-nan", "L-integer-1e400"])
+    def test_top_level_type_names_field(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, "c.json", {"experiment": "transfer", key: value})
         with pytest.raises(ConfigError, match=f"^{key}: expected a JSON"):
             load_config(path)
+        assert main(["transfer", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("key,value", [("eps", "0.1"), ("tol", True), ("lambdas", 3)])
     def test_param_type_names_field(self, tmp_path, key, value):
@@ -130,11 +135,18 @@ class TestLoadConfig:
         ("transfer", {"bump_amplitude": 0.3, "bump_width": 0.0}, "params.bump_width"),
         ("completeness", {"t_max": 0.0}, "params.t_max"),
         ("completeness", {"t_max": -8.0}, "params.t_max"),
+        # json reads NaN and Infinity; neither is a finite number
+        ("transfer", {"tol": float("nan")}, "params.tol"),
+        ("completeness", {"t_max": float("nan")}, "params.t_max"),
+        ("rho-scan", {"eps": float("nan")}, "params.eps"),
+        ("scatter", {"tol": float("inf")}, "params.tol"),
+        ("rho-scan", {"lambdas": [0.5, float("-inf")]}, "params.lambdas"),
     ], ids=["step-zero", "step-negative", "max-below-min", "lambda-not-number",
             "level-not-pair", "one-level", "level-n-even", "level-n-small",
             "n-times-one", "n-times-zero", "n-times-negative",
             "eta-width-zero", "eta-width-negative", "bump-width-zero",
-            "t-max-zero", "t-max-negative"])
+            "t-max-zero", "t-max-negative", "tol-nan", "t-max-nan", "eps-nan",
+            "tol-infinity", "lambda-minus-infinity"])
     def test_param_value_names_key(self, tmp_path, capsys, experiment, params, key):
         path = write_config(tmp_path, "c.json", dict(SMALL, experiment=experiment,
                                                      params=params))
@@ -244,6 +256,15 @@ class TestRun:
                                params={"lambda": 0.5}, **SMALL)
         assert run(cfg) == 2
         assert "closed channel" in capsys.readouterr().err
+
+    def test_transfer_sample_below_the_spectrum_is_exit_2(self, tmp_path, capsys):
+        # eta = bump(-0.5, 0.1) meets no eigenvalue of H, so rho_H has no estimate there
+        path = write_config(tmp_path, "c.json", dict(SMALL, experiment="transfer",
+                                                     params={"lambdas": [-0.5, 0.5]}))
+        assert main(["transfer", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "lambda=-0.5" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "transfer.json").exists()
 
     def test_completeness_small(self, tmp_path):
         cfg = ExperimentConfig(experiment="completeness", out_dir=str(tmp_path),

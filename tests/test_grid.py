@@ -156,11 +156,6 @@ class TestSteplike:
         with pytest.raises(ValueError, match="sharp_step"):
             make_steplike(g, 0.0, 1.0, profile="sharp_step", bump=small)
 
-    def test_custom_requires_samples(self):
-        g = make_grid(20.0, 321)
-        with pytest.raises(ValueError):
-            make_steplike(g, 0.0, 1.0, profile="custom")
-
     def test_unknown_profile(self):
         g = make_grid(20.0, 321)
         with pytest.raises(ValueError):

@@ -5,7 +5,14 @@ import pytest
 
 from conftest import apply_function, build_B, channel_bases, dense
 from mourre_lab import hypotheses
-from mourre_lab.grid import CutoffPair, make_cutoffs, make_grid, make_steplike, smoothstep
+from mourre_lab.grid import (
+    CutoffPair,
+    PotentialField,
+    make_cutoffs,
+    make_grid,
+    make_steplike,
+    smoothstep,
+)
 from mourre_lab.hypotheses import (
     assumption_operator,
     c1_probe,
@@ -69,8 +76,8 @@ def dense_reference(opset, dec_H, tag, eta):
         out[:, n:] = jp[:, None] * eta_p - eta_H * jp[None, :]
         return out
     if tag == "ii":
-        acore = opset.conjugate_core
-        dcore = opset.dilation_core
+        acore = opset.conjugate_core.dense()
+        dcore = opset.dilation_core.dense()
         i_comm_H = eta_H @ acore - acore @ eta_H
         cm = eta_m @ dcore - dcore @ eta_m
         cp = eta_p @ dcore - dcore @ eta_p
@@ -81,7 +88,7 @@ def dense_reference(opset, dec_H, tag, eta):
         smoothing = plateau(0.05, 5.0, shoulder=1.0)
         bmat = build_B(opset, 1j, lambda z: resolvent(dec_H, z),
                        lambda side, z: resolvent(dec_m if side == "-" else dec_p, z))
-        dcore = opset.dilation_core
+        dcore = opset.dilation_core.dense()
         out = np.zeros((n, 2 * n), dtype=complex)
         out[:, :n] = 1j * (bmat[:, :n] @ dcore) @ apply_function(dec_m, smoothing)
         out[:, n:] = 1j * (bmat[:, n:] @ dcore) @ apply_function(dec_p, smoothing)
@@ -92,7 +99,7 @@ def dense_reference(opset, dec_H, tag, eta):
     mid = Band((bjm @ cm @ bjm).entries + (bjp @ cp @ bjp).entries
                - build_commutator_longrange(opset).entries)
     r = resolvent(dec_H, 1j)
-    out = r @ mid @ r
+    out = r @ mid.dense() @ r
     return 0.5 * (out + out.conj().T)
 
 
@@ -441,7 +448,7 @@ class TestContrastExperiment:
                         x >= 0, 1.0 + 1.0 / np.sqrt(1.0 + np.abs(x)),
                         -1.0 / np.sqrt(1.0 + np.abs(x)),
                     )
-                    pot = make_steplike(g, 0.0, 1.0, profile="custom", samples=samples)
+                    pot = PotentialField(grid=g, v=samples, v_minus=0.0, v_plus=1.0)
                 ops = build_pair(g, pot, cut)
                 mats.append(short_range_operator(ops, 1j))
             return mats

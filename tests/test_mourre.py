@@ -90,7 +90,7 @@ class TestWindowEstimate:
         assert est.corrected >= est.raw_min
 
     def test_discard_nothing_equalizes(self, small_ops, dec_H):
-        policy = DiscardPolicy(discard_nothing=True)
+        policy = DiscardPolicy(theta=math.inf)
         est = estimate_rho_window(small_ops, dec_H, "H_A", EnergyWindow(0.5, 0.2), policy)
         assert est.corrected == est.raw_min
         assert est.n_discarded == 0
@@ -128,7 +128,7 @@ class TestWindowEstimate:
 
 class TestLocalization:
     @pytest.mark.parametrize("policy", [DiscardPolicy(), DiscardPolicy(theta=0.2),
-                                        DiscardPolicy(discard_nothing=True)])
+                                        DiscardPolicy(theta=math.inf)])
     def test_gram_masses_match_explicit_modes(self, small_ops, dec_H, policy):
         """v^dagger G v from the region Gram matrices equals the mass of the
         explicit mode U_S v, summed over the region's nodes, for a stack of
@@ -149,8 +149,7 @@ class TestLocalization:
                 ref_bdry = mass[np.abs(x) >= L - policy.boundary_width(L)].sum(axis=0) / total
                 assert np.max(np.abs(inner[b] - ref_inner)) <= tol
                 assert np.max(np.abs(bdry[b] - ref_bdry)) <= tol
-                ref_flags = ((ref_inner >= policy.theta) | (ref_bdry >= policy.theta)
-                             if not policy.discard_nothing else np.zeros(k, dtype=bool))
+                ref_flags = (ref_inner >= policy.theta) | (ref_bdry >= policy.theta)
                 assert np.array_equal(flags[b], ref_flags)
                 assert 0 < ref_bdry.max() and 0 < ref_inner.max()
 
@@ -198,7 +197,7 @@ class TestLockstepBisection:
         batch = _bisect_sup(holds, -scale, scale, 1e-3)
         assert np.array_equal(batch, self._one_by_one(holds, -scale, scale, 1e-3))
 
-    @pytest.mark.parametrize("policy", [DiscardPolicy(), DiscardPolicy(discard_nothing=True)])
+    @pytest.mark.parametrize("policy", [DiscardPolicy(), DiscardPolicy(theta=math.inf)])
     def test_batch_estimates_equal_single_on_a_shared_support(self, small_ops, policy):
         """Gaussians that are nonzero on the whole computed window share one
         support, so the batch compresses exactly what each single call does;
@@ -297,23 +296,27 @@ class TestOpnorm:
 
 
 class TestTransfer:
-    def test_threshold_samples_excluded(self, small_ops, dec_H):
-        rep = transfer_verify(small_ops, dec_H, [1.05], 0.1, 0.2)
+    def test_threshold_samples_excluded(self, small_ops):
+        rep = transfer_verify(small_ops, [1.05], 0.1, 0.2)
         assert rep.excluded == [1.05]
         assert rep.lambda_samples == []
         assert not rep.verdict
 
-    def test_report_shapes(self, small_ops, dec_H):
-        rep = transfer_verify(small_ops, dec_H, [0.5, 1.05, 2.0], 0.1, 5.0)
+    def test_report_shapes(self, small_ops):
+        rep = transfer_verify(small_ops, [0.5, 1.05, 2.0], 0.1, 5.0)
         assert rep.lambda_samples == [0.5, 2.0]
         assert len(rep.margins) == 2
         assert len(rep.eone_residuals) == 2
 
-    def test_matches_dense_reference(self, small_ops, dec_H):
+    def test_matches_dense_reference(self, small_ops):
         """Thin sandwiches and the closed-form channel window reproduce the dense
-        U f(Lambda) U* products with an eigh of each channel Hamiltonian."""
+        U f(Lambda) U* products with an eigh of each channel Hamiltonian.  The
+        margins match estimate_rho_eta on the eigenpairs of H in the window
+        that transfer_verify computes, (min lambda - eps, max lambda + eps)."""
         lambdas, eps = [0.3, 0.5, 1.5, 2.0], 0.1
-        rep = transfer_verify(small_ops, dec_H, lambdas, eps, 0.2)
+        rep = transfer_verify(small_ops, lambdas, eps, 0.2)
+        lo, hi = min(lambdas) - eps, max(lambdas) + eps
+        dec_win = eigendecompose(small_ops.H, EnergyWindow(0.5 * (lo + hi), 0.5 * (hi - lo)))
 
         def dense_eta(h, eta):
             w, u = np.linalg.eigh(h)
@@ -324,7 +327,7 @@ class TestTransfer:
         jm, jp = small_ops.cutoffs.j_minus, small_ops.cutoffs.j_plus
         for k, lam in enumerate(lambdas):
             eta = bump(lam, eps)
-            est = estimate_rho_eta(small_ops, dec_H, "H_A", eta)
+            est = estimate_rho_eta(small_ops, dec_win, "H_A", eta)
             assert rep.margins[k] == pytest.approx(
                 est.corrected - analytic_rho(0.0, 1.0, lam), abs=1e-12)
             e_h = dense_eta(small_ops.H.dense(), eta)
@@ -355,9 +358,9 @@ def test_import_and_transfer_leave_scipy_unloaded():
         "                        transfer_verify)\n"
         "g = make_grid(10.0, 101)\n"
         "ops = build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))\n"
-        "rep = transfer_verify(ops, None, [2.0], 0.2, 5.0)\n"
+        "rep = transfer_verify(ops, [2.0], 0.2, 5.0)\n"
         "assert len(rep.eone_residuals) == 1\n"
-        "assert len(rho_scan(ops, None, [0.5, 2.0], 0.2)) == 2\n"
+        "assert len(rho_scan(ops, [0.5, 2.0], 0.2)) == 2\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -366,8 +369,8 @@ def test_import_and_transfer_leave_scipy_unloaded():
 
 
 class TestRhoScan:
-    def test_row_schema(self, small_ops, dec_H):
-        rows = rho_scan(small_ops, dec_H, [-5.0, 0.5], 0.1)
+    def test_row_schema(self, small_ops):
+        rows = rho_scan(small_ops, [-5.0, 0.5], 0.1)
         assert len(rows) == 2
         lam, rho0, raw, corr, ndis, margin = rows[0]
         assert rho0 == math.inf and raw == math.inf and math.isnan(margin)
@@ -376,18 +379,20 @@ class TestRhoScan:
         assert margin == pytest.approx(corr - rho0)
 
     def test_window_matches_full_basis(self, small_ops, dec_H):
-        """dec=None computes only the eigenpairs around the samples; the rows
-        match those of the full basis to the bisection resolution."""
+        """rho_scan computes only the eigenpairs around the samples; its rows
+        match estimate_rho_eta on the full basis to the bisection resolution,
+        and a sample whose eta meets no eigenvalue gets (inf, inf, 0)."""
         lambdas = [-0.3, 0.25, 0.5, 1.5, 2.75]
-        windowed = rho_scan(small_ops, None, lambdas, 0.1)
-        full = rho_scan(small_ops, dec_H, lambdas, 0.1)
-        for row, ref in zip(windowed, full):
-            assert row[0] == ref[0] and row[1] == ref[1] and row[4] == ref[4]
-            for v, r in zip(row[2:4], ref[2:4]):
-                assert v == r if math.isinf(r) else abs(v - r) <= 1e-3 * max(1.0, abs(r))
+        rows = rho_scan(small_ops, lambdas, 0.1)
+        assert rows[0][2:5] == (math.inf, math.inf, 0)
+        for lam, row in zip(lambdas[1:], rows[1:]):
+            ref = estimate_rho_eta(small_ops, dec_H, "H_A", bump(lam, 0.1))
+            assert row[4] == ref.n_discarded
+            for v, r in ((row[2], ref.raw_min), (row[3], ref.corrected)):
+                assert abs(v - r) <= BISECT_TOL * max(1.0, abs(r))
 
     @pytest.mark.parametrize("policy, eps", [
-        (DiscardPolicy(), 0.15), (DiscardPolicy(discard_nothing=True), 0.15),
+        (DiscardPolicy(), 0.15), (DiscardPolicy(theta=math.inf), 0.15),
         # wide supports and a wide interaction region: flags change along the
         # bisection, so each entry must be localized with its own Gram matrices
         (DiscardPolicy(theta=0.3, interaction_radius=6.0), 0.3)])
@@ -396,7 +401,7 @@ class TestRhoScan:
         lockstep; each row must match its own estimate_rho_eta, which
         compresses onto its support alone, to the bisection resolution."""
         lambdas = [-5.0] + [0.05 + 0.1 * j for j in range(28)]
-        rows = rho_scan(small_ops, dec_H, lambdas, eps, policy)
+        rows = rho_scan(small_ops, lambdas, eps, policy)
         assert rows[0][2:5] == (math.inf, math.inf, 0)
         sizes = set()
         for lam, row in zip(lambdas[1:], rows[1:]):
@@ -407,5 +412,5 @@ class TestRhoScan:
                 assert abs(v - ref) <= BISECT_TOL * max(1.0, abs(ref))
         # several lockstep groups, most with several members
         assert len(sizes) >= 3 and len(sizes) < len(lambdas) // 2
-        if not policy.discard_nothing:
+        if math.isfinite(policy.theta):
             assert any(row[4] > 0 for row in rows)

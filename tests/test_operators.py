@@ -55,7 +55,6 @@ class TestBand:
         if dtype is complex:
             x += 1j * rng.standard_normal(shape)
         assert rel_err(band @ x, m @ x) <= 1e-14
-        assert rel_err(x.T @ band, x.T @ m) <= 1e-14
 
     @pytest.mark.parametrize("b1,b2", [(1, 1), (0, 2), (2, 1)])
     def test_band_product_matches_dense(self, b1, b2):
