@@ -143,9 +143,15 @@ def singular_values(left: np.ndarray, core: np.ndarray, right: np.ndarray,
                     top: int = TOP) -> np.ndarray:
     """Leading singular values of left @ core @ right^dagger, zero-padded to
     min(top, rows, cols) values: a tall factor F = Q R (orthonormal Q) is
-    replaced by R, and one SVD of the small core that is left gives them."""
+    replaced by R, and one SVD of the small core that is left gives them.
+    When right is left, its R is taken once."""
     count = min(top, left.shape[0], right.shape[0])
-    rl, rr = (np.linalg.qr(f, mode="r") if f.shape[0] > f.shape[1] else f for f in (left, right))
+
+    def r_factor(f):
+        return np.linalg.qr(f, mode="r") if f.shape[0] > f.shape[1] else f
+
+    rl = r_factor(left)
+    rr = rl if right is left else r_factor(right)
     sv = np.linalg.svd(rl @ core @ rr.conj().T, compute_uv=False)[:count]
     return np.pad(sv, (0, count - sv.size))
 

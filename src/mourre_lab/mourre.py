@@ -19,10 +19,12 @@ are always reported together with per-mode localization diagnostics.
 
 The eta-form estimator takes a whole list of eta at once: a rho scan or
 a transfer check hands it every sample, and `estimate_rho_eta` a list
-of one.  It compresses i[H,A] and the region Gram matrices once per
-window of eigenvector columns (at most twice as wide as the widest eta
-support, and together holding every support) and slices each eta's
-k x k blocks out of them.  Its bisections then run in lockstep: every eta keeps its own
+of one.  The scan and the check compute the eigenpairs of H only where
+some eta is nonzero, one MRRR call per disjoint run of the eta supports.
+It compresses i[H,A] and the region Gram matrices once per window of
+eigenvector columns (at most twice as wide as the widest eta support,
+and together holding every support) and slices each eta's k x k blocks
+out of them.  Its bisections then run in lockstep: every eta keeps its own
 bracket and stop rule, so it meets the same midpoints as it would alone,
 and each step diagonalizes the still-active eta of one support size k
 in one stacked `eigh`.
@@ -373,15 +375,29 @@ def _interior_window(opset: OperatorSet) -> np.ndarray:
 
 
 def _windowed_estimates(opset: OperatorSet, lambdas: list, eps: float, policy: DiscardPolicy):
-    """(dec, etas, estimates) for the samples lambdas: the eigenpairs of H in
-    the open window (min lambda - eps, max lambda + eps), which holds every
-    eta = bump(lambda, eps), those eta, and the `RhoEstimate` of each, None
-    for an eta that meets no computed eigenvalue.  Every other eta goes to
-    one lockstep estimate (see the module docstring)."""
+    """(dec, etas, estimates) for the samples lambdas: the eigenpairs of H
+    where some eta = bump(lambda, eps) is nonzero, those eta, and the
+    `RhoEstimate` of each, None for an eta that meets no computed eigenvalue.
+    Every other eta goes to one lockstep estimate (see the module docstring).
+
+    The supports (lambda - eps, lambda + eps), sorted, merge where they
+    overlap or touch into disjoint runs (lo, hi), and each run gets one MRRR
+    call; the runs' pairs, concatenated, are ascending.  A single run, as a
+    scan with step < 2 eps gives, is the window (min lambda - eps,
+    max lambda + eps) and its decomposition is returned as it is."""
     if not lambdas:
         return None, [], []
-    lo, hi = min(lambdas) - eps, max(lambdas) + eps
-    dec = eigendecompose(opset.H, EnergyWindow(0.5 * (lo + hi), 0.5 * (hi - lo)))
+    runs = []
+    for lam in sorted(lambdas):
+        if runs and lam - eps <= runs[-1][1]:
+            runs[-1][1] = lam + eps
+        else:
+            runs.append([lam - eps, lam + eps])
+    decs = [eigendecompose(opset.H, EnergyWindow(0.5 * (lo + hi), 0.5 * (hi - lo)))
+            for lo, hi in runs]
+    dec = decs[0] if len(decs) == 1 else SpectralDecomposition(
+        np.concatenate([d.eigenvalues for d in decs]),
+        np.concatenate([d.eigenvectors.T for d in decs]).T)
     etas = [bump(lam, eps) for lam in lambdas]
     seen = [bool(np.any(np.abs(eta(dec.eigenvalues)) > 0)) for eta in etas]
     ests = iter(_estimate_rho_batch(opset, dec, "H_A", [e for e, s in zip(etas, seen) if s],
@@ -409,9 +425,10 @@ def transfer_verify(
     and the interior-weighted residual of
     eta(H) i[H,A] eta(H) - J eta(H0) i[H0,A0] eta(H0) J* is recorded as a
     compactness candidate.  Only the eigenpairs of H around the retained
-    samples are computed, and a sample whose eta meets none of them is a
-    ValueError.  Each eta(.) M eta(.) is formed on the support of eta only;
-    the channel eigenpairs there come in closed form.  The residual
+    samples are computed, where some eta is nonzero (one MRRR call per
+    disjoint run of the eta supports), and a sample whose eta meets none
+    of them is a ValueError.  Each eta(.) M eta(.) is formed on the
+    support of eta only; the channel eigenpairs there come in closed form.  The residual
     chi (lhs - rhs) chi is F C F^T with F = [chi U_H, chi J- U-, chi J+ U+]
     and C block diagonal; its norm is the largest singular value of those
     factors, so it never needs an n x n array.
@@ -441,7 +458,8 @@ def transfer_verify(
         dec_p = dirichlet_decomposition(grid.n, grid.dx, pot.v_plus, eta)
         terms = (sandwich(dec_H, eta, opset.commutator_iHA),
                  sandwich(dec_m, eta, cm), sandwich(dec_p, eta, cp))
-        diff = thin_sum(*(ThinProduct(w[:, None] * t.left, sign * t.core, w[:, None] * t.right)
+        # each term has right is left, so one weighted factor serves as both
+        diff = thin_sum(*(ThinProduct(f := w[:, None] * t.left, sign * t.core, f)
                           for w, t, sign in zip(weights, terms, (1.0, -1.0, -1.0))))
         residuals.append(float(singular_values(diff.left, diff.core, diff.right, top=1)[0]))
 
@@ -461,11 +479,12 @@ def rho_scan(
 ):
     """Rows (lambda, rho0_analytic, rho_raw, rho_corrected, n_discarded, margin).
 
-    Only the eigenpairs of H inside the window spanned by the samples' eta
-    supports are computed, and every sample whose eta meets them goes to
-    one lockstep estimate (see the module docstring): every column window
-    is compressed once, and all samples are bisected together.  A sample
-    whose eta meets none gets the row (lambda, rho0, inf, inf, 0, nan).
+    Only the eigenpairs of H where some sample's eta is nonzero are
+    computed, one MRRR call per disjoint run of the eta supports (a grid
+    with step < 2 eps is one run), and every sample whose eta meets them
+    goes to one lockstep estimate (see the module docstring): every column
+    window is compressed once, and all samples are bisected together.  A
+    sample whose eta meets none gets the row (lambda, rho0, inf, inf, 0, nan).
     """
     pot = opset.potential
     lambdas = [float(lam) for lam in lambdas]

@@ -283,11 +283,14 @@ class ThinProduct:
 
 
 def thin_sum(*terms: ThinProduct) -> ThinProduct:
-    """The sum of thin products as one: [L_1 .. L_k] diag(C_1 .. C_k) [R_1 .. R_k]^dagger."""
+    """The sum of thin products as one: [L_1 .. L_k] diag(C_1 .. C_k) [R_1 .. R_k]^dagger.
+
+    When every term has right is left, the sum's right is its left too."""
     core = np.block([[t.core if i == k else np.zeros((t.core.shape[0], u.core.shape[1]))
                       for k, u in enumerate(terms)] for i, t in enumerate(terms)])
-    return ThinProduct(np.hstack([t.left for t in terms]), core,
-                       np.hstack([t.right for t in terms]))
+    left = np.hstack([t.left for t in terms])
+    same = all(t.right is t.left for t in terms)
+    return ThinProduct(left, core, left if same else np.hstack([t.right for t in terms]))
 
 
 def sandwich(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray], m) -> ThinProduct:

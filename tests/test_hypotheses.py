@@ -251,6 +251,26 @@ class TestSingularValues:
         rl, rr = np.linalg.qr(left, mode="r"), np.linalg.qr(right, mode="r")
         assert np.array_equal(sv, np.linalg.svd(rl @ core @ rr.T, compute_uv=False)[:10])
 
+    def test_one_qr_when_right_is_left(self, monkeypatch):
+        # a Hermitian thin product F C F^dagger takes the R of F once, with
+        # the same bits as two QRs of equal factors
+        rng = np.random.default_rng(38)
+        f = rng.standard_normal((200, 30)) + 1j * rng.standard_normal((200, 30))
+        core = rng.standard_normal((30, 30))
+        core = core + core.T
+        ref = singular_values(f, core, f.copy())
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        sv = singular_values(f, core, f)
+        assert len(calls) == 1 and calls[0] is f
+        assert np.array_equal(sv, ref)
+
     def test_square_identity_core(self):
         # square factors are not reduced: the SVD runs on the full n x n core
         eye = np.eye(101)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mourre_lab import mourre
 from mourre_lab.mourre import (
     DiscardPolicy,
     _bisect_sup,
@@ -17,6 +18,7 @@ from mourre_lab.mourre import (
     _estimate_rho_batch,
     _interior_window,
     _localization,
+    _windowed_estimates,
     analytic_rho,
     estimate_rho_eta,
     estimate_rho_window,
@@ -311,8 +313,9 @@ class TestTransfer:
     def test_matches_dense_reference(self, small_ops):
         """Thin sandwiches and the closed-form channel window reproduce the dense
         U f(Lambda) U* products with an eigh of each channel Hamiltonian.  The
-        margins match estimate_rho_eta on the eigenpairs of H in the window
-        that transfer_verify computes, (min lambda - eps, max lambda + eps)."""
+        margins match estimate_rho_eta on the eigenpairs of H in the span
+        (min lambda - eps, max lambda + eps), computed by one MRRR call apart
+        from the runs of eta supports that transfer_verify computes."""
         lambdas, eps = [0.3, 0.5, 1.5, 2.0], 0.1
         rep = transfer_verify(small_ops, lambdas, eps, 0.2)
         lo, hi = min(lambdas) - eps, max(lambdas) + eps
@@ -344,6 +347,63 @@ class TestTransfer:
             # a near cancellation of the two sides, does not shrink that error
             scale = max(np.linalg.norm(c, 2) for c in (c_h, c_m, c_p))
             assert abs(rep.eone_residuals[k] - ref) <= ROUNDING_ULPS * small_ops.n * F64_EPS * scale
+
+
+def _record_windows(monkeypatch):
+    """The windows mourre passes to eigendecompose, in call order."""
+    windows = []
+
+    def recording(op, window=None):
+        windows.append(window)
+        return eigendecompose(op, window)
+
+    monkeypatch.setattr(mourre, "eigendecompose", recording)
+    return windows
+
+
+def _window(lo, hi):
+    """The window of the open interval (lo, hi), built as the runs are."""
+    return EnergyWindow(0.5 * (lo + hi), 0.5 * (hi - lo))
+
+
+class TestSupportRuns:
+    """The scan and the transfer check take the eigenpairs of H on the union
+    of the eta supports: one MRRR window per disjoint run of supports."""
+
+    def test_transfer_one_window_per_run(self, small_ops, monkeypatch):
+        windows = _record_windows(monkeypatch)
+        eps = 0.1
+        transfer_verify(small_ops, [0.3, 0.5, 1.5, 2.0], eps, 0.2)
+        assert windows == [_window(0.3 - eps, 0.5 + eps), _window(1.5 - eps, 1.5 + eps),
+                           _window(2.0 - eps, 2.0 + eps)]
+        runs = [bound for w in windows for bound in (w.lam - w.eps, w.lam + w.eps)]
+        assert runs == pytest.approx([0.2, 0.6, 1.4, 1.6, 1.9, 2.1], abs=1e-12)
+
+    @pytest.mark.parametrize("lambdas, eps", [
+        ([0.25 + 0.15 * j for j in range(12)], 0.1),  # step 0.15 < 2 eps
+        ([2.0, 0.2, 1.1, 0.65, 1.55], 0.25),           # unsorted, step 0.45 < 2 eps
+        ([0.7, 0.5], 0.1)])                            # supports that only touch
+    def test_scan_with_overlapping_supports_is_one_span(self, small_ops, monkeypatch,
+                                                        lambdas, eps):
+        windows = _record_windows(monkeypatch)
+        rho_scan(small_ops, lambdas, eps)
+        assert windows == [_window(min(lambdas) - eps, max(lambdas) + eps)]
+
+    def test_union_is_the_span_masked_to_the_supports(self, small_ops):
+        lambdas, eps = [2.0, 0.3, 1.5, 0.5, 0.7, 2.3], 0.1
+        dec = _windowed_estimates(small_ops, lambdas, eps, DiscardPolicy())[0]
+        lo, hi = min(lambdas) - eps, max(lambdas) + eps
+        span = eigendecompose(small_ops.H, _window(lo, hi))
+        on_union = np.zeros(span.eigenvalues.size, dtype=bool)
+        for lam in lambdas:
+            on_union |= EnergyWindow(lam, eps).contains(span.eigenvalues)
+        assert not on_union.all()  # the gaps between the runs hold eigenvalues
+        assert dec.eigenvalues.size == on_union.sum()
+        assert np.all(np.diff(dec.eigenvalues) > 0)
+        assert np.max(np.abs(dec.eigenvalues - span.eigenvalues[on_union])) <= 1e-12
+        # the same eigenvectors up to sign
+        overlap = np.abs(np.sum(dec.eigenvectors * span.eigenvectors[:, on_union], axis=0))
+        assert np.max(np.abs(overlap - 1.0)) <= 1e-10
 
 
 def test_import_and_transfer_leave_scipy_unloaded():

@@ -160,6 +160,15 @@ class TestThinProduct:
         assert got.shape == (30, 40)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.abs(ref).max()
 
+    def test_sum_keeps_right_is_left(self):
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal((20, 3)), rng.standard_normal((20, 2))
+        same = thin_sum(ThinProduct(a, np.eye(3), a), ThinProduct(b, np.eye(2), b))
+        assert same.right is same.left
+        mixed = thin_sum(ThinProduct(a, np.eye(3), a), ThinProduct(b, np.eye(2), b.copy()))
+        assert mixed.right is not mixed.left
+        assert np.array_equal(mixed.right, same.left)
+
     def test_sandwich_matches_dense(self, small_ops, dec):
         eta = bump(1.0, 0.3)
         thin = sandwich(dec, eta, small_ops.commutator_iHA)
