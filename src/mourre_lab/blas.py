@@ -8,8 +8,8 @@ ctypes signature of each routine with its ILP64 integers (`_SIGNATURES`),
 the column-major layout and the check on LAPACK's `info`; `lapacke` hands
 out a routine that takes plain NumPy arrays and numbers.  The library is
 looked up at the first call, so nothing is loaded before a caller needs
-it, and its handle is kept for every later call; `lapacke` and
-`set_num_threads` ask `bundled_openblas` for it each time.
+it, and its handle is kept for every later call; each call looks its
+symbol up anew (`_symbol`), so no two callers type a shared object.
 """
 
 from __future__ import annotations
@@ -32,6 +32,15 @@ def bundled_openblas() -> Optional[ctypes.CDLL]:
     """NumPy's bundled OpenBLAS (already loaded by `import numpy`), or None."""
     paths = sorted(glob.glob(os.path.join(libdir(), "libscipy_openblas64_*.so")))
     return ctypes.CDLL(paths[0]) if paths else None
+
+
+def _symbol(name: str):
+    """`name` in the bundled OpenBLAS as a new function object for the caller
+    to type (`getattr` returns the one `CDLL` caches and shares), or None."""
+    try:
+        return bundled_openblas()[name]
+    except (TypeError, AttributeError):  # no library, or no such symbol
+        return None
 
 
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR, the layout of every LAPACKE call here
@@ -64,8 +73,7 @@ def lapacke(name: str):
     them after the layout; it raises `LinAlgError` when LAPACK returns a
     nonzero info.  It is looked up and typed at each call.
     """
-    lib = bundled_openblas()
-    routine = getattr(lib, f"scipy_LAPACKE_{name}64_", None) if lib is not None else None
+    routine = _symbol(f"scipy_LAPACKE_{name}64_")
     if routine is None:
         return None
 
@@ -84,11 +92,9 @@ def set_num_threads(count: int) -> bool:
     OpenBLAS reads OPENBLAS_NUM_THREADS only when it is loaded, which
     happens with `import numpy`, so the count is applied at run time.
     """
-    lib = bundled_openblas()
-    if lib is None:
+    setter = _symbol("scipy_openblas_set_num_threads64_")
+    if setter is None:
         return False
-    setter = lib.scipy_openblas_set_num_threads64_
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
     setter(count)
     return True

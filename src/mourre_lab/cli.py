@@ -5,8 +5,10 @@ the config as given embedded) plus plot-ready CSV.  Exit status:
 0 = all verdicts pass, 1 = a verdict fails, 2 = execution/config error.
 rho-scan is a measurement with no verdict: whenever it runs it writes
 "verdict": true and exits 0, however far its margins fall.
-All floating-point output is written at 17 significant digits and runs
-are deterministic for a fixed config.
+One rule, `_token`, writes every value of both reports, as read from the
+report objects' own fields: true/false, integers, floats at 17 significant
+digits (JSON quotes a non-finite one, CSV does not).  Runs are
+deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -99,7 +101,7 @@ def load_config(path, experiment: Optional[str] = None,
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
-    defaults = dict(asdict(ExperimentConfig("")), threads=1)  # threads: null or an integer
+    defaults = dict(vars(ExperimentConfig("")), threads=1)  # threads: null or an integer
     extra = set(raw) - set(defaults)
     if extra:
         raise ConfigError(f"config: unknown field(s) {sorted(extra)}")
@@ -168,13 +170,19 @@ def load_config(path, experiment: Optional[str] = None,
 
 # ---------------------------------------------------------------- output
 
-def _float_token(x: float) -> str:
-    """17 significant digits; non-finite values become quoted strings."""
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(float(x), ".17g")
+_NUMBERS = (bool, np.bool_, int, np.integer, float, np.floating)
+
+
+def _token(v) -> str:
+    """A report value as written: true/false, an integer, a float at 17
+    significant digits (nan, inf, -inf when non-finite), or str(v)."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".17g")
+    return str(v)
 
 
 def _dump(obj, pad: str) -> str:
@@ -194,17 +202,12 @@ def _dump(obj, pad: str) -> str:
             return "[]"
         items = (f"{inner}{_dump(v, inner)}" for v in obj)
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (float, np.floating)):
-        return _float_token(float(obj))
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, complex):
-        return _dump({"re": obj.real, "im": obj.imag}, pad)
     if obj is None:
         return "null"
-    return json.dumps(str(obj))
+    token = _token(obj)
+    if isinstance(obj, _NUMBERS) and token not in ("nan", "inf", "-inf"):
+        return token
+    return json.dumps(token)
 
 
 def emit_json(report: dict, path) -> None:
@@ -212,19 +215,10 @@ def emit_json(report: dict, path) -> None:
 
 
 def emit_csv(header: str, rows, path) -> None:
-    def cell(v):
-        if isinstance(v, (bool, np.bool_)):
-            return "true" if v else "false"
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, (float, np.floating)):
-            return format(float(v), ".17g")
-        return str(v)
-
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
+            fh.write(",".join(map(_token, row)) + "\n")
 
 
 # ------------------------------------------------------------- experiments
@@ -268,7 +262,7 @@ def _run_transfer(cfg: ExperimentConfig, p: dict):
                           float(p["tol"]))
     rows = zip(rep.lambda_samples, rep.rho0_analytic, rep.rho_H_estimate, rep.margins,
                rep.eone_residuals)
-    return rep.verdict, asdict(rep), (
+    return rep.verdict, vars(rep), (
         "transfer.csv", "lambda,rho0_analytic,rho_estimate,margin,eone_residual", rows)
 
 
@@ -283,7 +277,7 @@ def _run_hypotheses(cfg: ExperimentConfig, p: dict):
     verdict = True
     sv_rows = []
     for tag, rep in ladder.items():
-        reports[tag] = asdict(rep)
+        reports[tag] = vars(rep)
         want = "non-compact" if tag == "identity" else "compact-consistent"
         verdict = verdict and rep.verdict == want
         for li, sv in enumerate(rep.singular_values):
@@ -306,7 +300,7 @@ def _run_scatter(cfg: ExperimentConfig, p: dict):
     verdict = (abs(coeff.reflection - averaged.reflection) <= tol
                and abs(coeff.transmission - averaged.transmission) <= tol
                and coeff.flux_defect < 1e-2)
-    payload = dict(asdict(coeff), tol=tol, **{
+    payload = dict(vars(coeff), tol=tol, **{
         key: {"reflection": o.reflection, "transmission": o.transmission}
         for key, o in (("oracle", oracle), ("oracle_averaged", averaged))})
     return verdict, payload, None
@@ -325,7 +319,7 @@ def _run_completeness(cfg: ExperimentConfig, p: dict):
     times = np.linspace(0.0, float(p["t_max"]), p["n_times"])
     rep = completeness_probe(opset, eigendecompose(opset.H), psi, times)
     rows = zip(rep.times, rep.froufrou_norms, rep.converse_norms, rep.boundary_margins)
-    return rep.verdict, asdict(rep), (
+    return rep.verdict, vars(rep), (
         "completeness.csv", "t,froufrou_norm,converse_norm,boundary_margin", rows)
 
 
@@ -351,7 +345,7 @@ def run(cfg: ExperimentConfig) -> int:
         verdict, payload, table = _RUNNERS[cfg.experiment](
             cfg, {**PARAMS[cfg.experiment], **cfg.params})
         report = {"schema_version": SCHEMA_VERSION, "experiment": cfg.experiment,
-                  "config": asdict(cfg), **payload, "verdict": verdict}
+                  "config": vars(cfg), **payload, "verdict": verdict}
         emit_json(report, out / f"{cfg.experiment.replace('-', '_')}.json")
         if table is not None:
             name, header, rows = table

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import Grid
 from .hypotheses import singular_values
 from .operators import OperatorSet
 from .spectral import (
@@ -61,7 +62,6 @@ __all__ = [
     "virial_defects",
     "transfer_verify",
     "rho_scan",
-    "pair_matrices",
     "opnorm",
 ]
 
@@ -109,15 +109,6 @@ class RhoEstimate:
     modes: tuple = ()
     note: str = ""
 
-    @property
-    def discard_log(self) -> list:
-        """One dict per mode of `modes`, built when it is read (a scan holds no dicts)."""
-        return [
-            {"eigenvalue": float(e), "interaction_mass": float(i),
-             "boundary_mass": float(b), "discarded": bool(f)}
-            for e, i, b, f in zip(*self.modes)
-        ]
-
 
 @dataclass(frozen=True)
 class TransferReport:
@@ -147,25 +138,24 @@ def analytic_rho(v_minus: float, v_plus: float, lam: float) -> float:
     return 2.0 * (lam - hi)
 
 
-def pair_matrices(opset: OperatorSet, pair: str):
-    """(energy operator, commutator i[.,.], node positions) for a pair tag, as bands."""
-    nodes = opset.grid.nodes
+def _pair_commutator(opset: OperatorSet, pair: str):
+    """The commutator band i[.,.] of a pair tag."""
     if pair == "H_A":
-        return opset.H, opset.commutator_iHA, nodes
+        return opset.commutator_iHA
     if pair in ("channel-", "channel+"):
-        side = pair[-1]
         cm, cp = opset.commutator_iH0A0_channel
-        return opset.channel_hamiltonian(side), cm if side == "-" else cp, nodes
+        return cm if pair == "channel-" else cp
     raise ValueError(f"unknown pair {pair!r}, expected one of {PAIRS}")
 
 
-def _compress(us: np.ndarray, comm, positions: np.ndarray, L: float, policy: DiscardPolicy):
+def _compress(us: np.ndarray, comm, grid: Grid, policy: DiscardPolicy):
     """The symmetrized compression of the commutator comm onto the columns
     U_S, and U_S^dagger P U_S for the whole box, the interaction region and
     the boundary region (P the 0/1 projection onto the region's nodes), stacked."""
     c = us.conj().T @ (comm @ us)
-    inner = np.abs(positions) <= policy.interaction_radius
-    bdry = np.abs(positions) >= L - policy.boundary_width(L)
+    x, L = np.abs(grid.nodes), grid.L
+    inner = x <= policy.interaction_radius
+    bdry = x >= L - policy.boundary_width(L)
     return 0.5 * (c + c.conj().T), np.stack([u.conj().T @ u for u in (us, us[inner], us[bdry])])
 
 
@@ -189,7 +179,7 @@ def estimate_rho_window(
     policy: DiscardPolicy = DiscardPolicy(),
 ) -> RhoEstimate:
     """Compress i[H,A] onto the sharp spectral window of H and diagonalize."""
-    _, comm, positions = pair_matrices(opset, pair)
+    comm = _pair_commutator(opset, pair)
     sel = win.contains(dec.eigenvalues)
     if not np.any(sel):
         return RhoEstimate(
@@ -197,7 +187,7 @@ def estimate_rho_window(
             n_discarded=0, compression_spectrum=np.array([]),
             note="no spectrum in window",
         )
-    csub, grams = _compress(dec.eigenvectors[:, sel], comm, positions, opset.grid.L, policy)
+    csub, grams = _compress(dec.eigenvectors[:, sel], comm, opset.grid, policy)
     eig, vec = np.linalg.eigh(csub)
     inner, bdry, flags = (a[0] for a in _localization(vec[None], grams[None], policy))
     kept = eig[~flags]
@@ -243,7 +233,7 @@ def _estimate_rho_batch(
     """
     if not etas:
         return []
-    _, comm, positions = pair_matrices(opset, pair)
+    comm = _pair_commutator(opset, pair)
     weights, keeps = [], []
     for eta in etas:
         w = eta(dec.eigenvalues)
@@ -267,7 +257,7 @@ def _estimate_rho_batch(
         if s[0] >= opened + span:
             opened = s[0]
         starts[j], ends[opened] = opened, max(ends.get(opened, 0), s[-1] + 1)
-    windows = {lo: _compress(dec.eigenvectors[:, lo:hi], comm, positions, opset.grid.L, policy)
+    windows = {lo: _compress(dec.eigenvectors[:, lo:hi], comm, opset.grid, policy)
                for lo, hi in ends.items()}
     blocks = [np.ix_(s - lo, s - lo) for s, lo in zip(supports, starts)]
 

@@ -87,6 +87,9 @@ class WaveProbeReport:
 
 @dataclass(frozen=True)
 class CompletenessReport:
+    """`range_defect` is ||(1 - P_sc) g|| / ||g|| for the best glued column g,
+    the same ratio as for its image e^{itH} g (see `completeness_probe`)."""
+
     times: list
     froufrou_norms: list      # ||(J Jt - 1) e^{-itH} psi|| / ||psi||
     converse_norms: list      # ||(Jt J - 1) e^{-itH0} J* psi|| / ||J* psi||
@@ -238,6 +241,12 @@ def completeness_probe(
     The verdict requires both to fall below DECAY_TARGET at some
     admissible time; a stationary state (bound state) never decays and
     fails the probe.
+
+    The range defect is the share of the best approximant e^{itH} g (g the
+    glued column at the admissible time of the smallest forward norm) that
+    P_sc = 1 - U_low U_low^T removes.  U_low holds eigenvectors of the same
+    H, so U_low^T e^{itH} g = e^{it Lambda_low} U_low^T g: e^{itH} changes
+    neither norm of the ratio, which is therefore read from g unpropagated.
     """
     ts = np.asarray(times, dtype=float)
     grid = opset.grid
@@ -262,15 +271,13 @@ def completeness_probe(
     ok_f = bool(np.any(admissible & (frous < DECAY_TARGET)))
     ok_c = bool(np.any(admissible & (convs < DECAY_TARGET)))
 
-    # image of the best finite-time approximant against the scattering surrogate
+    # the best approximant e^{itH} g against the scattering surrogate, read from g
     if not admissible.any():
         raise RuntimeError("no admissible time in the completeness probe; increase L")
-    best = int(np.argmin(np.where(admissible, frous, np.inf)))
-    image = propagate(dec_H, glued[:, best], [-ts[best]])[:, 0]
-    p_sc_image = scattering_projector(dec_H, image,
-                                      min(opset.potential.v_minus, opset.potential.v_plus))
-    nim = _l2(grid, image)
-    range_defect = _l2(grid, image - p_sc_image) / nim if nim > 0 else math.inf
+    g = glued[:, int(np.argmin(np.where(admissible, frous, np.inf)))]
+    p_sc_g = scattering_projector(dec_H, g, min(opset.potential.v_minus, opset.potential.v_plus))
+    ng = _l2(grid, g)
+    range_defect = _l2(grid, g - p_sc_g) / ng if ng > 0 else math.inf
 
     return CompletenessReport(
         times=list(times), froufrou_norms=frous.tolist(), converse_norms=convs.tolist(),

@@ -30,6 +30,15 @@ def apply_function(dec, f) -> np.ndarray:
     return (u * fw[None, :]) @ u.conj().T
 
 
+def discard_log(est) -> list:
+    """One dict per compression mode of a `RhoEstimate`, from its `modes` arrays."""
+    return [
+        {"eigenvalue": float(e), "interaction_mass": float(i),
+         "boundary_mass": float(b), "discarded": bool(f)}
+        for e, i, b, f in zip(*est.modes)
+    ]
+
+
 def gaussian(center: float, width: float) -> SmoothingFunction:
     """A smoothing function with unbounded support: exp(-(x - center)^2 / 2 width^2)."""
 

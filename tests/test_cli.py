@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -210,6 +211,31 @@ class TestEmit:
         lines = path.read_text().splitlines()
         assert lines[0] == "a,b,c"
         assert lines[2] == "2,0.33333333333333331,false"
+
+    def test_writers_bytes_frozen(self, tmp_path):
+        """Both writers, on every kind of value a report can hold, write the
+        bytes frozen from the two writers that one token rule replaced."""
+        payload = {
+            "nested": {"list": [1, 2.5, [True, None]], "tuple": (np.float64(0.1), np.int64(-7)),
+                       "array": np.array([1.0 / 3.0, -2e-300])},
+            "bool": np.bool_(False), "inf": math.inf, "-inf": -math.inf, "nan": math.nan,
+            "none": None, "text": 'say "hi"', "text_inf": "inf", "empty_dict": {},
+            "empty_list": [],
+        }
+        emit_json(payload, tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_text() == (
+            '{\n  "-inf": "-inf",\n  "bool": false,\n  "empty_dict": {},\n  "empty_list": [],\n'
+            '  "inf": "inf",\n  "nan": "nan",\n  "nested": {\n    "array": [\n'
+            '      0.33333333333333331,\n      -2.0000000000000001e-300\n    ],\n'
+            '    "list": [\n      1,\n      2.5,\n      [\n        true,\n        null\n      ]\n'
+            '    ],\n    "tuple": [\n      0.10000000000000001,\n      -7\n    ]\n  },\n'
+            '  "none": null,\n  "text": "say \\"hi\\"",\n  "text_inf": "inf"\n}\n')
+        rows = [(np.float64(0.1), np.int64(-7), np.bool_(True), math.inf, -math.inf, math.nan,
+                 None, "text", 1.0 / 3.0, False, 3)]
+        emit_csv("a,b,c,d,e,f,g,h,i,j,k", rows, tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text() == (
+            "a,b,c,d,e,f,g,h,i,j,k\n"
+            "0.10000000000000001,-7,true,inf,-inf,nan,None,text,0.33333333333333331,false,3\n")
 
 
 SMALL = {"L": 20.0, "n": 321, "v_minus": 0.0, "v_plus": 1.0, "seed": 3}

@@ -27,7 +27,7 @@ from mourre_lab.mourre import (
     transfer_verify,
     virial_defects,
 )
-from conftest import gaussian, well_bump
+from conftest import discard_log, gaussian, well_bump
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import Band, build_pair
 from mourre_lab.spectral import EnergyWindow, bump, eigendecompose
@@ -104,8 +104,9 @@ class TestWindowEstimate:
 
     def test_discard_log_complete(self, small_ops, dec_H):
         est = estimate_rho_window(small_ops, dec_H, "H_A", EnergyWindow(0.5, 0.2))
-        assert len(est.discard_log) == est.compression_spectrum.size
-        flagged = sum(1 for d in est.discard_log if d["discarded"])
+        log = discard_log(est)
+        assert len(log) == est.compression_spectrum.size
+        flagged = sum(1 for d in log if d["discarded"])
         assert flagged == est.n_discarded
 
     def test_unknown_pair_rejected(self, small_ops, dec_H):
@@ -139,7 +140,7 @@ class TestLocalization:
         k = us.shape[1]
         rng = np.random.default_rng(3)
         x, L = small_ops.grid.nodes, small_ops.grid.L
-        grams = _compress(us, small_ops.commutator_iHA, x, L, policy)[1]
+        grams = _compress(us, small_ops.commutator_iHA, small_ops.grid, policy)[1]
         tol = 16 * small_ops.n * np.finfo(float).eps
         for stack in (1, 3):
             vecs = np.stack([np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(stack)])
@@ -215,8 +216,8 @@ class TestLockstepBisection:
                     == (one.raw_min, one.corrected, one.n_discarded))
             assert np.array_equal(est.compression_spectrum, one.compression_spectrum)
             assert all(np.array_equal(a, r) for a, r in zip(est.modes, one.modes))
-            assert est.discard_log == one.discard_log
-            assert len(est.discard_log) == est.compression_spectrum.size
+            assert discard_log(est) == discard_log(one)
+            assert len(discard_log(est)) == est.compression_spectrum.size
         assert len({(est.raw_min, est.corrected) for est in batch}) >= 3
 
     def test_nested_supports_of_mixed_widths(self, small_ops, dec_H):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import channel_bases, well_bump
+from mourre_lab import scattering
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import build_pair
 from mourre_lab.scattering import (
@@ -14,7 +15,7 @@ from mourre_lab.scattering import (
     sharp_step_oracle,
     wave_operator_probe,
 )
-from mourre_lab.spectral import eigendecompose, propagate
+from mourre_lab.spectral import eigendecompose, propagate, scattering_projector
 
 F64_EPS = np.finfo(float).eps
 ROUNDING_ULPS = 16.0  # as in test_golden: an eigenbasis is orthonormal to a modest multiple of n*eps
@@ -27,6 +28,27 @@ def box():
     pot = make_steplike(g, 0.0, 1.0, profile="sharp_step")
     ops = build_pair(g, pot, cut)
     return ops, eigendecompose(ops.H)
+
+
+@pytest.fixture(scope="module")
+def well_box():
+    """A smooth step with a well deep enough to bind a state below the spectrum of H0."""
+    g = make_grid(40.0, 801)
+    pot = make_steplike(g, 0.0, 1.0, profile="smooth_step_plus_bump",
+                        bump=well_bump(g, -2.0, 2.0))
+    ops = build_pair(g, pot, make_cutoffs(g))
+    return ops, eigendecompose(ops.H)
+
+
+def _outgoing(ops):
+    pk = make_channel_packet(ops.grid, "+", 10.0, 1.5, 2.0)
+    psi = ops.apply_J(pk.phi_minus, pk.phi_plus)
+    return psi / (math.sqrt(ops.grid.dx) * np.linalg.norm(psi))
+
+
+def _bound_state(ops, dec_H):
+    bs = dec_H.eigenvectors[:, 0].astype(complex)
+    return bs / (math.sqrt(ops.grid.dx) * np.linalg.norm(bs))
 
 
 @pytest.fixture(scope="module")
@@ -163,28 +185,46 @@ class TestWaveOperatorProbe:
 class TestCompletenessProbe:
     def test_outgoing_packet_passes(self, box):
         ops, dec_H = box
-        pk = make_channel_packet(ops.grid, "+", 10.0, 1.5, 2.0)
-        psi = ops.apply_J(pk.phi_minus, pk.phi_plus)
-        psi /= math.sqrt(ops.grid.dx) * np.linalg.norm(psi)
-        rep = completeness_probe(ops, dec_H, psi, np.linspace(0.0, 8.0, 17))
+        rep = completeness_probe(ops, dec_H, _outgoing(ops), np.linspace(0.0, 8.0, 17))
         assert rep.verdict
         assert min(rep.froufrou_norms) < 0.05
         assert min(rep.converse_norms) < 0.05
         assert rep.range_defect < 0.05
 
-    def test_bound_state_fails(self):
-        g = make_grid(40.0, 801)
-        cut = make_cutoffs(g)
-        pot = make_steplike(g, 0.0, 1.0, profile="smooth_step_plus_bump",
-                            bump=well_bump(g, -2.0, 2.0))
-        ops = build_pair(g, pot, cut)
-        dec_H = eigendecompose(ops.H)
+    def test_bound_state_fails(self, well_box):
+        ops, dec_H = well_box
         assert dec_H.eigenvalues[0] < -0.1  # a genuine bound state exists
-        bs = dec_H.eigenvectors[:, 0].astype(complex)
-        bs /= math.sqrt(g.dx) * np.linalg.norm(bs)
-        rep = completeness_probe(ops, dec_H, bs, np.linspace(0.0, 8.0, 17))
+        rep = completeness_probe(ops, dec_H, _bound_state(ops, dec_H), np.linspace(0.0, 8.0, 17))
         assert not rep.verdict
         assert min(rep.froufrou_norms) > 0.5
+
+    @pytest.mark.parametrize("case", ["outgoing", "bound-state"])
+    def test_range_defect_from_one_propagation(self, box, well_box, monkeypatch, case):
+        """The probe propagates once, and its range defect, read from the best
+        glued column g, equals that of the image e^{itH} g built from g by the
+        closed-form channel bases, one propagation by H and the projector."""
+        ops, dec_H = box if case == "outgoing" else well_box
+        psi = _outgoing(ops) if case == "outgoing" else _bound_state(ops, dec_H)
+        times = np.linspace(0.0, 8.0, 17)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return propagate(*args)
+
+        monkeypatch.setattr(scattering, "propagate", counted)
+        rep = completeness_probe(ops, dec_H, psi, times)
+        assert len(calls) == 1
+
+        t = times[int(np.argmin(np.where(rep.admissible, rep.froufrou_norms, np.inf)))]
+        fm, fp = ops.apply_J_star(psi)
+        dec_m, dec_p = channel_bases(ops)
+        g = ops.apply_J(propagate(dec_m, fm, [t])[:, 0], propagate(dec_p, fp, [t])[:, 0])
+        image = propagate(dec_H, g, [-t])[:, 0]
+        pot = ops.potential
+        low = image - scattering_projector(dec_H, image, min(pot.v_minus, pot.v_plus))
+        ref = _l2_one(ops.grid, low) / _l2_one(ops.grid, image)
+        assert abs(rep.range_defect - ref) <= _rounding(ops.n) * max(1.0, ref)
 
 
 class TestChainRule:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +76,41 @@ class TestEigendecompose:
         assert len(calls) == 1  # the dense eigh ran
         assert np.array_equal(dec.eigenvalues, w)
         assert np.array_equal(dec.eigenvectors, u)
+
+
+@pytest.mark.skipif(blas.bundled_openblas() is None, reason="no bundled OpenBLAS")
+class TestBlasBindings:
+    def test_each_lookup_types_its_own_function_object(self):
+        assert blas.lapacke("dstemr").func is not blas.lapacke("dstemr").func
+
+    def test_two_threads_share_no_routine(self):
+        """Two threads calling the windowed eigensolver at once must not retype
+        each other's routine (a shared one raised TypeError or crashed)."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
+        code = (
+            "import threading\n"
+            "from mourre_lab import build_pair, make_cutoffs, make_grid, make_steplike\n"
+            "from mourre_lab.spectral import EnergyWindow, eigendecompose\n"
+            "g = make_grid(40.0, 401)\n"
+            "H = build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g)).H\n"
+            "start, errors = threading.Barrier(2), []\n"
+            "def work():\n"
+            "    start.wait()\n"
+            "    try:\n"
+            "        for _ in range(50):\n"
+            "            eigendecompose(H, EnergyWindow(0.5, 0.2))\n"
+            "    except Exception as exc:\n"
+            "        errors.append(repr(exc))\n"
+            "threads = [threading.Thread(target=work) for _ in range(2)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join()\n"
+            "print(errors)\n"
+        )
+        out = subprocess.run([sys.executable, "-X", "faulthandler", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stdout.strip(), out.stderr) == (0, "[]", "")
 
 
 @pytest.fixture(scope="module")
