@@ -240,6 +240,17 @@ def _build(cfg: ExperimentConfig, p: dict, L: Optional[float] = None, n: Optiona
     return build_pair(grid, pot, make_cutoffs(grid))
 
 
+def _check_full_basis(cfg: ExperimentConfig) -> None:
+    """Refuse an n whose full basis of H cannot fit in physical memory: the
+    divide and conquer holds the n x n eigenvectors and as large a workspace."""
+    need = 16 * cfg.n**2
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"n: {cfg.experiment} needs the full basis of H, about "
+                          f"{need / 2**30:.1f} GiB at n = {cfg.n}, more than the "
+                          f"{have / 2**30:.1f} GiB of physical memory")
+
+
 def _run_rho_scan(cfg: ExperimentConfig, p: dict):
     from .mourre import rho_scan
 
@@ -292,6 +303,7 @@ def _run_scatter(cfg: ExperimentConfig, p: dict):
     from .spectral import eigendecompose
 
     lam, sigma, tol = float(p["lambda"]), float(p["sigma"]), float(p["tol"])
+    _check_full_basis(cfg)
     opset = _build(cfg, p)
     coeff = scattering_coefficients(opset, eigendecompose(opset.H), lam,
                                     x0=float(p["x0"]), sigma=sigma)
@@ -311,6 +323,7 @@ def _run_completeness(cfg: ExperimentConfig, p: dict):
     from .spectral import eigendecompose
 
     x0 = float(p["x0"])
+    _check_full_basis(cfg)
     opset = _build(cfg, p)
     packet = make_channel_packet(opset.grid, "+" if x0 > 0 else "-", x0, float(p["k0"]),
                                  float(p["sigma"]))

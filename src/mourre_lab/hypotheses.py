@@ -6,21 +6,22 @@ stable head and a fast-decaying tail, whereas the identity stays flat at
 every level.  The verdict thresholds (DRIFT_TOL, TAIL_TOL, FLAT_TAIL)
 separate those two control cases by orders of magnitude.
 
-On the box every surrogate is a product of thin factors (eta and the
-plateau have compact support, the long-range middle term lives on a few
-nodes): each builder returns a `ThinProduct`, and `singular_values` takes
-a QR of each thin factor and one SVD of the small core that is left.  The
-identity control needs neither: its singular values are 1 in closed form.
-`compactness_ladder` runs a whole ladder in one pass over its levels: it
-builds each level once, computes every tag's singular values there and
-releases the level before building the next; `compactness_report` then
-classifies the values of each tag.  The builders read thin data only.
-(ii)-(iv) take the eigenpairs of H where eta is nonzero (for a bump,
-`eigendecompose(H, EnergyWindow(center, width))`, which the ladder takes
-only for a ladder with one of these tags) and the channel eigenpairs
-there in closed form from `dirichlet_decomposition`; the short- and
-long-range surrogates apply R(z) and R0(z) to thin blocks by tridiagonal
-solves (`resolvent_solve`).  No full basis of H or of a channel is built.
+Every surrogate is a `ThinProduct`: `singular_values` takes a QR of each
+thin factor and one SVD of the small core that is left, and the identity
+control is sigma_k = 1 in closed form.  (ii)-(iv) are thin because eta has
+compact support: they read the eigenpairs of H where eta is nonzero
+(`eigendecompose(H, EnergyWindow(center, width))`, which the ladder takes
+only for a ladder with one of these tags) and the channel pairs there in
+closed form (`dirichlet_decomposition`).  The short- and long-range
+differences are thin because their middles are local: by the two-space
+resolvent identity J R0(z) - R(z) J = R(z)(HJ - JH0) R0(z), each passes
+through the few nodes S where a band middle M is nonzero, with the factor
+R(z)[:, S] from |S| tridiagonal solves (`resolvent_solve`).  So the factor
+widths, which bound their ranks, grow like 1/dx and not with L.
+No full basis of H or of a channel is built.  `compactness_ladder` builds
+each level once, computes every tag's singular values there and releases
+the level before building the next; `compactness_report` then classifies
+the values of each tag.
 """
 
 from __future__ import annotations
@@ -195,14 +196,26 @@ def compactness_report(svs: Sequence[np.ndarray],
     )
 
 
+def _resolvent_columns(op: Band, z: complex, nodes: np.ndarray) -> np.ndarray:
+    """R(z)[:, S] = (op - z)^{-1} at the columns S = nodes, by |S| tridiagonal solves."""
+    unit = np.zeros((op.n, nodes.size))
+    unit[nodes, np.arange(nodes.size)] = 1.0
+    return resolvent_solve(op, z, unit)
+
+
 def short_range_operator(opset: OperatorSet, z: complex) -> ThinProduct:
     """B(z) A0 with an energy smoothing realizing the operator closure.
 
-    Returns the factors of the n x 2n operator B(z) A0 S with S = eta~(H0)
+    Returns the factors of the n x 2n operator B(z) A0 P with P = eta~(H0)
     a plateau equal to 1 on the energy range of interest (from min V + 0.05
-    to max V + 4, shoulder 1); the raw discrete product grows
-    with refinement because A0 is unbounded in the continuum.  Each channel
-    contributes i (j R0(z) K U_S - R(z) j K U_S) diag(f) U_S^T.
+    to max V + 4, shoulder 1); the raw discrete product grows with
+    refinement because A0 = iK is unbounded in the continuum.  By the
+    two-space resolvent identity j R0(z) - R(z) j = R(z) M R0(z), with the
+    band M = H j - j H0 nonzero only on the rows S near the step, a channel
+    contributes i R(z)[:, S] M[S, :] R0(z) K P, whose right factor is
+    -P K R0(conj z) M[S, :]^T (R0(z) is complex symmetric, K real
+    antisymmetric, P = U diag(f) U^T on the closed-form plateau pairs).
+    So the factor width |S-| + |S+| bounds the rank.
     """
     if z.imag == 0:
         raise ValueError("short-range operator requires a non-real z")
@@ -213,11 +226,14 @@ def short_range_operator(opset: OperatorSet, z: complex) -> ThinProduct:
     terms = []
     for side, v, j, pad in (("-", pot.v_minus, cut.j_minus, (0, n)),
                             ("+", pot.v_plus, cut.j_plus, (n, 0))):
+        jb, h0 = Band(j[None, :]), opset.channel_hamiltonian(side)
+        m = Band((opset.H @ jb).entries - (jb @ h0).entries)  # H j - j H0
+        rows = np.flatnonzero(m.entries.any(axis=0))  # S: the rows where M != 0
+        y = opset.dilation_core @ resolvent_solve(h0, np.conj(z), m.rows(rows).T)
         u, f = _channel_support(opset, v, smoothing)
-        ku = opset.dilation_core @ u
-        left = 1j * (j[:, None] * resolvent_solve(opset.channel_hamiltonian(side), z, ku)
-                     - resolvent_solve(opset.H, z, j[:, None] * ku))
-        terms.append(ThinProduct(left, np.diag(f), np.pad(u, (pad, (0, 0)))))
+        right = -u @ (f[:, None] * (u.T @ y))
+        terms.append(ThinProduct(1j * _resolvent_columns(opset.H, z, rows), np.eye(rows.size),
+                                 np.pad(right, (pad, (0, 0)))))
     return thin_sum(*terms)
 
 
@@ -237,10 +253,8 @@ def long_range_operator(opset: OperatorSet) -> ThinProduct:
     on_s = np.zeros(opset.n, dtype=bool)
     on_s[rows] = on_s[rows + diag - mid.b] = True
     nodes = np.flatnonzero(on_s)
-    unit = np.zeros((opset.n, nodes.size))
-    unit[nodes, np.arange(nodes.size)] = 1.0
-    m = (mid @ unit)[nodes]  # M_SS
-    r = resolvent_solve(opset.H, 1j, unit)  # R(i)[:, S]
+    m = mid.rows(nodes)[:, nodes]  # M_SS
+    r = _resolvent_columns(opset.H, 1j, nodes)
     return thin_sum(ThinProduct(r, 0.5 * m, r.conj()), ThinProduct(r.conj(), 0.5 * m.T, r))
 
 

@@ -66,6 +66,14 @@ class Band:
             out[i, i + k] = self.entries[self.b + k, lo:hi]
         return out
 
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """M[idx, :] as a dense len(idx) x n block."""
+        b = self.b
+        out = np.zeros((idx.size, self.n + 2 * b), dtype=self.entries.dtype)
+        for k in range(-b, b + 1):  # entries outside the matrix are zero and land in the margins
+            out[np.arange(idx.size), idx + k + b] = self.entries[b + k, idx]
+        return out[:, b:b + self.n]
+
     def __matmul__(self, x):
         if isinstance(x, Band):
             return self._times_band(x)

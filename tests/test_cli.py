@@ -392,6 +392,17 @@ class TestMain:
         assert run(cfg) == 2
         assert capsys.readouterr().err.strip() == "error: MemoryError"
 
+    def test_full_basis_beyond_memory_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the full basis of H at n = 200001 takes 16 n^2 bytes, about 600 GiB:
+        # refused from n alone, before any operator is built
+        monkeypatch.setattr(cli, "_build", lambda *a, **k: pytest.fail("built"))
+        path = write_config(tmp_path, "c.json", dict(SMALL, experiment="completeness",
+                                                     n=200001))
+        assert main(["completeness", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n: ") and "n = 200001" in err
+        assert not (tmp_path / "completeness.json").exists()
+
     def test_small_scan_through_main(self, tmp_path):
         payload = dict(SMALL)
         payload["experiment"] = "rho-scan"

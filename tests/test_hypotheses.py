@@ -361,6 +361,49 @@ class TestShortLongRange:
         with pytest.raises(ValueError):
             short_range_operator(small_ops, 1.0 + 0j)
 
+    @staticmethod
+    def steplike(L, n):
+        g = make_grid(L, n)
+        return build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))
+
+    @pytest.mark.parametrize("side", ["-", "+"])
+    @pytest.mark.parametrize("z", [1j, 0.5 + 0.3j])
+    def test_two_space_resolvent_identity(self, side, z):
+        # j R0(z) - R(z) j = R(z)(H j - j H0) R0(z), dense, to a rounding bound
+        # of n eps ||M|| ||R|| ||R0||, with ||R||, ||R0|| <= 1 / Im z
+        ops = self.steplike(20.0, 161)
+        dec_m, dec_p = channel_bases(ops)
+        r, r0 = resolvent(eigendecompose(ops.H), z), resolvent(dec_m if side == "-" else dec_p, z)
+        j = ops.cutoffs.j_minus if side == "-" else ops.cutoffs.j_plus
+        m = ops.H.dense() * j[None, :] - j[:, None] * ops.channel_hamiltonian(side).dense()
+        defect = np.max(np.abs(j[:, None] * r0 - r * j[None, :] - r @ m @ r0))
+        assert defect <= ROUNDING_ULPS * ops.n * F64_EPS * np.linalg.norm(m, 2) / z.imag**2
+
+    @staticmethod
+    def middle_rows(ops):
+        """|S-| + |S+|: the rows where H j - j H0 is nonzero, per channel, counted densely."""
+        h = ops.H.dense()
+        middles = (h * j[None, :] - j[:, None] * ops.channel_hamiltonian(side).dense()
+                   for side, j in (("-", ops.cutoffs.j_minus), ("+", ops.cutoffs.j_plus)))
+        return sum(int(np.count_nonzero(np.any(m, axis=1))) for m in middles)
+
+    def test_short_range_width_is_the_rank_bound(self):
+        # the factor width is |S-| + |S+|: it depends on dx only, not on L
+        widths = []
+        for L, n in [(40.0, 401), (80.0, 801)]:  # dx = 0.2 at both levels
+            ops = self.steplike(L, n)
+            op = short_range_operator(ops, 1j)
+            assert op.left.shape[1] == op.right.shape[1] == self.middle_rows(ops)
+            widths.append(op.left.shape[1])
+        assert widths[0] == widths[1]
+
+    def test_short_range_sigma_past_the_width_exactly_zero(self, eta):
+        levels = [(40.0, 401), (80.0, 801)]
+        rep = compactness_ladder(self.steplike, levels, eta, ["short"])["short"]
+        width = self.middle_rows(self.steplike(*levels[0]))
+        for sv in rep.singular_values:
+            assert sv.size == 40 and sv[width - 1] > 0 and not np.any(sv[width:])
+
     def test_long_range_hermitian(self, small_ops):
         m = dense(long_range_operator(small_ops))
         assert np.allclose(m, m.conj().T, atol=1e-12)
