@@ -26,7 +26,6 @@ from .spectral import (
     resolvent,
 )
 from .mourre import (
-    DiscardPolicy,
     RhoEstimate,
     TransferReport,
     analytic_rho,

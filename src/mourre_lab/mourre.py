@@ -14,7 +14,9 @@ positive: for any exact eigenvector u of H one has <u, i[H,A] u> = 0
 traceless.  The positivity of the continuum model shows up as a ladder
 of positive modes accompanied by a few strongly negative, spatially
 localized ones -- the finite-volume shadow of the compact correction.
-The discard policy makes that split auditable: raw and corrected values
+The discard rule makes that split auditable: a mode is dropped when at
+least THETA of its mass sits in |x| <= INTERACTION_RADIUS or within
+BOUNDARY_FRACTION * L of either box end, and raw and corrected values
 are always reported together with per-mode localization diagnostics.
 
 The eta-form estimator takes a whole list of eta at once: a rho scan or
@@ -53,7 +55,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "DiscardPolicy",
     "RhoEstimate",
     "TransferReport",
     "analytic_rho",
@@ -73,26 +74,13 @@ PSD_RTOL = 1e-3
 # Power iteration of `opnorm`: at most OPNORM_ITERS steps from a start drawn with OPNORM_SEED.
 OPNORM_ITERS = 200
 OPNORM_SEED = 7
-
-
-@dataclass(frozen=True)
-class DiscardPolicy:
-    """Flags compression modes whose mass concentrates in the interaction
-    region or near the box ends.
-
-    A mode is discarded when at least `theta` of its probability mass sits
-    in |x| <= interaction_radius, or within boundary_fraction * L of either
-    end; theta = math.inf discards nothing.  The boundary width scales with
-    L because the spurious modes decay on a scale set by the box, not by
-    the lattice.
-    """
-
-    theta: float = 0.5
-    interaction_radius: float = 4.0
-    boundary_fraction: float = 0.25
-
-    def boundary_width(self, L: float) -> float:
-        return self.boundary_fraction * L
+# A compression mode is discarded when at least THETA of its mass sits in
+# |x| <= INTERACTION_RADIUS or within BOUNDARY_FRACTION * L of either end;
+# THETA = math.inf discards nothing.  The boundary width scales with L
+# because the spurious modes decay on a scale set by the box, not the lattice.
+THETA = 0.5
+INTERACTION_RADIUS = 4.0
+BOUNDARY_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -148,18 +136,18 @@ def _pair_commutator(opset: OperatorSet, pair: str):
     raise ValueError(f"unknown pair {pair!r}, expected one of {PAIRS}")
 
 
-def _compress(us: np.ndarray, comm, grid: Grid, policy: DiscardPolicy):
+def _compress(us: np.ndarray, comm, grid: Grid):
     """The symmetrized compression of the commutator comm onto the columns
     U_S, and U_S^dagger P U_S for the whole box, the interaction region and
     the boundary region (P the 0/1 projection onto the region's nodes), stacked."""
     c = us.conj().T @ (comm @ us)
     x, L = np.abs(grid.nodes), grid.L
-    inner = x <= policy.interaction_radius
-    bdry = x >= L - policy.boundary_width(L)
+    inner = x <= INTERACTION_RADIUS
+    bdry = x >= L - BOUNDARY_FRACTION * L
     return 0.5 * (c + c.conj().T), np.stack([u.conj().T @ u for u in (us, us[inner], us[bdry])])
 
 
-def _localization(vec: np.ndarray, grams: np.ndarray, policy: DiscardPolicy):
+def _localization(vec: np.ndarray, grams: np.ndarray):
     """Per-mode interaction/boundary mass fractions and flags of the modes
     U_S vec, for a stack of b mode matrices vec (b, k, k) and the region
     Gram matrices of each U_S (b, 3, k, k): a mode v has mass v^dagger G v
@@ -168,7 +156,7 @@ def _localization(vec: np.ndarray, grams: np.ndarray, policy: DiscardPolicy):
     total, inner, bdry = masses.transpose(1, 0, 2)
     total[total == 0] = 1.0
     inner, bdry = inner / total, bdry / total
-    return inner, bdry, (inner >= policy.theta) | (bdry >= policy.theta)
+    return inner, bdry, (inner >= THETA) | (bdry >= THETA)
 
 
 def estimate_rho_window(
@@ -176,7 +164,6 @@ def estimate_rho_window(
     dec: SpectralDecomposition,
     pair: str,
     win: EnergyWindow,
-    policy: DiscardPolicy = DiscardPolicy(),
 ) -> RhoEstimate:
     """Compress i[H,A] onto the sharp spectral window of H and diagonalize."""
     comm = _pair_commutator(opset, pair)
@@ -187,9 +174,9 @@ def estimate_rho_window(
             n_discarded=0, compression_spectrum=np.array([]),
             note="no spectrum in window",
         )
-    csub, grams = _compress(dec.eigenvectors[:, sel], comm, opset.grid, policy)
+    csub, grams = _compress(dec.eigenvectors[:, sel], comm, opset.grid)
     eig, vec = np.linalg.eigh(csub)
-    inner, bdry, flags = (a[0] for a in _localization(vec[None], grams[None], policy))
+    inner, bdry, flags = (a[0] for a in _localization(vec[None], grams[None]))
     kept = eig[~flags]
     corrected = float(kept.min()) if kept.size else math.inf
     return RhoEstimate(
@@ -221,7 +208,6 @@ def _estimate_rho_batch(
     dec: SpectralDecomposition,
     pair: str,
     etas,
-    policy: DiscardPolicy = DiscardPolicy(),
 ) -> list:
     """The `RhoEstimate` of `estimate_rho_eta` for every eta at once, each
     with the modes at its corrected value.
@@ -257,7 +243,7 @@ def _estimate_rho_batch(
         if s[0] >= opened + span:
             opened = s[0]
         starts[j], ends[opened] = opened, max(ends.get(opened, 0), s[-1] + 1)
-    windows = {lo: _compress(dec.eigenvectors[:, lo:hi], comm, opset.grid, policy)
+    windows = {lo: _compress(dec.eigenvectors[:, lo:hi], comm, opset.grid)
                for lo, hi in ends.items()}
     blocks = [np.ix_(s - lo, s - lo) for s, lo in zip(supports, starts)]
 
@@ -277,7 +263,7 @@ def _estimate_rho_batch(
 
         def unflagged(a, active):
             eig, vec = np.linalg.eigh(shifted(a, active))
-            inner, bdry, flags = _localization(vec, gsub[active], policy)
+            inner, bdry, flags = _localization(vec, gsub[active])
             return np.where(flags, math.inf, eig).min(axis=1), eig, inner, bdry, flags
 
         def all_modes(a, active):
@@ -307,18 +293,17 @@ def estimate_rho_eta(
     dec: SpectralDecomposition,
     pair: str,
     eta: SmoothingFunction,
-    policy: DiscardPolicy = DiscardPolicy(),
 ) -> RhoEstimate:
     """Largest a with eta(H) i[H,A] eta(H) - a eta(H)^2 >= 0 after discards.
 
     The supremum is located by bisection to BISECT_TOL; positive-
     semidefiniteness is tested on the compression eigenmodes that survive
-    the discard policy, with an absolute slack PSD_RTOL * max(1, ||M||)
+    the discard rule (THETA, INTERACTION_RADIUS, BOUNDARY_FRACTION), with an absolute slack PSD_RTOL * max(1, ||M||)
     absorbing modes whose eta-weight is negligible.  This is the lockstep
     estimator of `rho_scan` and `transfer_verify` run on one eta, so the
     compression covers exactly the support of eta.
     """
-    return _estimate_rho_batch(opset, dec, pair, [eta], policy)[0]
+    return _estimate_rho_batch(opset, dec, pair, [eta])[0]
 
 
 def opnorm(apply, apply_h, n: int) -> float:
@@ -364,7 +349,7 @@ def _interior_window(opset: OperatorSet) -> np.ndarray:
     return up * down
 
 
-def _windowed_estimates(opset: OperatorSet, lambdas: list, eps: float, policy: DiscardPolicy):
+def _windowed_estimates(opset: OperatorSet, lambdas: list, eps: float):
     """(dec, etas, estimates) for the samples lambdas: the eigenpairs of H
     where some eta = bump(lambda, eps) is nonzero, those eta, and the
     `RhoEstimate` of each, None for an eta that meets no computed eigenvalue.
@@ -390,8 +375,7 @@ def _windowed_estimates(opset: OperatorSet, lambdas: list, eps: float, policy: D
         np.concatenate([d.eigenvectors.T for d in decs]).T)
     etas = [bump(lam, eps) for lam in lambdas]
     seen = [bool(np.any(np.abs(eta(dec.eigenvalues)) > 0)) for eta in etas]
-    ests = iter(_estimate_rho_batch(opset, dec, "H_A", [e for e, s in zip(etas, seen) if s],
-                                    policy))
+    ests = iter(_estimate_rho_batch(opset, dec, "H_A", [e for e, s in zip(etas, seen) if s]))
     return dec, etas, [next(ests) if s else None for s in seen]
 
 
@@ -405,7 +389,6 @@ def transfer_verify(
     lambda_samples,
     eps: float,
     tol: float,
-    policy: DiscardPolicy = DiscardPolicy(),
 ) -> TransferReport:
     """Check the transferred estimate rho_H >= rho_channel at each sample.
 
@@ -429,7 +412,7 @@ def transfer_verify(
     for lam in lambda_samples:
         near = min(abs(lam - pot.v_minus), abs(lam - pot.v_plus)) < 2 * eps
         (excluded if near else samples).append(float(lam))
-    dec_H, etas, ests = _windowed_estimates(opset, samples, eps, policy)
+    dec_H, etas, ests = _windowed_estimates(opset, samples, eps)
     chi = _interior_window(opset)
     cm, cp = opset.commutator_iH0A0_channel
     weights = (chi, chi * opset.cutoffs.j_minus, chi * opset.cutoffs.j_plus)
@@ -461,12 +444,7 @@ def transfer_verify(
     )
 
 
-def rho_scan(
-    opset: OperatorSet,
-    lambdas,
-    eps: float,
-    policy: DiscardPolicy = DiscardPolicy(),
-):
+def rho_scan(opset: OperatorSet, lambdas, eps: float):
     """Rows (lambda, rho0_analytic, rho_raw, rho_corrected, n_discarded, margin).
 
     Only the eigenpairs of H where some sample's eta is nonzero are
@@ -479,7 +457,7 @@ def rho_scan(
     pot = opset.potential
     lambdas = [float(lam) for lam in lambdas]
     rows = []
-    for lam, est in zip(lambdas, _windowed_estimates(opset, lambdas, eps, policy)[2]):
+    for lam, est in zip(lambdas, _windowed_estimates(opset, lambdas, eps)[2]):
         rho0 = analytic_rho(pot.v_minus, pot.v_plus, lam)
         if est is None:
             rows.append((lam, rho0, math.inf, math.inf, 0, math.nan))

@@ -192,9 +192,10 @@ def wave_operator_probe(
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
     ts = (1.0 if direction == "+" else -1.0) * np.asarray(times, dtype=float)
+    if packet.sigma is None:
+        raise ValueError("packet has no width sigma; the boundary guard is 5 sigma")
     grid = opset.grid
-    sigma = packet.sigma if packet.sigma is not None else 3.0
-    guard = 5 * sigma
+    guard = 5 * packet.sigma
 
     pm, pp = _free_evolve(opset, packet, ts)
     glued = opset.apply_J(pm, pp)

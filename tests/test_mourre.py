@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from mourre_lab import mourre
 from mourre_lab.mourre import (
-    DiscardPolicy,
     _bisect_sup,
     _compress,
     _estimate_rho_batch,
@@ -49,6 +48,13 @@ VIRIAL_GOLDEN = [
     3.648667739469814e-19, 1.2115937593482066e-19,
 ]
 COMMUTATOR_NORM_GOLDEN = 319800.12492192374
+
+
+def _set_discard_rule(monkeypatch, policy):
+    """Override, for one test, the discard constants named in the dict
+    policy (THETA, INTERACTION_RADIUS, BOUNDARY_FRACTION); {} keeps them."""
+    for name, value in policy.items():
+        monkeypatch.setattr(mourre, name, value)
 
 
 class TestAnalyticRho:
@@ -91,9 +97,9 @@ class TestWindowEstimate:
         est = estimate_rho_window(small_ops, dec_H, "H_A", EnergyWindow(0.5, 0.2))
         assert est.corrected >= est.raw_min
 
-    def test_discard_nothing_equalizes(self, small_ops, dec_H):
-        policy = DiscardPolicy(theta=math.inf)
-        est = estimate_rho_window(small_ops, dec_H, "H_A", EnergyWindow(0.5, 0.2), policy)
+    def test_discard_nothing_equalizes(self, small_ops, dec_H, monkeypatch):
+        monkeypatch.setattr(mourre, "THETA", math.inf)
+        est = estimate_rho_window(small_ops, dec_H, "H_A", EnergyWindow(0.5, 0.2))
         assert est.corrected == est.raw_min
         assert est.n_discarded == 0
 
@@ -130,29 +136,29 @@ class TestWindowEstimate:
 
 
 class TestLocalization:
-    @pytest.mark.parametrize("policy", [DiscardPolicy(), DiscardPolicy(theta=0.2),
-                                        DiscardPolicy(theta=math.inf)])
-    def test_gram_masses_match_explicit_modes(self, small_ops, dec_H, policy):
+    @pytest.mark.parametrize("policy", [{}, {"THETA": 0.2}, {"THETA": math.inf}])
+    def test_gram_masses_match_explicit_modes(self, small_ops, dec_H, monkeypatch, policy):
         """v^dagger G v from the region Gram matrices equals the mass of the
         explicit mode U_S v, summed over the region's nodes, for a stack of
         one mode matrix and for every matrix of a stack of three."""
+        _set_discard_rule(monkeypatch, policy)
         us = dec_H.eigenvectors[:, EnergyWindow(1.0, 0.6).contains(dec_H.eigenvalues)]
         k = us.shape[1]
         rng = np.random.default_rng(3)
         x, L = small_ops.grid.nodes, small_ops.grid.L
-        grams = _compress(us, small_ops.commutator_iHA, small_ops.grid, policy)[1]
+        grams = _compress(us, small_ops.commutator_iHA, small_ops.grid)[1]
         tol = 16 * small_ops.n * np.finfo(float).eps
         for stack in (1, 3):
             vecs = np.stack([np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(stack)])
-            inner, bdry, flags = _localization(vecs, np.stack([grams] * stack), policy)
+            inner, bdry, flags = _localization(vecs, np.stack([grams] * stack))
             for b, vec in enumerate(vecs):
                 mass = np.abs(us @ vec) ** 2
                 total = mass.sum(axis=0)
-                ref_inner = mass[np.abs(x) <= policy.interaction_radius].sum(axis=0) / total
-                ref_bdry = mass[np.abs(x) >= L - policy.boundary_width(L)].sum(axis=0) / total
+                ref_inner = mass[np.abs(x) <= mourre.INTERACTION_RADIUS].sum(axis=0) / total
+                ref_bdry = mass[np.abs(x) >= L - mourre.BOUNDARY_FRACTION * L].sum(axis=0) / total
                 assert np.max(np.abs(inner[b] - ref_inner)) <= tol
                 assert np.max(np.abs(bdry[b] - ref_bdry)) <= tol
-                ref_flags = (ref_inner >= policy.theta) | (ref_bdry >= policy.theta)
+                ref_flags = (ref_inner >= mourre.THETA) | (ref_bdry >= mourre.THETA)
                 assert np.array_equal(flags[b], ref_flags)
                 assert 0 < ref_bdry.max() and 0 < ref_inner.max()
 
@@ -200,16 +206,18 @@ class TestLockstepBisection:
         batch = _bisect_sup(holds, -scale, scale, 1e-3)
         assert np.array_equal(batch, self._one_by_one(holds, -scale, scale, 1e-3))
 
-    @pytest.mark.parametrize("policy", [DiscardPolicy(), DiscardPolicy(theta=math.inf)])
-    def test_batch_estimates_equal_single_on_a_shared_support(self, small_ops, policy):
+    @pytest.mark.parametrize("policy", [{}, {"THETA": math.inf}])
+    def test_batch_estimates_equal_single_on_a_shared_support(self, small_ops, monkeypatch,
+                                                             policy):
         """Gaussians that are nonzero on the whole computed window share one
         support, so the batch compresses exactly what each single call does;
         the estimates must then be bitwise equal."""
+        _set_discard_rule(monkeypatch, policy)
         dec = eigendecompose(small_ops.H, EnergyWindow(2.0, 0.5))
         etas = [gaussian(c, 0.3) for c in (0.4, 0.9, 1.3, 1.8, 2.0)]
-        batch = _estimate_rho_batch(small_ops, dec, "H_A", etas, policy)
+        batch = _estimate_rho_batch(small_ops, dec, "H_A", etas)
         for eta, est in zip(etas, batch):
-            one = estimate_rho_eta(small_ops, dec, "H_A", eta, policy)
+            one = estimate_rho_eta(small_ops, dec, "H_A", eta)
             assert (est.lam, est.eps) == (eta.center, eta.width)
             assert est.compression_spectrum.size == dec.eigenvalues.size
             assert ((est.raw_min, est.corrected, est.n_discarded)
@@ -392,7 +400,7 @@ class TestSupportRuns:
 
     def test_union_is_the_span_masked_to_the_supports(self, small_ops):
         lambdas, eps = [2.0, 0.3, 1.5, 0.5, 0.7, 2.3], 0.1
-        dec = _windowed_estimates(small_ops, lambdas, eps, DiscardPolicy())[0]
+        dec = _windowed_estimates(small_ops, lambdas, eps)[0]
         lo, hi = min(lambdas) - eps, max(lambdas) + eps
         span = eigendecompose(small_ops.H, _window(lo, hi))
         on_union = np.zeros(span.eigenvalues.size, dtype=bool)
@@ -453,25 +461,37 @@ class TestRhoScan:
                 assert abs(v - r) <= BISECT_TOL * max(1.0, abs(r))
 
     @pytest.mark.parametrize("policy, eps", [
-        (DiscardPolicy(), 0.15), (DiscardPolicy(theta=math.inf), 0.15),
+        ({}, 0.15), ({"THETA": math.inf}, 0.15),
         # wide supports and a wide interaction region: flags change along the
         # bisection, so each entry must be localized with its own Gram matrices
-        (DiscardPolicy(theta=0.3, interaction_radius=6.0), 0.3)])
-    def test_lockstep_matches_single_estimates(self, small_ops, dec_H, policy, eps):
+        ({"THETA": 0.3, "INTERACTION_RADIUS": 6.0}, 0.3)])
+    def test_lockstep_matches_single_estimates(self, small_ops, dec_H, monkeypatch, policy, eps):
         """The scan compresses each window of columns once and bisects in
         lockstep; each row must match its own estimate_rho_eta, which
         compresses onto its support alone, to the bisection resolution."""
+        _set_discard_rule(monkeypatch, policy)
         lambdas = [-5.0] + [0.05 + 0.1 * j for j in range(28)]
-        rows = rho_scan(small_ops, lambdas, eps, policy)
+        rows = rho_scan(small_ops, lambdas, eps)
         assert rows[0][2:5] == (math.inf, math.inf, 0)
         sizes = set()
         for lam, row in zip(lambdas[1:], rows[1:]):
-            est = estimate_rho_eta(small_ops, dec_H, "H_A", bump(lam, eps), policy)
+            est = estimate_rho_eta(small_ops, dec_H, "H_A", bump(lam, eps))
             sizes.add(est.compression_spectrum.size)
             assert row[4] == est.n_discarded
             for v, ref in ((row[2], est.raw_min), (row[3], est.corrected)):
                 assert abs(v - ref) <= BISECT_TOL * max(1.0, abs(ref))
         # several lockstep groups, most with several members
         assert len(sizes) >= 3 and len(sizes) < len(lambdas) // 2
-        if math.isfinite(policy.theta):
+        if math.isfinite(mourre.THETA):
             assert any(row[4] > 0 for row in rows)
+
+    def test_discard_nothing_makes_every_row_raw(self, small_ops, monkeypatch):
+        """With THETA = inf no mode is flagged, so the corrected bisection
+        meets the same test as the raw one: every row has corrected == raw."""
+        lambdas = [0.05 + 0.1 * j for j in range(28)]
+        default = rho_scan(small_ops, lambdas, 0.15)
+        assert any(row[4] > 0 for row in default)
+        monkeypatch.setattr(mourre, "THETA", math.inf)
+        rows = rho_scan(small_ops, lambdas, 0.15)
+        assert [row[0] for row in rows] == lambdas
+        assert all(row[3] == row[2] and row[4] == 0 for row in rows)

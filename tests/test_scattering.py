@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -180,6 +181,13 @@ class TestWaveOperatorProbe:
         pk = make_channel_packet(ops.grid, "-", -20.0, 1.5, 3.0)
         with pytest.raises(ValueError):
             wave_operator_probe(ops, dec_H, pk, "0", [0.0, 1.0])
+
+    def test_packet_without_width_rejected(self, box):
+        # the boundary guard is 5 sigma, so a packet without sigma has none
+        ops, dec_H = box
+        pk = dataclasses.replace(make_channel_packet(ops.grid, "-", -20.0, 1.5, 3.0), sigma=None)
+        with pytest.raises(ValueError, match="sigma"):
+            wave_operator_probe(ops, dec_H, pk, "-", np.linspace(0.0, 1.6, 9))
 
 
 class TestCompletenessProbe:
