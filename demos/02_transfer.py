@@ -21,8 +21,7 @@ def main():
     grid = make_grid(L=160.0, n=1601)
     cutoffs = make_cutoffs(grid)
     bump_field = 0.3 * bump(0.0, 2.0)(grid.nodes)
-    potential = make_steplike(grid, 0.0, 1.0, profile="smooth_step_plus_bump",
-                              bump=bump_field)
+    potential = make_steplike(grid, 0.0, 1.0, bump=bump_field)
     ops = build_pair(grid, potential, cutoffs)
 
     report = transfer_verify(ops, [0.3, 0.5, 1.05, 1.5, 2.0], eps=0.1, tol=0.2)

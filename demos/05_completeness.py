@@ -35,8 +35,7 @@ def main():
     grid = make_grid(L=40.0, n=801)
     cutoffs = make_cutoffs(grid)
     well = compact_bump(grid, -2.0, 2.0)
-    potential = make_steplike(grid, 0.0, 1.0, profile="smooth_step_plus_bump",
-                              bump=well)
+    potential = make_steplike(grid, 0.0, 1.0, bump=well)
     ops = build_pair(grid, potential, cutoffs)
     dec_H = eigendecompose(ops.H)
     times = np.linspace(0.0, 8.0, 17)

@@ -26,7 +26,7 @@ __all__ = [
     "smoothstep",
 ]
 
-PROFILE_KINDS = ("sharp_step", "smooth_step", "smooth_step_plus_bump")
+PROFILE_KINDS = ("sharp_step", "smooth_step")
 
 
 @dataclass(frozen=True)
@@ -133,14 +133,15 @@ def make_steplike(
 ) -> PotentialField:
     """Steplike potential with limits v_minus / v_plus at the box ends.
 
-    smooth_step uses the mollifier smoothstep rising over [-1, 1]; the
-    sharp_step assigns the midpoint value at x = 0 and takes no bump.  An
-    optional bump must be compactly supported within |x| <= L/2.
+    smooth_step uses the mollifier smoothstep rising over [-1, 1] and adds
+    the bump when one is given; the bump must be sampled on the grid and
+    compactly supported within |x| <= L/2.  sharp_step assigns the midpoint
+    value at x = 0 and takes no bump.
     """
     if profile not in PROFILE_KINDS:
         raise ValueError(f"unknown profile {profile!r}, expected one of {PROFILE_KINDS}")
     if profile == "sharp_step" and bump is not None:
-        raise ValueError("sharp_step takes no bump; use smooth_step_plus_bump")
+        raise ValueError("sharp_step takes no bump; use smooth_step")
     x = grid.nodes
     v_prime: Optional[np.ndarray] = None
 
@@ -152,9 +153,7 @@ def make_steplike(
         v = v_minus + (v_plus - v_minus) * s
         v_prime = (v_plus - v_minus) * ds
 
-    if profile == "smooth_step_plus_bump" or bump is not None:
-        if bump is None:
-            raise ValueError("smooth_step_plus_bump requires a bump field")
+    if bump is not None:
         bump = np.asarray(bump, dtype=float)
         if bump.shape != x.shape:
             raise ValueError("bump must be sampled on the same grid")
@@ -162,8 +161,7 @@ def make_steplike(
         if support.size and support.max() > grid.L / 2:
             raise ValueError("bump support must stay within |x| <= L/2")
         v = v + bump
-        if v_prime is not None:
-            v_prime = v_prime + np.gradient(bump, grid.dx)
+        v_prime = v_prime + np.gradient(bump, grid.dx)
 
     return PotentialField(grid=grid, v=v, v_minus=float(v_minus), v_plus=float(v_plus),
                           v_prime=v_prime)

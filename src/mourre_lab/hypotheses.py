@@ -279,7 +279,7 @@ def compactness_ladder(
     the levels, with build(L, n) the OperatorSet of a level.
 
     One pass over the levels: each is built once, with the pairs of H where
-    the bump eta is nonzero only when (ii)-(iv) read them, every tag's top
+    eta is nonzero only when (ii)-(iv) read them, every tag's top
     singular values are taken there (the short-range surrogate at LADDER_Z),
     and the level is released before the next is built.  The identity
     control is sigma_k = 1, k <= min(TOP, n), in closed form, so an
@@ -290,7 +290,7 @@ def compactness_ladder(
     if "identity" in svs:
         svs["identity"] = [np.ones(min(TOP, n)) for _, n in levels]
     built = [tag for tag in tags if tag != "identity"]
-    window = EnergyWindow(eta.center, eta.width)  # exactly where the bump eta is nonzero
+    window = EnergyWindow(eta.center, eta.width)  # exactly where eta is nonzero
     for L, n in (levels if built else ()):
         try:
             opset = build(L, n)

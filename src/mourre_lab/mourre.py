@@ -138,24 +138,23 @@ def _pair_commutator(opset: OperatorSet, pair: str):
 
 def _compress(us: np.ndarray, comm, grid: Grid):
     """The symmetrized compression of the commutator comm onto the columns
-    U_S, and U_S^dagger P U_S for the whole box, the interaction region and
-    the boundary region (P the 0/1 projection onto the region's nodes), stacked."""
+    U_S, and U_S^dagger P U_S for the interaction region and the boundary
+    region (P the 0/1 projection onto the region's nodes), stacked."""
     c = us.conj().T @ (comm @ us)
     x, L = np.abs(grid.nodes), grid.L
     inner = x <= INTERACTION_RADIUS
     bdry = x >= L - BOUNDARY_FRACTION * L
-    return 0.5 * (c + c.conj().T), np.stack([u.conj().T @ u for u in (us, us[inner], us[bdry])])
+    return 0.5 * (c + c.conj().T), np.stack([u.conj().T @ u for u in (us[inner], us[bdry])])
 
 
 def _localization(vec: np.ndarray, grams: np.ndarray):
     """Per-mode interaction/boundary mass fractions and flags of the modes
     U_S vec, for a stack of b mode matrices vec (b, k, k) and the region
-    Gram matrices of each U_S (b, 3, k, k): a mode v has mass v^dagger G v
-    in a region, at O(k^2) per mode instead of O(n k).  Each result is (b, k)."""
+    Gram matrices of each U_S (b, 2, k, k): a unit mode v has mass
+    v^dagger G v in a region, at O(k^2) per mode instead of O(n k); U_S and
+    vec are orthonormal, so the total mass is 1.  Each result is (b, k)."""
     masses = np.sum(vec.conj()[:, None] * (grams @ vec[:, None]), axis=-2).real
-    total, inner, bdry = masses.transpose(1, 0, 2)
-    total[total == 0] = 1.0
-    inner, bdry = inner / total, bdry / total
+    inner, bdry = masses.transpose(1, 0, 2)
     return inner, bdry, (inner >= THETA) | (bdry >= THETA)
 
 

@@ -87,7 +87,9 @@ class EnergyWindow:
 
 @dataclass(frozen=True)
 class SmoothingFunction:
-    """Real localization function eta with eta(center) != 0."""
+    """Real localization function eta with eta(center) != 0.  `bump` and
+    `plateau` vanish outside center +- width, so EnergyWindow(center, width)
+    holds every x with eta(x) != 0; `compactness_ladder` relies on it."""
 
     center: float
     width: float
@@ -119,7 +121,7 @@ def plateau(lo: float, hi: float, shoulder: float) -> SmoothingFunction:
         down, _ = smoothstep(-x, -hi - shoulder, -hi)
         return up * down
 
-    return SmoothingFunction(0.5 * (lo + hi), hi - lo, f)
+    return SmoothingFunction(0.5 * (lo + hi), 0.5 * (hi - lo) + shoulder, f)
 
 
 def eigendecompose(op: Band, window: Optional[EnergyWindow] = None) -> SpectralDecomposition:

@@ -61,7 +61,7 @@ def free_1601():
 @pytest.fixture(scope="module")
 def well_1601():
     g = make_grid(40.0, 1601)
-    return build(40.0, 1601, profile="smooth_step_plus_bump",
+    return build(40.0, 1601, profile="smooth_step",
                  bump_field=well_bump(g, -2.0, 2.0))
 
 
@@ -99,7 +99,7 @@ def test_criterion_2_free_pair_raw_window(free_1601):
 def test_criterion_3_transfer():
     t0 = time.time()
     g = make_grid(160.0, 3201)
-    ops = build_ops(160.0, 3201, profile="smooth_step_plus_bump",
+    ops = build_ops(160.0, 3201, profile="smooth_step",
                     bump_field=well_bump(g, 0.3, 2.0))
     rep = transfer_verify(ops, [0.3, 0.5, 1.5, 2.0], eps=0.1, tol=0.2)
     detail = ", ".join(
@@ -193,14 +193,14 @@ def test_criterion_9_determinism(tmp_path):
     blobs = []
     for _ in range(2):
         cfg = ExperimentConfig(
-            experiment="scatter", L=40.0, n=801, profile="sharp_step", seed=11,
+            experiment="scatter", L=40.0, n=801, profile="sharp_step",
             out_dir=str(tmp_path), params={"lambda": 2.0},
         )
         code = run(cfg)
         assert code in (0, 1)
         blobs.append((tmp_path / "scatter.json").read_bytes())
         cfg2 = ExperimentConfig(
-            experiment="rho-scan", L=20.0, n=321, seed=11, out_dir=str(tmp_path),
+            experiment="rho-scan", L=20.0, n=321, out_dir=str(tmp_path),
             params={"lambdas": [0.5, 2.0], "eps": 0.1},
         )
         assert run(cfg2) == 0

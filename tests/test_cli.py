@@ -54,11 +54,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="params.tol"):
             load_config(path)
 
-    def test_threads_override(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, "c.json", {"experiment": "rho-scan"})
-        monkeypatch.setenv("MOURRE_LAB_THREADS", "2")
+    def test_threads_override(self, tmp_path):
+        path = write_config(tmp_path, "c.json", {"experiment": "rho-scan", "threads": 2})
         assert load_config(path).threads == 2
         assert load_config(path, threads=4).threads == 4
+
+    def test_seed_field_rejected(self, tmp_path, capsys):
+        """No run draws random numbers, so a seed would change nothing."""
+        path = write_config(tmp_path, "c.json", {"experiment": "rho-scan", "seed": 0})
+        with pytest.raises(ConfigError, match=r"^config: unknown field\(s\) \['seed'\]$"):
+            load_config(path)
+        assert main(["rho-scan", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "'seed'" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -95,11 +102,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="params"):
             load_config(path)
 
-    def test_threads_env_not_integer(self, tmp_path, monkeypatch):
+    def test_threads_env_ignored(self, tmp_path, monkeypatch):
+        """Only the flag and the config field set the thread count."""
         path = write_config(tmp_path, "c.json", {"experiment": "rho-scan"})
-        monkeypatch.setenv("MOURRE_LAB_THREADS", "abc")
-        with pytest.raises(ConfigError, match="^threads: MOURRE_LAB_THREADS='abc'"):
-            load_config(path)
+        for value in ("abc", "2"):
+            monkeypatch.setenv("MOURRE_LAB_THREADS", value)
+            assert load_config(path).threads is None
+            assert load_config(path, threads=3).threads == 3
 
     @pytest.mark.parametrize("key,value", [("n", "321"), ("L", "40"), ("threads", "2"),
                                            ("L", float("nan")), ("L", 10**400)],
@@ -164,11 +173,13 @@ class TestLoadConfig:
         ("sharp_step", {"bump_amplitude": 0.3}, "params.bump_amplitude"),
         ("smooth_step_plus_bump", {}, "profile"),
         ("smooth_step_plus_bump", {"bump_amplitude": 0.0}, "profile"),
+        ("smooth_step_plus_bump", {"bump_amplitude": 0.3}, "profile"),
     ], ids=["typo-with-bump", "typo", "custom-without-samples", "sharp-step-with-bump",
-            "plus-bump-default-amplitude", "plus-bump-zero-amplitude"])
+            "plus-bump-default-amplitude", "plus-bump-zero-amplitude", "plus-bump-with-bump"])
     def test_profile_the_config_cannot_honour(self, tmp_path, capsys, profile, params, key):
-        """A profile is used as written or refused: a bump no longer swaps a
-        typo or a sharp step for the smooth step plus bump."""
+        """A profile is used as written or refused: a bump never swaps a typo
+        or a sharp step for the smooth step, and the retired name
+        smooth_step_plus_bump is refused with or without a bump."""
         path = write_config(tmp_path, "c.json", dict(SMALL, experiment="transfer",
                                                      profile=profile, params=params))
         with pytest.raises(ConfigError, match=f"^{key}:"):
@@ -178,11 +189,11 @@ class TestLoadConfig:
         assert key in err and len(err.splitlines()) == 1
         assert not (tmp_path / "transfer.json").exists()
 
-    def test_smooth_step_plus_bump_with_a_bump(self, tmp_path):
+    def test_smooth_step_with_a_bump(self, tmp_path):
         path = write_config(tmp_path, "c.json", {"experiment": "transfer",
-                                                 "profile": "smooth_step_plus_bump",
+                                                 "profile": "smooth_step",
                                                  "params": {"bump_amplitude": 0.3}})
-        assert load_config(path).profile == "smooth_step_plus_bump"
+        assert load_config(path).profile == "smooth_step"
 
     def test_integer_fits_number_param(self, tmp_path):
         path = write_config(tmp_path, "c.json", {"experiment": "transfer", "L": 40,
@@ -238,7 +249,7 @@ class TestEmit:
             "0.10000000000000001,-7,true,inf,-inf,nan,None,text,0.33333333333333331,false,3\n")
 
 
-SMALL = {"L": 20.0, "n": 321, "v_minus": 0.0, "v_plus": 1.0, "seed": 3}
+SMALL = {"L": 20.0, "n": 321, "v_minus": 0.0, "v_plus": 1.0}
 
 
 class TestRun:

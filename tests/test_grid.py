@@ -148,15 +148,26 @@ class TestSteplike:
         g = make_grid(20.0, 321)
         wide = np.ones(g.n)
         with pytest.raises(ValueError):
-            make_steplike(g, 0.0, 1.0, profile="smooth_step_plus_bump", bump=wide)
+            make_steplike(g, 0.0, 1.0, bump=wide)
 
     def test_sharp_step_refuses_bump(self):
         g = make_grid(20.0, 321)
         small = np.where(np.abs(g.nodes) < 1.0, 0.3, 0.0)
-        with pytest.raises(ValueError, match="sharp_step"):
+        with pytest.raises(ValueError, match="sharp_step takes no bump; use smooth_step$"):
             make_steplike(g, 0.0, 1.0, profile="sharp_step", bump=small)
+
+    def test_smooth_step_adds_the_bump(self):
+        g = make_grid(20.0, 321)
+        small = 0.3 * np.exp(-g.nodes**2) * (np.abs(g.nodes) < 5.0)
+        plain = make_steplike(g, 0.0, 1.0)
+        pot = make_steplike(g, 0.0, 1.0, bump=small)
+        assert np.array_equal(pot.v, plain.v + small)
+        assert np.array_equal(pot.v_prime, plain.v_prime + np.gradient(small, g.dx))
 
     def test_unknown_profile(self):
         g = make_grid(20.0, 321)
         with pytest.raises(ValueError):
             make_steplike(g, 0.0, 1.0, profile="staircase")
+        small = np.where(np.abs(g.nodes) < 1.0, 0.3, 0.0)
+        with pytest.raises(ValueError, match="unknown profile 'smooth_step_plus_bump'"):
+            make_steplike(g, 0.0, 1.0, profile="smooth_step_plus_bump", bump=small)

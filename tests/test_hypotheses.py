@@ -351,6 +351,20 @@ class TestCompactnessLadder:
             want = singular_values(op.left, op.core, op.right)
             assert all(np.array_equal(sv, want) for sv in rep.singular_values)
 
+    def test_plateau_ladder_matches_full_basis(self, small_ops, dec_H):
+        """The ladder takes the pairs of H in EnergyWindow(eta.center, eta.width);
+        for a plateau, whose shoulders reach past [lo, hi], that window must
+        still hold every pair where eta is nonzero, or (ii)-(iv) lose pairs."""
+        eta = plateau(1.0, 1.2, shoulder=0.5)
+        tags = ("ii", "iii", "iv")
+        ladder = compactness_ladder(lambda L, n: small_ops, [(20.0, 321), (20.0, 322)], eta,
+                                    tags)
+        for tag in tags:
+            ref = singular_values(*dataclasses.astuple(
+                assumption_operator(small_ops, dec_H, tag, eta)))
+            for sv in ladder[tag].singular_values:
+                assert np.max(np.abs(sv - ref)) <= ROUNDING_ULPS * small_ops.n * F64_EPS * ref[0]
+
 
 class TestShortLongRange:
     def test_short_range_shape(self, small_ops):

@@ -277,8 +277,7 @@ class TestVirial:
         # to a modest multiple of n * eps resolves to ROUNDING_ULPS * n * eps; the
         # norm is resolved as finely, relative to itself
         g = make_grid(40.0, 1601)
-        pot = make_steplike(g, 0.0, 1.0, profile="smooth_step_plus_bump",
-                            bump=well_bump(g, -2.0, 2.0))
+        pot = make_steplike(g, 0.0, 1.0, bump=well_bump(g, -2.0, 2.0))
         ops = build_pair(g, pot, make_cutoffs(g))
         bound = ROUNDING_ULPS * g.n * F64_EPS
         defects = virial_defects(ops, eigendecompose(ops.H), range(20))

@@ -35,8 +35,7 @@ def box():
 def well_box():
     """A smooth step with a well deep enough to bind a state below the spectrum of H0."""
     g = make_grid(40.0, 801)
-    pot = make_steplike(g, 0.0, 1.0, profile="smooth_step_plus_bump",
-                        bump=well_bump(g, -2.0, 2.0))
+    pot = make_steplike(g, 0.0, 1.0, bump=well_bump(g, -2.0, 2.0))
     ops = build_pair(g, pot, make_cutoffs(g))
     return ops, eigendecompose(ops.H)
 

@@ -425,6 +425,17 @@ class TestSmoothingFunctions:
         assert vals[0] == 0.0 and vals[4] == 0.0
         assert np.allclose(vals[1:4], 1.0)
 
+    @pytest.mark.parametrize("eta", [bump(1.0, 0.3), plateau(1.0, 1.2, shoulder=0.5)],
+                             ids=["bump", "plateau"])
+    def test_window_holds_the_support(self, eta):
+        """EnergyWindow(center, width) holds every x with eta(x) != 0, and no
+        more than the support: it reaches within 5 % of the window's edges."""
+        x = np.linspace(eta.center - 3 * eta.width, eta.center + 3 * eta.width, 60001)
+        nonzero = eta(x) != 0
+        assert np.all(EnergyWindow(eta.center, eta.width).contains(x[nonzero]))
+        assert x[nonzero].min() < eta.center - 0.95 * eta.width
+        assert x[nonzero].max() > eta.center + 0.95 * eta.width
+
 
 class TestScatteringProjector:
     def test_projects_above_threshold(self, dec):
