@@ -13,6 +13,7 @@ import numpy as np
 
 from mourre_lab import (
     build_pair,
+    bump,
     completeness_probe,
     eigendecompose,
     make_channel_packet,
@@ -23,18 +24,10 @@ from mourre_lab import (
 )
 
 
-def compact_bump(grid, amplitude, width):
-    u = grid.nodes / width
-    inside = np.abs(u) < 1
-    out = np.zeros_like(grid.nodes)
-    out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-    return out
-
-
 def main():
     grid = make_grid(L=40.0, n=801)
     cutoffs = make_cutoffs(grid)
-    well = compact_bump(grid, -2.0, 2.0)
+    well = -2.0 * bump(0.0, 2.0)(grid.nodes)
     potential = make_steplike(grid, 0.0, 1.0, bump=well)
     ops = build_pair(grid, potential, cutoffs)
     dec_H = eigendecompose(ops.H)

@@ -26,8 +26,19 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import PROFILE_KINDS
+from . import blas
+from .grid import PROFILE_KINDS, make_cutoffs, make_grid, make_steplike
 from .hypotheses import OPERATOR_TAGS, check_operator_tags, compactness_ladder
+from .mourre import rho_scan, transfer_verify
+from .operators import build_pair
+from .scattering import (
+    completeness_probe,
+    gaussian_averaged_oracle,
+    make_channel_packet,
+    scattering_coefficients,
+    sharp_step_oracle,
+)
+from .spectral import bump, eigendecompose
 
 SCHEMA_VERSION = "1"
 EXPERIMENTS = ("rho-scan", "transfer", "hypotheses", "scatter", "completeness")
@@ -218,10 +229,6 @@ def emit_csv(header: str, rows, path) -> None:
 # (file name, header, rows), or None; `run` writes both reports.
 
 def _build(cfg: ExperimentConfig, p: dict, L: Optional[float] = None, n: Optional[int] = None):
-    from .grid import make_cutoffs, make_grid, make_steplike
-    from .operators import build_pair
-    from .spectral import bump
-
     grid = make_grid(L if L is not None else cfg.L, n if n is not None else cfg.n)
     bump_field = None
     if p["bump_amplitude"]:
@@ -242,8 +249,6 @@ def _check_full_basis(cfg: ExperimentConfig) -> None:
 
 
 def _run_rho_scan(cfg: ExperimentConfig, p: dict):
-    from .mourre import rho_scan
-
     if p["lambdas"]:
         lambdas = [float(v) for v in p["lambdas"]]
     else:
@@ -257,8 +262,6 @@ def _run_rho_scan(cfg: ExperimentConfig, p: dict):
 
 
 def _run_transfer(cfg: ExperimentConfig, p: dict):
-    from .mourre import transfer_verify
-
     rep = transfer_verify(_build(cfg, p), [float(v) for v in p["lambdas"]], float(p["eps"]),
                           float(p["tol"]))
     rows = zip(rep.lambda_samples, rep.rho0_analytic, rep.rho_H_estimate, rep.margins,
@@ -268,8 +271,6 @@ def _run_transfer(cfg: ExperimentConfig, p: dict):
 
 
 def _run_hypotheses(cfg: ExperimentConfig, p: dict):
-    from .spectral import bump
-
     levels = [tuple(lv) for lv in p["levels"] or [[cfg.L, 401], [cfg.L, 801]]]
     ladder = compactness_ladder(lambda L, n: _build(cfg, p, L=L, n=n), levels,
                                 bump(float(p["eta_center"]), float(p["eta_width"])),
@@ -289,9 +290,6 @@ def _run_hypotheses(cfg: ExperimentConfig, p: dict):
 
 
 def _run_scatter(cfg: ExperimentConfig, p: dict):
-    from .scattering import gaussian_averaged_oracle, scattering_coefficients, sharp_step_oracle
-    from .spectral import eigendecompose
-
     lam, sigma, tol = float(p["lambda"]), float(p["sigma"]), float(p["tol"])
     _check_full_basis(cfg)
     opset = _build(cfg, p)
@@ -309,9 +307,6 @@ def _run_scatter(cfg: ExperimentConfig, p: dict):
 
 
 def _run_completeness(cfg: ExperimentConfig, p: dict):
-    from .scattering import completeness_probe, make_channel_packet
-    from .spectral import eigendecompose
-
     x0 = float(p["x0"])
     _check_full_basis(cfg)
     opset = _build(cfg, p)
@@ -337,8 +332,6 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute the configured experiment and write its reports; returns the exit code."""
-    from . import blas
-
     out = Path(cfg.out_dir)
     if cfg.threads is not None and not blas.set_num_threads(cfg.threads):
         raise ConfigError(f"threads: cannot set {cfg.threads} BLAS threads: "

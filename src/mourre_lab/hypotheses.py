@@ -11,17 +11,19 @@ thin factor and one SVD of the small core that is left, and the identity
 control is sigma_k = 1 in closed form.  (ii)-(iv) are thin because eta has
 compact support: they read the eigenpairs of H where eta is nonzero
 (`eigendecompose(H, EnergyWindow(center, width))`, which the ladder takes
-only for a ladder with one of these tags) and the channel pairs there in
+only for a ladder with one of these tags, and refuses an eta that is
+nonzero at either end of that window) and the channel pairs there in
 closed form (`dirichlet_decomposition`).  The short- and long-range
 differences are thin because their middles are local: by the two-space
 resolvent identity J R0(z) - R(z) J = R(z)(HJ - JH0) R0(z), each passes
 through the few nodes S where a band middle M is nonzero, with the factor
-R(z)[:, S] from |S| tridiagonal solves (`resolvent_solve`).  So the factor
+R(z)[:, S] from |S| tridiagonal solves (`spectral.resolvent`).  So the factor
 widths, which bound their ranks, grow like 1/dx and not with L.
 No full basis of H or of a channel is built.  `compactness_ladder` builds
 each level once, computes every tag's singular values there and releases
 the level before building the next; `compactness_report` then classifies
-the values of each tag.
+the values of each tag.  The C1 probe applies R(z) by the same solves and
+takes its identity defect from `spectral.opnorm`.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from .spectral import (
     ThinProduct,
     dirichlet_decomposition,
     eigendecompose,
+    opnorm,
     plateau,
     propagate,
-    resolvent_solve,
+    resolvent,
     sandwich,
     support,
     thin_sum,
@@ -200,7 +203,7 @@ def _resolvent_columns(op: Band, z: complex, nodes: np.ndarray) -> np.ndarray:
     """R(z)[:, S] = (op - z)^{-1} at the columns S = nodes, by |S| tridiagonal solves."""
     unit = np.zeros((op.n, nodes.size))
     unit[nodes, np.arange(nodes.size)] = 1.0
-    return resolvent_solve(op, z, unit)
+    return resolvent(op, z, unit)
 
 
 def short_range_operator(opset: OperatorSet, z: complex) -> ThinProduct:
@@ -229,7 +232,7 @@ def short_range_operator(opset: OperatorSet, z: complex) -> ThinProduct:
         jb, h0 = Band(j[None, :]), opset.channel_hamiltonian(side)
         m = Band((opset.H @ jb).entries - (jb @ h0).entries)  # H j - j H0
         rows = np.flatnonzero(m.entries.any(axis=0))  # S: the rows where M != 0
-        y = opset.dilation_core @ resolvent_solve(h0, np.conj(z), m.rows(rows).T)
+        y = opset.dilation_core @ resolvent(h0, np.conj(z), m.rows(rows).T)
         u, f = _channel_support(opset, v, smoothing)
         right = -u @ (f[:, None] * (u.T @ y))
         terms.append(ThinProduct(1j * _resolvent_columns(opset.H, z, rows), np.eye(rows.size),
@@ -283,14 +286,20 @@ def compactness_ladder(
     singular values are taken there (the short-range surrogate at LADDER_Z),
     and the level is released before the next is built.  The identity
     control is sigma_k = 1, k <= min(TOP, n), in closed form, so an
-    identity-only ladder builds nothing.
+    identity-only ladder builds nothing.  With (ii)-(iv) among the tags, an
+    eta that is nonzero at either end of EnergyWindow(center, width) is a
+    ValueError, since those pairs of H would cut it off.
     """
     check_operator_tags(tags)
+    window = EnergyWindow(eta.center, eta.width)  # exactly where eta is nonzero
+    ends = eta(np.array([eta.center - eta.width, eta.center + eta.width]))
+    if {"ii", "iii", "iv"} & set(tags) and np.any(ends != 0):
+        raise ValueError(f"eta is nonzero at an end of its window (center {eta.center}, "
+                         f"width {eta.width}); (ii)-(iv) would cut it off there")
     svs = {tag: [] for tag in tags}
     if "identity" in svs:
         svs["identity"] = [np.ones(min(TOP, n)) for _, n in levels]
     built = [tag for tag in tags if tag != "identity"]
-    window = EnergyWindow(eta.center, eta.width)  # exactly where eta is nonzero
     for L, n in (levels if built else ()):
         try:
             opset = build(L, n)
@@ -315,7 +324,7 @@ def c1_probe(opset: OperatorSet, z: complex, test_states: np.ndarray) -> C1Repor
     operator: with A = iK' and D = diag((-i)^j), D* A D = T is real
     symmetric tridiagonal, so e^{itA} psi = D e^{itT} D* psi, and one
     `propagate` block carries every (step, state) column forward and one
-    carries it back.  R(z) is a tridiagonal solve (`resolvent_solve`), and
+    carries it back.  R(z) is a tridiagonal solve (`resolvent`), and
     i[R, A] psi = K'R psi - R K' psi.  The identity defect is the norm of
     E_z = i[R(z), A] + R(z) i[H,A] R(z), by power iteration on E_z and its
     adjoint E_{conj z}.
@@ -332,23 +341,21 @@ def c1_probe(opset: OperatorSet, z: complex, test_states: np.ndarray) -> C1Repor
     psi = states.T
     times = np.repeat(np.asarray(C1_STEPS, dtype=float), len(states))
     forward = d * propagate(dec_T, np.tile(d.conj() * psi, count), -times)  # e^{itA} psi
-    back = d * propagate(dec_T, d.conj() * resolvent_solve(h, z, forward), times)
-    r_psi = resolvent_solve(h, z, psi)
+    back = d * propagate(dec_T, d.conj() * resolvent(h, z, forward), times)
+    r_psi = resolvent(h, z, psi)
     q = ((back - np.tile(r_psi, count)) / times).reshape(n, count, -1)  # Q(t) psi
     qnorms = [float(x) for x in np.linalg.norm(q, axis=0).max(axis=1)]
     cauchy = [float(x) for x in np.linalg.norm(np.diff(q, axis=1), axis=0).max(axis=1)]
 
-    comm_closed = kcore @ r_psi - resolvent_solve(h, z, kcore @ psi)
+    comm_closed = kcore @ r_psi - resolvent(h, z, kcore @ psi)
     limit_mismatch = float(np.linalg.norm(q[:, -1] - comm_closed, axis=0).max()
                            / np.linalg.norm(comm_closed, axis=0).max())
 
     def defect(w):
         def apply(x):  # E_w x = K'y - R(w)(K'x - i[H,A] y), y = R(w) x
-            y = resolvent_solve(h, w, x)
-            return kcore @ y - resolvent_solve(h, w, kcore @ x - opset.commutator_iHA @ y)
+            y = resolvent(h, w, x)
+            return kcore @ y - resolvent(h, w, kcore @ x - opset.commutator_iHA @ y)
         return apply
-
-    from .mourre import opnorm
 
     ident_defect = opnorm(defect(z), defect(np.conj(z)), n)
     decreasing = all(cauchy[k + 1] < cauchy[k] / 3 for k in range(len(cauchy) - 1))

@@ -41,7 +41,7 @@ import numpy as np
 
 from .grid import Grid
 from .hypotheses import singular_values
-from .operators import OperatorSet
+from .operators import Band, OperatorSet
 from .spectral import (
     EnergyWindow,
     SmoothingFunction,
@@ -50,6 +50,8 @@ from .spectral import (
     bump,
     dirichlet_decomposition,
     eigendecompose,
+    opnorm,
+    plateau,
     sandwich,
     thin_sum,
 )
@@ -63,17 +65,12 @@ __all__ = [
     "virial_defects",
     "transfer_verify",
     "rho_scan",
-    "opnorm",
 ]
 
-PAIRS = ("H_A", "channel-", "channel+")
 # The bisection for rho stops once its bracket is below BISECT_TOL * max(1, |rho|);
 # eta M eta - a eta^2 counts as >= 0 down to -PSD_RTOL * max(1, ||eta M eta||).
 BISECT_TOL = 1e-3
 PSD_RTOL = 1e-3
-# Power iteration of `opnorm`: at most OPNORM_ITERS steps from a start drawn with OPNORM_SEED.
-OPNORM_ITERS = 200
-OPNORM_SEED = 7
 # A compression mode is discarded when at least THETA of its mass sits in
 # |x| <= INTERACTION_RADIUS or within BOUNDARY_FRACTION * L of either end;
 # THETA = math.inf discards nothing.  The boundary width scales with L
@@ -126,16 +123,6 @@ def analytic_rho(v_minus: float, v_plus: float, lam: float) -> float:
     return 2.0 * (lam - hi)
 
 
-def _pair_commutator(opset: OperatorSet, pair: str):
-    """The commutator band i[.,.] of a pair tag."""
-    if pair == "H_A":
-        return opset.commutator_iHA
-    if pair in ("channel-", "channel+"):
-        cm, cp = opset.commutator_iH0A0_channel
-        return cm if pair == "channel-" else cp
-    raise ValueError(f"unknown pair {pair!r}, expected one of {PAIRS}")
-
-
 def _compress(us: np.ndarray, comm, grid: Grid):
     """The symmetrized compression of the commutator comm onto the columns
     U_S, and U_S^dagger P U_S for the interaction region and the boundary
@@ -161,11 +148,11 @@ def _localization(vec: np.ndarray, grams: np.ndarray):
 def estimate_rho_window(
     opset: OperatorSet,
     dec: SpectralDecomposition,
-    pair: str,
+    comm: Band,
     win: EnergyWindow,
 ) -> RhoEstimate:
-    """Compress i[H,A] onto the sharp spectral window of H and diagonalize."""
-    comm = _pair_commutator(opset, pair)
+    """Compress the commutator band comm (i[H,A], or a channel's i[H0,A0])
+    onto the sharp spectral window of dec and diagonalize."""
     sel = win.contains(dec.eigenvalues)
     if not np.any(sel):
         return RhoEstimate(
@@ -205,20 +192,19 @@ def _bisect_sup(holds, lo, hi, tol: float) -> np.ndarray:
 def _estimate_rho_batch(
     opset: OperatorSet,
     dec: SpectralDecomposition,
-    pair: str,
+    comm: Band,
     etas,
 ) -> list:
     """The `RhoEstimate` of `estimate_rho_eta` for every eta at once, each
     with the modes at its corrected value.
 
-    i[H,A] and the region Gram matrices are compressed once per window of
+    comm and the region Gram matrices are compressed once per window of
     columns, and each eta takes its k x k blocks from there.  The bisections
     of all eta with support size k run in lockstep, with one stacked `eigh`
     (or `eigvalsh`) per step.
     """
     if not etas:
         return []
-    comm = _pair_commutator(opset, pair)
     weights, keeps = [], []
     for eta in etas:
         w = eta(dec.eigenvalues)
@@ -290,10 +276,12 @@ def _estimate_rho_batch(
 def estimate_rho_eta(
     opset: OperatorSet,
     dec: SpectralDecomposition,
-    pair: str,
+    comm: Band,
     eta: SmoothingFunction,
 ) -> RhoEstimate:
-    """Largest a with eta(H) i[H,A] eta(H) - a eta(H)^2 >= 0 after discards.
+    """Largest a with eta(H) C eta(H) - a eta(H)^2 >= 0 after discards, for
+    the commutator band C = comm (i[H,A], or a channel's i[H0,A0] with dec
+    its eigenpairs).
 
     The supremum is located by bisection to BISECT_TOL; positive-
     semidefiniteness is tested on the compression eigenmodes that survive
@@ -302,27 +290,7 @@ def estimate_rho_eta(
     estimator of `rho_scan` and `transfer_verify` run on one eta, so the
     compression covers exactly the support of eta.
     """
-    return _estimate_rho_batch(opset, dec, pair, [eta])[0]
-
-
-def opnorm(apply, apply_h, n: int) -> float:
-    """Spectral norm of an operator M on C^n by power iteration on M*M, given
-    the actions x -> M x and x -> M* x (a deterministic complex start)."""
-    rng = np.random.default_rng(OPNORM_SEED)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    s = 0.0
-    for _ in range(OPNORM_ITERS):
-        w = apply_h(apply(v))
-        s_new = np.linalg.norm(w)
-        if s_new == 0:
-            return 0.0
-        v = w / s_new
-        if abs(s_new - s) <= 1e-12 * s_new:
-            s = s_new
-            break
-        s = s_new
-    return math.sqrt(s)
+    return _estimate_rho_batch(opset, dec, comm, [eta])[0]
 
 
 def virial_defects(opset: OperatorSet, dec: SpectralDecomposition, indices) -> np.ndarray:
@@ -335,17 +303,6 @@ def virial_defects(opset: OperatorSet, dec: SpectralDecomposition, indices) -> n
         u = dec.eigenvectors[:, k]
         out.append(abs(np.real(u.conj() @ (c @ u))) / comm_norm)
     return np.array(out)
-
-
-def _interior_window(opset: OperatorSet) -> np.ndarray:
-    """Smooth spatial weight, 1 on |x| <= L/2, 0 beyond 3L/4."""
-    from .grid import smoothstep
-
-    x = opset.grid.nodes
-    L = opset.grid.L
-    up, _ = smoothstep(x, -0.75 * L, -0.5 * L)
-    down, _ = smoothstep(-x, -0.75 * L, -0.5 * L)
-    return up * down
 
 
 def _windowed_estimates(opset: OperatorSet, lambdas: list, eps: float):
@@ -374,7 +331,8 @@ def _windowed_estimates(opset: OperatorSet, lambdas: list, eps: float):
         np.concatenate([d.eigenvectors.T for d in decs]).T)
     etas = [bump(lam, eps) for lam in lambdas]
     seen = [bool(np.any(np.abs(eta(dec.eigenvalues)) > 0)) for eta in etas]
-    ests = iter(_estimate_rho_batch(opset, dec, "H_A", [e for e, s in zip(etas, seen) if s]))
+    ests = iter(_estimate_rho_batch(opset, dec, opset.commutator_iHA,
+                                    [e for e, s in zip(etas, seen) if s]))
     return dec, etas, [next(ests) if s else None for s in seen]
 
 
@@ -401,7 +359,8 @@ def transfer_verify(
     disjoint run of the eta supports), and a sample whose eta meets none
     of them is a ValueError.  Each eta(.) M eta(.) is formed on the
     support of eta only; the channel eigenpairs there come in closed form.  The residual
-    chi (lhs - rhs) chi is F C F^T with F = [chi U_H, chi J- U-, chi J+ U+]
+    chi (lhs - rhs) chi, with chi = plateau(-L/2, L/2, L/4) on the nodes (1 on
+    |x| <= L/2, 0 beyond 3L/4), is F C F^T with F = [chi U_H, chi J- U-, chi J+ U+]
     and C block diagonal; its norm is the largest singular value of those
     factors, so it never needs an n x n array.
     """
@@ -412,7 +371,7 @@ def transfer_verify(
         near = min(abs(lam - pot.v_minus), abs(lam - pot.v_plus)) < 2 * eps
         (excluded if near else samples).append(float(lam))
     dec_H, etas, ests = _windowed_estimates(opset, samples, eps)
-    chi = _interior_window(opset)
+    chi = plateau(-0.5 * grid.L, 0.5 * grid.L, 0.25 * grid.L)(grid.nodes)
     cm, cp = opset.commutator_iH0A0_channel
     weights = (chi, chi * opset.cutoffs.j_minus, chi * opset.cutoffs.j_plus)
 

@@ -1,7 +1,7 @@
 """Eigendecomposition and everything derived from it.
 
 Functions of an operator are formed from its eigenpairs: smooth
-localization functions of H, resolvents and the unitary propagator; an
+localization functions of H and the unitary propagator; an
 energy window is a mask of eigenvalues (`EnergyWindow.contains`).  H
 gets either its full basis by divide and conquer (LAPACK `dstedc`, the
 same bits as a dense `eigh`) or only the pairs in an energy window, from
@@ -14,13 +14,14 @@ costs what its support costs: only eigenvectors where f is nonzero enter
 U f(Lambda) U*, so a compactly supported eta gives a low-rank product.  A
 finite-rank operator is a `ThinProduct`, factors (left, core, right) for
 left @ core @ right^dagger, never its matrix (`sandwich`, `thin_sum`).
-A resolvent applied to a thin block needs no eigenpairs at all:
-`resolvent_solve` gives (T - z)^{-1} X for a tridiagonal T (H or a
-channel) by LAPACK `zgtsv`, in O(n k).  `propagate` moves a state, or one
-state per time, over a whole time ladder in two products with the real
-basis U, staying in real arithmetic for a complex state.
-`scattering_projector` applies 1 - U_low U_low^dagger, with U_low the few
-eigenvectors at or below threshold, to states and never forms it.
+A resolvent needs no eigenpairs at all: `resolvent` gives (T - z)^{-1} X
+for a tridiagonal T (H or a channel) and a vector or a thin block X by
+LAPACK `zgtsv`, in O(n k).  `propagate` moves a state, or one state per
+time, over a whole time ladder in two products with the real basis U,
+staying in real arithmetic for a complex state.  `scattering_projector`
+applies 1 - U_low U_low^dagger, with U_low the few eigenvectors at or
+below threshold, to states and never forms it.  `opnorm` is the spectral
+norm of an operator given only its action and that of its adjoint.
 
 The LAPACK routines are those of the OpenBLAS that NumPy bundles, handed
 out typed by `blas.lapacke`; this module passes them arrays and numbers
@@ -36,6 +37,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .blas import lapacke
+from .grid import smoothstep
 from .operators import Band
 
 __all__ = [
@@ -51,14 +54,17 @@ __all__ = [
     "ThinProduct",
     "thin_sum",
     "resolvent",
-    "resolvent_solve",
     "propagate",
     "scattering_projector",
     "bump",
     "plateau",
+    "opnorm",
 ]
 
 AC_DELTA = 0.01  # offset of the scattering-surrogate projector above threshold
+# Power iteration of `opnorm`: at most OPNORM_ITERS steps from a start drawn with OPNORM_SEED.
+OPNORM_ITERS = 200
+OPNORM_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,8 @@ class EnergyWindow:
 class SmoothingFunction:
     """Real localization function eta with eta(center) != 0.  `bump` and
     `plateau` vanish outside center +- width, so EnergyWindow(center, width)
-    holds every x with eta(x) != 0; `compactness_ladder` relies on it."""
+    holds every x with eta(x) != 0; `compactness_ladder` relies on it, and
+    refuses an eta for (ii)-(iv) that is nonzero at an end of that window."""
 
     center: float
     width: float
@@ -114,7 +121,6 @@ def bump(center: float, width: float) -> SmoothingFunction:
 
 def plateau(lo: float, hi: float, shoulder: float) -> SmoothingFunction:
     """Smooth function equal to 1 on [lo, hi], 0 outside [lo-shoulder, hi+shoulder]."""
-    from .grid import smoothstep
 
     def f(x: np.ndarray) -> np.ndarray:
         up, _ = smoothstep(x, lo - shoulder, lo)
@@ -142,8 +148,6 @@ def eigendecompose(op: Band, window: Optional[EnergyWindow] = None) -> SpectralD
     Without the bundled OpenBLAS, or for a wider band, both come from the
     dense `eigh`, the window cut by its mask.
     """
-    from .blas import lapacke
-
     if op.b == 1 and window is None and (stedc := lapacke("dstedc")) is not None:
         return _divide_and_conquer(stedc, op)
     if op.b == 1 and window is not None and (stemr := lapacke("dstemr")) is not None:
@@ -200,7 +204,7 @@ def _mrrr(stemr, op: Band, window: EnergyWindow) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w[:found][keep].copy(), eigenvectors=z[:found][keep].T)
 
 
-def resolvent_solve(op: Band, z: complex, x: np.ndarray) -> np.ndarray:
+def resolvent(op: Band, z: complex, x: np.ndarray) -> np.ndarray:
     """(T - z)^{-1} x for a tridiagonal band T and a vector or an n x k block x.
 
     LAPACK `zgtsv` (Gaussian elimination with partial pivoting) solves all k
@@ -211,8 +215,6 @@ def resolvent_solve(op: Band, z: complex, x: np.ndarray) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise ValueError(f"right-hand side must be a vector or a block with {n} rows, "
                          f"got shape {x.shape}")
-    from .blas import lapacke
-
     gtsv = lapacke("zgtsv") if op.b == 1 else None
     if gtsv is None:
         return np.linalg.solve(op.dense() - z * np.eye(n), x)
@@ -305,14 +307,6 @@ def sandwich(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray], 
     return ThinProduct(u, core, u)
 
 
-def resolvent(dec: SpectralDecomposition, z: complex) -> np.ndarray:
-    """(H - z)^{-1} through the eigendecomposition."""
-    if np.imag(z) == 0 and np.any(np.isclose(dec.eigenvalues, np.real(z))):
-        raise ValueError("real z collides with an eigenvalue")
-    u, fw = support(dec, lambda x: 1.0 / (x - z))
-    return (u * fw[None, :]) @ u.conj().T
-
-
 def dst1(x: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I along axis 0, y_k = sqrt(2/(n+1)) sum_j x_j sin(j k pi / (n+1)).
 
@@ -376,3 +370,23 @@ def scattering_projector(dec: SpectralDecomposition, states: np.ndarray,
     """
     low = dec.eigenvectors[:, dec.eigenvalues <= threshold + AC_DELTA]
     return states - low @ (low.conj().T @ states)
+
+
+def opnorm(apply, apply_h, n: int) -> float:
+    """Spectral norm of an operator M on C^n by power iteration on M*M, given
+    the actions x -> M x and x -> M* x (a deterministic complex start)."""
+    rng = np.random.default_rng(OPNORM_SEED)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    s = 0.0
+    for _ in range(OPNORM_ITERS):
+        w = apply_h(apply(v))
+        s_new = np.linalg.norm(w)
+        if s_new == 0:
+            return 0.0
+        v = w / s_new
+        if abs(s_new - s) <= 1e-12 * s_new:
+            s = s_new
+            break
+        s = s_new
+    return math.sqrt(s)

@@ -72,15 +72,6 @@ def build_B_pm(opset, z: complex, side: str, resolvent_H, resolvent_channel) -> 
     return resolvent_H(z) @ middle @ resolvent_channel(side, z)
 
 
-def well_bump(grid, amplitude, width):
-    """Compactly supported bump of the given amplitude and half-width."""
-    u = grid.nodes / width
-    inside = np.abs(u) < 1
-    out = np.zeros_like(grid.nodes)
-    out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-    return out
-
-
 @pytest.fixture(scope="session")
 def small_grid():
     return make_grid(20.0, 321)

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import channel_bases, well_bump
+from conftest import channel_bases
 from mourre_lab.cli import ExperimentConfig, run
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.hypotheses import OPERATOR_TAGS, c1_probe, compactness_ladder
@@ -62,7 +62,7 @@ def free_1601():
 def well_1601():
     g = make_grid(40.0, 1601)
     return build(40.0, 1601, profile="smooth_step",
-                 bump_field=well_bump(g, -2.0, 2.0))
+                 bump_field=-2.0 * bump(0.0, 2.0)(g.nodes))
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ def test_criterion_1_analytic_rho():
 def test_criterion_2_free_pair_raw_window(free_1601):
     t0 = time.time()
     ops, dec_m = free_1601
-    est = estimate_rho_window(ops, dec_m, "channel-", EnergyWindow(1.0, 0.1))
+    est = estimate_rho_window(ops, dec_m, ops.commutator_iH0A0_channel[0], EnergyWindow(1.0, 0.1))
     lo, hi = 1.8 * 0.95, 2.2
     ok = lo <= est.raw_min <= hi
     report(2, ok,
@@ -100,7 +100,7 @@ def test_criterion_3_transfer():
     t0 = time.time()
     g = make_grid(160.0, 3201)
     ops = build_ops(160.0, 3201, profile="smooth_step",
-                    bump_field=well_bump(g, 0.3, 2.0))
+                    bump_field=0.3 * bump(0.0, 2.0)(g.nodes))
     rep = transfer_verify(ops, [0.3, 0.5, 1.5, 2.0], eps=0.1, tol=0.2)
     detail = ", ".join(
         f"lam={l}: margin={m:.3f}" for l, m in zip(rep.lambda_samples, rep.margins)

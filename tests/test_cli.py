@@ -487,3 +487,38 @@ def test_hypotheses_run_leaves_numpy_random_unloaded(tmp_path):
     status, loaded = out.stdout.split()
     assert status in ("0", "1")  # a verdict, not an execution error
     assert loaded == "False"
+
+
+def test_benchmark_tracer_resolves_every_target(tmp_path):
+    """The benchmark's tracer (perfbench/spans.py) wraps functions looked up by
+    module and name: each must exist, and a traced short-range ladder must
+    record the resolvent solves it makes.
+
+    Runs in a child interpreter, since `Tracer.install` rebinds module attributes.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
+    path = write_config(tmp_path, "c.json", dict(SMALL, experiment="hypotheses", L=40.0, params={
+        "levels": [[40.0, 161], [40.0, 321]], "operators": ["short"]}))
+    code = (
+        "import importlib, importlib.util, json, sys\n"
+        "from mourre_lab import cli\n"
+        "spec = importlib.util.spec_from_file_location('spans', sys.argv[1])\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "missing = [f'{mod}.{fn}' for mod, fn, _, _ in spans.TARGETS if not callable(\n"
+        "    getattr(importlib.import_module(f'mourre_lab.{mod}'), fn, None))]\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "status = cli.main(['hypotheses', '--config', sys.argv[2], '--out', sys.argv[3]])\n"
+        "names = [span['name'] for span in tracer.spans]\n"
+        "print(json.dumps([missing, status, names.count('spectral.resolvent')]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(root / "perfbench" / "spans.py"),
+                          str(path), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    missing, status, resolvent_spans = json.loads(out.stdout)
+    assert missing == []
+    assert status in (0, 1)  # a verdict, not an execution error
+    assert resolvent_spans >= 1

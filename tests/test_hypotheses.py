@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import apply_function, build_B, channel_bases, dense
+from conftest import apply_function, build_B, channel_bases, dense, gaussian
 from mourre_lab import hypotheses
 from mourre_lab.grid import (
     CutoffPair,
@@ -33,7 +33,6 @@ from mourre_lab.spectral import (
     eigendecompose,
     plateau,
     resolvent,
-    resolvent_solve,
 )
 
 F64_EPS = np.finfo(float).eps
@@ -55,6 +54,11 @@ C1_GOLDEN = {
 @pytest.fixture(scope="module")
 def eta():
     return bump(0.5, 0.4)
+
+
+def dense_resolvent(dec, z):
+    """(H - z)^{-1} as U (w - z)^{-1} U^dagger on a full basis, a dense test reference."""
+    return apply_function(dec, lambda w: 1.0 / (w - z))
 
 
 def dense_reference(opset, dec_H, tag, eta):
@@ -86,8 +90,8 @@ def dense_reference(opset, dec_H, tag, eta):
         return 0.5 * (diff + diff.T)
     if tag == "short":
         smoothing = plateau(0.05, 5.0, shoulder=1.0)
-        bmat = build_B(opset, 1j, lambda z: resolvent(dec_H, z),
-                       lambda side, z: resolvent(dec_m if side == "-" else dec_p, z))
+        bmat = build_B(opset, 1j, lambda z: dense_resolvent(dec_H, z),
+                       lambda side, z: dense_resolvent(dec_m if side == "-" else dec_p, z))
         dcore = opset.dilation_core.dense()
         out = np.zeros((n, 2 * n), dtype=complex)
         out[:, :n] = 1j * (bmat[:, :n] @ dcore) @ apply_function(dec_m, smoothing)
@@ -98,7 +102,7 @@ def dense_reference(opset, dec_H, tag, eta):
     cm, cp = opset.commutator_iH0A0_channel
     mid = Band((bjm @ cm @ bjm).entries + (bjp @ cp @ bjp).entries
                - build_commutator_longrange(opset).entries)
-    r = resolvent(dec_H, 1j)
+    r = dense_resolvent(dec_H, 1j)
     out = r @ mid.dense() @ r
     return 0.5 * (out + out.conj().T)
 
@@ -134,7 +138,7 @@ class TestClosedFormChannels:
         x = np.random.default_rng(36).standard_normal((n, 3))
         h = small_ops.channel_hamiltonian(side)
         ref = np.linalg.solve(h.dense() - z * np.eye(n), x)
-        out = resolvent_solve(h, z, x)
+        out = resolvent(h, z, x)
         assert np.max(np.abs(out - ref)) <= ROUNDING_ULPS * n * F64_EPS * np.max(np.abs(ref))
 
 
@@ -324,6 +328,21 @@ class TestCompactnessLadder:
         assert rep.tail_ratio == [1.0] * 3 and rep.stability == 0.0
         assert rep.verdict == "non-compact"
 
+    def test_eta_cut_off_by_its_window_refused(self):
+        # (ii)-(iv) read the pairs of H in EnergyWindow(center, width) only, so
+        # an eta nonzero at its ends would be cut off there without a word
+        wide = gaussian(1.0, 0.3)
+        for tag in ("ii", "iii", "iv"):
+            with pytest.raises(ValueError, match=r"center 1\.0, width 0\.3"):
+                compactness_ladder(TestShortLongRange.steplike, [(40.0, 401), (40.0, 801)],
+                                   wide, [tag, "short"])
+
+    def test_short_only_ladder_takes_any_eta(self):
+        # the short-range surrogate reads no eta, so a short-only ladder runs
+        ladder = compactness_ladder(TestShortLongRange.steplike, [(40.0, 401), (40.0, 801)],
+                                    gaussian(1.0, 0.3), ["short"])
+        assert ladder["short"].verdict == "compact-consistent"
+
     def test_short_long_take_no_eigenpairs(self, small_ops, eta, monkeypatch):
         # neither surrogate reads a pair of H, so the ladder computes none
         def no_pairs(*args, **kwargs):
@@ -387,7 +406,8 @@ class TestShortLongRange:
         # of n eps ||M|| ||R|| ||R0||, with ||R||, ||R0|| <= 1 / Im z
         ops = self.steplike(20.0, 161)
         dec_m, dec_p = channel_bases(ops)
-        r, r0 = resolvent(eigendecompose(ops.H), z), resolvent(dec_m if side == "-" else dec_p, z)
+        r, r0 = (dense_resolvent(eigendecompose(ops.H), z),
+                 dense_resolvent(dec_m if side == "-" else dec_p, z))
         j = ops.cutoffs.j_minus if side == "-" else ops.cutoffs.j_plus
         m = ops.H.dense() * j[None, :] - j[:, None] * ops.channel_hamiltonian(side).dense()
         defect = np.max(np.abs(j[:, None] * r0 - r * j[None, :] - r @ m @ r0))
@@ -442,7 +462,7 @@ def dense_c1_reference(opset, dec_H, z, states, steps):
     probe that `c1_probe` replaced.  Columns are the states."""
     a = 1j * opset.conjugate_core.dense()
     dec_A = SpectralDecomposition(*np.linalg.eigh(a))
-    r = resolvent(dec_H, z)
+    r = dense_resolvent(dec_H, z)
     psi = states.T
     quotients = [(apply_function(dec_A, lambda w: np.exp(-1j * t * w)) @ r
                   @ apply_function(dec_A, lambda w: np.exp(1j * t * w)) - r) @ psi / t

@@ -15,21 +15,19 @@ from mourre_lab.mourre import (
     _bisect_sup,
     _compress,
     _estimate_rho_batch,
-    _interior_window,
     _localization,
     _windowed_estimates,
     analytic_rho,
     estimate_rho_eta,
     estimate_rho_window,
-    opnorm,
     rho_scan,
     transfer_verify,
     virial_defects,
 )
-from conftest import discard_log, gaussian, well_bump
+from conftest import discard_log, gaussian
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import Band, build_pair
-from mourre_lab.spectral import EnergyWindow, bump, eigendecompose
+from mourre_lab.spectral import EnergyWindow, bump, eigendecompose, opnorm, plateau
 
 BISECT_TOL = 1e-3  # the bisection resolution of estimate_rho_eta, relative to max(1, |rho|)
 F64_EPS = np.finfo(float).eps
@@ -94,30 +92,30 @@ class TestAnalyticRho:
 
 class TestWindowEstimate:
     def test_corrected_at_least_raw(self, small_ops, dec_H):
-        est = estimate_rho_window(small_ops, dec_H, "H_A", EnergyWindow(0.5, 0.2))
+        est = estimate_rho_window(small_ops, dec_H, small_ops.commutator_iHA,
+                                  EnergyWindow(0.5, 0.2))
         assert est.corrected >= est.raw_min
 
     def test_discard_nothing_equalizes(self, small_ops, dec_H, monkeypatch):
         monkeypatch.setattr(mourre, "THETA", math.inf)
-        est = estimate_rho_window(small_ops, dec_H, "H_A", EnergyWindow(0.5, 0.2))
+        est = estimate_rho_window(small_ops, dec_H, small_ops.commutator_iHA,
+                                  EnergyWindow(0.5, 0.2))
         assert est.corrected == est.raw_min
         assert est.n_discarded == 0
 
     def test_empty_window(self, small_ops, dec_H):
-        est = estimate_rho_window(small_ops, dec_H, "H_A", EnergyWindow(-5.0, 0.1))
+        est = estimate_rho_window(small_ops, dec_H, small_ops.commutator_iHA,
+                                  EnergyWindow(-5.0, 0.1))
         assert est.raw_min == math.inf
         assert est.note == "no spectrum in window"
 
     def test_discard_log_complete(self, small_ops, dec_H):
-        est = estimate_rho_window(small_ops, dec_H, "H_A", EnergyWindow(0.5, 0.2))
+        est = estimate_rho_window(small_ops, dec_H, small_ops.commutator_iHA,
+                                  EnergyWindow(0.5, 0.2))
         log = discard_log(est)
         assert len(log) == est.compression_spectrum.size
         flagged = sum(1 for d in log if d["discarded"])
         assert flagged == est.n_discarded
-
-    def test_unknown_pair_rejected(self, small_ops, dec_H):
-        with pytest.raises(ValueError):
-            estimate_rho_window(small_ops, dec_H, "bogus", EnergyWindow(0.5, 0.2))
 
     def test_scaling_covariance(self, small_ops, dec_H):
         # replacing A by c*A multiplies every compression eigenvalue by c
@@ -127,8 +125,8 @@ class TestWindowEstimate:
             commutator_iHA=Band(c * small_ops.commutator_iHA.entries),
         )
         win = EnergyWindow(0.5, 0.2)
-        base = estimate_rho_window(small_ops, dec_H, "H_A", win)
-        mult = estimate_rho_window(scaled, dec_H, "H_A", win)
+        base = estimate_rho_window(small_ops, dec_H, small_ops.commutator_iHA, win)
+        mult = estimate_rho_window(scaled, dec_H, scaled.commutator_iHA, win)
         assert np.allclose(mult.compression_spectrum, c * base.compression_spectrum)
         assert mult.raw_min == pytest.approx(c * base.raw_min, rel=1e-12)
         assert mult.corrected == pytest.approx(c * base.corrected, rel=1e-12)
@@ -215,9 +213,9 @@ class TestLockstepBisection:
         _set_discard_rule(monkeypatch, policy)
         dec = eigendecompose(small_ops.H, EnergyWindow(2.0, 0.5))
         etas = [gaussian(c, 0.3) for c in (0.4, 0.9, 1.3, 1.8, 2.0)]
-        batch = _estimate_rho_batch(small_ops, dec, "H_A", etas)
+        batch = _estimate_rho_batch(small_ops, dec, small_ops.commutator_iHA, etas)
         for eta, est in zip(etas, batch):
-            one = estimate_rho_eta(small_ops, dec, "H_A", eta)
+            one = estimate_rho_eta(small_ops, dec, small_ops.commutator_iHA, eta)
             assert (est.lam, est.eps) == (eta.center, eta.width)
             assert est.compression_spectrum.size == dec.eigenvalues.size
             assert ((est.raw_min, est.corrected, est.n_discarded)
@@ -233,9 +231,9 @@ class TestLockstepBisection:
         must reach to the end of the widest support, and every estimate must
         match estimate_rho_eta to the bisection resolution."""
         etas = [bump(1.5, 0.6), bump(1.4, 0.1), bump(1.6, 0.15), bump(0.5, 0.1), bump(2.5, 0.3)]
-        batch = _estimate_rho_batch(small_ops, dec_H, "H_A", etas)
+        batch = _estimate_rho_batch(small_ops, dec_H, small_ops.commutator_iHA, etas)
         for eta, est in zip(etas, batch):
-            one = estimate_rho_eta(small_ops, dec_H, "H_A", eta)
+            one = estimate_rho_eta(small_ops, dec_H, small_ops.commutator_iHA, eta)
             assert est.n_discarded == one.n_discarded
             assert est.compression_spectrum.size == one.compression_spectrum.size
             for v, ref in ((est.raw_min, one.raw_min), (est.corrected, one.corrected)):
@@ -244,12 +242,12 @@ class TestLockstepBisection:
 
 class TestEtaEstimate:
     def test_raw_not_above_corrected(self, small_ops, dec_H):
-        est = estimate_rho_eta(small_ops, dec_H, "H_A", bump(0.5, 0.2))
+        est = estimate_rho_eta(small_ops, dec_H, small_ops.commutator_iHA, bump(0.5, 0.2))
         assert est.raw_min <= est.corrected + 1e-9
 
     def test_eta_off_spectrum_rejected(self, small_ops, dec_H):
         with pytest.raises(ValueError):
-            estimate_rho_eta(small_ops, dec_H, "H_A", bump(-50.0, 0.1))
+            estimate_rho_eta(small_ops, dec_H, small_ops.commutator_iHA, bump(-50.0, 0.1))
 
     def test_free_channel_positive_after_discards(self):
         # free pair: i[-Delta, D] compressed near lambda=1 carries the
@@ -262,7 +260,7 @@ class TestEtaEstimate:
         g = make_grid(80.0, 801)
         ops = build_pair(g, make_steplike(g, 0.0, 0.0), make_cutoffs(g))
         dec_m = dirichlet_decomposition(g.n, g.dx, 0.0)
-        est = estimate_rho_eta(ops, dec_m, "channel-", bump(1.0, 0.3))
+        est = estimate_rho_eta(ops, dec_m, ops.commutator_iH0A0_channel[0], bump(1.0, 0.3))
         assert est.corrected > 1.0
         assert est.raw_min < 0  # the finite-box virial keeps the raw value down
 
@@ -277,7 +275,7 @@ class TestVirial:
         # to a modest multiple of n * eps resolves to ROUNDING_ULPS * n * eps; the
         # norm is resolved as finely, relative to itself
         g = make_grid(40.0, 1601)
-        pot = make_steplike(g, 0.0, 1.0, bump=well_bump(g, -2.0, 2.0))
+        pot = make_steplike(g, 0.0, 1.0, bump=-2.0 * bump(0.0, 2.0)(g.nodes))
         ops = build_pair(g, pot, make_cutoffs(g))
         bound = ROUNDING_ULPS * g.n * F64_EPS
         defects = virial_defects(ops, eigendecompose(ops.H), range(20))
@@ -333,12 +331,13 @@ class TestTransfer:
             w, u = np.linalg.eigh(h)
             return (u * eta(w)[None, :]) @ u.T
 
-        chi = _interior_window(small_ops)
+        L = small_ops.grid.L
+        chi = plateau(-0.5 * L, 0.5 * L, 0.25 * L)(small_ops.grid.nodes)
         cm, cp = small_ops.commutator_iH0A0_channel
         jm, jp = small_ops.cutoffs.j_minus, small_ops.cutoffs.j_plus
         for k, lam in enumerate(lambdas):
             eta = bump(lam, eps)
-            est = estimate_rho_eta(small_ops, dec_win, "H_A", eta)
+            est = estimate_rho_eta(small_ops, dec_win, small_ops.commutator_iHA, eta)
             assert rep.margins[k] == pytest.approx(
                 est.corrected - analytic_rho(0.0, 1.0, lam), abs=1e-12)
             e_h = dense_eta(small_ops.H.dense(), eta)
@@ -454,7 +453,7 @@ class TestRhoScan:
         rows = rho_scan(small_ops, lambdas, 0.1)
         assert rows[0][2:5] == (math.inf, math.inf, 0)
         for lam, row in zip(lambdas[1:], rows[1:]):
-            ref = estimate_rho_eta(small_ops, dec_H, "H_A", bump(lam, 0.1))
+            ref = estimate_rho_eta(small_ops, dec_H, small_ops.commutator_iHA, bump(lam, 0.1))
             assert row[4] == ref.n_discarded
             for v, r in ((row[2], ref.raw_min), (row[3], ref.corrected)):
                 assert abs(v - r) <= BISECT_TOL * max(1.0, abs(r))
@@ -474,7 +473,7 @@ class TestRhoScan:
         assert rows[0][2:5] == (math.inf, math.inf, 0)
         sizes = set()
         for lam, row in zip(lambdas[1:], rows[1:]):
-            est = estimate_rho_eta(small_ops, dec_H, "H_A", bump(lam, eps))
+            est = estimate_rho_eta(small_ops, dec_H, small_ops.commutator_iHA, bump(lam, eps))
             sizes.add(est.compression_spectrum.size)
             assert row[4] == est.n_discarded
             for v, ref in ((row[2], est.raw_min), (row[3], est.corrected)):

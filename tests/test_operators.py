@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_B, build_B_pm, channel_bases
+from conftest import apply_function, build_B, build_B_pm, channel_bases
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import (
     Band,
@@ -13,7 +13,7 @@ from mourre_lab.operators import (
     build_momentum_core,
     build_pair,
 )
-from mourre_lab.spectral import eigendecompose, resolvent
+from mourre_lab.spectral import eigendecompose
 
 
 def band_from_dense(m, b):
@@ -185,8 +185,9 @@ def resolvents(opset):
     """R(z) of H and of a channel, as build_B and build_B_pm take them, from full bases."""
     dec_H = eigendecompose(opset.H)
     dec_m, dec_p = channel_bases(opset)
-    return (lambda z: resolvent(dec_H, z),
-            lambda side, z: resolvent(dec_m if side == "-" else dec_p, z))
+    return (lambda z: apply_function(dec_H, lambda w: 1.0 / (w - z)),
+            lambda side, z: apply_function(dec_m if side == "-" else dec_p,
+                                           lambda w: 1.0 / (w - z)))
 
 
 class TestBOperators:
@@ -245,7 +246,7 @@ def test_only_the_dense_fallbacks_densify_a_band():
     src = Path(__file__).resolve().parents[1] / "src" / "mourre_lab"
     callers = set().union(*(dense_callers(p) for p in src.glob("*.py")))
     assert "spectral.eigendecompose" in callers  # the scan sees the calls it should
-    assert callers <= {"spectral.eigendecompose", "spectral.resolvent_solve"}
+    assert callers <= {"spectral.eigendecompose", "spectral.resolvent"}
 
 
 def foreign_interface_users(path: Path) -> tuple[bool, bool]:
@@ -270,3 +271,41 @@ def test_only_blas_binds_the_foreign_interface():
     found = {p.stem: foreign_interface_users(p) for p in src.glob("*.py")}
     assert found["blas"] == (True, True)  # the scan sees what it should
     assert [stem for stem, uses in found.items() if any(uses)] == ["blas"]
+
+
+def package_imports(path: Path) -> tuple[set, bool]:
+    """(the sibling modules a source file imports, whether any relative import
+    sits inside a function): `from .x import y` names x, `from . import x` x."""
+    tree = ast.parse(path.read_text())
+    siblings = {p.stem for p in path.parent.glob("*.py")}
+    found, in_function = set(), False
+
+    def visit(node, depth):
+        nonlocal in_function
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.level:
+                names = [child.module] if child.module else [a.name for a in child.names]
+                found.update(name.split(".")[0] for name in names
+                             if name.split(".")[0] in siblings)
+                in_function = in_function or depth > 0
+            inner = depth + isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, inner)
+
+    visit(tree, 0)
+    return found, in_function
+
+
+def test_package_imports_at_top_level_and_acyclic():
+    """Every intra-package import sits at module level, and the modules import
+    each other without a cycle."""
+    src = Path(__file__).resolve().parents[1] / "src" / "mourre_lab"
+    scanned = {p.stem: package_imports(p) for p in src.glob("*.py")}
+    assert {"operators", "blas", "grid"} <= scanned["spectral"][0]  # the scan sees the imports
+    assert [stem for stem, (_, nested) in scanned.items() if nested] == []
+    graph = {stem: deps - {"__init__"} for stem, (deps, _) in scanned.items()}
+    ordered = []
+    while graph:  # peel off the modules that import nothing left in the graph
+        leaves = sorted(stem for stem, deps in graph.items() if not deps - set(ordered))
+        assert leaves, f"import cycle among {sorted(graph)}"
+        ordered += leaves
+        graph = {stem: deps for stem, deps in graph.items() if stem not in leaves}

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import channel_bases, well_bump
+from conftest import channel_bases
 from mourre_lab import scattering
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import build_pair
@@ -16,7 +16,7 @@ from mourre_lab.scattering import (
     sharp_step_oracle,
     wave_operator_probe,
 )
-from mourre_lab.spectral import eigendecompose, propagate, scattering_projector
+from mourre_lab.spectral import bump, eigendecompose, propagate, scattering_projector
 
 F64_EPS = np.finfo(float).eps
 ROUNDING_ULPS = 16.0  # as in test_golden: an eigenbasis is orthonormal to a modest multiple of n*eps
@@ -35,7 +35,7 @@ def box():
 def well_box():
     """A smooth step with a well deep enough to bind a state below the spectrum of H0."""
     g = make_grid(40.0, 801)
-    pot = make_steplike(g, 0.0, 1.0, bump=well_bump(g, -2.0, 2.0))
+    pot = make_steplike(g, 0.0, 1.0, bump=-2.0 * bump(0.0, 2.0)(g.nodes))
     ops = build_pair(g, pot, make_cutoffs(g))
     return ops, eigendecompose(ops.H)
 

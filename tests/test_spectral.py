@@ -23,7 +23,6 @@ from mourre_lab.spectral import (
     plateau,
     propagate,
     resolvent,
-    resolvent_solve,
     sandwich,
     scattering_projector,
     thin_sum,
@@ -243,20 +242,6 @@ class TestApplyFunction:
         dense = (u * w[None, :]) @ u.T
         assert np.max(np.abs(apply_function(dec, eta) - dense)) <= 1e-12
 
-    def test_resolvent_solves(self, small_ops, dec):
-        z = 0.5 + 1j
-        r = resolvent(dec, z)
-        n = small_ops.n
-        residual = (small_ops.H.dense() - z * np.eye(n)) @ r - np.eye(n)
-        assert np.max(np.abs(residual)) < 1e-10
-
-    def test_resolvent_rejects_spectrum_point(self, dec):
-        # a real z on (or within isclose of) an eigenvalue, complex- or float-typed
-        w0 = dec.eigenvalues[0]
-        for z in (complex(w0), float(w0), float(w0) * (1.0 + 1e-12)):
-            with pytest.raises(ValueError):
-                resolvent(dec, z)
-
 
 class TestResolventSolve:
     # Gaussian elimination with partial pivoting on the tridiagonal T - z is
@@ -278,24 +263,24 @@ class TestResolventSolve:
             monkeypatch.setattr(blas, "bundled_openblas", lambda: None)
         else:  # the banded path forms no dense matrix
             monkeypatch.setattr(Band, "dense", lambda self: pytest.fail("dense band formed"))
-        out = resolvent_solve(op, z, x)
+        out = resolvent(op, z, x)
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= ROUNDING_ULPS * n * F64_EPS * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("shape", [(320,), (321, 2, 2)])
     def test_rejects_mismatched_right_hand_side(self, small_ops, shape):
         with pytest.raises(ValueError, match="321 rows"):
-            resolvent_solve(small_ops.H, 1j, np.ones(shape))
+            resolvent(small_ops.H, 1j, np.ones(shape))
 
     def test_eigenvalue_is_singular(self):
         with pytest.raises(np.linalg.LinAlgError):
-            resolvent_solve(_diagonal_band(np.arange(20.0)), 5.0, np.ones(20))
+            resolvent(_diagonal_band(np.arange(20.0)), 5.0, np.ones(20))
 
     def test_wide_band_solved_dense(self, small_ops):
         op = small_ops.commutator_iHA  # pentadiagonal
         x = np.random.default_rng(42).standard_normal((small_ops.n, 2))
         ref = np.linalg.solve(op.dense() - 1j * np.eye(small_ops.n), x)
-        assert np.array_equal(resolvent_solve(op, 1j, x), ref)
+        assert np.array_equal(resolvent(op, 1j, x), ref)
 
 
 class TestDirichletDecomposition:
