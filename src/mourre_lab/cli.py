@@ -41,7 +41,6 @@ from .scattering import (
 from .spectral import bump, eigendecompose
 
 SCHEMA_VERSION = "1"
-EXPERIMENTS = ("rho-scan", "transfer", "hypotheses", "scatter", "completeness")
 
 # Each experiment's `params` keys and defaults (the README params table); a
 # given value must have the JSON type of its default.  An empty list stands
@@ -57,6 +56,7 @@ PARAMS = {exp: dict(keys, bump_amplitude=0.0, bump_width=1.0) for exp, keys in {
     "scatter": {"lambda": 2.0, "sigma": 3.0, "x0": -25.0, "tol": 0.02},
     "completeness": {"x0": 10.0, "k0": 1.5, "sigma": 3.0, "t_max": 10.0, "n_times": 21},
 }.items()}
+EXPERIMENTS = tuple(PARAMS)
 _JSON_TYPES = {float: "finite number", int: "integer", str: "string", list: "list", dict: "object"}
 # The item type of each list param whose default is empty
 _ITEMS = {"lambdas": 0.0, "levels": [0.0, 0]}
@@ -162,6 +162,9 @@ def load_config(path, experiment: Optional[str] = None,
                               f"n an odd integer >= 16, got {json.dumps(level)}")
     if p.get("n_times", 2) < 2:
         raise ConfigError(f"params.n_times: need at least two times, got {p['n_times']}")
+    listed = {"hypotheses": "operators", "transfer": "lambdas"}.get(cfg.experiment)
+    if listed and not p[listed]:  # a run that checks nothing has no verdict to give
+        raise ConfigError(f"params.{listed}: {cfg.experiment} needs at least one, got []")
     try:
         check_operator_tags(cfg.params.get("operators", []))
     except ValueError as exc:

@@ -6,24 +6,20 @@ stable head and a fast-decaying tail, whereas the identity stays flat at
 every level.  The verdict thresholds (DRIFT_TOL, TAIL_TOL, FLAT_TAIL)
 separate those two control cases by orders of magnitude.
 
-Every surrogate is a `ThinProduct`: `singular_values` takes a QR of each
-thin factor and one SVD of the small core that is left, and the identity
-control is sigma_k = 1 in closed form.  (ii)-(iv) are thin because eta has
-compact support: they read the eigenpairs of H where eta is nonzero
-(`eigendecompose(H, EnergyWindow(center, width))`, which the ladder takes
-only for a ladder with one of these tags, and refuses an eta that is
-nonzero at either end of that window) and the channel pairs there in
-closed form (`dirichlet_decomposition`).  The short- and long-range
+Every surrogate is a `ThinProduct`, read by `spectral.singular_values`,
+and the identity control is sigma_k = 1 in closed form.  (ii)-(iv) are
+thin because eta has compact support: they read the eigenpairs of H where
+eta is nonzero (`eigendecompose(H, EnergyWindow(center, width))`, which
+the ladder takes only for a ladder with one of these tags, and refuses an
+eta that is nonzero at either end of that window) and the channel pairs
+there in closed form (`dirichlet_decomposition`).  The short- and long-range
 differences are thin because their middles are local: by the two-space
 resolvent identity J R0(z) - R(z) J = R(z)(HJ - JH0) R0(z), each passes
 through the few nodes S where a band middle M is nonzero, with the factor
 R(z)[:, S] from |S| tridiagonal solves (`spectral.resolvent`).  So the factor
 widths, which bound their ranks, grow like 1/dx and not with L.
-No full basis of H or of a channel is built.  `compactness_ladder` builds
-each level once, computes every tag's singular values there and releases
-the level before building the next; `compactness_report` then classifies
-the values of each tag.  The C1 probe applies R(z) by the same solves and
-takes its identity defect from `spectral.opnorm`.
+No full basis of H or of a channel is built.  The C1 probe applies R(z) by
+the same solves and takes its identity defect from `spectral.opnorm`.
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ import numpy as np
 
 from .operators import Band, OperatorSet, build_commutator_longrange
 from .spectral import (
+    TOP,
     EnergyWindow,
     SmoothingFunction,
     SpectralDecomposition,
@@ -46,6 +43,7 @@ from .spectral import (
     propagate,
     resolvent,
     sandwich,
+    singular_values,
     support,
     thin_sum,
 )
@@ -61,7 +59,6 @@ __all__ = [
     "short_range_operator",
     "long_range_operator",
     "c1_probe",
-    "singular_values",
 ]
 
 # The surrogates of a compactness ladder: assumptions (ii)-(iv), the short-
@@ -71,7 +68,6 @@ OPERATOR_TAGS = ("ii", "iii", "iv", "short", "long", "identity")
 DRIFT_TOL = 0.10
 TAIL_TOL = 1e-2
 FLAT_TAIL = 0.5
-TOP = 40  # leading singular values kept per level
 LADDER_Z = 1j  # spectral parameter of the short-range surrogate in a ladder
 C1_STEPS = (1e-2, 1e-3, 1e-4, 1e-5)  # the times t of the difference quotients of `c1_probe`
 
@@ -143,23 +139,6 @@ def assumption_operator(
                     term(uh, fh, opset.conjugate_core, np.ones(n), -1.0))
 
 
-def singular_values(left: np.ndarray, core: np.ndarray, right: np.ndarray,
-                    top: int = TOP) -> np.ndarray:
-    """Leading singular values of left @ core @ right^dagger, zero-padded to
-    min(top, rows, cols) values: a tall factor F = Q R (orthonormal Q) is
-    replaced by R, and one SVD of the small core that is left gives them.
-    When right is left, its R is taken once."""
-    count = min(top, left.shape[0], right.shape[0])
-
-    def r_factor(f):
-        return np.linalg.qr(f, mode="r") if f.shape[0] > f.shape[1] else f
-
-    rl = r_factor(left)
-    rr = rl if right is left else r_factor(right)
-    sv = np.linalg.svd(rl @ core @ rr.conj().T, compute_uv=False)[:count]
-    return np.pad(sv, (0, count - sv.size))
-
-
 def compactness_report(svs: Sequence[np.ndarray],
                        levels: Sequence[tuple[float, int]]) -> CompactnessReport:
     """Classify an operator family as compact-consistent / non-compact from
@@ -168,13 +147,17 @@ def compactness_report(svs: Sequence[np.ndarray],
     compact-consistent: sigma_1..10 drift < DRIFT_TOL across levels and
     sigma_20/sigma_1 < TAIL_TOL at the finest level; non-compact:
     sigma_20/sigma_1 > FLAT_TAIL at every level; otherwise inconclusive.
+    A level with fewer than 20 values has no sigma_20 and is a ValueError.
     """
     if len(levels) < 2:
         raise ValueError("need at least two refinement levels")
     if len(svs) != len(levels):
         raise ValueError(f"{len(svs)} spectra for {len(levels)} levels")
-    tails = [float(sv[19] / (sv[0] if sv[0] > 0 else 1.0)) if sv.size > 19 else 0.0
-             for sv in svs]
+    for sv, (L, n) in zip(svs, levels):
+        if sv.size < 20:
+            raise ValueError(f"level (L={L}, n={n}) has {sv.size} singular values; "
+                             f"the tail ratio needs sigma_20")
+    tails = [float(sv[19] / (sv[0] if sv[0] > 0 else 1.0)) for sv in svs]
 
     head = np.array([sv[:10] for sv in svs])
     ref = head[-1]
@@ -248,8 +231,8 @@ def long_range_operator(opset: OperatorSet) -> ThinProduct:
         raise ValueError("long-range difference needs a differentiable potential")
     jm = Band(opset.cutoffs.j_minus[None, :])
     jp = Band(opset.cutoffs.j_plus[None, :])
-    cm, cp = opset.commutator_iH0A0_channel
-    mid = Band((jm @ cm @ jm).entries + (jp @ cp @ jp).entries
+    c0 = opset.commutator_iH0A0
+    mid = Band((jm @ c0 @ jm).entries + (jp @ c0 @ jp).entries
                - build_commutator_longrange(opset).entries)
     diag, rows = np.nonzero(mid.entries)
     # S: every row and column of a nonzero (a mask, as np.union1d would import numpy.ma)

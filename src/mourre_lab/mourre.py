@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
-from .hypotheses import singular_values
 from .operators import Band, OperatorSet
 from .spectral import (
     EnergyWindow,
@@ -53,6 +52,8 @@ from .spectral import (
     opnorm,
     plateau,
     sandwich,
+    singular_values,
+    support_mask,
     thin_sum,
 )
 
@@ -195,24 +196,15 @@ def _estimate_rho_batch(
     comm: Band,
     etas,
 ) -> list:
-    """The `RhoEstimate` of `estimate_rho_eta` for every eta at once, each
-    with the modes at its corrected value.
-
-    comm and the region Gram matrices are compressed once per window of
-    columns, and each eta takes its k x k blocks from there.  The bisections
-    of all eta with support size k run in lockstep, with one stacked `eigh`
-    (or `eigvalsh`) per step.
-    """
-    if not etas:
-        return []
-    weights, keeps = [], []
-    for eta in etas:
-        w = eta(dec.eigenvalues)
-        wmax = np.abs(w).max()
-        if wmax == 0:
-            raise ValueError("eta(H) is numerically zero on the computed spectrum")
-        keeps.append(np.abs(w) > 1e-12 * wmax)
-        weights.append(w[keeps[-1]])
+    """The `RhoEstimate` of `estimate_rho_eta` for every eta at once (see the
+    module docstring), each with the modes at its corrected value, and None
+    for an eta whose `support_mask` on dec holds no column."""
+    values = [eta(dec.eigenvalues) for eta in etas]
+    supports = [np.flatnonzero(support_mask(w)) for w in values]
+    live = [j for j, s in enumerate(supports) if s.size]
+    out = [None] * len(etas)
+    if not live:
+        return out
     # Each window of columns is compressed once.  Taken by first column, a
     # support opens a window when it starts at least `span` (the widest
     # support) after the first column of the open window, and otherwise
@@ -220,24 +212,22 @@ def _estimate_rho_batch(
     # 2 * span.  (A product over all columns would raise the peak memory of
     # a scan well above that of its eigensolver.)  Disjoint supports, and a
     # single one, get exactly their own columns.
-    supports = [np.flatnonzero(keep) for keep in keeps]
-    span = max(s[-1] - s[0] + 1 for s in supports)
-    starts, ends, opened = [0] * len(etas), {}, -span
-    for j in sorted(range(len(etas)), key=lambda i: supports[i][0]):
+    span = max(supports[j][-1] - supports[j][0] + 1 for j in live)
+    starts, ends, opened = {}, {}, -span
+    for j in sorted(live, key=lambda i: supports[i][0]):
         s = supports[j]
         if s[0] >= opened + span:
             opened = s[0]
         starts[j], ends[opened] = opened, max(ends.get(opened, 0), s[-1] + 1)
     windows = {lo: _compress(dec.eigenvectors[:, lo:hi], comm, opset.grid)
                for lo, hi in ends.items()}
-    blocks = [np.ix_(s - lo, s - lo) for s, lo in zip(supports, starts)]
+    blocks = {j: np.ix_(supports[j] - starts[j], supports[j] - starts[j]) for j in live}
 
-    out = [None] * len(etas)
-    for k in {s.size for s in supports}:
-        group = [j for j, s in enumerate(supports) if s.size == k]
+    for k in {supports[j].size for j in live}:
+        group = [j for j in live if supports[j].size == k]
         csub = np.stack([windows[starts[j]][0][blocks[j]] for j in group])
         gsub = np.stack([windows[starts[j]][1][(slice(None),) + blocks[j]] for j in group])
-        ek = np.stack([weights[j] for j in group])
+        ek = np.stack([values[j][supports[j]] for j in group])
         m = ek[:, :, None] * csub * ek[:, None, :]
         nmat = ek[:, :, None] ** 2 * np.eye(k)
         slack = PSD_RTOL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
@@ -256,19 +246,23 @@ def _estimate_rho_batch(
 
         scale = np.abs(csub).max(axis=(1, 2))
         scale[scale == 0] = 1.0
+        floor = -scale - 1.0
         corrected = _bisect_sup(lambda a, act: unflagged(a, act)[0] >= -slack[act],
-                                -scale - 1.0, scale + 1.0, BISECT_TOL)
+                                floor, scale + 1.0, BISECT_TOL)
         raw = np.minimum(_bisect_sup(lambda a, act: all_modes(a, act) >= -slack[act],
-                                     -scale - 1.0, scale + 1.0, BISECT_TOL), corrected)
+                                     floor, scale + 1.0, BISECT_TOL), corrected)
 
         _, eig, inner, bdry, flags = unflagged(corrected, np.arange(len(group)))
         spectra = np.linalg.eigvalsh(csub)
         for row, j in enumerate(group):
+            # a raw value that never left the floor -(max |C_ij| + 1) bounds
+            # nothing: the smallest eigenvalue of C can lie far below it
             out[j] = RhoEstimate(
                 lam=etas[j].center, eps=etas[j].width, raw_min=float(raw[row]),
                 corrected=float(corrected[row]), n_discarded=int(flags[row].sum()),
                 compression_spectrum=spectra[row],
                 modes=(eig[row], inner[row], bdry[row], flags[row]),
+                note="raw_min is its bracket floor" if raw[row] == floor[row] else "",
             )
     return out
 
@@ -288,9 +282,13 @@ def estimate_rho_eta(
     the discard rule (THETA, INTERACTION_RADIUS, BOUNDARY_FRACTION), with an absolute slack PSD_RTOL * max(1, ||M||)
     absorbing modes whose eta-weight is negligible.  This is the lockstep
     estimator of `rho_scan` and `transfer_verify` run on one eta, so the
-    compression covers exactly the support of eta.
+    compression covers exactly the `support_mask` of eta; an eta with no
+    column there is a ValueError.
     """
-    return _estimate_rho_batch(opset, dec, comm, [eta])[0]
+    est = _estimate_rho_batch(opset, dec, comm, [eta])[0]
+    if est is None:
+        raise ValueError("eta(H) is numerically zero on the computed spectrum")
+    return est
 
 
 def virial_defects(opset: OperatorSet, dec: SpectralDecomposition, indices) -> np.ndarray:
@@ -308,8 +306,8 @@ def virial_defects(opset: OperatorSet, dec: SpectralDecomposition, indices) -> n
 def _windowed_estimates(opset: OperatorSet, lambdas: list, eps: float):
     """(dec, etas, estimates) for the samples lambdas: the eigenpairs of H
     where some eta = bump(lambda, eps) is nonzero, those eta, and the
-    `RhoEstimate` of each, None for an eta that meets no computed eigenvalue.
-    Every other eta goes to one lockstep estimate (see the module docstring).
+    `RhoEstimate` of each from one lockstep estimate (see the module
+    docstring), None for an eta that meets no computed eigenvalue.
 
     The supports (lambda - eps, lambda + eps), sorted, merge where they
     overlap or touch into disjoint runs (lo, hi), and each run gets one MRRR
@@ -330,10 +328,7 @@ def _windowed_estimates(opset: OperatorSet, lambdas: list, eps: float):
         np.concatenate([d.eigenvalues for d in decs]),
         np.concatenate([d.eigenvectors.T for d in decs]).T)
     etas = [bump(lam, eps) for lam in lambdas]
-    seen = [bool(np.any(np.abs(eta(dec.eigenvalues)) > 0)) for eta in etas]
-    ests = iter(_estimate_rho_batch(opset, dec, opset.commutator_iHA,
-                                    [e for e, s in zip(etas, seen) if s]))
-    return dec, etas, [next(ests) if s else None for s in seen]
+    return dec, etas, _estimate_rho_batch(opset, dec, opset.commutator_iHA, etas)
 
 
 def _margin(est: RhoEstimate, rho0: float) -> float:
@@ -354,11 +349,10 @@ def transfer_verify(
     estimate for (H, A) is compared against the closed-form channel value,
     and the interior-weighted residual of
     eta(H) i[H,A] eta(H) - J eta(H0) i[H0,A0] eta(H0) J* is recorded as a
-    compactness candidate.  Only the eigenpairs of H around the retained
-    samples are computed, where some eta is nonzero (one MRRR call per
-    disjoint run of the eta supports), and a sample whose eta meets none
-    of them is a ValueError.  Each eta(.) M eta(.) is formed on the
-    support of eta only; the channel eigenpairs there come in closed form.  The residual
+    compactness candidate.  The eigenpairs of H and the estimates come from
+    `_windowed_estimates`, and a sample whose eta meets none of those pairs
+    is a ValueError.  Each eta(.) M eta(.) is formed on the support of eta
+    only; the channel eigenpairs there come in closed form.  The residual
     chi (lhs - rhs) chi, with chi = plateau(-L/2, L/2, L/4) on the nodes (1 on
     |x| <= L/2, 0 beyond 3L/4), is F C F^T with F = [chi U_H, chi J- U-, chi J+ U+]
     and C block diagonal; its norm is the largest singular value of those
@@ -372,7 +366,7 @@ def transfer_verify(
         (excluded if near else samples).append(float(lam))
     dec_H, etas, ests = _windowed_estimates(opset, samples, eps)
     chi = plateau(-0.5 * grid.L, 0.5 * grid.L, 0.25 * grid.L)(grid.nodes)
-    cm, cp = opset.commutator_iH0A0_channel
+    c0 = opset.commutator_iH0A0
     weights = (chi, chi * opset.cutoffs.j_minus, chi * opset.cutoffs.j_plus)
 
     rho0s, rhos, margins, residuals = [], [], [], []
@@ -388,7 +382,7 @@ def transfer_verify(
         dec_m = dirichlet_decomposition(grid.n, grid.dx, pot.v_minus, eta)
         dec_p = dirichlet_decomposition(grid.n, grid.dx, pot.v_plus, eta)
         terms = (sandwich(dec_H, eta, opset.commutator_iHA),
-                 sandwich(dec_m, eta, cm), sandwich(dec_p, eta, cp))
+                 sandwich(dec_m, eta, c0), sandwich(dec_p, eta, c0))
         # each term has right is left, so one weighted factor serves as both
         diff = thin_sum(*(ThinProduct(f := w[:, None] * t.left, sign * t.core, f)
                           for w, t, sign in zip(weights, terms, (1.0, -1.0, -1.0))))
@@ -403,14 +397,9 @@ def transfer_verify(
 
 
 def rho_scan(opset: OperatorSet, lambdas, eps: float):
-    """Rows (lambda, rho0_analytic, rho_raw, rho_corrected, n_discarded, margin).
-
-    Only the eigenpairs of H where some sample's eta is nonzero are
-    computed, one MRRR call per disjoint run of the eta supports (a grid
-    with step < 2 eps is one run), and every sample whose eta meets them
-    goes to one lockstep estimate (see the module docstring): every column
-    window is compressed once, and all samples are bisected together.  A
-    sample whose eta meets none gets the row (lambda, rho0, inf, inf, 0, nan).
+    """Rows (lambda, rho0_analytic, rho_raw, rho_corrected, n_discarded, margin)
+    from `_windowed_estimates`; a sample whose eta meets no computed eigenvalue
+    gets the row (lambda, rho0, inf, inf, 0, nan).
     """
     pot = opset.potential
     lambdas = [float(lam) for lam in lambdas]

@@ -11,9 +11,11 @@ Every operator is banded and stored by its diagonals (`Band`): H and
 -Delta are real symmetric tridiagonal; D and A = jDj are i*K with K a
 real antisymmetric tridiagonal core, and only the core is kept;
 commutators i[S, iK] = KS - SK of the two families are real symmetric
-pentadiagonal, formed by a band product in O(n).  J and J* are
-multiplications by the cutoffs.  Symmetry is built into the stored
-diagonals, so no operator needs a hermiticity check.
+pentadiagonal, formed by a band product in O(n).  A constant shift v_pm
+commutes with D, so i[H0, A0] = i[-Delta, D] (+) i[-Delta, D] is one band
+for both channels.  J and J* are multiplications by the cutoffs.
+Symmetry is built into the stored diagonals, so no operator needs a
+hermiticity check.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ class OperatorSet:
     dilation_core: Band                  # real antisymmetric K with D = iK
     conjugate_core: Band                 # real antisymmetric K' with A = jDj = iK'
     commutator_iHA: Band                 # i[H, A], real symmetric, pentadiagonal
-    commutator_iH0A0_channel: tuple[Band, Band]   # i[-Delta + v_pm, D]
+    commutator_iH0A0: Band               # i[-Delta, D] = i[-Delta + v_pm, D], each channel
 
     @property
     def n(self) -> int:
@@ -184,7 +186,6 @@ def build_pair(grid: Grid, pot: PotentialField, cut: CutoffPair) -> OperatorSet:
     dcore = dilation_core(grid)
     upper = cut.j[:-1] * dcore.entries[2, :-1] * cut.j[1:]
     acore = _tridiagonal(-upper, 0.0, upper)
-    c0 = tuple(_commutator(dcore, _plus_diagonal(neglap, v)) for v in (pot.v_minus, pot.v_plus))
     return OperatorSet(
         grid=grid,
         cutoffs=cut,
@@ -194,7 +195,7 @@ def build_pair(grid: Grid, pot: PotentialField, cut: CutoffPair) -> OperatorSet:
         dilation_core=dcore,
         conjugate_core=acore,
         commutator_iHA=_commutator(acore, H),
-        commutator_iH0A0_channel=c0,
+        commutator_iH0A0=_commutator(dcore, neglap),
     )
 
 

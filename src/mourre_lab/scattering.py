@@ -187,7 +187,8 @@ def wave_operator_probe(
     `times` are magnitudes; the sign is set by `direction` ('+' probes
     t -> +infinity).  The image is the approximant at the admissible time
     with the smallest Cauchy defect.  One free-evolution block serves both
-    the approximants and the defects.
+    the approximants and the defects: e^{itH} is unitary, so the defect
+    ||e^{-itH} image - J e^{-itH0} phi|| is read as ||image - approximant_t||.
     """
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
@@ -215,11 +216,9 @@ def wave_operator_probe(
         )
     best_idx = int(np.argmin(np.where(pairs, cauchy, np.inf)))
     image = approximants[:, best_idx + 1]
-    del approximants
     p0 = _p0_norm(opset, packet)
     iso = _l2(grid, image) / p0 if p0 > 0 else math.inf
-
-    defects = _l2(grid, propagate(dec_H, image, ts) - glued)
+    defects = _l2(grid, image[:, None] - approximants)
 
     return WaveProbeReport(
         direction=direction, times=list(times), defects=defects.tolist(),
@@ -287,17 +286,23 @@ def completeness_probe(
     )
 
 
+def _coefficients(lam: float, refl: float, trans: float) -> ScatteringCoefficients:
+    """R and T at energy lam with their flux defect |R + T - 1|, never clamped."""
+    return ScatteringCoefficients(lam, refl, trans, abs(refl + trans - 1.0))
+
+
+def _step_rt(k, kp):
+    """Plane-wave matching at a sharp step, incoming momentum k and outgoing k':
+    (R, T) = (((k-k')/(k+k'))^2, 4 k k' / (k+k')^2), for numbers or arrays."""
+    return ((k - kp) / (k + kp)) ** 2, 4 * k * kp / (k + kp) ** 2
+
+
 def sharp_step_oracle(lam: float, v_minus: float, v_plus: float) -> ScatteringCoefficients:
-    """Plane-wave matching for the sharp step: R = ((k-k')/(k+k'))^2."""
+    """Plane-wave matching (`_step_rt`) for the sharp step at energy lam."""
     if lam <= max(v_minus, v_plus):
         raise ValueError("closed channel: need lam > max(v_minus, v_plus)")
-    k = math.sqrt(lam - v_minus)
-    kp = math.sqrt(lam - v_plus)
-    refl = ((k - kp) / (k + kp)) ** 2
-    trans = 4 * k * kp / (k + kp) ** 2
-    return ScatteringCoefficients(
-        energy=lam, reflection=refl, transmission=trans, flux_defect=abs(refl + trans - 1.0)
-    )
+    refl, trans = _step_rt(math.sqrt(lam - v_minus), math.sqrt(lam - v_plus))
+    return _coefficients(lam, refl, trans)
 
 
 def gaussian_averaged_oracle(
@@ -317,16 +322,11 @@ def gaussian_averaged_oracle(
     open_ch = energies > max(v_minus, v_plus)
     refl = np.ones_like(ks)
     trans = np.zeros_like(ks)
-    kk = ks[open_ch]
-    kkp = np.sqrt(energies[open_ch] - v_plus)
-    refl[open_ch] = ((kk - kkp) / (kk + kkp)) ** 2
-    trans[open_ch] = 4 * kk * kkp / (kk + kkp) ** 2
+    refl[open_ch], trans[open_ch] = _step_rt(ks[open_ch], np.sqrt(energies[open_ch] - v_plus))
     z = np.trapezoid(weight, ks)
     rbar = float(np.trapezoid(weight * refl, ks) / z)
     tbar = float(np.trapezoid(weight * trans, ks) / z)
-    return ScatteringCoefficients(
-        energy=lam, reflection=rbar, transmission=tbar, flux_defect=abs(rbar + tbar - 1.0)
-    )
+    return _coefficients(lam, rbar, tbar)
 
 
 def scattering_coefficients(
@@ -387,7 +387,4 @@ def scattering_coefficients(
         )
     refl = float(dens[left, best].sum())
     trans = float(dens[right, best].sum())
-    return ScatteringCoefficients(
-        energy=lam, reflection=refl, transmission=trans,
-        flux_defect=abs(refl + trans - 1.0),
-    )
+    return _coefficients(lam, refl, trans)

@@ -10,10 +10,11 @@ need no solver, because the Dirichlet Laplacian has a closed-form sine
 (DST-I) eigenbasis, built only where a function such as eta is nonzero;
 `dst1` applies that basis by FFT, so a channel function f(-Delta + v)
 acts as dst1(f(w + v) dst1(x)) with no n x n array.  A function f(H)
-costs what its support costs: only eigenvectors where f is nonzero enter
-U f(Lambda) U*, so a compactly supported eta gives a low-rank product.  A
-finite-rank operator is a `ThinProduct`, factors (left, core, right) for
-left @ core @ right^dagger, never its matrix (`sandwich`, `thin_sum`).
+costs what its support costs: only eigenvectors in the `support_mask` of
+f enter U f(Lambda) U*, so a compactly supported eta gives a low-rank
+product.  A finite-rank operator is a `ThinProduct`, factors (left, core,
+right) for left @ core @ right^dagger, never its matrix (`sandwich`,
+`thin_sum`, `singular_values`).
 A resolvent needs no eigenpairs at all: `resolvent` gives (T - z)^{-1} X
 for a tridiagonal T (H or a channel) and a vector or a thin block X by
 LAPACK `zgtsv`, in O(n k).  `propagate` moves a state, or one state per
@@ -50,9 +51,11 @@ __all__ = [
     "dirichlet_decomposition",
     "dst1",
     "support",
+    "support_mask",
     "sandwich",
     "ThinProduct",
     "thin_sum",
+    "singular_values",
     "resolvent",
     "propagate",
     "scattering_projector",
@@ -62,6 +65,8 @@ __all__ = [
 ]
 
 AC_DELTA = 0.01  # offset of the scattering-surrogate projector above threshold
+SUPPORT_RTOL = 1e-12  # f(H) keeps the eigenpairs where |f| > SUPPORT_RTOL * max |f|
+TOP = 40  # leading singular values `singular_values` returns by default
 # Power iteration of `opnorm`: at most OPNORM_ITERS steps from a start drawn with OPNORM_SEED.
 OPNORM_ITERS = 200
 OPNORM_SEED = 7
@@ -242,12 +247,12 @@ def dirichlet_decomposition(
     Eigenvalues `dirichlet_eigenvalues` + shift, ascending in k = 1..n;
     eigenvectors sqrt(2/(n+1)) sin(j k pi / (n+1)), the DST-I basis.  With
     `where` (a function such as eta or `EnergyWindow.contains`) only the
-    eigenpairs with where(w) != 0 are built.
+    eigenpairs in the `support_mask` of where(w) are built.
     """
     k = np.arange(1, n + 1)
     w = dirichlet_eigenvalues(n, dx) + shift
     if where is not None:
-        keep = np.asarray(where(w)) != 0
+        keep = support_mask(np.asarray(where(w)))
         k, w = k[keep], w[keep]
     # j*k reduced modulo the period 2(n+1) in integers keeps the sine argument in [0, 2 pi)
     u = (np.outer(np.arange(1, n + 1), k) % (2 * (n + 1))) * (np.pi / (n + 1))
@@ -256,20 +261,22 @@ def dirichlet_decomposition(
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
-def support(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]):
-    """(U_S, f_S): the eigenvectors where f is nonzero and the values of f there,
-    so that f(H) = U_S diag(f_S) U_S^dagger.
+def support_mask(fw: np.ndarray) -> np.ndarray:
+    """Where |fw| > SUPPORT_RTOL * max |fw|, the eigenpairs a function with the values
+    fw keeps: dropping the others changes U f(Lambda) U* only by rounding."""
+    return np.abs(fw) > SUPPORT_RTOL * np.abs(fw).max(initial=0.0)
 
-    The test is exact (f == 0), so dropping those columns changes U f(Lambda) U*
-    only by rounding; U is sliced only when the support is a proper subset.
-    """
+
+def support(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]):
+    """(U_S, f_S), the eigenvectors in the `support_mask` of f and the values of f
+    there: f(H) = U_S diag(f_S) U_S^dagger.  U is sliced only for a proper subset."""
     fw = np.asarray(f(dec.eigenvalues))
     if not np.all(np.isfinite(fw)):
         raise ValueError("function is singular or undefined at an eigenvalue")
     u = dec.eigenvectors
-    nonzero = fw != 0
-    if not nonzero.all():
-        u, fw = u[:, nonzero], fw[nonzero]
+    keep = support_mask(fw)
+    if not keep.all():
+        u, fw = u[:, keep], fw[keep]
     return u, fw
 
 
@@ -278,12 +285,29 @@ class ThinProduct:
     """A finite-rank operator kept as its factors: left @ core @ right^dagger.
 
     left is m x r, core r x s and right k x s, so the operator is m x k and
-    its rank is at most min(r, s); `hypotheses.singular_values` reads it.
+    its rank is at most min(r, s); `singular_values` reads it.
     """
 
     left: np.ndarray
     core: np.ndarray
     right: np.ndarray
+
+
+def singular_values(left: np.ndarray, core: np.ndarray, right: np.ndarray,
+                    top: int = TOP) -> np.ndarray:
+    """Leading singular values of left @ core @ right^dagger, zero-padded to
+    min(top, rows, cols) values: a tall factor F = Q R (orthonormal Q) is
+    replaced by R, and one SVD of the small core that is left gives them.
+    When right is left, its R is taken once."""
+    count = min(top, left.shape[0], right.shape[0])
+
+    def r_factor(f):
+        return np.linalg.qr(f, mode="r") if f.shape[0] > f.shape[1] else f
+
+    rl = r_factor(left)
+    rr = rl if right is left else r_factor(right)
+    sv = np.linalg.svd(rl @ core @ rr.conj().T, compute_uv=False)[:count]
+    return np.pad(sv, (0, count - sv.size))
 
 
 def thin_sum(*terms: ThinProduct) -> ThinProduct:

@@ -86,7 +86,7 @@ def test_criterion_1_analytic_rho():
 def test_criterion_2_free_pair_raw_window(free_1601):
     t0 = time.time()
     ops, dec_m = free_1601
-    est = estimate_rho_window(ops, dec_m, ops.commutator_iH0A0_channel[0], EnergyWindow(1.0, 0.1))
+    est = estimate_rho_window(ops, dec_m, ops.commutator_iH0A0, EnergyWindow(1.0, 0.1))
     lo, hi = 1.8 * 0.95, 2.2
     ok = lo <= est.raw_min <= hi
     report(2, ok,

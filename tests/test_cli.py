@@ -394,6 +394,22 @@ class TestMain:
         assert "params.operators" in err and "'iii'" in err and "identity" not in err
         assert not (tmp_path / "hypotheses_sv.csv").exists()
 
+    def test_levels_without_sigma_20_are_exit_2(self, tmp_path, capsys):
+        # at n = 17 the identity control has 17 singular values, no sigma_20
+        path = write_config(tmp_path, "c.json", dict(SMALL, experiment="hypotheses", params={
+            "levels": [[40.0, 17], [40.0, 19]]}))
+        assert main(["hypotheses", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "n=17" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, key", [("hypotheses", "operators"),
+                                                 ("transfer", "lambdas")])
+    def test_run_that_checks_nothing_is_exit_2(self, tmp_path, capsys, experiment, key):
+        path = write_config(tmp_path, "c.json", dict(SMALL, experiment=experiment,
+                                                     params={key: []}))
+        assert main([experiment, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"params.{key}" in capsys.readouterr().err
+        assert not (tmp_path / f"{experiment}.json").exists()
+
     def test_memory_error_is_exit_2(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg, params):
             raise MemoryError()

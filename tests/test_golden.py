@@ -11,6 +11,12 @@ keep their frozen values):
 
     PYTHONPATH=src python3 tests/test_golden.py [NAME ...]
 
+To compare two commits byte for byte, write the reports of the named
+configs (all when none is named) under DIR/NAME on each, with a relative
+`out_dir`, and `diff -r` the two directories:
+
+    PYTHONPATH=src python3 tests/test_golden.py --write-reports DIR [NAME ...]
+
 Each tolerance is the resolution of the estimator that produced the
 value, never an observed drift:
 
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -211,11 +218,37 @@ def test_matches_golden(name, tmp_path):
     assert compare(name, run_summary(name, tmp_path), golden[name]) == []
 
 
+def write_reports(root: Path, names) -> None:
+    """Write the JSON and CSV reports of each named config under root/NAME;
+    out_dir is relative, so the embedded config reads the same on any checkout."""
+    root.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        experiment, config = CONFIGS[name]
+        out = root / name
+        out.mkdir(exist_ok=True)
+        cwd = Path.cwd()
+        try:
+            os.chdir(out)
+            run(ExperimentConfig(experiment=experiment, out_dir=".", **config))
+        finally:
+            os.chdir(cwd)
+        print(f"{name}: written", file=sys.stderr)
+
+
 if __name__ == "__main__":
-    names = sys.argv[1:] or sorted(CONFIGS)
+    args = sys.argv[1:]
+    reports = None
+    if args[:1] == ["--write-reports"]:
+        if len(args) < 2:
+            sys.exit("--write-reports needs a directory")
+        reports, args = Path(args[1]).resolve(), args[2:]
+    names = args or sorted(CONFIGS)
     unknown = sorted(set(names) - set(CONFIGS))
     if unknown:
         sys.exit(f"unknown golden entries {unknown}; expected some of {sorted(CONFIGS)}")
+    if reports is not None:
+        write_reports(reports, names)
+        sys.exit(0)
     frozen = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:

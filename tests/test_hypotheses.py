@@ -20,7 +20,6 @@ from mourre_lab.hypotheses import (
     compactness_report,
     long_range_operator,
     short_range_operator,
-    singular_values,
 )
 from mourre_lab.operators import Band, build_commutator_longrange, build_pair
 from mourre_lab.spectral import (
@@ -33,6 +32,8 @@ from mourre_lab.spectral import (
     eigendecompose,
     plateau,
     resolvent,
+    singular_values,
+    support_mask,
 )
 
 F64_EPS = np.finfo(float).eps
@@ -99,7 +100,7 @@ def dense_reference(opset, dec_H, tag, eta):
         return out
     bjm = Band(jm[None, :])
     bjp = Band(jp[None, :])
-    cm, cp = opset.commutator_iH0A0_channel
+    cm = cp = opset.commutator_iH0A0
     mid = Band((bjm @ cm @ bjm).entries + (bjp @ cp @ bjp).entries
                - build_commutator_longrange(opset).entries)
     r = dense_resolvent(dec_H, 1j)
@@ -124,11 +125,11 @@ class TestClosedFormChannels:
 
     @pytest.mark.parametrize("center", [0.5, 1.5])
     def test_where_builds_the_full_basis_columns(self, small_ops, center):
-        # exactly the columns of the full basis where eta != 0, bit for bit
+        # exactly the columns of the full basis in the support_mask of eta, bit for bit
         g, pot, eta = small_ops.grid, small_ops.potential, bump(center, 0.4)
         for shift, full in zip((pot.v_minus, pot.v_plus), channel_bases(small_ops)):
             part = dirichlet_decomposition(g.n, g.dx, shift, where=eta)
-            keep = eta(full.eigenvalues) != 0
+            keep = support_mask(eta(full.eigenvalues))
             assert np.array_equal(part.eigenvalues, full.eigenvalues[keep])
             assert np.array_equal(part.eigenvectors, full.eigenvectors[:, keep])
 
@@ -303,6 +304,11 @@ class TestCompactnessReport:
     def test_needs_two_levels(self):
         with pytest.raises(ValueError):
             compactness_report([np.ones(40)], LEVELS[:1])
+
+    def test_level_without_sigma_20_named(self):
+        # a missing sigma_20 is no tail ratio of 0
+        with pytest.raises(ValueError, match=r"level \(L=20.0, n=201\) has 19 singular values"):
+            compactness_report([np.ones(40), np.ones(19)], LEVELS)
 
 
 class TestCompactnessLadder:

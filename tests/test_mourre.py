@@ -27,7 +27,15 @@ from mourre_lab.mourre import (
 from conftest import discard_log, gaussian
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import Band, build_pair
-from mourre_lab.spectral import EnergyWindow, bump, eigendecompose, opnorm, plateau
+from mourre_lab.spectral import (
+    EnergyWindow,
+    SmoothingFunction,
+    bump,
+    eigendecompose,
+    opnorm,
+    plateau,
+    support,
+)
 
 BISECT_TOL = 1e-3  # the bisection resolution of estimate_rho_eta, relative to max(1, |rho|)
 F64_EPS = np.finfo(float).eps
@@ -249,6 +257,42 @@ class TestEtaEstimate:
         with pytest.raises(ValueError):
             estimate_rho_eta(small_ops, dec_H, small_ops.commutator_iHA, bump(-50.0, 0.1))
 
+    def test_estimator_and_support_share_one_rule(self, small_ops):
+        # a weight 0 < eta <= 1e-12 max eta leaves the column out of both
+        dec = eigendecompose(small_ops.H, EnergyWindow(0.5, 0.3))
+        w = dec.eigenvalues
+        assert w.size >= 3
+
+        def f(x):
+            out = np.ones_like(x)
+            out[x == w[1]] = 0.5e-12
+            return out
+
+        eta = SmoothingFunction(0.5, 0.3, f)
+        u, fw = support(dec, eta)
+        assert u.shape[1] == w.size - 1 and np.all(fw == 1.0)
+        est = estimate_rho_eta(small_ops, dec, small_ops.commutator_iHA, eta)
+        assert est.compression_spectrum.size == w.size - 1
+
+    def test_raw_at_its_bracket_floor_is_noted(self):
+        # at (80, 401) the raw bisection at lambda = 0.14 never leaves its floor
+        # -(max |C_ij| + 1), while lambda_min(C) lies below it
+        g = make_grid(80.0, 401)
+        ops = build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))
+        eta = bump(0.14, 0.1)
+        dec = eigendecompose(ops.H, EnergyWindow(0.14, 0.1))
+        est = estimate_rho_eta(ops, dec, ops.commutator_iHA, eta)
+        u, _ = support(dec, eta)
+        c = u.T @ (ops.commutator_iHA @ u)
+        floor = -(np.abs(0.5 * (c + c.T)).max() + 1.0)
+        assert est.raw_min == pytest.approx(floor, rel=1e-12)
+        assert np.linalg.eigvalsh(0.5 * (c + c.T))[0] < floor
+        assert "floor" in est.note
+
+    def test_raw_above_its_floor_has_no_note(self, small_ops, dec_H):
+        est = estimate_rho_eta(small_ops, dec_H, small_ops.commutator_iHA, bump(0.5, 0.1))
+        assert est.note == ""
+
     def test_free_channel_positive_after_discards(self):
         # free pair: i[-Delta, D] compressed near lambda=1 carries the
         # positive ladder ~ 2*(lambda - eps) once localized modes are
@@ -260,7 +304,7 @@ class TestEtaEstimate:
         g = make_grid(80.0, 801)
         ops = build_pair(g, make_steplike(g, 0.0, 0.0), make_cutoffs(g))
         dec_m = dirichlet_decomposition(g.n, g.dx, 0.0)
-        est = estimate_rho_eta(ops, dec_m, ops.commutator_iH0A0_channel[0], bump(1.0, 0.3))
+        est = estimate_rho_eta(ops, dec_m, ops.commutator_iH0A0, bump(1.0, 0.3))
         assert est.corrected > 1.0
         assert est.raw_min < 0  # the finite-box virial keeps the raw value down
 
@@ -333,7 +377,7 @@ class TestTransfer:
 
         L = small_ops.grid.L
         chi = plateau(-0.5 * L, 0.5 * L, 0.25 * L)(small_ops.grid.nodes)
-        cm, cp = small_ops.commutator_iH0A0_channel
+        cm = cp = small_ops.commutator_iH0A0
         jm, jp = small_ops.cutoffs.j_minus, small_ops.cutoffs.j_plus
         for k, lam in enumerate(lambdas):
             eta = bump(lam, eps)

@@ -69,7 +69,7 @@ class TestBand:
         n = small_ops.n
         ops = [small_ops.H, small_ops.neglap, small_ops.dilation_core,
                small_ops.conjugate_core, small_ops.commutator_iHA,
-               *small_ops.commutator_iH0A0_channel]
+               small_ops.commutator_iH0A0]
         for op in ops:
             assert isinstance(op, Band)
             assert op.b <= 2
@@ -77,7 +77,7 @@ class TestBand:
 
     def test_symmetric_operators_exactly_symmetric(self, small_ops):
         for op in (small_ops.H, small_ops.neglap, small_ops.commutator_iHA,
-                   *small_ops.commutator_iH0A0_channel):
+                   small_ops.commutator_iH0A0):
             m = op.dense()
             assert np.array_equal(m, m.T)
 
@@ -132,16 +132,32 @@ class TestCommutators:
         assert np.allclose(small_ops.commutator_iHA.dense(), direct, atol=1e-11)
 
     def test_channel_commutators_match_direct(self, small_ops):
-        for side, c in zip("-+", small_ops.commutator_iH0A0_channel):
-            h = small_ops.channel_hamiltonian(side).dense().astype(complex)
-            d = 1j * small_ops.dilation_core.dense()
-            direct = 1j * (h @ d - d @ h)
+        # one band serves both channels: it is i[-Delta + v_pm, D] bit for bit
+        c, k = small_ops.commutator_iH0A0, small_ops.dilation_core
+        for side in "-+":
+            h = small_ops.channel_hamiltonian(side)
+            assert np.array_equal(c.entries, (k @ h).entries - (h @ k).entries)
+            d = 1j * k.dense()
+            direct = 1j * (h.dense() @ d - d @ h.dense())
             assert np.allclose(c.dense(), direct, atol=1e-11)
+
+    @pytest.mark.parametrize("L, n, v_minus, v_plus", [
+        (40.0, 601, 0.0, 1.0), (160.0, 1601, 0.0, 1.0), (40.0, 801, 0.3, -1.7),
+        (17.7, 101, 2.5, 0.1), (640.0, 12801, -3.3, 7.9)])
+    def test_channel_commutator_independent_of_shift(self, L, n, v_minus, v_plus):
+        # a constant shift commutes with D, and the band product cancels it exactly
+        g = make_grid(L, n)
+        ops = build_pair(g, make_steplike(g, v_minus, v_plus), make_cutoffs(g))
+        k = ops.dilation_core
+        for side in "-+":
+            h = ops.channel_hamiltonian(side)
+            assert np.array_equal(ops.commutator_iH0A0.entries,
+                                  (k @ h).entries - (h @ k).entries)
 
     def test_free_channel_commutator_is_twice_laplacian(self, free_ops):
         # i[-Delta, D] = 2(-Delta) holds for the continuum operators; the
         # discrete stencils agree to O(dx^2) on smooth interior states
-        cm, _ = free_ops.commutator_iH0A0_channel
+        cm = free_ops.commutator_iH0A0
         g = free_ops.grid
         psi = np.exp(1j * 0.8 * g.nodes - g.nodes**2 / 16.0)
         psi /= np.linalg.norm(psi)
@@ -302,6 +318,10 @@ def test_package_imports_at_top_level_and_acyclic():
     scanned = {p.stem: package_imports(p) for p in src.glob("*.py")}
     assert {"operators", "blas", "grid"} <= scanned["spectral"][0]  # the scan sees the imports
     assert [stem for stem, (_, nested) in scanned.items() if nested] == []
+    # the three consumers of `spectral` are siblings: none imports another
+    consumers = {"mourre", "hypotheses", "scattering"}
+    assert {stem: scanned[stem][0] & consumers for stem in consumers} == {
+        stem: set() for stem in consumers}
     graph = {stem: deps - {"__init__"} for stem, (deps, _) in scanned.items()}
     ordered = []
     while graph:  # peel off the modules that import nothing left in the graph
