@@ -22,14 +22,17 @@ are always reported together with per-mode localization diagnostics.
 The eta-form estimator takes a whole list of eta at once: a rho scan or
 a transfer check hands it every sample, and `estimate_rho_eta` a list
 of one.  The scan and the check compute the eigenpairs of H only where
-some eta is nonzero, one MRRR call per disjoint run of the eta supports.
+some eta is nonzero, on every disjoint run of the eta supports in one
+`tails_eigenpairs` solve (H is the channel operator on its constant tails).
 It compresses i[H,A] and the region Gram matrices once per window of
 eigenvector columns (at most twice as wide as the widest eta support,
 and together holding every support) and slices each eta's k x k blocks
 out of them.  Its bisections then run in lockstep: every eta keeps its own
 bracket and stop rule, so it meets the same midpoints as it would alone,
 and each step diagonalizes the still-active eta of one support size k
-in one stacked `eigh`.
+in one stacked `eigh`.  The raw test is monotone in a (eta^2 >= 0), so an
+eta whose raw test already fails at the floor of its bracket is settled
+there by one stacked `eigvalsh`, without bisecting.
 """
 
 from __future__ import annotations
@@ -48,12 +51,12 @@ from .spectral import (
     ThinProduct,
     bump,
     dirichlet_decomposition,
-    eigendecompose,
     opnorm,
     plateau,
     sandwich,
     singular_values,
     support_mask,
+    tails_eigenpairs,
     thin_sum,
 )
 
@@ -172,13 +175,16 @@ def estimate_rho_window(
     )
 
 
-def _bisect_sup(holds, lo, hi, tol: float) -> np.ndarray:
+def _bisect_sup(holds, lo, hi, tol: float, fails_at_lo=None) -> np.ndarray:
     """Bisect, entry by entry, for the largest a in [lo[i], hi[i]] where a
     monotone test holds.  `holds(mid, active)` gets the midpoints of the
     entries still bisecting and their indices, and returns one bool each.
     An entry stops once its bracket is below tol * max(1, |lo|) (at most 60
-    steps), so it meets the same midpoints as it would bisected alone."""
+    steps), so it meets the same midpoints as it would bisected alone.  An
+    entry flagged in `fails_at_lo` fails at every midpoint too, and is lo."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    if fails_at_lo is not None:
+        hi[fails_at_lo] = lo[fails_at_lo]
     for _ in range(60):
         active = np.flatnonzero(~(hi - lo <= tol * np.maximum(1.0, np.abs(lo))))
         if not active.size:
@@ -241,18 +247,19 @@ def _estimate_rho_batch(
             inner, bdry, flags = _localization(vec, gsub[active])
             return np.where(flags, math.inf, eig).min(axis=1), eig, inner, bdry, flags
 
-        def all_modes(a, active):
-            return np.linalg.eigvalsh(shifted(a, active)).min(axis=1)
+        def raw_holds(a, active):
+            return np.linalg.eigvalsh(shifted(a, active)).min(axis=1) >= -slack[active]
 
         scale = np.abs(csub).max(axis=(1, 2))
         scale[scale == 0] = 1.0
         floor = -scale - 1.0
         corrected = _bisect_sup(lambda a, act: unflagged(a, act)[0] >= -slack[act],
                                 floor, scale + 1.0, BISECT_TOL)
-        raw = np.minimum(_bisect_sup(lambda a, act: all_modes(a, act) >= -slack[act],
-                                     floor, scale + 1.0, BISECT_TOL), corrected)
+        everyone = np.arange(len(group))
+        raw = np.minimum(_bisect_sup(raw_holds, floor, scale + 1.0, BISECT_TOL,
+                                     fails_at_lo=~raw_holds(floor, everyone)), corrected)
 
-        _, eig, inner, bdry, flags = unflagged(corrected, np.arange(len(group)))
+        _, eig, inner, bdry, flags = unflagged(corrected, everyone)
         spectra = np.linalg.eigvalsh(csub)
         for row, j in enumerate(group):
             # a raw value that never left the floor -(max |C_ij| + 1) bounds
@@ -310,10 +317,9 @@ def _windowed_estimates(opset: OperatorSet, lambdas: list, eps: float):
     docstring), None for an eta that meets no computed eigenvalue.
 
     The supports (lambda - eps, lambda + eps), sorted, merge where they
-    overlap or touch into disjoint runs (lo, hi), and each run gets one MRRR
-    call; the runs' pairs, concatenated, are ascending.  A single run, as a
-    scan with step < 2 eps gives, is the window (min lambda - eps,
-    max lambda + eps) and its decomposition is returned as it is."""
+    overlap or touch into disjoint runs (lo, hi), and one `tails_eigenpairs`
+    solve returns the pairs on all runs, ascending.  A scan with step < 2 eps
+    gives a single run, (min lambda - eps, max lambda + eps)."""
     if not lambdas:
         return None, [], []
     runs = []
@@ -322,11 +328,7 @@ def _windowed_estimates(opset: OperatorSet, lambdas: list, eps: float):
             runs[-1][1] = lam + eps
         else:
             runs.append([lam - eps, lam + eps])
-    decs = [eigendecompose(opset.H, EnergyWindow(0.5 * (lo + hi), 0.5 * (hi - lo)))
-            for lo, hi in runs]
-    dec = decs[0] if len(decs) == 1 else SpectralDecomposition(
-        np.concatenate([d.eigenvalues for d in decs]),
-        np.concatenate([d.eigenvectors.T for d in decs]).T)
+    dec = tails_eigenpairs(opset.H, runs)
     etas = [bump(lam, eps) for lam in lambdas]
     return dec, etas, _estimate_rho_batch(opset, dec, opset.commutator_iHA, etas)
 

@@ -5,7 +5,11 @@ localization functions of H and the unitary propagator; an
 energy window is a mask of eigenvalues (`EnergyWindow.contains`).  H
 gets either its full basis by divide and conquer (LAPACK `dstedc`, the
 same bits as a dense `eigh`) or only the pairs in an energy window, from
-MRRR (`dstemr`) with no n x n array; the channel operators -Delta + v_pm
+MRRR (`dstemr`) with no n x n array.  The rho estimators take theirs on
+several intervals at once from `tails_eigenpairs`, which reads the
+constant channel tails of H: their Sturm counts come in closed form, so
+its work is nearly flat in the number of pairs, while MRRR stays cheaper
+for a single window of a few pairs.  The channel operators -Delta + v_pm
 need no solver, because the Dirichlet Laplacian has a closed-form sine
 (DST-I) eigenbasis, built only where a function such as eta is nonzero;
 `dst1` applies that basis by FFT, so a channel function f(-Delta + v)
@@ -47,6 +51,7 @@ __all__ = [
     "EnergyWindow",
     "SmoothingFunction",
     "eigendecompose",
+    "tails_eigenpairs",
     "dirichlet_eigenvalues",
     "dirichlet_decomposition",
     "dst1",
@@ -207,6 +212,225 @@ def _mrrr(stemr, op: Band, window: EnergyWindow) -> SpectralDecomposition:
     found = call(z, cols)
     keep = window.contains(w[:found])
     return SpectralDecomposition(eigenvalues=w[:found][keep].copy(), eigenvectors=z[:found][keep].T)
+
+
+def tails_eigenpairs(op: Band, intervals: Sequence[tuple]) -> SpectralDecomposition:
+    """The eigenpairs of a symmetric tridiagonal band T with a constant off-diagonal
+    -s that lie in any of the open intervals (lo, hi), ascending, in one solve.
+
+    The diagonal is constant on a first block of nodes and on a last one (the
+    channel tails of H, where v = v_pm); S is the nodes between them.  On a
+    tail of m nodes the pivots of T - lam from its Dirichlet end are
+    s U_{j+1}(c/2) / U_j(c/2), c = (a - lam)/s, with U the Chebyshev polynomials
+    of the second kind, so the tail's count of negative pivots and its last
+    pivot come in closed form, and a twisted factorization run across S from
+    both sides counts the eigenvalues below lam in O(|S|).  All wanted indices
+    of all intervals are bisected at once on that count.  Each vector is then
+    built from both Dirichlet ends in difference form (D_{j+1} = D_j +
+    g_j z_j, z_{j+1} = z_j + D_{j+1}, with g_j = (v_j - lam)/s), which keeps
+    the relative accuracy of lam - v_j that orthogonality needs at gaps far
+    below ||T||; the two halves are matched on two rows of S, lam takes one
+    Rayleigh step from the residual of those rows and the vector is rebuilt
+    in place.  Above the middle of the band the recurrence runs on the
+    mirrored vector (-1)^j z_j.  The work is nearly flat in the number of
+    pairs; a band with short tails is correct, only slower.  Orthogonality
+    rests on gaps far above the rounding of lam - v_j, as in the channel
+    bands here; MRRR has no such limit, and it is cheaper for a single
+    window of a few pairs (`eigendecompose`).
+    """
+    a, off = op.entries[1], op.entries[2, :-1]
+    n = op.n
+    if op.b != 1 or n < 3:
+        raise ValueError("the tails solve needs a tridiagonal band of at least 3 nodes")
+    if off[0] >= 0 or np.any(off != off[0]):
+        raise ValueError("the tails solve needs a constant negative off-diagonal")
+    tails = _Tails(a, -float(off[0]))
+    # eigenvalue number i lies in [lo, hi) when count(lo) <= i < count(hi); an
+    # index in several intervals takes the bracket of the first
+    ends = np.array(intervals, dtype=float).reshape(-1, 2)
+    lo, hi = np.full(n, np.nan), np.full(n, np.nan)
+    for (l, h), (c_lo, c_hi) in reversed(list(zip(ends, tails.count(ends)))):
+        lo[c_lo:c_hi], hi[c_lo:c_hi] = l, h
+    wanted = np.flatnonzero(~np.isnan(lo))
+    if not wanted.size:
+        return SpectralDecomposition(eigenvalues=np.empty(0), eigenvectors=np.empty((n, 0)))
+    lam = tails.bisect(wanted, lo[wanted], hi[wanted])
+    lam, z = tails.vectors(lam)
+    inside = np.zeros(lam.size, dtype=bool)
+    for l, h in intervals:
+        inside |= (lam > l) & (lam < h)
+    if not inside.all():  # a pair that rounding moved onto an end of its interval
+        lam, z = lam[inside], z[:, inside]
+    return SpectralDecomposition(eigenvalues=lam, eigenvectors=z)
+
+
+def _tail_pivots(v, s: float, m, lam):
+    """(negative pivots, last pivot) of T_m - lam for each lam, with T_m the
+    m x m Dirichlet block of a tail whose diagonal is 2s + v and off-diagonal
+    -s; v and m broadcast against lam.  With sin^2(theta/2) = (lam - v)/4s, the
+    pivots are s U_{j+1}/U_j and U_j = sin((j+1) theta)/sin(theta): the first
+    m - 1 pivots hold floor(m theta / pi) negatives (the sign changes of U_0 ..
+    U_{m-1}), and the last is s sin((m+1) theta)/sin(m theta).  Both are read
+    from the same reduced angles, so the count is exact for the computed theta.
+    Outside the band of the tail, theta = i phi or pi + i phi and the sines
+    become sinh."""
+    lo = (lam - v) / (4 * s)                # sin^2(theta / 2)
+    hi = ((v - lam) + 4 * s) / (4 * s)      # cos^2(theta / 2)
+    theta = 2 * np.arctan2(np.sqrt(np.maximum(lo, 0.0)), np.sqrt(np.maximum(hi, 0.0)))
+    turns_m = np.floor(m * theta / math.pi)
+    turns_m1 = np.floor((m + 1) * theta / math.pi)
+
+    def sin_reduced(angle, turns):  # |sin|, from the angle reduced into [0, pi]
+        return np.sin(np.minimum(np.maximum(angle - turns * math.pi, 0.0), math.pi))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = sin_reduced((m + 1) * theta, turns_m1) / sin_reduced(m * theta, turns_m)
+        ratio = np.where(turns_m1 == turns_m, ratio, -ratio)
+        # sinh((m+1) phi) / sinh(m phi), and its limit (m+1)/m at phi = 0
+        phi = 2 * np.arcsinh(np.sqrt(np.maximum(np.maximum(-lo, -hi), 0.0)))
+        grow = np.exp(phi) * np.expm1(-2 * (m + 1) * phi) / np.expm1(-2 * m * phi)
+    grow = np.where(phi == 0, (m + 1) / m, grow)
+    below, above = lo <= 0, hi <= 0
+    # + 0.0 turns a pivot of -0.0 into +0.0: a zero pivot counts as nonnegative
+    # and sends the next one to -inf, as the recurrence itself does
+    pivot = s * np.where(below, grow, np.where(above, -grow, ratio)) + 0.0
+    negatives = np.where(below, 0, np.where(above, m - 1, turns_m)).astype(np.int64)
+    return negatives + (pivot < 0), pivot
+
+
+class _Tails:
+    """The tails solve of `tails_eigenpairs` on the diagonal a and off-diagonal -s:
+    constant tails of p and n - q nodes, and S = [p, q) between them, never
+    empty (a constant diagonal is cut in the middle)."""
+
+    def __init__(self, a: np.ndarray, s: float):
+        n = a.size
+        varies = np.flatnonzero(a != a[0])
+        if not varies.size:
+            p = (n - 1) // 2
+            q = p + 1
+        else:
+            p = int(varies[0])
+            q = min(max(int(np.flatnonzero(a != a[-1])[-1]) + 1, p + 1), n - 1)
+            p = min(p, q - 1)
+        self.a, self.s, self.n, self.p, self.q = a, s, n, p, q
+        self.v_ends = np.array([[a[0] - 2 * s], [a[-1] - 2 * s]])
+        self.m_ends = np.array([[p], [n - q]])
+
+    def _ends(self, lam):
+        """Negative pivots and last pivots of both tails, each of shape (2,) + lam.shape."""
+        shape = (2,) + (1,) * lam.ndim
+        return _tail_pivots(self.v_ends.reshape(shape), self.s, self.m_ends.reshape(shape), lam)
+
+    def count(self, lam: np.ndarray) -> np.ndarray:
+        """The number of eigenvalues below each lam, from the twisted
+        factorization with its twist at node p."""
+        a, s2, p, q = self.a, self.s**2, self.p, self.q
+        negs, (top, d) = self._ends(lam)
+        piv = a[p:q].reshape((-1,) + (1,) * lam.ndim) - lam
+        with np.errstate(divide="ignore"):
+            for i in range(q - p - 1, 0, -1):  # pivots from the bottom tail up to p + 1
+                d = np.subtract(piv[i], s2 / d, out=piv[i])
+            piv[0] -= s2 / top + s2 / d        # the twist element at p
+        return negs.sum(axis=0) + (piv < 0).sum(axis=0)
+
+    def bisect(self, index: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Eigenvalue number `index` in its bracket (lo, hi), for all at once, to
+        the rounding level 2 eps ||T|| of the count."""
+        tol = 2 * np.finfo(float).eps * (np.abs(self.a).max() + 2 * self.s)
+        for _ in range(max(0, math.ceil(math.log2(np.max(hi - lo) / tol)))):
+            mid = 0.5 * (lo + hi)
+            above = self.count(mid) > index
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+        return 0.5 * (lo + hi)
+
+    def _twist(self, lam: np.ndarray) -> np.ndarray:
+        """Per eigenvalue, the node k in S with the smallest twist element |gamma_k|,
+        where the eigenvector is largest."""
+        a, s2, p, q = self.a, self.s**2, self.p, self.q
+        _, (top, bottom) = self._ends(lam)
+        down = np.empty((q - p, lam.size))  # pivot at node p - 1 + i, from the top
+        up = np.empty((q - p, lam.size))    # pivot at node p + 1 + i, from the bottom
+        down[0], up[-1] = top, bottom
+        with np.errstate(divide="ignore"):
+            for i in range(1, q - p):
+                down[i] = (a[p - 1 + i] - lam) - s2 / down[i - 1]
+            for i in range(q - p - 2, -1, -1):
+                up[i] = (a[p + 1 + i] - lam) - s2 / up[i + 1]
+            gamma = (a[p:q, None] - lam) - s2 / down - s2 / up
+        return p + np.argmin(np.abs(gamma), axis=0)
+
+    def vectors(self, lam: np.ndarray):
+        """(eigenvalues, n x k eigenvectors) from the bisected lam: one build, one
+        Rayleigh step, one rebuild, all in the one n x k array."""
+        a, s = self.a, self.s
+        twist = self._twist(lam)
+        mirror = np.where(lam > 0.5 * (a[0] + a[-1]), -1.0, 1.0)
+        # lam relative to the bottom of each tail's band (or mirrored, its top),
+        # so that g_j = mirror (lam - v_j)/s keeps the accuracy of lam - v_j
+        shift_top = lam - (a[0] - 2 * s * mirror)
+        shift_bottom = lam - (a[-1] - 2 * s * mirror)
+        z = np.empty((self.n, lam.size))
+        step = self._build(z, shift_top, shift_bottom, mirror, twist)
+        self._build(z, shift_top + step, shift_bottom + step, mirror, twist)
+        flip = np.flatnonzero(mirror < 0)
+        if flip.size:
+            z[1::2, flip] *= -1.0
+        return shift_top + step + (a[0] - 2 * s * mirror), z
+
+    def _build(self, z, shift_top, shift_bottom, mirror, twist) -> np.ndarray:
+        """Fill z with the unit vectors at lam (given by its shifts) and return
+        the Rayleigh step of lam from their residual."""
+        a, s, n, p, q = self.a, self.s, self.n, self.p, self.q
+        cols = np.arange(z.shape[1])
+        _sweep(z[:q + 1], p, -mirror * shift_top / s, (a[p:q] - a[0]) / s, mirror,
+               shift_top / s)
+        top = z[p:q + 1].copy()  # the top half on S, before the bottom sweep writes there
+        _sweep(z[::-1][:n - p], n - q, -mirror * shift_bottom / s,
+               (a[q - 1:p:-1] - a[-1]) / s, mirror, shift_bottom / s)
+        # match the bottom half to the top on rows k, k + 1 by least squares
+        t0, t1 = top[twist - p, cols], top[twist + 1 - p, cols]
+        b0, b1 = z[twist, cols], z[twist + 1, cols]
+        size = np.maximum(np.abs(b0), np.abs(b1))
+        alpha = (t0 * (b0 / size) + t1 * (b1 / size)) / ((b0 / size) ** 2 + (b1 / size) ** 2) / size
+        for i, j in enumerate(range(p, q + 1)):
+            mine = j <= twist
+            z[j] = np.where(mine, top[i], alpha * z[j])
+        z[q + 1:] *= alpha
+        # the glued vector leaves the residuals s (t1 - alpha b1) on row k and
+        # s (alpha b0 - t0) on row k + 1; take norms without overflow
+        size = np.maximum(z.max(axis=0), -z.min(axis=0))
+        z /= size
+        norm = np.sqrt(np.einsum("ij,ij->j", z, z))
+        z /= norm
+        size *= norm
+        zk, zk1 = t0 / size, alpha * b1 / size
+        return mirror * s * (zk * (t1 - alpha * b1) / size + zk1 * (alpha * b0 - t0) / size)
+
+
+def _sweep(z, m: int, g_tail, w, mirror, mu) -> None:
+    """Fill the rows of z, in sweep order from a Dirichlet end, with the
+    difference-form solution z_0 = D_0 = 1: the first m steps are the tail's,
+    with g = g_tail, and step m + i takes g = mirror (w_i - mu).  Columns
+    whose entries pass 2^256 are rescaled by 2^-511 with the rows before them;
+    the checks are spaced so that no entry can overflow in between (each step
+    grows |z| + |D| at most by 2 + 2|g|)."""
+    rows, g_s = list(z), [mirror * (wi - mu) for wi in w]
+    gs = [g_tail] * m + g_s
+    bound = max([np.abs(g).max() for g in [g_tail] + g_s])
+    every = max(1, int(511 // math.log2(2 + 2 * bound)))
+    d, t = np.ones(z.shape[1]), np.empty(z.shape[1])
+    multiply, add = np.multiply, np.add
+    rows[0][:] = 1.0
+    for start in range(0, len(rows) - 1, every):
+        for j in range(start, min(start + every, len(rows) - 1)):
+            multiply(gs[j], rows[j], t)
+            add(d, t, d)
+            add(rows[j], d, rows[j + 1])
+        for c in np.flatnonzero(np.maximum(np.abs(rows[j + 1]), np.abs(d)) > 2.0**256):
+            z[:j + 2, c] *= 2.0**-511
+            d[c] *= 2.0**-511
 
 
 def resolvent(op: Band, z: complex, x: np.ndarray) -> np.ndarray:

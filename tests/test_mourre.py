@@ -25,6 +25,7 @@ from mourre_lab.mourre import (
     virial_defects,
 )
 from conftest import discard_log, gaussian
+from test_golden import CONFIGS
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import Band, build_pair
 from mourre_lab.spectral import (
@@ -35,6 +36,7 @@ from mourre_lab.spectral import (
     opnorm,
     plateau,
     support,
+    tails_eigenpairs,
 )
 
 BISECT_TOL = 1e-3  # the bisection resolution of estimate_rho_eta, relative to max(1, |rho|)
@@ -61,6 +63,26 @@ def _set_discard_rule(monkeypatch, policy):
     policy (THETA, INTERACTION_RADIUS, BOUNDARY_FRACTION); {} keeps them."""
     for name, value in policy.items():
         monkeypatch.setattr(mourre, name, value)
+
+
+def _golden_samples(name):
+    """(ops, samples, eps) of a golden rho-scan or transfer config (tests/test_golden.py):
+    the scan's lambda grid as the CLI builds it, or the transfer's samples that stay
+    2 eps away from both thresholds."""
+    experiment, cfg = CONFIGS[name]
+    p = cfg["params"]
+    g = make_grid(cfg["L"], cfg["n"])
+    field = (p["bump_amplitude"] * bump(0.0, p["bump_width"])(g.nodes)
+             if p.get("bump_amplitude") else None)
+    ops = build_pair(g, make_steplike(g, cfg["v_minus"], cfg["v_plus"], cfg["profile"], field),
+                     make_cutoffs(g))
+    if experiment == "rho-scan":
+        step = p["lambda_step"]
+        lambdas = [float(x) for x in np.arange(p["lambda_min"], p["lambda_max"] + 0.5 * step, step)]
+    else:
+        lambdas = [x for x in p["lambdas"]
+                   if min(abs(x - cfg["v_minus"]), abs(x - cfg["v_plus"])) >= 2 * p["eps"]]
+    return ops, lambdas, p["eps"]
 
 
 class TestAnalyticRho:
@@ -234,6 +256,37 @@ class TestLockstepBisection:
             assert len(discard_log(est)) == est.compression_spectrum.size
         assert len({(est.raw_min, est.corrected) for est in batch}) >= 3
 
+    def test_entries_failing_at_lo_are_lo(self):
+        lo, hi = np.array([-3.0, -3.0, 0.0]), np.array([3.0, 3.0, 1.0])
+        target = np.array([1.0, -5.0, -1.0])  # the last two fail at lo
+        steps = np.zeros(lo.size, dtype=int)
+
+        def holds(a, active):
+            steps[active] += 1
+            return a <= target[active]
+
+        out = _bisect_sup(holds, lo, hi, 1e-3, fails_at_lo=lo > target)
+        assert out[1:].tolist() == [-3.0, 0.0] and steps[1:].tolist() == [0, 0]
+        assert np.array_equal(out, _bisect_sup(lambda a, act: a <= target[act], lo, hi, 1e-3))
+
+    @pytest.mark.parametrize("name", ["rho-scan", "transfer", "rho-scan-L160", "transfer-L160"])
+    def test_raw_settled_at_its_floor_equals_the_full_bisection(self, monkeypatch, name):
+        """On the golden scan and transfer configs, an eta whose raw test fails
+        at its floor is settled there without bisecting; raw_min and note must
+        equal those of the full bisection on the same eigenpairs, bit for bit."""
+        ops, lambdas, eps = _golden_samples(name)
+        dec, etas, settled = _windowed_estimates(ops, lambdas, eps)
+        bisect = mourre._bisect_sup
+        monkeypatch.setattr(mourre, "_bisect_sup",
+                            lambda holds, lo, hi, tol, fails_at_lo=None: bisect(holds, lo, hi, tol))
+        full = _estimate_rho_batch(ops, dec, ops.commutator_iHA, etas)
+        def raw(ests):  # None for a sample below the spectrum
+            return [e and (e.raw_min, e.note) for e in ests]
+
+        assert raw(settled) == raw(full)
+        if name.endswith("L160"):  # most raw values sit at their floor there
+            assert sum(bool(e and e.note) for e in settled) > len(settled) // 2
+
     def test_nested_supports_of_mixed_widths(self, small_ops, dec_H):
         """A wide eta followed by narrow ones inside its support: one window
         must reach to the end of the widest support, and every estimate must
@@ -400,34 +453,35 @@ class TestTransfer:
             assert abs(rep.eone_residuals[k] - ref) <= ROUNDING_ULPS * small_ops.n * F64_EPS * scale
 
 
-def _record_windows(monkeypatch):
-    """The windows mourre passes to eigendecompose, in call order."""
-    windows = []
+def _record_solves(monkeypatch):
+    """The interval lists mourre passes to tails_eigenpairs, one per solve, in call order."""
+    solves = []
 
-    def recording(op, window=None):
-        windows.append(window)
-        return eigendecompose(op, window)
+    def recording(op, intervals):
+        solves.append([tuple(run) for run in intervals])
+        return tails_eigenpairs(op, intervals)
 
-    monkeypatch.setattr(mourre, "eigendecompose", recording)
-    return windows
+    monkeypatch.setattr(mourre, "tails_eigenpairs", recording)
+    return solves
 
 
 def _window(lo, hi):
-    """The window of the open interval (lo, hi), built as the runs are."""
+    """The window of the open interval (lo, hi)."""
     return EnergyWindow(0.5 * (lo + hi), 0.5 * (hi - lo))
 
 
 class TestSupportRuns:
     """The scan and the transfer check take the eigenpairs of H on the union
-    of the eta supports: one MRRR window per disjoint run of supports."""
+    of the eta supports: one tails solve over the disjoint runs of supports."""
 
     def test_transfer_one_window_per_run(self, small_ops, monkeypatch):
-        windows = _record_windows(monkeypatch)
+        solves = _record_solves(monkeypatch)
         eps = 0.1
         transfer_verify(small_ops, [0.3, 0.5, 1.5, 2.0], eps, 0.2)
-        assert windows == [_window(0.3 - eps, 0.5 + eps), _window(1.5 - eps, 1.5 + eps),
-                           _window(2.0 - eps, 2.0 + eps)]
-        runs = [bound for w in windows for bound in (w.lam - w.eps, w.lam + w.eps)]
+        assert len(solves) == 1
+        assert solves[0] == [(0.3 - eps, 0.5 + eps), (1.5 - eps, 1.5 + eps),
+                             (2.0 - eps, 2.0 + eps)]
+        runs = [bound for run in solves[0] for bound in run]
         assert runs == pytest.approx([0.2, 0.6, 1.4, 1.6, 1.9, 2.1], abs=1e-12)
 
     @pytest.mark.parametrize("lambdas, eps", [
@@ -436,9 +490,9 @@ class TestSupportRuns:
         ([0.7, 0.5], 0.1)])                            # supports that only touch
     def test_scan_with_overlapping_supports_is_one_span(self, small_ops, monkeypatch,
                                                         lambdas, eps):
-        windows = _record_windows(monkeypatch)
+        solves = _record_solves(monkeypatch)
         rho_scan(small_ops, lambdas, eps)
-        assert windows == [_window(min(lambdas) - eps, max(lambdas) + eps)]
+        assert solves == [[(min(lambdas) - eps, max(lambdas) + eps)]]
 
     def test_union_is_the_span_masked_to_the_supports(self, small_ops):
         lambdas, eps = [2.0, 0.3, 1.5, 0.5, 0.7, 2.3], 0.1

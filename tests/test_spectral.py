@@ -13,6 +13,7 @@ from mourre_lab import blas
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
 from mourre_lab.operators import Band, build_pair
 from mourre_lab.spectral import (
+    _Tails,
     EnergyWindow,
     SpectralDecomposition,
     ThinProduct,
@@ -25,6 +26,7 @@ from mourre_lab.spectral import (
     resolvent,
     sandwich,
     scattering_projector,
+    tails_eigenpairs,
     thin_sum,
 )
 
@@ -183,6 +185,110 @@ class TestWindowedEigendecompose:
         full = eigendecompose(op)
         dec = eigendecompose(op, win)
         assert np.array_equal(dec.eigenvalues, full.eigenvalues[win.contains(full.eigenvalues)])
+
+
+@pytest.fixture(scope="module")
+def channel_band():
+    """(L, n, v_minus, v_plus, profile, well) -> H of that steplike pair, with a
+    well of depth `well` at 0 as criterion 8 has, and its full basis from
+    dstedc (the bits of the dense eigh); each built once per module."""
+    cache = {}
+
+    def get(L, n, v_minus=0.0, v_plus=1.0, profile="smooth_step", well=0.0):
+        key = (L, n, v_minus, v_plus, profile, well)
+        if key not in cache:
+            g = make_grid(L, n)
+            field = well * bump(0.0, 2.0)(g.nodes) if well else None
+            op = build_pair(g, make_steplike(g, v_minus, v_plus, profile, field),
+                            make_cutoffs(g)).H
+            cache[key] = op, eigendecompose(op)
+        return cache[key]
+
+    return get
+
+
+def _assert_matches_dense(op, full, intervals):
+    """The pairs of tails_eigenpairs on the intervals against the full basis,
+    at the bounds of TestWindowedEigendecompose::test_matches_dense_eigh."""
+    n = op.n
+    tol = ROUNDING_ULPS * n * F64_EPS
+    scale = np.abs(op.entries).sum(axis=0).max()  # bounds the norm of H
+    sel = np.zeros(n, dtype=bool)
+    for lo, hi in intervals:
+        sel |= (full.eigenvalues > lo) & (full.eigenvalues < hi)
+    dec = tails_eigenpairs(op, intervals)
+    w, u, u_ref = dec.eigenvalues, dec.eigenvectors, full.eigenvectors[:, sel]
+    assert u.shape == (n, np.count_nonzero(sel)) and w.size > 0
+    assert np.all(np.diff(w) > 0)
+    assert np.max(np.abs(w - full.eigenvalues[sel])) <= tol * scale
+    assert np.max(np.abs(op @ u - u * w[None, :])) <= tol * scale
+    assert np.max(np.abs(u.T @ u - np.eye(w.size))) <= tol
+    for rows in np.array_split(np.arange(n), max(1, n // 512)):  # no n x n array at once
+        assert np.max(np.abs(u[rows] @ u.T - u_ref[rows] @ u_ref.T)) <= tol
+
+
+class TestTailsEigenpairs:
+    """The tails solve (closed-form tail counts, difference-form twisted vectors)
+    against the full basis of the same band."""
+
+    @pytest.mark.parametrize("band,intervals", [
+        ((160.0, 1601), [(-0.6, 3.2)]),                    # the span of the L = 160 rho scan
+        ((20.0, 321), [(0.1, 0.5), (0.9, 1.3), (2.0, 2.4)]),  # disjoint runs
+        ((40.0, 801), [(0.5, 1.0)]),                       # ends exactly at the threshold v+
+        ((40.0, 801), [(300.0, 400.0)]),                   # the upper half of the band
+        ((640.0, 2561, 0.0, 1.0, "smooth_step", -2.0), [(-1.0, 0.5)]),  # criterion 8's well
+        ((40.0, 801, 0.0, 1.0, "sharp_step"), [(-0.6, 3.2)]),
+        ((40.0, 801, 1.0, 0.0), [(-0.6, 3.2)]),            # a reversed step
+        ((40.0, 801, 0.5, 0.5), [(-0.6, 3.2)]),            # no step: one constant diagonal
+    ], ids=["L160-span", "runs", "at-threshold", "upper-half", "well-640", "sharp",
+            "reversed", "no-step"])
+    def test_matches_dense_eigh(self, channel_band, band, intervals):
+        _assert_matches_dense(*channel_band(*band), intervals)
+
+    def test_well_has_a_bound_state_far_below_both_tails(self, channel_band):
+        # its evanescent tails grow by far more than the float range from either end
+        op, _ = channel_band(640.0, 2561, 0.0, 1.0, "smooth_step", -2.0)
+        dec = tails_eigenpairs(op, [(-1.0, 0.0)])
+        assert dec.eigenvalues.size == 1 and dec.eigenvalues[0] < -0.5
+        assert np.all(np.isfinite(dec.eigenvectors))
+
+    def test_band_without_tails(self):
+        # a random diagonal is constant nowhere: S is all but the end nodes
+        rng = np.random.default_rng(3)
+        entries = np.zeros((3, 401))
+        entries[1] = 50.0 + 3.0 * rng.standard_normal(401)
+        entries[0, 1:] = entries[2, :-1] = -25.0
+        op = Band(entries)
+        _assert_matches_dense(op, eigendecompose(op), [(-0.5, 3.0), (60.0, 90.0)])
+
+    @pytest.mark.parametrize("band", [
+        (40.0, 801), (40.0, 801, 0.0, 1.0, "sharp_step"), (40.0, 801, 1.0, 0.0),
+        (40.0, 801, 0.5, 0.5), (640.0, 2561, 0.0, 1.0, "smooth_step", -2.0)],
+        ids=["smooth", "sharp", "reversed", "no-step", "well-640"])
+    def test_count_matches_eigvalsh(self, channel_band, band):
+        """Eigenvalues below lam from the tails count, against the full spectrum,
+        over a sweep through the whole band that meets both thresholds exactly."""
+        op, full = channel_band(*band)
+        v_minus, v_plus = band[2:4] if len(band) > 2 else (0.0, 1.0)
+        s = -op.entries[2, 0]
+        lams = np.concatenate([np.linspace(-2.0, 4 * s + 2.0, 2001),
+                               [v_minus, v_plus, v_minus + 4 * s, v_plus + 4 * s]])
+        counts = _Tails(op.entries[1], s).count(lams)
+        assert np.array_equal(counts, np.searchsorted(full.eigenvalues, lams))
+
+    def test_empty_intervals(self, small_ops):
+        dec = tails_eigenpairs(small_ops.H, [(-5.0, -4.0)])
+        assert dec.eigenvalues.shape == (0,) and dec.eigenvectors.shape == (small_ops.n, 0)
+
+    def test_rejects_other_bands(self, small_ops):
+        with pytest.raises(ValueError, match="constant"):
+            entries = small_ops.H.entries.copy()
+            entries[0, 5] = entries[2, 4] = 2 * entries[2, 4]
+            tails_eigenpairs(Band(entries), [(0.0, 1.0)])
+        with pytest.raises(ValueError, match="constant negative"):  # -H: off-diagonal +s
+            tails_eigenpairs(Band(-small_ops.H.entries), [(-1.0, 0.0)])
+        with pytest.raises(ValueError, match="tridiagonal"):
+            tails_eigenpairs(small_ops.commutator_iHA, [(0.0, 1.0)])
 
 
 class TestThinProduct:
