@@ -53,6 +53,7 @@ from .scattering import (
     make_channel_packet,
     scattering_coefficients,
     sharp_step_oracle,
+    stationary_coefficients,
     wave_operator_probe,
 )
 

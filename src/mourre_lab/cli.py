@@ -53,7 +53,7 @@ PARAMS = {exp: dict(keys, bump_amplitude=0.0, bump_width=1.0) for exp, keys in {
     "transfer": {"lambdas": [0.3, 0.5, 1.5, 2.0], "eps": 0.1, "tol": 0.2},
     "hypotheses": {"levels": [], "eta_center": 0.5, "eta_width": 0.4,
                    "operators": list(OPERATOR_TAGS)},
-    "scatter": {"lambda": 2.0, "sigma": 3.0, "x0": -25.0, "tol": 0.02},
+    "scatter": {"lambda": 2.0, "sigma": 3.0, "tol": 0.02},
     "completeness": {"x0": 10.0, "k0": 1.5, "sigma": 3.0, "t_max": 10.0, "n_times": 21},
 }.items()}
 EXPERIMENTS = tuple(PARAMS)
@@ -294,10 +294,7 @@ def _run_hypotheses(cfg: ExperimentConfig, p: dict):
 
 def _run_scatter(cfg: ExperimentConfig, p: dict):
     lam, sigma, tol = float(p["lambda"]), float(p["sigma"]), float(p["tol"])
-    _check_full_basis(cfg)
-    opset = _build(cfg, p)
-    coeff = scattering_coefficients(opset, eigendecompose(opset.H), lam,
-                                    x0=float(p["x0"]), sigma=sigma)
+    coeff = scattering_coefficients(_build(cfg, p), lam, sigma=sigma)
     oracle = sharp_step_oracle(lam, cfg.v_minus, cfg.v_plus)
     averaged = gaussian_averaged_oracle(lam, cfg.v_minus, cfg.v_plus, sigma)
     verdict = (abs(coeff.reflection - averaged.reflection) <= tol

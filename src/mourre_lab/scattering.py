@@ -1,4 +1,4 @@
-"""Wave-packet probes of the wave operators and scattering coefficients.
+"""Wave-packet probes of the wave operators, and stationary scattering coefficients.
 
 Strong limits are replaced by finite-time stabilization: the approximant
 e^{itH} J e^{-itH0} phi is tracked over a ladder of times together with
@@ -13,6 +13,10 @@ with the eigenbasis of H, the channel dynamics e^{-itH0} act by DST-I
 (`dst1`) with no channel basis, and norms, boundary margins and masses
 are reductions down the columns of those n x T blocks.  The probes take
 the operators and the eigendecomposition of H alone.
+
+R and T need neither: two corner entries of H (`outgoing_band`) make the
+box the infinite lattice with an outgoing boundary, and one banded solve
+per energy gives those of a plane wave (`stationary_coefficients`).
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import Grid
-from .operators import OperatorSet
+from .operators import Band, OperatorSet
 from .spectral import (
     AC_DELTA,
     SpectralDecomposition,
     dirichlet_eigenvalues,
     dst1,
     propagate,
+    resolvent,
     scattering_projector,
 )
 
@@ -43,6 +48,9 @@ __all__ = [
     "wave_operator_probe",
     "completeness_probe",
     "scattering_coefficients",
+    "stationary_coefficients",
+    "outgoing_root",
+    "outgoing_band",
     "sharp_step_oracle",
     "gaussian_averaged_oracle",
 ]
@@ -51,9 +59,7 @@ __all__ = [
 # time whose packet bulk is at least BOUNDARY_GUARD from the box ends.
 DECAY_TARGET = 0.05
 BOUNDARY_GUARD = 4.0
-CAPTURE_RADIUS = 4.0  # |x| radius of the step region in `scattering_coefficients`
-SCATTER_TIMES = 60  # times of its ladder, t = 0 included
-ORACLE_NPTS = 2001  # momentum nodes of `gaussian_averaged_oracle`
+ORACLE_NPTS = 2001  # momentum nodes of the packet average of R and T
 
 
 @dataclass(frozen=True)
@@ -112,14 +118,14 @@ def _l2(grid: Grid, vec: np.ndarray):
     return np.sqrt(grid.dx * np.sum(np.abs(vec) ** 2, axis=0))
 
 
-def _bulk_radius(grid: Grid, density: np.ndarray, fraction: float = 0.99) -> np.ndarray:
-    """Per column of an n x T density, the smallest |x| radius holding the mass fraction
+def _bulk_radius(grid: Grid, density: np.ndarray) -> np.ndarray:
+    """Per column of an n x T density, the smallest |x| radius holding half the mass
     (0 for a column with no mass)."""
     order = np.argsort(np.abs(grid.nodes))
     cum = np.cumsum(density[order], axis=0)
     total = cum[-1]
     held = total > 0
-    below = cum[:, held] / total[held] < fraction
+    below = cum[:, held] / total[held] < 0.5
     idx = np.minimum(np.count_nonzero(below, axis=0), grid.n - 1)
     radius = np.zeros(density.shape[1])
     radius[held] = np.abs(grid.nodes[order][idx])
@@ -201,8 +207,7 @@ def wave_operator_probe(
     pm, pp = _free_evolve(opset, packet, ts)
     glued = opset.apply_J(pm, pp)
     # bulk location = median-|x| radius; tails are covered by the 5 sigma guard
-    margins = grid.L - _bulk_radius(grid, grid.dx * (np.abs(pm) ** 2 + np.abs(pp) ** 2),
-                                    fraction=0.5)
+    margins = grid.L - _bulk_radius(grid, grid.dx * (np.abs(pm) ** 2 + np.abs(pp) ** 2))
     del pm, pp
     approximants = propagate(dec_H, glued, -ts)  # column k: e^{i t_k H} (...)
 
@@ -257,7 +262,7 @@ def completeness_probe(
 
     ev = propagate(dec_H, psi, ts)
     frous = _l2(grid, w[:, None] * ev) / npsi
-    margins = grid.L - _bulk_radius(grid, grid.dx * np.abs(ev) ** 2, fraction=0.5)
+    margins = grid.L - _bulk_radius(grid, grid.dx * np.abs(ev) ** 2)
     del ev  # each n x T block is released before the next is built (peak memory)
     admissible = margins >= BOUNDARY_GUARD
 
@@ -305,15 +310,13 @@ def sharp_step_oracle(lam: float, v_minus: float, v_plus: float) -> ScatteringCo
     return _coefficients(lam, refl, trans)
 
 
-def gaussian_averaged_oracle(
-    lam: float, v_minus: float, v_plus: float, sigma: float
-) -> ScatteringCoefficients:
-    """Sharp-step oracle averaged over the packet momentum distribution.
-
-    A Gaussian packet with spatial width sigma carries the momentum density
-    |phi_hat(k)|^2 ~ exp(-2 sigma^2 (k - k0)^2); closed-channel momenta
-    reflect completely.
-    """
+def _packet_average(lam: float, v_minus: float, v_plus: float, sigma: float, rt):
+    """R and T averaged over the momentum density |phi_hat(k)|^2 ~ exp(-2 sigma^2
+    (k - k0)^2) of a Gaussian packet of width sigma, k0 = sqrt(lam - v_minus).
+    rt(k, E) gives (R, T) at the momenta whose energy E = k^2 + v_minus is open in
+    both channels; closed momenta reflect completely."""
+    if lam <= max(v_minus, v_plus):
+        raise ValueError("closed channel: need lam > max(v_minus, v_plus)")
     k0 = math.sqrt(lam - v_minus)
     dk = 1.0 / (2 * sigma)
     ks = np.linspace(max(1e-9, k0 - 8 * dk), k0 + 8 * dk, ORACLE_NPTS)
@@ -322,69 +325,67 @@ def gaussian_averaged_oracle(
     open_ch = energies > max(v_minus, v_plus)
     refl = np.ones_like(ks)
     trans = np.zeros_like(ks)
-    refl[open_ch], trans[open_ch] = _step_rt(ks[open_ch], np.sqrt(energies[open_ch] - v_plus))
+    refl[open_ch], trans[open_ch] = rt(ks[open_ch], energies[open_ch])
     z = np.trapezoid(weight, ks)
     rbar = float(np.trapezoid(weight * refl, ks) / z)
     tbar = float(np.trapezoid(weight * trans, ks) / z)
     return _coefficients(lam, rbar, tbar)
 
 
-def scattering_coefficients(
-    opset: OperatorSet,
-    dec_H: SpectralDecomposition,
-    lam: float,
-    x0: float = -25.0,
-    sigma: float = 3.0,
+def gaussian_averaged_oracle(
+    lam: float, v_minus: float, v_plus: float, sigma: float
 ) -> ScatteringCoefficients:
-    """Reflection/transmission from a left-incoming packet at mean energy lam.
+    """Sharp-step oracle (`_step_rt`) averaged over the packet momentum density."""
+    return _packet_average(lam, v_minus, v_plus, sigma,
+                           lambda k, e: _step_rt(k, np.sqrt(e - v_plus)))
 
-    The packet is launched in the flat left region, propagated under H
-    until the reflected and transmitted bulks have separated past the
-    capture radius, and the probabilities are read off as the captured
-    mass on each side.  Probability conservation makes the transmitted
-    mass flux-normalized automatically; the defect |R + T - 1| is
-    reported, never clamped.  The ladder holds SCATTER_TIMES equally
-    spaced times, from t = 0 to the time the transmitted bulk needs to
-    clear the capture radius well; its later times are propagated as one
-    block, whose columns are scanned until the bulk nears the boundary.
-    """
+
+def outgoing_root(z: complex, v: float, dx: float) -> complex:
+    """The root xi of xi + 1/xi = 2 - dx^2 (z - v) with |xi| < 1, or at a real z in the
+    band (v, v + 4/dx^2) its limit e^{ik dx}, 0 < k dx < pi, from Im z > 0: where the
+    potential is v, the outgoing solution of (H - z) u = 0 steps as u_{j+1} = xi u_j."""
+    a = 0.5 * dx**2 * (complex(z) - v)  # 1 - cos(k dx), kept exact near the band bottom
+    if a.imag == 0 and 0 < a.real < 2:
+        return complex(1 - a.real, math.sqrt(a.real * (2 - a.real)))
+    root = complex(np.sqrt(a * (a - 2)))
+    return 1 / max(1 - a + root, 1 - a - root, key=abs)  # the roots multiply to 1
+
+
+def outgoing_band(opset: OperatorSet, z: complex) -> Band:
+    """H with H[0,0] lowered by xi_-/dx^2 and H[n-1,n-1] by xi_+/dx^2 (`outgoing_root`
+    at v_pm): the exterior, where v = v_pm, eliminated exactly.  Its `resolvent` at z
+    is that of the infinite lattice restricted to the box, not an absorbing layer."""
+    dx, pot = opset.grid.dx, opset.potential
+    entries = opset.H.entries.astype(complex)
+    entries[1, 0] -= outgoing_root(z, pot.v_minus, dx) / dx**2
+    entries[1, -1] -= outgoing_root(z, pot.v_plus, dx) / dx**2
+    return Band(entries)
+
+
+def stationary_coefficients(opset: OperatorSet, lam: float) -> ScatteringCoefficients:
+    """R and T of a unit wave coming in from the left at the real energy lam, from one
+    solve on `outgoing_band` with the incoming wave's source (1/xi_- - xi_-)/dx^2 in
+    row 0: R = |u_0 - 1|^2, T = |u_{n-1}|^2 Im xi_+ / Im xi_- (a flux is |amplitude|^2
+    sin(k dx), and sin(k dx) = Im xi)."""
+    dx, pot = opset.grid.dx, opset.potential
+    xi_m, xi_p = outgoing_root(lam, pot.v_minus, dx), outgoing_root(lam, pot.v_plus, dx)
+    if min(xi_m.imag, xi_p.imag) <= 0:
+        raise ValueError(f"closed channel at {lam:g}: need max(v_minus, v_plus) < lam < "
+                         f"min(v_minus, v_plus) + 4/dx^2")
+    source = np.zeros(opset.n, dtype=complex)
+    source[0] = (1 / xi_m - xi_m) / dx**2
+    u = resolvent(outgoing_band(opset, lam), lam, source)
+    return _coefficients(lam, abs(u[0] - 1) ** 2, abs(u[-1]) ** 2 * xi_p.imag / xi_m.imag)
+
+
+def scattering_coefficients(opset: OperatorSet, lam: float,
+                            sigma: float = 3.0) -> ScatteringCoefficients:
+    """R and T of a left-incoming packet at mean energy lam: `stationary_coefficients`
+    averaged over the momenta and weights of `gaussian_averaged_oracle`, so the two
+    differ only in the R(E), T(E) they average.  |R + T - 1| is reported, never clamped."""
+    def rt(_, energies):
+        return np.array([(c.reflection, c.transmission)
+                         for c in (stationary_coefficients(opset, e) for e in energies)]).T
+
     pot = opset.potential
-    grid = opset.grid
-    if lam <= max(pot.v_minus, pot.v_plus):
-        raise ValueError("closed channel: need lam > max(v_minus, v_plus)")
-    k0 = math.sqrt(lam - pot.v_minus)
-    width = k0 / sigma  # energy spread of the packet
-    if lam - max(pot.v_minus, pot.v_plus) <= width:
-        raise ValueError("closed channel within the packet energy width; raise lam or sigma")
-    packet = make_channel_packet(grid, "-", x0, k0, sigma)
-    psi0 = opset.cutoffs.j_minus * packet.phi_minus
-    psi0 = psi0 / _l2(grid, psi0)
-
-    kp = math.sqrt(lam - pot.v_plus)
-    max_time = (abs(x0) + CAPTURE_RADIUS + 6 * sigma) / (2 * min(k0, kp))
-    times = np.linspace(0.0, max_time, SCATTER_TIMES)
-    x = grid.nodes
-    mid = np.abs(x) <= CAPTURE_RADIUS
-    left = x < -CAPTURE_RADIUS
-    right = x > CAPTURE_RADIUS
-
-    dens = grid.dx * np.abs(propagate(dec_H, psi0, times[1:])) ** 2
-    margins = grid.L - _bulk_radius(grid, dens)
-    mid_mass = dens[mid].sum(axis=0)
-    best = None
-    peak = 0.0
-    for k, margin in enumerate(margins):
-        if margin < 2.0:
-            break
-        peak = max(peak, mid_mass[k])
-        # accept only times after the packet has traversed the step
-        if peak > 0.05 and mid_mass[k] < 0.5 * peak:
-            if best is None or mid_mass[k] < mid_mass[best]:
-                best = k
-    if best is None or mid_mass[best] > 0.01:
-        raise RuntimeError(
-            "channels not separated before the boundary was reached; increase L"
-        )
-    refl = float(dens[left, best].sum())
-    trans = float(dens[right, best].sum())
-    return _coefficients(lam, refl, trans)
+    return _packet_average(lam, pot.v_minus, pot.v_plus, sigma, rt)

@@ -65,11 +65,6 @@ def well_1601():
                  bump_field=-2.0 * bump(0.0, 2.0)(g.nodes))
 
 
-@pytest.fixture(scope="module")
-def sharp_1601():
-    return build(40.0, 1601, profile="sharp_step")
-
-
 def test_criterion_1_analytic_rho():
     checks = [
         analytic_rho(0.0, 1.0, -1.0) == math.inf,
@@ -147,10 +142,10 @@ def test_criterion_6_resolvent_commutator_identity():
            f"<= 1e-8 (n=801, z=i; C1 verdict {rep.verdict}; {time.time()-t0:.0f}s)")
 
 
-def test_criterion_7_scattering_cross_check(sharp_1601):
+def test_criterion_7_scattering_cross_check():
     t0 = time.time()
-    ops, dec_H = sharp_1601
-    coeff = scattering_coefficients(ops, dec_H, 2.0, x0=-25.0, sigma=3.0)
+    ops = build_ops(40.0, 1601, profile="sharp_step")
+    coeff = scattering_coefficients(ops, 2.0, sigma=3.0)
     oracle = gaussian_averaged_oracle(2.0, 0.0, 1.0, sigma=3.0)
     dr = abs(coeff.reflection - oracle.reflection)
     dt = abs(coeff.transmission - oracle.transmission)

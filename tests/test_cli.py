@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mourre_lab import cli
+from mourre_lab import blas, cli
 from mourre_lab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -293,6 +294,24 @@ class TestRun:
                                params={"lambda": 0.5}, **SMALL)
         assert run(cfg) == 2
         assert "closed channel" in capsys.readouterr().err
+
+    def test_scatter_report_independent_of_blas_threads(self, tmp_path):
+        """A scatter run makes banded solves only, so its report reads the same
+        bytes at one BLAS thread as at two, but for the thread count it records."""
+        get = blas._symbol("scipy_openblas_get_num_threads64_")
+        get.restype = ctypes.c_int
+        before = get()
+        reports = []
+        try:
+            for threads in (1, 2):
+                cfg = ExperimentConfig(experiment="scatter", out_dir=str(tmp_path),
+                                       threads=threads, profile="sharp_step",
+                                       params={"lambda": 2.0}, **SMALL)
+                assert run(cfg) == 0
+                reports.append((tmp_path / "scatter.json").read_bytes())
+        finally:
+            blas.set_num_threads(before)
+        assert reports[0].replace(b'"threads": 1', b'"threads": 2') == reports[1]
 
     def test_transfer_sample_below_the_spectrum_is_exit_2(self, tmp_path, capsys):
         # eta = bump(-0.5, 0.1) meets no eigenvalue of H, so rho_H has no estimate there

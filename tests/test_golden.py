@@ -39,12 +39,20 @@ value, never an observed drift:
   ROUNDING_ULPS * n * eps (relative to max(1, |value|)); a residual is the
   top singular value of thin factors (`singular_values(..., top=1)`), a
   QR and an SVD that add only rounding of the same order;
-- completeness norms, the range defect and the scattering R, T and
-  |R + T - 1| are norms and masses of propagated states.  A state moved by
-  U diag(e^{-itw}) U^T carries a relative error of about n * eps (U is
-  orthonormal to a modest multiple of n * eps, and each product sums n
-  terms), so a norm or a mass of a unit state moves by as much; they share
-  the ROUNDING_ULPS * n * eps * max(1, |value|) bound above;
+- completeness norms and the range defect are norms and masses of
+  propagated states.  A state moved by U diag(e^{-itw}) U^T carries a
+  relative error of about n * eps (U is orthonormal to a modest multiple of
+  n * eps, and each product sums n terms), so a norm or a mass of a unit
+  state moves by as much; they share the ROUNDING_ULPS * n * eps *
+  max(1, |value|) bound above;
+- the scattering R, T and |R + T - 1| come from one stationary solve per
+  energy, `zgtsv` on the n rows of the outgoing band.  Partial pivoting on a
+  tridiagonal band has a backward error of a few eps per row, and the
+  elimination carries each row's rounding into the next, so the amplitudes
+  read at the two box ends carry a relative error of up to about n * eps.
+  R and T are their squared moduli averaged with positive weights, and the
+  flux defect is a difference of those: all three share the same
+  ROUNDING_ULPS * n * eps * max(1, |value|) bound;
 - boundary margins are L minus a grid node, the node where a cumulative
   mass first reaches a fixed fraction.  Rounding moves that node only
   when a cumulative mass sits within n * eps of the fraction, so margins
@@ -93,7 +101,7 @@ CONFIGS = {
     "completeness-n601": ("completeness", dict(BASE, n=601, params={
         "x0": 10.0, "k0": 1.5, "sigma": 2.0, "t_max": 8.0, "n_times": 161})),
     "scatter": ("scatter", dict(BASE, n=1601, profile="sharp_step", params={
-        "lambda": 2.0, "x0": -25.0, "sigma": 3.0})),
+        "lambda": 2.0, "sigma": 3.0})),
     "rho-scan-L160": ("rho-scan", dict(BASE, L=160.0, n=1601, params={
         "lambda_min": -0.5, "lambda_max": 3.0, "lambda_step": 0.02, "eps": 0.1})),
     "transfer-L160": ("transfer", dict(BASE, L=160.0, n=1201, params={

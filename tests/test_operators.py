@@ -165,6 +165,20 @@ class TestCommutators:
         rhs = 2.0 * (free_ops.neglap.dense() @ psi)
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 0.01
 
+    @pytest.mark.parametrize("energy", [0.5, 1.0, 2.0, 3.0])
+    def test_channel_commutator_lattice_symbol(self, energy):
+        """Away from the box ends, i[-Delta, D] acts on the lattice plane wave
+        e^{ikx} of energy E, cos(k dx) = 1 - dx^2 E/2, as multiplication by
+        2 sin^2(k dx)/dx^2 = 2E(1 - dx^2 E/4): the lattice form of i[-Delta, D] = 2(-Delta)."""
+        g = make_grid(40.0, 801)  # dx = 0.1
+        ops = build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))
+        dx = g.dx
+        k = np.arccos(1 - dx**2 * energy / 2) / dx
+        wave = np.exp(1j * k * g.nodes)
+        inner = np.abs(g.nodes) < 10
+        symbol = (ops.commutator_iH0A0 @ wave)[inner] / wave[inner]
+        assert np.max(np.abs(symbol - 2 * energy * (1 - dx**2 * energy / 4))) <= 1e-10
+
     def test_longrange_formula_close_to_direct(self, small_ops):
         formula = build_commutator_longrange(small_ops).dense()
         direct = small_ops.commutator_iHA.dense()

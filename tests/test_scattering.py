@@ -7,16 +7,25 @@ import pytest
 from conftest import channel_bases
 from mourre_lab import scattering
 from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
-from mourre_lab.operators import build_pair
+from mourre_lab.operators import Band, build_pair
 from mourre_lab.scattering import (
     completeness_probe,
     gaussian_averaged_oracle,
     make_channel_packet,
+    outgoing_band,
+    outgoing_root,
     scattering_coefficients,
     sharp_step_oracle,
+    stationary_coefficients,
     wave_operator_probe,
 )
-from mourre_lab.spectral import bump, eigendecompose, propagate, scattering_projector
+from mourre_lab.spectral import (
+    bump,
+    eigendecompose,
+    propagate,
+    resolvent,
+    scattering_projector,
+)
 
 F64_EPS = np.finfo(float).eps
 ROUNDING_ULPS = 16.0  # as in test_golden: an eigenbasis is orthonormal to a modest multiple of n*eps
@@ -126,25 +135,114 @@ class TestOracles:
         assert avg.flux_defect < 1e-6
 
 
+def _step_ops(n, v_minus=0.0, v_plus=1.0, L=40.0, profile="sharp_step"):
+    g = make_grid(L, n)
+    return build_pair(g, make_steplike(g, v_minus, v_plus, profile=profile), make_cutoffs(g))
+
+
 class TestScatteringCoefficients:
     def test_free_transmission(self, free_box):
-        ops, dec_H = free_box
-        c = scattering_coefficients(ops, dec_H, 2.0)
+        ops, _ = free_box
+        c = scattering_coefficients(ops, 2.0)
         assert c.reflection < 0.01
         assert c.transmission == pytest.approx(1.0, abs=0.01)
 
     def test_sharp_step_matches_averaged_oracle(self, box):
-        ops, dec_H = box
-        c = scattering_coefficients(ops, dec_H, 2.0)
+        ops, _ = box
+        c = scattering_coefficients(ops, 2.0)
         avg = gaussian_averaged_oracle(2.0, 0.0, 1.0, sigma=3.0)
         assert abs(c.reflection - avg.reflection) < 0.02
         assert abs(c.transmission - avg.transmission) < 0.02
         assert c.flux_defect < 1e-2
 
+    def test_criterion_7_config_within_a_thousandth(self):
+        # criterion 7's sharp step at (40, 1601): the lattice R(E) differs from the
+        # plane-wave one by O(dx^2), and each solve conserves flux to rounding
+        c = scattering_coefficients(_step_ops(1601), 2.0, sigma=3.0)
+        avg = gaussian_averaged_oracle(2.0, 0.0, 1.0, sigma=3.0)
+        assert abs(c.reflection - avg.reflection) <= 1e-3
+        assert abs(c.transmission - avg.transmission) <= 1e-3
+        assert c.flux_defect <= 1e-12
+
     def test_closed_channel_rejected(self, box):
-        ops, dec_H = box
+        ops, _ = box
         with pytest.raises(ValueError, match="closed channel"):
-            scattering_coefficients(ops, dec_H, 0.5)
+            scattering_coefficients(ops, 0.5)
+
+    def test_average_differs_from_oracle_only_in_what_it_averages(self, box, monkeypatch):
+        """With the sharp-step (R, T) put in place of the stationary solve, the
+        packet average is the averaged oracle, bit for bit."""
+        ops, _ = box
+
+        def plane_wave(opset, lam):
+            return sharp_step_oracle(lam, 0.0, 1.0)
+
+        monkeypatch.setattr(scattering, "stationary_coefficients", plane_wave)
+        for lam in (1.2, 2.0, 3.0):  # at 1.2 some momenta of the packet are closed
+            assert (scattering_coefficients(ops, lam)
+                    == gaussian_averaged_oracle(lam, 0.0, 1.0, sigma=3.0))
+
+
+class TestOutgoingBoundary:
+    @pytest.mark.parametrize("profile", ["sharp_step", "smooth_step"])
+    def test_corner_identity(self, profile):
+        """The corner-modified band is the infinite lattice restricted to the box:
+        its resolvent at z = 2 + 0.05i matches the centre rows of a box with
+        EXTRA more nodes on each side, where the outgoing wave has decayed by
+        about e^-17 (dx = 0.05)."""
+        extra, z = 20000, 2.0 + 0.05j
+        ops = _step_ops(1601, profile=profile)
+        h = ops.H.entries
+        diag = np.concatenate([np.full(extra, h[1, 0]), h[1], np.full(extra, h[1, -1])])
+        off = np.full(diag.size - 1, h[2, 0])
+        longer = Band(np.array([np.r_[0.0, off], diag, np.r_[off, 0.0]]))
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal((ops.n, 3)) + 1j * rng.standard_normal((ops.n, 3))
+        f[[0, -1], 0] = 1.0  # the box ends carry a source
+        got = resolvent(outgoing_band(ops, z), z, f)
+        padded = np.zeros((diag.size, 3), dtype=complex)
+        padded[extra:extra + ops.n] = f
+        ref = resolvent(longer, z, padded)[extra:extra + ops.n]
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("z", [2.0 + 0.05j, 2.0 - 0.05j, -0.5, 2000.0, 2.0])
+    def test_outgoing_root(self, z):
+        dx, v = 0.05, 1.0
+        xi = outgoing_root(z, v, dx)
+        assert xi + 1 / xi == pytest.approx(2 - dx**2 * (z - v), rel=1e-14)
+        if z.imag == 0 and v < z < v + 4 / dx**2:  # the limit from Im z > 0
+            assert abs(xi) == pytest.approx(1.0, rel=1e-15) and xi.imag > 0
+            assert outgoing_root(z + 1e-9j, v, dx) == pytest.approx(xi, abs=1e-8)
+        else:
+            assert abs(xi) < 1
+
+
+class TestStationaryCoefficients:
+    @pytest.mark.parametrize("v_minus,v_plus", [(0.0, 1.0), (1.0, 0.0)])
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+    def test_flux_conserved(self, lam, v_minus, v_plus):
+        c = stationary_coefficients(_step_ops(801, v_minus, v_plus), lam)
+        assert c.flux_defect <= 1e-12
+        assert 0 < c.reflection < 0.1
+
+    def test_free_box_reflects_nothing(self):
+        c = stationary_coefficients(_step_ops(801, 0.7, 0.7, profile="smooth_step"), 2.0)
+        assert c.reflection <= 1e-20
+        assert c.transmission == pytest.approx(1.0, abs=1e-12)
+
+    def test_converges_to_sharp_step_as_dx_squared(self):
+        # dx = 0.1, 0.05, 0.025 at L = 40
+        errors = [abs(stationary_coefficients(_step_ops(n), 2.0).reflection
+                      - sharp_step_oracle(2.0, 0.0, 1.0).reflection)
+                  for n in (801, 1601, 3201)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.0 <= coarse / fine <= 5.0
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5, 1000.0])
+    def test_closed_channel_rejected(self, lam):
+        # at or below v_plus = 1, and above the lattice band v + 4/dx^2 = 400 + v
+        with pytest.raises(ValueError, match="closed channel"):
+            stationary_coefficients(_step_ops(801), lam)
 
 
 class TestWaveOperatorProbe:
@@ -277,13 +375,13 @@ def _l2_one(grid, vec):
     return math.sqrt(grid.dx * float(np.sum(np.abs(vec) ** 2)))
 
 
-def _bulk_radius_one(grid, density, fraction=0.99):
+def _bulk_radius_one(grid, density):
     total = density.sum()
     if total == 0:
         return 0.0
     order = np.argsort(np.abs(grid.nodes))
     cum = np.cumsum(density[order]) / total
-    idx = min(np.searchsorted(cum, fraction), grid.n - 1)
+    idx = min(np.searchsorted(cum, 0.5), grid.n - 1)
     return float(np.abs(grid.nodes[order][idx]))
 
 
@@ -300,7 +398,7 @@ def _loop_wave_probe(ops, dec_H, packet, direction, times):
     for tau in times:
         pm, pp = free(sign * tau)
         density = grid.dx * (np.abs(pm) ** 2 + np.abs(pp) ** 2)
-        margins.append(grid.L - _bulk_radius_one(grid, density, fraction=0.5))
+        margins.append(grid.L - _bulk_radius_one(grid, density))
         approximants.append(_propagate_one(dec_H, ops.apply_J(pm, pp), -sign * tau))
     admissible = [m >= guard for m in margins]
     cauchy = [_l2_one(grid, approximants[k + 1] - approximants[k])
@@ -323,31 +421,6 @@ def _loop_wave_probe(ops, dec_H, packet, direction, times):
     return {"defects": defects, "cauchy_ladder": cauchy, "boundary_margins": margins,
             "admissible": admissible, "best_time": sign * times[best + 1],
             "isometry_ratio": _l2_one(grid, image) / math.sqrt(p0_sq), "image": image}
-
-
-def _loop_scattering(ops, dec_H, lam, x0=-25.0, sigma=3.0, capture_radius=4.0):
-    """(reflection, transmission, columns scanned before the boundary stop)."""
-    grid, pot = ops.grid, ops.potential
-    k0 = math.sqrt(lam - pot.v_minus)
-    packet = make_channel_packet(grid, "-", x0, k0, sigma)
-    psi0 = ops.cutoffs.j_minus * packet.phi_minus
-    psi0 = psi0 / _l2_one(grid, psi0)
-    kp = math.sqrt(lam - pot.v_plus)
-    max_time = (abs(x0) + capture_radius + 6 * sigma) / (2 * min(k0, kp))
-    x = grid.nodes
-    mid, left, right = np.abs(x) <= capture_radius, x < -capture_radius, x > capture_radius
-    best, peak, scanned = None, 0.0, 0
-    for t in np.linspace(0.0, max_time, 60)[1:]:
-        dens = grid.dx * np.abs(_propagate_one(dec_H, psi0, t)) ** 2
-        if grid.L - _bulk_radius_one(grid, dens) < 2.0:
-            break
-        scanned += 1
-        mid_mass = float(dens[mid].sum())
-        peak = max(peak, mid_mass)
-        if peak > 0.05 and mid_mass < 0.5 * peak and (best is None or mid_mass < best[1]):
-            best = (t, mid_mass, dens)
-    assert best is not None and best[1] <= 0.01
-    return float(best[2][left].sum()), float(best[2][right].sum()), scanned
 
 
 @pytest.fixture(scope="module")
@@ -384,13 +457,3 @@ class TestBlockedProbesMatchLoops:
         assert np.max(np.abs(rep.image - ref["image"])) <= tol
         if direction == "+":
             assert not all(rep.admissible)
-
-    def test_scattering_coefficients(self, step_321):
-        # the ladder reaches the boundary before its last time (59 later times)
-        ops, dec_H = step_321
-        refl, trans, scanned = _loop_scattering(ops, dec_H, 2.0)
-        assert scanned == 50
-        c = scattering_coefficients(ops, dec_H, 2.0)
-        tol = _rounding(ops.n)
-        assert c.reflection == pytest.approx(refl, abs=tol)
-        assert c.transmission == pytest.approx(trans, abs=tol)
