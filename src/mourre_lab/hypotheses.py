@@ -208,12 +208,10 @@ def short_range_operator(opset: OperatorSet, z: complex) -> ThinProduct:
     pot = opset.potential
     smoothing = plateau(min(pot.v_minus, pot.v_plus) + 0.05, max(pot.v_minus, pot.v_plus) + 4.0,
                         shoulder=1.0)
-    cut, n = opset.cutoffs, opset.n
+    n = opset.n
     terms = []
-    for side, v, j, pad in (("-", pot.v_minus, cut.j_minus, (0, n)),
-                            ("+", pot.v_plus, cut.j_plus, (n, 0))):
-        jb, h0 = Band(j[None, :]), opset.channel_hamiltonian(side)
-        m = Band((opset.H @ jb).entries - (jb @ h0).entries)  # H j - j H0
+    for side, v, pad in (("-", pot.v_minus, (0, n)), ("+", pot.v_plus, (n, 0))):
+        h0, m = opset.channel_hamiltonian(side), opset.interaction_band(side)
         rows = np.flatnonzero(m.entries.any(axis=0))  # S: the rows where M != 0
         y = opset.dilation_core @ resolvent(h0, np.conj(z), m.rows(rows).T)
         u, f = _channel_support(opset, v, smoothing)

@@ -145,6 +145,12 @@ class OperatorSet:
         v = self.potential.v_minus if side == "-" else self.potential.v_plus
         return _plus_diagonal(self.neglap, v)
 
+    def interaction_band(self, side: str) -> Band:
+        """H j_pm - j_pm H0_pm, the channel's share of HJ - JH0: nonzero only on the
+        rows near the step, where j_pm bends or v differs from v_pm."""
+        j = Band((self.cutoffs.j_minus if side == "-" else self.cutoffs.j_plus)[None, :])
+        return Band((self.H @ j).entries - (j @ self.channel_hamiltonian(side)).entries)
+
     def apply_J(self, phi_minus: np.ndarray, phi_plus: np.ndarray) -> np.ndarray:
         """j_- phi_- + j_+ phi_+ for two vectors, or column by column for two n x T blocks."""
         cut = self.cutoffs

@@ -1,36 +1,33 @@
-"""Wave-packet probes of the wave operators, and stationary scattering coefficients.
+"""Wave-packet completeness probes, and the stationary two-space scattering.
 
-Strong limits are replaced by finite-time stabilization: the approximant
-e^{itH} J e^{-itH0} phi is tracked over a ladder of times together with
-a Cauchy defect and a boundary margin, and the image is taken at the
-best admissible time.  The Dirichlet box makes t -> infinity meaningless
-(recurrences), so every probe rejects times where the packet bulk gets
-close to the ends.
+The completeness probe replaces strong limits by finite-time
+stabilization: the gluing defects of e^{-itH} psi are tracked over a
+ladder of times with a boundary margin, since the Dirichlet box makes
+t -> infinity meaningless (recurrences).  `propagate` moves a state to
+every time in one product with the eigenbasis of H, the channels move
+by DST-I (`dst1`), and norms and margins are reductions down the
+columns of those n x T blocks.
 
-Each probe works on the whole time ladder at once: `propagate` moves a
-state to every time (or column k of a block to time k) in one product
-with the eigenbasis of H, the channel dynamics e^{-itH0} act by DST-I
-(`dst1`) with no channel basis, and norms, boundary margins and masses
-are reductions down the columns of those n x T blocks.  The probes take
-the operators and the eigendecomposition of H alone.
-
-R and T need neither: two corner entries of H (`outgoing_band`) make the
-box the infinite lattice with an outgoing boundary, and one banded solve
-per energy gives those of a plane wave (`stationary_coefficients`).
+The rest needs no time and no basis of H.  Outside the box the
+potential is the constant v_pm, so two corner entries of H
+(`outgoing_band`) make the box the infinite lattice with an outgoing
+boundary, and R(lam + i0) is one banded solve.  It gives R and T of a
+plane wave (`stationary_coefficients`) and the two-space wave operator
+W- phi = J phi - R(lam + i0)(HJ - JH0) phi at one energy
+(`wave_operator_probe`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .grid import Grid
 from .operators import Band, OperatorSet
 from .spectral import (
-    AC_DELTA,
     SpectralDecomposition,
     dirichlet_eigenvalues,
     dst1,
@@ -69,7 +66,6 @@ class TwoSpaceState:
     grid: Grid
     phi_minus: np.ndarray
     phi_plus: np.ndarray
-    sigma: Optional[float] = None
 
     def norm(self) -> float:
         return math.sqrt(
@@ -80,15 +76,14 @@ class TwoSpaceState:
 
 @dataclass(frozen=True)
 class WaveProbeReport:
-    direction: str
-    times: list
-    defects: list
-    cauchy_ladder: list
-    boundary_margins: list
-    admissible: list
-    best_time: float
-    isometry_ratio: float
-    image: np.ndarray
+    """W- at one energy, from `wave_operator_probe`."""
+
+    energy: float
+    images: np.ndarray        # n x m: W- phi of each incoming wave, channel - first
+    flux: list                # d lam / dk of each image
+    outgoing_residuals: list  # ||W- phi|| / ||J phi|| of each outgoing wave
+    density: float            # Im <f, R(lam + i0) f> / pi
+    image_density: float      # sum of |<psi, f>|^2 / (2 pi d lam / dk) over the images
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,7 @@ def make_channel_packet(
     psi = psi / _l2(grid, psi)
     zero = np.zeros_like(psi)
     phi_minus, phi_plus = (psi, zero) if channel == "-" else (zero, psi)
-    return TwoSpaceState(grid=grid, phi_minus=phi_minus, phi_plus=phi_plus, sigma=sigma)
+    return TwoSpaceState(grid=grid, phi_minus=phi_minus, phi_plus=phi_plus)
 
 
 def _free_evolve(opset: OperatorSet, state: TwoSpaceState, times: np.ndarray):
@@ -165,71 +160,6 @@ def _free_evolve(opset: OperatorSet, state: TwoSpaceState, times: np.ndarray):
     return tuple(
         dst1(phases * dst1(phi)[:, None]) * np.exp(-1j * v * times)
         for phi, v in ((state.phi_minus, pot.v_minus), (state.phi_plus, pot.v_plus))
-    )
-
-
-def _p0_norm(opset: OperatorSet, state: TwoSpaceState) -> float:
-    """Norm of the initial-set surrogate projection of the packet.
-
-    In each channel that is the Parseval norm of the DST-I coefficients
-    whose eigenvalue lies above the channel threshold + AC_DELTA.
-    """
-    w = dirichlet_eigenvalues(opset.n, opset.grid.dx)
-    pot = opset.potential
-    mass = sum(float(np.sum(np.abs(dst1(phi)[w + v > v + AC_DELTA]) ** 2))
-               for phi, v in ((state.phi_minus, pot.v_minus), (state.phi_plus, pot.v_plus)))
-    return math.sqrt(opset.grid.dx * mass)
-
-
-def wave_operator_probe(
-    opset: OperatorSet,
-    dec_H: SpectralDecomposition,
-    packet: TwoSpaceState,
-    direction: str,
-    times: Sequence[float],
-) -> WaveProbeReport:
-    """Finite-time approximants of e^{itH} J e^{-itH0} on one packet.
-
-    `times` are magnitudes; the sign is set by `direction` ('+' probes
-    t -> +infinity).  The image is the approximant at the admissible time
-    with the smallest Cauchy defect.  One free-evolution block serves both
-    the approximants and the defects: e^{itH} is unitary, so the defect
-    ||e^{-itH} image - J e^{-itH0} phi|| is read as ||image - approximant_t||.
-    """
-    if direction not in ("+", "-"):
-        raise ValueError("direction must be '+' or '-'")
-    ts = (1.0 if direction == "+" else -1.0) * np.asarray(times, dtype=float)
-    if packet.sigma is None:
-        raise ValueError("packet has no width sigma; the boundary guard is 5 sigma")
-    grid = opset.grid
-    guard = 5 * packet.sigma
-
-    pm, pp = _free_evolve(opset, packet, ts)
-    glued = opset.apply_J(pm, pp)
-    # bulk location = median-|x| radius; tails are covered by the 5 sigma guard
-    margins = grid.L - _bulk_radius(grid, grid.dx * (np.abs(pm) ** 2 + np.abs(pp) ** 2))
-    del pm, pp
-    approximants = propagate(dec_H, glued, -ts)  # column k: e^{i t_k H} (...)
-
-    admissible = margins >= guard
-    cauchy = _l2(grid, np.diff(approximants, axis=1))
-    pairs = admissible[:-1] & admissible[1:]
-    if not pairs.any():
-        raise RuntimeError(
-            "no admissible probe time: packet reaches the boundary before the "
-            "approximant stabilizes; increase L or shorten the time ladder"
-        )
-    best_idx = int(np.argmin(np.where(pairs, cauchy, np.inf)))
-    image = approximants[:, best_idx + 1]
-    p0 = _p0_norm(opset, packet)
-    iso = _l2(grid, image) / p0 if p0 > 0 else math.inf
-    defects = _l2(grid, image[:, None] - approximants)
-
-    return WaveProbeReport(
-        direction=direction, times=list(times), defects=defects.tolist(),
-        cauchy_ladder=cauchy.tolist(), boundary_margins=margins.tolist(),
-        admissible=admissible.tolist(), best_time=float(ts[best_idx + 1]),
-        isometry_ratio=float(iso), image=image,
     )
 
 
@@ -360,6 +290,55 @@ def outgoing_band(opset: OperatorSet, z: complex) -> Band:
     entries[1, 0] -= outgoing_root(z, pot.v_minus, dx) / dx**2
     entries[1, -1] -= outgoing_root(z, pot.v_plus, dx) / dx**2
     return Band(entries)
+
+
+def wave_operator_probe(opset: OperatorSet, lam: float, f: np.ndarray) -> WaveProbeReport:
+    """The two-space wave operator W-(H, H0; J) at the real energy lam, in its
+    stationary form W- phi = J phi - R(lam + i0)(HJ - JH0) phi, on the waves
+    phi_j = e^{+-i k dx j} of each open channel (Im xi > 0 for xi = `outgoing_root`,
+    and k dx = arg xi).  A channel's HJ - JH0 is its `interaction_band`, nonzero
+    only near the step, and one solve on `outgoing_band` takes every
+    (HJ - JH0) phi and f as the columns of one block.
+
+    The outgoing waves (channel - moving left, channel + moving right) map to
+    zero.  The images psi of the incoming ones span the absolutely continuous
+    part of H at lam: the density Im <f, R(lam + i0) f> / pi of its spectral
+    measure equals the sum of |<psi, f>|^2 / (2 pi d lam / dk) over them, with
+    d lam / dk = 2 Im xi / dx and <a, b> = dx sum conj(a) b.  That is
+    Ran W- = H_ac(H) resolved in energy.  H and J are real, so
+    W+ phi = conj(W- conj phi).
+    """
+    dx, pot, cut = opset.grid.dx, opset.potential, opset.cutoffs
+    steps = np.arange(opset.n)
+    glued, sources, incoming, flux = [], [], [], []
+    for side, v, j, inward in (("-", pot.v_minus, cut.j_minus, 1),
+                               ("+", pot.v_plus, cut.j_plus, -1)):
+        xi = outgoing_root(lam, v, dx)
+        if xi.imag <= 0:
+            continue
+        band = opset.interaction_band(side)
+        flux.append(2 * xi.imag / dx)  # one incoming wave per open channel
+        for sign in (1, -1):  # moving right, moving left
+            phi = np.exp(sign * 1j * np.angle(xi) * steps)
+            glued.append(j * phi)
+            sources.append(band @ phi)
+            incoming.append(sign == inward)
+    if not glued:
+        raise ValueError(f"closed channel at {lam:g}: need min(v_minus, v_plus) < lam < "
+                         f"max(v_minus, v_plus) + 4/dx^2")
+    f = np.asarray(f, dtype=complex)
+    solved = resolvent(outgoing_band(opset, lam), lam, np.column_stack(sources + [f]))
+    glued, incoming, flux = np.column_stack(glued), np.array(incoming), np.array(flux)
+    mapped = glued - solved[:, :-1]  # W- phi of every wave
+    images = mapped[:, incoming]
+    overlaps = dx * (images.conj().T @ f)
+    return WaveProbeReport(
+        energy=float(lam), images=images, flux=flux.tolist(),
+        outgoing_residuals=(_l2(opset.grid, mapped[:, ~incoming])
+                            / _l2(opset.grid, glued[:, ~incoming])).tolist(),
+        density=float(dx * np.vdot(f, solved[:, -1]).imag / math.pi),
+        image_density=float(np.sum(np.abs(overlaps) ** 2 / (2 * math.pi * flux))),
+    )
 
 
 def stationary_coefficients(opset: OperatorSet, lam: float) -> ScatteringCoefficients:

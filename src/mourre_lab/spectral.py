@@ -612,9 +612,9 @@ def scattering_projector(dec: SpectralDecomposition, states: np.ndarray,
     the cost is O(n k) for k of them and no other eigenvector is read.  On
     the box every eigenvalue is discrete, so states below the lowest channel
     threshold (bound states) are treated as the point-spectrum analogue.
-    This is a heuristic surrogate, not an identity.  AC_DELTA is a fixed
-    module constant (0.01), which the initial-set norm of
-    `scattering.wave_operator_probe` shares; no report carries it.
+    This is a heuristic surrogate, not an identity; the exact statement at one
+    energy is `scattering.wave_operator_probe`.  AC_DELTA is a fixed module
+    constant (0.01) that only this projector reads; no report carries it.
     """
     low = dec.eigenvectors[:, dec.eigenvalues <= threshold + AC_DELTA]
     return states - low @ (low.conj().T @ states)

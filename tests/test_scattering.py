@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +27,23 @@ from mourre_lab.spectral import (
 )
 
 F64_EPS = np.finfo(float).eps
-ROUNDING_ULPS = 16.0  # as in test_golden: an eigenbasis is orthonormal to a modest multiple of n*eps
+ROUNDING_ULPS = 16.0  # as in test_golden: an eigenbasis or a banded solve rounds to a few n*eps
+
+
+def _l2_one(grid, vec):
+    return math.sqrt(grid.dx * float(np.sum(np.abs(vec) ** 2)))
+
+
+def _rounding(n):
+    return ROUNDING_ULPS * n * F64_EPS
+
+
+def _well_ops(L, n):
+    """Criterion 8's well: the smooth step 0 -> 1 plus -2 bump(0, 2), deep enough
+    to bind a state below the spectrum of H0."""
+    g = make_grid(L, n)
+    pot = make_steplike(g, 0.0, 1.0, bump=-2.0 * bump(0.0, 2.0)(g.nodes))
+    return build_pair(g, pot, make_cutoffs(g))
 
 
 @pytest.fixture(scope="module")
@@ -42,10 +57,7 @@ def box():
 
 @pytest.fixture(scope="module")
 def well_box():
-    """A smooth step with a well deep enough to bind a state below the spectrum of H0."""
-    g = make_grid(40.0, 801)
-    pot = make_steplike(g, 0.0, 1.0, bump=-2.0 * bump(0.0, 2.0)(g.nodes))
-    ops = build_pair(g, pot, make_cutoffs(g))
+    ops = _well_ops(40.0, 801)
     return ops, eigendecompose(ops.H)
 
 
@@ -63,10 +75,7 @@ def _bound_state(ops, dec_H):
 @pytest.fixture(scope="module")
 def free_box():
     g = make_grid(40.0, 801)
-    cut = make_cutoffs(g)
-    pot = make_steplike(g, 0.0, 0.0)
-    ops = build_pair(g, pot, cut)
-    return ops, eigendecompose(ops.H)
+    return build_pair(g, make_steplike(g, 0.0, 0.0), make_cutoffs(g))
 
 
 class TestPackets:
@@ -94,7 +103,7 @@ class TestPackets:
             make_channel_packet(g, "-", -20.0, 0.0, 3.0)
 
     def test_mean_energy(self, free_box):
-        ops, _ = free_box
+        ops = free_box
         g = ops.grid
         k0, sigma = 1.2, 3.0
         pk = make_channel_packet(g, "-", -20.0, k0, sigma)
@@ -142,7 +151,7 @@ def _step_ops(n, v_minus=0.0, v_plus=1.0, L=40.0, profile="sharp_step"):
 
 class TestScatteringCoefficients:
     def test_free_transmission(self, free_box):
-        ops, _ = free_box
+        ops = free_box
         c = scattering_coefficients(ops, 2.0)
         assert c.reflection < 0.01
         assert c.transmission == pytest.approx(1.0, abs=0.01)
@@ -245,46 +254,86 @@ class TestStationaryCoefficients:
             stationary_coefficients(_step_ops(801), lam)
 
 
+def _test_state(grid):
+    x = grid.nodes
+    return np.exp(-(x - 0.5) ** 2 / 2) * (1 + 0.3 * x)
+
+
+def _image_terms(rep, grid, f):
+    """|<psi, f>|^2 / (2 pi d lam / dk) for each incoming image psi."""
+    overlaps = grid.dx * (rep.images.conj().T @ f)
+    return np.abs(overlaps) ** 2 / (2 * math.pi * np.array(rep.flux))
+
+
+@pytest.fixture(scope="module")
+def well_1601():
+    return _well_ops(40.0, 1601)
+
+
 class TestWaveOperatorProbe:
+    @pytest.mark.parametrize("lam,n_open", [(0.5, 1), (2.0, 2), (3.0, 2)])
+    def test_outgoing_waves_map_to_zero(self, well_1601, lam, n_open):
+        rep = wave_operator_probe(well_1601, lam, _test_state(well_1601.grid))
+        assert rep.images.shape == (well_1601.n, n_open)
+        assert len(rep.outgoing_residuals) == n_open
+        assert max(rep.outgoing_residuals) <= 1e-11
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 3.0])  # at 0.5 only channel - is open
+    def test_density_identity(self, well_1601, lam):
+        """Im <f, R(lam + i0) f> / pi is the sum over the incoming images, and
+        misses by a clear margin when any one image is left out."""
+        f = _test_state(well_1601.grid)
+        rep = wave_operator_probe(well_1601, lam, f)
+        assert rep.density > 0
+        assert abs(rep.density - rep.image_density) <= 1e-10 * rep.density
+        terms = _image_terms(rep, well_1601.grid, f)
+        assert terms.sum() == pytest.approx(rep.image_density, rel=1e-14)
+        for k in range(terms.size):
+            assert abs(rep.density - (terms.sum() - terms[k])) >= 0.1 * rep.density
+
     def test_free_identity_case(self, free_box):
-        # with v == 0 the glued evolution matches the channel evolution, so
-        # the approximant stays at the embedded packet
-        ops, dec_H = free_box
-        pk = make_channel_packet(ops.grid, "+", 15.0, 1.0, 3.0)
-        times = np.linspace(0.0, 4.0, 9)
-        rep = wave_operator_probe(ops, dec_H, pk, "+", times)
-        emb = ops.apply_J(pk.phi_minus, pk.phi_plus)
-        defect = math.sqrt(ops.grid.dx * np.sum(np.abs(rep.image - emb) ** 2))
-        assert defect < 0.02
-        assert rep.isometry_ratio == pytest.approx(1.0, abs=0.03)
+        # with v == 0, H J - J H0 is the commutator [H, j] only, and W- is the
+        # identity on incoming waves: each image is the full-line plane wave
+        ops = free_box
+        g = ops.grid
+        for lam in (0.5, 2.0):
+            rep = wave_operator_probe(ops, lam, _test_state(g))
+            kdx = np.angle(outgoing_root(lam, 0.0, g.dx))
+            steps = np.arange(g.n)
+            plane = np.column_stack([np.exp(1j * kdx * steps), np.exp(-1j * kdx * steps)])
+            assert np.max(np.abs(rep.images - plane)) <= 1e-12
+            assert max(rep.outgoing_residuals) <= 1e-12
 
-    def test_step_isometry(self, box):
-        ops, dec_H = box
-        pk = make_channel_packet(ops.grid, "-", -20.0, 1.5, 3.0)
-        times = np.linspace(0.0, 1.6, 9)
-        rep = wave_operator_probe(ops, dec_H, pk, "-", times)
-        assert 0.97 <= rep.isometry_ratio <= 1.03
+    @pytest.mark.parametrize("profile", ["sharp_step", "smooth_step"])
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+    def test_channel_minus_image_is_the_stationary_solution(self, profile, lam):
+        """The image of the wave coming in on channel - is the solution that
+        `stationary_coefficients` reads R and T from (its row-0 source), and
+        R and T read from the image agree with it."""
+        ops = _step_ops(1601, profile=profile)
+        dx = ops.grid.dx
+        image = wave_operator_probe(ops, lam, _test_state(ops.grid)).images[:, 0]
+        xi_m, xi_p = outgoing_root(lam, 0.0, dx), outgoing_root(lam, 1.0, dx)
+        source = np.zeros(ops.n, dtype=complex)
+        source[0] = (1 / xi_m - xi_m) / dx**2
+        u = resolvent(outgoing_band(ops, lam), lam, source)
+        tol = _rounding(ops.n)
+        assert np.max(np.abs(image - u)) <= tol
+        c = stationary_coefficients(ops, lam)
+        assert abs(abs(image[0] - 1) ** 2 - c.reflection) <= tol
+        assert abs(abs(image[-1]) ** 2 * xi_p.imag / xi_m.imag - c.transmission) <= tol
 
-    def test_no_admissible_time_raises(self, box):
-        ops, dec_H = box
-        pk = make_channel_packet(ops.grid, "-", -20.0, 1.5, 3.0)
-        # at every sampled time the packet bulk sits within 5 sigma of +L
-        # (group velocity 2 k0 = 3, so the center is past x = 28 by t = 16)
-        with pytest.raises(RuntimeError, match="increase L"):
-            wave_operator_probe(ops, dec_H, pk, "+", [16.0, 17.0, 18.0, 19.0])
+    @pytest.mark.parametrize("lam", [-0.5, 0.0])
+    def test_closed_channel_rejected(self, well_1601, lam):
+        with pytest.raises(ValueError, match="closed channel"):
+            wave_operator_probe(well_1601, lam, _test_state(well_1601.grid))
 
-    def test_invalid_direction(self, box):
-        ops, dec_H = box
-        pk = make_channel_packet(ops.grid, "-", -20.0, 1.5, 3.0)
-        with pytest.raises(ValueError):
-            wave_operator_probe(ops, dec_H, pk, "0", [0.0, 1.0])
-
-    def test_packet_without_width_rejected(self, box):
-        # the boundary guard is 5 sigma, so a packet without sigma has none
-        ops, dec_H = box
-        pk = dataclasses.replace(make_channel_packet(ops.grid, "-", -20.0, 1.5, 3.0), sigma=None)
-        with pytest.raises(ValueError, match="sigma"):
-            wave_operator_probe(ops, dec_H, pk, "-", np.linspace(0.0, 1.6, 9))
+    def test_density_identity_at_n_12801(self):
+        ops = _well_ops(640.0, 12801)
+        f = _test_state(ops.grid)
+        rep = wave_operator_probe(ops, 2.0, f)
+        assert abs(rep.density - rep.image_density) <= 1e-10 * rep.density
+        assert max(rep.outgoing_residuals) <= 1e-11
 
 
 class TestCompletenessProbe:
@@ -362,98 +411,3 @@ class TestChainRule:
         diff = math.sqrt(g.dx * np.sum(np.abs(direct - composed) ** 2))
         assert diff < 0.05
 
-
-# The per-time loops that the blocked probes replaced, kept as references:
-# one propagation per time, channels moved in their closed-form sine basis.
-
-def _propagate_one(dec, state, t):
-    u = dec.eigenvectors
-    return u @ (np.exp(-1j * t * dec.eigenvalues) * (u.T @ state))
-
-
-def _l2_one(grid, vec):
-    return math.sqrt(grid.dx * float(np.sum(np.abs(vec) ** 2)))
-
-
-def _bulk_radius_one(grid, density):
-    total = density.sum()
-    if total == 0:
-        return 0.0
-    order = np.argsort(np.abs(grid.nodes))
-    cum = np.cumsum(density[order]) / total
-    idx = min(np.searchsorted(cum, 0.5), grid.n - 1)
-    return float(np.abs(grid.nodes[order][idx]))
-
-
-def _loop_wave_probe(ops, dec_H, packet, direction, times):
-    sign = 1.0 if direction == "+" else -1.0
-    grid, (dec_m, dec_p) = ops.grid, channel_bases(ops)
-    guard = 5 * packet.sigma
-
-    def free(t):
-        return (_propagate_one(dec_m, packet.phi_minus, t),
-                _propagate_one(dec_p, packet.phi_plus, t))
-
-    approximants, margins = [], []
-    for tau in times:
-        pm, pp = free(sign * tau)
-        density = grid.dx * (np.abs(pm) ** 2 + np.abs(pp) ** 2)
-        margins.append(grid.L - _bulk_radius_one(grid, density))
-        approximants.append(_propagate_one(dec_H, ops.apply_J(pm, pp), -sign * tau))
-    admissible = [m >= guard for m in margins]
-    cauchy = [_l2_one(grid, approximants[k + 1] - approximants[k])
-              for k in range(len(times) - 1)]
-    best = None
-    for k in range(len(times) - 1):
-        if admissible[k] and admissible[k + 1] and (best is None or cauchy[k] < cauchy[best]):
-            best = k
-    image = approximants[best + 1]
-    p0_sq = 0.0
-    for dec, phi, v in ((dec_m, packet.phi_minus, ops.potential.v_minus),
-                        (dec_p, packet.phi_plus, ops.potential.v_plus)):
-        u = dec.eigenvectors[:, dec.eigenvalues > v + 0.01]
-        p0_sq += grid.dx * float(np.sum(np.abs(u @ (u.T @ phi)) ** 2))
-    defects = []
-    for tau in times:
-        pm, pp = free(sign * tau)
-        defects.append(_l2_one(grid, _propagate_one(dec_H, image, sign * tau)
-                               - ops.apply_J(pm, pp)))
-    return {"defects": defects, "cauchy_ladder": cauchy, "boundary_margins": margins,
-            "admissible": admissible, "best_time": sign * times[best + 1],
-            "isometry_ratio": _l2_one(grid, image) / math.sqrt(p0_sq), "image": image}
-
-
-@pytest.fixture(scope="module")
-def step_321():
-    g = make_grid(40.0, 321)
-    ops = build_pair(g, make_steplike(g, 0.0, 1.0, profile="sharp_step"), make_cutoffs(g))
-    return ops, eigendecompose(ops.H)
-
-
-def _rounding(n):
-    return ROUNDING_ULPS * n * F64_EPS
-
-
-class TestBlockedProbesMatchLoops:
-    @pytest.mark.parametrize("channel,x0,k0,direction,times", [
-        ("-", -20.0, 1.5, "-", np.linspace(0.0, 1.6, 9)),
-        ("-", -20.0, 1.5, "+", np.linspace(0.0, 16.0, 17)),  # the bulk nears +L late
-        # v_plus = 1 gives the channel phase weight; a slow packet weights the modes
-        # that the initial-set projection drops
-        ("+", 20.0, 0.1, "-", np.linspace(0.0, 1.6, 9)),
-    ])
-    def test_wave_operator_probe(self, step_321, channel, x0, k0, direction, times):
-        ops, dec_H = step_321
-        pk = make_channel_packet(ops.grid, channel, x0, k0, 3.0)
-        rep = wave_operator_probe(ops, dec_H, pk, direction, times)
-        ref = _loop_wave_probe(ops, dec_H, pk, direction, times)
-        tol = _rounding(ops.n)
-        assert rep.boundary_margins == ref["boundary_margins"]
-        assert rep.admissible == ref["admissible"]
-        assert rep.best_time == ref["best_time"]
-        for key in ("defects", "cauchy_ladder"):
-            assert np.max(np.abs(np.subtract(getattr(rep, key), ref[key]))) <= tol
-        assert rep.isometry_ratio == pytest.approx(ref["isometry_ratio"], abs=tol)
-        assert np.max(np.abs(rep.image - ref["image"])) <= tol
-        if direction == "+":
-            assert not all(rep.admissible)
