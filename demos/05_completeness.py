@@ -60,10 +60,7 @@ def completeness_section():
     dec_H = eigendecompose(ops.H)
     times = np.linspace(0.0, 8.0, 17)
 
-    pk = make_channel_packet(grid, "+", 10.0, 1.5, 2.0)
-    psi = ops.apply_J(pk.phi_minus, pk.phi_plus)
-    psi /= math.sqrt(grid.dx) * np.linalg.norm(psi)
-    out = completeness_probe(ops, dec_H, psi, times)
+    out = completeness_probe(ops, dec_H, make_channel_packet(ops, 10.0, 1.5, 2.0), times)
     print(f"outgoing packet:  verdict={out.verdict}, "
           f"min froufrou {min(out.froufrou_norms):.4f}, "
           f"min converse {min(out.converse_norms):.4f}")

@@ -46,7 +46,6 @@ from .hypotheses import (
 from .scattering import (
     CompletenessReport,
     ScatteringCoefficients,
-    TwoSpaceState,
     WaveProbeReport,
     completeness_probe,
     gaussian_averaged_oracle,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -307,13 +306,9 @@ def _run_scatter(cfg: ExperimentConfig, p: dict):
 
 
 def _run_completeness(cfg: ExperimentConfig, p: dict):
-    x0 = float(p["x0"])
     _check_full_basis(cfg)
     opset = _build(cfg, p)
-    packet = make_channel_packet(opset.grid, "+" if x0 > 0 else "-", x0, float(p["k0"]),
-                                 float(p["sigma"]))
-    psi = opset.apply_J(packet.phi_minus, packet.phi_plus)
-    psi = psi / (math.sqrt(opset.grid.dx) * np.linalg.norm(psi))
+    psi = make_channel_packet(opset, float(p["x0"]), float(p["k0"]), float(p["sigma"]))
     times = np.linspace(0.0, float(p["t_max"]), p["n_times"])
     rep = completeness_probe(opset, eigendecompose(opset.H), psi, times)
     rows = zip(rep.times, rep.froufrou_norms, rep.converse_norms, rep.boundary_margins)

@@ -347,9 +347,10 @@ def transfer_verify(
     """Check the transferred estimate rho_H >= rho_channel at each sample.
 
     Samples closer than 2*eps to a threshold are excluded (the closed form
-    changes branch there).  For each retained sample the corrected eta-form
-    estimate for (H, A) is compared against the closed-form channel value,
-    and the interior-weighted residual of
+    changes branch there); a run that excludes every sample is a ValueError.
+    For each retained sample the corrected eta-form estimate for (H, A) is
+    compared against the closed-form channel value, and the interior-weighted
+    residual of
     eta(H) i[H,A] eta(H) - J eta(H0) i[H0,A0] eta(H0) J* is recorded as a
     compactness candidate.  The eigenpairs of H and the estimates come from
     `_windowed_estimates`, and a sample whose eta meets none of those pairs
@@ -366,6 +367,9 @@ def transfer_verify(
     for lam in lambda_samples:
         near = min(abs(lam - pot.v_minus), abs(lam - pot.v_plus)) < 2 * eps
         (excluded if near else samples).append(float(lam))
+    if not samples:  # a run that checks nothing has no verdict to give
+        raise ValueError(f"no lambda sample lies 2 eps clear of a threshold: "
+                         f"excluded {excluded} at eps={eps}")
     dec_H, etas, ests = _windowed_estimates(opset, samples, eps)
     chi = plateau(-0.5 * grid.L, 0.5 * grid.L, 0.25 * grid.L)(grid.nodes)
     c0 = opset.commutator_iH0A0
@@ -390,7 +394,7 @@ def transfer_verify(
                           for w, t, sign in zip(weights, terms, (1.0, -1.0, -1.0))))
         residuals.append(float(singular_values(diff.left, diff.core, diff.right, top=1)[0]))
 
-    verdict = bool(samples) and all(m >= -tol for m in margins if not math.isnan(m))
+    verdict = all(m >= -tol for m in margins if not math.isnan(m))
     return TransferReport(
         lambda_samples=samples, rho0_analytic=rho0s, rho_H_estimate=rhos,
         margins=margins, excluded=excluded, eone_residuals=residuals,

@@ -157,8 +157,9 @@ class OperatorSet:
         return (cut.j_minus * phi_minus.T + cut.j_plus * phi_plus.T).T
 
     def apply_J_star(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(j_- psi, j_+ psi) for a vector, or column by column for an n x T block."""
         cut = self.cutoffs
-        return cut.j_minus * psi, cut.j_plus * psi
+        return (cut.j_minus * psi.T).T, (cut.j_plus * psi.T).T
 
 
 def build_laplacian(grid: Grid) -> Band:

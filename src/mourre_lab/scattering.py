@@ -1,5 +1,10 @@
 """Wave-packet completeness probes, and the stationary two-space scattering.
 
+A state of the channel space H0 = l2(channel -) (+) l2(channel +) is the
+pair (phi_-, phi_+) that `OperatorSet.apply_J_star` returns, and J glues
+a pair back into one state of H (`OperatorSet.apply_J`).  The probes
+start from `make_channel_packet`: a Gaussian in one channel, glued by J.
+
 The completeness probe replaces strong limits by finite-time
 stabilization: the gluing defects of e^{-itH} psi are tracked over a
 ladder of times with a boundary margin, since the Dirichlet box makes
@@ -37,7 +42,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "TwoSpaceState",
     "WaveProbeReport",
     "CompletenessReport",
     "ScatteringCoefficients",
@@ -57,21 +61,6 @@ __all__ = [
 DECAY_TARGET = 0.05
 BOUNDARY_GUARD = 4.0
 ORACLE_NPTS = 2001  # momentum nodes of the packet average of R and T
-
-
-@dataclass(frozen=True)
-class TwoSpaceState:
-    """State (phi_minus, phi_plus) in the two-channel space."""
-
-    grid: Grid
-    phi_minus: np.ndarray
-    phi_plus: np.ndarray
-
-    def norm(self) -> float:
-        return math.sqrt(
-            self.grid.dx
-            * float(np.sum(np.abs(self.phi_minus) ** 2 + np.abs(self.phi_plus) ** 2))
-        )
 
 
 @dataclass(frozen=True)
@@ -127,40 +116,33 @@ def _bulk_radius(grid: Grid, density: np.ndarray) -> np.ndarray:
     return radius
 
 
-def make_channel_packet(
-    grid: Grid, channel: str, x0: float, k0: float, sigma: float
-) -> TwoSpaceState:
-    """Normalized Gaussian exp(ik0 x) exp(-(x-x0)^2 / 4 sigma^2) in one channel."""
-    if channel not in ("+", "-"):
-        raise ValueError("channel must be '+' or '-'")
+def make_channel_packet(opset: OperatorSet, x0: float, k0: float, sigma: float) -> np.ndarray:
+    """J of the normalized Gaussian exp(ik0 x) exp(-(x-x0)^2 / 4 sigma^2) in the
+    channel on the side of x0 (+ for x0 > 0), rescaled to unit grid norm."""
+    grid = opset.grid
     if k0 == 0:
         raise ValueError("packet needs nonzero mean momentum")
     if abs(x0) + 5 * sigma > grid.L:
         raise ValueError("packet tail reaches the boundary: need |x0| + 5 sigma <= L")
-    if channel == "-" and x0 >= -4:
-        raise ValueError("channel '-' packet must start in the flat region x0 < -4")
-    if channel == "+" and x0 <= 4:
-        raise ValueError("channel '+' packet must start in the flat region x0 > 4")
+    if abs(x0) <= 4:
+        raise ValueError("packet must start in a flat region: need |x0| > 4")
     x = grid.nodes
-    psi = np.exp(1j * k0 * x - (x - x0) ** 2 / (4 * sigma**2))
-    psi = psi / _l2(grid, psi)
-    zero = np.zeros_like(psi)
-    phi_minus, phi_plus = (psi, zero) if channel == "-" else (zero, psi)
-    return TwoSpaceState(grid=grid, phi_minus=phi_minus, phi_plus=phi_plus)
+    g = np.exp(1j * k0 * x - (x - x0) ** 2 / (4 * sigma**2))
+    g = g / _l2(grid, g)
+    psi = (opset.cutoffs.j_plus if x0 > 0 else opset.cutoffs.j_minus) * g
+    return psi / (math.sqrt(grid.dx) * np.linalg.norm(psi))
 
 
-def _free_evolve(opset: OperatorSet, state: TwoSpaceState, times: np.ndarray):
-    """e^{-itH0} of both channels over the time ladder: two n x T blocks.
+def _free_evolve(opset: OperatorSet, phi, times: np.ndarray):
+    """e^{-itH0} of the pair phi = (phi_-, phi_+) over the time ladder: two n x T blocks.
 
     H0_pm = -Delta + v_pm share the DST-I eigenbasis, so the phases of -Delta
     serve both and v_pm adds one phase per time.
     """
     phases = np.exp(-1j * np.outer(dirichlet_eigenvalues(opset.n, opset.grid.dx), times))
     pot = opset.potential
-    return tuple(
-        dst1(phases * dst1(phi)[:, None]) * np.exp(-1j * v * times)
-        for phi, v in ((state.phi_minus, pot.v_minus), (state.phi_plus, pot.v_plus))
-    )
+    return tuple(dst1(phases * dst1(f)[:, None]) * np.exp(-1j * v * times)
+                 for f, v in zip(phi, (pot.v_minus, pot.v_plus)))
 
 
 def completeness_probe(
@@ -172,10 +154,11 @@ def completeness_probe(
     """Decay probes for the gluing defects J J* - 1 and J* J - 1, forward in time.
 
     Uses Jt = J* as the reverse identification.  The forward norm tracks
-    (JJ* - 1) e^{-itH} psi, the converse norm (J*J - 1) e^{-itH0} J* psi.
-    The verdict requires both to fall below DECAY_TARGET at some
-    admissible time; a stationary state (bound state) never decays and
-    fails the probe.
+    (JJ* - 1) e^{-itH} psi, the converse norm (J*J - 1) e^{-itH0} J* psi, with
+    J* psi the channel pair of `OperatorSet.apply_J_star`.  The verdict
+    requires both to fall below DECAY_TARGET at some admissible time: an
+    outgoing `make_channel_packet` passes, and a stationary state (bound
+    state) never decays and fails the probe.
 
     The range defect is the share of the best approximant e^{itH} g (g the
     glued column at the admissible time of the smallest forward norm) that
@@ -188,7 +171,6 @@ def completeness_probe(
     psi = np.asarray(psi, dtype=complex)
     npsi = _l2(grid, psi)
     w = opset.cutoffs.jj_sum_sq - 1.0   # JJ* - 1 as a multiplication
-    jm, jp = opset.cutoffs.j_minus[:, None], opset.cutoffs.j_plus[:, None]
 
     ev = propagate(dec_H, psi, ts)
     frous = _l2(grid, w[:, None] * ev) / npsi
@@ -197,11 +179,11 @@ def completeness_probe(
     admissible = margins >= BOUNDARY_GUARD
 
     fm, fp = opset.apply_J_star(psi)
-    phi0 = TwoSpaceState(grid=grid, phi_minus=fm, phi_plus=fp)
-    pm, pp = _free_evolve(opset, phi0, ts)
+    pm, pp = _free_evolve(opset, (fm, fp), ts)
     glued = opset.apply_J(pm, pp)
-    convs = np.sqrt(grid.dx * np.sum(np.abs(jm * glued - pm) ** 2
-                                     + np.abs(jp * glued - pp) ** 2, axis=0)) / phi0.norm()
+    gm, gp = opset.apply_J_star(glued)
+    n0 = math.sqrt(grid.dx * float(np.sum(np.abs(fm) ** 2 + np.abs(fp) ** 2)))
+    convs = np.sqrt(grid.dx * np.sum(np.abs(gm - pm) ** 2 + np.abs(gp - pp) ** 2, axis=0)) / n0
 
     ok_f = bool(np.any(admissible & (frous < DECAY_TARGET)))
     ok_c = bool(np.any(admissible & (convs < DECAY_TARGET)))

@@ -163,10 +163,7 @@ def test_criterion_8_completeness_probes(well_1601):
     g = ops.grid
     times = np.linspace(0.0, 8.0, 17)
 
-    pk = make_channel_packet(g, "+", 10.0, 1.5, 2.0)
-    psi = ops.apply_J(pk.phi_minus, pk.phi_plus)
-    psi /= math.sqrt(g.dx) * np.linalg.norm(psi)
-    outgoing = completeness_probe(ops, dec_H, psi, times)
+    outgoing = completeness_probe(ops, dec_H, make_channel_packet(ops, 10.0, 1.5, 2.0), times)
 
     bs = dec_H.eigenvectors[:, 0].astype(complex)
     bs /= math.sqrt(g.dx) * np.linalg.norm(bs)

@@ -322,6 +322,16 @@ class TestRun:
         assert "lambda=-0.5" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "transfer.json").exists()
 
+    def test_transfer_with_every_sample_excluded_is_exit_2(self, tmp_path, capsys):
+        # both samples lie within 2 eps of a threshold, so the run would check nothing
+        path = write_config(tmp_path, "c.json", dict(SMALL, experiment="transfer",
+                                                     params={"lambdas": [0.05, 1.02],
+                                                             "eps": 0.1}))
+        assert main(["transfer", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "[0.05, 1.02]" in err and "eps=0.1" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "transfer.json").exists()
+
     def test_completeness_small(self, tmp_path):
         cfg = ExperimentConfig(experiment="completeness", out_dir=str(tmp_path),
                                params={"x0": 8.0, "k0": 1.5, "sigma": 2.0,

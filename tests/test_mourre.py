@@ -402,10 +402,14 @@ class TestOpnorm:
 
 class TestTransfer:
     def test_threshold_samples_excluded(self, small_ops):
-        rep = transfer_verify(small_ops, [1.05], 0.1, 0.2)
+        rep = transfer_verify(small_ops, [0.5, 1.05], 0.1, 5.0)
         assert rep.excluded == [1.05]
-        assert rep.lambda_samples == []
-        assert not rep.verdict
+        assert rep.lambda_samples == [0.5]
+
+    def test_every_sample_excluded_is_an_error(self, small_ops):
+        # a run that checks no sample has no verdict to give
+        with pytest.raises(ValueError, match=r"excluded \[0.05, 1.02\] at eps=0.1"):
+            transfer_verify(small_ops, [0.05, 1.02], 0.1, 0.2)
 
     def test_report_shapes(self, small_ops):
         rep = transfer_verify(small_ops, [0.5, 1.05, 2.0], 0.1, 5.0)

@@ -210,6 +210,18 @@ class TestBlockStructure:
         rhs = np.vdot(fm, pm) + np.vdot(fp, pp)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    @pytest.mark.parametrize("cols", [3, "n"])
+    def test_J_star_column_by_column(self, small_ops, cols):
+        """J* of an n x T block is J* of each column, also at T = n, where a
+        product along the wrong axis would broadcast without an error."""
+        rng = np.random.default_rng(7)
+        n = small_ops.n
+        block = rng.standard_normal((n, n if cols == "n" else cols))
+        fm, fp = small_ops.apply_J_star(block)
+        for col in range(block.shape[1]):
+            vm, vp = small_ops.apply_J_star(block[:, col])
+            assert np.array_equal(fm[:, col], vm) and np.array_equal(fp[:, col], vp)
+
 
 def resolvents(opset):
     """R(z) of H and of a channel, as build_B and build_B_pm take them, from full bases."""

@@ -62,9 +62,7 @@ def well_box():
 
 
 def _outgoing(ops):
-    pk = make_channel_packet(ops.grid, "+", 10.0, 1.5, 2.0)
-    psi = ops.apply_J(pk.phi_minus, pk.phi_plus)
-    return psi / (math.sqrt(ops.grid.dx) * np.linalg.norm(psi))
+    return make_channel_packet(ops, 10.0, 1.5, 2.0)
 
 
 def _bound_state(ops, dec_H):
@@ -79,36 +77,34 @@ def free_box():
 
 
 class TestPackets:
-    def test_normalized_single_channel(self):
-        g = make_grid(40.0, 801)
-        pk = make_channel_packet(g, "-", -25.0, 1.2, 3.0)
-        assert pk.norm() == pytest.approx(1.0, rel=1e-12)
-        assert np.all(pk.phi_plus == 0.0)
+    def test_normalized_single_channel(self, free_box):
+        """J glues the Gaussian into the channel on the side of x0: the state has
+        unit norm and is exactly 0 where that channel's cutoff is (x >= -1)."""
+        ops = free_box
+        psi = make_channel_packet(ops, -25.0, 1.2, 3.0)
+        assert _l2_one(ops.grid, psi) == pytest.approx(1.0, rel=1e-12)
+        assert np.all(psi[ops.grid.nodes >= -1.0] == 0.0)
 
-    def test_support_guard(self):
-        g = make_grid(40.0, 801)
-        with pytest.raises(ValueError):
-            make_channel_packet(g, "-", -30.0, 1.2, 3.0)
+    def test_support_guard(self, free_box):
+        with pytest.raises(ValueError, match="boundary"):
+            make_channel_packet(free_box, -30.0, 1.2, 3.0)
 
-    def test_channel_side_guard(self):
-        g = make_grid(40.0, 801)
-        with pytest.raises(ValueError):
-            make_channel_packet(g, "-", 10.0, 1.2, 3.0)
-        with pytest.raises(ValueError):
-            make_channel_packet(g, "+", -10.0, 1.2, 3.0)
+    def test_channel_side_guard(self, free_box):
+        # the side of x0 picks the channel, and x0 must lie in its flat region
+        for x0 in (-4.0, 0.0, 4.0):
+            with pytest.raises(ValueError, match="flat region"):
+                make_channel_packet(free_box, x0, 1.2, 3.0)
 
-    def test_zero_momentum_rejected(self):
-        g = make_grid(40.0, 801)
-        with pytest.raises(ValueError):
-            make_channel_packet(g, "-", -20.0, 0.0, 3.0)
+    def test_zero_momentum_rejected(self, free_box):
+        with pytest.raises(ValueError, match="momentum"):
+            make_channel_packet(free_box, -20.0, 0.0, 3.0)
 
     def test_mean_energy(self, free_box):
         ops = free_box
-        g = ops.grid
         k0, sigma = 1.2, 3.0
-        pk = make_channel_packet(g, "-", -20.0, k0, sigma)
+        psi = make_channel_packet(ops, -20.0, k0, sigma)
         h = ops.channel_hamiltonian("-")
-        mean = g.dx * np.real(pk.phi_minus.conj() @ (h @ pk.phi_minus))
+        mean = ops.grid.dx * np.real(psi.conj() @ (h @ psi))
         # Gaussian closed form: <k^2> = k0^2 + 1/(4 sigma^2)
         assert mean == pytest.approx(k0**2 + 1.0 / (4 * sigma**2), abs=5e-3)
 
@@ -387,9 +383,7 @@ class TestChainRule:
         # J*-approximants evaluated at different stabilization times
         ops, dec_H = box
         g = ops.grid
-        pk = make_channel_packet(g, "+", 10.0, 1.5, 2.0)
-        psi = ops.apply_J(pk.phi_minus, pk.phi_plus)
-        psi /= math.sqrt(g.dx) * np.linalg.norm(psi)
+        psi = _outgoing(ops)
         t1, t2 = 2.0, 3.0
         dec_m, dec_p = channel_bases(ops)
 
