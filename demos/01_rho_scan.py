@@ -12,7 +12,6 @@ import numpy as np
 from mourre_lab import (
     analytic_rho,
     build_pair,
-    make_cutoffs,
     make_grid,
     make_steplike,
     rho_scan,
@@ -21,9 +20,8 @@ from mourre_lab import (
 
 def main():
     grid = make_grid(L=160.0, n=1601)
-    cutoffs = make_cutoffs(grid)
     potential = make_steplike(grid, 0.0, 1.0)
-    ops = build_pair(grid, potential, cutoffs)
+    ops = build_pair(potential)
 
     lambdas = np.concatenate([[-0.5], np.linspace(0.2, 3.0, 8)])
     rows = rho_scan(ops, lambdas, eps=0.1)

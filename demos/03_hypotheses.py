@@ -11,13 +11,12 @@ t -> e^{-itA} R(z) e^{itA} and the exact resolvent commutator identity.
 
 import numpy as np
 
-from mourre_lab import build_pair, bump, c1_probe, make_cutoffs, make_grid, make_steplike
+from mourre_lab import build_pair, bump, c1_probe, make_grid, make_steplike
 from mourre_lab.hypotheses import OPERATOR_TAGS, compactness_ladder
 
 
 def build(L, n):
-    grid = make_grid(L, n)
-    return build_pair(grid, make_steplike(grid, 0.0, 1.0), make_cutoffs(grid))
+    return build_pair(make_steplike(make_grid(L, n), 0.0, 1.0))
 
 
 def main():

@@ -22,7 +22,6 @@ import numpy as np
 from mourre_lab import (
     build_pair,
     gaussian_averaged_oracle,
-    make_cutoffs,
     make_grid,
     make_steplike,
     resolvent,
@@ -47,8 +46,7 @@ def weighted_resolvent_norm(band, z, weight):
 
 def main():
     grid = make_grid(L=40.0, n=801)
-    ops = build_pair(grid, make_steplike(grid, 0.0, 1.0, profile="sharp_step"),
-                     make_cutoffs(grid))
+    ops = build_pair(make_steplike(grid, 0.0, 1.0, profile="sharp_step"))
 
     print(f"{'lambda':>8} {'R (wave)':>10} {'R (sharp)':>10} {'R (packet)':>11} "
           f"{'R (avg)':>9} {'T (packet)':>11} {'flux defect':>12}")
@@ -61,7 +59,7 @@ def main():
               f"{packet.reflection:11.6f} {avg.reflection:9.6f} "
               f"{packet.transmission:11.6f} {max(wave.flux_defect, packet.flux_defect):12.2e}")
 
-    smooth = build_pair(grid, make_steplike(grid, 0.0, 1.0), make_cutoffs(grid))
+    smooth = build_pair(make_steplike(grid, 0.0, 1.0))
     weight = 1 / np.sqrt(1 + grid.nodes**2)
     print("\n||<x>^-1 R(lam + i delta) <x>^-1||, smooth step 0 -> 1")
     print(f"{'lambda':>8} " + " ".join(f"{'d=' + format(d, 'g'):>8}" for d in DELTAS)

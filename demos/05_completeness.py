@@ -26,7 +26,6 @@ from mourre_lab import (
     completeness_probe,
     eigendecompose,
     make_channel_packet,
-    make_cutoffs,
     make_grid,
     make_steplike,
     wave_operator_probe,
@@ -36,7 +35,7 @@ from mourre_lab import (
 def well_pair(n):
     grid = make_grid(L=40.0, n=n)
     potential = make_steplike(grid, 0.0, 1.0, bump=-2.0 * bump(0.0, 2.0)(grid.nodes))
-    return build_pair(grid, potential, make_cutoffs(grid))
+    return build_pair(potential)
 
 
 def wave_section():

@@ -8,9 +8,9 @@ rho-scan is a measurement with no verdict: whenever it runs it writes
 One rule, `_token`, writes every value of both reports, as read from the
 report objects' own fields: true/false, integers, floats at 17 significant
 digits (JSON quotes a non-finite one, CSV does not).  Runs are
-deterministic for a fixed config, and every config field is an input of
-the run: no field is merely recorded and no environment variable is read
-(`--threads` or the `threads` field sets the BLAS thread count).
+deterministic for a fixed config, read no environment variable (`--threads`
+or the `threads` field sets the BLAS thread count) and use every field,
+but `hypotheses` uses no `n` and reads `L` only for its default `levels`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import blas
-from .grid import PROFILE_KINDS, make_cutoffs, make_grid, make_steplike
+from .grid import PROFILE_KINDS, make_grid, make_steplike
 from .hypotheses import OPERATOR_TAGS, check_operator_tags, compactness_ladder
 from .mourre import rho_scan, transfer_verify
 from .operators import build_pair
@@ -236,7 +236,7 @@ def _build(cfg: ExperimentConfig, p: dict, L: Optional[float] = None, n: Optiona
     if p["bump_amplitude"]:
         bump_field = float(p["bump_amplitude"]) * bump(0.0, float(p["bump_width"]))(grid.nodes)
     pot = make_steplike(grid, cfg.v_minus, cfg.v_plus, profile=cfg.profile, bump=bump_field)
-    return build_pair(grid, pot, make_cutoffs(grid))
+    return build_pair(pot)
 
 
 def _check_full_basis(cfg: ExperimentConfig) -> None:

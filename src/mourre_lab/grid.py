@@ -1,6 +1,7 @@
 """Spatial grid, cutoff functions and steplike potentials.
 
-Everything downstream lives on a uniform symmetric grid over [-L, L].
+Everything downstream lives on a uniform symmetric grid over [-L, L];
+a potential carries its grid, and the cutoffs of J depend on it alone.
 The node count is kept odd so that x = 0 is a node and the reflection
 x -> -x is an exact permutation of the nodes; several identities
 (j_minus(x) = j_plus(-x), potential symmetry) then hold to machine
@@ -43,7 +44,6 @@ class Grid:
 class CutoffPair:
     """Smooth channel cutoffs: j_plus = 0 on x<=1, 1 on x>=2, j_minus mirrored."""
 
-    grid: Grid
     j_plus: np.ndarray
     j_minus: np.ndarray
     j: np.ndarray           # j_minus + j_plus
@@ -116,7 +116,6 @@ def make_cutoffs(grid: Grid) -> CutoffPair:
     # reflect on the node permutation so j_minus(x) == j_plus(-x) exactly
     j_minus = j_plus[::-1].copy()
     return CutoffPair(
-        grid=grid,
         j_plus=j_plus,
         j_minus=j_minus,
         j=j_minus + j_plus,

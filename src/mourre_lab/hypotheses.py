@@ -147,7 +147,8 @@ def compactness_report(svs: Sequence[np.ndarray],
     compact-consistent: sigma_1..10 drift < DRIFT_TOL across levels and
     sigma_20/sigma_1 < TAIL_TOL at the finest level; non-compact:
     sigma_20/sigma_1 > FLAT_TAIL at every level; otherwise inconclusive.
-    A level with fewer than 20 values has no sigma_20 and is a ValueError.
+    A level with fewer than 20 values has no sigma_20, and one with sigma_1 = 0
+    (no spectrum in the operator's reach) no ratio: either is a ValueError.
     """
     if len(levels) < 2:
         raise ValueError("need at least two refinement levels")
@@ -157,14 +158,15 @@ def compactness_report(svs: Sequence[np.ndarray],
         if sv.size < 20:
             raise ValueError(f"level (L={L}, n={n}) has {sv.size} singular values; "
                              f"the tail ratio needs sigma_20")
-    tails = [float(sv[19] / (sv[0] if sv[0] > 0 else 1.0)) for sv in svs]
+        if sv[0] == 0:
+            raise ValueError(f"level (L={L}, n={n}) has sigma_1 = 0: no tail ratio to read")
+    tails = [float(sv[19] / sv[0]) for sv in svs]
 
     head = np.array([sv[:10] for sv in svs])
     ref = head[-1]
     # drift is measured relative to the operator norm, not entrywise:
     # entries far below sigma_1 are solver noise and carry no signal
-    sigma1 = ref[0] if ref[0] > 0 else 1.0
-    stability = float(np.max(np.abs(head - ref[None, :])) / sigma1)
+    stability = float(np.max(np.abs(head - ref[None, :])) / ref[0])
 
     if stability < DRIFT_TOL and tails[-1] < TAIL_TOL:
         verdict = "compact-consistent"
@@ -293,7 +295,13 @@ def compactness_ladder(
         except Exception as exc:
             raise RuntimeError(f"builder failed at level (L={L}, n={n}): {exc}") from exc
         del opset, dec_H, op  # release this level before the next is built
-    return {tag: compactness_report(svs[tag], levels) for tag in tags}
+    reports = {}
+    for tag in tags:
+        try:
+            reports[tag] = compactness_report(svs[tag], levels)
+        except ValueError as exc:
+            raise ValueError(f"operator {tag}: {exc}") from None
+    return reports
 
 
 def c1_probe(opset: OperatorSet, z: complex, test_states: np.ndarray) -> C1Report:

@@ -347,7 +347,9 @@ def transfer_verify(
     """Check the transferred estimate rho_H >= rho_channel at each sample.
 
     Samples closer than 2*eps to a threshold are excluded (the closed form
-    changes branch there); a run that excludes every sample is a ValueError.
+    changes branch there); a run that excludes every sample is a ValueError,
+    and so is one that retains only samples below both thresholds, where
+    rho0 is +inf and no margin is finite.
     For each retained sample the corrected eta-form estimate for (H, A) is
     compared against the closed-form channel value, and the interior-weighted
     residual of
@@ -370,6 +372,9 @@ def transfer_verify(
     if not samples:  # a run that checks nothing has no verdict to give
         raise ValueError(f"no lambda sample lies 2 eps clear of a threshold: "
                          f"excluded {excluded} at eps={eps}")
+    if not any(math.isfinite(analytic_rho(pot.v_minus, pot.v_plus, lam)) for lam in samples):
+        raise ValueError(f"every retained lambda sample {samples} lies below both thresholds, "
+                         f"where rho0 is +inf: no margin is finite")
     dec_H, etas, ests = _windowed_estimates(opset, samples, eps)
     chi = plateau(-0.5 * grid.L, 0.5 * grid.L, 0.25 * grid.L)(grid.nodes)
     c0 = opset.commutator_iH0A0

@@ -3,9 +3,9 @@
 On the grid the single-space Hamiltonian is H = -Delta + v with the
 3-point Dirichlet Laplacian, and the auxiliary channel operator
 H0 = (-Delta + v_minus) (+) (-Delta + v_plus) acts on two stacked
-copies of the grid.  The identification J glues the channels with the
-smooth cutoffs, and the conjugate operators are built from the dilation
-generator D = (XP + PX)/2.
+copies of the grid.  J glues the channels with the cutoffs of the
+potential's grid, so `build_pair(pot)` needs the potential alone; the
+conjugate operators come from the dilation generator D = (XP + PX)/2.
 
 Every operator is banded and stored by its diagonals (`Band`): H and
 -Delta are real symmetric tridiagonal; D and A = jDj are i*K with K a
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .grid import CutoffPair, Grid, PotentialField
+from .grid import CutoffPair, Grid, PotentialField, make_cutoffs
 
 __all__ = [
     "Band",
@@ -184,10 +184,9 @@ def dilation_core(grid: Grid) -> Band:
     return _tridiagonal(-upper, 0.0, upper)
 
 
-def build_pair(grid: Grid, pot: PotentialField, cut: CutoffPair) -> OperatorSet:
-    """Assemble the operator set (H, -Delta, the cores of D and A, commutators)."""
-    if pot.grid is not grid or cut.grid is not grid:
-        raise ValueError("potential and cutoffs must live on the given grid")
+def build_pair(pot: PotentialField) -> OperatorSet:
+    """Assemble the operator set (H, -Delta, the cores of D and A, commutators) on pot.grid."""
+    grid, cut = pot.grid, make_cutoffs(pot.grid)
     neglap = build_laplacian(grid)
     H = _plus_diagonal(neglap, pot.v)
     dcore = dilation_core(grid)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
+from mourre_lab.grid import make_grid, make_steplike
 from mourre_lab.operators import build_pair
 from mourre_lab.spectral import (
     SmoothingFunction,
@@ -79,9 +79,7 @@ def small_grid():
 
 @pytest.fixture(scope="session")
 def small_ops(small_grid):
-    cut = make_cutoffs(small_grid)
-    pot = make_steplike(small_grid, 0.0, 1.0)
-    return build_pair(small_grid, pot, cut)
+    return build_pair(make_steplike(small_grid, 0.0, 1.0))
 
 
 @pytest.fixture(scope="session")
@@ -91,6 +89,4 @@ def dec_H(small_ops):
 
 @pytest.fixture(scope="session")
 def free_ops(small_grid):
-    cut = make_cutoffs(small_grid)
-    pot = make_steplike(small_grid, 0.0, 0.0)
-    return build_pair(small_grid, pot, cut)
+    return build_pair(make_steplike(small_grid, 0.0, 0.0))

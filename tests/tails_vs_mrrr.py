@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
+from mourre_lab.grid import make_grid, make_steplike
 from mourre_lab.operators import build_pair
 from mourre_lab.spectral import EnergyWindow, eigendecompose, tails_eigenpairs
 
@@ -35,8 +35,7 @@ ROUNDING_ULPS = 16.0
 def main(argv: list) -> int:
     L, n, lo, hi = (float(argv[0]), int(argv[1]), float(argv[2]), float(argv[3])) if argv \
         else (640.0, 12801, -0.6, 3.2)
-    g = make_grid(L, n)
-    op = build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g)).H
+    op = build_pair(make_steplike(make_grid(L, n), 0.0, 1.0)).H
     tol = ROUNDING_ULPS * n * np.finfo(float).eps
     scale = np.abs(op.entries).sum(axis=0).max()
 

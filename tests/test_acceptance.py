@@ -17,7 +17,7 @@ import pytest
 
 from conftest import channel_bases
 from mourre_lab.cli import ExperimentConfig, run
-from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
+from mourre_lab.grid import make_grid, make_steplike
 from mourre_lab.hypotheses import OPERATOR_TAGS, c1_probe, compactness_ladder
 from mourre_lab.mourre import (
     analytic_rho,
@@ -43,8 +43,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 def build_ops(L, n, v_minus=0.0, v_plus=1.0, profile="smooth_step", bump_field=None):
     g = make_grid(L, n)
-    pot = make_steplike(g, v_minus, v_plus, profile=profile, bump=bump_field)
-    return build_pair(g, pot, make_cutoffs(g))
+    return build_pair(make_steplike(g, v_minus, v_plus, profile=profile, bump=bump_field))
 
 
 def build(L, n, **kwargs):

@@ -332,6 +332,16 @@ class TestRun:
         assert "[0.05, 1.02]" in err and "eps=0.1" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "transfer.json").exists()
 
+    def test_transfer_with_every_sample_below_the_spectrum_is_exit_2(self, tmp_path, capsys):
+        # rho0 = +inf at the well's bound state, so the run would have no finite margin
+        path = write_config(tmp_path, "c.json", {
+            "experiment": "transfer", "L": 40.0, "n": 801, "params": {
+                "bump_amplitude": -2.0, "bump_width": 2.0, "lambdas": [-0.84], "eps": 0.1}})
+        assert main(["transfer", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "[-0.84]" in err and "below both thresholds" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "transfer.json").exists()
+
     def test_completeness_small(self, tmp_path):
         cfg = ExperimentConfig(experiment="completeness", out_dir=str(tmp_path),
                                params={"x0": 8.0, "k0": 1.5, "sigma": 2.0,
@@ -429,6 +439,18 @@ class TestMain:
             "levels": [[40.0, 17], [40.0, 19]]}))
         assert main(["hypotheses", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "n=17" in capsys.readouterr().err
+
+    def test_eta_window_without_spectrum_is_exit_2(self, tmp_path, capsys):
+        # eta(H) = 0 below the spectrum: every sigma of (ii)-(iv) is 0, no tail ratio
+        path = write_config(tmp_path, "c.json", {
+            "experiment": "hypotheses", "L": 20.0, "n": 161, "params": {
+                "levels": [[20.0, 161], [20.0, 321]], "eta_center": -5.0, "eta_width": 0.4,
+                "operators": ["ii", "iii", "iv"]}})
+        assert main(["hypotheses", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "operator ii" in err and "n=161" in err and "sigma_1 = 0" in err
+        assert not (tmp_path / "hypotheses.json").exists()
+        assert not (tmp_path / "hypotheses_sv.csv").exists()
 
     @pytest.mark.parametrize("experiment, key", [("hypotheses", "operators"),
                                                  ("transfer", "lambdas")])

@@ -8,7 +8,6 @@ from mourre_lab import hypotheses
 from mourre_lab.grid import (
     CutoffPair,
     PotentialField,
-    make_cutoffs,
     make_grid,
     make_steplike,
     smoothstep,
@@ -154,8 +153,7 @@ class TestAssumptionOperators:
         s, _ = smoothstep(g.nodes, -1.0, 1.0)
         jp = np.sqrt(s)
         jm = np.sqrt(1.0 - s)
-        cut = CutoffPair(grid=g, j_plus=jp, j_minus=jm, j=jm + jp,
-                         jj_sum_sq=jm**2 + jp**2)
+        cut = CutoffPair(j_plus=jp, j_minus=jm, j=jm + jp, jj_sum_sq=jm**2 + jp**2)
         ops = dataclasses.replace(small_ops, cutoffs=cut)
         m = dense(assumption_operator(ops, dec_H, "iv", eta))
         assert np.max(np.abs(m)) < 1e-12
@@ -310,11 +308,25 @@ class TestCompactnessReport:
         with pytest.raises(ValueError, match=r"level \(L=20.0, n=201\) has 19 singular values"):
             compactness_report([np.ones(40), np.ones(19)], LEVELS)
 
+    def test_level_with_zero_sigma_1_named(self):
+        # sigma_1 = 0 leaves no tail ratio to read, so it is no pass
+        with pytest.raises(ValueError, match=r"level \(L=20.0, n=101\) has sigma_1 = 0"):
+            compactness_report([np.zeros(40), np.ones(40)], LEVELS)
+
 
 class TestCompactnessLadder:
     def test_unknown_tag_named(self, eta):
         with pytest.raises(ValueError, match="'v'"):
             compactness_ladder(lambda L, n: pytest.fail("built"), LEVELS, eta, ["ii", "v"])
+
+    def test_eta_window_without_spectrum_is_an_error(self):
+        # below the spectrum of H, eta(H) = 0 and every sigma of (ii)-(iv) is 0
+        def build(L, n):
+            return build_pair(make_steplike(make_grid(L, n), 0.0, 1.0))
+
+        with pytest.raises(ValueError, match=r"operator ii: level \(L=20.0, n=161\) has sigma_1 = 0"):
+            compactness_ladder(build, [(20.0, 161), (20.0, 321)], bump(-5.0, 0.4),
+                               ["ii", "iii", "iv"])
 
     def test_repeated_tag_named(self, eta):
         with pytest.raises(ValueError, match="repeated.*'iii'"):
@@ -403,7 +415,7 @@ class TestShortLongRange:
     @staticmethod
     def steplike(L, n):
         g = make_grid(L, n)
-        return build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))
+        return build_pair(make_steplike(g, 0.0, 1.0))
 
     @pytest.mark.parametrize("side", ["-", "+"])
     @pytest.mark.parametrize("z", [1j, 0.5 + 0.3j])
@@ -450,7 +462,7 @@ class TestShortLongRange:
 
     def test_long_range_needs_derivative(self, small_grid):
         pot = make_steplike(small_grid, 0.0, 1.0, profile="sharp_step")
-        ops = build_pair(small_grid, pot, make_cutoffs(small_grid))
+        ops = build_pair(pot)
         with pytest.raises(ValueError):
             long_range_operator(ops)
 
@@ -507,7 +519,7 @@ class TestC1Probe:
         # ROUNDING_ULPS * n * eps / t, a Cauchy defect and the limit mismatch at
         # the smaller step they involve; the verdict must match exactly
         g = make_grid(40.0, 801)
-        ops = build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))
+        ops = build_pair(make_steplike(g, 0.0, 1.0))
         rng = np.random.default_rng(17)
         states = rng.standard_normal((3, g.n)) + 1j * rng.standard_normal((3, g.n))
         states /= np.linalg.norm(states, axis=1)[:, None]
@@ -542,7 +554,6 @@ class TestContrastExperiment:
             mats = []
             for (L, n) in levels:
                 g = make_grid(L, n)
-                cut = make_cutoffs(g)
                 if kind == "fast":
                     pot = make_steplike(g, 0.0, 1.0)
                 else:
@@ -552,7 +563,7 @@ class TestContrastExperiment:
                         -1.0 / np.sqrt(1.0 + np.abs(x)),
                     )
                     pot = PotentialField(grid=g, v=samples, v_minus=0.0, v_plus=1.0)
-                ops = build_pair(g, pot, cut)
+                ops = build_pair(pot)
                 mats.append(short_range_operator(ops, 1j))
             return mats
 

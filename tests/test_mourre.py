@@ -26,7 +26,7 @@ from mourre_lab.mourre import (
 )
 from conftest import discard_log, gaussian
 from test_golden import CONFIGS
-from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
+from mourre_lab.grid import make_grid, make_steplike
 from mourre_lab.operators import Band, build_pair
 from mourre_lab.spectral import (
     EnergyWindow,
@@ -74,8 +74,7 @@ def _golden_samples(name):
     g = make_grid(cfg["L"], cfg["n"])
     field = (p["bump_amplitude"] * bump(0.0, p["bump_width"])(g.nodes)
              if p.get("bump_amplitude") else None)
-    ops = build_pair(g, make_steplike(g, cfg["v_minus"], cfg["v_plus"], cfg["profile"], field),
-                     make_cutoffs(g))
+    ops = build_pair(make_steplike(g, cfg["v_minus"], cfg["v_plus"], cfg["profile"], field))
     if experiment == "rho-scan":
         step = p["lambda_step"]
         lambdas = [float(x) for x in np.arange(p["lambda_min"], p["lambda_max"] + 0.5 * step, step)]
@@ -331,7 +330,7 @@ class TestEtaEstimate:
         # at (80, 401) the raw bisection at lambda = 0.14 never leaves its floor
         # -(max |C_ij| + 1), while lambda_min(C) lies below it
         g = make_grid(80.0, 401)
-        ops = build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))
+        ops = build_pair(make_steplike(g, 0.0, 1.0))
         eta = bump(0.14, 0.1)
         dec = eigendecompose(ops.H, EnergyWindow(0.14, 0.1))
         est = estimate_rho_eta(ops, dec, ops.commutator_iHA, eta)
@@ -350,12 +349,12 @@ class TestEtaEstimate:
         # free pair: i[-Delta, D] compressed near lambda=1 carries the
         # positive ladder ~ 2*(lambda - eps) once localized modes are
         # removed; the window must hold several levels, so the box is wide
-        from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
+        from mourre_lab.grid import make_grid, make_steplike
         from mourre_lab.operators import build_pair
         from mourre_lab.spectral import dirichlet_decomposition
 
         g = make_grid(80.0, 801)
-        ops = build_pair(g, make_steplike(g, 0.0, 0.0), make_cutoffs(g))
+        ops = build_pair(make_steplike(g, 0.0, 0.0))
         dec_m = dirichlet_decomposition(g.n, g.dx, 0.0)
         est = estimate_rho_eta(ops, dec_m, ops.commutator_iH0A0, bump(1.0, 0.3))
         assert est.corrected > 1.0
@@ -373,7 +372,7 @@ class TestVirial:
         # norm is resolved as finely, relative to itself
         g = make_grid(40.0, 1601)
         pot = make_steplike(g, 0.0, 1.0, bump=-2.0 * bump(0.0, 2.0)(g.nodes))
-        ops = build_pair(g, pot, make_cutoffs(g))
+        ops = build_pair(pot)
         bound = ROUNDING_ULPS * g.n * F64_EPS
         defects = virial_defects(ops, eigendecompose(ops.H), range(20))
         assert np.max(np.abs(defects - VIRIAL_GOLDEN)) <= bound
@@ -400,6 +399,13 @@ class TestOpnorm:
         assert abs(norm - ref) <= ROUNDING_ULPS * small_ops.n * F64_EPS * ref
 
 
+@pytest.fixture(scope="module")
+def well_801():
+    """Criterion 8's well at L = 40, n = 801: its bound state lies near -0.84."""
+    g = make_grid(40.0, 801)
+    return build_pair(make_steplike(g, 0.0, 1.0, bump=-2.0 * bump(0.0, 2.0)(g.nodes)))
+
+
 class TestTransfer:
     def test_threshold_samples_excluded(self, small_ops):
         rep = transfer_verify(small_ops, [0.5, 1.05], 0.1, 5.0)
@@ -410,6 +416,15 @@ class TestTransfer:
         # a run that checks no sample has no verdict to give
         with pytest.raises(ValueError, match=r"excluded \[0.05, 1.02\] at eps=0.1"):
             transfer_verify(small_ops, [0.05, 1.02], 0.1, 0.2)
+
+    def test_only_samples_below_the_spectrum_is_an_error(self, well_801):
+        # rho0 = +inf below both thresholds, so no margin is finite and nothing is checked
+        with pytest.raises(ValueError, match=r"\[-0.84\] lies below both thresholds"):
+            transfer_verify(well_801, [-0.84], 0.1, 0.2)
+
+    def test_sample_below_the_spectrum_beside_a_checked_one(self, well_801):
+        rep = transfer_verify(well_801, [-0.84, 0.5], 0.1, 0.2)
+        assert math.isnan(rep.margins[0]) and math.isfinite(rep.margins[1])
 
     def test_report_shapes(self, small_ops):
         rep = transfer_verify(small_ops, [0.5, 1.05, 2.0], 0.1, 5.0)
@@ -523,10 +538,10 @@ def test_import_and_transfer_leave_scipy_unloaded():
         [str(src)] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
     code = (
         "import sys\n"
-        "from mourre_lab import (build_pair, make_cutoffs, make_grid, make_steplike, rho_scan,\n"
+        "from mourre_lab import (build_pair, make_grid, make_steplike, rho_scan,\n"
         "                        transfer_verify)\n"
         "g = make_grid(10.0, 101)\n"
-        "ops = build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))\n"
+        "ops = build_pair(make_steplike(g, 0.0, 1.0))\n"
         "rep = transfer_verify(ops, [2.0], 0.2, 5.0)\n"
         "assert len(rep.eone_residuals) == 1\n"
         "assert len(rho_scan(ops, [0.5, 2.0], 0.2)) == 2\n"

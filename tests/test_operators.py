@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from mourre_lab.operators import (
     build_momentum_core,
     build_pair,
 )
-from mourre_lab.spectral import eigendecompose
+from mourre_lab.spectral import bump, eigendecompose
 
 
 def band_from_dense(m, b):
@@ -82,6 +83,23 @@ class TestBand:
             assert np.array_equal(m, m.T)
 
 
+class TestBuildPair:
+    """build_pair(pot) reads the grid off the potential and builds J itself."""
+
+    @pytest.mark.parametrize("profile, well", [
+        ("smooth_step", 0.0), ("sharp_step", 0.0), ("smooth_step", -2.0)])  # -2: criterion 8's well
+    def test_grid_and_cutoffs_come_from_the_potential(self, profile, well):
+        g = make_grid(40.0, 801)
+        field = well * bump(0.0, 2.0)(g.nodes) if well else None
+        pot = make_steplike(g, 0.0, 1.0, profile=profile, bump=field)
+        ops = build_pair(pot)
+        assert ops.grid is pot.grid
+        assert ops.potential is pot
+        ref = make_cutoffs(pot.grid)
+        for f in dataclasses.fields(ref):
+            assert np.array_equal(getattr(ops.cutoffs, f.name), getattr(ref, f.name))
+
+
 class TestLaplacian:
     def test_eigenvalues_match_closed_form(self):
         # Dirichlet 3-point stencil: lambda_k = (2 - 2 cos(k pi/(n+1)))/dx^2
@@ -147,7 +165,7 @@ class TestCommutators:
     def test_channel_commutator_independent_of_shift(self, L, n, v_minus, v_plus):
         # a constant shift commutes with D, and the band product cancels it exactly
         g = make_grid(L, n)
-        ops = build_pair(g, make_steplike(g, v_minus, v_plus), make_cutoffs(g))
+        ops = build_pair(make_steplike(g, v_minus, v_plus))
         k = ops.dilation_core
         for side in "-+":
             h = ops.channel_hamiltonian(side)
@@ -171,7 +189,7 @@ class TestCommutators:
         e^{ikx} of energy E, cos(k dx) = 1 - dx^2 E/2, as multiplication by
         2 sin^2(k dx)/dx^2 = 2E(1 - dx^2 E/4): the lattice form of i[-Delta, D] = 2(-Delta)."""
         g = make_grid(40.0, 801)  # dx = 0.1
-        ops = build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))
+        ops = build_pair(make_steplike(g, 0.0, 1.0))
         dx = g.dx
         k = np.arccos(1 - dx**2 * energy / 2) / dx
         wave = np.exp(1j * k * g.nodes)

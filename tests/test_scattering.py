@@ -5,7 +5,7 @@ import pytest
 
 from conftest import channel_bases
 from mourre_lab import scattering
-from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
+from mourre_lab.grid import make_grid, make_steplike
 from mourre_lab.operators import Band, build_pair
 from mourre_lab.scattering import (
     completeness_probe,
@@ -42,16 +42,13 @@ def _well_ops(L, n):
     """Criterion 8's well: the smooth step 0 -> 1 plus -2 bump(0, 2), deep enough
     to bind a state below the spectrum of H0."""
     g = make_grid(L, n)
-    pot = make_steplike(g, 0.0, 1.0, bump=-2.0 * bump(0.0, 2.0)(g.nodes))
-    return build_pair(g, pot, make_cutoffs(g))
+    return build_pair(make_steplike(g, 0.0, 1.0, bump=-2.0 * bump(0.0, 2.0)(g.nodes)))
 
 
 @pytest.fixture(scope="module")
 def box():
     g = make_grid(40.0, 801)
-    cut = make_cutoffs(g)
-    pot = make_steplike(g, 0.0, 1.0, profile="sharp_step")
-    ops = build_pair(g, pot, cut)
+    ops = build_pair(make_steplike(g, 0.0, 1.0, profile="sharp_step"))
     return ops, eigendecompose(ops.H)
 
 
@@ -73,7 +70,7 @@ def _bound_state(ops, dec_H):
 @pytest.fixture(scope="module")
 def free_box():
     g = make_grid(40.0, 801)
-    return build_pair(g, make_steplike(g, 0.0, 0.0), make_cutoffs(g))
+    return build_pair(make_steplike(g, 0.0, 0.0))
 
 
 class TestPackets:
@@ -142,7 +139,7 @@ class TestOracles:
 
 def _step_ops(n, v_minus=0.0, v_plus=1.0, L=40.0, profile="sharp_step"):
     g = make_grid(L, n)
-    return build_pair(g, make_steplike(g, v_minus, v_plus, profile=profile), make_cutoffs(g))
+    return build_pair(make_steplike(g, v_minus, v_plus, profile=profile))
 
 
 class TestScatteringCoefficients:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import apply_function, dense, gaussian
 from mourre_lab import blas
-from mourre_lab.grid import make_cutoffs, make_grid, make_steplike
+from mourre_lab.grid import make_grid, make_steplike
 from mourre_lab.operators import Band, build_pair
 from mourre_lab.spectral import (
     _Tails,
@@ -92,10 +92,10 @@ class TestBlasBindings:
             [str(src)] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
         code = (
             "import threading\n"
-            "from mourre_lab import build_pair, make_cutoffs, make_grid, make_steplike\n"
+            "from mourre_lab import build_pair, make_grid, make_steplike\n"
             "from mourre_lab.spectral import EnergyWindow, eigendecompose\n"
             "g = make_grid(40.0, 401)\n"
-            "H = build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g)).H\n"
+            "H = build_pair(make_steplike(g, 0.0, 1.0)).H\n"
             "start, errors = threading.Barrier(2), []\n"
             "def work():\n"
             "    start.wait()\n"
@@ -117,7 +117,7 @@ class TestBlasBindings:
 @pytest.fixture(scope="module")
 def ops_L160():
     g = make_grid(160.0, 1601)
-    return build_pair(g, make_steplike(g, 0.0, 1.0), make_cutoffs(g))
+    return build_pair(make_steplike(g, 0.0, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -199,8 +199,7 @@ def channel_band():
         if key not in cache:
             g = make_grid(L, n)
             field = well * bump(0.0, 2.0)(g.nodes) if well else None
-            op = build_pair(g, make_steplike(g, v_minus, v_plus, profile, field),
-                            make_cutoffs(g)).H
+            op = build_pair(make_steplike(g, v_minus, v_plus, profile, field)).H
             cache[key] = op, eigendecompose(op)
         return cache[key]
 
