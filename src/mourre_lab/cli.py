@@ -10,7 +10,8 @@ report objects' own fields: true/false, integers, floats at 17 significant
 digits (JSON quotes a non-finite one, CSV does not).  Runs are
 deterministic for a fixed config, read no environment variable (`--threads`
 or the `threads` field sets the BLAS thread count) and use every field,
-but `hypotheses` uses no `n` and reads `L` only for its default `levels`.
+but `hypotheses` uses no `n` (only its type is checked) and reads `L` only
+for its default `levels`.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def load_config(path, experiment: Optional[str] = None,
         raise ConfigError(f"experiment: {cfg.experiment!r} not in {EXPERIMENTS}")
     if cfg.L <= 0:
         raise ConfigError("L: must be positive")
-    if cfg.n < 16 or cfg.n % 2 == 0:
+    if cfg.experiment != "hypotheses" and (cfg.n < 16 or cfg.n % 2 == 0):  # it reads no n
         raise ConfigError("n: must be odd and >= 16")
     if cfg.profile not in PROFILE_KINDS:
         raise ConfigError(f"profile: {cfg.profile!r} not in {PROFILE_KINDS}")

@@ -33,6 +33,20 @@ and each step diagonalizes the still-active eta of one support size k
 in one stacked `eigh`.  The raw test is monotone in a (eta^2 >= 0), so an
 eta whose raw test already fails at the floor of its bracket is settled
 there by one stacked `eigvalsh`, without bisecting.
+
+The corrected test is not monotone: which modes the discard rule flags
+changes with a, so the test can hold on an interval and fail on both
+sides of it.  On the rho-scan-L160 operators at lambda = 3.0 (L = 160,
+n = 1601, eps = 0.1, a single-eta tails solve of 7 columns) it fails for
+a <= -5.22, where one mode is flagged and the unflagged pencil has crossed,
+holds on [-5.215, 3.98] with two flagged, and fails from 3.985 on.  The
+bracket -(max |C_ij| + 1) .. max |C_ij| + 1 is symmetric, so its first
+midpoint is 0 and the bisection returns the upper edge, 3.98154 (rho0 = 4).
+In general the corrected value is a point where the test holds, within
+the bisection tolerance of a midpoint above it where it fails (or of the
+top of the bracket): which such edge is found is set by the midpoints.
+A bisection whose first midpoint falls below -5.22 there ends at the
+floor of its bracket or at another edge, and rho moves by O(1).
 """
 
 from __future__ import annotations
@@ -181,7 +195,12 @@ def _bisect_sup(holds, lo, hi, tol: float, fails_at_lo=None) -> np.ndarray:
     entries still bisecting and their indices, and returns one bool each.
     An entry stops once its bracket is below tol * max(1, |lo|) (at most 60
     steps), so it meets the same midpoints as it would bisected alone.  An
-    entry flagged in `fails_at_lo` fails at every midpoint too, and is lo."""
+    entry flagged in `fails_at_lo` fails at every midpoint too, and is lo.
+
+    The raw test is monotone, the corrected one is not (see the module
+    docstring): for it the result is an edge of a run of holding midpoints,
+    the one the first midpoint leads to, not the supremum of where it holds.
+    Moving the first midpoint can move the result by O(1)."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     if fails_at_lo is not None:
         hi[fails_at_lo] = lo[fails_at_lo]

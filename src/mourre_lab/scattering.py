@@ -8,10 +8,13 @@ start from `make_channel_packet`: a Gaussian in one channel, glued by J.
 The completeness probe replaces strong limits by finite-time
 stabilization: the gluing defects of e^{-itH} psi are tracked over a
 ladder of times with a boundary margin, since the Dirichlet box makes
-t -> infinity meaningless (recurrences).  `propagate` moves a state to
-every time in one product with the eigenbasis of H, the channels move
-by DST-I (`dst1`), and norms and margins are reductions down the
-columns of those n x T blocks.
+t -> infinity meaningless (recurrences).  The ladder is walked in
+blocks of at most LADDER_BLOCK times: `propagate` moves a state to every
+time of a block in one product with the eigenbasis of H, the channels
+move by DST-I (`dst1`), and norms and margins are reductions down the
+columns of those n x LADDER_BLOCK blocks into length-T arrays.  Beyond
+the basis of H the probe holds O(n LADDER_BLOCK) memory, whatever the
+number of times T.
 
 The rest needs no time and no basis of H.  Outside the box the
 potential is the constant v_pm, so two corner entries of H
@@ -60,6 +63,10 @@ __all__ = [
 # time whose packet bulk is at least BOUNDARY_GUARD from the box ends.
 DECAY_TARGET = 0.05
 BOUNDARY_GUARD = 4.0
+# The probe propagates at most LADDER_BLOCK times at once, so its memory does not
+# grow with the ladder.  Narrower blocks repeat the product U^T psi and run more,
+# smaller products with the basis: 16 was slower than 32 at n = 601.
+LADDER_BLOCK = 32
 ORACLE_NPTS = 2001  # momentum nodes of the packet average of R and T
 
 
@@ -102,17 +109,17 @@ def _l2(grid: Grid, vec: np.ndarray):
     return np.sqrt(grid.dx * np.sum(np.abs(vec) ** 2, axis=0))
 
 
-def _bulk_radius(grid: Grid, density: np.ndarray) -> np.ndarray:
+def _bulk_radius(order: np.ndarray, radii: np.ndarray, density: np.ndarray) -> np.ndarray:
     """Per column of an n x T density, the smallest |x| radius holding half the mass
-    (0 for a column with no mass)."""
-    order = np.argsort(np.abs(grid.nodes))
+    (0 for a column with no mass); `order` is argsort(|x|) of the nodes and `radii`
+    the |x| in that order."""
     cum = np.cumsum(density[order], axis=0)
     total = cum[-1]
     held = total > 0
     below = cum[:, held] / total[held] < 0.5
-    idx = np.minimum(np.count_nonzero(below, axis=0), grid.n - 1)
+    idx = np.minimum(np.count_nonzero(below, axis=0), radii.size - 1)
     radius = np.zeros(density.shape[1])
-    radius[held] = np.abs(grid.nodes[order][idx])
+    radius[held] = radii[idx]
     return radius
 
 
@@ -134,7 +141,7 @@ def make_channel_packet(opset: OperatorSet, x0: float, k0: float, sigma: float) 
 
 
 def _free_evolve(opset: OperatorSet, phi, times: np.ndarray):
-    """e^{-itH0} of the pair phi = (phi_-, phi_+) over the time ladder: two n x T blocks.
+    """e^{-itH0} of the pair phi = (phi_-, phi_+) at each of T times: two n x T blocks.
 
     H0_pm = -Delta + v_pm share the DST-I eigenbasis, so the phases of -Delta
     serve both and v_pm adds one phase per time.
@@ -160,30 +167,48 @@ def completeness_probe(
     outgoing `make_channel_packet` passes, and a stationary state (bound
     state) never decays and fails the probe.
 
+    The times are taken in blocks of at most LADDER_BLOCK: each block is
+    propagated by H, reduced to its forward norms and margins and released
+    before its channel pair is moved, glued and reduced to converse norms.
+
     The range defect is the share of the best approximant e^{itH} g (g the
     glued column at the admissible time of the smallest forward norm) that
     P_sc = 1 - U_low U_low^T removes.  U_low holds eigenvectors of the same
     H, so U_low^T e^{itH} g = e^{it Lambda_low} U_low^T g: e^{itH} changes
     neither norm of the ratio, which is therefore read from g unpropagated.
+    g is kept from the block that holds it, so nothing is propagated again.
     """
     ts = np.asarray(times, dtype=float)
     grid = opset.grid
     psi = np.asarray(psi, dtype=complex)
     npsi = _l2(grid, psi)
     w = opset.cutoffs.jj_sum_sq - 1.0   # JJ* - 1 as a multiplication
-
-    ev = propagate(dec_H, psi, ts)
-    frous = _l2(grid, w[:, None] * ev) / npsi
-    margins = grid.L - _bulk_radius(grid, grid.dx * np.abs(ev) ** 2)
-    del ev  # each n x T block is released before the next is built (peak memory)
-    admissible = margins >= BOUNDARY_GUARD
-
     fm, fp = opset.apply_J_star(psi)
-    pm, pp = _free_evolve(opset, (fm, fp), ts)
-    glued = opset.apply_J(pm, pp)
-    gm, gp = opset.apply_J_star(glued)
     n0 = math.sqrt(grid.dx * float(np.sum(np.abs(fm) ** 2 + np.abs(fp) ** 2)))
-    convs = np.sqrt(grid.dx * np.sum(np.abs(gm - pm) ** 2 + np.abs(gp - pp) ** 2, axis=0)) / n0
+    order = np.argsort(np.abs(grid.nodes))
+    radii = np.abs(grid.nodes[order])
+
+    frous, convs, margins = np.empty(ts.size), np.empty(ts.size), np.empty(ts.size)
+    best, g = math.inf, None
+    for lo in range(0, ts.size, LADDER_BLOCK):
+        blk = slice(lo, lo + LADDER_BLOCK)
+        ev = propagate(dec_H, psi, ts[blk])
+        frous[blk] = _l2(grid, w[:, None] * ev) / npsi
+        margins[blk] = grid.L - _bulk_radius(order, radii, grid.dx * np.abs(ev) ** 2)
+        del ev  # each n x LADDER_BLOCK block is released before the next is built
+
+        pm, pp = _free_evolve(opset, (fm, fp), ts[blk])
+        glued = opset.apply_J(pm, pp)
+        gm, gp = opset.apply_J_star(glued)
+        convs[blk] = np.sqrt(grid.dx * np.sum(np.abs(gm - pm) ** 2 + np.abs(gp - pp) ** 2,
+                                              axis=0)) / n0
+        # the running best column: like np.argmin over the whole ladder, the first
+        # of equal scores wins; the copy lets the block go
+        scores = np.where(margins[blk] >= BOUNDARY_GUARD, frous[blk], np.inf)
+        k = int(np.argmin(scores))
+        if g is None or scores[k] < best:
+            best, g = scores[k], glued[:, k].copy()
+    admissible = margins >= BOUNDARY_GUARD
 
     ok_f = bool(np.any(admissible & (frous < DECAY_TARGET)))
     ok_c = bool(np.any(admissible & (convs < DECAY_TARGET)))
@@ -191,7 +216,6 @@ def completeness_probe(
     # the best approximant e^{itH} g against the scattering surrogate, read from g
     if not admissible.any():
         raise RuntimeError("no admissible time in the completeness probe; increase L")
-    g = glued[:, int(np.argmin(np.where(admissible, frous, np.inf)))]
     p_sc_g = scattering_projector(dec_H, g, min(opset.potential.v_minus, opset.potential.v_plus))
     ng = _l2(grid, g)
     range_defect = _l2(grid, g - p_sc_g) / ng if ng > 0 else math.inf

@@ -49,6 +49,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="n:"):
             load_config(path)
 
+    def test_hypotheses_takes_any_integer_n(self, tmp_path):
+        """hypotheses computes nothing from the top-level n, so no rule refuses
+        an even one; it must still be an integer."""
+        cfg = {"experiment": "hypotheses", "L": 20.0, "n": 20, "params": {
+            "levels": [[20.0, 161], [20.0, 321]], "operators": ["identity"]}}
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["hypotheses", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "hypotheses.json").read_text())["config"]["n"] == 20
+        path = write_config(tmp_path, "c.json", dict(cfg, n="20"))
+        with pytest.raises(ConfigError, match="^n: expected a JSON"):
+            load_config(path)
+
     def test_nonpositive_tolerance_rejected(self, tmp_path):
         path = write_config(tmp_path, "c.json",
                             {"experiment": "transfer", "params": {"tol": -1.0}})

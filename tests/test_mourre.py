@@ -300,6 +300,35 @@ class TestLockstepBisection:
                 assert abs(v - ref) <= BISECT_TOL * max(1.0, abs(ref))
 
 
+def test_corrected_test_is_not_monotone():
+    """The corrected test holds on an interval of a, not below a supremum.
+    On the rho-scan-L160 operators at lambda = 3.0, with the single-eta tails
+    solve, it fails at a = -5.3 (one flagged mode; the unflagged pencil has
+    crossed) and holds at 0, the first midpoint of the symmetric bracket, and
+    at the corrected value the bisection returns from there."""
+    ops = build_pair(make_steplike(make_grid(160.0, 1601), 0.0, 1.0))
+    eta = bump(3.0, 0.1)
+    dec = tails_eigenpairs(ops.H, [[2.9, 3.1]])
+    est = estimate_rho_eta(ops, dec, ops.commutator_iHA, eta)
+    w = eta(dec.eigenvalues)
+    assert w.size == 7 and np.all(w > 0)
+    csub, grams = _compress(dec.eigenvectors, ops.commutator_iHA, ops.grid)
+    m = w[:, None] * csub * w[None, :]
+    slack = mourre.PSD_RTOL * max(1.0, np.abs(m).max())
+
+    def holds(a):  # the estimator's corrected test, on one eta
+        g = m - a * np.diag(w**2)
+        eig, vec = np.linalg.eigh(0.5 * (g + g.conj().T))
+        flags = _localization(vec[None], grams[None])[2][0]
+        return bool(eig[~flags].min() >= -slack), int(flags.sum())
+
+    assert holds(-5.3) == (False, 1)
+    assert holds(0.0) == (True, 2)
+    assert holds(est.corrected) == (True, est.n_discarded) == (True, 2)
+    assert est.corrected == pytest.approx(3.98154, abs=1e-5)
+    assert not holds(est.corrected + 2 * BISECT_TOL * est.corrected)[0]
+
+
 class TestEtaEstimate:
     def test_raw_not_above_corrected(self, small_ops, dec_H):
         est = estimate_rho_eta(small_ops, dec_H, small_ops.commutator_iHA, bump(0.5, 0.2))

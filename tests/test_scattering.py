@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,6 +373,75 @@ class TestCompletenessProbe:
         low = image - scattering_projector(dec_H, image, min(pot.v_minus, pot.v_plus))
         ref = _l2_one(ops.grid, low) / _l2_one(ops.grid, image)
         assert abs(rep.range_defect - ref) <= _rounding(ops.n) * max(1.0, ref)
+
+
+class TestStreamedLadder:
+    """The probe walks its time ladder in blocks of LADDER_BLOCK times."""
+
+    @pytest.mark.parametrize("case", ["outgoing", "bound-state"])
+    @pytest.mark.parametrize("width", [1, 7, scattering.LADDER_BLOCK])
+    def test_blocks_match_one_block(self, box, well_box, monkeypatch, case, width):
+        """Any block width gives the report of the whole ladder in one block:
+        norms to rounding, margins and flags exactly.  The range defect is that
+        of the glued column at the best time of the report's own norms.  A
+        decaying packet has one clear best time, so its range defect is also
+        the one-block value to rounding; a bound state's forward norm is the
+        same at every time up to rounding, which alone picks its best time."""
+        ops, dec_H = box if case == "outgoing" else well_box
+        psi = _outgoing(ops) if case == "outgoing" else _bound_state(ops, dec_H)
+        times = np.linspace(0.0, 8.0, 41)
+        monkeypatch.setattr(scattering, "LADDER_BLOCK", times.size + 5)
+        whole = completeness_probe(ops, dec_H, psi, times)
+        monkeypatch.setattr(scattering, "LADDER_BLOCK", width)
+        rep = completeness_probe(ops, dec_H, psi, times)
+        tol = _rounding(ops.n)
+        for key in ("froufrou_norms", "converse_norms"):
+            got, ref = np.array(getattr(rep, key)), np.array(getattr(whole, key))
+            assert np.all(np.abs(got - ref) <= tol * np.maximum(1.0, np.abs(ref))), key
+        best = times[int(np.argmin(np.where(rep.admissible, rep.froufrou_norms, np.inf)))]
+        fm, fp = ops.apply_J_star(psi)
+        dec_m, dec_p = channel_bases(ops)
+        g = ops.apply_J(propagate(dec_m, fm, [best])[:, 0], propagate(dec_p, fp, [best])[:, 0])
+        pot = ops.potential
+        low = g - scattering_projector(dec_H, g, min(pot.v_minus, pot.v_plus))
+        ref = _l2_one(ops.grid, low) / _l2_one(ops.grid, g)
+        assert abs(rep.range_defect - ref) <= tol * max(1.0, ref)
+        if case == "outgoing":
+            assert abs(rep.range_defect - whole.range_defect) <= tol * max(1.0, ref)
+        assert rep.boundary_margins == whole.boundary_margins
+        assert rep.admissible == whole.admissible
+        assert rep.verdict == whole.verdict
+
+    def test_one_propagation_per_block(self, box, monkeypatch):
+        ops, dec_H = box
+        times = np.linspace(0.0, 8.0, 161)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return propagate(*args)
+
+        monkeypatch.setattr(scattering, "propagate", counted)
+        completeness_probe(ops, dec_H, _outgoing(ops), times)
+        assert len(calls) == math.ceil(times.size / scattering.LADDER_BLOCK)
+        assert sum(calls) == times.size and max(calls) <= scattering.LADDER_BLOCK
+
+    def test_memory_does_not_grow_with_the_ladder(self):
+        """The probe's traced peak at four times as many times stays within 1.25x."""
+        g = make_grid(40.0, 321)
+        ops = build_pair(make_steplike(g, 0.0, 1.0))
+        dec_H = eigendecompose(ops.H)
+        psi = make_channel_packet(ops, 10.0, 1.5, 2.0)
+        peaks = []
+        for count in (161, 4 * 161):
+            times = np.linspace(0.0, 8.0, count)
+            tracemalloc.start()
+            try:
+                completeness_probe(ops, dec_H, psi, times)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestChainRule:
