@@ -9,10 +9,10 @@ separate those two control cases by orders of magnitude.
 Every surrogate is a `ThinProduct`, read by `spectral.singular_values`,
 and the identity control is sigma_k = 1 in closed form.  (ii)-(iv) are
 thin because eta has compact support: they read the eigenpairs of H where
-eta is nonzero (`eigendecompose(H, EnergyWindow(center, width))`, which
-the ladder takes only for a ladder with one of these tags, and refuses an
-eta that is nonzero at either end of that window) and the channel pairs
-there in closed form (`dirichlet_decomposition`).  The short- and long-range
+eta is nonzero (`eigendecompose(H, [eta.window])`, which the ladder takes
+only for a ladder with one of these tags, and refuses an eta that is
+nonzero at either end of that window) and the channel pairs there in
+closed form (`dirichlet_decomposition`).  The short- and long-range
 differences are thin because their middles are local: by the two-space
 resolvent identity J R0(z) - R(z) J = R(z)(HJ - JH0) R0(z), each passes
 through the few nodes S where a band middle M is nonzero, with the factor
@@ -32,7 +32,6 @@ import numpy as np
 from .operators import Band, OperatorSet, build_commutator_longrange
 from .spectral import (
     TOP,
-    EnergyWindow,
     SmoothingFunction,
     SpectralDecomposition,
     ThinProduct,
@@ -270,12 +269,12 @@ def compactness_ladder(
     and the level is released before the next is built.  The identity
     control is sigma_k = 1, k <= min(TOP, n), in closed form, so an
     identity-only ladder builds nothing.  With (ii)-(iv) among the tags, an
-    eta that is nonzero at either end of EnergyWindow(center, width) is a
-    ValueError, since those pairs of H would cut it off.
+    eta that is nonzero at either end of `eta.window` is a ValueError, since
+    those pairs of H would cut it off.
     """
     check_operator_tags(tags)
-    window = EnergyWindow(eta.center, eta.width)  # exactly where eta is nonzero
-    ends = eta(np.array([eta.center - eta.width, eta.center + eta.width]))
+    window = eta.window
+    ends = eta(np.array([window.lam - window.eps, window.lam + window.eps]))
     if {"ii", "iii", "iv"} & set(tags) and np.any(ends != 0):
         raise ValueError(f"eta is nonzero at an end of its window (center {eta.center}, "
                          f"width {eta.width}); (ii)-(iv) would cut it off there")
@@ -286,7 +285,7 @@ def compactness_ladder(
     for L, n in (levels if built else ()):
         try:
             opset = build(L, n)
-            dec_H = eigendecompose(opset.H, window) if {"ii", "iii", "iv"} & set(built) else None
+            dec_H = eigendecompose(opset.H, [window]) if {"ii", "iii", "iv"} & set(built) else None
             for tag in built:
                 op = (short_range_operator(opset, LADDER_Z) if tag == "short" else
                       long_range_operator(opset) if tag == "long" else

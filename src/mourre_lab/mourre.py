@@ -22,8 +22,7 @@ are always reported together with per-mode localization diagnostics.
 The eta-form estimator takes a whole list of eta at once: a rho scan or
 a transfer check hands it every sample, and `estimate_rho_eta` a list
 of one.  The scan and the check compute the eigenpairs of H only where
-some eta is nonzero, on every disjoint run of the eta supports in one
-`tails_eigenpairs` solve (H is the channel operator on its constant tails).
+some eta is nonzero: `eigendecompose` on the windows of all eta at once.
 It compresses i[H,A] and the region Gram matrices once per window of
 eigenvector columns (at most twice as wide as the widest eta support,
 and together holding every support) and slices each eta's k x k blocks
@@ -37,7 +36,7 @@ there by one stacked `eigvalsh`, without bisecting.
 The corrected test is not monotone: which modes the discard rule flags
 changes with a, so the test can hold on an interval and fail on both
 sides of it.  On the rho-scan-L160 operators at lambda = 3.0 (L = 160,
-n = 1601, eps = 0.1, a single-eta tails solve of 7 columns) it fails for
+n = 1601, eps = 0.1, the 7 eigenpairs of H in (2.9, 3.1)) it fails for
 a <= -5.22, where one mode is flagged and the unflagged pencil has crossed,
 holds on [-5.215, 3.98] with two flagged, and fails from 3.985 on.  The
 bracket -(max |C_ij| + 1) .. max |C_ij| + 1 is symmetric, so its first
@@ -65,12 +64,12 @@ from .spectral import (
     ThinProduct,
     bump,
     dirichlet_decomposition,
+    eigendecompose,
     opnorm,
     plateau,
     sandwich,
     singular_values,
     support_mask,
-    tails_eigenpairs,
     thin_sum,
 )
 
@@ -331,24 +330,12 @@ def virial_defects(opset: OperatorSet, dec: SpectralDecomposition, indices) -> n
 
 def _windowed_estimates(opset: OperatorSet, lambdas: list, eps: float):
     """(dec, etas, estimates) for the samples lambdas: the eigenpairs of H
-    where some eta = bump(lambda, eps) is nonzero, those eta, and the
+    where some eta = bump(lambda, eps) is nonzero, each once and ascending,
+    from `eigendecompose` on the windows of those eta, the eta, and the
     `RhoEstimate` of each from one lockstep estimate (see the module
-    docstring), None for an eta that meets no computed eigenvalue.
-
-    The supports (lambda - eps, lambda + eps), sorted, merge where they
-    overlap or touch into disjoint runs (lo, hi), and one `tails_eigenpairs`
-    solve returns the pairs on all runs, ascending.  A scan with step < 2 eps
-    gives a single run, (min lambda - eps, max lambda + eps)."""
-    if not lambdas:
-        return None, [], []
-    runs = []
-    for lam in sorted(lambdas):
-        if runs and lam - eps <= runs[-1][1]:
-            runs[-1][1] = lam + eps
-        else:
-            runs.append([lam - eps, lam + eps])
-    dec = tails_eigenpairs(opset.H, runs)
+    docstring), None for an eta that meets no computed eigenvalue."""
     etas = [bump(lam, eps) for lam in lambdas]
+    dec = eigendecompose(opset.H, [eta.window for eta in etas])
     return dec, etas, _estimate_rho_batch(opset, dec, opset.commutator_iHA, etas)
 
 

@@ -124,9 +124,8 @@ def _commutator(x: Band, y: Band) -> Band:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """All operators of the discretized two-channel model on one grid."""
+    """All operators of the discretized two-channel model on the grid of its potential."""
 
-    grid: Grid
     cutoffs: CutoffPair
     potential: PotentialField
     H: Band                              # -Delta + v, tridiagonal
@@ -135,6 +134,10 @@ class OperatorSet:
     conjugate_core: Band                 # real antisymmetric K' with A = jDj = iK'
     commutator_iHA: Band                 # i[H, A], real symmetric, pentadiagonal
     commutator_iH0A0: Band               # i[-Delta, D] = i[-Delta + v_pm, D], each channel
+
+    @property
+    def grid(self) -> Grid:
+        return self.potential.grid
 
     @property
     def n(self) -> int:
@@ -193,7 +196,6 @@ def build_pair(pot: PotentialField) -> OperatorSet:
     upper = cut.j[:-1] * dcore.entries[2, :-1] * cut.j[1:]
     acore = _tridiagonal(-upper, 0.0, upper)
     return OperatorSet(
-        grid=grid,
         cutoffs=cut,
         potential=pot,
         H=H,

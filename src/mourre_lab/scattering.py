@@ -171,12 +171,13 @@ def completeness_probe(
     propagated by H, reduced to its forward norms and margins and released
     before its channel pair is moved, glued and reduced to converse norms.
 
-    The range defect is the share of the best approximant e^{itH} g (g the
-    glued column at the admissible time of the smallest forward norm) that
-    P_sc = 1 - U_low U_low^T removes.  U_low holds eigenvectors of the same
-    H, so U_low^T e^{itH} g = e^{it Lambda_low} U_low^T g: e^{itH} changes
-    neither norm of the ratio, which is therefore read from g unpropagated.
-    g is kept from the block that holds it, so nothing is propagated again.
+    The range defect is the share of the best approximant e^{itH} g that
+    P_sc = 1 - U_low U_low^T removes, with g = J e^{-itH0} J* psi at the first
+    admissible time whose forward norm is within 16 n eps of the smallest
+    (a bound state's is the same at every time, so rounding never picks it),
+    rebuilt after the ladder with no basis of H.  U_low holds eigenvectors of
+    the same H, so U_low^T e^{itH} g = e^{it Lambda_low} U_low^T g: e^{itH}
+    changes neither norm of the ratio, which is read from g unpropagated.
     """
     ts = np.asarray(times, dtype=float)
     grid = opset.grid
@@ -189,7 +190,6 @@ def completeness_probe(
     radii = np.abs(grid.nodes[order])
 
     frous, convs, margins = np.empty(ts.size), np.empty(ts.size), np.empty(ts.size)
-    best, g = math.inf, None
     for lo in range(0, ts.size, LADDER_BLOCK):
         blk = slice(lo, lo + LADDER_BLOCK)
         ev = propagate(dec_H, psi, ts[blk])
@@ -202,12 +202,6 @@ def completeness_probe(
         gm, gp = opset.apply_J_star(glued)
         convs[blk] = np.sqrt(grid.dx * np.sum(np.abs(gm - pm) ** 2 + np.abs(gp - pp) ** 2,
                                               axis=0)) / n0
-        # the running best column: like np.argmin over the whole ladder, the first
-        # of equal scores wins; the copy lets the block go
-        scores = np.where(margins[blk] >= BOUNDARY_GUARD, frous[blk], np.inf)
-        k = int(np.argmin(scores))
-        if g is None or scores[k] < best:
-            best, g = scores[k], glued[:, k].copy()
     admissible = margins >= BOUNDARY_GUARD
 
     ok_f = bool(np.any(admissible & (frous < DECAY_TARGET)))
@@ -216,6 +210,9 @@ def completeness_probe(
     # the best approximant e^{itH} g against the scattering surrogate, read from g
     if not admissible.any():
         raise RuntimeError("no admissible time in the completeness probe; increase L")
+    scores = np.where(admissible, frous, np.inf)
+    best = int(np.argmax(scores <= scores.min() + 16 * grid.n * np.finfo(float).eps))
+    g = opset.apply_J(*_free_evolve(opset, (fm, fp), ts[best:best + 1]))[:, 0]
     p_sc_g = scattering_projector(dec_H, g, min(opset.potential.v_minus, opset.potential.v_plus))
     ng = _l2(grid, g)
     range_defect = _l2(grid, g - p_sc_g) / ng if ng > 0 else math.inf

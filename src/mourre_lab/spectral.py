@@ -2,13 +2,13 @@
 
 Functions of an operator are formed from its eigenpairs: smooth
 localization functions of H and the unitary propagator; an
-energy window is a mask of eigenvalues (`EnergyWindow.contains`).  H
-gets either its full basis by divide and conquer (LAPACK `dstedc`, the
-same bits as a dense `eigh`) or only the pairs in an energy window, from
-MRRR (`dstemr`) with no n x n array.  The rho estimators take theirs on
-several intervals at once from `tails_eigenpairs`, which reads the
-constant channel tails of H: their Sturm counts come in closed form, so
-its work is nearly flat in the number of pairs, while MRRR stays cheaper
+energy window is a mask of eigenvalues (`EnergyWindow.contains`), and
+`SmoothingFunction.window` holds every point where an eta is nonzero.
+`eigendecompose` is the one way to eigenpairs of H and alone picks the
+solver: all of them by divide and conquer (LAPACK `dstedc`, the bits of a
+dense `eigh`), one window's from MRRR (`dstemr`), several windows' from
+one `tails_eigenpairs` solve, which reads the constant channel tails of
+H: its work is nearly flat in the number of pairs, while MRRR is cheaper
 for a single window of a few pairs.  The channel operators -Delta + v_pm
 need no solver, because the Dirichlet Laplacian has a closed-form sine
 (DST-I) eigenbasis, built only where a function such as eta is nonzero;
@@ -104,9 +104,9 @@ class EnergyWindow:
 @dataclass(frozen=True)
 class SmoothingFunction:
     """Real localization function eta with eta(center) != 0.  `bump` and
-    `plateau` vanish outside center +- width, so EnergyWindow(center, width)
-    holds every x with eta(x) != 0; `compactness_ladder` relies on it, and
-    refuses an eta for (ii)-(iv) that is nonzero at an end of that window."""
+    `plateau` vanish outside center +- width, so `window` holds every x with
+    eta(x) != 0; `compactness_ladder` refuses an eta for (ii)-(iv) that is
+    nonzero at an end of it."""
 
     center: float
     width: float
@@ -114,6 +114,10 @@ class SmoothingFunction:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluate(np.asarray(x, dtype=float))
+
+    @property
+    def window(self) -> EnergyWindow:
+        return EnergyWindow(self.center, self.width)
 
 
 def bump(center: float, width: float) -> SmoothingFunction:
@@ -140,33 +144,43 @@ def plateau(lo: float, hi: float, shoulder: float) -> SmoothingFunction:
     return SmoothingFunction(0.5 * (lo + hi), 0.5 * (hi - lo) + shoulder, f)
 
 
-def eigendecompose(op: Band, window: Optional[EnergyWindow] = None) -> SpectralDecomposition:
-    """Eigenpairs of a real symmetric band, eigenvalues ascending.
+def eigendecompose(op: Band,
+                   windows: Optional[Sequence[EnergyWindow]] = None) -> SpectralDecomposition:
+    """Eigenpairs of a real symmetric band, eigenvalues ascending: all n with
+    no windows, else each pair inside any of the open windows once.
 
-    With no window, all n pairs; a tridiagonal band gets them by divide and
-    conquer (LAPACK `dstedc` with COMPZ = 'I'), bit for bit those of the
-    dense `eigh`.  That `eigh` is `dsyevd`: `dsytrd` reduces the matrix to
-    tridiagonal form, `dstedc('I')` solves the tridiagonal problem and
-    `dormtr` applies the reduction to its eigenvectors.  On a matrix that
-    is already tridiagonal every Householder reflector of `dsytrd` has
-    tau = 0, so the reduction returns the same diagonals and `dormtr`
-    applies the identity: calling `dstedc` directly gives the same bits
-    without the n x n densify, the O(n^3) reduction and the back-transform.
-    With a window, only the pairs inside its open interval, as
-    `dirichlet_decomposition` returns them; a tridiagonal band gets them
-    from MRRR (LAPACK `dstemr`) in O(n k) for k pairs, with no n x n array.
-    Without the bundled OpenBLAS, or for a wider band, both come from the
-    dense `eigh`, the window cut by its mask.
+    All n pairs of a tridiagonal band come from divide and conquer (LAPACK
+    `dstedc` with COMPZ = 'I'), bit for bit those of the dense `eigh`.  That
+    `eigh` is `dsyevd`: `dsytrd` reduces the matrix to tridiagonal form,
+    `dstedc('I')` solves the tridiagonal problem and `dormtr` applies the
+    reduction to its eigenvectors.  On a matrix that is already tridiagonal
+    every Householder reflector of `dsytrd` has tau = 0, so the reduction
+    returns the same diagonals and `dormtr` applies the identity: calling
+    `dstedc` directly gives the same bits without the n x n densify, the
+    O(n^3) reduction and the back-transform.  No windows ([]) give no pairs,
+    one its pairs from MRRR (LAPACK `dstemr`) in O(n k) for k pairs, several
+    theirs from one `tails_eigenpairs` solve.  Without the bundled OpenBLAS
+    (for none or one), or for a wider band, the dense `eigh` cut by the masks.
     """
-    if op.b == 1 and window is None and (stedc := lapacke("dstedc")) is not None:
-        return _divide_and_conquer(stedc, op)
-    if op.b == 1 and window is not None and (stemr := lapacke("dstemr")) is not None:
-        return _mrrr(stemr, op, window)
+    if windows is None:
+        if op.b == 1 and (stedc := lapacke("dstedc")) is not None:
+            return _divide_and_conquer(stedc, op)
+    elif not windows:
+        return SpectralDecomposition(eigenvalues=np.empty(0), eigenvectors=np.empty((op.n, 0)))
+    elif op.b == 1 and len(windows) > 1:
+        return tails_eigenpairs(op, windows)
+    elif op.b == 1 and (stemr := lapacke("dstemr")) is not None:
+        return _mrrr(stemr, op, windows[0])
     w, u = np.linalg.eigh(op.dense())
-    if window is not None:
-        keep = window.contains(w)
+    if windows is not None:
+        keep = _inside(windows, w)
         w, u = w[keep], u[:, keep]
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
+
+
+def _inside(windows: Sequence[EnergyWindow], x: np.ndarray) -> np.ndarray:
+    """Mask of the values inside any of the windows."""
+    return np.logical_or.reduce([win.contains(x) for win in windows])
 
 
 def _divide_and_conquer(stedc, op: Band) -> SpectralDecomposition:
@@ -214,9 +228,9 @@ def _mrrr(stemr, op: Band, window: EnergyWindow) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w[:found][keep].copy(), eigenvectors=z[:found][keep].T)
 
 
-def tails_eigenpairs(op: Band, intervals: Sequence[tuple]) -> SpectralDecomposition:
+def tails_eigenpairs(op: Band, windows: Sequence[EnergyWindow]) -> SpectralDecomposition:
     """The eigenpairs of a symmetric tridiagonal band T with a constant off-diagonal
-    -s that lie in any of the open intervals (lo, hi), ascending, in one solve.
+    -s that lie in any of the windows, each once and ascending, in one solve.
 
     The diagonal is constant on a first block of nodes and on a last one (the
     channel tails of H, where v = v_pm); S is the nodes between them.  On a
@@ -225,7 +239,7 @@ def tails_eigenpairs(op: Band, intervals: Sequence[tuple]) -> SpectralDecomposit
     of the second kind, so the tail's count of negative pivots and its last
     pivot come in closed form, and a twisted factorization run across S from
     both sides counts the eigenvalues below lam in O(|S|).  All wanted indices
-    of all intervals are bisected at once on that count.  Each vector is then
+    of all windows are bisected at once on that count.  Each vector is then
     built from both Dirichlet ends in difference form (D_{j+1} = D_j +
     g_j z_j, z_{j+1} = z_j + D_{j+1}, with g_j = (v_j - lam)/s), which keeps
     the relative accuracy of lam - v_j that orthogonality needs at gaps far
@@ -246,8 +260,8 @@ def tails_eigenpairs(op: Band, intervals: Sequence[tuple]) -> SpectralDecomposit
         raise ValueError("the tails solve needs a constant negative off-diagonal")
     tails = _Tails(a, -float(off[0]))
     # eigenvalue number i lies in [lo, hi) when count(lo) <= i < count(hi); an
-    # index in several intervals takes the bracket of the first
-    ends = np.array(intervals, dtype=float).reshape(-1, 2)
+    # index in several windows takes the bracket of the first
+    ends = np.array([(w.lam - w.eps, w.lam + w.eps) for w in windows]).reshape(-1, 2)
     lo, hi = np.full(n, np.nan), np.full(n, np.nan)
     for (l, h), (c_lo, c_hi) in reversed(list(zip(ends, tails.count(ends)))):
         lo[c_lo:c_hi], hi[c_lo:c_hi] = l, h
@@ -256,10 +270,8 @@ def tails_eigenpairs(op: Band, intervals: Sequence[tuple]) -> SpectralDecomposit
         return SpectralDecomposition(eigenvalues=np.empty(0), eigenvectors=np.empty((n, 0)))
     lam = tails.bisect(wanted, lo[wanted], hi[wanted])
     lam, z = tails.vectors(lam)
-    inside = np.zeros(lam.size, dtype=bool)
-    for l, h in intervals:
-        inside |= (lam > l) & (lam < h)
-    if not inside.all():  # a pair that rounding moved onto an end of its interval
+    inside = _inside(windows, lam)
+    if not inside.all():  # a pair that rounding moved onto an end of its window
         lam, z = lam[inside], z[:, inside]
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=z)
 

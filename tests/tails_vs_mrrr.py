@@ -1,8 +1,8 @@
 """The tails solve against MRRR at a size no tier-1 test reaches.
 
 Builds H of the steplike pair (v- = 0, v+ = 1, smooth_step) at (L, n) and
-takes the pairs in one interval twice: from `tails_eigenpairs` and from MRRR
-(`eigendecompose` with a window).  It prints both timings and exits 1 if the
+takes the pairs in one window twice: from `tails_eigenpairs` and from MRRR
+(`eigendecompose` with that one window).  It prints both timings and exits 1 if the
 two disagree beyond the bounds of test_spectral's dense comparisons, with
 tol = 16 n eps and ||H|| bounded by its largest absolute row sum:
 
@@ -12,8 +12,8 @@ tol = 16 n eps and ||H|| bounded by its largest absolute row sum:
 - projectors: ||(I - P_mrrr) U_tails||_max within tol, which bounds the
   entries of P_tails - P_mrrr without forming an n x n array.
 
-Run from the repository root (defaults: the rho-scan span (-0.6, 3.2) at
-(640, 12801)):
+Run from the repository root (defaults: the window (-0.6, 3.2) that the
+rho scan's eta windows span, at (640, 12801)):
 
     PYTHONPATH=src python3 tests/tails_vs_mrrr.py [L n lo hi]
 """
@@ -38,13 +38,14 @@ def main(argv: list) -> int:
     op = build_pair(make_steplike(make_grid(L, n), 0.0, 1.0)).H
     tol = ROUNDING_ULPS * n * np.finfo(float).eps
     scale = np.abs(op.entries).sum(axis=0).max()
+    window = EnergyWindow(0.5 * (lo + hi), 0.5 * (hi - lo))
 
     t0 = time.perf_counter()
-    tails = tails_eigenpairs(op, [(lo, hi)])
+    tails = tails_eigenpairs(op, [window])
     t1 = time.perf_counter()
-    mrrr = eigendecompose(op, EnergyWindow(0.5 * (lo + hi), 0.5 * (hi - lo)))
+    mrrr = eigendecompose(op, [window])
     t2 = time.perf_counter()
-    print(f"(L, n) = ({L:g}, {n}), interval ({lo:g}, {hi:g}): {tails.eigenvalues.size} pairs; "
+    print(f"(L, n) = ({L:g}, {n}), window ({lo:g}, {hi:g}): {tails.eigenvalues.size} pairs; "
           f"tails solve {t1 - t0:.3f} s, MRRR {t2 - t1:.3f} s")
 
     if tails.eigenvalues.size != mrrr.eigenvalues.size:

@@ -22,7 +22,6 @@ from mourre_lab.hypotheses import (
 )
 from mourre_lab.operators import Band, build_commutator_longrange, build_pair
 from mourre_lab.spectral import (
-    EnergyWindow,
     SpectralDecomposition,
     ThinProduct,
     bump,
@@ -190,7 +189,7 @@ class TestAssumptionOperators:
         # the pairs of H where the bump is nonzero, from MRRR on its open support,
         # give the surrogate of the full basis up to rounding
         eta = bump(center, 0.4)
-        part = eigendecompose(small_ops.H, EnergyWindow(center, 0.4))
+        part = eigendecompose(small_ops.H, [eta.window])
         assert part.eigenvalues.size < small_ops.n
         ref = singular_values(*dataclasses.astuple(assumption_operator(small_ops, dec_H, tag, eta)))
         sv = singular_values(*dataclasses.astuple(assumption_operator(small_ops, part, tag, eta)))
@@ -347,7 +346,7 @@ class TestCompactnessLadder:
         assert rep.verdict == "non-compact"
 
     def test_eta_cut_off_by_its_window_refused(self):
-        # (ii)-(iv) read the pairs of H in EnergyWindow(center, width) only, so
+        # (ii)-(iv) read the pairs of H in eta.window only, so
         # an eta nonzero at its ends would be cut off there without a word
         wide = gaussian(1.0, 0.3)
         for tag in ("ii", "iii", "iv"):
@@ -382,14 +381,14 @@ class TestCompactnessLadder:
         levels = [(20.0, 321), (20.0, 322)]  # two keys, one operator set
         ladder = compactness_ladder(build, levels, eta, ("ii", "short", "long"))
         assert built == levels
-        window = eigendecompose(small_ops.H, EnergyWindow(eta.center, eta.width))
+        window = eigendecompose(small_ops.H, [eta.window])
         for tag, rep in ladder.items():
             op = factored(small_ops, window, tag, eta)
             want = singular_values(op.left, op.core, op.right)
             assert all(np.array_equal(sv, want) for sv in rep.singular_values)
 
     def test_plateau_ladder_matches_full_basis(self, small_ops, dec_H):
-        """The ladder takes the pairs of H in EnergyWindow(eta.center, eta.width);
+        """The ladder takes the pairs of H in eta.window;
         for a plateau, whose shoulders reach past [lo, hi], that window must
         still hold every pair where eta is nonzero, or (ii)-(iv) lose pairs."""
         eta = plateau(1.0, 1.2, shoulder=0.5)

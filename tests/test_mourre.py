@@ -36,7 +36,6 @@ from mourre_lab.spectral import (
     opnorm,
     plateau,
     support,
-    tails_eigenpairs,
 )
 
 BISECT_TOL = 1e-3  # the bisection resolution of estimate_rho_eta, relative to max(1, |rho|)
@@ -240,7 +239,7 @@ class TestLockstepBisection:
         support, so the batch compresses exactly what each single call does;
         the estimates must then be bitwise equal."""
         _set_discard_rule(monkeypatch, policy)
-        dec = eigendecompose(small_ops.H, EnergyWindow(2.0, 0.5))
+        dec = eigendecompose(small_ops.H, [EnergyWindow(2.0, 0.5)])
         etas = [gaussian(c, 0.3) for c in (0.4, 0.9, 1.3, 1.8, 2.0)]
         batch = _estimate_rho_batch(small_ops, dec, small_ops.commutator_iHA, etas)
         for eta, est in zip(etas, batch):
@@ -302,13 +301,13 @@ class TestLockstepBisection:
 
 def test_corrected_test_is_not_monotone():
     """The corrected test holds on an interval of a, not below a supremum.
-    On the rho-scan-L160 operators at lambda = 3.0, with the single-eta tails
-    solve, it fails at a = -5.3 (one flagged mode; the unflagged pencil has
-    crossed) and holds at 0, the first midpoint of the symmetric bracket, and
-    at the corrected value the bisection returns from there."""
+    On the rho-scan-L160 operators at lambda = 3.0, with the pairs of H in
+    the window of eta, it fails at a = -5.3 (one flagged mode; the unflagged
+    pencil has crossed) and holds at 0, the first midpoint of the symmetric
+    bracket, and at the corrected value the bisection returns from there."""
     ops = build_pair(make_steplike(make_grid(160.0, 1601), 0.0, 1.0))
     eta = bump(3.0, 0.1)
-    dec = tails_eigenpairs(ops.H, [[2.9, 3.1]])
+    dec = eigendecompose(ops.H, [eta.window])
     est = estimate_rho_eta(ops, dec, ops.commutator_iHA, eta)
     w = eta(dec.eigenvalues)
     assert w.size == 7 and np.all(w > 0)
@@ -340,7 +339,7 @@ class TestEtaEstimate:
 
     def test_estimator_and_support_share_one_rule(self, small_ops):
         # a weight 0 < eta <= 1e-12 max eta leaves the column out of both
-        dec = eigendecompose(small_ops.H, EnergyWindow(0.5, 0.3))
+        dec = eigendecompose(small_ops.H, [EnergyWindow(0.5, 0.3)])
         w = dec.eigenvalues
         assert w.size >= 3
 
@@ -361,7 +360,7 @@ class TestEtaEstimate:
         g = make_grid(80.0, 401)
         ops = build_pair(make_steplike(g, 0.0, 1.0))
         eta = bump(0.14, 0.1)
-        dec = eigendecompose(ops.H, EnergyWindow(0.14, 0.1))
+        dec = eigendecompose(ops.H, [EnergyWindow(0.14, 0.1)])
         est = estimate_rho_eta(ops, dec, ops.commutator_iHA, eta)
         u, _ = support(dec, eta)
         c = u.T @ (ops.commutator_iHA @ u)
@@ -466,11 +465,11 @@ class TestTransfer:
         U f(Lambda) U* products with an eigh of each channel Hamiltonian.  The
         margins match estimate_rho_eta on the eigenpairs of H in the span
         (min lambda - eps, max lambda + eps), computed by one MRRR call apart
-        from the runs of eta supports that transfer_verify computes."""
+        from the tails solve on the eta windows that transfer_verify runs."""
         lambdas, eps = [0.3, 0.5, 1.5, 2.0], 0.1
         rep = transfer_verify(small_ops, lambdas, eps, 0.2)
         lo, hi = min(lambdas) - eps, max(lambdas) + eps
-        dec_win = eigendecompose(small_ops.H, EnergyWindow(0.5 * (lo + hi), 0.5 * (hi - lo)))
+        dec_win = eigendecompose(small_ops.H, [_window(lo, hi)])
 
         def dense_eta(h, eta):
             w, u = np.linalg.eigh(h)
@@ -501,16 +500,16 @@ class TestTransfer:
             assert abs(rep.eone_residuals[k] - ref) <= ROUNDING_ULPS * small_ops.n * F64_EPS * scale
 
 
-def _record_solves(monkeypatch):
-    """The interval lists mourre passes to tails_eigenpairs, one per solve, in call order."""
-    solves = []
+def _record_windows(monkeypatch):
+    """The windows mourre passes to eigendecompose, one list per call, in call order."""
+    calls = []
 
-    def recording(op, intervals):
-        solves.append([tuple(run) for run in intervals])
-        return tails_eigenpairs(op, intervals)
+    def recording(op, windows=None):
+        calls.append(windows)
+        return eigendecompose(op, windows)
 
-    monkeypatch.setattr(mourre, "tails_eigenpairs", recording)
-    return solves
+    monkeypatch.setattr(mourre, "eigendecompose", recording)
+    return calls
 
 
 def _window(lo, hi):
@@ -520,33 +519,32 @@ def _window(lo, hi):
 
 class TestSupportRuns:
     """The scan and the transfer check take the eigenpairs of H on the union
-    of the eta supports: one tails solve over the disjoint runs of supports."""
+    of the eta supports: one `eigendecompose` call on the windows of their eta,
+    unmerged and in sample order, which returns each pair once."""
 
-    def test_transfer_one_window_per_run(self, small_ops, monkeypatch):
-        solves = _record_solves(monkeypatch)
-        eps = 0.1
-        transfer_verify(small_ops, [0.3, 0.5, 1.5, 2.0], eps, 0.2)
-        assert len(solves) == 1
-        assert solves[0] == [(0.3 - eps, 0.5 + eps), (1.5 - eps, 1.5 + eps),
-                             (2.0 - eps, 2.0 + eps)]
-        runs = [bound for run in solves[0] for bound in run]
-        assert runs == pytest.approx([0.2, 0.6, 1.4, 1.6, 1.9, 2.1], abs=1e-12)
+    def test_transfer_one_call_on_the_eta_windows(self, small_ops, monkeypatch):
+        calls = _record_windows(monkeypatch)
+        lambdas, eps = [0.3, 0.5, 1.5, 2.0], 0.1
+        transfer_verify(small_ops, lambdas, eps, 0.2)
+        assert calls == [[EnergyWindow(lam, eps) for lam in lambdas]]
 
     @pytest.mark.parametrize("lambdas, eps", [
         ([0.25 + 0.15 * j for j in range(12)], 0.1),  # step 0.15 < 2 eps
         ([2.0, 0.2, 1.1, 0.65, 1.55], 0.25),           # unsorted, step 0.45 < 2 eps
         ([0.7, 0.5], 0.1)])                            # supports that only touch
-    def test_scan_with_overlapping_supports_is_one_span(self, small_ops, monkeypatch,
-                                                        lambdas, eps):
-        solves = _record_solves(monkeypatch)
-        rho_scan(small_ops, lambdas, eps)
-        assert solves == [[(min(lambdas) - eps, max(lambdas) + eps)]]
+    def test_overlapping_supports_give_the_span(self, small_ops, monkeypatch, lambdas, eps):
+        calls = _record_windows(monkeypatch)
+        dec = _windowed_estimates(small_ops, lambdas, eps)[0]
+        assert calls == [[EnergyWindow(lam, eps) for lam in lambdas]]
+        span = eigendecompose(small_ops.H, [_window(min(lambdas) - eps, max(lambdas) + eps)])
+        assert dec.eigenvalues.size == span.eigenvalues.size > 0
+        assert np.max(np.abs(dec.eigenvalues - span.eigenvalues)) <= 1e-12
 
     def test_union_is_the_span_masked_to_the_supports(self, small_ops):
         lambdas, eps = [2.0, 0.3, 1.5, 0.5, 0.7, 2.3], 0.1
         dec = _windowed_estimates(small_ops, lambdas, eps)[0]
         lo, hi = min(lambdas) - eps, max(lambdas) + eps
-        span = eigendecompose(small_ops.H, _window(lo, hi))
+        span = eigendecompose(small_ops.H, [_window(lo, hi)])
         on_union = np.zeros(span.eigenvalues.size, dtype=bool)
         for lam in lambdas:
             on_union |= EnergyWindow(lam, eps).contains(span.eigenvalues)

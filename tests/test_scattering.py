@@ -68,6 +68,13 @@ def _bound_state(ops, dec_H):
     return bs / (math.sqrt(ops.grid.dx) * np.linalg.norm(bs))
 
 
+def _best_time(rep, times, n):
+    """The probe's best time: the first admissible one whose forward norm is
+    within 16 n eps of the smallest admissible forward norm."""
+    scores = np.where(rep.admissible, rep.froufrou_norms, np.inf)
+    return times[np.flatnonzero(scores <= scores.min() + _rounding(n))[0]]
+
+
 @pytest.fixture(scope="module")
 def free_box():
     g = make_grid(40.0, 801)
@@ -364,7 +371,7 @@ class TestCompletenessProbe:
         rep = completeness_probe(ops, dec_H, psi, times)
         assert len(calls) == 1
 
-        t = times[int(np.argmin(np.where(rep.admissible, rep.froufrou_norms, np.inf)))]
+        t = _best_time(rep, times, ops.n)
         fm, fp = ops.apply_J_star(psi)
         dec_m, dec_p = channel_bases(ops)
         g = ops.apply_J(propagate(dec_m, fm, [t])[:, 0], propagate(dec_p, fp, [t])[:, 0])
@@ -383,10 +390,10 @@ class TestStreamedLadder:
     def test_blocks_match_one_block(self, box, well_box, monkeypatch, case, width):
         """Any block width gives the report of the whole ladder in one block:
         norms to rounding, margins and flags exactly.  The range defect is that
-        of the glued column at the best time of the report's own norms.  A
-        decaying packet has one clear best time, so its range defect is also
-        the one-block value to rounding; a bound state's forward norm is the
-        same at every time up to rounding, which alone picks its best time."""
+        of the glued column at the best time of the report's own norms, and
+        the one-block value to rounding: a bound state's forward norm is the
+        same at every time up to rounding, and the tie rule of the best time
+        keeps rounding from picking it."""
         ops, dec_H = box if case == "outgoing" else well_box
         psi = _outgoing(ops) if case == "outgoing" else _bound_state(ops, dec_H)
         times = np.linspace(0.0, 8.0, 41)
@@ -398,7 +405,7 @@ class TestStreamedLadder:
         for key in ("froufrou_norms", "converse_norms"):
             got, ref = np.array(getattr(rep, key)), np.array(getattr(whole, key))
             assert np.all(np.abs(got - ref) <= tol * np.maximum(1.0, np.abs(ref))), key
-        best = times[int(np.argmin(np.where(rep.admissible, rep.froufrou_norms, np.inf)))]
+        best = _best_time(rep, times, ops.n)
         fm, fp = ops.apply_J_star(psi)
         dec_m, dec_p = channel_bases(ops)
         g = ops.apply_J(propagate(dec_m, fm, [best])[:, 0], propagate(dec_p, fp, [best])[:, 0])
@@ -406,11 +413,25 @@ class TestStreamedLadder:
         low = g - scattering_projector(dec_H, g, min(pot.v_minus, pot.v_plus))
         ref = _l2_one(ops.grid, low) / _l2_one(ops.grid, g)
         assert abs(rep.range_defect - ref) <= tol * max(1.0, ref)
-        if case == "outgoing":
-            assert abs(rep.range_defect - whole.range_defect) <= tol * max(1.0, ref)
+        assert abs(rep.range_defect - whole.range_defect) <= tol * max(1.0, ref)
         assert rep.boundary_margins == whole.boundary_margins
         assert rep.admissible == whole.admissible
         assert rep.verdict == whole.verdict
+
+    def test_bound_state_range_defect_does_not_follow_the_block_width(self, well_box,
+                                                                     monkeypatch):
+        """On the (40, 801) well the bound state's forward norms agree to
+        rounding at every time, so its best time is the first admissible one
+        at any block width, and the range defect is the same."""
+        ops, dec_H = well_box
+        psi, times = _bound_state(ops, dec_H), np.linspace(0.0, 8.0, 41)
+        defects = []
+        for width in (1, 32):
+            monkeypatch.setattr(scattering, "LADDER_BLOCK", width)
+            rep = completeness_probe(ops, dec_H, psi, times)
+            assert _best_time(rep, times, ops.n) == times[rep.admissible.index(True)]
+            defects.append(rep.range_defect)
+        assert defects[0] == defects[1]
 
     def test_one_propagation_per_block(self, box, monkeypatch):
         ops, dec_H = box

@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_function, dense, gaussian
-from mourre_lab import blas
+from mourre_lab import blas, spectral
 from mourre_lab.grid import make_grid, make_steplike
 from mourre_lab.operators import Band, build_pair
 from mourre_lab.spectral import (
@@ -101,7 +103,7 @@ class TestBlasBindings:
             "    start.wait()\n"
             "    try:\n"
             "        for _ in range(50):\n"
-            "            eigendecompose(H, EnergyWindow(0.5, 0.2))\n"
+            "            eigendecompose(H, [EnergyWindow(0.5, 0.2)])\n"
             "    except Exception as exc:\n"
             "        errors.append(repr(exc))\n"
             "threads = [threading.Thread(target=work) for _ in range(2)]\n"
@@ -147,7 +149,7 @@ class TestWindowedEigendecompose:
         tol = ROUNDING_ULPS * n * F64_EPS
         scale = np.abs(op.entries).sum(axis=0).max()  # bounds the norm of H
         sel = win.contains(full.eigenvalues)
-        dec = eigendecompose(op, win)
+        dec = eigendecompose(op, [win])
         w, u = dec.eigenvalues, dec.eigenvectors
         assert u.shape == (n, np.count_nonzero(sel)) and w.size > 0
         assert np.all(np.diff(w) >= 0) and np.all(win.contains(w))
@@ -158,14 +160,14 @@ class TestWindowedEigendecompose:
         assert np.max(np.abs(u @ u.T - u_ref @ u_ref.T)) <= tol
 
     def test_empty_window(self, small_ops):
-        dec = eigendecompose(small_ops.H, EnergyWindow(-5.0, 0.1))
+        dec = eigendecompose(small_ops.H, [EnergyWindow(-5.0, 0.1)])
         assert dec.eigenvalues.shape == (0,)
         assert dec.eigenvectors.shape == (small_ops.n, 0)
 
     def test_eigenvalues_on_edges_excluded(self):
         # dstemr returns the half-open (lo, hi]; the window is open at both ends
         op = _diagonal_band(np.arange(20.0))
-        dec = eigendecompose(op, EnergyWindow(5.0, 2.0))
+        dec = eigendecompose(op, [EnergyWindow(5.0, 2.0)])
         assert dec.eigenvalues.tolist() == [4.0, 5.0, 6.0]
         assert np.array_equal(np.abs(dec.eigenvectors), np.eye(20)[:, 4:7])
 
@@ -174,7 +176,7 @@ class TestWindowedEigendecompose:
         win = EnergyWindow(1.0, 0.3)
         full = eigendecompose(small_ops.H)
         monkeypatch.setattr(blas, "bundled_openblas", lambda: library)
-        dec = eigendecompose(small_ops.H, win)
+        dec = eigendecompose(small_ops.H, [win])
         sel = win.contains(full.eigenvalues)
         assert np.array_equal(dec.eigenvalues, full.eigenvalues[sel])
         assert np.array_equal(dec.eigenvectors, full.eigenvectors[:, sel])
@@ -183,7 +185,7 @@ class TestWindowedEigendecompose:
         op = small_ops.commutator_iHA  # pentadiagonal
         win = EnergyWindow(0.0, 0.5)
         full = eigendecompose(op)
-        dec = eigendecompose(op, win)
+        dec = eigendecompose(op, [win])
         assert np.array_equal(dec.eigenvalues, full.eigenvalues[win.contains(full.eigenvalues)])
 
 
@@ -206,16 +208,20 @@ def channel_band():
     return get
 
 
+def _window(lo, hi):
+    """The window of the open interval (lo, hi)."""
+    return EnergyWindow(0.5 * (lo + hi), 0.5 * (hi - lo))
+
+
 def _assert_matches_dense(op, full, intervals):
-    """The pairs of tails_eigenpairs on the intervals against the full basis,
-    at the bounds of TestWindowedEigendecompose::test_matches_dense_eigh."""
+    """The pairs of tails_eigenpairs on the windows of the intervals against the
+    full basis, at the bounds of TestWindowedEigendecompose::test_matches_dense_eigh."""
     n = op.n
     tol = ROUNDING_ULPS * n * F64_EPS
     scale = np.abs(op.entries).sum(axis=0).max()  # bounds the norm of H
-    sel = np.zeros(n, dtype=bool)
-    for lo, hi in intervals:
-        sel |= (full.eigenvalues > lo) & (full.eigenvalues < hi)
-    dec = tails_eigenpairs(op, intervals)
+    windows = [_window(lo, hi) for lo, hi in intervals]
+    sel = np.logical_or.reduce([win.contains(full.eigenvalues) for win in windows])
+    dec = tails_eigenpairs(op, windows)
     w, u, u_ref = dec.eigenvalues, dec.eigenvectors, full.eigenvectors[:, sel]
     assert u.shape == (n, np.count_nonzero(sel)) and w.size > 0
     assert np.all(np.diff(w) > 0)
@@ -232,7 +238,7 @@ class TestTailsEigenpairs:
 
     @pytest.mark.parametrize("band,intervals", [
         ((160.0, 1601), [(-0.6, 3.2)]),                    # the span of the L = 160 rho scan
-        ((20.0, 321), [(0.1, 0.5), (0.9, 1.3), (2.0, 2.4)]),  # disjoint runs
+        ((20.0, 321), [(0.1, 0.5), (0.9, 1.3), (2.0, 2.4)]),  # disjoint windows
         ((40.0, 801), [(0.5, 1.0)]),                       # ends exactly at the threshold v+
         ((40.0, 801), [(300.0, 400.0)]),                   # the upper half of the band
         ((640.0, 2561, 0.0, 1.0, "smooth_step", -2.0), [(-1.0, 0.5)]),  # criterion 8's well
@@ -247,7 +253,7 @@ class TestTailsEigenpairs:
     def test_well_has_a_bound_state_far_below_both_tails(self, channel_band):
         # its evanescent tails grow by far more than the float range from either end
         op, _ = channel_band(640.0, 2561, 0.0, 1.0, "smooth_step", -2.0)
-        dec = tails_eigenpairs(op, [(-1.0, 0.0)])
+        dec = tails_eigenpairs(op, [_window(-1.0, 0.0)])
         assert dec.eigenvalues.size == 1 and dec.eigenvalues[0] < -0.5
         assert np.all(np.isfinite(dec.eigenvectors))
 
@@ -276,18 +282,94 @@ class TestTailsEigenpairs:
         assert np.array_equal(counts, np.searchsorted(full.eigenvalues, lams))
 
     def test_empty_intervals(self, small_ops):
-        dec = tails_eigenpairs(small_ops.H, [(-5.0, -4.0)])
+        dec = tails_eigenpairs(small_ops.H, [_window(-5.0, -4.0)])
         assert dec.eigenvalues.shape == (0,) and dec.eigenvectors.shape == (small_ops.n, 0)
 
     def test_rejects_other_bands(self, small_ops):
         with pytest.raises(ValueError, match="constant"):
             entries = small_ops.H.entries.copy()
             entries[0, 5] = entries[2, 4] = 2 * entries[2, 4]
-            tails_eigenpairs(Band(entries), [(0.0, 1.0)])
+            tails_eigenpairs(Band(entries), [_window(0.0, 1.0)])
         with pytest.raises(ValueError, match="constant negative"):  # -H: off-diagonal +s
-            tails_eigenpairs(Band(-small_ops.H.entries), [(-1.0, 0.0)])
+            tails_eigenpairs(Band(-small_ops.H.entries), [_window(-1.0, 0.0)])
         with pytest.raises(ValueError, match="tridiagonal"):
-            tails_eigenpairs(small_ops.commutator_iHA, [(0.0, 1.0)])
+            tails_eigenpairs(small_ops.commutator_iHA, [_window(0.0, 1.0)])
+
+
+class TestEntryPoint:
+    """`eigendecompose` with a list of windows returns each pair inside any of
+    them once, ascending: one window from MRRR, several from one tails solve."""
+
+    @pytest.mark.parametrize("windows", [
+        [EnergyWindow(0.5, 0.3), EnergyWindow(0.7, 0.3), EnergyWindow(0.6, 0.1)],
+        [EnergyWindow(0.7, 0.1), EnergyWindow(0.5, 0.1)],  # both end at 0.6
+        [EnergyWindow(2.0, 0.2), EnergyWindow(0.3, 0.1), EnergyWindow(1.1, 0.2)],
+    ], ids=["overlapping", "touching", "disjoint"])
+    def test_every_pair_once_as_mrrr_per_window(self, ops_L160, dec_L160, windows):
+        op = ops_L160.H
+        n = op.n
+        tol = ROUNDING_ULPS * n * F64_EPS
+        scale = np.abs(op.entries).sum(axis=0).max()  # bounds the norm of H
+        dec = eigendecompose(op, windows)
+        w, u = dec.eigenvalues, dec.eigenvectors
+        union = np.logical_or.reduce([win.contains(dec_L160.eigenvalues) for win in windows])
+        assert u.shape == (n, np.count_nonzero(union)) and np.all(np.diff(w) > 0)
+        for win in windows:
+            mrrr = eigendecompose(op, [win])
+            mine = win.contains(w)
+            assert np.count_nonzero(mine) == mrrr.eigenvalues.size > 0
+            assert np.max(np.abs(w[mine] - mrrr.eigenvalues)) <= tol * scale
+            um = mrrr.eigenvectors  # ||(I - P_mine) U_mrrr||_max, with no n x n array
+            assert np.max(np.abs(um - u[:, mine] @ (u[:, mine].T @ um))) <= tol
+
+    def test_one_window_runs_mrrr_and_several_the_tails_solve(self, small_ops, monkeypatch):
+        ran = []
+        for name in ("_divide_and_conquer", "_mrrr", "tails_eigenpairs"):
+            def recording(*args, _name=name, _solve=getattr(spectral, name)):
+                ran.append(_name)
+                return _solve(*args)
+
+            monkeypatch.setattr(spectral, name, recording)
+        monkeypatch.setattr(Band, "dense", lambda self: pytest.fail("dense band formed"))
+        eigendecompose(small_ops.H, [EnergyWindow(1.0, 0.3)])
+        assert ran == ["_mrrr"]
+        eigendecompose(small_ops.H, [EnergyWindow(1.0, 0.3), EnergyWindow(2.0, 0.3)])
+        assert ran == ["_mrrr", "tails_eigenpairs"]
+        eigendecompose(small_ops.H)
+        assert ran == ["_mrrr", "tails_eigenpairs", "_divide_and_conquer"]
+
+    def test_no_windows_no_pairs(self, ops_L160, monkeypatch):
+        """An empty list of windows never falls through to the full basis: the
+        call's traced peak stays below the size of one column."""
+        op = ops_L160.H
+        monkeypatch.setattr(Band, "dense", lambda self: pytest.fail("dense band formed"))
+        tracemalloc.start()
+        try:
+            dec = eigendecompose(op, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.eigenvalues.shape == (0,) and dec.eigenvectors.shape == (op.n, 0)
+        assert peak < 8 * op.n
+
+
+def test_only_spectral_chooses_an_eigensolver():
+    """Outside `spectral` (and `blas`, which binds the LAPACK routines by name)
+    no module names a solver or a LAPACK routine: `eigendecompose` alone picks
+    dstedc, MRRR, the tails solve or the dense fallback."""
+    solvers = {"tails_eigenpairs", "_mrrr", "_divide_and_conquer", "_Tails", "lapacke",
+               "dstedc", "dstemr"}
+    src = Path(__file__).resolve().parents[1] / "src" / "mourre_lab"
+    naming = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom) else
+                     [node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else
+                     [node.value] if isinstance(node, ast.Constant) else [])
+            if solvers & set(names):
+                naming.add(path.stem)
+    assert naming == {"spectral", "blas"}
 
 
 class TestThinProduct:
@@ -518,11 +600,11 @@ class TestSmoothingFunctions:
     @pytest.mark.parametrize("eta", [bump(1.0, 0.3), plateau(1.0, 1.2, shoulder=0.5)],
                              ids=["bump", "plateau"])
     def test_window_holds_the_support(self, eta):
-        """EnergyWindow(center, width) holds every x with eta(x) != 0, and no
+        """eta.window holds every x with eta(x) != 0, and no
         more than the support: it reaches within 5 % of the window's edges."""
         x = np.linspace(eta.center - 3 * eta.width, eta.center + 3 * eta.width, 60001)
         nonzero = eta(x) != 0
-        assert np.all(EnergyWindow(eta.center, eta.width).contains(x[nonzero]))
+        assert np.all(eta.window.contains(x[nonzero]))
         assert x[nonzero].min() < eta.center - 0.95 * eta.width
         assert x[nonzero].max() > eta.center + 0.95 * eta.width
 
