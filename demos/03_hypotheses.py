@@ -41,7 +41,7 @@ def main():
     rng = np.random.default_rng(5)
     states = rng.standard_normal((3, 801)) + 1j * rng.standard_normal((3, 801))
     states /= np.linalg.norm(states, axis=1)[:, None]
-    rep = c1_probe(ops, 1j, states)
+    rep = c1_probe(ops, states)
     print()
     print(f"C1 probe: verdict={rep.verdict}, limit mismatch={rep.limit_mismatch:.2e}")
     print(f"  cauchy ladder: {[f'{d:.2e}' for d in rep.cauchy_defects]}")

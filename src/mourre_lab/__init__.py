@@ -1,52 +1,15 @@
 """Numerical laboratory for commutator positivity and two-channel scattering
-of 1D steplike Schrödinger operators on a finite Dirichlet box."""
+of 1D steplike Schrödinger operators on a finite Dirichlet box.
 
-from .grid import (
-    CutoffPair,
-    Grid,
-    PotentialField,
-    make_cutoffs,
-    make_grid,
-    make_steplike,
-)
-from .operators import (
-    Band,
-    OperatorSet,
-    build_commutator_longrange,
-    build_pair,
-)
-from .spectral import (
-    EnergyWindow,
-    SmoothingFunction,
-    SpectralDecomposition,
-    bump,
-    eigendecompose,
-    plateau,
-    propagate,
-    resolvent,
-)
-from .mourre import (
-    RhoEstimate,
-    TransferReport,
-    analytic_rho,
-    estimate_rho_eta,
-    estimate_rho_window,
-    rho_scan,
-    transfer_verify,
-)
-from .hypotheses import (
-    C1Report,
-    CompactnessReport,
-    assumption_operator,
-    c1_probe,
-    compactness_report,
-    long_range_operator,
-    short_range_operator,
-)
+The package exports the entry points its demos, tests and README import;
+every type and helper stays importable from its own module."""
+
+from .grid import make_grid, make_steplike
+from .operators import build_pair
+from .spectral import bump, eigendecompose, resolvent
+from .mourre import analytic_rho, rho_scan, transfer_verify
+from .hypotheses import assumption_operator, c1_probe, short_range_operator
 from .scattering import (
-    CompletenessReport,
-    ScatteringCoefficients,
-    WaveProbeReport,
     completeness_probe,
     gaussian_averaged_oracle,
     make_channel_packet,

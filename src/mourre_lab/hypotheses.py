@@ -20,6 +20,7 @@ R(z)[:, S] from |S| tridiagonal solves (`spectral.resolvent`).  So the factor
 widths, which bound their ranks, grow like 1/dx and not with L.
 No full basis of H or of a channel is built.  The C1 probe applies R(z) by
 the same solves and takes its identity defect from `spectral.opnorm`.
+Every resolvent here is taken at the one point z = Z = i.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ OPERATOR_TAGS = ("ii", "iii", "iv", "short", "long", "identity")
 DRIFT_TOL = 0.10
 TAIL_TOL = 1e-2
 FLAT_TAIL = 0.5
-LADDER_Z = 1j  # spectral parameter of the short-range surrogate in a ladder
+Z = 1j  # the resolvent point z of every surrogate and of `c1_probe`
 C1_STEPS = (1e-2, 1e-3, 1e-4, 1e-5)  # the times t of the difference quotients of `c1_probe`
 
 
@@ -83,7 +84,6 @@ class CompactnessReport:
 
 @dataclass(frozen=True)
 class C1Report:
-    z: complex
     steps: list
     difference_quotient_norms: list   # per step: max over test states
     cauchy_defects: list              # consecutive-step differences
@@ -183,15 +183,15 @@ def compactness_report(svs: Sequence[np.ndarray],
     )
 
 
-def _resolvent_columns(op: Band, z: complex, nodes: np.ndarray) -> np.ndarray:
-    """R(z)[:, S] = (op - z)^{-1} at the columns S = nodes, by |S| tridiagonal solves."""
+def _resolvent_columns(op: Band, nodes: np.ndarray) -> np.ndarray:
+    """R(Z)[:, S] = (op - Z)^{-1} at the columns S = nodes, by |S| tridiagonal solves."""
     unit = np.zeros((op.n, nodes.size))
     unit[nodes, np.arange(nodes.size)] = 1.0
-    return resolvent(op, z, unit)
+    return resolvent(op, Z, unit)
 
 
-def short_range_operator(opset: OperatorSet, z: complex) -> ThinProduct:
-    """B(z) A0 with an energy smoothing realizing the operator closure.
+def short_range_operator(opset: OperatorSet) -> ThinProduct:
+    """B(z) A0 at z = Z, with an energy smoothing realizing the operator closure.
 
     Returns the factors of the n x 2n operator B(z) A0 P with P = eta~(H0)
     a plateau equal to 1 on the energy range of interest (from min V + 0.05
@@ -204,8 +204,6 @@ def short_range_operator(opset: OperatorSet, z: complex) -> ThinProduct:
     antisymmetric, P = U diag(f) U^T on the closed-form plateau pairs).
     So the factor width |S-| + |S+| bounds the rank.
     """
-    if z.imag == 0:
-        raise ValueError("short-range operator requires a non-real z")
     pot = opset.potential
     smoothing = plateau(min(pot.v_minus, pot.v_plus) + 0.05, max(pot.v_minus, pot.v_plus) + 4.0,
                         shoulder=1.0)
@@ -214,20 +212,19 @@ def short_range_operator(opset: OperatorSet, z: complex) -> ThinProduct:
     for side, v, pad in (("-", pot.v_minus, (0, n)), ("+", pot.v_plus, (n, 0))):
         h0, m = opset.channel_hamiltonian(side), opset.interaction_band(side)
         rows = np.flatnonzero(m.entries.any(axis=0))  # S: the rows where M != 0
-        y = opset.dilation_core @ resolvent(h0, np.conj(z), m.rows(rows).T)
+        y = opset.dilation_core @ resolvent(h0, np.conj(Z), m.rows(rows).T)
         u, f = _channel_support(opset, v, smoothing)
         right = -u @ (f[:, None] * (u.T @ y))
-        terms.append(ThinProduct(1j * _resolvent_columns(opset.H, z, rows), np.eye(rows.size),
+        terms.append(ThinProduct(1j * _resolvent_columns(opset.H, rows), np.eye(rows.size),
                                  np.pad(right, (pad, (0, 0)))))
     return thin_sum(*terms)
 
 
 def long_range_operator(opset: OperatorSet) -> ThinProduct:
-    """Hermitian part of R(i) M R(i), M = J i[H0,A0] J* - i[H,A], the dual-pair
+    """Hermitian part of R(Z) M R(Z), M = J i[H0,A0] J* - i[H,A], the dual-pair
     weighted difference: M is nonzero only on nodes S near the origin, so
-    R M R = R[:, S] M_SS R[:, S]^T (H real symmetric)."""
-    if opset.potential.v_prime is None:
-        raise ValueError("long-range difference needs a differentiable potential")
+    R M R = R[:, S] M_SS R[:, S]^T (H real symmetric).  A potential without
+    v_prime has no i[H,A]: `build_commutator_longrange` raises ValueError."""
     jm = Band(opset.cutoffs.j_minus[None, :])
     jp = Band(opset.cutoffs.j_plus[None, :])
     c0 = opset.commutator_iH0A0
@@ -239,7 +236,7 @@ def long_range_operator(opset: OperatorSet) -> ThinProduct:
     on_s[rows] = on_s[rows + diag - mid.b] = True
     nodes = np.flatnonzero(on_s)
     m = mid.rows(nodes)[:, nodes]  # M_SS
-    r = _resolvent_columns(opset.H, 1j, nodes)
+    r = _resolvent_columns(opset.H, nodes)
     return thin_sum(ThinProduct(r, 0.5 * m, r.conj()), ThinProduct(r.conj(), 0.5 * m.T, r))
 
 
@@ -265,7 +262,7 @@ def compactness_ladder(
 
     One pass over the levels: each is built once, with the pairs of H where
     eta is nonzero only when (ii)-(iv) read them, every tag's top
-    singular values are taken there (the short-range surrogate at LADDER_Z),
+    singular values are taken there (the short- and long-range ones at Z),
     and the level is released before the next is built.  The identity
     control is sigma_k = 1, k <= min(TOP, n), in closed form, so an
     identity-only ladder builds nothing.  With (ii)-(iv) among the tags, an
@@ -287,7 +284,7 @@ def compactness_ladder(
             opset = build(L, n)
             dec_H = eigendecompose(opset.H, [window]) if {"ii", "iii", "iv"} & set(built) else None
             for tag in built:
-                op = (short_range_operator(opset, LADDER_Z) if tag == "short" else
+                op = (short_range_operator(opset) if tag == "short" else
                       long_range_operator(opset) if tag == "long" else
                       assumption_operator(opset, dec_H, tag, eta))
                 svs[tag].append(singular_values(op.left, op.core, op.right))
@@ -303,8 +300,8 @@ def compactness_ladder(
     return reports
 
 
-def c1_probe(opset: OperatorSet, z: complex, test_states: np.ndarray) -> C1Report:
-    """Strong-derivative probe of t -> e^{-itA} R(z) e^{itA} on the test states.
+def c1_probe(opset: OperatorSet, test_states: np.ndarray) -> C1Report:
+    """Strong-derivative probe of t -> e^{-itA} R(z) e^{itA}, z = Z, on the test states.
 
     The difference quotients Q(t) psi, t in C1_STEPS, must be Cauchy in t
     and converge to the closed-form commutator i[R(z), A]; the latter is
@@ -329,13 +326,13 @@ def c1_probe(opset: OperatorSet, z: complex, test_states: np.ndarray) -> C1Repor
     psi = states.T
     times = np.repeat(np.asarray(C1_STEPS, dtype=float), len(states))
     forward = d * propagate(dec_T, np.tile(d.conj() * psi, count), -times)  # e^{itA} psi
-    back = d * propagate(dec_T, d.conj() * resolvent(h, z, forward), times)
-    r_psi = resolvent(h, z, psi)
+    back = d * propagate(dec_T, d.conj() * resolvent(h, Z, forward), times)
+    r_psi = resolvent(h, Z, psi)
     q = ((back - np.tile(r_psi, count)) / times).reshape(n, count, -1)  # Q(t) psi
     qnorms = [float(x) for x in np.linalg.norm(q, axis=0).max(axis=1)]
     cauchy = [float(x) for x in np.linalg.norm(np.diff(q, axis=1), axis=0).max(axis=1)]
 
-    comm_closed = kcore @ r_psi - resolvent(h, z, kcore @ psi)
+    comm_closed = kcore @ r_psi - resolvent(h, Z, kcore @ psi)
     limit_mismatch = float(np.linalg.norm(q[:, -1] - comm_closed, axis=0).max()
                            / np.linalg.norm(comm_closed, axis=0).max())
 
@@ -345,11 +342,10 @@ def c1_probe(opset: OperatorSet, z: complex, test_states: np.ndarray) -> C1Repor
             return kcore @ y - resolvent(h, w, kcore @ x - opset.commutator_iHA @ y)
         return apply
 
-    ident_defect = opnorm(defect(z), defect(np.conj(z)), n)
+    ident_defect = opnorm(defect(Z), defect(np.conj(Z)), n)
     decreasing = all(cauchy[k + 1] < cauchy[k] / 3 for k in range(len(cauchy) - 1))
     verdict = decreasing and limit_mismatch < 1e-3
     return C1Report(
-        z=z,
         steps=list(C1_STEPS),
         difference_quotient_norms=qnorms,
         cauchy_defects=cauchy,

@@ -188,23 +188,21 @@ def estimate_rho_window(
     )
 
 
-def _bisect_sup(holds, lo, hi, tol: float, fails_at_lo=None) -> np.ndarray:
+def _bisect_sup(holds, lo, hi) -> np.ndarray:
     """Bisect, entry by entry, for the largest a in [lo[i], hi[i]] where a
     monotone test holds.  `holds(mid, active)` gets the midpoints of the
     entries still bisecting and their indices, and returns one bool each.
-    An entry stops once its bracket is below tol * max(1, |lo|) (at most 60
-    steps), so it meets the same midpoints as it would bisected alone.  An
-    entry flagged in `fails_at_lo` fails at every midpoint too, and is lo.
+    An entry stops once its bracket is below BISECT_TOL * max(1, |lo|) (at
+    most 60 steps), so it meets the same midpoints as it would bisected alone.
+    An empty bracket (hi = lo) is settled at lo before any midpoint.
 
     The raw test is monotone, the corrected one is not (see the module
     docstring): for it the result is an edge of a run of holding midpoints,
     the one the first midpoint leads to, not the supremum of where it holds.
     Moving the first midpoint can move the result by O(1)."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    if fails_at_lo is not None:
-        hi[fails_at_lo] = lo[fails_at_lo]
     for _ in range(60):
-        active = np.flatnonzero(~(hi - lo <= tol * np.maximum(1.0, np.abs(lo))))
+        active = np.flatnonzero(~(hi - lo <= BISECT_TOL * np.maximum(1.0, np.abs(lo))))
         if not active.size:
             break
         mid = 0.5 * (lo[active] + hi[active])
@@ -270,12 +268,11 @@ def _estimate_rho_batch(
 
         scale = np.abs(csub).max(axis=(1, 2))
         scale[scale == 0] = 1.0
-        floor = -scale - 1.0
-        corrected = _bisect_sup(lambda a, act: unflagged(a, act)[0] >= -slack[act],
-                                floor, scale + 1.0, BISECT_TOL)
+        floor, top = -scale - 1.0, scale + 1.0
+        corrected = _bisect_sup(lambda a, act: unflagged(a, act)[0] >= -slack[act], floor, top)
         everyone = np.arange(len(group))
-        raw = np.minimum(_bisect_sup(raw_holds, floor, scale + 1.0, BISECT_TOL,
-                                     fails_at_lo=~raw_holds(floor, everyone)), corrected)
+        raw = np.minimum(_bisect_sup(raw_holds, floor,
+                                     np.where(raw_holds(floor, everyone), top, floor)), corrected)
 
         _, eig, inner, bdry, flags = unflagged(corrected, everyone)
         spectra = np.linalg.eigvalsh(csub)

@@ -9,7 +9,9 @@ solver: all of them by divide and conquer (LAPACK `dstedc`, the bits of a
 dense `eigh`), one window's from MRRR (`dstemr`), several windows' from
 one `tails_eigenpairs` solve, which reads the constant channel tails of
 H: its work is nearly flat in the number of pairs, while MRRR is cheaper
-for a single window of a few pairs.  The channel operators -Delta + v_pm
+for a single window of a few pairs.  A band whose off-diagonal is not one
+negative constant has no tails solve; its windows come from MRRR over
+their span.  The channel operators -Delta + v_pm
 need no solver, because the Dirichlet Laplacian has a closed-form sine
 (DST-I) eigenbasis, built only where a function such as eta is nonzero;
 `dst1` applies that basis by FFT, so a channel function f(-Delta + v)
@@ -159,18 +161,20 @@ def eigendecompose(op: Band,
     `dstedc` directly gives the same bits without the n x n densify, the
     O(n^3) reduction and the back-transform.  No windows ([]) give no pairs,
     one its pairs from MRRR (LAPACK `dstemr`) in O(n k) for k pairs, several
-    theirs from one `tails_eigenpairs` solve.  Without the bundled OpenBLAS
-    (for none or one), or for a wider band, the dense `eigh` cut by the masks.
+    theirs from one `tails_eigenpairs` solve, or, on a band that solve refuses
+    (an off-diagonal that is not one negative constant), from MRRR over their
+    span.  Without the bundled OpenBLAS (for none, one, or a refused band), or
+    for a wider band, the dense `eigh` cut by the masks.
     """
     if windows is None:
         if op.b == 1 and (stedc := lapacke("dstedc")) is not None:
             return _divide_and_conquer(stedc, op)
     elif not windows:
         return SpectralDecomposition(eigenvalues=np.empty(0), eigenvectors=np.empty((op.n, 0)))
-    elif op.b == 1 and len(windows) > 1:
+    elif op.b == 1 and len(windows) > 1 and _constant_negative_off(op):
         return tails_eigenpairs(op, windows)
     elif op.b == 1 and (stemr := lapacke("dstemr")) is not None:
-        return _mrrr(stemr, op, windows[0])
+        return _mrrr(stemr, op, windows)
     w, u = np.linalg.eigh(op.dense())
     if windows is not None:
         keep = _inside(windows, w)
@@ -197,15 +201,16 @@ def _divide_and_conquer(stedc, op: Band) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=d, eigenvectors=np.ascontiguousarray(z.T))
 
 
-def _mrrr(stemr, op: Band, window: EnergyWindow) -> SpectralDecomposition:
-    """The eigenpairs of a symmetric tridiagonal band inside the open window.
+def _mrrr(stemr, op: Band, windows: Sequence[EnergyWindow]) -> SpectralDecomposition:
+    """The eigenpairs of a symmetric tridiagonal band inside any of the open windows.
 
-    dstemr with RANGE='V' returns the half-open (lo, hi]; the window's own
-    mask cuts it to (lo, hi).  Z is column-major with ldz = n, so its
+    dstemr with RANGE='V' returns the half-open (lo, hi] of their span; the
+    windows' masks cut it to them.  Z is column-major with ldz = n, so its
     columns are the rows of a C-ordered (columns, n) array.
     """
     n = op.n
-    lo, hi = window.lam - window.eps, window.lam + window.eps
+    lo = min(w.lam - w.eps for w in windows)
+    hi = max(w.lam + w.eps for w in windows)
     w = np.empty(n)
     isuppz = np.empty(2 * n, dtype=np.int64)
 
@@ -224,7 +229,7 @@ def _mrrr(stemr, op: Band, window: EnergyWindow) -> SpectralDecomposition:
         return SpectralDecomposition(eigenvalues=np.empty(0), eigenvectors=np.empty((n, 0)))
     z = np.empty((cols, n))
     found = call(z, cols)
-    keep = window.contains(w[:found])
+    keep = _inside(windows, w[:found])
     return SpectralDecomposition(eigenvalues=w[:found][keep].copy(), eigenvectors=z[:found][keep].T)
 
 
@@ -256,7 +261,7 @@ def tails_eigenpairs(op: Band, windows: Sequence[EnergyWindow]) -> SpectralDecom
     n = op.n
     if op.b != 1 or n < 3:
         raise ValueError("the tails solve needs a tridiagonal band of at least 3 nodes")
-    if off[0] >= 0 or np.any(off != off[0]):
+    if not _constant_negative_off(op):
         raise ValueError("the tails solve needs a constant negative off-diagonal")
     tails = _Tails(a, -float(off[0]))
     # eigenvalue number i lies in [lo, hi) when count(lo) <= i < count(hi); an
@@ -274,6 +279,12 @@ def tails_eigenpairs(op: Band, windows: Sequence[EnergyWindow]) -> SpectralDecom
     if not inside.all():  # a pair that rounding moved onto an end of its window
         lam, z = lam[inside], z[:, inside]
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=z)
+
+
+def _constant_negative_off(op: Band) -> bool:
+    """Whether the off-diagonal of a tridiagonal band is one constant -s < 0."""
+    off = op.entries[2, :-1]
+    return bool(off[0] < 0 and np.all(off == off[0]))
 
 
 def _tail_pivots(v, s: float, m, lam):
@@ -575,6 +586,9 @@ def dst1(x: np.ndarray) -> np.ndarray:
     (0, x, 0, -reversed x) of length 2(n+1) is -2i times the sine sum, so a
     real FFT gives it in O(n log n) per column with no n x n basis.  A
     complex x is transformed one part at a time, which halves the scratch.
+    The FFT's cost follows the largest prime factor of n + 1: a complex
+    801 x 11 block (n + 1 = 2 * 401) takes about 2.5 ms, a 601 x 11 one
+    (n + 1 = 2 * 7 * 43) about 0.3 ms (2 vCPU).
     """
     x = np.asarray(x)
     if np.iscomplexobj(x):

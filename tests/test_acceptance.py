@@ -135,7 +135,7 @@ def test_criterion_6_resolvent_commutator_identity():
     rng = np.random.default_rng(17)
     states = rng.standard_normal((3, 801)) + 1j * rng.standard_normal((3, 801))
     states /= np.linalg.norm(states, axis=1)[:, None]
-    rep = c1_probe(ops, 1j, states)
+    rep = c1_probe(ops, states)
     report(6, rep.resolvent_identity_defect <= 1e-8,
            f"|| i[R,A] + R i[H,A] R || = {rep.resolvent_identity_defect:.2e} "
            f"<= 1e-8 (n=801, z=i; C1 verdict {rep.verdict}; {time.time()-t0:.0f}s)")

@@ -110,7 +110,7 @@ def factored(opset, dec_H, tag, eta) -> ThinProduct:
     if tag in ("ii", "iii", "iv"):
         return assumption_operator(opset, dec_H, tag, eta)
     if tag == "short":
-        return short_range_operator(opset, 1j)
+        return short_range_operator(opset)
     return long_range_operator(opset)
 
 
@@ -404,12 +404,8 @@ class TestCompactnessLadder:
 
 class TestShortLongRange:
     def test_short_range_shape(self, small_ops):
-        m = short_range_operator(small_ops, 1j)
+        m = short_range_operator(small_ops)
         assert dense(m).shape == (small_ops.n, 2 * small_ops.n)
-
-    def test_short_range_rejects_real_z(self, small_ops):
-        with pytest.raises(ValueError):
-            short_range_operator(small_ops, 1.0 + 0j)
 
     @staticmethod
     def steplike(L, n):
@@ -443,7 +439,7 @@ class TestShortLongRange:
         widths = []
         for L, n in [(40.0, 401), (80.0, 801)]:  # dx = 0.2 at both levels
             ops = self.steplike(L, n)
-            op = short_range_operator(ops, 1j)
+            op = short_range_operator(ops)
             assert op.left.shape[1] == op.right.shape[1] == self.middle_rows(ops)
             widths.append(op.left.shape[1])
         assert widths[0] == widths[1]
@@ -490,7 +486,7 @@ def dense_c1_reference(opset, dec_H, z, states, steps):
 class TestC1Probe:
     def test_matches_dense_reference(self, small_ops, dec_H, states):
         # the same rounding bound as the criterion-6 golden, ROUNDING_ULPS * n * eps / t
-        rep = c1_probe(small_ops, 1j, states)
+        rep = c1_probe(small_ops, states)
         quotients, comm = dense_c1_reference(small_ops, dec_H, 1j, states, rep.steps)
         norm = lambda m: np.linalg.norm(m, axis=0).max()  # max over the states
         bounds = ROUNDING_ULPS * small_ops.n * F64_EPS / np.array(rep.steps)
@@ -502,14 +498,14 @@ class TestC1Probe:
         assert abs(rep.limit_mismatch - limit) <= bounds[-1]
 
     def test_verdict_and_ladder(self, small_ops, states):
-        rep = c1_probe(small_ops, 1j, states)
+        rep = c1_probe(small_ops, states)
         assert rep.verdict
         assert rep.limit_mismatch < 1e-3
         assert all(a > b for a, b in zip(rep.cauchy_defects, rep.cauchy_defects[1:]))
 
     def test_resolvent_identity_exact(self, small_ops, states):
         # i[R(z), A] = -R(z) i[H,A] R(z) holds exactly at finite dimension
-        rep = c1_probe(small_ops, 1j, states)
+        rep = c1_probe(small_ops, states)
         assert rep.resolvent_identity_defect < 1e-10
 
     def test_criterion_6_golden(self):
@@ -522,7 +518,7 @@ class TestC1Probe:
         rng = np.random.default_rng(17)
         states = rng.standard_normal((3, g.n)) + 1j * rng.standard_normal((3, g.n))
         states /= np.linalg.norm(states, axis=1)[:, None]
-        rep = c1_probe(ops, 1j, states)
+        rep = c1_probe(ops, states)
         gold = C1_GOLDEN
         bounds = ROUNDING_ULPS * g.n * F64_EPS / np.array(gold["steps"])
         assert rep.steps == gold["steps"] and rep.verdict == gold["verdict"]
@@ -536,11 +532,11 @@ class TestC1Probe:
     def test_rejects_unnormalized(self, small_ops):
         bad = np.ones((1, small_ops.n), dtype=complex)
         with pytest.raises(ValueError):
-            c1_probe(small_ops, 1j, bad)
+            c1_probe(small_ops, bad)
 
     def test_rejects_wrong_length(self, small_ops):
         with pytest.raises(ValueError):
-            c1_probe(small_ops, 1j, np.ones((2, 7), dtype=complex))
+            c1_probe(small_ops, np.ones((2, 7), dtype=complex))
 
 
 class TestContrastExperiment:
@@ -563,7 +559,7 @@ class TestContrastExperiment:
                     )
                     pot = PotentialField(grid=g, v=samples, v_minus=0.0, v_plus=1.0)
                 ops = build_pair(pot)
-                mats.append(short_range_operator(ops, 1j))
+                mats.append(short_range_operator(ops))
             return mats
 
         fast = [singular_values(m.left, m.core, m.right, top=25) for m in build("fast")]

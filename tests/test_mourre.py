@@ -194,9 +194,9 @@ class TestLockstepBisection:
     the same midpoints, the same stop and the same stacked eigensolves."""
 
     @staticmethod
-    def _one_by_one(holds, lo, hi, tol):
+    def _one_by_one(holds, lo, hi):
         return np.array([_bisect_sup(lambda a, act, i=i: holds(a, np.array([i])), [lo[i]],
-                                     [hi[i]], tol)[0] for i in range(len(lo))])
+                                     [hi[i]])[0] for i in range(len(lo))])
 
     def test_threshold_entries_stop_at_different_steps(self):
         lo = np.array([-1.0, -100.0, 0.0, -1e6, 5.0, 0.3])
@@ -208,10 +208,10 @@ class TestLockstepBisection:
             steps[active] += 1
             return a <= target[active]
 
-        batch = _bisect_sup(holds, lo, hi, 1e-3)
+        batch = _bisect_sup(holds, lo, hi)
         assert len(set(steps)) >= 4  # entries stop at different steps, one at step 0
         assert steps[4] == 0
-        single = self._one_by_one(lambda a, act: a <= target[act], lo, hi, 1e-3)
+        single = self._one_by_one(lambda a, act: a <= target[act], lo, hi)
         assert np.array_equal(batch, single)
         assert np.all(np.abs(batch - np.minimum(target, hi)) <= 1e-3 * np.maximum(1.0, np.abs(batch)))
 
@@ -229,8 +229,8 @@ class TestLockstepBisection:
         def holds(a, active):
             return np.linalg.eigvalsh(m[active] - a[:, None, None] * n[active]).min(axis=1) >= 0
 
-        batch = _bisect_sup(holds, -scale, scale, 1e-3)
-        assert np.array_equal(batch, self._one_by_one(holds, -scale, scale, 1e-3))
+        batch = _bisect_sup(holds, -scale, scale)
+        assert np.array_equal(batch, self._one_by_one(holds, -scale, scale))
 
     @pytest.mark.parametrize("policy", [{}, {"THETA": math.inf}])
     def test_batch_estimates_equal_single_on_a_shared_support(self, small_ops, monkeypatch,
@@ -263,9 +263,9 @@ class TestLockstepBisection:
             steps[active] += 1
             return a <= target[active]
 
-        out = _bisect_sup(holds, lo, hi, 1e-3, fails_at_lo=lo > target)
+        out = _bisect_sup(holds, lo, np.where(lo <= target, hi, lo))
         assert out[1:].tolist() == [-3.0, 0.0] and steps[1:].tolist() == [0, 0]
-        assert np.array_equal(out, _bisect_sup(lambda a, act: a <= target[act], lo, hi, 1e-3))
+        assert np.array_equal(out, _bisect_sup(lambda a, act: a <= target[act], lo, hi))
 
     @pytest.mark.parametrize("name", ["rho-scan", "transfer", "rho-scan-L160", "transfer-L160"])
     def test_raw_settled_at_its_floor_equals_the_full_bisection(self, monkeypatch, name):
@@ -275,8 +275,9 @@ class TestLockstepBisection:
         ops, lambdas, eps = _golden_samples(name)
         dec, etas, settled = _windowed_estimates(ops, lambdas, eps)
         bisect = mourre._bisect_sup
+        # widen every bracket emptied at its floor back to the full one, -floor
         monkeypatch.setattr(mourre, "_bisect_sup",
-                            lambda holds, lo, hi, tol, fails_at_lo=None: bisect(holds, lo, hi, tol))
+                            lambda holds, lo, hi: bisect(holds, lo, np.where(hi == lo, -lo, hi)))
         full = _estimate_rho_batch(ops, dec, ops.commutator_iHA, etas)
         def raw(ests):  # None for a sample below the spectrum
             return [e and (e.raw_min, e.note) for e in ests]
@@ -387,6 +388,27 @@ class TestEtaEstimate:
         est = estimate_rho_eta(ops, dec_m, ops.commutator_iH0A0, bump(1.0, 0.3))
         assert est.corrected > 1.0
         assert est.raw_min < 0  # the finite-box virial keeps the raw value down
+
+    def test_fixed_eps_lies_between_the_closed_forms_at_lambda_and_lambda_minus_eps(
+            self, monkeypatch):
+        """What a fixed eps measures: at lambda = 0.5, eps = 0.1 (L = 160, n = 1601)
+        the corrected rho lies strictly between rho0(lambda - eps) = 0.8 and
+        rho0(lambda) = 1.0 (0.8753), since a mode at lambda + u eps is accepted
+        once eta(u)^2 (rho0 - a) >= -PSD_RTOL ||eta M eta||.  A tighter PSD slack
+        moves it toward rho0(lambda - eps) (0.8502 at 1e-4, 0.8277 at 1e-5), with
+        the same one mode discarded."""
+        ops = build_pair(make_steplike(make_grid(160.0, 1601), 0.0, 1.0))
+        eta = bump(0.5, 0.1)
+        dec = eigendecompose(ops.H, [eta.window])
+        below, at = (analytic_rho(0.0, 1.0, lam) for lam in (0.4, 0.5))
+        assert (below, at) == pytest.approx((0.8, 1.0), rel=1e-12)
+        values = []
+        for rtol in (mourre.PSD_RTOL, 1e-4, 1e-5):
+            monkeypatch.setattr(mourre, "PSD_RTOL", rtol)
+            est = estimate_rho_eta(ops, dec, ops.commutator_iHA, eta)
+            assert est.n_discarded == 1
+            values.append(est.corrected)
+        assert below < values[2] < values[1] < values[0] < at
 
 
 class TestVirial:

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -373,3 +374,26 @@ def test_package_imports_at_top_level_and_acyclic():
         assert leaves, f"import cycle among {sorted(graph)}"
         ordered += leaves
         graph = {stem: deps for stem, deps in graph.items() if stem not in leaves}
+
+
+def package_importers(source: str) -> set:
+    """The names a python source imports by `from mourre_lab import ...`."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "mourre_lab" and not node.level
+            for alias in node.names}
+
+
+def test_every_package_export_has_an_importer():
+    """Every name `mourre_lab/__init__.py` imports is imported from `mourre_lab`
+    by a test, a demo, a README python block or a `perfbench/` file; a name no
+    one imports from there stays in its own module only."""
+    root = Path(__file__).resolve().parents[1]
+    init = ast.parse((root / "src" / "mourre_lab" / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = [p.read_text() for folder in ("tests", "demos", "perfbench")
+               for p in (root / folder).glob("*.py")]
+    sources += re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    imported = set().union(*(package_importers(source) for source in sources))
+    assert {"build_pair", "rho_scan"} <= exported & imported  # the scan sees what it should
+    assert sorted(exported - imported) == []

@@ -296,9 +296,31 @@ class TestTailsEigenpairs:
             tails_eigenpairs(small_ops.commutator_iHA, [_window(0.0, 1.0)])
 
 
+def _each_pair_once_as_mrrr_per_window(op, full, windows):
+    """eigendecompose(op, windows), which holds each of the eigenvalues `full`
+    inside any window once, non-decreasing, and in each window the pairs of
+    MRRR alone: eigenvalues within 16 n eps ||op||, projectors within 16 n eps."""
+    n = op.n
+    tol = ROUNDING_ULPS * n * F64_EPS
+    scale = np.abs(op.entries).sum(axis=0).max()  # bounds the norm of op
+    dec = eigendecompose(op, windows)
+    w, u = dec.eigenvalues, dec.eigenvectors
+    union = np.logical_or.reduce([win.contains(full) for win in windows])
+    assert u.shape == (n, np.count_nonzero(union)) and np.all(np.diff(w) >= 0)
+    for win in windows:
+        mrrr = eigendecompose(op, [win])
+        mine = win.contains(w)
+        assert np.count_nonzero(mine) == mrrr.eigenvalues.size > 0
+        assert np.max(np.abs(w[mine] - mrrr.eigenvalues)) <= tol * scale
+        um = mrrr.eigenvectors  # ||(I - P_mine) U_mrrr||_max, with no n x n array
+        assert np.max(np.abs(um - u[:, mine] @ (u[:, mine].T @ um))) <= tol
+    return dec
+
+
 class TestEntryPoint:
     """`eigendecompose` with a list of windows returns each pair inside any of
-    them once, ascending: one window from MRRR, several from one tails solve."""
+    them once, ascending: one window from MRRR, several from one tails solve,
+    or from MRRR over their span on a band the tails solve refuses."""
 
     @pytest.mark.parametrize("windows", [
         [EnergyWindow(0.5, 0.3), EnergyWindow(0.7, 0.3), EnergyWindow(0.6, 0.1)],
@@ -306,21 +328,26 @@ class TestEntryPoint:
         [EnergyWindow(2.0, 0.2), EnergyWindow(0.3, 0.1), EnergyWindow(1.1, 0.2)],
     ], ids=["overlapping", "touching", "disjoint"])
     def test_every_pair_once_as_mrrr_per_window(self, ops_L160, dec_L160, windows):
-        op = ops_L160.H
-        n = op.n
-        tol = ROUNDING_ULPS * n * F64_EPS
-        scale = np.abs(op.entries).sum(axis=0).max()  # bounds the norm of H
-        dec = eigendecompose(op, windows)
-        w, u = dec.eigenvalues, dec.eigenvectors
-        union = np.logical_or.reduce([win.contains(dec_L160.eigenvalues) for win in windows])
-        assert u.shape == (n, np.count_nonzero(union)) and np.all(np.diff(w) > 0)
-        for win in windows:
-            mrrr = eigendecompose(op, [win])
-            mine = win.contains(w)
-            assert np.count_nonzero(mine) == mrrr.eigenvalues.size > 0
-            assert np.max(np.abs(w[mine] - mrrr.eigenvalues)) <= tol * scale
-            um = mrrr.eigenvectors  # ||(I - P_mine) U_mrrr||_max, with no n x n array
-            assert np.max(np.abs(um - u[:, mine] @ (u[:, mine].T @ um))) <= tol
+        dec = _each_pair_once_as_mrrr_per_window(ops_L160.H, dec_L160.eigenvalues, windows)
+        assert np.all(np.diff(dec.eigenvalues) > 0)
+
+    @pytest.mark.parametrize("which,windows", [
+        ("T", [EnergyWindow(1.0, 0.6), EnergyWindow(2.0, 0.8)]),
+        ("T", [EnergyWindow(-3.0, 1.0), EnergyWindow(2.0, 1.5)]),
+        ("-H", [EnergyWindow(-1.0, 0.6), EnergyWindow(-2.0, 0.8)]),
+        ("-H", [EnergyWindow(-30.0, 5.0), EnergyWindow(-2.0, 1.5)]),
+    ], ids=["T-overlapping", "T-disjoint", "-H-overlapping", "-H-disjoint"])
+    def test_several_windows_on_a_band_the_tails_solve_refuses(self, small_ops, which,
+                                                                windows):
+        """T as c1_probe builds it (an off-diagonal that changes sign and
+        vanishes where j does, so its two halves give twin eigenvalues) and -H
+        (off-diagonal +s) have no tails solve; their windows come from MRRR
+        over the span, cut to the windows."""
+        op = (Band(small_ops.conjugate_core.entries * np.array([[-1.0], [0.0], [1.0]]))
+              if which == "T" else Band(-small_ops.H.entries))
+        with pytest.raises(ValueError, match="constant negative"):
+            tails_eigenpairs(op, windows)
+        _each_pair_once_as_mrrr_per_window(op, eigendecompose(op).eigenvalues, windows)
 
     def test_one_window_runs_mrrr_and_several_the_tails_solve(self, small_ops, monkeypatch):
         ran = []
