@@ -8,10 +8,11 @@ rho-scan is a measurement with no verdict: whenever it runs it writes
 One rule, `_token`, writes every value of both reports, as read from the
 report objects' own fields: true/false, integers, floats at 17 significant
 digits (JSON quotes a non-finite one, CSV does not).  Runs are
-deterministic for a fixed config, read no environment variable (`--threads`
-or the `threads` field sets the BLAS thread count) and use every field,
-but `hypotheses` uses no `n` (only its type is checked) and reads `L` only
-for its default `levels`.
+deterministic for a fixed config and BLAS thread count.  `--threads` or the
+`threads` field sets that count; with neither, it is the one OpenBLAS read
+from OPENBLAS_NUM_THREADS at `import numpy`, and the last digits of several
+reports follow it.  Runs use every field, but `hypotheses` uses no `n`
+(only its type is checked) and reads `L` only for its default `levels`.
 """
 
 from __future__ import annotations

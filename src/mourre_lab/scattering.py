@@ -12,9 +12,13 @@ t -> infinity meaningless (recurrences).  The ladder is walked in
 blocks of at most LADDER_BLOCK times: `propagate` moves a state to every
 time of a block in one product with the eigenbasis of H, the channels
 move by DST-I (`dst1`), and norms and margins are reductions down the
-columns of those n x LADDER_BLOCK blocks into length-T arrays.  Beyond
-the basis of H the probe holds O(n LADDER_BLOCK) memory, whatever the
-number of times T.
+columns of those n x LADDER_BLOCK blocks into length-T arrays.  The
+blocks of one time block are released before the next time block is
+built, the converse defect is reduced in place, and the DST-I of J* psi
+is taken once.  Beyond the basis of H the probe holds about 6 such
+blocks (1.8 MiB at n = 601), whatever the number of times T: less than
+the divide and conquer that builds the basis, which sets a completeness
+run's peak.
 
 The rest needs no time and no basis of H.  Outside the box the
 potential is the constant v_pm, so two corner entries of H
@@ -140,16 +144,21 @@ def make_channel_packet(opset: OperatorSet, x0: float, k0: float, sigma: float) 
     return psi / (math.sqrt(grid.dx) * np.linalg.norm(psi))
 
 
-def _free_evolve(opset: OperatorSet, phi, times: np.ndarray):
-    """e^{-itH0} of the pair phi = (phi_-, phi_+) at each of T times: two n x T blocks.
+def _free_evolve(opset: OperatorSet, coefs, times: np.ndarray):
+    """e^{-itH0} at each of T times of the pair phi = (phi_-, phi_+), given by its
+    DST-I coefficients coefs = (dst1(phi_-), dst1(phi_+)): two n x T blocks.
 
     H0_pm = -Delta + v_pm share the DST-I eigenbasis, so the phases of -Delta
-    serve both and v_pm adds one phase per time.
+    serve both and v_pm adds one phase per time.  The second channel takes
+    the phases' array in place, so no third n x T block is held.
     """
     phases = np.exp(-1j * np.outer(dirichlet_eigenvalues(opset.n, opset.grid.dx), times))
-    pot = opset.potential
-    return tuple(dst1(phases * dst1(f)[:, None]) * np.exp(-1j * v * times)
-                 for f, v in zip(phi, (pot.v_minus, pot.v_plus)))
+    (cm, cp), pot = coefs, opset.potential
+    pm = dst1(phases * cm[:, None])
+    pm *= np.exp(-1j * pot.v_minus * times)
+    pp = dst1(np.multiply(phases, cp[:, None], out=phases))
+    pp *= np.exp(-1j * pot.v_plus * times)
+    return pm, pp
 
 
 def completeness_probe(
@@ -169,7 +178,8 @@ def completeness_probe(
 
     The times are taken in blocks of at most LADDER_BLOCK: each block is
     propagated by H, reduced to its forward norms and margins and released
-    before its channel pair is moved, glued and reduced to converse norms.
+    before its channel pair is moved, glued and reduced to converse norms,
+    and the pair is released before the next block is propagated.
 
     The range defect is the share of the best approximant e^{itH} g that
     P_sc = 1 - U_low U_low^T removes, with g = J e^{-itH0} J* psi at the first
@@ -184,8 +194,10 @@ def completeness_probe(
     psi = np.asarray(psi, dtype=complex)
     npsi = _l2(grid, psi)
     w = opset.cutoffs.jj_sum_sq - 1.0   # JJ* - 1 as a multiplication
+    jm, jp = opset.cutoffs.j_minus[:, None], opset.cutoffs.j_plus[:, None]
     fm, fp = opset.apply_J_star(psi)
     n0 = math.sqrt(grid.dx * float(np.sum(np.abs(fm) ** 2 + np.abs(fp) ** 2)))
+    coefs = dst1(fm), dst1(fp)
     order = np.argsort(np.abs(grid.nodes))
     radii = np.abs(grid.nodes[order])
 
@@ -197,11 +209,12 @@ def completeness_probe(
         margins[blk] = grid.L - _bulk_radius(order, radii, grid.dx * np.abs(ev) ** 2)
         del ev  # each n x LADDER_BLOCK block is released before the next is built
 
-        pm, pp = _free_evolve(opset, (fm, fp), ts[blk])
+        pm, pp = _free_evolve(opset, coefs, ts[blk])
         glued = opset.apply_J(pm, pp)
-        gm, gp = opset.apply_J_star(glued)
-        convs[blk] = np.sqrt(grid.dx * np.sum(np.abs(gm - pm) ** 2 + np.abs(gp - pp) ** 2,
-                                              axis=0)) / n0
+        pm -= jm * glued  # (1 - J*J) of the pair, in place: the norm of (J*J - 1)
+        pp -= jp * glued
+        convs[blk] = np.sqrt(grid.dx * np.sum(np.abs(pm) ** 2 + np.abs(pp) ** 2, axis=0)) / n0
+        del pm, pp, glued
     admissible = margins >= BOUNDARY_GUARD
 
     ok_f = bool(np.any(admissible & (frous < DECAY_TARGET)))
@@ -212,7 +225,7 @@ def completeness_probe(
         raise RuntimeError("no admissible time in the completeness probe; increase L")
     scores = np.where(admissible, frous, np.inf)
     best = int(np.argmax(scores <= scores.min() + 16 * grid.n * np.finfo(float).eps))
-    g = opset.apply_J(*_free_evolve(opset, (fm, fp), ts[best:best + 1]))[:, 0]
+    g = opset.apply_J(*_free_evolve(opset, coefs, ts[best:best + 1]))[:, 0]
     p_sc_g = scattering_projector(dec_H, g, min(opset.potential.v_minus, opset.potential.v_plus))
     ng = _l2(grid, g)
     range_defect = _l2(grid, g - p_sc_g) / ng if ng > 0 else math.inf

@@ -464,6 +464,26 @@ class TestStreamedLadder:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
+    def test_memory_budget_per_block(self):
+        """At the benchmark's (40, 601) and 161 times the probe's traced peak stays
+        within 9 blocks of n x LADDER_BLOCK complex values.  Each block's arrays
+        are released before the next is built and the converse defect is
+        reduced in place: about 6 blocks, where a block that kept its channel
+        pair, glued block and J* copies into the next one took about 12."""
+        g = make_grid(40.0, 601)
+        ops = build_pair(make_steplike(g, 0.0, 1.0))
+        dec_H = eigendecompose(ops.H)
+        psi, times = make_channel_packet(ops, 10.0, 1.5, 2.0), np.linspace(0.0, 8.0, 161)
+        completeness_probe(ops, dec_H, psi, times)  # warm-up: imports are not traced
+        tracemalloc.start()
+        try:
+            completeness_probe(ops, dec_H, psi, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = ops.n * scattering.LADDER_BLOCK * np.dtype(complex).itemsize
+        assert peak <= 9 * block, peak / block
+
 
 class TestChainRule:
     def test_composition_consistency(self, box):
