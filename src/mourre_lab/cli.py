@@ -17,7 +17,6 @@ reports follow it.  Runs use every field, but `hypotheses` uses no `n`
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -28,12 +27,13 @@ from typing import Optional
 import numpy as np
 
 from . import blas
-from .grid import PROFILE_KINDS, make_grid, make_steplike
+from .grid import PROFILE_KINDS, make_grid, make_steplike, smooth_step
 from .hypotheses import OPERATOR_TAGS, check_operator_tags, compactness_ladder
 from .mourre import rho_scan, transfer_verify
 from .operators import build_pair
 from .scattering import (
     completeness_probe,
+    continuum_oracle,
     gaussian_averaged_oracle,
     make_channel_packet,
     scattering_coefficients,
@@ -232,12 +232,17 @@ def emit_csv(header: str, rows, path) -> None:
 # returns the verdict, the report payload, and the CSV table as
 # (file name, header, rows), or None; `run` writes both reports.
 
+def _bump_field(p: dict, x: np.ndarray) -> Optional[np.ndarray]:
+    """The bump of the params at the points x, None for amplitude 0."""
+    if not p["bump_amplitude"]:
+        return None
+    return float(p["bump_amplitude"]) * bump(0.0, float(p["bump_width"]))(x)
+
+
 def _build(cfg: ExperimentConfig, p: dict, L: Optional[float] = None, n: Optional[int] = None):
     grid = make_grid(L if L is not None else cfg.L, n if n is not None else cfg.n)
-    bump_field = None
-    if p["bump_amplitude"]:
-        bump_field = float(p["bump_amplitude"]) * bump(0.0, float(p["bump_width"]))(grid.nodes)
-    pot = make_steplike(grid, cfg.v_minus, cfg.v_plus, profile=cfg.profile, bump=bump_field)
+    pot = make_steplike(grid, cfg.v_minus, cfg.v_plus, profile=cfg.profile,
+                        bump=_bump_field(p, grid.nodes))
     return build_pair(pot)
 
 
@@ -294,10 +299,24 @@ def _run_hypotheses(cfg: ExperimentConfig, p: dict):
 
 
 def _run_scatter(cfg: ExperimentConfig, p: dict):
+    """Lattice R and T against the continuum ones of the config's own profile:
+    the sharp step's in closed form, the smooth step's (with its bump) by RK4
+    across |x| <= max(1, bump_width), beyond which V is v_pm."""
     lam, sigma, tol = float(p["lambda"]), float(p["sigma"]), float(p["tol"])
     coeff = scattering_coefficients(_build(cfg, p), lam, sigma=sigma)
-    oracle = sharp_step_oracle(lam, cfg.v_minus, cfg.v_plus)
-    averaged = gaussian_averaged_oracle(lam, cfg.v_minus, cfg.v_plus, sigma)
+    ends = cfg.v_minus, cfg.v_plus
+    if cfg.profile == "sharp_step":
+        oracle = sharp_step_oracle(lam, *ends)
+        averaged = gaussian_averaged_oracle(lam, *ends, sigma)
+    else:
+        def potential(x):
+            v = smooth_step(x, *ends)[0]
+            field = _bump_field(p, x)
+            return v if field is None else v + field
+
+        reach = max(1.0, float(p["bump_width"])) if p["bump_amplitude"] else 1.0
+        oracle = continuum_oracle(lam, *ends, potential, reach)
+        averaged = gaussian_averaged_oracle(lam, *ends, sigma, potential, reach)
     verdict = (abs(coeff.reflection - averaged.reflection) <= tol
                and abs(coeff.transmission - averaged.transmission) <= tol
                and coeff.flux_defect < 1e-2)
@@ -353,6 +372,8 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
+    import argparse  # only the command line needs it: importing the module costs no argparse
+
     parser = argparse.ArgumentParser(
         prog="mourre-lab",
         description="Run a configured two-channel commutator/scattering experiment.",

@@ -25,6 +25,7 @@ __all__ = [
     "mollifier",
     "mollifier_derivative",
     "smoothstep",
+    "smooth_step",
 ]
 
 PROFILE_KINDS = ("sharp_step", "smooth_step")
@@ -94,6 +95,14 @@ def smoothstep(x: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndar
     return s, ds
 
 
+def smooth_step(x: np.ndarray, v_minus: float, v_plus: float) -> tuple[np.ndarray, np.ndarray]:
+    """(v, v') of the smooth_step profile at the points x: v_minus plus
+    (v_plus - v_minus) times the `smoothstep` rising over [-1, 1], so v = v_pm
+    for +-x >= 1."""
+    s, ds = smoothstep(x, -1.0, 1.0)
+    return v_minus + (v_plus - v_minus) * s, (v_plus - v_minus) * ds
+
+
 def make_grid(L: float, n: int) -> Grid:
     if L <= 0:
         raise ValueError(f"half-length L must be positive, got {L}")
@@ -148,9 +157,7 @@ def make_steplike(
         v = np.where(x > 0, float(v_plus), float(v_minus))
         v[x == 0] = 0.5 * (v_minus + v_plus)
     else:
-        s, ds = smoothstep(x, -1.0, 1.0)
-        v = v_minus + (v_plus - v_minus) * s
-        v_prime = (v_plus - v_minus) * ds
+        v, v_prime = smooth_step(x, v_minus, v_plus)
 
     if bump is not None:
         bump = np.asarray(bump, dtype=float)

@@ -26,7 +26,11 @@ some eta is nonzero: `eigendecompose` on the windows of all eta at once.
 It compresses i[H,A] and the region Gram matrices once per window of
 eigenvector columns (at most twice as wide as the widest eta support,
 and together holding every support) and slices each eta's k x k blocks
-out of them.  Its bisections then run in lockstep: every eta keeps its own
+out of them.  The windows bound the work, n w^2 per window of w columns,
+and the w x w blocks held; the rows bound the scratch: `compress` forms
+i[H,A] U in blocks of ROW_BLOCK rows, and the Gram matrices sum row
+slices of U, so no n x w array is made beside the eigenvectors.  Its
+bisections then run in lockstep: every eta keeps its own
 bracket and stop rule, so it meets the same midpoints as it would alone,
 and each step diagonalizes the still-active eta of one support size k
 in one stacked `eigh`.  The raw test is monotone in a (eta^2 >= 0), so an
@@ -63,6 +67,7 @@ from .spectral import (
     SpectralDecomposition,
     ThinProduct,
     bump,
+    compress,
     dirichlet_decomposition,
     eigendecompose,
     opnorm,
@@ -140,15 +145,26 @@ def analytic_rho(v_minus: float, v_plus: float, lam: float) -> float:
     return 2.0 * (lam - hi)
 
 
-def _compress(us: np.ndarray, comm, grid: Grid):
-    """The symmetrized compression of the commutator comm onto the columns
-    U_S, and U_S^dagger P U_S for the interaction region and the boundary
-    region (P the 0/1 projection onto the region's nodes), stacked."""
-    c = us.conj().T @ (comm @ us)
+def _runs(mask: np.ndarray) -> list:
+    """The maximal runs of True in a 1-D mask, as slices."""
+    edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
+    return [slice(a, z) for a, z in zip(edges[::2], edges[1::2])]
+
+
+def _compress(us: np.ndarray, comm: Band, grid: Grid):
+    """The symmetrized compression of the commutator band comm onto the
+    columns U_S (`compress`, in row blocks), and U_S^dagger P U_S for the
+    interaction region and the boundary region (P the 0/1 projection onto
+    the region's nodes), stacked.  The nodes ascend, so a region is one run
+    of rows (|x| <= INTERACTION_RADIUS) or two (the box ends), and each
+    Gram matrix sums views of U_S: no row of U_S is copied."""
+    c = compress(comm, us)
     x, L = np.abs(grid.nodes), grid.L
-    inner = x <= INTERACTION_RADIUS
-    bdry = x >= L - BOUNDARY_FRACTION * L
-    return 0.5 * (c + c.conj().T), np.stack([u.conj().T @ u for u in (us[inner], us[bdry])])
+    grams = np.zeros((2,) + c.shape, dtype=c.dtype)
+    for g, mask in zip(grams, (x <= INTERACTION_RADIUS, x >= L - BOUNDARY_FRACTION * L)):
+        for rows in _runs(mask):
+            g += us[rows].conj().T @ us[rows]
+    return 0.5 * (c + c.conj().T), grams
 
 
 def _localization(vec: np.ndarray, grams: np.ndarray):
@@ -231,9 +247,10 @@ def _estimate_rho_batch(
     # support opens a window when it starts at least `span` (the widest
     # support) after the first column of the open window, and otherwise
     # widens the open window to its last column; so no window is wider than
-    # 2 * span.  (A product over all columns would raise the peak memory of
-    # a scan well above that of its eigensolver.)  Disjoint supports, and a
-    # single one, get exactly their own columns.
+    # 2 * span.  The windows bound the n w^2 flops and the w x w blocks of a
+    # compression (one window over all columns would multiply both); its
+    # row blocks (`compress`) bound its scratch to ROW_BLOCK x w.  Disjoint
+    # supports, and a single one, get exactly their own columns.
     span = max(supports[j][-1] - supports[j][0] + 1 for j in live)
     starts, ends, opened = {}, {}, -span
     for j in sorted(live, key=lambda i: supports[i][0]):

@@ -307,6 +307,17 @@ class TestRun:
         assert run(cfg) == 2
         assert "closed channel" in capsys.readouterr().err
 
+    def test_default_scatter_config_passes(self, tmp_path):
+        """The default profile is the smooth step, and its lattice R and T are
+        judged against the smooth step's continuum oracle, not the sharp step's
+        (R = 0.0229 against 0.0492, which missed tol = 0.02)."""
+        assert run(ExperimentConfig(experiment="scatter", out_dir=str(tmp_path))) == 0
+        report = json.loads((tmp_path / "scatter.json").read_text())
+        assert report["config"]["profile"] == "smooth_step"
+        assert report["oracle_averaged"]["reflection"] == pytest.approx(0.0228610734, abs=1e-10)
+        assert abs(report["reflection"] - report["oracle_averaged"]["reflection"]) < 1e-5
+        assert report["verdict"] is True
+
     def test_scatter_report_independent_of_blas_threads(self, tmp_path):
         """A scatter run makes banded solves only, so its report reads the same
         bytes at one BLAS thread as at two, but for the thread count it records."""
@@ -566,6 +577,21 @@ def test_hypotheses_run_leaves_numpy_random_unloaded(tmp_path):
     status, loaded = out.stdout.split()
     assert status in ("0", "1")  # a verdict, not an execution error
     assert loaded == "False"
+
+
+def test_import_leaves_argparse_unloaded():
+    """Only `main` parses a command line, so importing the runner (as the
+    benchmark's child does before `load_config` and `run`) loads no argparse.
+
+    Runs in a child interpreter, whose modules are its own.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
+    code = "import sys\nimport mourre_lab.cli\nprint('argparse' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 def test_benchmark_tracer_resolves_every_target(tmp_path):

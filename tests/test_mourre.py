@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,47 @@ def test_corrected_test_is_not_monotone():
     assert holds(est.corrected) == (True, est.n_discarded) == (True, 2)
     assert est.corrected == pytest.approx(3.98154, abs=1e-5)
     assert not holds(est.corrected + 2 * BISECT_TOL * est.corrected)[0]
+
+
+class TestCompression:
+    def test_region_grams_sum_row_slices(self, small_ops, dec_H):
+        """The interaction region is one run of rows and the boundary region
+        two; the Grams summed over their slices are those of the gathered rows."""
+        x, L = np.abs(small_ops.grid.nodes), small_ops.grid.L
+        masks = (x <= mourre.INTERACTION_RADIUS, x >= L - mourre.BOUNDARY_FRACTION * L)
+        assert [len(mourre._runs(mask)) for mask in masks] == [1, 2]
+        us = dec_H.eigenvectors[:, 30:70]
+        _, grams = _compress(us, small_ops.commutator_iHA, small_ops.grid)
+        for g, mask in zip(grams, masks):
+            ref = us[mask].T @ us[mask]
+            assert np.max(np.abs(g - ref)) <= ROUNDING_ULPS * small_ops.n * F64_EPS
+
+    def test_memory_budget_per_window(self, monkeypatch):
+        """On the rho-scan-L160 operators and samples, `_estimate_rho_batch`
+        holds at most 2 blocks of n x w values, w the widest window of columns
+        it compresses.  In row blocks a compression holds ROW_BLOCK x w scratch,
+        and the scan peaks near 1.65 blocks, at its bisections; one n x w
+        product, its per-diagonal temporary and a copy of the boundary rows
+        took about 2.8."""
+        ops, lambdas, eps = _golden_samples("rho-scan-L160")
+        etas = [bump(lam, eps) for lam in lambdas]
+        dec = eigendecompose(ops.H, [eta.window for eta in etas])
+        widths, compress_window = [], mourre._compress
+
+        def spy(us, comm, grid):
+            widths.append(us.shape[1])
+            return compress_window(us, comm, grid)
+
+        monkeypatch.setattr(mourre, "_compress", spy)
+        _estimate_rho_batch(ops, dec, ops.commutator_iHA, etas)  # warm-up: imports are not traced
+        tracemalloc.start()
+        try:
+            _estimate_rho_batch(ops, dec, ops.commutator_iHA, etas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = ops.n * max(widths) * np.dtype(float).itemsize
+        assert peak <= 2 * block, peak / block
 
 
 class TestEtaEstimate:

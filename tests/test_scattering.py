@@ -6,10 +6,11 @@ import pytest
 
 from conftest import channel_bases
 from mourre_lab import scattering
-from mourre_lab.grid import make_grid, make_steplike
+from mourre_lab.grid import make_grid, make_steplike, smooth_step
 from mourre_lab.operators import Band, build_pair
 from mourre_lab.scattering import (
     completeness_probe,
+    continuum_oracle,
     gaussian_averaged_oracle,
     make_channel_packet,
     outgoing_band,
@@ -143,6 +144,66 @@ class TestOracles:
     def test_gaussian_averaging_unitary(self):
         avg = gaussian_averaged_oracle(2.0, 0.0, 1.0, sigma=3.0)
         assert avg.flux_defect < 1e-6
+
+
+def _smooth(x):
+    """V of the smooth step 0 -> 1, as the continuum oracle reads it."""
+    return smooth_step(x, 0.0, 1.0)[0]
+
+
+class TestContinuumOracle:
+    """R and T of the continuum potential by RK4, the oracle of a smooth profile."""
+
+    def test_lattice_converges_at_second_order(self):
+        """The smooth step at lambda = 2, sigma = 3 (the default scatter config) on
+        L = 8 at dx = 0.05, 0.025 and 0.0125: the stationary solve is the infinite
+        lattice, so its error against the continuum is the O(dx^2) of the
+        stencil, and halving dx divides it by 4."""
+        cont = gaussian_averaged_oracle(2.0, 0.0, 1.0, 3.0, _smooth, 1.0)
+        assert cont.reflection == pytest.approx(0.0228610734, abs=1e-10)
+        errors = []
+        for n in (321, 641, 1281):
+            c = scattering_coefficients(_step_ops(n, L=8.0, profile="smooth_step"), 2.0, 3.0)
+            errors.append((c.reflection - cont.reflection, c.transmission - cont.transmission))
+        errors = np.array(errors)
+        ratios = errors[:-1] / errors[1:]
+        assert np.all((ratios > 3.5) & (ratios < 4.5)), ratios
+        assert np.abs(errors[-1]).max() < 1e-7
+
+    def test_bump_case(self):
+        """A bump of amplitude 0.5 and width 2 reaches past the step: the oracle
+        integrates across |x| <= 2 and the lattice at dx = 0.025 agrees to O(dx^2),
+        while the bump moves R by more than 0.05."""
+        def with_bump(x):
+            return _smooth(x) + 0.5 * bump(0.0, 2.0)(x)
+
+        cont = gaussian_averaged_oracle(2.0, 0.0, 1.0, 3.0, with_bump, 2.0)
+        g = make_grid(8.0, 641)
+        ops = build_pair(make_steplike(g, 0.0, 1.0, bump=0.5 * bump(0.0, 2.0)(g.nodes)))
+        c = scattering_coefficients(ops, 2.0, 3.0)
+        assert abs(c.reflection - cont.reflection) < 5e-6
+        assert abs(c.transmission - cont.transmission) < 5e-6
+        plain = gaussian_averaged_oracle(2.0, 0.0, 1.0, 3.0, _smooth, 1.0)
+        assert cont.reflection - plain.reflection > 0.05
+
+    def test_flat_potential_transmits(self):
+        c = continuum_oracle(2.0, 0.7, 0.7, lambda x: np.full_like(x, 0.7), 1.0)
+        assert c.reflection < 1e-24 and c.transmission == pytest.approx(1.0, abs=1e-12)
+
+    def test_flux_conserved_across_energies(self):
+        for lam in (1.05, 2.0, 8.0):
+            assert continuum_oracle(lam, 0.0, 1.0, _smooth, 1.0).flux_defect < 1e-12
+
+    def test_approaches_the_sharp_step_as_it_narrows(self):
+        """V rising over [-d, d]: as d -> 0 the continuum R tends to the sharp step's."""
+        sharp = sharp_step_oracle(2.0, 0.0, 1.0).reflection
+        gaps = [abs(continuum_oracle(2.0, 0.0, 1.0, lambda x, d=d: _smooth(x / d), 1.0)
+                    .reflection - sharp) for d in (0.2, 0.05)]
+        assert gaps[1] < gaps[0] and gaps[1] < 1e-3
+
+    def test_closed_channel_rejected(self):
+        with pytest.raises(ValueError, match="closed channel"):
+            continuum_oracle(0.5, 0.0, 1.0, _smooth, 1.0)
 
 
 def _step_ops(n, v_minus=0.0, v_plus=1.0, L=40.0, profile="sharp_step"):

@@ -16,10 +16,12 @@ from mourre_lab.grid import make_grid, make_steplike
 from mourre_lab.operators import Band, build_pair
 from mourre_lab.spectral import (
     _Tails,
+    ROW_BLOCK,
     EnergyWindow,
     SpectralDecomposition,
     ThinProduct,
     bump,
+    compress,
     dirichlet_decomposition,
     dst1,
     eigendecompose,
@@ -429,6 +431,44 @@ class TestThinProduct:
         e = apply_function(dec, eta)
         ref = e @ small_ops.commutator_iHA.dense() @ e
         assert np.max(np.abs(dense(thin) - ref)) <= 1e-12
+
+
+class TestCompress:
+    """U^T M U of a band M in row blocks of ROW_BLOCK, across block edges."""
+
+    @staticmethod
+    def _case(b, n, w=5):
+        rng = np.random.default_rng(100 * b + n)
+        return Band(rng.standard_normal((2 * b + 1, n))), rng.standard_normal((n, w))
+
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK + 1, 3 * ROW_BLOCK + 2])
+    def test_matches_dense_to_rounding(self, b, n):
+        m, u = self._case(b, n)
+        dm = m.dense()
+        bound = ROUNDING_ULPS * n * F64_EPS * (np.abs(u).T @ (np.abs(dm) @ np.abs(u)))
+        assert np.all(np.abs(compress(m, u) - u.T @ (dm @ u)) <= bound)
+
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK])
+    def test_one_block_is_bitwise_the_full_product(self, b, n):
+        m, u = self._case(b, n)
+        assert np.array_equal(compress(m, u), u.T @ (m @ u))
+
+    def test_cut_band_rows_are_bitwise_the_full_product(self, small_ops):
+        """The interior rows of the band cut to rows a..z, times U[a:z], are
+        those of M U: a block reads its own rows of U and b more on each side."""
+        m = small_ops.commutator_iHA
+        u = np.random.default_rng(3).standard_normal((small_ops.n, 4))
+        a, z = 100, 200
+        part = Band(m.entries[:, a:z]) @ u[a:z]
+        assert np.array_equal(part[m.b:-m.b], (m @ u)[a + m.b:z - m.b])
+
+    def test_column_window_of_an_eigenbasis(self, small_ops, dec):
+        """The eta windows of a scan are column slices of the basis of H."""
+        u = dec.eigenvectors[:, 40:90]
+        assert np.array_equal(compress(small_ops.commutator_iHA, u),
+                              u.T @ (small_ops.commutator_iHA @ u))
 
 
 class TestWindows:
