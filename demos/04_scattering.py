@@ -5,9 +5,10 @@ Outside the box the potential is constant, so the exterior is eliminated
 exactly: two corner entries of H make the box an infinite lattice with
 an outgoing boundary.  A unit wave coming in from the left is then one
 banded solve: R = |u_0 - 1|^2 and T = |u_{n-1}|^2 sin(k+ dx)/sin(k- dx).
-The plane-wave R sits within O(dx^2) of the sharp-step closed form; the
-average over a packet's Gaussian momentum density is compared with the
-closed form averaged over the same momenta.
+The plane-wave R sits within O(dx^2) of the sharp step's continuum R, the
+plane-wave matching at x = 0 (`continuum_oracle` at the sharp step's reach
+0); the average over a packet's Gaussian momentum density is compared with
+that R averaged over the same momenta.
 
 The same corner entries at z = lam + i delta give the resolvent of the
 infinite lattice for every delta >= 0.  Where the Mourre estimate holds
@@ -26,10 +27,10 @@ from mourre_lab import (
     make_steplike,
     resolvent,
     scattering_coefficients,
-    sharp_step_oracle,
     stationary_coefficients,
 )
-from mourre_lab.scattering import outgoing_band
+from mourre_lab.grid import PROFILES
+from mourre_lab.scattering import continuum_oracle, outgoing_band
 from mourre_lab.spectral import opnorm
 
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4, 0.0)
@@ -47,14 +48,18 @@ def weighted_resolvent_norm(band, z, weight):
 def main():
     grid = make_grid(L=40.0, n=801)
     ops = build_pair(make_steplike(grid, 0.0, 1.0, profile="sharp_step"))
+    step, reach = PROFILES["sharp_step"]  # reach 0: the oracle is plane-wave matching at x = 0
+
+    def sharp_v(x):
+        return step(x, 0.0, 1.0)[0]
 
     print(f"{'lambda':>8} {'R (wave)':>10} {'R (sharp)':>10} {'R (packet)':>11} "
           f"{'R (avg)':>9} {'T (packet)':>11} {'flux defect':>12}")
     for lam in (2.0, 2.5, 3.0):
         wave = stationary_coefficients(ops, lam)
         packet = scattering_coefficients(ops, lam, sigma=3.0)
-        sharp = sharp_step_oracle(lam, 0.0, 1.0)
-        avg = gaussian_averaged_oracle(lam, 0.0, 1.0, sigma=3.0)
+        sharp = continuum_oracle(lam, 0.0, 1.0, sharp_v, reach)
+        avg = gaussian_averaged_oracle(lam, 0.0, 1.0, 3.0, sharp_v, reach)
         print(f"{lam:8.2f} {wave.reflection:10.6f} {sharp.reflection:10.6f} "
               f"{packet.reflection:11.6f} {avg.reflection:9.6f} "
               f"{packet.transmission:11.6f} {max(wave.flux_defect, packet.flux_defect):12.2e}")

@@ -14,7 +14,6 @@ from .scattering import (
     gaussian_averaged_oracle,
     make_channel_packet,
     scattering_coefficients,
-    sharp_step_oracle,
     stationary_coefficients,
     wave_operator_probe,
 )

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import blas
-from .grid import PROFILE_KINDS, make_grid, make_steplike, smooth_step
+from .grid import PROFILES, make_grid, make_steplike
 from .hypotheses import OPERATOR_TAGS, check_operator_tags, compactness_ladder
 from .mourre import rho_scan, transfer_verify
 from .operators import build_pair
@@ -37,7 +37,6 @@ from .scattering import (
     gaussian_averaged_oracle,
     make_channel_packet,
     scattering_coefficients,
-    sharp_step_oracle,
 )
 from .spectral import bump, eigendecompose
 
@@ -133,8 +132,8 @@ def load_config(path, experiment: Optional[str] = None,
         raise ConfigError("L: must be positive")
     if cfg.experiment != "hypotheses" and (cfg.n < 16 or cfg.n % 2 == 0):  # it reads no n
         raise ConfigError("n: must be odd and >= 16")
-    if cfg.profile not in PROFILE_KINDS:
-        raise ConfigError(f"profile: {cfg.profile!r} not in {PROFILE_KINDS}")
+    if cfg.profile not in PROFILES:
+        raise ConfigError(f"profile: {cfg.profile!r} not in {tuple(PROFILES)}")
     if cfg.threads is not None and cfg.threads < 1:
         raise ConfigError("threads: must be >= 1")
     allowed = PARAMS[cfg.experiment]
@@ -299,24 +298,24 @@ def _run_hypotheses(cfg: ExperimentConfig, p: dict):
 
 
 def _run_scatter(cfg: ExperimentConfig, p: dict):
-    """Lattice R and T against the continuum ones of the config's own profile:
-    the sharp step's in closed form, the smooth step's (with its bump) by RK4
-    across |x| <= max(1, bump_width), beyond which V is v_pm."""
+    """Lattice R and T against the continuum ones of the same potential: the
+    formula of the config's profile (`grid.PROFILES`) plus its bump, integrated
+    across |x| <= max(reach, bump_width), beyond which V is v_pm.  The sharp
+    step's reach is 0, so its oracle is the plane-wave matching at x = 0."""
     lam, sigma, tol = float(p["lambda"]), float(p["sigma"]), float(p["tol"])
     coeff = scattering_coefficients(_build(cfg, p), lam, sigma=sigma)
     ends = cfg.v_minus, cfg.v_plus
-    if cfg.profile == "sharp_step":
-        oracle = sharp_step_oracle(lam, *ends)
-        averaged = gaussian_averaged_oracle(lam, *ends, sigma)
-    else:
-        def potential(x):
-            v = smooth_step(x, *ends)[0]
-            field = _bump_field(p, x)
-            return v if field is None else v + field
+    formula, reach = PROFILES[cfg.profile]
+    if p["bump_amplitude"]:
+        reach = max(reach, float(p["bump_width"]))
 
-        reach = max(1.0, float(p["bump_width"])) if p["bump_amplitude"] else 1.0
-        oracle = continuum_oracle(lam, *ends, potential, reach)
-        averaged = gaussian_averaged_oracle(lam, *ends, sigma, potential, reach)
+    def potential(x):
+        v = formula(x, *ends)[0]
+        field = _bump_field(p, x)
+        return v if field is None else v + field
+
+    oracle = continuum_oracle(lam, *ends, potential, reach)
+    averaged = gaussian_averaged_oracle(lam, *ends, sigma, potential, reach)
     verdict = (abs(coeff.reflection - averaged.reflection) <= tol
                and abs(coeff.transmission - averaged.transmission) <= tol
                and coeff.flux_defect < 1e-2)

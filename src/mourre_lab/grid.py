@@ -25,10 +25,10 @@ __all__ = [
     "mollifier",
     "mollifier_derivative",
     "smoothstep",
+    "sharp_step",
     "smooth_step",
+    "PROFILES",
 ]
-
-PROFILE_KINDS = ("sharp_step", "smooth_step")
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,21 @@ def smooth_step(x: np.ndarray, v_minus: float, v_plus: float) -> tuple[np.ndarra
     return v_minus + (v_plus - v_minus) * s, (v_plus - v_minus) * ds
 
 
+def sharp_step(x: np.ndarray, v_minus: float, v_plus: float) -> tuple[np.ndarray, None]:
+    """(v, v') of the sharp_step profile at the points x: v_minus for x < 0, v_plus
+    for x > 0 and their midpoint at x = 0.  It has no derivative, so v' is None."""
+    x = np.asarray(x, dtype=float)
+    v = np.where(x > 0, float(v_plus), float(v_minus))
+    v[x == 0] = 0.5 * (v_minus + v_plus)
+    return v, None
+
+
+# Each profile name's formula, (v, v') at any points, and its reach: v = v_pm for
+# +-x > reach.  `make_steplike` samples the formula on the grid, and the continuum
+# oracle of `scatter` integrates it across [-reach, reach].
+PROFILES = {"sharp_step": (sharp_step, 0.0), "smooth_step": (smooth_step, 1.0)}
+
+
 def make_grid(L: float, n: int) -> Grid:
     if L <= 0:
         raise ValueError(f"half-length L must be positive, got {L}")
@@ -139,25 +154,17 @@ def make_steplike(
     profile: str = "smooth_step",
     bump: Optional[np.ndarray] = None,
 ) -> PotentialField:
-    """Steplike potential with limits v_minus / v_plus at the box ends.
-
-    smooth_step uses the mollifier smoothstep rising over [-1, 1] and adds
-    the bump when one is given; the bump must be sampled on the grid and
-    compactly supported within |x| <= L/2.  sharp_step assigns the midpoint
-    value at x = 0 and takes no bump.
+    """Steplike potential with limits v_minus / v_plus at the box ends: the
+    profile's formula (`PROFILES`) at the nodes, plus the bump when one is
+    given; the bump must be sampled on the grid and compactly supported
+    within |x| <= L/2.  sharp_step has no derivative and takes no bump.
     """
-    if profile not in PROFILE_KINDS:
-        raise ValueError(f"unknown profile {profile!r}, expected one of {PROFILE_KINDS}")
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}, expected one of {tuple(PROFILES)}")
     if profile == "sharp_step" and bump is not None:
         raise ValueError("sharp_step takes no bump; use smooth_step")
     x = grid.nodes
-    v_prime: Optional[np.ndarray] = None
-
-    if profile == "sharp_step":
-        v = np.where(x > 0, float(v_plus), float(v_minus))
-        v[x == 0] = 0.5 * (v_minus + v_plus)
-    else:
-        v, v_prime = smooth_step(x, v_minus, v_plus)
+    v, v_prime = PROFILES[profile][0](x, v_minus, v_plus)
 
     if bump is not None:
         bump = np.asarray(bump, dtype=float)

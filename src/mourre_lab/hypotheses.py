@@ -41,6 +41,7 @@ from .spectral import (
     opnorm,
     plateau,
     propagate,
+    real_matmul,
     resolvent,
     sandwich,
     singular_values,
@@ -214,7 +215,7 @@ def short_range_operator(opset: OperatorSet) -> ThinProduct:
         rows = np.flatnonzero(m.entries.any(axis=0))  # S: the rows where M != 0
         y = opset.dilation_core @ resolvent(h0, np.conj(Z), m.rows(rows).T)
         u, f = _channel_support(opset, v, smoothing)
-        right = -u @ (f[:, None] * (u.T @ y))
+        right = real_matmul(u, -f[:, None] * real_matmul(u.T, y))  # no complex copy of u
         terms.append(ThinProduct(1j * _resolvent_columns(opset.H, rows), np.eye(rows.size),
                                  np.pad(right, (pad, (0, 0)))))
     return thin_sum(*terms)

@@ -239,6 +239,7 @@ def _estimate_rho_batch(
     for an eta whose `support_mask` on dec holds no column."""
     values = [eta(dec.eigenvalues) for eta in etas]
     supports = [np.flatnonzero(support_mask(w)) for w in values]
+    values = [w[s] for w, s in zip(values, supports)]  # each eta's values on its support only
     live = [j for j, s in enumerate(supports) if s.size]
     out = [None] * len(etas)
     if not live:
@@ -266,7 +267,7 @@ def _estimate_rho_batch(
         group = [j for j in live if supports[j].size == k]
         csub = np.stack([windows[starts[j]][0][blocks[j]] for j in group])
         gsub = np.stack([windows[starts[j]][1][(slice(None),) + blocks[j]] for j in group])
-        ek = np.stack([values[j][supports[j]] for j in group])
+        ek = np.stack([values[j] for j in group])
         m = ek[:, :, None] * csub * ek[:, None, :]
         nmat = ek[:, :, None] ** 2 * np.eye(k)
         slack = PSD_RTOL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))

@@ -27,9 +27,10 @@ boundary, and R(lam + i0) is one banded solve.  It gives R and T of a
 plane wave (`stationary_coefficients`) and the two-space wave operator
 W- phi = J phi - R(lam + i0)(HJ - JH0) phi at one energy
 (`wave_operator_probe`).  The lattice R and T are judged against the
-continuum ones of the same potential: for the sharp step by plane-wave
-matching (`sharp_step_oracle`), for any other profile by integrating the
-continuum equation across the region where V varies (`continuum_oracle`).
+continuum ones of the same potential (`continuum_oracle`): the continuum
+equation is integrated across the region |x| <= reach where V varies and
+matched to plane waves at its ends.  The sharp step's reach is 0, so its
+oracle is the plane-wave matching at x = 0 alone.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ __all__ = [
     "stationary_coefficients",
     "outgoing_root",
     "outgoing_band",
-    "sharp_step_oracle",
     "continuum_oracle",
     "gaussian_averaged_oracle",
 ]
@@ -249,29 +249,16 @@ def _coefficients(lam: float, refl: float, trans: float) -> ScatteringCoefficien
     return ScatteringCoefficients(lam, refl, trans, abs(refl + trans - 1.0))
 
 
-def _step_rt(k, kp):
-    """Plane-wave matching at a sharp step, incoming momentum k and outgoing k':
-    (R, T) = (((k-k')/(k+k'))^2, 4 k k' / (k+k')^2), for numbers or arrays."""
-    return ((k - kp) / (k + kp)) ** 2, 4 * k * kp / (k + kp) ** 2
-
-
-def sharp_step_oracle(lam: float, v_minus: float, v_plus: float) -> ScatteringCoefficients:
-    """Plane-wave matching (`_step_rt`) for the sharp step at energy lam."""
-    if lam <= max(v_minus, v_plus):
-        raise ValueError("closed channel: need lam > max(v_minus, v_plus)")
-    refl, trans = _step_rt(math.sqrt(lam - v_minus), math.sqrt(lam - v_plus))
-    return _coefficients(lam, refl, trans)
-
-
 def _continuum_rt(energies: np.ndarray, v_minus: float, v_plus: float, potential, reach: float):
     """R and T of -d^2/dx^2 + V at each energy E of an array, open in both channels,
     where V = potential(x) on [-reach, reach] and v_pm beyond.  psi'' = (V - E) psi
     is integrated by RK4 from x = reach, where psi = e^{i k+ x}, to x = -reach, all
     energies at once, and matched there to A e^{i k- x} + B e^{-i k- x}:
-    R = |B / A|^2 and T = (k+ / k-) / |A|^2."""
+    R = |B / A|^2 and T = (k+ / k-) / |A|^2.  At reach 0 no step is taken, and the
+    match at x = 0 is the plane-wave matching of a sharp step."""
     km, kp = np.sqrt(energies - v_minus), np.sqrt(energies - v_plus)
     steps = math.ceil(2 * reach / RK4_STEP)
-    h = -2 * reach / steps
+    h = -2 * reach / max(steps, 1)
     v = potential(reach + 0.5 * h * np.arange(2 * steps + 1))  # V at every half step
     psi = np.exp(1j * kp * reach)
     dpsi = 1j * kp * psi
@@ -301,8 +288,8 @@ def continuum_oracle(lam: float, v_minus: float, v_plus: float, potential,
 def _packet_average(lam: float, v_minus: float, v_plus: float, sigma: float, rt):
     """R and T averaged over the momentum density |phi_hat(k)|^2 ~ exp(-2 sigma^2
     (k - k0)^2) of a Gaussian packet of width sigma, k0 = sqrt(lam - v_minus).
-    rt(k, E) gives (R, T) at the momenta whose energy E = k^2 + v_minus is open in
-    both channels; closed momenta reflect completely."""
+    rt(E) gives (R, T) at the energies E = k^2 + v_minus open in both channels;
+    closed momenta reflect completely."""
     if lam <= max(v_minus, v_plus):
         raise ValueError("closed channel: need lam > max(v_minus, v_plus)")
     k0 = math.sqrt(lam - v_minus)
@@ -313,25 +300,18 @@ def _packet_average(lam: float, v_minus: float, v_plus: float, sigma: float, rt)
     open_ch = energies > max(v_minus, v_plus)
     refl = np.ones_like(ks)
     trans = np.zeros_like(ks)
-    refl[open_ch], trans[open_ch] = rt(ks[open_ch], energies[open_ch])
+    refl[open_ch], trans[open_ch] = rt(energies[open_ch])
     z = np.trapezoid(weight, ks)
     rbar = float(np.trapezoid(weight * refl, ks) / z)
     tbar = float(np.trapezoid(weight * trans, ks) / z)
     return _coefficients(lam, rbar, tbar)
 
 
-def gaussian_averaged_oracle(
-    lam: float, v_minus: float, v_plus: float, sigma: float, potential=None,
-    reach: float = 1.0,
-) -> ScatteringCoefficients:
-    """An oracle averaged over the packet momentum density: of the sharp step
-    (`_step_rt`) with no potential, else of the continuum one (`continuum_oracle`)."""
-    def rt(k, e):
-        if potential is None:
-            return _step_rt(k, np.sqrt(e - v_plus))
-        return _continuum_rt(e, v_minus, v_plus, potential, reach)
-
-    return _packet_average(lam, v_minus, v_plus, sigma, rt)
+def gaussian_averaged_oracle(lam: float, v_minus: float, v_plus: float, sigma: float,
+                             potential, reach: float) -> ScatteringCoefficients:
+    """`continuum_oracle` averaged over the packet momentum density."""
+    return _packet_average(lam, v_minus, v_plus, sigma,
+                           lambda e: _continuum_rt(e, v_minus, v_plus, potential, reach))
 
 
 def outgoing_root(z: complex, v: float, dx: float) -> complex:
@@ -426,7 +406,7 @@ def scattering_coefficients(opset: OperatorSet, lam: float,
     """R and T of a left-incoming packet at mean energy lam: `stationary_coefficients`
     averaged over the momenta and weights of `gaussian_averaged_oracle`, so the two
     differ only in the R(E), T(E) they average.  |R + T - 1| is reported, never clamped."""
-    def rt(_, energies):
+    def rt(energies):
         return np.array([(c.reflection, c.transmission)
                          for c in (stationary_coefficients(opset, e) for e in energies)]).T
 

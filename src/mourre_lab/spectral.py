@@ -27,9 +27,9 @@ A resolvent needs no eigenpairs at all: `resolvent` gives (T - z)^{-1} X
 for a tridiagonal T (H or a channel) and a vector or a thin block X by
 LAPACK `zgtsv`, in O(n k).  `propagate` moves a state, or one state per
 time, over a whole time ladder in two products with the real basis U,
-staying in real arithmetic for a complex state.  `scattering_projector`
-applies 1 - U_low U_low^dagger, with U_low the few eigenvectors at or
-below threshold, to states and never forms it.  `opnorm` is the spectral
+staying in real arithmetic for a complex state (`real_matmul`).
+`scattering_projector` applies 1 - U_low U_low^dagger, with U_low the few
+eigenvectors at or below threshold, to states and never forms it.  `opnorm` is the spectral
 norm of an operator given only its action and that of its adjoint.
 
 The LAPACK routines are those of the OpenBLAS that NumPy bundles, handed
@@ -67,6 +67,7 @@ __all__ = [
     "thin_sum",
     "singular_values",
     "resolvent",
+    "real_matmul",
     "propagate",
     "scattering_projector",
     "bump",
@@ -632,16 +633,22 @@ def dst1(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft(z, axis=0)[1:n + 1].imag * -math.sqrt(0.5 / (n + 1))
 
 
+def real_matmul(u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """u @ y for a real u and a complex 2-D block y, in real arithmetic: a complex
+    C-ordered array viewed as float interleaves (re, im) along its rows, so u
+    multiplies a real array and no complex copy of u is made."""
+    y = np.ascontiguousarray(y, dtype=complex)
+    return (u @ y.view(np.float64)).view(np.complex128)
+
+
 def propagate(dec: SpectralDecomposition, states: np.ndarray, times: Sequence[float]) -> np.ndarray:
     """e^{-itH} over a time ladder: an n x T block whose column k is at times[k].
 
     `states` is one vector, moved to every time, or an n x T block whose
     column k is moved to times[k].  One product U^T states, the phases
-    broadcast over its columns, one product back.  The basis must be real,
-    as every eigensolver here returns it, and a complex one is a ValueError.
-    The products stay in real arithmetic: a complex C-ordered array viewed
-    as float interleaves (re, im) along its rows, so both multiply real
-    arrays and no complex copy of U is made.
+    broadcast over its columns, one product back, both by `real_matmul`.
+    The basis must be real, as every eigensolver here returns it, and a
+    complex one is a ValueError.
     """
     u = dec.eigenvectors
     if np.iscomplexobj(u):
@@ -653,10 +660,9 @@ def propagate(dec: SpectralDecomposition, states: np.ndarray, times: Sequence[fl
         raise ValueError("state dimension does not match the decomposition")
     if states.ndim == 2 and states.shape[1] != times.size:
         raise ValueError("a block of states needs one column per time")
-    cols = np.ascontiguousarray(states, dtype=complex).reshape(dec.source_dim, -1)
     phases = np.exp(-1j * np.outer(dec.eigenvalues, times))
-    coef = np.multiply(phases, (u.T @ cols.view(np.float64)).view(np.complex128), out=phases)
-    return (u @ coef.view(np.float64)).view(np.complex128)
+    coef = np.multiply(phases, real_matmul(u.T, states.reshape(dec.source_dim, -1)), out=phases)
+    return real_matmul(u, coef)
 
 
 def scattering_projector(dec: SpectralDecomposition, states: np.ndarray,

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import channel_bases
 from mourre_lab.cli import ExperimentConfig, run
-from mourre_lab.grid import make_grid, make_steplike
+from mourre_lab.grid import PROFILES, make_grid, make_steplike
 from mourre_lab.hypotheses import OPERATOR_TAGS, c1_probe, compactness_ladder
 from mourre_lab.mourre import (
     analytic_rho,
@@ -145,7 +145,8 @@ def test_criterion_7_scattering_cross_check():
     t0 = time.time()
     ops = build_ops(40.0, 1601, profile="sharp_step")
     coeff = scattering_coefficients(ops, 2.0, sigma=3.0)
-    oracle = gaussian_averaged_oracle(2.0, 0.0, 1.0, sigma=3.0)
+    step, reach = PROFILES["sharp_step"]
+    oracle = gaussian_averaged_oracle(2.0, 0.0, 1.0, 3.0, lambda x: step(x, 0.0, 1.0)[0], reach)
     dr = abs(coeff.reflection - oracle.reflection)
     dt = abs(coeff.transmission - oracle.transmission)
     ok = dr <= 0.02 and dt <= 0.02 and coeff.flux_defect < 1e-2

@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from mourre_lab import blas, cli
+from mourre_lab.grid import PROFILES
+from mourre_lab.scattering import continuum_oracle, gaussian_averaged_oracle
+from mourre_lab.spectral import bump
 from mourre_lab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -317,6 +320,29 @@ class TestRun:
         assert report["oracle_averaged"]["reflection"] == pytest.approx(0.0228610734, abs=1e-10)
         assert abs(report["reflection"] - report["oracle_averaged"]["reflection"]) < 1e-5
         assert report["verdict"] is True
+
+    @pytest.mark.parametrize("profile,amplitude", [("sharp_step", 0.0), ("smooth_step", 0.0),
+                                                   ("smooth_step", 0.3)])
+    def test_scatter_reports_the_oracle_of_its_profile(self, tmp_path, profile, amplitude):
+        """A scatter run's oracles are `continuum_oracle` and its packet average
+        for the profile's `PROFILES` formula plus the bump, across the profile's
+        reach or the bump's half-width, whichever is wider."""
+        params = {"bump_amplitude": amplitude, "bump_width": 2.0}
+        cfg = ExperimentConfig(experiment="scatter", out_dir=str(tmp_path), profile=profile,
+                               params=params, **SMALL)
+        assert run(cfg) in (0, 1)
+        report = json.loads((tmp_path / "scatter.json").read_text())
+        formula, reach = PROFILES[profile]
+
+        def potential(x):
+            return formula(x, 0.0, 1.0)[0] + amplitude * bump(0.0, 2.0)(x)
+
+        reach = max(reach, 2.0) if amplitude else reach
+        for key, oracle in (("oracle", continuum_oracle(2.0, 0.0, 1.0, potential, reach)),
+                            ("oracle_averaged", gaussian_averaged_oracle(
+                                2.0, 0.0, 1.0, 3.0, potential, reach))):
+            assert report[key] == {"reflection": oracle.reflection,
+                                   "transmission": oracle.transmission}
 
     def test_scatter_report_independent_of_blas_threads(self, tmp_path):
         """A scatter run makes banded solves only, so its report reads the same

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mourre_lab.grid import (
+    PROFILES,
     make_cutoffs,
     make_grid,
     make_steplike,
@@ -163,6 +164,29 @@ class TestSteplike:
         pot = make_steplike(g, 0.0, 1.0, bump=small)
         assert np.array_equal(pot.v, plain.v + small)
         assert np.array_equal(pot.v_prime, plain.v_prime + np.gradient(small, g.dx))
+
+    @pytest.mark.parametrize("profile,amplitude", [("sharp_step", 0.0), ("smooth_step", 0.0),
+                                                   ("smooth_step", 0.3)])
+    def test_samples_the_profile_formula(self, profile, amplitude):
+        """A potential is its profile's `PROFILES` formula at the nodes, bit for
+        bit, plus the bump when one is given: the lattice and the continuum
+        oracle of `scatter` read one formula."""
+        g = make_grid(20.0, 321)
+        small = amplitude * np.exp(-g.nodes**2) * (np.abs(g.nodes) < 5.0)
+        pot = make_steplike(g, 0.3, 0.7, profile=profile, bump=small if amplitude else None)
+        v, v_prime = PROFILES[profile][0](g.nodes, 0.3, 0.7)
+        assert np.array_equal(pot.v, v + small if amplitude else v)
+        assert (pot.v_prime is None) == (v_prime is None)
+
+    def test_profile_reach(self):
+        """Beyond its reach a profile is v_pm: 0 for the sharp step, 1 for the
+        smooth step, whose formula still varies just inside it."""
+        x = np.linspace(-3.0, 3.0, 601)
+        for formula, reach in PROFILES.values():
+            v = formula(x, 0.3, 0.7)[0]
+            assert np.all(v[x < -reach] == 0.3) and np.all(v[x > reach] == 0.7)
+        v = PROFILES["smooth_step"][0](np.array([-0.9, 0.9]), 0.3, 0.7)[0]
+        assert 0.3 < v[0] and v[1] < 0.7
 
     def test_unknown_profile(self):
         g = make_grid(20.0, 321)

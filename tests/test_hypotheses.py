@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -450,6 +451,25 @@ class TestShortLongRange:
         width = self.middle_rows(self.steplike(*levels[0]))
         for sv in rep.singular_values:
             assert sv.size == 40 and sv[width - 1] > 0 and not np.any(sv[width:])
+
+    def test_short_range_memory(self):
+        """At (160, 3201) the plateau basis u of the wider channel has r = 249
+        columns.  Multiplying by u in real arithmetic (`real_matmul`) makes no
+        complex copy of it, so a call's traced peak stays below 3.7 blocks of
+        n x r float64 (it reads about 3.3); a complex copy of u read about 4.2."""
+        ops = self.steplike(160.0, 3201)
+        smoothing = plateau(0.05, 5.0, shoulder=1.0)  # as short_range_operator takes it
+        r = max(hypotheses._channel_support(ops, v, smoothing)[0].shape[1] for v in (0.0, 1.0))
+        assert r == 249
+        short_range_operator(ops)  # warm-up: imports are not traced
+        tracemalloc.start()
+        try:
+            short_range_operator(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = ops.n * r * np.dtype(float).itemsize
+        assert peak <= 3.7 * block, peak / block
 
     def test_long_range_hermitian(self, small_ops):
         m = dense(long_range_operator(small_ops))

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import channel_bases
 from mourre_lab import scattering
-from mourre_lab.grid import make_grid, make_steplike, smooth_step
+from mourre_lab.grid import make_grid, make_steplike, sharp_step, smooth_step
 from mourre_lab.operators import Band, build_pair
 from mourre_lab.scattering import (
     completeness_probe,
@@ -16,7 +16,6 @@ from mourre_lab.scattering import (
     outgoing_band,
     outgoing_root,
     scattering_coefficients,
-    sharp_step_oracle,
     stationary_coefficients,
     wave_operator_probe,
 )
@@ -115,9 +114,37 @@ class TestPackets:
         assert mean == pytest.approx(k0**2 + 1.0 / (4 * sigma**2), abs=5e-3)
 
 
+def _sharp(x, v_minus=0.0, v_plus=1.0):
+    """V of the sharp step, as the continuum oracle reads it."""
+    return sharp_step(x, v_minus, v_plus)[0]
+
+
+def _sharp_oracle(lam, v_minus=0.0, v_plus=1.0):
+    """The sharp step's oracle: `continuum_oracle` at its reach 0."""
+    return continuum_oracle(lam, v_minus, v_plus, lambda x: _sharp(x, v_minus, v_plus), 0.0)
+
+
+def _sharp_averaged(lam, sigma=3.0):
+    return gaussian_averaged_oracle(lam, 0.0, 1.0, sigma, _sharp, 0.0)
+
+
 class TestOracles:
+    """At reach 0 `continuum_oracle` takes no RK4 step: the sharp step's R and T
+    are the plane-wave matching at x = 0."""
+
+    @pytest.mark.parametrize("v_minus,v_plus", [(0.0, 1.0), (1.0, 0.0), (0.3, 0.7),
+                                                (0.7, 0.7)])
+    def test_reach_zero_is_plane_wave_matching(self, v_minus, v_plus):
+        """Incoming momentum k, outgoing k': R = ((k - k') / (k + k'))^2 and
+        T = 4 k k' / (k + k')^2, over E in (1, 50]."""
+        for lam in np.linspace(1.0, 50.0, 99)[1:]:
+            c = _sharp_oracle(lam, v_minus, v_plus)
+            k, kp = math.sqrt(lam - v_minus), math.sqrt(lam - v_plus)
+            assert abs(c.reflection - ((k - kp) / (k + kp)) ** 2) <= 1e-15
+            assert abs(c.transmission - 4 * k * kp / (k + kp) ** 2) <= 1e-15
+
     def test_sharp_step_closed_form(self):
-        c = sharp_step_oracle(2.0, 0.0, 1.0)
+        c = _sharp_oracle(2.0)
         k, kp = math.sqrt(2.0), 1.0
         assert c.reflection == pytest.approx(((k - kp) / (k + kp)) ** 2, rel=1e-14)
         assert c.reflection == pytest.approx(0.029437251522859434, rel=1e-10)
@@ -125,24 +152,24 @@ class TestOracles:
         assert c.flux_defect < 1e-14
 
     def test_no_step_no_reflection(self):
-        c = sharp_step_oracle(2.0, 0.7, 0.7)
+        c = _sharp_oracle(2.0, 0.7, 0.7)
         assert c.reflection == 0.0 and c.transmission == 1.0
 
     def test_closed_channel_rejected(self):
         with pytest.raises(ValueError):
-            sharp_step_oracle(0.5, 0.0, 1.0)
+            _sharp_oracle(0.5)
 
     def test_reflection_decreases_with_energy(self):
-        rs = [sharp_step_oracle(lam, 0.0, 1.0).reflection for lam in (2.0, 4.0, 8.0)]
+        rs = [_sharp_oracle(lam).reflection for lam in (2.0, 4.0, 8.0)]
         assert rs[0] > rs[1] > rs[2]
 
     def test_gaussian_averaging_converges_to_sharp(self):
-        sharp = sharp_step_oracle(2.0, 0.0, 1.0)
-        wide = gaussian_averaged_oracle(2.0, 0.0, 1.0, sigma=50.0)
+        sharp = _sharp_oracle(2.0)
+        wide = _sharp_averaged(2.0, sigma=50.0)
         assert wide.reflection == pytest.approx(sharp.reflection, abs=1e-4)
 
     def test_gaussian_averaging_unitary(self):
-        avg = gaussian_averaged_oracle(2.0, 0.0, 1.0, sigma=3.0)
+        avg = _sharp_averaged(2.0)
         assert avg.flux_defect < 1e-6
 
 
@@ -196,7 +223,7 @@ class TestContinuumOracle:
 
     def test_approaches_the_sharp_step_as_it_narrows(self):
         """V rising over [-d, d]: as d -> 0 the continuum R tends to the sharp step's."""
-        sharp = sharp_step_oracle(2.0, 0.0, 1.0).reflection
+        sharp = _sharp_oracle(2.0).reflection
         gaps = [abs(continuum_oracle(2.0, 0.0, 1.0, lambda x, d=d: _smooth(x / d), 1.0)
                     .reflection - sharp) for d in (0.2, 0.05)]
         assert gaps[1] < gaps[0] and gaps[1] < 1e-3
@@ -221,7 +248,7 @@ class TestScatteringCoefficients:
     def test_sharp_step_matches_averaged_oracle(self, box):
         ops, _ = box
         c = scattering_coefficients(ops, 2.0)
-        avg = gaussian_averaged_oracle(2.0, 0.0, 1.0, sigma=3.0)
+        avg = _sharp_averaged(2.0)
         assert abs(c.reflection - avg.reflection) < 0.02
         assert abs(c.transmission - avg.transmission) < 0.02
         assert c.flux_defect < 1e-2
@@ -230,7 +257,7 @@ class TestScatteringCoefficients:
         # criterion 7's sharp step at (40, 1601): the lattice R(E) differs from the
         # plane-wave one by O(dx^2), and each solve conserves flux to rounding
         c = scattering_coefficients(_step_ops(1601), 2.0, sigma=3.0)
-        avg = gaussian_averaged_oracle(2.0, 0.0, 1.0, sigma=3.0)
+        avg = _sharp_averaged(2.0)
         assert abs(c.reflection - avg.reflection) <= 1e-3
         assert abs(c.transmission - avg.transmission) <= 1e-3
         assert c.flux_defect <= 1e-12
@@ -246,12 +273,11 @@ class TestScatteringCoefficients:
         ops, _ = box
 
         def plane_wave(opset, lam):
-            return sharp_step_oracle(lam, 0.0, 1.0)
+            return _sharp_oracle(lam)
 
         monkeypatch.setattr(scattering, "stationary_coefficients", plane_wave)
         for lam in (1.2, 2.0, 3.0):  # at 1.2 some momenta of the packet are closed
-            assert (scattering_coefficients(ops, lam)
-                    == gaussian_averaged_oracle(lam, 0.0, 1.0, sigma=3.0))
+            assert scattering_coefficients(ops, lam) == _sharp_averaged(lam)
 
 
 class TestOutgoingBoundary:
@@ -304,7 +330,7 @@ class TestStationaryCoefficients:
     def test_converges_to_sharp_step_as_dx_squared(self):
         # dx = 0.1, 0.05, 0.025 at L = 40
         errors = [abs(stationary_coefficients(_step_ops(n), 2.0).reflection
-                      - sharp_step_oracle(2.0, 0.0, 1.0).reflection)
+                      - _sharp_oracle(2.0).reflection)
                   for n in (801, 1601, 3201)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.0 <= coarse / fine <= 5.0

@@ -27,6 +27,7 @@ from mourre_lab.spectral import (
     eigendecompose,
     plateau,
     propagate,
+    real_matmul,
     resolvent,
     sandwich,
     scattering_projector,
@@ -628,6 +629,19 @@ class TestPropagate:
         assert out.shape == (n, n_times)
         scale = np.max(np.abs(states))
         assert np.max(np.abs(out - ref)) <= ROUNDING_ULPS * n * F64_EPS * scale
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_real_matmul_matches_complex_product(dec, transpose):
+    """u @ y in real arithmetic, for u and its transpose and for a y that is not
+    C-ordered, agrees with the complex product to rounding."""
+    u = dec.eigenvectors.T if transpose else dec.eigenvectors
+    rng = np.random.default_rng(16)
+    y = (rng.standard_normal((3, u.shape[1])) + 1j * rng.standard_normal((3, u.shape[1]))).T
+    out = real_matmul(u, y)
+    assert out.dtype == complex and out.shape == (u.shape[0], 3)
+    scale = np.max(np.abs(y))
+    assert np.max(np.abs(out - u.astype(complex) @ y)) <= ROUNDING_ULPS * u.shape[1] * F64_EPS * scale
 
 
 class TestDst1:
