@@ -29,13 +29,15 @@ and together holding every support) and slices each eta's k x k blocks
 out of them.  The windows bound the work, n w^2 per window of w columns,
 and the w x w blocks held; the rows bound the scratch: `compress` forms
 i[H,A] U in blocks of ROW_BLOCK rows, and the Gram matrices sum row
-slices of U, so no n x w array is made beside the eigenvectors.  Its
-bisections then run in lockstep: every eta keeps its own
-bracket and stop rule, so it meets the same midpoints as it would alone,
-and each step diagonalizes the still-active eta of one support size k
-in one stacked `eigh`.  The raw test is monotone in a (eta^2 >= 0), so an
-eta whose raw test already fails at the floor of its bracket is settled
-there by one stacked `eigvalsh`, without bisecting.
+slices of U, so no n x w array is made beside the eigenvectors.  With
+E = diag(eta) on the support and s the PSD slack, the raw test
+E C E - a E^2 >= -s holds iff C - a + s E^-2 >= 0: the raw value is
+lambda_min(C + s E^-2), one stacked `eigvalsh` per support size k, clipped
+to [floor, corrected], floor = -(max |C_ij| + 1) where the corrected bracket
+opens.  Only the corrected value is bisected, in lockstep: each eta keeps
+its own bracket and stop rule, so it meets the midpoints it would meet
+alone, and each step diagonalizes the still-active eta of one support
+size k in one stacked `eigh`.
 
 The corrected test is not monotone: which modes the discard rule flags
 changes with a, so the test can hold on an interval and fail on both
@@ -206,16 +208,13 @@ def estimate_rho_window(
 
 def _bisect_sup(holds, lo, hi) -> np.ndarray:
     """Bisect, entry by entry, for the largest a in [lo[i], hi[i]] where a
-    monotone test holds.  `holds(mid, active)` gets the midpoints of the
-    entries still bisecting and their indices, and returns one bool each.
-    An entry stops once its bracket is below BISECT_TOL * max(1, |lo|) (at
-    most 60 steps), so it meets the same midpoints as it would bisected alone.
-    An empty bracket (hi = lo) is settled at lo before any midpoint.
-
-    The raw test is monotone, the corrected one is not (see the module
-    docstring): for it the result is an edge of a run of holding midpoints,
-    the one the first midpoint leads to, not the supremum of where it holds.
-    Moving the first midpoint can move the result by O(1)."""
+    test holds.  `holds(mid, active)` gets the midpoints of the entries
+    still bisecting and their indices, and returns one bool each.  An entry
+    stops once its bracket is below BISECT_TOL * max(1, |lo|) (at most 60
+    steps), so it meets the same midpoints as it would bisected alone.
+    The corrected test is not monotone (see the module docstring): the
+    result is an edge of a run of holding midpoints, the one the first
+    midpoint leads to, and moving that midpoint can move it by O(1)."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     for _ in range(60):
         active = np.flatnonzero(~(hi - lo <= BISECT_TOL * np.maximum(1.0, np.abs(lo))))
@@ -272,31 +271,30 @@ def _estimate_rho_batch(
         nmat = ek[:, :, None] ** 2 * np.eye(k)
         slack = PSD_RTOL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
 
-        def shifted(a, active):
-            g = m[active] - a[:, None, None] * nmat[active]
-            return 0.5 * (g + g.conj().mT)
-
         def unflagged(a, active):
-            eig, vec = np.linalg.eigh(shifted(a, active))
+            g = m[active] - a[:, None, None] * nmat[active]
+            eig, vec = np.linalg.eigh(0.5 * (g + g.conj().mT))
             inner, bdry, flags = _localization(vec, gsub[active])
             return np.where(flags, math.inf, eig).min(axis=1), eig, inner, bdry, flags
-
-        def raw_holds(a, active):
-            return np.linalg.eigvalsh(shifted(a, active)).min(axis=1) >= -slack[active]
 
         scale = np.abs(csub).max(axis=(1, 2))
         scale[scale == 0] = 1.0
         floor, top = -scale - 1.0, scale + 1.0
         corrected = _bisect_sup(lambda a, act: unflagged(a, act)[0] >= -slack[act], floor, top)
-        everyone = np.arange(len(group))
-        raw = np.minimum(_bisect_sup(raw_holds, floor,
-                                     np.where(raw_holds(floor, everyone), top, floor)), corrected)
+        # raw = lambda_min(C + s E^-2) in [floor, corrected].  A column whose
+        # s / eta^2 reaches 1e8 * top (up to 1e21 at a support edge) is cut loose
+        # and held at top >= corrected: raw moves by about max|C_ij|^2 / (1e8 top),
+        # and eigvalsh, whose error follows the norm, never sees that diagonal.
+        shift = slack[:, None] / ek**2
+        near = shift < 1e8 * top[:, None]
+        pencil = csub * (near[:, :, None] & near[:, None, :])
+        pencil[:, range(k), range(k)] += np.where(near, shift, top[:, None])
+        raw = np.minimum(np.maximum(np.linalg.eigvalsh(pencil).min(axis=1), floor), corrected)
 
-        _, eig, inner, bdry, flags = unflagged(corrected, everyone)
+        _, eig, inner, bdry, flags = unflagged(corrected, np.arange(len(group)))
         spectra = np.linalg.eigvalsh(csub)
         for row, j in enumerate(group):
-            # a raw value that never left the floor -(max |C_ij| + 1) bounds
-            # nothing: the smallest eigenvalue of C can lie far below it
+            # a raw value clipped at its floor bounds nothing: the closed form lies below
             out[j] = RhoEstimate(
                 lam=etas[j].center, eps=etas[j].width, raw_min=float(raw[row]),
                 corrected=float(corrected[row]), n_discarded=int(flags[row].sum()),

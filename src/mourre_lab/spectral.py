@@ -636,7 +636,10 @@ def dst1(x: np.ndarray) -> np.ndarray:
 def real_matmul(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     """u @ y for a real u and a complex 2-D block y, in real arithmetic: a complex
     C-ordered array viewed as float interleaves (re, im) along its rows, so u
-    multiplies a real array and no complex copy of u is made."""
+    multiplies a real array and no complex copy of u is made.  Every
+    eigensolver here returns a real basis; a complex u is a ValueError."""
+    if np.iscomplexobj(u):
+        raise ValueError("real_matmul needs a real eigenbasis")
     y = np.ascontiguousarray(y, dtype=complex)
     return (u @ y.view(np.float64)).view(np.complex128)
 
@@ -646,13 +649,10 @@ def propagate(dec: SpectralDecomposition, states: np.ndarray, times: Sequence[fl
 
     `states` is one vector, moved to every time, or an n x T block whose
     column k is moved to times[k].  One product U^T states, the phases
-    broadcast over its columns, one product back, both by `real_matmul`.
-    The basis must be real, as every eigensolver here returns it, and a
-    complex one is a ValueError.
+    broadcast over its columns, one product back, both by `real_matmul`,
+    which refuses a complex basis.
     """
     u = dec.eigenvectors
-    if np.iscomplexobj(u):
-        raise ValueError("propagate needs a real eigenbasis")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D sequence")
@@ -670,16 +670,17 @@ def scattering_projector(dec: SpectralDecomposition, states: np.ndarray,
     """Finite-box surrogate for the absolutely-continuous projection, applied to states.
 
     Projects out the eigenvalues at or below threshold + AC_DELTA, as
-    states - U_low (U_low^dagger states): U_low holds those few columns, so
-    the cost is O(n k) for k of them and no other eigenvector is read.  On
-    the box every eigenvalue is discrete, so states below the lowest channel
-    threshold (bound states) are treated as the point-spectrum analogue.
+    states - U_low (U_low^T states), both by `real_matmul`: U_low holds those
+    few columns, so the cost is O(n k) for k of them and no other eigenvector
+    is read.  On the box every eigenvalue is discrete, so the states below
+    the lowest channel threshold (bound states) stand for the point spectrum.
     This is a heuristic surrogate, not an identity; the exact statement at one
     energy is `scattering.wave_operator_probe`.  AC_DELTA is a fixed module
     constant (0.01) that only this projector reads; no report carries it.
     """
     low = dec.eigenvectors[:, dec.eigenvalues <= threshold + AC_DELTA]
-    return states - low @ (low.conj().T @ states)
+    block = states.reshape(states.shape[0], -1)
+    return states - real_matmul(low, real_matmul(low.T, block)).reshape(states.shape)
 
 
 def opnorm(apply, apply_h, n: int) -> float:

@@ -454,6 +454,15 @@ class TestRun:
 
 
 class TestMain:
+    @pytest.mark.parametrize("experiment, status", [
+        ("rho-scan", 0), ("transfer", 1), ("hypotheses", 1), ("scatter", 0), ("completeness", 0)])
+    def test_default_config_exit_status(self, tmp_path, experiment, status):
+        """{"experiment": X} alone exits as the README's command-line section
+        states: transfer's margins at (40, 1601) fall below -tol, and
+        hypotheses reads `long` as inconclusive at (40, 401) / (40, 801)."""
+        path = write_config(tmp_path, "c.json", {"experiment": experiment})
+        assert main([experiment, "--config", str(path), "--out", str(tmp_path)]) == status
+
     def test_config_error_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text("{\"experiment\": \"rho-scan\", \"n\": 10}")

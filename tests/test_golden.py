@@ -20,9 +20,12 @@ configs (all when none is named) under DIR/NAME on each, with a relative
 Each tolerance is the resolution of the estimator that produced the
 value, never an observed drift:
 
-- rho values (raw, corrected, margins) come from the bisection of
+- corrected rho values and margins come from the bisection of
   `estimate_rho_eta`, which stops once its bracket is below
-  BISECT_TOL * max(1, |rho|);
+  BISECT_TOL * max(1, |rho|).  Raw values were frozen from a bisection of
+  the raw test to the same resolution; they are now the closed form
+  lambda_min(C + s E^-2), clipped to the same bracket, which lies within
+  that resolution of the bisection and equals it at the bracket floor;
 - singular values were frozen from `eigvalsh` of a Gram matrix of
   dimension d = n, whose eigenvalues carry an absolute error of order
   d * eps * sigma_1^2.  For a, b >= 0, |a - b| <= sqrt(|a^2 - b^2|), so

@@ -37,6 +37,7 @@ from mourre_lab.spectral import (
     opnorm,
     plateau,
     support,
+    support_mask,
 )
 
 BISECT_TOL = 1e-3  # the bisection resolution of estimate_rho_eta, relative to max(1, |rho|)
@@ -190,6 +191,51 @@ class TestLocalization:
                 assert 0 < ref_bdry.max() and 0 < ref_inner.max()
 
 
+def _raw_references(monkeypatch, name, tol=BISECT_TOL):
+    """(estimates, references, floors) on the golden config name: the batch
+    estimate of each eta that meets the spectrum, as `_windowed_estimates`
+    makes it, and for each the raw bisection of M - aN >= -s on its own block
+    of the window compression the batch sliced, stopped at tol * max(1, |a|)
+    and capped at its corrected value, with the floor -(max |C_ij| + 1) where
+    that bisection opens."""
+    ops, lambdas, eps = _golden_samples(name)
+    windows, compress_window = {}, mourre._compress
+
+    def spy(us, comm, grid):  # keyed by the first column of the window
+        lo = next(i for i in range(dec.eigenvalues.size)
+                  if np.array_equal(dec.eigenvectors[:, i], us[:, 0]))
+        out = compress_window(us, comm, grid)
+        windows[lo] = out[0]
+        return out
+
+    dec = eigendecompose(ops.H, [bump(lam, eps).window for lam in lambdas])
+    monkeypatch.setattr(mourre, "_compress", spy)
+    etas = [bump(lam, eps) for lam in lambdas]
+    batch = _estimate_rho_batch(ops, dec, ops.commutator_iHA, etas)
+    monkeypatch.setattr(mourre, "BISECT_TOL", tol)
+    estimates, refs, floors = [], [], []
+    for eta, est in zip(etas, batch):
+        if est is None:
+            continue
+        w = eta(dec.eigenvalues)
+        cols = np.flatnonzero(support_mask(w))
+        lo = max(i for i in windows if i <= cols[0])  # the window the batch opened for it
+        c, ek = windows[lo][np.ix_(cols - lo, cols - lo)], w[cols]
+        m = ek[:, None] * c * ek[None, :]
+        slack = mourre.PSD_RTOL * max(1.0, np.abs(m).max())
+        floor = -((np.abs(c).max() or 1.0) + 1.0)
+
+        def holds(a, active):
+            g = m - a[:, None, None] * np.diag(ek**2)
+            return np.linalg.eigvalsh(0.5 * (g + g.mT)).min(axis=1) >= -slack
+
+        top = -floor if holds(np.array([floor]), None)[0] else floor
+        estimates.append(est)
+        refs.append(min(float(_bisect_sup(holds, [floor], [top])[0]), est.corrected))
+        floors.append(floor)
+    return estimates, refs, floors
+
+
 class TestLockstepBisection:
     """A lockstep bisection must give every entry exactly what it gets alone:
     the same midpoints, the same stop and the same stacked eigensolves."""
@@ -270,22 +316,26 @@ class TestLockstepBisection:
 
     @pytest.mark.parametrize("name", ["rho-scan", "transfer", "rho-scan-L160", "transfer-L160"])
     def test_raw_settled_at_its_floor_equals_the_full_bisection(self, monkeypatch, name):
-        """On the golden scan and transfer configs, an eta whose raw test fails
-        at its floor is settled there without bisecting; raw_min and note must
-        equal those of the full bisection on the same eigenpairs, bit for bit."""
-        ops, lambdas, eps = _golden_samples(name)
-        dec, etas, settled = _windowed_estimates(ops, lambdas, eps)
-        bisect = mourre._bisect_sup
-        # widen every bracket emptied at its floor back to the full one, -floor
-        monkeypatch.setattr(mourre, "_bisect_sup",
-                            lambda holds, lo, hi: bisect(holds, lo, np.where(hi == lo, -lo, hi)))
-        full = _estimate_rho_batch(ops, dec, ops.commutator_iHA, etas)
-        def raw(ests):  # None for a sample below the spectrum
-            return [e and (e.raw_min, e.note) for e in ests]
-
-        assert raw(settled) == raw(full)
+        """On the golden scan and transfer configs, the closed-form raw value
+        must match the raw bisection it replaced, on the same blocks: within
+        BISECT_TOL * max(1, |v|) everywhere, and bit for bit, with the same
+        note, where that bisection never left its floor."""
+        estimates, refs, floors = _raw_references(monkeypatch, name)
+        for est, ref, floor in zip(estimates, refs, floors):
+            assert abs(est.raw_min - ref) <= BISECT_TOL * max(1.0, abs(ref))
+            assert est.note == ("raw_min is its bracket floor" if ref == floor else "")
+            if ref == floor:
+                assert est.raw_min == ref
         if name.endswith("L160"):  # most raw values sit at their floor there
-            assert sum(bool(e and e.note) for e in settled) > len(settled) // 2
+            assert sum(ref == floor for ref, floor in zip(refs, floors)) > len(refs) // 2
+
+    @pytest.mark.parametrize("name", ["rho-scan-L160", "transfer-L160"])
+    def test_raw_is_the_closed_form_eigenvalue(self, monkeypatch, name):
+        """raw = lambda_min(C + s E^-2), clipped to [floor, corrected], agrees
+        to 1e-8 relative with a bisection of the raw test run to 1e-14."""
+        estimates, refs, _ = _raw_references(monkeypatch, name, tol=1e-14)
+        for est, ref in zip(estimates, refs):
+            assert est.raw_min == pytest.approx(ref, rel=1e-8, abs=0.0)
 
     def test_nested_supports_of_mixed_widths(self, small_ops, dec_H):
         """A wide eta followed by narrow ones inside its support: one window
@@ -347,9 +397,8 @@ class TestCompression:
         """On the rho-scan-L160 operators and samples, `_estimate_rho_batch`
         holds at most 2 blocks of n x w values, w the widest window of columns
         it compresses.  In row blocks a compression holds ROW_BLOCK x w scratch,
-        and the scan peaks near 1.65 blocks, at its bisections; one n x w
-        product, its per-diagonal temporary and a copy of the boundary rows
-        took about 2.8."""
+        and the scan peaks near 1.34 blocks; one n x w product, its
+        per-diagonal temporary and a copy of the boundary rows took about 2.8."""
         ops, lambdas, eps = _golden_samples("rho-scan-L160")
         etas = [bump(lam, eps) for lam in lambdas]
         dec = eigendecompose(ops.H, [eta.window for eta in etas])

@@ -709,13 +709,16 @@ class TestScatteringProjector:
         u = dec.eigenvectors
         if basis == "complex":  # a column phase keeps the basis orthonormal and complex
             u = u * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))[None, :]
-        d = SpectralDecomposition(dec.eigenvalues, u)
+            # no eigensolver returns a complex basis, so the projector refuses one
+            with pytest.raises(ValueError, match="real eigenbasis"):
+                scattering_projector(SpectralDecomposition(dec.eigenvalues, u), np.ones(n, dtype=complex), 1.0)
         size = (n,) if shape == "vector" else (n, 7)
         states = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         coef = u.astype(complex).conj().T @ states
         coef[dec.eigenvalues <= 1.0 + 0.01] = 0.0  # threshold + AC_DELTA
         ref = u @ coef
-        out = scattering_projector(d, states, 1.0)
+        # column phases leave U_low U_low^dagger as it is: the real basis gives the same projection
+        out = scattering_projector(dec, states, 1.0)
         assert out.shape == states.shape and np.iscomplexobj(out)
         scale = np.max(np.abs(states))
         assert np.max(np.abs(out - ref)) <= ROUNDING_ULPS * n * F64_EPS * scale
