@@ -34,24 +34,35 @@ E = diag(eta) on the support and s the PSD slack, the raw test
 E C E - a E^2 >= -s holds iff C - a + s E^-2 >= 0: the raw value is
 lambda_min(C + s E^-2), one stacked `eigvalsh` per support size k, clipped
 to [floor, corrected], floor = -(max |C_ij| + 1) where the corrected bracket
-opens.  Only the corrected value is bisected, in lockstep: each eta keeps
-its own bracket and stop rule, so it meets the midpoints it would meet
-alone, and each step diagonalizes the still-active eta of one support
-size k in one stacked `eigh`.
+opens.  The corrected value is found in lockstep, each step one stacked
+`eigh` of the still-active eta of one support size k: a Newton descent
+from the top of the bracket, max |C_ij| + 1, reaches an edge of the set
+where the corrected test holds.  The lowest unflagged mode (mu, v) of
+each probe moves with slope -v^T E^2 v in a (Hellmann-Feynman), so the
+next probe is where mu meets -s, or the midpoint of the bracket when
+that would leave it.  The bisection from (floor, top) then replays
+through the descent's bracket, and only a midpoint inside it runs the
+test, so the value keeps the bisection's definition and resolution.  Each
+eta keeps its own bracket and stop rules, so it meets the probes and the
+midpoints it would meet alone.  On the rho-scan-L160 operators the 155 eta
+take about 1070 probes and a few replay tests, where the bisection took
+1921 midpoints.
 
 The corrected test is not monotone: which modes the discard rule flags
 changes with a, so the test can hold on an interval and fail on both
 sides of it.  On the rho-scan-L160 operators at lambda = 3.0 (L = 160,
 n = 1601, eps = 0.1, the 7 eigenpairs of H in (2.9, 3.1)) it fails for
 a <= -5.22, where one mode is flagged and the unflagged pencil has crossed,
-holds on [-5.215, 3.98] with two flagged, and fails from 3.985 on.  The
-bracket -(max |C_ij| + 1) .. max |C_ij| + 1 is symmetric, so its first
-midpoint is 0 and the bisection returns the upper edge, 3.98154 (rho0 = 4).
-In general the corrected value is a point where the test holds, within
-the bisection tolerance of a midpoint above it where it fails (or of the
-top of the bracket): which such edge is found is set by the midpoints.
-A bisection whose first midpoint falls below -5.22 there ends at the
-floor of its bracket or at another edge, and rho moves by O(1).
+holds on [-5.215, 3.98] with two flagged, and fails from 3.985 on; the
+descent from the top lands on the upper edge, 3.98154 (rho0 = 4).  A
+bisection alone reads the edge its midpoints lead to: from a bracket whose
+first midpoint falls below -5.22 it would end at the floor or at another
+edge, and at (L, n) = (40, 1601) it ended below the top of the holding
+set for 4 of 155 eta, by up to 2.08.  The descent reads the top edge
+however the bracket is shifted, unless a holding run above its first
+landing is bounded by flag flips: the Newton step from above, which
+follows the mode below the flip, steps over it.  At (40, 1601) that
+happens at lambda = 1.76 (value -2.08, top of the set -0.005).
 """
 
 from __future__ import annotations
@@ -212,9 +223,9 @@ def _bisect_sup(holds, lo, hi) -> np.ndarray:
     still bisecting and their indices, and returns one bool each.  An entry
     stops once its bracket is below BISECT_TOL * max(1, |lo|) (at most 60
     steps), so it meets the same midpoints as it would bisected alone.
-    The corrected test is not monotone (see the module docstring): the
-    result is an edge of a run of holding midpoints, the one the first
-    midpoint leads to, and moving that midpoint can move it by O(1)."""
+    For a test that is not monotone the result is an edge of a run of
+    holding midpoints, the one the first midpoint leads to; `_descend_sup`
+    chooses the edge first and replays the bisection through it."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     for _ in range(60):
         active = np.flatnonzero(~(hi - lo <= BISECT_TOL * np.maximum(1.0, np.abs(lo))))
@@ -225,6 +236,48 @@ def _bisect_sup(holds, lo, hi) -> np.ndarray:
         lo[active[ok]] = mid[ok]
         hi[active[~ok]] = mid[~ok]
     return lo
+
+
+def _descend_sup(probe, holds, lo, hi) -> np.ndarray:
+    """`_bisect_sup(holds, lo, hi)` through the edge a lockstep Newton descent
+    from hi reaches.  `probe(a, active)` runs the test on the entries still
+    descending and returns, for each, whether it holds and the Newton target,
+    the a where it predicts the edge (inf where it cannot).  Each entry keeps
+    a bracket (b, t): the test holds at b, or b is still lo, and fails at t,
+    or t is still hi (b = t = hi where it holds at hi).  The next probe is the
+    target moved on, in the direction of the step, by BISECT_TOL / 64 *
+    max(1, |a|), so that it lands across the edge, or the midpoint of the
+    bracket when that would leave it.  An entry stops once its bracket is
+    below BISECT_TOL / 16 * max(1, |b|) (at most 60 probes), so it meets the
+    same probes as it would descend alone.  The bisection then replays from
+    (lo, hi): a midpoint <= b holds, one >= t fails, and only one inside
+    (b, t) runs `holds`.  Where the test holds on one run below its top edge,
+    the result is the bisection's, bit for bit; elsewhere it is the
+    bisection of the edge the descent reached, which can lie below a holding
+    run that the descent stepped over."""
+    b, t = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    a = t.copy()
+    for _ in range(60):
+        active = np.flatnonzero(~(t - b <= BISECT_TOL / 16 * np.maximum(1.0, np.abs(b))))
+        if not active.size:
+            break
+        x = a[active]
+        ok, target = probe(x, active)
+        b[active[ok]] = x[ok]
+        t[active[~ok]] = x[~ok]
+        nudge = BISECT_TOL / 64 * np.maximum(1.0, np.abs(x))
+        nxt = np.where(ok, target + nudge, target - nudge)
+        below, above = b[active], t[active]
+        a[active] = np.where((below < nxt) & (nxt < above), nxt, 0.5 * (below + above))
+
+    def replay(mid, active):
+        ok = mid <= b[active]
+        inside = np.flatnonzero(~ok & (mid < t[active]))
+        if inside.size:
+            ok[inside] = holds(mid[inside], active[inside])
+        return ok
+
+    return _bisect_sup(replay, lo, hi)
 
 
 def _estimate_rho_batch(
@@ -275,12 +328,24 @@ def _estimate_rho_batch(
             g = m[active] - a[:, None, None] * nmat[active]
             eig, vec = np.linalg.eigh(0.5 * (g + g.conj().mT))
             inner, bdry, flags = _localization(vec, gsub[active])
-            return np.where(flags, math.inf, eig).min(axis=1), eig, inner, bdry, flags
+            return np.where(flags, math.inf, eig), vec, eig, inner, bdry, flags
+
+        def holds(a, active):
+            return unflagged(a, active)[0].min(axis=1) >= -slack[active]
+
+        def probe(a, active):
+            # the lowest unflagged eigenvalue mu moves with slope -v^dagger N v in a
+            # (Hellmann-Feynman); mu = inf, all modes flagged, gives target inf
+            kept, vec = unflagged(a, active)[:2]
+            rows, low = np.arange(a.size), kept.argmin(axis=1)
+            mu, v = kept[rows, low], vec[rows, :, low]
+            slope = np.sum(np.abs(v) ** 2 * ek[active] ** 2, axis=1)
+            return mu >= -slack[active], a + (mu + slack[active]) / slope
 
         scale = np.abs(csub).max(axis=(1, 2))
         scale[scale == 0] = 1.0
         floor, top = -scale - 1.0, scale + 1.0
-        corrected = _bisect_sup(lambda a, act: unflagged(a, act)[0] >= -slack[act], floor, top)
+        corrected = _descend_sup(probe, holds, floor, top)
         # raw = lambda_min(C + s E^-2) in [floor, corrected].  A column whose
         # s / eta^2 reaches 1e8 * top (up to 1e21 at a support edge) is cut loose
         # and held at top >= corrected: raw moves by about max|C_ij|^2 / (1e8 top),
@@ -291,7 +356,7 @@ def _estimate_rho_batch(
         pencil[:, range(k), range(k)] += np.where(near, shift, top[:, None])
         raw = np.minimum(np.maximum(np.linalg.eigvalsh(pencil).min(axis=1), floor), corrected)
 
-        _, eig, inner, bdry, flags = unflagged(corrected, np.arange(len(group)))
+        _, _, eig, inner, bdry, flags = unflagged(corrected, np.arange(len(group)))
         spectra = np.linalg.eigvalsh(csub)
         for row, j in enumerate(group):
             # a raw value clipped at its floor bounds nothing: the closed form lies below
@@ -315,7 +380,8 @@ def estimate_rho_eta(
     the commutator band C = comm (i[H,A], or a channel's i[H0,A0] with dec
     its eigenpairs).
 
-    The supremum is located by bisection to BISECT_TOL; positive-
+    The supremum is the top edge a Newton descent reaches, read by the
+    bisection to BISECT_TOL (see the module docstring); positive-
     semidefiniteness is tested on the compression eigenmodes that survive
     the discard rule (THETA, INTERACTION_RADIUS, BOUNDARY_FRACTION), with an absolute slack PSD_RTOL * max(1, ||M||)
     absorbing modes whose eta-weight is negligible.  This is the lockstep

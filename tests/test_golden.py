@@ -20,9 +20,15 @@ configs (all when none is named) under DIR/NAME on each, with a relative
 Each tolerance is the resolution of the estimator that produced the
 value, never an observed drift:
 
-- corrected rho values and margins come from the bisection of
-  `estimate_rho_eta`, which stops once its bracket is below
-  BISECT_TOL * max(1, |rho|).  Raw values were frozen from a bisection of
+- corrected rho values and margins come from `estimate_rho_eta`: a Newton
+  descent to the top edge of the set where its test holds, read by the
+  bisection through that edge, which stops once its bracket is below
+  BISECT_TOL * max(1, |rho|).  Where that set is one run below its edge the
+  value is the bisection's, bit for bit.  A holding run above the descent's
+  first landing that is bounded by flag flips is not seen (the `mourre`
+  docstring).  The rho-scan row at lambda = 1.75 was refrozen when the
+  descent came in: it reads the top of its holding set, -0.13013, where the
+  bisection's midpoints led to -0.14688.  Raw values were frozen from a bisection of
   the raw test to the same resolution; they are now the closed form
   lambda_min(C + s E^-2), clipped to the same bracket, which lies within
   that resolution of the bisection and equals it at the bracket floor;

@@ -15,6 +15,7 @@ from mourre_lab import mourre
 from mourre_lab.mourre import (
     _bisect_sup,
     _compress,
+    _descend_sup,
     _estimate_rho_batch,
     _localization,
     _windowed_estimates,
@@ -351,12 +352,184 @@ class TestLockstepBisection:
                 assert abs(v - ref) <= BISECT_TOL * max(1.0, abs(ref))
 
 
+def _pencils(seed, b=7, k=9):
+    """(probe, holds, lo, hi) for sup{a : lambda_min(M - a N) >= 0} over a stack
+    of b random symmetric M and positive diagonal N, a test that holds on one
+    run below its edge.  The probe is the estimator's: eigh, and the Newton
+    target a + mu / v^T N v of the lowest mode (mu, v).  Entry 0 predicts
+    nothing (target inf, as when every mode is flagged), entry 1 holds at
+    its hi and entry 2 fails at its lo."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((b, k, k)) * rng.uniform(0.01, 50.0, (b, 1, 1))
+    m = 0.5 * (m + m.mT)
+    n = rng.uniform(0.1, 2.0, (b, k))[:, :, None] * np.eye(k)
+    hi = 10.0 * np.abs(m).max(axis=(1, 2))
+    lo = -hi
+    root = [np.linalg.eigvalsh(mi / np.sqrt(np.diag(ni))[:, None] / np.sqrt(np.diag(ni))).min()
+            for mi, ni in zip(m, n)]
+    lo[1], hi[1] = root[1] - 10.0, root[1] - 1.0
+    lo[2], hi[2] = root[2] + 1.0, root[2] + 10.0
+
+    def probe(a, active):
+        eig, vec = np.linalg.eigh(m[active] - a[:, None, None] * n[active])
+        v = vec[:, :, 0]
+        target = a + eig[:, 0] / np.einsum("bi,bij,bj->b", v, n[active], v)
+        target[active == 0] = math.inf
+        return eig[:, 0] >= 0, target
+
+    def holds(a, active):
+        return np.linalg.eigh(m[active] - a[:, None, None] * n[active])[0][:, 0] >= 0
+
+    return probe, holds, lo, hi
+
+
+class TestNewtonDescent:
+    """The corrected value comes from a lockstep Newton descent, replayed
+    through the bisection's midpoints (`_descend_sup`)."""
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_lockstep_equals_each_entry_alone(self, seed):
+        """Every entry meets the probes and the replayed midpoints it meets
+        descended alone, so its value is bitwise the same."""
+        probe, holds, lo, hi = _pencils(seed)
+        batch = _descend_sup(probe, holds, lo, hi)
+        alone = [_descend_sup(lambda a, act, i=i: probe(a, np.full(act.size, i)),
+                              lambda a, act, i=i: holds(a, np.full(act.size, i)), [lo[i]], [hi[i]])[0]
+                 for i in range(lo.size)]
+        assert np.array_equal(batch, alone)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_one_run_keeps_the_bisection_bits_with_fewer_tests(self, seed):
+        """Where the test holds on one run below its edge, the replay answers
+        every midpoint as the test would, so the value is the bisection's, bit
+        for bit, and the probes and replay tests together are fewer than the
+        bisection's midpoints."""
+        probe, holds, lo, hi = _pencils(seed)
+        tests = np.zeros(lo.size, dtype=int)
+
+        def counted(f):
+            def call(a, active):
+                np.add.at(tests, active, 1)
+                return f(a, active)
+            return call
+
+        descended = _descend_sup(counted(probe), counted(holds), lo, hi)
+        by_descent, tests[:] = tests.copy(), 0
+        assert np.array_equal(descended, _bisect_sup(counted(holds), lo, hi))
+        assert descended[2] == lo[2] and by_descent[1] == 1
+        # entries 0 and 2 descend by midpoints, to a finer stop than the bisection's
+        assert by_descent[3:].sum() < 0.6 * tests[3:].sum(), (by_descent, tests)
+
+    def test_eigensolve_budget(self, monkeypatch):
+        """On the rho-scan-L160 operators and samples, `_estimate_rho_batch`
+        hands at most 1300 matrices to `np.linalg.eigh`.  The bisection handed
+        it 2076: 1921 midpoints and the 155 solves of the modes at the
+        corrected values; the descent about 1070 probes, a few replay tests
+        and the same 155."""
+        ops, lambdas, eps = _golden_samples("rho-scan-L160")
+        etas = [bump(lam, eps) for lam in lambdas]
+        dec = eigendecompose(ops.H, [eta.window for eta in etas])
+        matrices, eigh = [], np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            matrices.append(a.shape[0] if a.ndim == 3 else 1)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        ests = _estimate_rho_batch(ops, dec, ops.commutator_iHA, etas)
+        assert sum(est is not None for est in ests) == 155
+        assert sum(matrices) <= 1300, sum(matrices)
+
+    @pytest.mark.parametrize("where", ["rho-scan-L160", "L40"])
+    def test_a_shifted_bracket_moves_no_value(self, monkeypatch, scan_L40, where):
+        """Shifting each eta's bracket (floor, top) by a random offset in
+        [-0.5, 0.5] moves no corrected value beyond BISECT_TOL * max(1, |v|),
+        on the rho-scan-L160 samples and on the L = 40 scan, where the
+        bisection from the shifted bracket moved ten values by O(1)."""
+        if where == "L40":
+            ops, _, dec, etas, base = scan_L40
+        else:
+            ops, lambdas, eps = _golden_samples(where)
+            dec, etas, base = _windowed_estimates(ops, lambdas, eps)
+        rng, descend = np.random.default_rng(5), mourre._descend_sup
+
+        def shifted(probe, holds, lo, hi):
+            off = rng.uniform(-0.5, 0.5, len(lo))
+            return descend(probe, holds, lo + off, hi + off)
+
+        monkeypatch.setattr(mourre, "_descend_sup", shifted)
+        moved = _estimate_rho_batch(ops, dec, ops.commutator_iHA, etas)
+        for est, ref in zip(moved, base):
+            if ref is not None:
+                assert abs(est.corrected - ref.corrected) <= BISECT_TOL * max(1.0, abs(ref.corrected))
+
+    @pytest.mark.parametrize("lam", [1.36, 1.30, 1.14])
+    def test_reads_the_top_of_its_holding_set(self, scan_L40, lam):
+        """On the L = 40 scan the corrected test holds on two runs at these
+        lambda, and the bisection ended in the lower one (-0.864, -0.775 and
+        -0.809).  The value now holds, and an 8001-point scan of the test over
+        the bracket finds no holding a above it beyond BISECT_TOL * max(1, |v|)."""
+        ops, lambdas, dec, etas, ests = scan_L40
+        j = lambdas.index(min(lambdas, key=lambda x: abs(x - lam)))
+        holds, top = _corrected_test(ops, dec, etas[j])
+        v = ests[j].corrected
+        grid = np.linspace(-top, top, 8001)
+        ok = holds(grid)
+        assert len(mourre._runs(ok)) == 2
+        assert holds(np.array([v]))[0]
+        assert not ok[grid > v + BISECT_TOL * max(1.0, abs(v))].any()
+
+    def test_a_run_bounded_by_flag_flips_is_stepped_over(self, scan_L40):
+        """The miss, pinned as it reads: at lambda = 1.76 on the L = 40 scan
+        the upper holding run, whose top the 8001-point scan puts at -0.0048,
+        is bounded by flag flips, and the Newton step from above lands below
+        it.  The value is -2.0818, a holding point of the lower run."""
+        ops, lambdas, dec, etas, ests = scan_L40
+        j = lambdas.index(min(lambdas, key=lambda x: abs(x - 1.76)))
+        holds, top = _corrected_test(ops, dec, etas[j])
+        v = ests[j].corrected
+        assert v == pytest.approx(-2.0818, abs=1e-4)
+        assert holds(np.array([v]))[0]
+        grid = np.linspace(-top, top, 8001)
+        assert grid[holds(grid)].max() == pytest.approx(-0.0048, abs=1e-3)
+
+
+def _corrected_test(ops, dec, eta):
+    """(holds, top) for one eta: the estimator's corrected test on a 1-D array
+    of a, on the compression of the eta's own support columns, and the top
+    max |C_ij| + 1 of its bracket."""
+    w = eta(dec.eigenvalues)
+    cols = np.flatnonzero(support_mask(w))
+    c, grams = _compress(dec.eigenvectors[:, cols], ops.commutator_iHA, ops.grid)
+    ek = w[cols]
+    m = ek[:, None] * c * ek[None, :]
+    slack = mourre.PSD_RTOL * max(1.0, np.abs(m).max())
+
+    def holds(a):
+        eig, vec = np.linalg.eigh(m - a[:, None, None] * np.diag(ek**2))
+        flags = _localization(vec, np.broadcast_to(grams, (a.size,) + grams.shape))[2]
+        return np.where(flags, math.inf, eig).min(axis=1) >= -slack
+
+    return holds, np.abs(c).max() + 1.0
+
+
+@pytest.fixture(scope="module")
+def scan_L40():
+    """(ops, lambdas, dec, etas, estimates) of a rho scan at (L, n) = (40, 1601),
+    lambda from -0.5 to 3.0 in steps of 0.02, eps = 0.1, where the corrected
+    test holds on more than one run for 20 of the 155 eta."""
+    ops = build_pair(make_steplike(make_grid(40.0, 1601), 0.0, 1.0))
+    lambdas = [float(x) for x in np.arange(-0.5, 3.0 + 0.01, 0.02)]
+    return (ops, lambdas) + _windowed_estimates(ops, lambdas, 0.1)
+
+
 def test_corrected_test_is_not_monotone():
     """The corrected test holds on an interval of a, not below a supremum.
     On the rho-scan-L160 operators at lambda = 3.0, with the pairs of H in
     the window of eta, it fails at a = -5.3 (one flagged mode; the unflagged
-    pencil has crossed) and holds at 0, the first midpoint of the symmetric
-    bracket, and at the corrected value the bisection returns from there."""
+    pencil has crossed), holds at 0, and holds at the corrected value, the
+    upper edge of that interval, which the descent from the top of the
+    bracket reaches and the bisection's midpoints replay."""
     ops = build_pair(make_steplike(make_grid(160.0, 1601), 0.0, 1.0))
     eta = bump(3.0, 0.1)
     dec = eigendecompose(ops.H, [eta.window])

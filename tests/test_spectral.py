@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -656,6 +657,33 @@ class TestDst1:
         block = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
         assert np.max(np.abs(dst1(block) - basis.T @ block)) <= tol
         assert np.max(np.abs(dst1(dst1(block)) - block)) <= tol
+
+    def test_complex_block_writes_into_its_output(self):
+        """A complex 601 x 32 block is transformed one part at a time straight
+        into the output, through one odd extension: below 3.2 blocks of n x W
+        complex values traced (the output, the extension and one FFT; 4.0 when
+        each part made its own extension and result), bitwise equal to the sine
+        sum of each part by the FFT of its odd extension."""
+        n, w = 601, 32
+        rng = np.random.default_rng(4)
+        block = rng.standard_normal((n, w)) + 1j * rng.standard_normal((n, w))
+
+        def part(x):
+            z = np.zeros((2 * (n + 1), w))
+            z[1:n + 1] = x
+            z[n + 2:] = -x[::-1]
+            return np.fft.rfft(z, axis=0)[1:n + 1].imag * -math.sqrt(0.5 / (n + 1))
+
+        dst1(block)  # warm-up: the FFT's plan cache is not traced
+        tracemalloc.start()
+        try:
+            out = dst1(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * block.nbytes, peak / block.nbytes
+        assert np.array_equal(out.real, part(block.real)) and np.array_equal(out.imag, part(block.imag))
+        assert np.array_equal(dst1(block.real), part(block.real))
 
 
 class TestSmoothingFunctions:
